@@ -108,11 +108,83 @@ fn lex_less(a: &Vector, b: &Vector) -> bool {
     false
 }
 
-/// Exact minimum-diameter subset via lexicographic combination enumeration,
-/// writing the *mean* of the best subset into `out`; diameter ties are
-/// broken by the lexicographically smallest mean. `candidate` is a scratch
-/// buffer for the challenger mean.
+/// Exact minimum-diameter subset, writing the *mean* of the best subset
+/// into `out`; diameter ties are broken by the lexicographically smallest
+/// mean. `candidate` is a scratch buffer for the challenger mean.
+///
+/// A depth-first search over the subsets in lexicographic order: `combo`
+/// holds the current prefix and `diams[k]` the diameter of `combo[..=k]`,
+/// each extended one index at a time. A prefix whose diameter is strictly
+/// greater than the best complete subset so far is pruned — every
+/// completion comes later in the order and is at least as wide, so the
+/// flat enumeration would have skipped it too. Subsets that tie the best
+/// diameter are still visited in the flat enumeration's order, so the
+/// output is bit-identical to it.
+#[allow(clippy::too_many_arguments)]
 fn exact_min_diameter_mean(
+    gradients: &[Vector],
+    dist2: &[f64],
+    n: usize,
+    m: usize,
+    combo: &mut Vec<usize>,
+    diams: &mut Vec<f64>,
+    candidate: &mut Vector,
+    out: &mut Vector,
+) {
+    combo.clear();
+    diams.clear();
+    let mut best_diam: Option<f64> = None;
+    // The index to try at position `combo.len()`.
+    let mut next = 0;
+    loop {
+        let depth = combo.len();
+        // `next` can take this position only if enough indices remain
+        // after it to fill the rest of the subset.
+        if next + (m - depth) > n {
+            match combo.pop() {
+                Some(last) => {
+                    diams.pop();
+                    next = last + 1;
+                    continue;
+                }
+                None => return,
+            }
+        }
+        let j = next;
+        next += 1;
+        let mut diam = diams.last().copied().unwrap_or(0.0);
+        for &i in combo.iter() {
+            diam = diam.max(dist2[i * n + j]);
+        }
+        if best_diam.is_some_and(|best| diam > best) {
+            continue;
+        }
+        combo.push(j);
+        if depth + 1 < m {
+            diams.push(diam);
+            continue;
+        }
+        match best_diam {
+            Some(best) if diam == best => {
+                mean_indexed_into(gradients, combo, candidate);
+                if lex_less(candidate, out) {
+                    std::mem::swap(candidate, out);
+                }
+            }
+            _ => {
+                best_diam = Some(diam);
+                mean_indexed_into(gradients, combo, out);
+            }
+        }
+        combo.pop();
+    }
+}
+
+/// The flat enumeration the pruned search replaces: every subset in
+/// lexicographic order, each diameter rebuilt from scratch. Kept as the
+/// reference the pruned search must match bit for bit.
+#[cfg(test)]
+fn exact_min_diameter_mean_flat(
     gradients: &[Vector],
     dist2: &[f64],
     n: usize,
@@ -253,12 +325,13 @@ impl Gar for Mda {
         let GarScratch {
             ref dist2,
             ref mut combo,
+            ref mut scores,
             ref mut order,
             ref mut vec_a,
             ..
         } = *scratch;
         if Self::is_exact(n, f) {
-            exact_min_diameter_mean(gradients, dist2, n, m, combo, vec_a, out);
+            exact_min_diameter_mean(gradients, dist2, n, m, combo, scores, vec_a, out);
         } else {
             greedy_min_diameter_mean(gradients, dist2, n, m, order, vec_a, out);
         }
@@ -346,10 +419,19 @@ mod tests {
         let n = grads.len();
         let m = n - 4;
         let dist2 = distance_table(&grads);
-        let (mut combo, mut order) = (Vec::new(), Vec::new());
+        let (mut combo, mut diams, mut order) = (Vec::new(), Vec::new(), Vec::new());
         let (mut scratch, mut exact, mut greedy) =
             (Vector::default(), Vector::default(), Vector::default());
-        exact_min_diameter_mean(&grads, &dist2, n, m, &mut combo, &mut scratch, &mut exact);
+        exact_min_diameter_mean(
+            &grads,
+            &dist2,
+            n,
+            m,
+            &mut combo,
+            &mut diams,
+            &mut scratch,
+            &mut exact,
+        );
         greedy_min_diameter_mean(&grads, &dist2, n, m, &mut order, &mut scratch, &mut greedy);
         assert!(exact.approx_eq(&greedy, 1e-12));
         // And the chosen subset is the honest cluster.
@@ -374,6 +456,76 @@ mod tests {
                 assert!(mean[j] >= lo && mean[j] <= hi);
             }
         }
+    }
+
+    /// The pruned search on `grads` (through the scratch hot path) must
+    /// equal the flat enumeration bit for bit.
+    fn assert_pruned_matches_flat(grads: &[Vector], f: usize, case: &str) {
+        let n = grads.len();
+        let dist2 = distance_table(grads);
+        let (mut combo, mut candidate, mut flat) =
+            (Vec::new(), Vector::default(), Vector::default());
+        exact_min_diameter_mean_flat(
+            grads,
+            &dist2,
+            n,
+            n - f,
+            &mut combo,
+            &mut candidate,
+            &mut flat,
+        );
+        let mut pruned = Vector::default();
+        Mda::new()
+            .aggregate_into(grads, f, &mut GarScratch::new(), &mut pruned)
+            .unwrap();
+        let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pruned), bits(&flat), "{case}: n = {n}, f = {f}");
+    }
+
+    #[test]
+    fn pruned_search_matches_flat_enumeration_bitwise() {
+        let mut rng = Prng::seed_from_u64(4);
+        for n in 3..=13 {
+            for f in (1..=(n - 1) / 2).filter(|&f| Mda::is_exact(n, f)) {
+                for _ in 0..4 {
+                    let random: Vec<Vector> = (0..n).map(|_| rng.normal_vector(3, 1.0)).collect();
+                    assert_pruned_matches_flat(&random, f, "random");
+
+                    // ALIE: the f Byzantine workers submit one shared vector.
+                    let mut alie: Vec<Vector> =
+                        (0..n - f).map(|_| rng.normal_vector(3, 1.0)).collect();
+                    let forged = rng.normal_vector(3, 0.5);
+                    alie.extend(std::iter::repeat_n(forged, f));
+                    assert_pruned_matches_flat(&alie, f, "alie");
+
+                    // Small-integer coordinates: many subsets share a diameter.
+                    let grid: Vec<Vector> = (0..n)
+                        .map(|_| {
+                            let v: Vec<f64> =
+                                (0..2).map(|_| (rng.uniform() * 3.0).floor()).collect();
+                            Vector::from(v)
+                        })
+                        .collect();
+                    assert_pruned_matches_flat(&grid, f, "grid");
+                }
+                let same = vec![Vector::from(vec![0.25, -1.5]); n];
+                assert_pruned_matches_flat(&same, f, "identical");
+            }
+        }
+    }
+
+    #[test]
+    fn diameter_tie_picks_lex_smallest_mean_even_when_found_later() {
+        // {2, 1} and {1, 0} both have diameter 1; the later subset in
+        // enumeration order, {1, 0}, has the smaller mean and must win.
+        let grads = vec![
+            Vector::from(vec![2.0]),
+            Vector::from(vec![1.0]),
+            Vector::from(vec![0.0]),
+        ];
+        let out = Mda::new().aggregate(&grads, 1).unwrap();
+        assert_eq!(out[0], 0.5);
+        assert_pruned_matches_flat(&grads, 1, "tie");
     }
 
     #[test]

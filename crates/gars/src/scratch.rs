@@ -32,7 +32,7 @@ pub struct GarScratch {
     /// Flat `m × m` symmetric squared-distance matrix over the current
     /// member set (`m = active.len()` for subset-iterating rules).
     pub(crate) dist2: Vec<f64>,
-    /// Krum scores aligned with `active`.
+    /// Krum scores aligned with `active`; MDA's prefix-diameter stack.
     pub(crate) scores: Vec<f64>,
     /// Per-pair lane accumulators for the cache-tiled distance fill.
     pub(crate) pair_acc: Vec<[f64; kernels::LANES]>,
@@ -47,7 +47,7 @@ pub struct GarScratch {
     pub(crate) selected: Vec<usize>,
     /// Index-ordering buffer (Multi-Krum ranking, MDA greedy anchors).
     pub(crate) order: Vec<usize>,
-    /// Combination buffer for MDA's exact subset enumeration.
+    /// Subset prefix for MDA's exact subset search.
     pub(crate) combo: Vec<usize>,
     /// One coordinate column across the member gradients.
     pub(crate) col: Vec<f64>,

@@ -74,6 +74,72 @@ impl LogisticRegression {
         }
         z
     }
+
+    /// Calls `visit(z, x, y)` for every row of `batch` in order, where `z`
+    /// is the row's margin `raw(params, x)`, bit for bit. Margins are
+    /// computed four rows at a time with one accumulator per row: each row
+    /// still sums bias first, then features left to right, but the four
+    /// dependent add chains overlap instead of running back to back.
+    fn for_each_margin(
+        &self,
+        params: &Vector,
+        batch: &Batch,
+        mut visit: impl FnMut(f64, &[f64], f64),
+    ) {
+        let w = params.as_slice();
+        let (w, bias) = (&w[..self.num_features], w[self.num_features]);
+        let blocked = batch.len() - batch.len() % 4;
+        for i in (0..blocked).step_by(4) {
+            let (x0, y0) = batch.example(i);
+            let (x1, y1) = batch.example(i + 1);
+            let (x2, y2) = batch.example(i + 2);
+            let (x3, y3) = batch.example(i + 3);
+            debug_assert_eq!(x0.len(), self.num_features);
+            let (mut z0, mut z1, mut z2, mut z3) = (bias, bias, bias, bias);
+            for ((((wj, a), b), c), d) in w.iter().zip(x0).zip(x1).zip(x2).zip(x3) {
+                z0 += wj * a;
+                z1 += wj * b;
+                z2 += wj * c;
+                z3 += wj * d;
+            }
+            visit(z0, x0, y0);
+            visit(z1, x1, y1);
+            visit(z2, x2, y2);
+            visit(z3, x3, y3);
+        }
+        for i in blocked..batch.len() {
+            let (x, y) = batch.example(i);
+            visit(self.raw(params, x), x, y);
+        }
+    }
+
+    /// One row's loss at prediction `p` and label `y`.
+    fn row_loss(&self, p: f64, y: f64) -> f64 {
+        match self.loss {
+            LossKind::SigmoidMse => (p - y) * (p - y),
+            LossKind::CrossEntropy => {
+                // Clamp avoids -inf on saturated predictions.
+                let p = p.clamp(1e-12, 1.0 - 1e-12);
+                -(y * p.ln() + (1.0 - y) * (1.0 - p).ln())
+            }
+        }
+    }
+
+    /// One row's `dL/dz` at prediction `p` and label `y`; `dσ/dz = σ(1−σ)`.
+    fn row_dz(&self, p: f64, y: f64) -> f64 {
+        match self.loss {
+            LossKind::SigmoidMse => 2.0 * (p - y) * p * (1.0 - p),
+            LossKind::CrossEntropy => p - y,
+        }
+    }
+
+    /// Adds `dz · [x, 1]` into the gradient accumulator `g`.
+    fn accumulate(&self, g: &mut [f64], dz: f64, x: &[f64]) {
+        for (gj, &xj) in g.iter_mut().zip(x) {
+            *gj += dz * xj;
+        }
+        g[self.num_features] += dz;
+    }
 }
 
 impl Model for LogisticRegression {
@@ -84,18 +150,9 @@ impl Model for LogisticRegression {
     fn loss(&self, params: &Vector, batch: &Batch) -> f64 {
         assert!(!batch.is_empty(), "loss over an empty batch is undefined");
         let mut total = 0.0;
-        for i in 0..batch.len() {
-            let (x, y) = batch.example(i);
-            let p = sigmoid(self.raw(params, x));
-            total += match self.loss {
-                LossKind::SigmoidMse => (p - y) * (p - y),
-                LossKind::CrossEntropy => {
-                    // Clamp avoids -inf on saturated predictions.
-                    let p = p.clamp(1e-12, 1.0 - 1e-12);
-                    -(y * p.ln() + (1.0 - y) * (1.0 - p).ln())
-                }
-            };
-        }
+        self.for_each_margin(params, batch, |z, _, y| {
+            total += self.row_loss(sigmoid(z), y);
+        });
         total / batch.len() as f64
     }
 
@@ -113,20 +170,25 @@ impl Model for LogisticRegression {
         out.resize(self.dim(), 0.0);
         out.fill(0.0);
         let g = out.as_mut_slice();
-        for i in 0..batch.len() {
-            let (x, y) = batch.example(i);
-            let p = sigmoid(self.raw(params, x));
-            // dL/dz for each loss; dσ/dz = σ(1−σ).
-            let dz = match self.loss {
-                LossKind::SigmoidMse => 2.0 * (p - y) * p * (1.0 - p),
-                LossKind::CrossEntropy => p - y,
-            };
-            for (j, &xj) in x.iter().enumerate() {
-                g[j] += dz * xj;
-            }
-            g[self.num_features] += dz;
-        }
+        self.for_each_margin(params, batch, |z, x, y| {
+            self.accumulate(g, self.row_dz(sigmoid(z), y), x);
+        });
         out.scale(1.0 / batch.len() as f64);
+    }
+
+    fn loss_and_gradient_into(&self, params: &Vector, batch: &Batch, out: &mut Vector) -> f64 {
+        assert!(!batch.is_empty(), "loss over an empty batch is undefined");
+        out.resize(self.dim(), 0.0);
+        out.fill(0.0);
+        let g = out.as_mut_slice();
+        let mut total = 0.0;
+        self.for_each_margin(params, batch, |z, x, y| {
+            let p = sigmoid(z);
+            total += self.row_loss(p, y);
+            self.accumulate(g, self.row_dz(p, y), x);
+        });
+        out.scale(1.0 / batch.len() as f64);
+        total / batch.len() as f64
     }
 
     fn predict(&self, params: &Vector, features: &[f64]) -> f64 {
@@ -202,6 +264,58 @@ mod tests {
         }
         let l1 = m.loss(&params, &batch);
         assert!(l1 < l0, "loss did not decrease: {l0} -> {l1}");
+    }
+
+    fn bits(v: &Vector) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The row-at-a-time reference: one `raw` margin per row, loss and
+    /// gradient accumulated in row order.
+    fn reference(m: &LogisticRegression, params: &Vector, batch: &Batch) -> (f64, Vector) {
+        let mut total = 0.0;
+        let mut g = Vector::zeros(m.dim());
+        for i in 0..batch.len() {
+            let (x, y) = batch.example(i);
+            let p = sigmoid(m.raw(params, x));
+            total += m.row_loss(p, y);
+            let dz = m.row_dz(p, y);
+            for (j, &xj) in x.iter().enumerate() {
+                g[j] += dz * xj;
+            }
+            g[m.num_features] += dz;
+        }
+        g.scale(1.0 / batch.len() as f64);
+        (total / batch.len() as f64, g)
+    }
+
+    #[test]
+    fn fused_and_blocked_paths_match_row_reference_bitwise() {
+        let mut rng = Prng::seed_from_u64(5);
+        let ds = synthetic::phishing_like(&mut rng, 40);
+        for kind in [LossKind::SigmoidMse, LossKind::CrossEntropy] {
+            let m = LogisticRegression::new(ds.num_features(), kind);
+            let params = rng.normal_vector(m.dim(), 0.5);
+            // 1..=9 rows: zero to two four-row blocks plus 0–3 leftovers.
+            for len in 1..=9 {
+                let indices: Vec<usize> = (0..len).map(|i| (7 * i + len) % ds.len()).collect();
+                let batch = ds.batch(&indices);
+                let (ref_loss, ref_grad) = reference(&m, &params, &batch);
+                let loss = m.loss(&params, &batch);
+                let mut grad = Vector::default();
+                m.gradient_into(&params, &batch, &mut grad);
+                let mut fused_grad = Vector::filled(3, 9.0);
+                let fused_loss = m.loss_and_gradient_into(&params, &batch, &mut fused_grad);
+                assert_eq!(loss.to_bits(), ref_loss.to_bits(), "{kind:?}, {len} rows");
+                assert_eq!(
+                    fused_loss.to_bits(),
+                    ref_loss.to_bits(),
+                    "{kind:?}, {len} rows"
+                );
+                assert_eq!(bits(&grad), bits(&ref_grad), "{kind:?}, {len} rows");
+                assert_eq!(bits(&fused_grad), bits(&ref_grad), "{kind:?}, {len} rows");
+            }
+        }
     }
 
     #[test]

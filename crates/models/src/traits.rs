@@ -31,6 +31,19 @@ pub trait Model: Send + Sync {
         out.copy_from(&self.gradient(params, batch));
     }
 
+    /// Returns [`Model::loss`] and writes [`Model::gradient_into`]'s
+    /// gradient into `out` in one call — what the worker loop drives every
+    /// step. Must produce the same loss and coordinates as the two
+    /// separate calls, bit for bit.
+    ///
+    /// The default makes the two calls (loss first); models whose loss and
+    /// gradient share a forward pass override it to run that pass once.
+    fn loss_and_gradient_into(&self, params: &Vector, batch: &Batch, out: &mut Vector) -> f64 {
+        let loss = self.loss(params, batch);
+        self.gradient_into(params, batch, out);
+        loss
+    }
+
     /// Raw model output for a single feature row (for classifiers: the
     /// probability of class 1).
     fn predict(&self, params: &Vector, features: &[f64]) -> f64;
@@ -96,5 +109,32 @@ mod tests {
     fn default_init_is_zero() {
         let mut rng = Prng::seed_from_u64(0);
         assert_eq!(Bowl.init_params(&mut rng), Vector::zeros(2));
+    }
+
+    #[test]
+    fn default_fused_call_equals_the_two_separate_calls() {
+        use crate::{Activation, LinearRegression, Mlp, QuadraticMean};
+        use dpbyz_data::synthetic;
+
+        let mut rng = Prng::seed_from_u64(6);
+        let ds = synthetic::phishing_like(&mut rng, 7);
+        let batch = ds.full_batch();
+        let k = ds.num_features();
+        let models: Vec<Box<dyn Model>> = vec![
+            Box::new(Mlp::new(k, 4, Activation::Tanh)),
+            Box::new(LinearRegression::new(k)),
+            Box::new(QuadraticMean::new(k)),
+        ];
+        for model in &models {
+            let params = &model.init_params(&mut rng) + &rng.normal_vector(model.dim(), 0.3);
+            let loss = model.loss(&params, &batch);
+            let mut grad = Vector::default();
+            model.gradient_into(&params, &batch, &mut grad);
+            let mut fused = Vector::default();
+            let fused_loss = model.loss_and_gradient_into(&params, &batch, &mut fused);
+            assert_eq!(fused_loss.to_bits(), loss.to_bits());
+            let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fused), bits(&grad));
+        }
     }
 }

@@ -117,9 +117,9 @@ impl HonestWorker {
     pub fn compute_into(&mut self, params: &Vector, batch_size: usize, out: &mut WorkerOutput) {
         self.source
             .next_batch_into(batch_size, &mut self.rng, &mut self.batch);
-        out.batch_loss = self.model.loss(params, &self.batch);
-        self.model
-            .gradient_into(params, &self.batch, &mut self.grad);
+        out.batch_loss = self
+            .model
+            .loss_and_gradient_into(params, &self.batch, &mut self.grad);
         self.grad.clip_l2(self.clip);
         self.noisy.copy_from(&self.grad);
         self.mechanism

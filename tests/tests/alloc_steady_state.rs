@@ -1,26 +1,34 @@
 //! Allocation bound for the zero-copy round engine: after warm-up, a
 //! training round performs **zero** heap allocations for the `average`,
-//! `krum`, and `median` cells with the Gaussian mechanism — on **both**
-//! engines. The threaded cases cover the whole transport too: encoding
-//! into the recycled frame arena, the channel hop, and decoding straight
-//! into the server's output slots all stay allocation-free once warm.
+//! `krum`, and `median` cells with the Gaussian mechanism, and for the
+//! paper's §5.1 cell (MDA + Gaussian + ALIE + worker momentum) — on
+//! **both** engines. The threaded cases cover the whole transport too:
+//! encoding into the recycled frame arena, the channel hop, and decoding
+//! straight into the server's output slots all stay allocation-free once
+//! warm.
 //!
 //! A counting global allocator snapshots the cumulative allocation count
 //! at every step (via a passive observer); the per-round deltas over the
 //! back half of the run must all be zero. Any clone-per-round regression
 //! in the worker loop, the wire codec, the server's round processing, the
 //! VN diagnostics, or the GAR scratch path fails this test immediately.
+//!
+//! The allocator count is process-global, so the cases run one at a time
+//! (see [`SERIAL`]): under the parallel test runner, another case's
+//! warm-up would otherwise land in this case's counting window.
 
+use dpbyz::attacks::{Attack, LittleIsEnough};
 use dpbyz::data::sampler::{BatchSource, DatasetSource, SamplingMode};
 use dpbyz::data::synthetic;
 use dpbyz::dp::{GaussianMechanism, Mechanism};
-use dpbyz::gars::{Average, CoordinateMedian, Gar, Krum};
+use dpbyz::gars::{Average, CoordinateMedian, Gar, Krum, Mda};
 use dpbyz::models::{LogisticRegression, LossKind};
-use dpbyz::server::{FnObserver, ThreadedTrainer, Trainer, TrainingConfig};
+use dpbyz::server::{FnObserver, MomentumMode, ThreadedTrainer, Trainer, TrainingConfig};
 use dpbyz::tensor::Prng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Counts every allocation event (alloc, alloc_zeroed, realloc) while
 /// delegating to the system allocator.
@@ -58,35 +66,63 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 const STEPS: u32 = 40;
 
-/// Runs one cell and returns the cumulative allocation count observed at
-/// the end of every step.
-fn per_step_allocation_counts(gar: Arc<dyn Gar>) -> Vec<u64> {
-    per_step_allocation_counts_on(gar, false, 1)
+/// Held by every case from its warm-up through its last counted round and
+/// its assertion, so no other case allocates inside its counting window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`], then waits until the allocation count has stood still
+/// for [`QUIET`]: the test runner's own bookkeeping for the case that just
+/// released the lock (reporting its result, starting the next case's
+/// thread) allocates too, and must be over before this case starts.
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed case poisons the lock; the next case still runs alone.
+    let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let before = allocation_count();
+        std::thread::sleep(QUIET);
+        if allocation_count() == before || Instant::now() > deadline {
+            return guard;
+        }
+    }
 }
 
-/// [`per_step_allocation_counts`] with engine selection and intra-round
-/// aggregation parallelism: `threaded` exercises the full wire transport
-/// (frame arena encode → channel → decode) under the counting allocator;
-/// `agg_threads > 1` shards the GAR's coordinate/candidate loops over the
-/// compute pool, whose task packets must also recycle allocation-free
-/// once warm (worker threads and channel buffers land in round 1).
-fn per_step_allocation_counts_on(
+const QUIET: Duration = Duration::from_millis(10);
+
+/// The topology a cell trains on.
+#[derive(Clone, Copy)]
+enum Cell {
+    /// Five honest workers, no attack, server-side momentum.
+    Honest,
+    /// The paper's §5.1 cell: n = 11 with f = 5 ALIE workers, and
+    /// momentum 0.99 applied by each honest worker.
+    Paper,
+}
+
+/// A trainer for `cell` whose observer records the cumulative allocation
+/// count at the end of every step, plus the shared record. The record is
+/// pre-reserved so the observer itself never allocates on the hot path.
+fn counting_trainer(
     gar: Arc<dyn Gar>,
-    threaded: bool,
+    cell: Cell,
     agg_threads: usize,
-) -> Vec<u64> {
-    let n = 5;
+) -> (Trainer, Arc<Mutex<Vec<u64>>>) {
+    let (n, f) = match cell {
+        Cell::Honest => (5, 0),
+        Cell::Paper => (11, 5),
+    };
     let mut rng = Prng::seed_from_u64(11);
     let ds = Arc::new(synthetic::phishing_like(&mut rng, 400));
     let model = Arc::new(LogisticRegression::new(68, LossKind::SigmoidMse));
-    let config = TrainingConfig::builder()
-        .workers(n, 0)
+    let mut config = TrainingConfig::builder()
+        .workers(n, f)
         .batch_size(10)
         .steps(STEPS)
         .eval_every(0)
-        .agg_threads(agg_threads)
-        .build()
-        .unwrap();
+        .agg_threads(agg_threads);
+    if let Cell::Paper = cell {
+        config = config.momentum(0.99).momentum_mode(MomentumMode::Worker);
+    }
     let sources: Vec<Box<dyn BatchSource>> = (0..n)
         .map(|_| {
             Box::new(DatasetSource::new(
@@ -95,16 +131,40 @@ fn per_step_allocation_counts_on(
             )) as Box<dyn BatchSource>
         })
         .collect();
-    // The snapshot buffer is pre-reserved so the observer itself never
-    // allocates on the hot path.
     let snapshots: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::with_capacity(STEPS as usize)));
     let sink = snapshots.clone();
-    let trainer = Trainer::new(config, model, sources, None)
+    let mut trainer = Trainer::new(config.build().unwrap(), model, sources, None)
         .gar(gar)
         .mechanism(Arc::new(GaussianMechanism::with_sigma(0.01).unwrap()) as Arc<dyn Mechanism>)
         .observer(Box::new(FnObserver::new(move |_m| {
             sink.lock().unwrap().push(allocation_count());
         })));
+    if let Cell::Paper = cell {
+        trainer = trainer.attack(Arc::new(LittleIsEnough::new(1.5)) as Arc<dyn Attack>);
+    }
+    (trainer, snapshots)
+}
+
+/// Runs one honest cell on the sequential engine and returns the
+/// cumulative allocation count observed at the end of every step.
+fn per_step_allocation_counts(gar: Arc<dyn Gar>) -> Vec<u64> {
+    per_step_allocation_counts_on(gar, Cell::Honest, false, 1)
+}
+
+/// [`per_step_allocation_counts`] with cell, engine selection and
+/// intra-round aggregation parallelism: `threaded` exercises the full wire
+/// transport (frame arena encode → channel → decode) under the counting
+/// allocator; `agg_threads > 1` shards the GAR's coordinate/candidate
+/// loops over the compute pool, whose task packets must also recycle
+/// allocation-free once warm (worker threads and channel buffers land in
+/// round 1).
+fn per_step_allocation_counts_on(
+    gar: Arc<dyn Gar>,
+    cell: Cell,
+    threaded: bool,
+    agg_threads: usize,
+) -> Vec<u64> {
+    let (trainer, snapshots) = counting_trainer(gar, cell, agg_threads);
     if threaded {
         ThreadedTrainer::from(trainer).run(1).unwrap();
     } else {
@@ -132,18 +192,21 @@ fn assert_steady_state_allocation_free(name: &str, counts: &[u64]) {
 
 #[test]
 fn average_cell_is_allocation_free_at_steady_state() {
+    let _serial = serial();
     let counts = per_step_allocation_counts(Arc::new(Average::new()));
     assert_steady_state_allocation_free("average/gaussian", &counts);
 }
 
 #[test]
 fn krum_cell_is_allocation_free_at_steady_state() {
+    let _serial = serial();
     let counts = per_step_allocation_counts(Arc::new(Krum::new()));
     assert_steady_state_allocation_free("krum/gaussian", &counts);
 }
 
 #[test]
 fn median_cell_is_allocation_free_at_steady_state() {
+    let _serial = serial();
     let counts = per_step_allocation_counts(Arc::new(CoordinateMedian::new()));
     assert_steady_state_allocation_free("median/gaussian", &counts);
 }
@@ -156,20 +219,43 @@ fn median_cell_is_allocation_free_at_steady_state() {
 
 #[test]
 fn threaded_average_cell_is_allocation_free_at_steady_state() {
-    let counts = per_step_allocation_counts_on(Arc::new(Average::new()), true, 1);
+    let _serial = serial();
+    let counts = per_step_allocation_counts_on(Arc::new(Average::new()), Cell::Honest, true, 1);
     assert_steady_state_allocation_free("threaded/average/gaussian", &counts);
 }
 
 #[test]
 fn threaded_krum_cell_is_allocation_free_at_steady_state() {
-    let counts = per_step_allocation_counts_on(Arc::new(Krum::new()), true, 1);
+    let _serial = serial();
+    let counts = per_step_allocation_counts_on(Arc::new(Krum::new()), Cell::Honest, true, 1);
     assert_steady_state_allocation_free("threaded/krum/gaussian", &counts);
 }
 
 #[test]
 fn threaded_median_cell_is_allocation_free_at_steady_state() {
-    let counts = per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), true, 1);
+    let _serial = serial();
+    let counts =
+        per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), Cell::Honest, true, 1);
     assert_steady_state_allocation_free("threaded/median/gaussian", &counts);
+}
+
+// The paper's §5.1 cell — the one the benchmark runs — stays
+// allocation-free too: MDA's exact subset search works on the GAR
+// scratch, ALIE forges into recycled slots, and the worker-side momentum
+// buffers are updated in place.
+
+#[test]
+fn paper_mda_alie_cell_is_allocation_free_at_steady_state() {
+    let _serial = serial();
+    let counts = per_step_allocation_counts_on(Arc::new(Mda::new()), Cell::Paper, false, 1);
+    assert_steady_state_allocation_free("mda/gaussian/alie/worker-momentum", &counts);
+}
+
+#[test]
+fn threaded_paper_mda_alie_cell_is_allocation_free_at_steady_state() {
+    let _serial = serial();
+    let counts = per_step_allocation_counts_on(Arc::new(Mda::new()), Cell::Paper, true, 1);
+    assert_steady_state_allocation_free("threaded/mda/gaussian/alie/worker-momentum", &counts);
 }
 
 // The intra-round parallel aggregation path (`agg_threads > 1`) reaches
@@ -180,19 +266,24 @@ fn threaded_median_cell_is_allocation_free_at_steady_state() {
 
 #[test]
 fn parallel_median_cell_is_allocation_free_at_steady_state() {
-    let counts = per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), false, 4);
+    let _serial = serial();
+    let counts =
+        per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), Cell::Honest, false, 4);
     assert_steady_state_allocation_free("median/gaussian/agg_threads=4", &counts);
 }
 
 #[test]
 fn parallel_krum_cell_is_allocation_free_at_steady_state() {
-    let counts = per_step_allocation_counts_on(Arc::new(Krum::new()), false, 4);
+    let _serial = serial();
+    let counts = per_step_allocation_counts_on(Arc::new(Krum::new()), Cell::Honest, false, 4);
     assert_steady_state_allocation_free("krum/gaussian/agg_threads=4", &counts);
 }
 
 #[test]
 fn threaded_parallel_median_cell_is_allocation_free_at_steady_state() {
-    let counts = per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), true, 4);
+    let _serial = serial();
+    let counts =
+        per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), Cell::Honest, true, 4);
     assert_steady_state_allocation_free("threaded/median/gaussian/agg_threads=4", &counts);
 }
 
@@ -207,32 +298,7 @@ fn per_step_allocation_counts_tcp(gar: Arc<dyn Gar>) -> Vec<u64> {
     use dpbyz::RunScratch;
 
     let n = 5;
-    let mut rng = Prng::seed_from_u64(11);
-    let ds = Arc::new(synthetic::phishing_like(&mut rng, 400));
-    let model = Arc::new(LogisticRegression::new(68, LossKind::SigmoidMse));
-    let config = TrainingConfig::builder()
-        .workers(n, 0)
-        .batch_size(10)
-        .steps(STEPS)
-        .eval_every(0)
-        .build()
-        .unwrap();
-    let sources: Vec<Box<dyn BatchSource>> = (0..n)
-        .map(|_| {
-            Box::new(DatasetSource::new(
-                ds.clone(),
-                SamplingMode::WithReplacement,
-            )) as Box<dyn BatchSource>
-        })
-        .collect();
-    let snapshots: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::with_capacity(STEPS as usize)));
-    let sink = snapshots.clone();
-    let trainer = Trainer::new(config, model, sources, None)
-        .gar(gar)
-        .mechanism(Arc::new(GaussianMechanism::with_sigma(0.01).unwrap()) as Arc<dyn Mechanism>)
-        .observer(Box::new(FnObserver::new(move |_m| {
-            sink.lock().unwrap().push(allocation_count());
-        })));
+    let (trainer, snapshots) = counting_trainer(gar, Cell::Honest, 1);
 
     let mut scratch = RunScratch::new();
     let (core, workers) = trainer.into_distributed_parts(1, &mut scratch);
@@ -282,12 +348,14 @@ fn assert_steady_state_allocation_bounded(name: &str, counts: &[u64]) {
 
 #[test]
 fn tcp_average_cell_keeps_rounds_allocation_bounded() {
+    let _serial = serial();
     let counts = per_step_allocation_counts_tcp(Arc::new(Average::new()));
     assert_steady_state_allocation_bounded("tcp/average/gaussian", &counts);
 }
 
 #[test]
 fn tcp_median_cell_keeps_rounds_allocation_bounded() {
+    let _serial = serial();
     let counts = per_step_allocation_counts_tcp(Arc::new(CoordinateMedian::new()));
     assert_steady_state_allocation_bounded("tcp/median/gaussian", &counts);
 }
