@@ -83,14 +83,15 @@ pub fn rule_summary(rule: &str) -> &'static str {
 }
 
 /// Path scope of the determinism rules: the pure round state machine,
-/// the transport-generic drive loop, the seeded chaos simulator, the
-/// wire codec (its windowed `GradGuard` decides staleness admission —
+/// the transport-generic drive loop, the coordinator session handler
+/// both transports share, the seeded chaos simulator, the wire codec (its windowed `GradGuard` decides staleness admission —
 /// any wall-clock or ambient-RNG leak there would break replay), every
 /// GAR, the trainer round loop, the metrics/digest layer, and the
 /// tensor kernels under all of them.
 const DETERMINISM_SCOPE: &[&str] = &[
     "crates/net/src/machine.rs",
     "crates/net/src/protocol.rs",
+    "crates/net/src/session.rs",
     "crates/net/src/sim.rs",
     "crates/net/src/transport.rs",
     "crates/gars/src/",
@@ -99,10 +100,12 @@ const DETERMINISM_SCOPE: &[&str] = &[
     "crates/tensor/src/",
 ];
 
-/// Path scope of the hostile-input panic rules: the three files that
-/// parse bytes a remote peer controls.
+/// Path scope of the hostile-input panic rules: the files that parse
+/// bytes a remote peer controls — the codec, the one session handler
+/// (for both transports), and the two socket endpoints.
 const HOSTILE_INPUT_SCOPE: &[&str] = &[
     "crates/net/src/protocol.rs",
+    "crates/net/src/session.rs",
     "crates/net/src/coordinator.rs",
     "crates/net/src/worker.rs",
 ];

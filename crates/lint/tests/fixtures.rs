@@ -160,13 +160,26 @@ fn determinism_rules_cover_the_parallel_aggregation_files() {
 }
 
 /// The chaos transport layer is determinism-scoped too: the seeded
-/// simulator and the transport-generic drive loop must never read wall
-/// clocks, ambient RNG, or iteration-unordered maps — same seed, same
-/// byte-level event order is the whole contract. The sim hot loop also
-/// honours zero-copy regions.
+/// simulator, the transport-generic drive loop, and the session handler
+/// both transports share must never read wall clocks, ambient RNG, or
+/// iteration-unordered maps — same seed, same byte-level event order is
+/// the whole contract. Their hot loops also honour zero-copy regions.
+/// The session handler parses every peer-supplied handshake and report,
+/// so it is hostile-input-scoped as well — one parser, covered for both
+/// transports.
 #[test]
 fn determinism_rules_cover_the_chaos_transport_files() {
-    for file in ["crates/net/src/sim.rs", "crates/net/src/transport.rs"] {
+    for rule in [rules::RULE_EXPLICIT_PANIC, rules::RULE_INDEXING] {
+        assert!(
+            rules::rule_applies(rule, "crates/net/src/session.rs"),
+            "{rule} must cover the session handler"
+        );
+    }
+    for file in [
+        "crates/net/src/sim.rs",
+        "crates/net/src/transport.rs",
+        "crates/net/src/session.rs",
+    ] {
         for rule in [
             rules::RULE_WALL_CLOCK,
             rules::RULE_AMBIENT_RNG,

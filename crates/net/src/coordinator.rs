@@ -8,30 +8,21 @@
 //! * the **core** decides *what* — forgeries, fault semantics,
 //!   aggregation, the model update — exactly as the in-process engines
 //!   drive it, which is what makes the TCP run's history bit-identical;
-//! * this transport only moves bytes between the two.
+//! * the **session** (`session.rs`) decides *who may speak* — the
+//!   join gate, `JOIN_FRESH`, token-checked `REJOIN` with resume-ring
+//!   replay, gradient admission, ahead-of-round buffering — the one
+//!   handler the [`SimNet`](crate::sim::SimNet) transport runs too;
+//! * this transport only accepts, reads, writes and closes sockets.
 //!
 //! Churn handling: a dead socket is **not** permanent. The transport
-//! surfaces it as [`Event::Detached`] (the machine keeps the worker
+//! reports it to the session as a detach (the machine keeps the worker
 //! joined, zeroing its rounds like a straggler's), keeps accepting
-//! connections in every live phase, and lets the worker resume through
-//! the [`KIND_REJOIN`] handshake — token check, then a [`ResumeRing`]
-//! replay of every missed broadcast so the worker's state catches up
-//! exactly as if it had merely straggled. A worker that was *never* in
-//! the fleet may attach mid-run via [`KIND_JOIN_FRESH`]: the ring's
-//! current `STEP` frame carries the parameters, so the replayed tail is
-//! the model-state snapshot, and the machine books the slot as joined and
-//! ready from the in-flight round on. Inbound gradient frames pass a
-//! [`GradGuard`] before touching an output slot, so duplicated or
-//! reordered frames (chaos links, retransmissions after a rejoin) never
-//! clobber the current round's report; under a configured
-//! `staleness_window` the guard also admits bounded-late frames, whose
-//! ages the machine hands the server for `λ^j` damping. A frame tagged
-//! one step *ahead* of the round (reordered delivery around a broadcast)
-//! is buffered — one slot per worker, latest wins — and admitted when
-//! its step arrives instead of killing the connection.
+//! connections in every live phase, and hands each new connection's
+//! first frame to the session, which may bind it to a slot and name the
+//! broadcasts to replay down it. A protocol violation closes the socket.
 //!
 //! The loop is allocation-disciplined: per-connection [`FrameReader`]s,
-//! one broadcast scratch [`BytesMut`], the ring's recycled frame
+//! the session's broadcast scratch and recycled ring and ahead-of-round
 //! buffers, the output slots from the shared [`RunScratch`], and the
 //! machine's recycled action/straggler buffers are all reused round
 //! after round. The counting-allocator integration test pins the steady
@@ -40,14 +31,9 @@
 //! [`RunScratch`]: dpbyz_server::RunScratch
 
 use crate::machine::{Event, MachineConfig, Phase};
-use crate::protocol::{
-    begin_frame, decode_grad, elapsed_ms, end_frame, peek_grad, session_token, write_all_frame,
-    Admission, FrameReader, GradGuard, KIND_ABORT, KIND_DONE, KIND_GRAD, KIND_JOIN,
-    KIND_JOIN_FRESH, KIND_READY, KIND_REJOIN, KIND_STEP, KIND_WARMUP,
-};
-use crate::transport::{current_step, drive, ResumeRing, Transport};
-use bytes::{BufMut, BytesMut};
-use dpbyz_server::message::{read_array, StepMessage};
+use crate::protocol::{elapsed_ms, write_all_frame, FrameReader};
+use crate::session::{Broadcast, Session, Verdict};
+use crate::transport::{drive, Replay, Transport};
 use dpbyz_server::{RunHistory, RunScratch, ServerCore, WorkerOutput};
 use dpbyz_tensor::Vector;
 use std::io;
@@ -72,10 +58,10 @@ pub struct CoordinatorConfig {
     pub warmup_timeout: Duration,
     /// Per-step deadline, measured from the step broadcast.
     pub step_timeout: Duration,
-    /// Broadcast frames the [`ResumeRing`] retains for `Rejoin` replay: a
-    /// worker more than this many rounds behind cannot resume (it stays
-    /// detached, zeroed every round, and the quorum logic owns the
-    /// consequences).
+    /// Broadcast frames the [`ResumeRing`](crate::transport::ResumeRing)
+    /// retains for `Rejoin` replay: a worker more than this many rounds
+    /// behind cannot resume (it stays detached, zeroed every round, and
+    /// the quorum logic owns the consequences).
     pub resume_window: usize,
 }
 
@@ -106,6 +92,19 @@ impl Conn {
             stream,
             reader: FrameReader::new(),
         })
+    }
+
+    /// Reads everything the socket has without blocking, noting any
+    /// bytes in `progressed`. `false` once the peer is gone (EOF or a
+    /// socket error); frames already buffered stay readable.
+    fn fill(&mut self, progressed: &mut bool) -> bool {
+        loop {
+            match self.reader.fill(&mut self.stream) {
+                Ok(0) => return true,
+                Ok(_) => *progressed = true,
+                Err(_) => return false,
+            }
+        }
     }
 }
 
@@ -172,16 +171,10 @@ impl TcpCoordinator {
         let mut transport = TcpTransport {
             listener: self.listener,
             start: Instant::now(),
-            seed,
             conns: (0..n_honest).map(|_| None).collect(),
             pending: Vec::new(),
-            ever_joined: vec![false; n_honest],
-            guard: GradGuard::with_window(n_honest, staleness_window),
-            ring: ResumeRing::new(self.cfg.resume_window),
-            send: BytesMut::with_capacity(4096),
-            step_msg: BytesMut::with_capacity(4096),
+            session: Session::new(n_honest, seed, self.cfg.resume_window, staleness_window),
             dead_pending: Vec::new(),
-            future_pending: (0..n_honest).map(|_| None).collect(),
         };
         drive(&mut transport, core, machine_cfg, seed, scratch)
     }
@@ -191,23 +184,15 @@ impl TcpCoordinator {
 struct TcpTransport {
     listener: TcpListener,
     start: Instant,
-    seed: u64,
+    /// Attached connections by slot, in step with the session's
+    /// attached set.
     conns: Vec<Option<Conn>>,
+    /// Connections whose handshake has not arrived yet.
     pending: Vec<Conn>,
-    /// Slots that joined at least once — the set `Rejoin` may resume.
-    ever_joined: Vec<bool>,
-    guard: GradGuard,
-    ring: ResumeRing,
-    send: BytesMut,
-    step_msg: BytesMut,
+    session: Session,
     /// Connections lost during a broadcast (no events buffer in scope
-    /// there): reported as [`Event::Detached`] at the next poll.
+    /// there): reported as detaches at the next poll.
     dead_pending: Vec<u32>,
-    /// One buffered future-tagged GRAD frame per worker (latest wins),
-    /// admitted once its step is broadcast — a frame reordered around a
-    /// step broadcast must be retransmitted-in-effect, not dropped with
-    /// the connection. Buffers recycle across uses.
-    future_pending: Vec<Option<BytesMut>>,
 }
 
 impl Transport for TcpTransport {
@@ -222,51 +207,14 @@ impl Transport for TcpTransport {
         events: &mut Vec<Event>,
     ) -> io::Result<bool> {
         let mut progressed = false;
-        let current = current_step(phase);
-
         // Sockets lost mid-broadcast surface here, one poll later.
         for id in self.dead_pending.drain(..) {
-            events.push(Event::Detached(id));
-            progressed = true;
+            self.session.detach(id, events);
         }
+        self.session.admit_ahead(phase, outputs, events);
 
-        // Buffered future-tagged frames: admit any whose step has since
-        // been broadcast (the round advanced past them).
-        for (id, (pending, out)) in self
-            .future_pending
-            .iter_mut()
-            .zip(outputs.iter_mut())
-            .enumerate()
-        {
-            let Some(buf) = pending.take() else {
-                continue;
-            };
-            match peek_grad(&buf) {
-                Ok((wid, step)) if wid == id as u32 => {
-                    if step > current {
-                        *pending = Some(buf); // still ahead: keep waiting
-                        continue;
-                    }
-                    match self.guard.admit(wid, step, current) {
-                        Admission::Fresh => {
-                            if let Ok(step) = decode_grad(&buf, wid, out) {
-                                events.push(Event::Gradient { id: wid, step });
-                                progressed = true;
-                            }
-                        }
-                        Admission::Stale => events.push(Event::StaleGradient(wid)),
-                        Admission::Duplicate | Admission::Future => {}
-                    }
-                }
-                // Malformed or misattributed buffer: discarded. The
-                // connection already survived the round it arrived in.
-                _ => {}
-            }
-        }
-
-        // Accept connections in every live phase: fresh JOINs only pass
-        // the WaitingForWorkers gate below, but a REJOIN is welcome any
-        // time a run is in flight.
+        // Accept connections in every live phase: the session decides
+        // which handshakes each phase admits.
         if !matches!(phase, Phase::Done | Phase::Aborted) {
             loop {
                 match self.listener.accept() {
@@ -283,208 +231,73 @@ impl Transport for TcpTransport {
             }
         }
 
-        // Pending connections speak JOIN or REJOIN first or get dropped.
+        // A pending connection's first frame is its handshake: the
+        // session binds it to a slot or it is dropped.
         let mut i = 0;
-        while let Some(candidate) = self.pending.get_mut(i) {
-            match poll_join(candidate) {
-                JoinPoll::Waiting => i += 1,
-                JoinPoll::Dead => {
-                    self.pending.swap_remove(i);
-                }
-                JoinPoll::Joined(id) => {
-                    let conn = self.pending.swap_remove(i);
-                    let fresh_gate_open = phase == Phase::WaitingForWorkers;
-                    match self.conns.get_mut(id as usize) {
-                        Some(entry) if entry.is_none() && fresh_gate_open => {
-                            *entry = Some(conn);
-                            if let Some(flag) = self.ever_joined.get_mut(id as usize) {
-                                *flag = true;
-                            }
-                            events.push(Event::Joined(id));
-                            progressed = true;
-                        }
-                        // Out-of-range, duplicate id, or the join gate
-                        // closed: connection dropped. A worker that lost
-                        // its socket mid-run resumes via REJOIN, never a
-                        // fresh JOIN.
-                        _ => {}
-                    }
-                }
-                JoinPoll::JoinedFresh(id) => {
-                    let mut conn = self.pending.swap_remove(i);
-                    let slot_free = self
-                        .conns
-                        .get(id as usize)
-                        .is_some_and(|entry| entry.is_none());
-                    if phase == Phase::WaitingForWorkers {
-                        // During the join phase a fresh join is a plain
-                        // join.
-                        if slot_free {
-                            if let Some(entry) = self.conns.get_mut(id as usize) {
-                                *entry = Some(conn);
-                            }
-                            if let Some(flag) = self.ever_joined.get_mut(id as usize) {
-                                *flag = true;
-                            }
-                            events.push(Event::Joined(id));
-                            progressed = true;
-                        }
+        while let Some(conn) = self.pending.get_mut(i) {
+            let verdict = if conn.fill(&mut progressed) {
+                match conn.reader.next_frame() {
+                    Ok(None) => {
+                        i += 1;
                         continue;
                     }
-                    // Mid-run only a never-joined slot may attach fresh
-                    // (a crashed worker resumes via REJOIN, with its
-                    // token, never by re-running the fresh handshake).
-                    let never_joined = !self.ever_joined.get(id as usize).copied().unwrap_or(true);
-                    if !slot_free || !never_joined {
-                        continue;
-                    }
-                    // The ring tail from the in-flight step is the model
-                    // snapshot: STEP frames carry the parameters. During
-                    // warmup, replay from the WARMUP frame (slot 0).
-                    let start = match phase {
-                        Phase::Warmup => 0,
-                        _ => current,
-                    };
-                    let Some(frames) = self.ring.replay_from(start) else {
-                        continue; // ring no longer holds the step: dropped
-                    };
-                    let mut alive = true;
-                    for frame in frames {
-                        if write_all_frame(&mut conn.stream, frame).is_err() {
-                            alive = false;
-                            break;
-                        }
-                    }
-                    if alive {
-                        if let Some(entry) = self.conns.get_mut(id as usize) {
-                            *entry = Some(conn);
-                        }
-                        if let Some(flag) = self.ever_joined.get_mut(id as usize) {
-                            *flag = true;
-                        }
-                        events.push(Event::JoinedFresh(id));
-                        progressed = true;
-                    }
+                    Ok(Some((kind, payload))) => self
+                        .session
+                        .handle(None, kind, payload, phase, outputs, events),
+                    Err(_) => Verdict::Violation,
                 }
-                JoinPoll::Rejoin {
-                    id,
-                    token,
-                    next_slot,
-                } => {
-                    let mut conn = self.pending.swap_remove(i);
-                    let known = self.ever_joined.get(id as usize).copied().unwrap_or(false);
-                    if !known || token != session_token(self.seed, id) {
-                        continue; // unknown slot or bad token: dropped
-                    }
-                    let Some(frames) = self.ring.replay_from(next_slot) else {
-                        continue; // too far behind (or hostile): dropped
-                    };
-                    let mut alive = true;
-                    for frame in frames {
-                        if write_all_frame(&mut conn.stream, frame).is_err() {
-                            alive = false;
-                            break;
-                        }
-                    }
-                    if alive {
-                        if let Some(entry) = self.conns.get_mut(id as usize) {
-                            // Displace any half-dead predecessor: the
-                            // newest connection is the session.
-                            *entry = Some(conn);
-                            events.push(Event::Reattached(id));
-                            progressed = true;
-                        }
-                    }
+            } else {
+                Verdict::Violation
+            };
+            let mut conn = self.pending.swap_remove(i);
+            if let Verdict::Attach(id, replay) = verdict {
+                progressed = true;
+                let alive = write_replay(&mut conn.stream, replay);
+                if let Some(entry) = self.conns.get_mut(id as usize) {
+                    // The newest connection is the session: it displaces
+                    // any half-dead predecessor.
+                    *entry = alive.then_some(conn);
+                }
+                if !alive {
+                    self.session.detach(id, events);
                 }
             }
         }
 
-        // Drain every attached connection.
-        for (id, (slot, out)) in self.conns.iter_mut().zip(outputs.iter_mut()).enumerate() {
+        // Drain every attached connection. Frames that arrived before an
+        // EOF are still handled; a violation drops the socket at once.
+        for (id, slot) in self.conns.iter_mut().enumerate() {
             let Some(conn) = slot.as_mut() else {
                 continue;
             };
-            let mut dead = false;
+            let id = id as u32;
+            let mut dead = !conn.fill(&mut progressed);
             loop {
-                match conn.reader.fill(&mut conn.stream) {
-                    Ok(0) => break,
-                    Ok(_) => progressed = true,
-                    Err(_) => {
-                        // EOF or socket error: the quorum/deadline
-                        // logic decides what the loss means.
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            loop {
-                match conn.reader.next_frame() {
+                let (kind, payload) = match conn.reader.next_frame() {
+                    Ok(Some(frame)) => frame,
                     Ok(None) => break,
-                    Ok(Some((kind, payload))) => match kind {
-                        KIND_READY => {
-                            events.push(Event::Ready(id as u32));
-                        }
-                        KIND_GRAD => match peek_grad(payload) {
-                            Ok((wid, step)) if wid == id as u32 => {
-                                match self.guard.admit(wid, step, current) {
-                                    Admission::Fresh => match decode_grad(payload, wid, out) {
-                                        Ok(step) => {
-                                            events.push(Event::Gradient { id: wid, step });
-                                        }
-                                        // Malformed or misattributed
-                                        // report: the peer is garbage.
-                                        Err(_) => {
-                                            dead = true;
-                                            break;
-                                        }
-                                    },
-                                    // Retransmissions are expected churn
-                                    // debris: classified, never decoded.
-                                    Admission::Duplicate => {}
-                                    // Beyond-window straggler reports are
-                                    // dropped but counted, so the churn
-                                    // ledger records *why* rounds zeroed.
-                                    Admission::Stale => {
-                                        events.push(Event::StaleGradient(wid));
-                                    }
-                                    // A frame one broadcast ahead of the
-                                    // round (reordered delivery): buffer
-                                    // it — latest wins — and admit it when
-                                    // its step arrives.
-                                    Admission::Future => {
-                                        if let Some(pending) =
-                                            self.future_pending.get_mut(wid as usize)
-                                        {
-                                            let buf = pending.get_or_insert_with(BytesMut::default);
-                                            buf.clear();
-                                            buf.put_slice(payload);
-                                        }
-                                    }
-                                }
-                            }
-                            _ => {
-                                dead = true;
-                                break;
-                            }
-                        },
-                        // A late JOIN/REJOIN/JOIN_FRESH re-send on an
-                        // attached connection is harmless; anything else
-                        // is a protocol violation.
-                        KIND_JOIN | KIND_REJOIN | KIND_JOIN_FRESH => {}
-                        _ => {
-                            dead = true;
-                            break;
-                        }
-                    },
                     Err(_) => {
                         dead = true;
                         break;
                     }
+                };
+                let alive =
+                    match self
+                        .session
+                        .handle(Some(id), kind, payload, phase, outputs, events)
+                    {
+                        Verdict::Continue => true,
+                        Verdict::Attach(_, replay) => write_replay(&mut conn.stream, replay),
+                        Verdict::Violation => false,
+                    };
+                if !alive {
+                    dead = true;
+                    break;
                 }
             }
             if dead {
                 *slot = None;
-                events.push(Event::Detached(id as u32));
+                self.session.detach(id, events);
             }
         }
 
@@ -492,32 +305,23 @@ impl Transport for TcpTransport {
     }
 
     fn start_warmup(&mut self) {
-        begin_frame(&mut self.send, KIND_WARMUP);
-        end_frame(&mut self.send);
-        self.ring.push(0, &self.send);
-        broadcast(&mut self.conns, &self.send, &mut self.dead_pending);
+        self.broadcast(Broadcast::Warmup);
     }
 
     fn broadcast_step(&mut self, step: u32, batch: u32, params: &Vector) {
-        StepMessage::encode_frame(step, batch, params, &mut self.step_msg);
-        begin_frame(&mut self.send, KIND_STEP);
-        self.send.put_slice(&self.step_msg);
-        end_frame(&mut self.send);
-        self.ring.push(step, &self.send);
-        broadcast(&mut self.conns, &self.send, &mut self.dead_pending);
+        self.broadcast(Broadcast::Step {
+            step,
+            batch,
+            params,
+        });
     }
 
     fn finish(&mut self) {
-        begin_frame(&mut self.send, KIND_DONE);
-        end_frame(&mut self.send);
-        broadcast(&mut self.conns, &self.send, &mut self.dead_pending);
+        self.broadcast(Broadcast::Done);
     }
 
     fn abort(&mut self, reason: &str) {
-        begin_frame(&mut self.send, KIND_ABORT);
-        self.send.put_slice(reason.as_bytes());
-        end_frame(&mut self.send);
-        broadcast(&mut self.conns, &self.send, &mut self.dead_pending);
+        self.broadcast(Broadcast::Abort(reason));
     }
 
     fn idle(&mut self, _next_deadline_ms: Option<u64>) {
@@ -527,66 +331,31 @@ impl Transport for TcpTransport {
     }
 }
 
-enum JoinPoll {
-    Waiting,
-    Joined(u32),
-    JoinedFresh(u32),
-    Rejoin { id: u32, token: u64, next_slot: u32 },
-    Dead,
-}
-
-/// Reads a pending connection until its first frame arrives; anything but
-/// a well-formed JOIN, JOIN_FRESH, or REJOIN kills it.
-fn poll_join(conn: &mut Conn) -> JoinPoll {
-    loop {
-        match conn.reader.fill(&mut conn.stream) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(_) => return JoinPoll::Dead,
-        }
-    }
-    match conn.reader.next_frame() {
-        Ok(None) => JoinPoll::Waiting,
-        Ok(Some((KIND_JOIN, payload))) if payload.len() == 4 => match read_array(payload, 0) {
-            Ok(bytes) => JoinPoll::Joined(u32::from_le_bytes(bytes)),
-            Err(_) => JoinPoll::Dead,
-        },
-        Ok(Some((KIND_JOIN_FRESH, payload))) if payload.len() == 4 => {
-            match read_array(payload, 0) {
-                Ok(bytes) => JoinPoll::JoinedFresh(u32::from_le_bytes(bytes)),
-                Err(_) => JoinPoll::Dead,
+impl TcpTransport {
+    /// Best-effort broadcast to every attached connection; a write
+    /// failure drops the connection and queues its detach for the next
+    /// [`Transport::poll`].
+    fn broadcast(&mut self, msg: Broadcast<'_>) {
+        let (conns, dead) = (&mut self.conns, &mut self.dead_pending);
+        self.session.broadcast(msg, |id, frame| {
+            let Some(slot) = conns.get_mut(id as usize) else {
+                return;
+            };
+            if let Some(conn) = slot {
+                if write_all_frame(&mut conn.stream, frame).is_err() {
+                    *slot = None;
+                    dead.push(id);
+                }
             }
-        }
-        Ok(Some((KIND_REJOIN, payload))) if payload.len() == 16 => {
-            match (
-                read_array(payload, 0),
-                read_array(payload, 4),
-                read_array(payload, 12),
-            ) {
-                (Ok(id), Ok(token), Ok(next_slot)) => JoinPoll::Rejoin {
-                    id: u32::from_le_bytes(id),
-                    token: u64::from_le_bytes(token),
-                    next_slot: u32::from_le_bytes(next_slot),
-                },
-                _ => JoinPoll::Dead,
-            }
-        }
-        _ => JoinPoll::Dead,
+        });
     }
 }
 
-/// Best-effort broadcast to every live connection; write failures drop
-/// the connection and record the loss in `dead` so the next
-/// [`Transport::poll`] reports the [`Event::Detached`].
-fn broadcast(conns: &mut [Option<Conn>], frame: &[u8], dead: &mut Vec<u32>) {
-    for (id, slot) in conns.iter_mut().enumerate() {
-        let lost = match slot {
-            Some(conn) => write_all_frame(&mut conn.stream, frame).is_err(),
-            None => false,
-        };
-        if lost {
-            *slot = None;
-            dead.push(id as u32);
-        }
-    }
+/// Writes a session replay down a connection; `false` if the socket
+/// died on the way.
+fn write_replay(stream: &mut TcpStream, replay: Option<Replay<'_>>) -> bool {
+    replay
+        .into_iter()
+        .flatten()
+        .all(|frame| write_all_frame(stream, frame).is_ok())
 }

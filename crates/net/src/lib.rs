@@ -65,6 +65,7 @@ pub mod backend;
 pub mod coordinator;
 pub mod machine;
 pub mod protocol;
+mod session;
 pub mod sim;
 pub mod spec;
 pub mod transport;

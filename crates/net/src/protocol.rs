@@ -20,6 +20,7 @@
 //! that buffer — steady-state reception allocates nothing once the buffer
 //! has grown to the session's frame size.
 
+use bytes::{BufMut, BytesMut};
 use dpbyz_server::message::{read_array, GradientMessage, MessageError};
 use dpbyz_server::WorkerOutput;
 use std::io::{self, Read, Write};
@@ -427,8 +428,7 @@ pub fn decode_grad(
 /// Opens a frame in a recycled buffer: clears it, reserves the length
 /// word, writes the kind byte. Append the payload, then seal with
 /// [`end_frame`].
-pub fn begin_frame(buf: &mut bytes::BytesMut, kind: u8) {
-    use bytes::BufMut;
+pub fn begin_frame(buf: &mut BytesMut, kind: u8) {
     buf.clear();
     buf.put_u32_le(0); // patched by end_frame
     buf.put_slice(&[kind]);
@@ -440,12 +440,57 @@ pub fn begin_frame(buf: &mut bytes::BytesMut, kind: u8) {
 /// # Panics
 ///
 /// Panics if the frame (kind + payload) exceeds `u32::MAX` bytes.
-pub fn end_frame(buf: &mut bytes::BytesMut) {
+pub fn end_frame(buf: &mut BytesMut) {
     // lint:allow(panic-unwrap, reason = "documented panic: locally built frames are capped by MAX_FRAME_LEN, far below u32::MAX")
     let len = u32::try_from(buf.len() - 4).expect("frame fits u32");
     if let Some(slot) = buf.get_mut(0..4) {
         slot.copy_from_slice(&len.to_le_bytes());
     }
+}
+
+/// Encodes worker `id`'s opening handshake: [`KIND_JOIN`], or
+/// [`KIND_JOIN_FRESH`] for a mid-run attach.
+pub(crate) fn encode_join(buf: &mut BytesMut, id: u32, fresh: bool) {
+    begin_frame(buf, if fresh { KIND_JOIN_FRESH } else { KIND_JOIN });
+    buf.put_u32_le(id);
+    end_frame(buf);
+}
+
+/// Encodes worker `id`'s [`KIND_READY`] answer to `WARMUP`.
+pub(crate) fn encode_ready(buf: &mut BytesMut, id: u32) {
+    begin_frame(buf, KIND_READY);
+    buf.put_u32_le(id);
+    end_frame(buf);
+}
+
+/// Encodes worker `id`'s [`KIND_REJOIN`] handshake: its session token and
+/// the first slot it has not computed.
+pub(crate) fn encode_rejoin(buf: &mut BytesMut, id: u32, token: u64, next_slot: u32) {
+    begin_frame(buf, KIND_REJOIN);
+    buf.put_u32_le(id);
+    buf.put_u64_le(token);
+    buf.put_u32_le(next_slot);
+    end_frame(buf);
+}
+
+/// Encodes worker `id`'s [`KIND_GRAD`] report for `step` from `out`.
+/// `scratch` holds each embedded vector frame in turn; both buffers
+/// recycle, so a steady-state report allocates nothing.
+pub(crate) fn encode_grad(
+    buf: &mut BytesMut,
+    scratch: &mut BytesMut,
+    id: u32,
+    step: u32,
+    out: &WorkerOutput,
+) {
+    begin_frame(buf, KIND_GRAD);
+    buf.put_f64_le(out.batch_loss);
+    GradientMessage::encode_frame(id, step, &out.submitted, scratch);
+    buf.put_u32_le(scratch.len() as u32);
+    buf.put_slice(scratch);
+    GradientMessage::encode_frame(id, step, &out.pre_noise, scratch);
+    buf.put_slice(scratch);
+    end_frame(buf);
 }
 
 /// Writes `data` fully to a possibly-nonblocking stream, napping through

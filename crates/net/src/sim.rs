@@ -11,11 +11,13 @@
 //! what lets CI *pin* chaos runs instead of hoping on real sockets.
 //!
 //! Fidelity over mocking: frames on simulated links are the real wire
-//! bytes ([`begin_frame`]/[`StepMessage::encode_frame`]/…), consumed by
-//! the real decoders, admitted through the same [`GradGuard`] and
-//! replayed from the same [`ResumeRing`] the TCP transport uses. The
-//! simulated workers host real [`HonestWorker`]s, so their RNG streams
-//! and momentum are bit-identical to their in-process and TCP twins.
+//! bytes, built by the same [`protocol`](crate::protocol) encoders the
+//! TCP worker uses, and every inbound frame goes to the same session
+//! handler (`session.rs`: join gate, token-checked rejoin with ring
+//! replay, gradient admission) the TCP coordinator runs, so this
+//! transport only moves bytes through its chaos queue. The simulated
+//! workers host real [`HonestWorker`]s, so their RNG streams and
+//! momentum are bit-identical to their in-process and TCP twins.
 //!
 //! Losses are modeled as *delayed retransmissions* (TCP's own model —
 //! a "dropped" segment is retried, not gone), so a crash-free fault plan
@@ -34,16 +36,15 @@
 
 use crate::machine::{Event, MachineConfig, Phase};
 use crate::protocol::{
-    begin_frame, decode_grad, end_frame, peek_grad, session_token, Admission, GradGuard,
-    KIND_ABORT, KIND_DONE, KIND_GRAD, KIND_JOIN, KIND_JOIN_FRESH, KIND_READY, KIND_REJOIN,
-    KIND_STEP, KIND_WARMUP,
+    encode_grad, encode_join, encode_ready, encode_rejoin, session_token, KIND_STEP, KIND_WARMUP,
 };
-use crate::transport::{current_step, drive, CoordinatorError, ResumeRing, Transport};
-use bytes::{BufMut, BytesMut};
+use crate::session::{Broadcast, Session, Verdict};
+use crate::transport::{drive, CoordinatorError, Transport};
+use bytes::BytesMut;
 use dpbyz_core::engine::register_backend;
 use dpbyz_core::pipeline::{Experiment, PipelineError};
 use dpbyz_core::{ComponentSpec, EngineBackend, RegistryError};
-use dpbyz_server::message::{read_array, GradientMessage, StepMessage};
+use dpbyz_server::message::{read_array, StepMessage};
 use dpbyz_server::{HonestWorker, RunHistory, RunObserver, RunScratch, WorkerOutput};
 use dpbyz_tensor::{Prng, Vector};
 use std::collections::BTreeMap;
@@ -309,8 +310,51 @@ enum Delivery {
     Detach { worker: u32 },
 }
 
-/// A simulated worker: a real [`HonestWorker`] plus the session state
-/// its TCP twin keeps (`worker.rs`), with a pending-step buffer in place
+/// The simulated network: the virtual clock, the deterministic delivery
+/// queue (keyed by delivery time, then send order), and one chaos link
+/// per worker and direction.
+struct Wire {
+    now: u64,
+    seq: u64,
+    queue: BTreeMap<(u64, u64), Delivery>,
+    to_worker: Vec<ChaosLink>,
+    to_coord: Vec<ChaosLink>,
+}
+
+impl Wire {
+    /// Sends a frame from worker `from`, `extra_ms` from now.
+    fn send_to_coord(&mut self, from: u32, extra_ms: u64, frame: &[u8]) {
+        let times = self.to_coord[from as usize].times(self.now, extra_ms);
+        self.schedule(times, frame, |frame| Delivery::ToCoord { from, frame });
+    }
+
+    /// Sends a frame to worker `to`.
+    fn send_to_worker(&mut self, to: u32, frame: &[u8]) {
+        let times = self.to_worker[to as usize].times(self.now, 0);
+        self.schedule(times, frame, |frame| Delivery::ToWorker { to, frame });
+    }
+
+    /// Queues the primary copy and any duplicate a link drew.
+    fn schedule(
+        &mut self,
+        (at, dup_at): (u64, Option<u64>),
+        frame: &[u8],
+        build: impl Fn(Vec<u8>) -> Delivery,
+    ) {
+        self.push(at, build(frame.to_vec()));
+        if let Some(at) = dup_at {
+            self.push(at, build(frame.to_vec()));
+        }
+    }
+
+    fn push(&mut self, at: u64, delivery: Delivery) {
+        self.queue.insert((at, self.seq), delivery);
+        self.seq += 1;
+    }
+}
+
+/// A simulated worker: a real [`HonestWorker`] plus the worker-side
+/// session state `run_worker` keeps, with a pending-step buffer in place
 /// of TCP's ordering guarantee.
 struct SimWorker {
     hw: HonestWorker,
@@ -330,39 +374,26 @@ struct SimWorker {
     /// A fresh mid-run joiner anchors its slot cursor on the first
     /// replayed `STEP` instead of requiring `WARMUP` first.
     fresh_join: bool,
+    /// Its `REJOIN` credential.
+    token: u64,
     params: Vector,
     out: WorkerOutput,
-    sub_frame: BytesMut,
-    pre_frame: BytesMut,
+    /// Handshake frames, and each embedded vector frame of a report.
+    scratch: BytesMut,
     grad_frame: BytesMut,
 }
 
 /// The in-memory chaos [`Transport`]: a virtual clock, a deterministic
-/// delivery queue, the simulated workers, and the same coordinator-side
-/// receive guards (dedup, resume ring, session tokens) the TCP
-/// transport uses. See the module docs for the model.
+/// delivery queue, and the simulated workers. Every coordinator-side
+/// decision is the shared session handler's, exactly as over TCP. See
+/// the module docs for the model.
 pub struct SimNet {
-    now: u64,
-    seq: u64,
-    queue: BTreeMap<(u64, u64), Delivery>,
-    links_to_worker: Vec<ChaosLink>,
-    links_to_coord: Vec<ChaosLink>,
+    wire: Wire,
     workers: Vec<SimWorker>,
     detect_crash: bool,
     grad_delays: Vec<GradDelay>,
     compute_ms: u64,
-    // Coordinator-side session state (mirrors `TcpTransport`).
-    run_seed: u64,
-    attached: Vec<bool>,
-    ever_joined: Vec<bool>,
-    guard: GradGuard,
-    /// One buffered ahead-of-round `GRAD` per worker, admitted once the
-    /// round advances to its step — the sim twin of the TCP
-    /// coordinator's future-frame buffer.
-    future_pending: Vec<Option<Vec<u8>>>,
-    ring: ResumeRing,
-    send: BytesMut,
-    step_msg: BytesMut,
+    session: Session,
 }
 
 impl SimNet {
@@ -398,9 +429,14 @@ impl SimNet {
                 })
                 .collect()
         };
-        let links_to_worker = links(&plan.to_worker, 1);
-        let links_to_coord = links(&plan.to_coord, 2);
-        let sim_workers: Vec<SimWorker> = workers
+        let wire = Wire {
+            now: 0,
+            seq: 0,
+            queue: BTreeMap::new(),
+            to_worker: links(&plan.to_worker, 1),
+            to_coord: links(&plan.to_coord, 2),
+        };
+        let workers = workers
             .into_iter()
             .map(|hw| {
                 let id = hw.id();
@@ -415,101 +451,65 @@ impl SimNet {
                     rejoin_on: crash.map(|c| c.rejoin_on_step),
                     join_fresh_on: late.map(|j| j.on_step),
                     fresh_join: late.is_some(),
+                    token: session_token(run_seed, id),
                     params: Vector::default(),
                     out: WorkerOutput::default(),
-                    sub_frame: BytesMut::with_capacity(1024),
-                    pre_frame: BytesMut::with_capacity(1024),
+                    scratch: BytesMut::with_capacity(1024),
                     grad_frame: BytesMut::with_capacity(1024),
                 }
             })
             .collect();
         let mut net = SimNet {
-            now: 0,
-            seq: 0,
-            queue: BTreeMap::new(),
-            links_to_worker,
-            links_to_coord,
-            workers: sim_workers,
+            wire,
+            workers,
             detect_crash: plan.detect_crash,
             grad_delays: plan.grad_delays.clone(),
             compute_ms,
-            run_seed,
-            attached: vec![false; n],
-            ever_joined: vec![false; n],
-            guard: GradGuard::with_window(n, staleness_window),
-            future_pending: (0..n).map(|_| None).collect(),
-            ring: ResumeRing::new(resume_window),
-            send: BytesMut::with_capacity(4096),
-            step_msg: BytesMut::with_capacity(4096),
+            session: Session::new(n, run_seed, resume_window, staleness_window),
         };
-        for id in 0..n as u32 {
-            // Late joiners sit out the join phase entirely; their
-            // JOIN_FRESH fires on the scheduled broadcast instead.
-            if net.workers[id as usize].fresh_join {
-                continue;
-            }
-            let mut join = BytesMut::with_capacity(16);
-            begin_frame(&mut join, KIND_JOIN);
-            join.put_u32_le(id);
-            end_frame(&mut join);
-            let idx = id as usize;
-            Self::send_frame(
-                &mut net.queue,
-                &mut net.seq,
-                &mut net.links_to_coord[idx],
-                net.now,
-                0,
-                &join,
-                |frame| Delivery::ToCoord { from: id, frame },
-            );
+        // Late joiners sit out the join phase entirely; their JOIN_FRESH
+        // fires on the scheduled broadcast instead.
+        for w in net.workers.iter_mut().filter(|w| !w.fresh_join) {
+            encode_join(&mut w.scratch, w.hw.id(), false);
+            net.wire.send_to_coord(w.hw.id(), 0, &w.scratch);
         }
         net
     }
 
-    /// Schedules a frame through a chaos link (primary copy plus any
-    /// duplicate), as an associated function so callers can split
-    /// borrows across `self`'s fields.
-    fn send_frame(
-        queue: &mut BTreeMap<(u64, u64), Delivery>,
-        seq: &mut u64,
-        link: &mut ChaosLink,
-        now: u64,
-        extra_ms: u64,
-        frame: &[u8],
-        build: impl Fn(Vec<u8>) -> Delivery,
-    ) {
-        let (at, dup_at) = link.times(now, extra_ms);
-        queue.insert((at, *seq), build(frame.to_vec()));
-        *seq += 1;
-        if let Some(at) = dup_at {
-            queue.insert((at, *seq), build(frame.to_vec()));
-            *seq += 1;
-        }
-    }
-
-    /// Broadcasts the frame staged in `self.send` to every attached
-    /// worker, each copy through that worker's own chaos link.
-    fn broadcast(&mut self) {
-        for idx in 0..self.links_to_worker.len() {
-            if !self.attached.get(idx).copied().unwrap_or(false) {
-                continue;
+    /// Broadcasts through the session to every attached worker, each
+    /// copy through that worker's own chaos link, then fires the
+    /// handshakes scheduled on this broadcast.
+    fn broadcast(&mut self, msg: Broadcast<'_>) {
+        let wire = &mut self.wire;
+        self.session
+            .broadcast(msg, |to, frame| wire.send_to_worker(to, frame));
+        let slot = match msg {
+            Broadcast::Warmup => 0,
+            Broadcast::Step { step, .. } => step,
+            Broadcast::Done | Broadcast::Abort(_) => return,
+        };
+        for w in &mut self.workers {
+            if w.join_fresh_on == Some(slot) {
+                w.join_fresh_on = None;
+                encode_join(&mut w.scratch, w.hw.id(), true);
+                self.wire.send_to_coord(w.hw.id(), 0, &w.scratch);
             }
-            let to = idx as u32;
-            Self::send_frame(
-                &mut self.queue,
-                &mut self.seq,
-                &mut self.links_to_worker[idx],
-                self.now,
-                0,
-                &self.send,
-                |frame| Delivery::ToWorker { to, frame },
-            );
+        }
+        // Rejoin schedules fire on step broadcasts: a dead worker whose
+        // trigger step just went out revives and starts its handshake.
+        for w in &mut self.workers {
+            if slot > 0 && !w.alive && w.rejoin_on == Some(slot) {
+                w.alive = true;
+                w.rejoin_on = None;
+                encode_rejoin(&mut w.scratch, w.hw.id(), w.token, w.next_slot);
+                self.wire.send_to_coord(w.hw.id(), 0, &w.scratch);
+            }
         }
     }
 
-    /// The worker-side receive path for one delivered frame — the sim
-    /// twin of `run_worker`'s loop, with the pending buffer restoring
-    /// step order over the non-FIFO links.
+    /// The worker-side receive path for one delivered frame: `run_worker`'s
+    /// policy, with the pending buffer restoring step order over the
+    /// non-FIFO links.
     fn worker_receive(&mut self, idx: usize, frame: Vec<u8>) {
         let Some(&kind) = frame.get(4) else { return };
         let w = &mut self.workers[idx];
@@ -522,21 +522,8 @@ impl SimNet {
                     w.next_slot = 1;
                 }
                 // A duplicated WARMUP re-READYs; the machine dedups.
-                let id = w.hw.id();
-                let mut ready = BytesMut::with_capacity(16);
-                begin_frame(&mut ready, KIND_READY);
-                ready.put_u32_le(id);
-                end_frame(&mut ready);
-                Self::send_frame(
-                    &mut self.queue,
-                    &mut self.seq,
-                    &mut self.links_to_coord[idx],
-                    self.now,
-                    0,
-                    &ready,
-                    |frame| Delivery::ToCoord { from: id, frame },
-                );
-                self.drain_pending(idx);
+                encode_ready(&mut w.scratch, w.hw.id());
+                self.wire.send_to_coord(w.hw.id(), 0, &w.scratch);
             }
             KIND_STEP => {
                 let payload = frame.get(5..).unwrap_or_default();
@@ -555,23 +542,18 @@ impl SimNet {
                 // Stale copies (step < next_slot) are settled history:
                 // eventual delivery means the original report already
                 // made it out, so no retransmission is needed.
-                self.drain_pending(idx);
             }
-            KIND_DONE | KIND_ABORT => {
-                // Session over; nothing to send back.
-            }
-            _ => {}
+            // DONE / ABORT end the session; nothing to send back.
+            _ => return,
         }
+        self.drain_pending(idx);
     }
 
     /// Computes every buffered step the cursor has reached, in order,
     /// scheduling one `GRAD` per step — and honouring the crash plan.
     fn drain_pending(&mut self, idx: usize) {
-        loop {
-            let w = &mut self.workers[idx];
-            if w.next_slot == 0 || !w.alive {
-                return;
-            }
+        let w = &mut self.workers[idx];
+        while w.alive && w.next_slot > 0 {
             let Some(frame) = w.pending.remove(&w.next_slot) else {
                 return;
             };
@@ -582,223 +564,31 @@ impl SimNet {
             let id = w.hw.id();
             w.hw.compute_into(&w.params, batch as usize, &mut w.out);
             w.next_slot = step + 1;
-            GradientMessage::encode_frame(id, step, &w.out.submitted, &mut w.sub_frame);
-            GradientMessage::encode_frame(id, step, &w.out.pre_noise, &mut w.pre_frame);
-            begin_frame(&mut w.grad_frame, KIND_GRAD);
-            w.grad_frame.put_f64_le(w.out.batch_loss);
-            w.grad_frame.put_u32_le(w.sub_frame.len() as u32);
-            w.grad_frame.put_slice(&w.sub_frame);
-            w.grad_frame.put_slice(&w.pre_frame);
-            end_frame(&mut w.grad_frame);
+            encode_grad(&mut w.grad_frame, &mut w.scratch, id, step, &w.out);
             let straggle: u64 = self
                 .grad_delays
                 .iter()
                 .filter(|d| d.worker == id && d.from_step <= step && step <= d.to_step)
                 .map(|d| d.extra_ms)
                 .sum();
-            let crash_now = w.crash_after == Some(step);
-            Self::send_frame(
-                &mut self.queue,
-                &mut self.seq,
-                &mut self.links_to_coord[idx],
-                self.now,
-                self.compute_ms + straggle,
-                &self.workers[idx].grad_frame,
-                |frame| Delivery::ToCoord { from: id, frame },
-            );
-            if crash_now {
-                self.workers[idx].alive = false;
+            self.wire
+                .send_to_coord(id, self.compute_ms + straggle, &w.grad_frame);
+            if w.crash_after == Some(step) {
+                w.alive = false;
                 if self.detect_crash {
                     // The reset travels the wire like any frame, minus
                     // chaos draws (a reset is not retransmitted).
-                    let at = self.now + self.links_to_coord[idx].plan.delay_ms;
-                    self.queue
-                        .insert((at, self.seq), Delivery::Detach { worker: id });
-                    self.seq += 1;
-                }
-                return;
-            }
-        }
-    }
-
-    /// Fires scheduled `JOIN_FRESH` handshakes whose trigger broadcast
-    /// (`0` = warmup) just went out.
-    fn fire_late_joins(&mut self, trigger: u32) {
-        for idx in 0..self.workers.len() {
-            let w = &mut self.workers[idx];
-            if w.join_fresh_on != Some(trigger) {
-                continue;
-            }
-            w.join_fresh_on = None;
-            let id = w.hw.id();
-            let mut join = BytesMut::with_capacity(16);
-            begin_frame(&mut join, KIND_JOIN_FRESH);
-            join.put_u32_le(id);
-            end_frame(&mut join);
-            Self::send_frame(
-                &mut self.queue,
-                &mut self.seq,
-                &mut self.links_to_coord[idx],
-                self.now,
-                0,
-                &join,
-                |frame| Delivery::ToCoord { from: id, frame },
-            );
-        }
-    }
-
-    /// The coordinator-side receive path for one delivered frame — the
-    /// sim twin of `TcpTransport::poll`'s drain loop, guards included.
-    fn coord_receive(
-        &mut self,
-        from: u32,
-        frame: &[u8],
-        phase: Phase,
-        outputs: &mut [WorkerOutput],
-        events: &mut Vec<Event>,
-    ) {
-        let idx = from as usize;
-        let Some(&kind) = frame.get(4) else { return };
-        let payload = frame.get(5..).unwrap_or_default();
-        match kind {
-            KIND_JOIN if phase == Phase::WaitingForWorkers => {
-                if let (Some(att), Some(known)) =
-                    (self.attached.get_mut(idx), self.ever_joined.get_mut(idx))
-                {
-                    *att = true;
-                    *known = true;
-                    events.push(Event::Joined(from));
+                    let at = self.wire.now + self.wire.to_coord[idx].plan.delay_ms;
+                    self.wire.push(at, Delivery::Detach { worker: id });
                 }
             }
-            KIND_JOIN_FRESH if payload.len() == 4 => {
-                let Ok(id) = read_array(payload, 0).map(u32::from_le_bytes) else {
-                    return;
-                };
-                if id != from || self.attached.get(idx).copied().unwrap_or(true) {
-                    return; // misattributed, out of range, or already attached
-                }
-                if phase == Phase::WaitingForWorkers {
-                    // The join phase is still open: a fresh join is an
-                    // ordinary join that arrived by the other verb.
-                    if let Some(known) = self.ever_joined.get_mut(idx) {
-                        self.attached[idx] = true;
-                        *known = true;
-                        events.push(Event::Joined(from));
-                    }
-                    return;
-                }
-                if self.ever_joined.get(idx).copied().unwrap_or(true) {
-                    return; // fresh joins are for never-joined slots only
-                }
-                // Replay from the in-flight step (or the whole ring
-                // during warmup): the first replayed STEP carries the
-                // current model snapshot, which is all the state a
-                // fresh worker needs.
-                let start = match phase {
-                    Phase::Warmup => 0,
-                    _ => current_step(phase),
-                };
-                let mut replayed: Vec<Vec<u8>> = Vec::new();
-                match self.ring.replay_from(start) {
-                    Some(frames) => replayed.extend(frames.map(<[u8]>::to_vec)),
-                    None => return, // snapshot already evicted
-                }
-                for frame in &replayed {
-                    Self::send_frame(
-                        &mut self.queue,
-                        &mut self.seq,
-                        &mut self.links_to_worker[idx],
-                        self.now,
-                        0,
-                        frame,
-                        |frame| Delivery::ToWorker { to: from, frame },
-                    );
-                }
-                self.attached[idx] = true;
-                if let Some(known) = self.ever_joined.get_mut(idx) {
-                    *known = true;
-                }
-                events.push(Event::JoinedFresh(from));
-            }
-            KIND_REJOIN if payload.len() == 16 => {
-                let (Ok(id), Ok(token), Ok(next_slot)) = (
-                    read_array(payload, 0).map(u32::from_le_bytes),
-                    read_array(payload, 4).map(u64::from_le_bytes),
-                    read_array(payload, 12).map(u32::from_le_bytes),
-                ) else {
-                    return;
-                };
-                let known = self.ever_joined.get(idx).copied().unwrap_or(false);
-                if id != from || !known || token != session_token(self.run_seed, id) {
-                    return; // unknown slot or bad token: dropped
-                }
-                // Replay the missed broadcasts through the (faulty)
-                // link; the worker's pending buffer restores order.
-                let mut replayed: Vec<Vec<u8>> = Vec::new();
-                match self.ring.replay_from(next_slot) {
-                    Some(frames) => replayed.extend(frames.map(<[u8]>::to_vec)),
-                    None => return, // too far behind to resume
-                }
-                for frame in &replayed {
-                    Self::send_frame(
-                        &mut self.queue,
-                        &mut self.seq,
-                        &mut self.links_to_worker[idx],
-                        self.now,
-                        0,
-                        frame,
-                        |frame| Delivery::ToWorker { to: from, frame },
-                    );
-                }
-                if let Some(att) = self.attached.get_mut(idx) {
-                    *att = true;
-                }
-                events.push(Event::Reattached(from));
-            }
-            KIND_READY if self.attached.get(idx).copied().unwrap_or(false) => {
-                events.push(Event::Ready(from));
-            }
-            KIND_GRAD if self.attached.get(idx).copied().unwrap_or(false) => {
-                let Some(out) = outputs.get_mut(idx) else {
-                    return;
-                };
-                let current = current_step(phase);
-                // lint:begin(zero-copy)
-                // The chaos hot loop: every queued GRAD passes through
-                // here, so the frame is peeked, admitted, and decoded
-                // straight into the recycled output slot — no copies on
-                // the fresh path (only ahead-of-round frames buffer).
-                if let Ok((wid, step)) = peek_grad(payload) {
-                    if wid == from {
-                        match self.guard.admit(wid, step, current) {
-                            Admission::Fresh => {
-                                if let Ok(step) = decode_grad(payload, wid, out) {
-                                    events.push(Event::Gradient { id: wid, step });
-                                }
-                            }
-                            Admission::Stale => events.push(Event::StaleGradient(wid)),
-                            Admission::Future => {
-                                // One pending frame per worker: a
-                                // worker computes strictly in order, so
-                                // a newer future frame supersedes.
-                                if let Some(pending) = self.future_pending.get_mut(idx) {
-                                    *pending = Some(payload.to_vec()); // lint:allow(zero-copy-alloc, reason = "cold path: at most one buffered ahead-of-round frame per worker, off the per-round fresh path")
-                                }
-                            }
-                            Admission::Duplicate => {}
-                        }
-                    }
-                }
-                // lint:end(zero-copy)
-            }
-            _ => {}
         }
     }
 }
 
 impl Transport for SimNet {
     fn now_ms(&mut self) -> u64 {
-        self.now
+        self.wire.now
     }
 
     fn poll(
@@ -807,144 +597,70 @@ impl Transport for SimNet {
         outputs: &mut [WorkerOutput],
         events: &mut Vec<Event>,
     ) -> io::Result<bool> {
+        self.session.admit_ahead(phase, outputs, events);
         let mut progressed = false;
-        // Flush buffered ahead-of-round frames first: once the round
-        // advances to a pending frame's step it is admitted exactly as
-        // if it had just arrived (the TCP coordinator does the same).
-        let current = current_step(phase);
-        for idx in 0..self.future_pending.len() {
-            let Some(payload) = self.future_pending[idx].take() else {
-                continue;
-            };
-            let Ok((wid, step)) = peek_grad(&payload) else {
-                continue;
-            };
-            if wid != idx as u32 {
-                continue; // misattributed: discard
+        while let Some(entry) = self.wire.queue.first_entry() {
+            if entry.key().0 > self.wire.now {
+                break;
             }
-            if step > current {
-                self.future_pending[idx] = Some(payload);
-                continue;
-            }
-            match self.guard.admit(wid, step, current) {
-                Admission::Fresh => {
-                    if let Some(out) = outputs.get_mut(idx) {
-                        if let Ok(step) = decode_grad(&payload, wid, out) {
-                            events.push(Event::Gradient { id: wid, step });
-                            progressed = true;
+            progressed = true;
+            match entry.remove() {
+                Delivery::ToCoord { from, frame } => {
+                    let (Some(&kind), Some(payload)) = (frame.get(4), frame.get(5..)) else {
+                        continue;
+                    };
+                    // A violation has no connection to close here: the
+                    // frame is simply dropped.
+                    let verdict =
+                        self.session
+                            .handle(Some(from), kind, payload, phase, outputs, events);
+                    if let Verdict::Attach(_, Some(replay)) = verdict {
+                        // The replay crosses the faulty link; the worker's
+                        // pending buffer restores order.
+                        for frame in replay {
+                            self.wire.send_to_worker(from, frame);
                         }
                     }
                 }
-                Admission::Stale => {
-                    events.push(Event::StaleGradient(wid));
-                    progressed = true;
-                }
-                Admission::Duplicate | Admission::Future => {}
-            }
-        }
-        loop {
-            let due = self
-                .queue
-                .first_key_value()
-                .map(|(&(at, _), _)| at <= self.now)
-                .unwrap_or(false);
-            if !due {
-                break;
-            }
-            let Some((_, delivery)) = self.queue.pop_first() else {
-                break;
-            };
-            progressed = true;
-            match delivery {
-                Delivery::ToCoord { from, frame } => {
-                    self.coord_receive(from, &frame, phase, outputs, events);
-                }
-                Delivery::ToWorker { to, frame } => {
-                    self.worker_receive(to as usize, frame);
-                }
-                Delivery::Detach { worker } => {
-                    if let Some(att) = self.attached.get_mut(worker as usize) {
-                        *att = false;
-                    }
-                    events.push(Event::Detached(worker));
-                }
+                Delivery::ToWorker { to, frame } => self.worker_receive(to as usize, frame),
+                Delivery::Detach { worker } => self.session.detach(worker, events),
             }
         }
         Ok(progressed)
     }
 
     fn start_warmup(&mut self) {
-        begin_frame(&mut self.send, KIND_WARMUP);
-        end_frame(&mut self.send);
-        self.ring.push(0, &self.send);
-        self.broadcast();
-        self.fire_late_joins(0);
+        self.broadcast(Broadcast::Warmup);
     }
 
     fn broadcast_step(&mut self, step: u32, batch: u32, params: &Vector) {
-        StepMessage::encode_frame(step, batch, params, &mut self.step_msg);
-        begin_frame(&mut self.send, KIND_STEP);
-        self.send.put_slice(&self.step_msg);
-        end_frame(&mut self.send);
-        self.ring.push(step, &self.send);
-        self.broadcast();
-        self.fire_late_joins(step);
-        // Rejoin schedules fire on broadcasts: a dead worker whose
-        // trigger step just went out revives and starts its handshake.
-        for idx in 0..self.workers.len() {
-            let w = &mut self.workers[idx];
-            if !w.alive && w.rejoin_on == Some(step) {
-                w.alive = true;
-                w.rejoin_on = None;
-                let id = w.hw.id();
-                let next_slot = w.next_slot;
-                let mut rejoin = BytesMut::with_capacity(32);
-                begin_frame(&mut rejoin, KIND_REJOIN);
-                rejoin.put_u32_le(id);
-                rejoin.put_u64_le(session_token(self.run_seed, id));
-                rejoin.put_u32_le(next_slot);
-                end_frame(&mut rejoin);
-                Self::send_frame(
-                    &mut self.queue,
-                    &mut self.seq,
-                    &mut self.links_to_coord[idx],
-                    self.now,
-                    0,
-                    &rejoin,
-                    |frame| Delivery::ToCoord { from: id, frame },
-                );
-            }
-        }
+        self.broadcast(Broadcast::Step {
+            step,
+            batch,
+            params,
+        });
     }
 
     fn finish(&mut self) {
-        begin_frame(&mut self.send, KIND_DONE);
-        end_frame(&mut self.send);
-        self.broadcast();
+        self.broadcast(Broadcast::Done);
     }
 
     fn abort(&mut self, reason: &str) {
-        begin_frame(&mut self.send, KIND_ABORT);
-        self.send.put_slice(reason.as_bytes());
-        end_frame(&mut self.send);
-        self.broadcast();
+        self.broadcast(Broadcast::Abort(reason));
     }
 
     fn idle(&mut self, next_deadline_ms: Option<u64>) {
-        let next_event = self.queue.keys().next().map(|&(at, _)| at);
+        let now = self.wire.now;
+        let next_event = self.wire.queue.keys().next().map(|&(at, _)| at);
         let target = match (next_event, next_deadline_ms) {
             (Some(event), Some(deadline)) => event.min(deadline),
             (Some(event), None) => event,
             (None, Some(deadline)) => deadline,
             // Done/Aborted with a drained queue: `drive` exits before
             // idling again, but never let the clock stall regardless.
-            (None, None) => self.now + 1,
+            (None, None) => now + 1,
         };
-        self.now = if target > self.now {
-            target
-        } else {
-            self.now + 1
-        };
+        self.wire.now = if target > now { target } else { now + 1 };
     }
 }
 

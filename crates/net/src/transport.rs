@@ -8,9 +8,9 @@
 //! the in-process engines drive it, which is what makes every backend's
 //! [`RunHistory`] bit-identical per seed. A [`Transport`] owns *how*
 //! bytes move (sockets, or [`SimNet`](crate::sim::SimNet)'s seeded fault
-//! plan); it decodes frames, attributes them to worker slots, and
-//! reports connection churn as [`Event::Detached`] /
-//! [`Event::Reattached`].
+//! plan) and attributes them to links; what a frame *means* — joins,
+//! rejoins, admission, the events it yields — is decided by the one
+//! session handler (`session.rs`) every transport shares.
 //!
 //! [`ResumeRing`] is the replay half of the `Rejoin` handshake: the last
 //! `W` broadcast frames (warmup + steps), recycled buffer-for-buffer so
@@ -70,9 +70,9 @@ pub fn current_step(phase: Phase) -> u32 {
 }
 
 /// How the coordinator's [`drive`] loop talks to the wire (or the
-/// simulator). Implementations own connections, frame codecs, dedup
-/// guards, and the resume ring; the loop owns the state machine and the
-/// server core.
+/// simulator). Implementations own connections and hand every frame to
+/// the shared session handler (`session.rs`); the loop owns the state
+/// machine and the server core.
 pub trait Transport {
     /// Current virtual time in ms — wall-clock since start for sockets,
     /// the simulated clock for [`SimNet`](crate::sim::SimNet).
@@ -80,9 +80,9 @@ pub trait Transport {
 
     /// Moves pending bytes: accepts connections, reads frames, decodes
     /// gradient reports **straight into `outputs`** (only
-    /// fresh-for-`phase` frames — the transport consults its
-    /// [`GradGuard`](crate::protocol::GradGuard) so duplicated or
-    /// reordered frames never clobber a slot), and appends the decoded
+    /// fresh-for-`phase` frames — the session's
+    /// [`GradGuard`](crate::protocol::GradGuard) keeps duplicated or
+    /// reordered frames from clobbering a slot), and appends the decoded
     /// [`Event`]s. Returns whether anything moved.
     ///
     /// # Errors
@@ -289,7 +289,7 @@ impl ResumeRing {
     /// serve the request: slot `from` was already evicted (the worker
     /// fell too far behind to resume), or `from` claims a slot that was
     /// never broadcast (a confused or hostile peer).
-    pub fn replay_from(&self, from: u32) -> Option<impl Iterator<Item = &[u8]>> {
+    pub fn replay_from(&self, from: u32) -> Option<Replay<'_>> {
         if let (Some(&(first, _)), Some(&(last, _))) = (self.frames.front(), self.frames.back()) {
             if from < first || from > last.saturating_add(1) {
                 return None;
@@ -297,12 +297,21 @@ impl ResumeRing {
         } else if from > 0 {
             return None; // nothing ever broadcast: only `from == 0` resumes
         }
-        Some(
-            self.frames
-                .iter()
-                .filter(move |&&(slot, _)| slot >= from)
-                .map(|(_, buf)| -> &[u8] { buf }),
-        )
+        // Slots ascend, so the frames to replay are a suffix.
+        let start = self.frames.partition_point(|&(slot, _)| slot < from);
+        Some(Replay(self.frames.range(start..)))
+    }
+}
+
+/// The frames [`ResumeRing::replay_from`] serves, oldest first.
+#[derive(Debug)]
+pub struct Replay<'a>(std::collections::vec_deque::Iter<'a, (u32, BytesMut)>);
+
+impl<'a> Iterator for Replay<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        self.0.next().map(|(_, buf)| -> &[u8] { buf })
     }
 }
 

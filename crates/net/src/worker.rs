@@ -26,11 +26,11 @@
 //! steady-state round allocates nothing.
 
 use crate::protocol::{
-    begin_frame, end_frame, read_exact_frame, write_all_frame, KIND_ABORT, KIND_DONE, KIND_GRAD,
-    KIND_JOIN, KIND_JOIN_FRESH, KIND_READY, KIND_REJOIN, KIND_STEP, KIND_WARMUP, MAX_FRAME_LEN,
+    encode_grad, encode_join, encode_ready, encode_rejoin, read_exact_frame, write_all_frame,
+    KIND_ABORT, KIND_DONE, KIND_STEP, KIND_WARMUP, MAX_FRAME_LEN,
 };
-use bytes::{BufMut, BytesMut};
-use dpbyz_server::message::{read_array, GradientMessage, MessageError, StepMessage};
+use bytes::BytesMut;
+use dpbyz_server::message::{read_array, MessageError, StepMessage};
 use dpbyz_server::{HonestWorker, WorkerOutput};
 use dpbyz_tensor::{Prng, Vector};
 use std::fmt;
@@ -121,8 +121,8 @@ impl Default for WorkerConfig {
 /// (`0` = warmup not yet answered, `t ≥ 1` = first uncomputed step).
 struct Session {
     send: BytesMut,
-    sub_frame: BytesMut,
-    pre_frame: BytesMut,
+    /// Each embedded vector frame of a report, in turn.
+    vec_frame: BytesMut,
     /// The full wire frame of the newest report — retransmitted after a
     /// reconnect (its first send may have died with the old socket) and
     /// on duplicated broadcasts; the coordinator's guard dedups.
@@ -135,7 +135,7 @@ struct Session {
 }
 
 /// Runs one worker session to completion, reconnecting through
-/// [`KIND_REJOIN`] after socket loss when the config allows it. Returns
+/// [`KIND_REJOIN`](crate::protocol::KIND_REJOIN) after socket loss when the config allows it. Returns
 /// `Ok(steps_computed)` on a clean `DONE`.
 ///
 /// # Errors
@@ -149,8 +149,7 @@ pub fn run_worker(
     let id = worker.id();
     let mut session = Session {
         send: BytesMut::with_capacity(4096),
-        sub_frame: BytesMut::with_capacity(4096),
-        pre_frame: BytesMut::with_capacity(4096),
+        vec_frame: BytesMut::with_capacity(4096),
         grad_cache: BytesMut::with_capacity(4096),
         recv: Vec::new(),
         params: Vector::default(),
@@ -189,21 +188,11 @@ fn serve(
     stream.set_read_timeout(Some(cfg.read_timeout))?;
 
     if fresh {
-        let kind = if cfg.fresh_join {
-            KIND_JOIN_FRESH
-        } else {
-            KIND_JOIN
-        };
-        begin_frame(&mut st.send, kind);
-        st.send.put_u32_le(id);
-        end_frame(&mut st.send);
+        encode_join(&mut st.send, id, cfg.fresh_join);
         write_all_frame(&mut stream, &st.send)?;
     } else {
-        begin_frame(&mut st.send, KIND_REJOIN);
-        st.send.put_u32_le(id);
-        st.send.put_u64_le(cfg.session_token.unwrap_or_default());
-        st.send.put_u32_le(st.next_slot);
-        end_frame(&mut st.send);
+        let token = cfg.session_token.unwrap_or_default();
+        encode_rejoin(&mut st.send, id, token, st.next_slot);
         write_all_frame(&mut stream, &st.send)?;
         // The newest report may have died unread with the old socket.
         if !st.grad_cache.is_empty() {
@@ -220,9 +209,7 @@ fn serve(
                     st.next_slot = 1;
                 }
                 // A replayed WARMUP re-READYs; the machine dedups.
-                begin_frame(&mut st.send, KIND_READY);
-                st.send.put_u32_le(id);
-                end_frame(&mut st.send);
+                encode_ready(&mut st.send, id);
                 write_all_frame(&mut stream, &st.send)?;
             }
             KIND_STEP => {
@@ -245,15 +232,7 @@ fn serve(
                     worker.compute_into(&st.params, batch_size as usize, &mut st.out);
                     st.next_slot = step + 1;
                     st.steps_served += 1;
-
-                    GradientMessage::encode_frame(id, step, &st.out.submitted, &mut st.sub_frame);
-                    GradientMessage::encode_frame(id, step, &st.out.pre_noise, &mut st.pre_frame);
-                    begin_frame(&mut st.grad_cache, KIND_GRAD);
-                    st.grad_cache.put_f64_le(st.out.batch_loss);
-                    st.grad_cache.put_u32_le(st.sub_frame.len() as u32);
-                    st.grad_cache.put_slice(&st.sub_frame);
-                    st.grad_cache.put_slice(&st.pre_frame);
-                    end_frame(&mut st.grad_cache);
+                    encode_grad(&mut st.grad_cache, &mut st.vec_frame, id, step, &st.out);
                     write_all_frame(&mut stream, &st.grad_cache)?;
                 } else {
                     // A gap (or a STEP before WARMUP): TCP ordering and

@@ -32,14 +32,15 @@
 //! engine into every pooled thread (worker state is per-run; threads are
 //! not), drives the rounds, and *unloads* at the end — releasing the
 //! run's dataset/model handles while the threads stay parked on their
-//! channels. The pool is invisible to the histories: loading workers is
-//! exactly the construction `Trainer` performs, so the golden digests
-//! pin bit-identity across pooled and fresh-thread runs.
+//! channels. The pool is invisible to the histories: the loaded workers
+//! and the server core come from
+//! [`Trainer::into_distributed_parts`](crate::Trainer::into_distributed_parts),
+//! the constructor every engine shares, so the golden digests pin
+//! bit-identity across pooled and fresh-thread runs.
 
-use crate::config::MomentumMode;
 use crate::message::GradientMessage;
 use crate::metrics::RunHistory;
-use crate::trainer::{derive_streams, RunScratch, ServerCore, Trainer};
+use crate::trainer::{RunScratch, Trainer};
 use crate::worker::{HonestWorker, WorkerOutput};
 use bytes::BytesMut;
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -245,55 +246,14 @@ impl ThreadedTrainer {
         seed: u64,
         scratch: &mut RunScratch,
     ) -> Result<RunHistory, GarError> {
-        let trainer = self.inner;
-        let config = trainer.config;
-        let n = config.n_workers;
-        let (mut init_rng, worker_rngs, attack_rng, fault_rng) = derive_streams(seed, n);
-
-        let n_honest = if trainer.attack.is_some() {
-            config.n_honest()
-        } else {
-            n
-        };
-        let worker_momentum = match config.momentum_mode {
-            MomentumMode::Worker => config.momentum,
-            MomentumMode::Server => 0.0,
-        };
-
-        let params = trainer.model.init_params(&mut init_rng);
-        let mut core = ServerCore::new(
-            config.clone(),
-            trainer.model.clone(),
-            trainer.gar,
-            trainer.attack,
-            trainer.test,
-            params,
-            attack_rng,
-            fault_rng,
-            std::mem::take(&mut scratch.round),
-        );
-        core.set_observer(trainer.observer);
+        let (mut core, workers) = self.inner.into_distributed_parts(seed, scratch);
+        let n_honest = workers.len();
 
         // Load this run's worker engines into the scratch's persistent
         // thread pool (spawning threads only if this run needs more than
         // any previous run on this scratch).
         scratch.pool.ensure(n_honest);
-        for (i, (source, rng)) in trainer
-            .sources
-            .into_iter()
-            .zip(worker_rngs)
-            .take(n_honest)
-            .enumerate()
-        {
-            let worker = HonestWorker::new(
-                i as u32,
-                trainer.model.clone(),
-                source,
-                trainer.mechanism.clone(),
-                config.clip,
-                worker_momentum,
-                rng,
-            );
+        for (i, worker) in workers.into_iter().enumerate() {
             scratch.pool.send(i, Command::Load(Box::new(worker)));
         }
 
@@ -307,8 +267,8 @@ impl ThreadedTrainer {
         frames.resize_with(n_honest, BytesMut::default);
         let mut params_pool = std::mem::take(&mut scratch.params_pool);
         params_pool.resize_with(n_honest, Vector::default);
-        'training: for t in 1..=config.steps {
-            let batch_size = config.batch_at(t);
+        'training: for t in 1..=core.config().steps {
+            let batch_size = core.config().batch_at(t);
             for i in 0..n_honest {
                 let mut params = std::mem::take(&mut params_pool[i]);
                 params.copy_from(core.params());
@@ -350,7 +310,7 @@ impl ThreadedTrainer {
         scratch.outputs = outputs;
         scratch.frames = frames;
         scratch.params_pool = params_pool;
-        scratch.round = core.take_buffers();
+        core.reclaim_scratch(scratch);
         result.map(|()| core.finish(seed))
     }
 }
