@@ -558,7 +558,7 @@ fn execute(
                 // One engine scratch per pool worker, reused across every
                 // (cell × seed) job this worker pulls: consecutive jobs
                 // recycle the round buffers, output slots, and (threaded)
-                // frame arena instead of rebuilding them per job. Reuse
+                // worker threads instead of rebuilding them per job. Reuse
                 // is bit-invisible, so results stay identical to fresh
                 // per-job construction at any pool size.
                 let mut scratch = RunScratch::new();

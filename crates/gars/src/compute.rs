@@ -19,19 +19,16 @@
 //!
 //! **Allocation-freedom.** The crate forbids `unsafe`, so persistent
 //! threads cannot borrow the round's gradients; instead each shard's
-//! inputs are packed into an owned [`ShardTask`] that round-trips through
-//! the worker's command/reply channel pair and is recycled afterwards —
-//! the same leased-packet idiom as the threaded engine's wire-frame
-//! arena. After the first parallel round every buffer (task values,
-//! outputs, per-thread sort scratch, channel queues) has warmed to the
+//! inputs are packed into an owned [`ShardTask`] leased to a thread of a
+//! [`LeasePool`] — the one pool the threaded training engine runs its
+//! workers on too. After the first parallel round every buffer (task
+//! values, outputs, per-thread sort scratch) has warmed to the
 //! topology's shape and steady-state rounds allocate nothing, pinned by
 //! `tests/tests/alloc_steady_state.rs`.
 
-use crossbeam::channel::{self, Receiver, Sender};
-use dpbyz_tensor::stats;
+use dpbyz_tensor::{stats, Lease, LeasePool};
 use std::fmt;
 use std::ops::Range;
-use std::thread::JoinHandle;
 
 /// Upper bound on the items packed into one shard task. Caps the packed
 /// transpose buffer at `8·rows·MAX_TASK_ITEMS` bytes per in-flight task
@@ -105,9 +102,8 @@ pub(crate) fn eval_item(op: ShardOp, values: &[f64], sort_buf: &mut Vec<f64>) ->
 
 /// One shard's owned work packet: `items` consecutive items starting at
 /// `base`, each `rows` values, packed column-major into `values`. The
-/// packet is leased to a worker thread through its command channel and
-/// returned (with `out` filled) through its reply channel, so its buffers
-/// are recycled across rounds.
+/// packet is leased to a pool thread and reclaimed with `out` filled; it
+/// stays with its thread, so its buffers are recycled across rounds.
 #[derive(Debug, Default)]
 pub(crate) struct ShardTask {
     op: ShardOp,
@@ -119,60 +115,17 @@ pub(crate) struct ShardTask {
     sort_buf: Vec<f64>,
 }
 
-/// Evaluates every item of a task into its `out` buffer.
-fn eval_task(task: &mut ShardTask) {
-    // lint:begin(zero-copy)
-    task.out.clear();
-    for i in 0..task.items {
-        let values = &task.values[i * task.rows..(i + 1) * task.rows];
-        task.out
-            .push(eval_item(task.op, values, &mut task.sort_buf));
-    }
-    // lint:end(zero-copy)
-}
-
-enum Command {
-    Run(ShardTask),
-    Stop,
-}
-
-/// One persistent worker: a command/reply bounded-channel pair and the
-/// join handle — the same shape as the threaded engine's `WorkerPool`.
-struct PoolThread {
-    cmd_tx: Sender<Command>,
-    reply_rx: Receiver<ShardTask>,
-    handle: Option<JoinHandle<()>>,
-}
-
-fn spawn_thread() -> PoolThread {
-    let (cmd_tx, cmd_rx) = channel::bounded::<Command>(1);
-    let (reply_tx, reply_rx) = channel::bounded::<ShardTask>(1);
-    let handle = std::thread::Builder::new()
-        .name("dpbyz-agg".to_string())
-        .spawn(move || {
-            // Stop commands and disconnection both end the loop.
-            while let Ok(Command::Run(mut task)) = cmd_rx.recv() {
-                eval_task(&mut task);
-                if reply_tx.send(task).is_err() {
-                    break;
-                }
-            }
-        })
-        .expect("spawn aggregation worker thread"); // lint:allow(panic-unwrap, reason = "thread spawn failure is unrecoverable resource exhaustion")
-    PoolThread {
-        cmd_tx,
-        reply_rx,
-        handle: Some(handle),
-    }
-}
-
-impl Drop for PoolThread {
-    fn drop(&mut self) {
-        // A send failure means the worker is already gone; join regardless.
-        let _ = self.cmd_tx.send(Command::Stop);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+/// Evaluates every item of the task into its `out` buffer.
+impl Lease for ShardTask {
+    fn run(&mut self) {
+        // lint:begin(zero-copy)
+        self.out.clear();
+        for i in 0..self.items {
+            let values = &self.values[i * self.rows..(i + 1) * self.rows];
+            self.out
+                .push(eval_item(self.op, values, &mut self.sort_buf));
         }
+        // lint:end(zero-copy)
     }
 }
 
@@ -185,17 +138,15 @@ impl Drop for PoolThread {
 /// the total compute parallelism.
 pub(crate) struct ComputePool {
     size: usize,
-    threads: Vec<PoolThread>,
-    /// Idle task packets, one per worker slot, recycled across rounds.
-    slots: Vec<ShardTask>,
+    /// One thread and one recycled task packet per worker slot.
+    lanes: LeasePool<ShardTask>,
 }
 
 impl Default for ComputePool {
     fn default() -> Self {
         ComputePool {
             size: 1,
-            threads: Vec::new(),
-            slots: Vec::new(),
+            lanes: LeasePool::default(),
         }
     }
 }
@@ -204,7 +155,7 @@ impl fmt::Debug for ComputePool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ComputePool")
             .field("size", &self.size)
-            .field("spawned", &self.threads.len())
+            .field("spawned", &self.lanes.len())
             .finish()
     }
 }
@@ -215,9 +166,7 @@ impl ComputePool {
     /// next parallel call.
     pub(crate) fn set_size(&mut self, size: usize) {
         self.size = size.max(1);
-        if self.threads.len() > self.size - 1 {
-            self.threads.truncate(self.size - 1);
-        }
+        self.lanes.resize(self.lanes.len().min(self.size - 1));
     }
 
     /// The configured total parallelism (≥ 1).
@@ -225,13 +174,9 @@ impl ComputePool {
         self.size
     }
 
+    /// Spawns the worker threads `set_size` asked for (a no-op once warm).
     fn ensure_threads(&mut self) {
-        while self.threads.len() + 1 < self.size {
-            self.threads.push(spawn_thread());
-        }
-        if self.slots.len() + 1 < self.size {
-            self.slots.resize_with(self.size - 1, ShardTask::default);
-        }
+        self.lanes.resize(self.size - 1);
     }
 }
 
@@ -281,16 +226,13 @@ pub(crate) fn run_sharded(
         let mut sent = 0;
         while sent + 1 < size && start < items {
             let end = (start + chunk).min(items);
-            let mut task = std::mem::take(&mut pool.slots[sent]);
+            let task = pool.lanes.packet_mut(sent);
             task.op = op;
             task.base = start;
             task.rows = rows;
             task.items = end - start;
             pack(start..end, &mut task.values);
-            pool.threads[sent]
-                .cmd_tx
-                .send(Command::Run(task))
-                .expect("aggregation worker alive"); // lint:allow(panic-unwrap, reason = "worker threads only exit on Stop or pool drop")
+            pool.lanes.lease(sent);
             sent += 1;
             start = end;
         }
@@ -302,13 +244,9 @@ pub(crate) fn run_sharded(
             }
             start = end;
         }
-        for slot in 0..sent {
-            let task = pool.threads[slot]
-                .reply_rx
-                .recv()
-                .expect("aggregation worker alive"); // lint:allow(panic-unwrap, reason = "worker threads only exit on Stop or pool drop")
+        for lane in 0..sent {
+            let task = pool.lanes.reclaim(lane);
             out[task.base..task.base + task.items].copy_from_slice(&task.out);
-            pool.slots[slot] = task;
         }
     }
     // lint:end(zero-copy)
@@ -381,15 +319,15 @@ mod tests {
     fn size_one_spawns_no_threads_and_resizing_reclaims_them() {
         let mut pool = ComputePool::default();
         assert_eq!(pool.size(), 1);
-        assert!(pool.threads.is_empty());
+        assert!(pool.lanes.is_empty());
         pool.set_size(4);
         pool.ensure_threads();
-        assert_eq!(pool.threads.len(), 3);
+        assert_eq!(pool.lanes.len(), 3);
         pool.set_size(2);
-        assert_eq!(pool.threads.len(), 1);
+        assert_eq!(pool.lanes.len(), 1);
         pool.set_size(0); // clamped
         assert_eq!(pool.size(), 1);
-        assert!(pool.threads.is_empty());
+        assert!(pool.lanes.is_empty());
     }
 
     #[test]
@@ -412,7 +350,8 @@ mod tests {
             );
         }
         // Every slot's buffers warmed to the shard shape and stayed.
-        for slot in &pool.slots {
+        for lane in 0..pool.lanes.len() {
+            let slot = pool.lanes.packet_mut(lane);
             assert!(slot.values.capacity() > 0);
             assert!(slot.out.capacity() > 0);
         }

@@ -7,12 +7,17 @@
 //! ```
 //!
 //! where `len` counts everything after the length word (so a payload-free
-//! frame has `len = 1`). Payloads reuse the integrity-tagged vector
-//! layouts of [`dpbyz_server::message::GradientMessage`] /
-//! [`dpbyz_server::message::StepMessage`] wherever a vector travels, so transport
-//! corruption is caught by the same typed
-//! [`MessageError`]s the in-process engines
-//! test against.
+//! frame has `len = 1`). Every vector travels as one *vector frame*
+//! ([`encode_vec_frame`] / [`decode_vec_frame`]),
+//!
+//! ```text
+//! [a: u32 LE][b: u32 LE][dim: u32 LE][coords: dim × f64 LE][tag: u64 LE]
+//! ```
+//!
+//! with `(a, b) = (step, batch_size)` in a `STEP` broadcast and
+//! `(worker_id, step)` in a `GRAD` report. `tag` is an FNV-1a checksum
+//! over everything before it: the paper's channels guarantee only
+//! integrity and authentication (Remark 1), not secrecy.
 //!
 //! Reading is built for the coordinator's nonblocking single-threaded
 //! loop: [`FrameReader`] owns one recycled `Vec<u8>`, fills it from the
@@ -21,8 +26,9 @@
 //! has grown to the session's frame size.
 
 use bytes::{BufMut, BytesMut};
-use dpbyz_server::message::{read_array, GradientMessage, MessageError};
 use dpbyz_server::WorkerOutput;
+use dpbyz_tensor::Vector;
+use std::fmt;
 use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
 
@@ -33,15 +39,14 @@ pub const KIND_JOIN: u8 = 1;
 pub const KIND_WARMUP: u8 = 2;
 /// Worker → coordinator: "warmed up". Payload: `[id: u32 LE]`.
 pub const KIND_READY: u8 = 3;
-/// Coordinator → workers: the round broadcast. Payload: one
-/// [`StepMessage`](dpbyz_server::message::StepMessage) frame carrying
-/// `(step, batch_size, params)`.
+/// Coordinator → workers: the round broadcast. Payload: one vector frame
+/// carrying `(step, batch_size, params)`.
 pub const KIND_STEP: u8 = 4;
 /// Worker → coordinator: the round report. Payload:
 /// `[batch_loss: f64 LE][sub_len: u32 LE]` followed by the *submitted*
-/// [`GradientMessage`] frame (`sub_len`
-/// bytes, carrying `(worker_id, step)`) and the *pre-noise* gradient
-/// frame (the remainder — the simulator-only VN diagnostic channel; a
+/// gradient's vector frame (`sub_len` bytes, carrying
+/// `(worker_id, step)`) and the *pre-noise* gradient's vector frame (the
+/// remainder — the simulator-only VN diagnostic channel; a
 /// real deployment would omit it, see `docs/DEPLOYMENT.md`).
 pub const KIND_GRAD: u8 = 5;
 /// Coordinator → workers: "all steps aggregated; exit cleanly".
@@ -69,14 +74,166 @@ pub const KIND_REJOIN: u8 = 8;
 /// equivalent to a plain [`KIND_JOIN`].
 pub const KIND_JOIN_FRESH: u8 = 9;
 
-/// Largest acceptable frame `len`: the `GRAD` layout at
-/// [`MAX_WIRE_DIM`](dpbyz_server::message::MAX_WIRE_DIM) coordinates — two vector
-/// frames plus the loss/length prelude. A corrupted or hostile length
-/// prefix above this is rejected before any buffering happens.
-pub const MAX_FRAME_LEN: usize = 2 * (12 + dpbyz_server::message::MAX_WIRE_DIM * 8 + 8) + 13;
+/// Largest coordinate count a vector-frame decoder accepts. Caps what a
+/// corrupted or hostile length prefix can make [`decode_vec_frame`]
+/// allocate (2²⁴ × 8 B = 128 MiB) — far above any model this repo
+/// trains, far below a `u32`'s worth of `f64`s.
+pub const MAX_WIRE_DIM: usize = 1 << 24;
+
+/// Vector-frame decode failures, typed by cause so transports can react
+/// differently: a short read may mean "wait for more bytes", a length
+/// overflow or bad checksum means the frame (and probably the peer) is
+/// garbage.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MessageError {
+    /// The frame's byte count does not match what its layout requires —
+    /// either below the fixed header+tag minimum, or inconsistent with
+    /// the declared coordinate count.
+    ShortRead {
+        /// Bytes the layout requires.
+        needed: usize,
+        /// Bytes actually presented.
+        got: usize,
+    },
+    /// The declared coordinate count exceeds [`MAX_WIRE_DIM`] — treated
+    /// as corruption before any allocation happens.
+    LengthOverflow {
+        /// Coordinate count the frame declared.
+        declared: usize,
+        /// The decoder's cap ([`MAX_WIRE_DIM`]).
+        limit: usize,
+    },
+    /// The integrity tag did not match.
+    BadChecksum,
+}
+
+impl fmt::Display for MessageError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MessageError::ShortRead { needed, got } => {
+                write!(
+                    f,
+                    "truncated frame: layout requires {needed} bytes, got {got}"
+                )
+            }
+            MessageError::LengthOverflow { declared, limit } => {
+                write!(
+                    f,
+                    "frame declares {declared} coordinates, above the {limit} cap"
+                )
+            }
+            MessageError::BadChecksum => write!(f, "integrity check failed"),
+        }
+    }
+}
+
+impl std::error::Error for MessageError {}
+
+const VEC_HEADER: usize = 4 + 4 + 4;
+const VEC_TAG: usize = 8;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Reads `N` bytes at offset `at` of a peer-supplied frame, reporting a
+/// typed [`MessageError::ShortRead`] instead of panicking when the frame
+/// is too short — the only slice-access pattern hostile-input decoders
+/// are allowed to use.
+///
+/// # Errors
+///
+/// [`MessageError::ShortRead`] when `frame` ends before `at + N`.
+pub fn read_array<const N: usize>(frame: &[u8], at: usize) -> Result<[u8; N], MessageError> {
+    frame
+        .get(at..at.saturating_add(N))
+        .and_then(|bytes| <[u8; N]>::try_from(bytes).ok())
+        .ok_or(MessageError::ShortRead {
+            needed: at.saturating_add(N),
+            got: frame.len(),
+        })
+}
+
+/// Encodes the vector frame `[a][b][dim][coords][tag]` into `buf`,
+/// clearing it first. The buffer's allocation is reused, so at steady
+/// state (same dimension every round) encoding allocates nothing.
+pub fn encode_vec_frame(a: u32, b: u32, v: &Vector, buf: &mut BytesMut) {
+    // lint:begin(zero-copy)
+    buf.clear();
+    buf.put_u32_le(a);
+    buf.put_u32_le(b);
+    buf.put_u32_le(v.dim() as u32);
+    for &x in v.iter() {
+        buf.put_f64_le(x);
+    }
+    let tag = fnv1a(buf);
+    buf.put_u64_le(tag);
+    // lint:end(zero-copy)
+}
+
+/// Decodes and verifies a vector frame into `v`, returning its two header
+/// words. `v` is resized in place (a no-op at steady state) and refilled
+/// coordinate by coordinate; the tag covers header and payload and is
+/// checked after parsing. On error `v` is left in an unspecified but
+/// valid state.
+///
+/// # Errors
+///
+/// [`MessageError::ShortRead`] on length-inconsistent frames,
+/// [`MessageError::LengthOverflow`] if the declared coordinate count
+/// exceeds [`MAX_WIRE_DIM`] (checked before `v` is resized),
+/// [`MessageError::BadChecksum`] if the integrity tag mismatches.
+pub fn decode_vec_frame(frame: &[u8], v: &mut Vector) -> Result<(u32, u32), MessageError> {
+    // lint:begin(zero-copy)
+    if frame.len() < VEC_HEADER + VEC_TAG {
+        return Err(MessageError::ShortRead {
+            needed: VEC_HEADER + VEC_TAG,
+            got: frame.len(),
+        });
+    }
+    let body_len = frame.len() - VEC_TAG;
+    let expected = fnv1a(frame.get(..body_len).unwrap_or(frame));
+    let a = u32::from_le_bytes(read_array(frame, 0)?);
+    let b = u32::from_le_bytes(read_array(frame, 4)?);
+    let dim = u32::from_le_bytes(read_array(frame, 8)?) as usize;
+    if dim > MAX_WIRE_DIM {
+        return Err(MessageError::LengthOverflow {
+            declared: dim,
+            limit: MAX_WIRE_DIM,
+        });
+    }
+    let needed = VEC_HEADER + dim * 8 + VEC_TAG;
+    if frame.len() != needed {
+        return Err(MessageError::ShortRead {
+            needed,
+            got: frame.len(),
+        });
+    }
+    v.resize(dim, 0.0);
+    for (j, coord) in v.as_mut_slice().iter_mut().enumerate() {
+        *coord = f64::from_le_bytes(read_array(frame, VEC_HEADER + j * 8)?);
+    }
+    let tag = u64::from_le_bytes(read_array(frame, body_len)?);
+    if tag != expected {
+        return Err(MessageError::BadChecksum);
+    }
+    // lint:end(zero-copy)
+    Ok((a, b))
+}
+
+/// Largest acceptable frame `len`: the `GRAD` layout at [`MAX_WIRE_DIM`]
+/// coordinates — two vector frames plus the loss/length prelude. A
+/// corrupted or hostile length prefix above this is rejected before any
+/// buffering happens.
+pub const MAX_FRAME_LEN: usize = 2 * (VEC_HEADER + MAX_WIRE_DIM * 8 + VEC_TAG) + 13;
 
 /// A frame whose length word is implausible — the session-layer analogue
-/// of [`MessageError::LengthOverflow`](dpbyz_server::message::MessageError).
+/// of [`MessageError::LengthOverflow`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
     /// The declared frame length exceeds [`MAX_FRAME_LEN`].
@@ -91,8 +248,8 @@ pub enum FrameError {
     Empty,
 }
 
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FrameError::TooLong { declared, limit } => {
                 write!(f, "frame declares {declared} bytes, above the {limit} cap")
@@ -359,8 +516,8 @@ impl From<MessageError> for GradDecodeError {
     }
 }
 
-impl std::fmt::Display for GradDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for GradDecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GradDecodeError::Frame(e) => write!(f, "gradient frame: {e}"),
             GradDecodeError::Misattributed => {
@@ -416,8 +573,8 @@ pub fn decode_grad(
             needed: 12usize.saturating_add(sub_len),
             got: payload.len(),
         })?;
-    let (wid, step) = GradientMessage::decode_into(sub, &mut out.submitted)?;
-    let (wid2, step2) = GradientMessage::decode_into(pre, &mut out.pre_noise)?;
+    let (wid, step) = decode_vec_frame(sub, &mut out.submitted)?;
+    let (wid2, step2) = decode_vec_frame(pre, &mut out.pre_noise)?;
     if wid != expect_id || wid2 != expect_id || step != step2 {
         return Err(GradDecodeError::Misattributed);
     }
@@ -485,10 +642,10 @@ pub(crate) fn encode_grad(
 ) {
     begin_frame(buf, KIND_GRAD);
     buf.put_f64_le(out.batch_loss);
-    GradientMessage::encode_frame(id, step, &out.submitted, scratch);
+    encode_vec_frame(id, step, &out.submitted, scratch);
     buf.put_u32_le(scratch.len() as u32);
     buf.put_slice(scratch);
-    GradientMessage::encode_frame(id, step, &out.pre_noise, scratch);
+    encode_vec_frame(id, step, &out.pre_noise, scratch);
     buf.put_slice(scratch);
     end_frame(buf);
 }
@@ -659,13 +816,12 @@ mod tests {
     /// frame.
     fn grad_payload(id: u32, step: u32, pre_id: u32, pre_step: u32) -> Vec<u8> {
         use bytes::BufMut;
-        use dpbyz_tensor::Vector;
         let sub = Vector::from(vec![1.0, -2.0]);
         let pre = Vector::from(vec![0.5, 0.25]);
         let mut sub_frame = bytes::BytesMut::default();
         let mut pre_frame = bytes::BytesMut::default();
-        GradientMessage::encode_frame(id, step, &sub, &mut sub_frame);
-        GradientMessage::encode_frame(pre_id, pre_step, &pre, &mut pre_frame);
+        encode_vec_frame(id, step, &sub, &mut sub_frame);
+        encode_vec_frame(pre_id, pre_step, &pre, &mut pre_frame);
         let mut payload = bytes::BytesMut::default();
         payload.put_f64_le(0.125);
         payload.put_u32_le(sub_frame.len() as u32);
@@ -676,7 +832,6 @@ mod tests {
 
     #[test]
     fn well_formed_grad_payload_decodes() {
-        use dpbyz_tensor::Vector;
         let payload = grad_payload(3, 7, 3, 7);
         let mut out = WorkerOutput::default();
         assert_eq!(decode_grad(&payload, 3, &mut out), Ok(7));
@@ -907,6 +1062,233 @@ mod tests {
                 None => baseline = Some(fingerprint),
                 Some(b) if round > 2 => assert_eq!(fingerprint, b, "round {round} reallocated"),
                 Some(_) => {}
+            }
+        }
+    }
+
+    /// The vector-frame codec: round trips, buffer reuse, and typed
+    /// rejection of every malformed frame.
+    mod vec_frame {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn encoded(a: u32, b: u32, v: &Vector) -> BytesMut {
+            let mut frame = BytesMut::default();
+            encode_vec_frame(a, b, v, &mut frame);
+            frame
+        }
+
+        #[test]
+        fn roundtrip() {
+            // A gradient's header: (worker_id, step).
+            let v = Vector::from(vec![1.5, -2.25, 0.0]);
+            let mut decoded = Vector::default();
+            assert_eq!(
+                decode_vec_frame(&encoded(3, 42, &v), &mut decoded),
+                Ok((3, 42))
+            );
+            assert_eq!(decoded, v);
+        }
+
+        #[test]
+        fn step_header_roundtrip() {
+            // A broadcast's header: (step, batch_size), decoded into a
+            // dirty parameter vector of the wrong dimension.
+            let v = Vector::from(vec![1.0, -0.125, 3.5]);
+            let mut params = Vector::from(vec![0.0; 9]);
+            assert_eq!(
+                decode_vec_frame(&encoded(7, 25, &v), &mut params),
+                Ok((7, 25))
+            );
+            assert_eq!(params, v);
+        }
+
+        #[test]
+        fn zero_copy_roundtrip_reuses_buffers() {
+            // Encode into a dirty recycled buffer, decode into a dirty
+            // live Vector of the wrong dimension — byte- and bit-identical
+            // to fresh buffers, twice through the SAME buffers.
+            let v = Vector::from(vec![1.5, -2.25, 0.0]);
+            let mut frame = BytesMut::with_capacity(4);
+            frame.put_u32_le(0xDEAD_BEEF); // dirty: encoding must clear
+            encode_vec_frame(3, 42, &v, &mut frame);
+            assert_eq!(&frame[..], &encoded(3, 42, &v)[..]);
+            let mut decoded = Vector::from(vec![9.0; 7]); // dirty, wrong dim
+            assert_eq!(decode_vec_frame(&frame, &mut decoded), Ok((3, 42)));
+            assert_eq!(decoded, v);
+            let v2 = Vector::from(vec![0.25, 7.0, -1.0]);
+            encode_vec_frame(4, 43, &v2, &mut frame);
+            assert_eq!(decode_vec_frame(&frame, &mut decoded), Ok((4, 43)));
+            assert_eq!(decoded, v2);
+        }
+
+        #[test]
+        fn frame_bytes_follow_the_documented_layout() {
+            let v = Vector::from(vec![0.5, -0.5]);
+            let mut expected = Vec::new();
+            for word in [9u32, 17, 2] {
+                expected.extend(word.to_le_bytes());
+            }
+            for x in [0.5f64, -0.5] {
+                expected.extend(x.to_le_bytes());
+            }
+            let tag = fnv1a(&expected);
+            expected.extend(tag.to_le_bytes());
+            assert_eq!(&encoded(9, 17, &v)[..], &expected[..]);
+        }
+
+        #[test]
+        fn empty_vector_roundtrip() {
+            let frame = encoded(0, 0, &Vector::zeros(0));
+            let mut decoded = Vector::from(vec![1.0]);
+            assert_eq!(decode_vec_frame(&frame, &mut decoded), Ok((0, 0)));
+            assert!(decoded.is_empty());
+        }
+
+        #[test]
+        fn detects_truncation() {
+            let frame = encoded(1, 2, &Vector::from(vec![1.0, 2.0]));
+            let mut decoded = Vector::default();
+            // Cut inside the payload: the declared dim no longer fits.
+            assert_eq!(
+                decode_vec_frame(&frame[..frame.len() - 9], &mut decoded),
+                Err(MessageError::ShortRead {
+                    needed: frame.len(),
+                    got: frame.len() - 9
+                })
+            );
+            // Below even the fixed header+tag minimum.
+            assert_eq!(
+                decode_vec_frame(b"xy", &mut decoded),
+                Err(MessageError::ShortRead { needed: 20, got: 2 })
+            );
+        }
+
+        #[test]
+        fn detects_length_overflow() {
+            // A corrupted length prefix claiming a huge payload must be
+            // rejected before the decoder allocates for it: the dim field
+            // is absurd but the total length passes the header+tag
+            // minimum.
+            let mut frame = encoded(1, 2, &Vector::from(vec![1.0, 2.0]));
+            frame[8..12].copy_from_slice(&(u32::MAX).to_le_bytes());
+            let mut decoded = Vector::default();
+            assert_eq!(
+                decode_vec_frame(&frame, &mut decoded),
+                Err(MessageError::LengthOverflow {
+                    declared: u32::MAX as usize,
+                    limit: MAX_WIRE_DIM,
+                })
+            );
+            // The target buffer was never resized toward the bogus dim.
+            assert!(decoded.is_empty());
+        }
+
+        #[test]
+        fn corrupting_each_field_is_detected() {
+            // Corrupt every field in isolation and check the typed
+            // rejection. Length-affecting corruption surfaces as
+            // ShortRead/LengthOverflow (caught before the checksum);
+            // value corruption surfaces as BadChecksum.
+            let clean = encoded(5, 11, &Vector::from(vec![1.0, -2.0]));
+            let mut decoded = Vector::default();
+            let mut corrupt = |at: usize, bit: u8| {
+                let mut frame = clean.to_vec();
+                frame[at] ^= bit;
+                decode_vec_frame(&frame, &mut decoded).unwrap_err()
+            };
+            // Header words a (byte 0) and b (byte 4): covered by the tag.
+            assert_eq!(corrupt(0, 0x01), MessageError::BadChecksum);
+            assert_eq!(corrupt(4, 0x01), MessageError::BadChecksum);
+            // dim low byte (byte 8): the frame length no longer matches.
+            assert_eq!(
+                corrupt(8, 0x01),
+                MessageError::ShortRead {
+                    needed: VEC_HEADER + 3 * 8 + VEC_TAG,
+                    got: clean.len(),
+                }
+            );
+            // dim high byte (byte 11): the declared count blows past the cap.
+            assert_eq!(
+                corrupt(11, 0x80),
+                MessageError::LengthOverflow {
+                    declared: 2 + (0x80 << 24),
+                    limit: MAX_WIRE_DIM,
+                }
+            );
+            // A payload coordinate (first byte of coord 1).
+            assert_eq!(corrupt(VEC_HEADER + 8, 0xFF), MessageError::BadChecksum);
+            // The tag itself (last byte).
+            assert_eq!(corrupt(clean.len() - 1, 0x01), MessageError::BadChecksum);
+        }
+
+        #[test]
+        fn detects_corruption() {
+            let mut frame = encoded(1, 2, &Vector::from(vec![1.0, 2.0]));
+            frame[VEC_HEADER + 3] ^= 0xFF; // flip a payload bit in place
+            let mut decoded = Vector::default();
+            assert_eq!(
+                decode_vec_frame(&frame, &mut decoded),
+                Err(MessageError::BadChecksum)
+            );
+        }
+
+        #[test]
+        fn detects_header_tampering() {
+            // Flipping the first header word must break the tag: integrity
+            // covers the whole frame.
+            let mut frame = encoded(1, 2, &Vector::from(vec![1.0]));
+            frame[0] ^= 0x01;
+            let mut decoded = Vector::default();
+            assert_eq!(
+                decode_vec_frame(&frame, &mut decoded),
+                Err(MessageError::BadChecksum)
+            );
+        }
+
+        #[test]
+        fn read_array_reports_short_frames() {
+            assert_eq!(read_array::<4>(&[1, 0, 0, 0], 0), Ok([1, 0, 0, 0]));
+            assert_eq!(
+                read_array::<8>(&[0; 4], 0),
+                Err(MessageError::ShortRead { needed: 8, got: 4 })
+            );
+            // Offset near usize::MAX must not overflow into a bogus range.
+            assert_eq!(
+                read_array::<4>(&[0; 8], usize::MAX),
+                Err(MessageError::ShortRead {
+                    needed: usize::MAX,
+                    got: 8
+                })
+            );
+        }
+
+        #[test]
+        fn error_display() {
+            assert!(MessageError::ShortRead { needed: 20, got: 2 }
+                .to_string()
+                .contains("truncated"));
+            assert!(MessageError::LengthOverflow {
+                declared: 1 << 30,
+                limit: MAX_WIRE_DIM
+            }
+            .to_string()
+            .contains("cap"));
+            assert!(MessageError::BadChecksum.to_string().contains("integrity"));
+        }
+
+        proptest! {
+            #[test]
+            fn prop_roundtrip(
+                a in 0u32..1000,
+                b in 0u32..100_000,
+                coords in proptest::collection::vec(-1e9..1e9f64, 0..64),
+            ) {
+                let v = Vector::from(coords);
+                let mut decoded = Vector::from(vec![5.0; 3]);
+                let header = decode_vec_frame(&encoded(a, b, &v), &mut decoded).unwrap();
+                prop_assert_eq!(header, (a, b));
+                prop_assert_eq!(decoded, v);
             }
         }
     }

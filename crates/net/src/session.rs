@@ -32,13 +32,12 @@
 
 use crate::machine::{Event, Phase};
 use crate::protocol::{
-    begin_frame, decode_grad, end_frame, peek_grad, session_token, Admission, GradGuard,
-    KIND_ABORT, KIND_DONE, KIND_GRAD, KIND_JOIN, KIND_JOIN_FRESH, KIND_READY, KIND_REJOIN,
-    KIND_STEP, KIND_WARMUP,
+    begin_frame, decode_grad, encode_vec_frame, end_frame, peek_grad, read_array, session_token,
+    Admission, GradGuard, KIND_ABORT, KIND_DONE, KIND_GRAD, KIND_JOIN, KIND_JOIN_FRESH, KIND_READY,
+    KIND_REJOIN, KIND_STEP, KIND_WARMUP,
 };
 use crate::transport::{current_step, Replay, ResumeRing};
 use bytes::{BufMut, BytesMut};
-use dpbyz_server::message::{read_array, StepMessage};
 use dpbyz_server::WorkerOutput;
 use dpbyz_tensor::Vector;
 
@@ -321,7 +320,7 @@ impl Session {
                 batch,
                 params,
             } => {
-                StepMessage::encode_frame(step, batch, params, &mut self.step_msg);
+                encode_vec_frame(step, batch, params, &mut self.step_msg);
                 begin_frame(&mut self.frame, KIND_STEP);
                 self.frame.put_slice(&self.step_msg);
                 Some(step)

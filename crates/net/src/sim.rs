@@ -36,7 +36,8 @@
 
 use crate::machine::{Event, MachineConfig, Phase};
 use crate::protocol::{
-    encode_grad, encode_join, encode_ready, encode_rejoin, session_token, KIND_STEP, KIND_WARMUP,
+    decode_vec_frame, encode_grad, encode_join, encode_ready, encode_rejoin, read_array,
+    session_token, KIND_STEP, KIND_WARMUP,
 };
 use crate::session::{Broadcast, Session, Verdict};
 use crate::transport::{drive, CoordinatorError, Transport};
@@ -44,7 +45,6 @@ use bytes::BytesMut;
 use dpbyz_core::engine::register_backend;
 use dpbyz_core::pipeline::{Experiment, PipelineError};
 use dpbyz_core::{ComponentSpec, EngineBackend, RegistryError};
-use dpbyz_server::message::{read_array, StepMessage};
 use dpbyz_server::{HonestWorker, RunHistory, RunObserver, RunScratch, WorkerOutput};
 use dpbyz_tensor::{Prng, Vector};
 use std::collections::BTreeMap;
@@ -558,7 +558,7 @@ impl SimNet {
                 return;
             };
             let payload = frame.get(5..).unwrap_or_default();
-            let Ok((step, batch)) = StepMessage::decode_into(payload, &mut w.params) else {
+            let Ok((step, batch)) = decode_vec_frame(payload, &mut w.params) else {
                 return; // locally built frames never fail; belt and braces
             };
             let id = w.hw.id();

@@ -26,11 +26,11 @@
 //! steady-state round allocates nothing.
 
 use crate::protocol::{
-    encode_grad, encode_join, encode_ready, encode_rejoin, read_exact_frame, write_all_frame,
-    KIND_ABORT, KIND_DONE, KIND_STEP, KIND_WARMUP, MAX_FRAME_LEN,
+    decode_vec_frame, encode_grad, encode_join, encode_ready, encode_rejoin, read_array,
+    read_exact_frame, write_all_frame, MessageError, KIND_ABORT, KIND_DONE, KIND_STEP, KIND_WARMUP,
+    MAX_FRAME_LEN,
 };
 use bytes::BytesMut;
-use dpbyz_server::message::{read_array, MessageError, StepMessage};
 use dpbyz_server::{HonestWorker, WorkerOutput};
 use dpbyz_tensor::{Prng, Vector};
 use std::fmt;
@@ -213,7 +213,7 @@ fn serve(
                 write_all_frame(&mut stream, &st.send)?;
             }
             KIND_STEP => {
-                let (step, batch_size) = StepMessage::decode_into(&st.recv, &mut st.params)?;
+                let (step, batch_size) = decode_vec_frame(&st.recv, &mut st.params)?;
                 if cfg.fresh_join && st.next_slot == 0 {
                     // A fresh mid-run join skips warmup: the first
                     // replayed STEP carries the current model snapshot

@@ -15,11 +15,10 @@ use bytes::{BufMut, BytesMut};
 use dpbyz_core::pipeline::{Experiment, FigureConfig};
 use dpbyz_core::ComponentSpec;
 use dpbyz_net::protocol::{
-    begin_frame, end_frame, write_all_frame, KIND_ABORT, KIND_DONE, KIND_GRAD, KIND_JOIN,
-    KIND_JOIN_FRESH, KIND_READY, KIND_STEP, KIND_WARMUP,
+    begin_frame, decode_vec_frame, encode_vec_frame, end_frame, write_all_frame, KIND_ABORT,
+    KIND_DONE, KIND_GRAD, KIND_JOIN, KIND_JOIN_FRESH, KIND_READY, KIND_STEP, KIND_WARMUP,
 };
 use dpbyz_net::{CoordinatorConfig, FaultPlan, SimBackend, TcpCoordinator};
-use dpbyz_server::message::{GradientMessage, StepMessage};
 use dpbyz_server::{FnObserver, HonestWorker, RunHistory, RunScratch, WorkerOutput};
 use dpbyz_tensor::Vector;
 use std::collections::HashMap;
@@ -222,8 +221,8 @@ fn send_id_frame(stream: &mut TcpStream, kind: u8, id: u32) -> io::Result<()> {
 fn send_grad(stream: &mut TcpStream, id: u32, step: u32, out: &WorkerOutput) -> io::Result<()> {
     let mut sub = BytesMut::default();
     let mut pre = BytesMut::default();
-    GradientMessage::encode_frame(id, step, &out.submitted, &mut sub);
-    GradientMessage::encode_frame(id, step, &out.pre_noise, &mut pre);
+    encode_vec_frame(id, step, &out.submitted, &mut sub);
+    encode_vec_frame(id, step, &out.pre_noise, &mut pre);
     let mut frame = BytesMut::default();
     begin_frame(&mut frame, KIND_GRAD);
     frame.put_f64_le(out.batch_loss);
@@ -249,7 +248,7 @@ fn ahead_of_round_client(addr: SocketAddr, mut worker: HonestWorker) -> io::Resu
         match kind {
             KIND_WARMUP => send_id_frame(&mut stream, KIND_READY, id)?,
             KIND_STEP => {
-                let (step, batch) = StepMessage::decode_into(&payload, &mut params)
+                let (step, batch) = decode_vec_frame(&payload, &mut params)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e}")))?;
                 if step == 1 {
                     worker.compute_into(&params, batch as usize, &mut out);
@@ -327,7 +326,7 @@ fn fresh_join_client(
         let (kind, payload) = read_frame(&mut stream)?;
         match kind {
             KIND_STEP => {
-                let (step, batch) = StepMessage::decode_into(&payload, &mut params)
+                let (step, batch) = decode_vec_frame(&payload, &mut params)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e}")))?;
                 if next_slot == 0 {
                     next_slot = step.max(1); // the replayed STEP anchors the cursor

@@ -14,13 +14,10 @@
 //!   batch/gradient buffers, the server's submission set, GAR scratch)
 //!   is recycled across rounds, so steady-state rounds perform **no**
 //!   heap allocation;
-//! * [`ThreadedTrainer`] — one OS thread per worker wired to the server
-//!   with crossbeam channels, exchanging the serialized
-//!   [`message::GradientMessage`] wire format (integrity-tagged, as
-//!   Remark 1's channels are); shares `ServerCore` and the workers'
-//!   buffer recycling, and leases its wire frames from a per-worker
-//!   frame arena recycled round-trip through the channels — steady-state
-//!   rounds allocate nothing on this engine either.
+//! * [`ThreadedTrainer`] — the same round loop with each worker computing
+//!   on its own persistent OS thread of a
+//!   [`LeasePool`](dpbyz_tensor::LeasePool); steady-state rounds allocate
+//!   nothing on this engine either.
 //!
 //! Both engines additionally accept a [`RunScratch`]
 //! (`run_with_scratch`), recycling the whole working set across
@@ -67,7 +64,6 @@
 #![forbid(unsafe_code)]
 
 mod config;
-pub mod message;
 mod metrics;
 mod observer;
 mod schedule;

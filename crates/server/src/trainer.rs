@@ -3,6 +3,7 @@
 use crate::config::{AttackVisibility, MomentumMode, TrainingConfig};
 use crate::metrics::{ChurnStats, RunHistory};
 use crate::observer::{RunObserver, StepMetrics};
+use crate::threaded::WorkerLease;
 use crate::worker::{HonestWorker, WorkerOutput};
 use dpbyz_attacks::{Attack, AttackContext};
 use dpbyz_data::sampler::BatchSource;
@@ -10,7 +11,7 @@ use dpbyz_data::Dataset;
 use dpbyz_dp::{Mechanism, NoNoise};
 use dpbyz_gars::{vn, Average, Gar, GarError, GarScratch};
 use dpbyz_models::{metrics::accuracy, Model};
-use dpbyz_tensor::{Prng, Vector};
+use dpbyz_tensor::{LeasePool, Prng, Vector};
 use std::sync::Arc;
 
 /// Per-round buffers the server keeps alive for the entire run — the heart
@@ -95,25 +96,19 @@ pub struct ServerCore {
 ///
 /// Holds the server's round buffers (submission set, forged/mean/
 /// aggregated vectors, GAR scratch), the per-worker output slots, the
-/// broadcast-parameter buffer, and — for the threaded engine — the frame
-/// arena (one recycled wire-frame `BytesMut` and one parameter `Vector`
-/// per worker). Buffer shapes adapt in place when the next run has a
-/// different topology or dimension; reuse is **bit-invisible** — a run
-/// with a dirty scratch produces exactly the history a fresh one does
-/// (every buffer is overwritten before it is read).
+/// broadcast-parameter buffer, and — for the threaded engine — the
+/// persistent thread pool with one worker packet per thread.
+/// Buffer shapes adapt in place when the next run has a different
+/// topology or dimension; reuse is **bit-invisible** — a run with a
+/// dirty scratch produces exactly the history a fresh one does (every
+/// buffer is overwritten before it is read).
 #[derive(Default)]
 pub struct RunScratch {
     pub(crate) round: RoundBuffers,
     pub(crate) outputs: Vec<WorkerOutput>,
     pub(crate) params: Vector,
-    /// Threaded engine only: per-worker wire-frame arena.
-    pub(crate) frames: Vec<bytes::BytesMut>,
-    /// Threaded engine only: per-worker broadcast-parameter buffers.
-    pub(crate) params_pool: Vec<Vector>,
-    /// Threaded engine only: the persistent worker thread pool. Threads
-    /// outlive individual runs — consecutive `run_with_scratch` calls
-    /// reuse them instead of respawning OS threads per run.
-    pub(crate) pool: crate::threaded::WorkerPool,
+    /// Threaded engine only: worker threads that outlive the run.
+    pub(crate) pool: LeasePool<WorkerLease>,
 }
 
 impl RunScratch {
@@ -227,17 +222,11 @@ impl ServerCore {
         self.churn = churn;
     }
 
-    /// Takes the round buffers back out (for reclamation into a
-    /// [`RunScratch`] before [`ServerCore::finish`] consumes the core).
-    pub(crate) fn take_buffers(&mut self) -> RoundBuffers {
-        std::mem::take(&mut self.buffers)
-    }
-
     /// Returns the core's round buffers to a [`RunScratch`] so the next
     /// run reuses their allocations. Call after the last round, before
     /// [`ServerCore::finish`] consumes the core.
     pub fn reclaim_scratch(&mut self, scratch: &mut RunScratch) {
-        scratch.round = self.take_buffers();
+        scratch.round = std::mem::take(&mut self.buffers);
     }
 
     /// Consumes one synchronous round of honest outputs (in worker-id
@@ -559,28 +548,61 @@ impl Trainer {
         seed: u64,
         scratch: &mut RunScratch,
     ) -> Result<RunHistory, GarError> {
-        let (mut core, mut workers) = self.into_distributed_parts(seed, scratch);
+        self.run_rounds(seed, scratch, false)
+    }
 
-        // Long-lived round state: one output buffer per worker and one
-        // broadcast-parameter buffer, refilled in place every step —
-        // taken from the scratch so consecutive runs reuse one set.
+    /// The in-process round loop of both engines. They differ only in how
+    /// a round's honest outputs get computed: inline on this thread, or
+    /// (`leased`) on the scratch's thread pool, one [`WorkerLease`] per
+    /// worker. The arithmetic and RNG streams are the same either way.
+    pub(crate) fn run_rounds(
+        self,
+        seed: u64,
+        scratch: &mut RunScratch,
+        leased: bool,
+    ) -> Result<RunHistory, GarError> {
+        let (mut core, mut workers) = self.into_distributed_parts(seed, scratch);
+        let n_honest = workers.len();
+        // Round state comes from the scratch, so consecutive runs reuse it.
         let mut outputs = std::mem::take(&mut scratch.outputs);
-        outputs.resize_with(workers.len(), WorkerOutput::default);
-        let mut params = std::mem::take(&mut scratch.params);
-        let mut result = Ok(());
-        for t in 1..=core.config().steps {
-            params.copy_from(core.params());
-            let batch = core.config().batch_at(t);
-            for (w, out) in workers.iter_mut().zip(outputs.iter_mut()) {
-                w.compute_into(&params, batch, out);
+        outputs.resize_with(n_honest, WorkerOutput::default);
+        let pool = &mut scratch.pool;
+        if leased {
+            // Spawns threads only past any earlier run's worker count.
+            pool.resize(pool.len().max(n_honest));
+            for (i, worker) in workers.drain(..).enumerate() {
+                pool.packet_mut(i).worker = Some(worker);
             }
-            if let Err(e) = core.process_round(t, &mut outputs) {
-                result = Err(e);
-                break;
+        }
+        let result = (1..=core.config().steps).try_for_each(|t| {
+            let batch_size = core.config().batch_at(t);
+            if leased {
+                for i in 0..n_honest {
+                    let lease = pool.packet_mut(i);
+                    lease.params.copy_from(core.params());
+                    lease.batch_size = batch_size;
+                    pool.lease(i);
+                }
+                // Collect in worker-id order; the swap hands the slot's
+                // recycled buffers back to the packet.
+                for (i, out) in outputs.iter_mut().enumerate() {
+                    std::mem::swap(&mut pool.reclaim(i).out, out);
+                }
+            } else {
+                scratch.params.copy_from(core.params());
+                for (w, out) in workers.iter_mut().zip(outputs.iter_mut()) {
+                    w.compute_into(&scratch.params, batch_size, out);
+                }
+            }
+            core.process_round(t, &mut outputs)
+        });
+        if leased {
+            // The packets give up the run's workers; threads stay parked.
+            for i in 0..n_honest {
+                pool.packet_mut(i).worker = None;
             }
         }
         scratch.outputs = outputs;
-        scratch.params = params;
         core.reclaim_scratch(scratch);
         result.map(|()| core.finish(seed))
     }

@@ -45,6 +45,6 @@ mod vector;
 
 pub use error::TensorError;
 pub use matrix::Matrix;
-pub use pool::VectorPool;
+pub use pool::{Lease, LeasePool};
 pub use rng::Prng;
 pub use vector::Vector;

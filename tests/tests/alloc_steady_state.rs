@@ -2,10 +2,10 @@
 //! training round performs **zero** heap allocations for the `average`,
 //! `krum`, and `median` cells with the Gaussian mechanism, and for the
 //! paper's §5.1 cell (MDA + Gaussian + ALIE + worker momentum) — on
-//! **both** engines. The threaded cases cover the whole transport too:
-//! encoding into the recycled frame arena, the channel hop, and decoding
-//! straight into the server's output slots all stay allocation-free once
-//! warm.
+//! **both** engines. The threaded cases cover the thread hop too:
+//! leasing each worker's packet to its pool thread, reclaiming it, and
+//! swapping its output into the server's output slots all stay
+//! allocation-free once warm.
 //!
 //! A counting global allocator snapshots the cumulative allocation count
 //! at every step (via a passive observer); the per-round deltas over the
@@ -152,12 +152,11 @@ fn per_step_allocation_counts(gar: Arc<dyn Gar>) -> Vec<u64> {
 }
 
 /// [`per_step_allocation_counts`] with cell, engine selection and
-/// intra-round aggregation parallelism: `threaded` exercises the full wire
-/// transport (frame arena encode → channel → decode) under the counting
+/// intra-round aggregation parallelism: `threaded` exercises the leased
+/// worker packets (lease → pool thread → reclaim) under the counting
 /// allocator; `agg_threads > 1` shards the GAR's coordinate/candidate
 /// loops over the compute pool, whose task packets must also recycle
-/// allocation-free once warm (worker threads and channel buffers land in
-/// round 1).
+/// allocation-free once warm (worker threads land in round 1).
 fn per_step_allocation_counts_on(
     gar: Arc<dyn Gar>,
     cell: Cell,
@@ -212,10 +211,9 @@ fn median_cell_is_allocation_free_at_steady_state() {
 }
 
 // The threaded engine reaches the same zero-allocations-per-round steady
-// state as the serial one — **including the wire frames**: the per-worker
-// `BytesMut` arena, the broadcast-parameter buffers, and the pre-noise
-// diagnostics all recycle round-trip through the channels, and
-// `encode_into`/`decode_into` reuse live buffers on both ends.
+// state as the serial one: each worker's packet (broadcast-parameter
+// copy, output vectors) stays with its pool thread, and the output swap
+// hands the server's recycled vectors back to the packet every round.
 
 #[test]
 fn threaded_average_cell_is_allocation_free_at_steady_state() {
