@@ -34,22 +34,13 @@ pub struct ExperimentBuilder {
     workload: Option<Workload>,
     dataset_size: usize,
     data_seed: u64,
-    config: Option<TrainingConfig>,
-    workers: (usize, usize),
-    batch_size: usize,
-    steps: u32,
-    lr: LrSchedule,
-    momentum: f64,
-    momentum_mode: MomentumMode,
-    clip: f64,
-    eval_every: u32,
-    agg_threads: usize,
+    /// The only copy of the training knobs; every knob setter edits it.
+    config: TrainingConfig,
     gar: Option<ComponentSpec>,
     attack: Option<ComponentSpec>,
     mechanism: ComponentSpec,
     epsilon: Option<f64>,
     delta: f64,
-    budget: Option<PrivacyBudget>,
     backend: ComponentSpec,
     dp_reference_g_max: Option<f64>,
 }
@@ -57,7 +48,7 @@ pub struct ExperimentBuilder {
 impl Experiment {
     /// Starts a builder pre-loaded with the paper's §5.1 protocol: the
     /// phishing-like workload, n = 11 workers (f = 5 once an attack is
-    /// armed), b = 50, T = 1000, lr 2, worker momentum 0.99,
+    /// armed), b = 50, T = 1000, lr 2, momentum 0.99 at the workers,
     /// `G_max = 10⁻²`, no attack, no DP. The aggregation rule defaults to
     /// plain averaging — or MDA once an attack is armed, exactly as the
     /// paper's figures do.
@@ -72,22 +63,24 @@ impl Default for ExperimentBuilder {
             workload: None,
             dataset_size: dpbyz_data::synthetic::PHISHING_SIZE,
             data_seed: 0xD1B2_2021,
-            config: None,
-            workers: (11, 5),
-            batch_size: 50,
-            steps: 1000,
-            lr: LrSchedule::Constant(2.0),
-            momentum: 0.99,
-            momentum_mode: MomentumMode::Worker,
-            clip: 1e-2,
-            eval_every: 50,
-            agg_threads: 1,
+            // Momentum lives at the *workers* (El-Mhamdi et al. 2021, the
+            // paper's [16] — same authors, same experimental codebase):
+            // each honest worker submits its momentum-ed clipped gradient.
+            // This is load-bearing for Fig. 2's left panel — worker
+            // momentum shrinks the variance-to-norm ratio of the submitted
+            // vectors over time, which is what lets MDA survive ALIE
+            // without DP; with server-side momentum ALIE defeats MDA even
+            // noise-free. The server-side variant remains available as an
+            // ablation (`sweep` binary).
+            config: TrainingConfig {
+                momentum_mode: MomentumMode::Worker,
+                ..TrainingConfig::default()
+            },
             gar: None,
             attack: None,
             mechanism: ComponentSpec::new("gaussian"),
             epsilon: None,
             delta: 1e-6,
-            budget: None,
             backend: ComponentSpec::new("sequential"),
             dp_reference_g_max: None,
         }
@@ -118,111 +111,95 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Replaces the entire training configuration (overrides every knob
-    /// below that was set *before* this call; topology and batch knobs
-    /// set *afterwards* — e.g. by a scenario-pack cell pinning its
-    /// Byzantine count over this base — write through into it, so the
-    /// last call always wins).
+    /// Replaces the entire training configuration. The knob setters below
+    /// edit this one configuration, so calls apply in order: a knob set
+    /// before `config(..)` is overwritten by it, and a knob set after it
+    /// overrides that field of `config`. [`build`](Self::build) validates
+    /// the result like any other, so an invalid knob fails there.
     #[must_use]
     pub fn config(mut self, config: TrainingConfig) -> Self {
-        self.config = Some(config);
+        self.config = config;
         self
     }
 
     /// Sets `n` total and `f` Byzantine workers.
     #[must_use]
     pub fn workers(mut self, n: usize, f: usize) -> Self {
-        if let Some(config) = &mut self.config {
-            config.n_workers = n;
-            config.n_byzantine = f;
-        }
-        self.workers = (n, f);
+        self.config.n_workers = n;
+        self.config.n_byzantine = f;
         self
     }
 
     /// Sets the total worker count `n` only.
     #[must_use]
     pub fn n_workers(mut self, n: usize) -> Self {
-        if let Some(config) = &mut self.config {
-            config.n_workers = n;
-        }
-        self.workers.0 = n;
+        self.config.n_workers = n;
         self
     }
 
     /// Sets the Byzantine count `f` only.
     #[must_use]
     pub fn byzantine(mut self, f: usize) -> Self {
-        if let Some(config) = &mut self.config {
-            config.n_byzantine = f;
-        }
-        self.workers.1 = f;
+        self.config.n_byzantine = f;
         self
     }
 
     /// Sets the per-worker batch size `b`.
     #[must_use]
     pub fn batch_size(mut self, b: usize) -> Self {
-        if let Some(config) = &mut self.config {
-            config.batch_size = b;
-        }
-        self.batch_size = b;
+        self.config.batch_size = b;
         self
     }
 
     /// Sets the number of steps `T`.
     #[must_use]
     pub fn steps(mut self, t: u32) -> Self {
-        self.steps = t;
+        self.config.steps = t;
         self
     }
 
     /// Sets the learning-rate schedule.
     #[must_use]
     pub fn lr(mut self, lr: LrSchedule) -> Self {
-        self.lr = lr;
+        self.config.lr = lr;
         self
     }
 
     /// Sets the momentum coefficient.
     #[must_use]
     pub fn momentum(mut self, m: f64) -> Self {
-        self.momentum = m;
+        self.config.momentum = m;
         self
     }
 
     /// Sets the momentum placement.
     #[must_use]
     pub fn momentum_mode(mut self, mode: MomentumMode) -> Self {
-        self.momentum_mode = mode;
+        self.config.momentum_mode = mode;
         self
     }
 
     /// Sets the clipping threshold `G_max`.
     #[must_use]
     pub fn clip(mut self, g_max: f64) -> Self {
-        self.clip = g_max;
+        self.config.clip = g_max;
         self
     }
 
     /// Sets the accuracy evaluation period (0 disables evaluation).
     #[must_use]
     pub fn eval_every(mut self, period: u32) -> Self {
-        self.eval_every = period;
+        self.config.eval_every = period;
         self
     }
 
     /// Sets the intra-round aggregation thread count (1 = serial, the
-    /// default). The GAR's coordinate and candidate loops shard over this
-    /// many threads; the parallel result is bit-identical to serial at
-    /// any count, so this is a pure throughput knob. Writes through into
-    /// an explicit [`config`](Self::config) like the topology knobs do.
+    /// default). The GAR's coordinate loops shard over this many threads;
+    /// the parallel result is bit-identical to serial at any count, so
+    /// this is a pure throughput knob.
     #[must_use]
     pub fn agg_threads(mut self, threads: usize) -> Self {
-        if let Some(config) = &mut self.config {
-            config.agg_threads = threads;
-        }
-        self.agg_threads = threads;
+        self.config.agg_threads = threads;
         self
     }
 
@@ -277,10 +254,13 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Sets a full validated budget directly (overrides `epsilon`/`delta`).
+    /// Sets ε and δ from a validated budget, like
+    /// [`epsilon`](Self::epsilon) + [`delta`](Self::delta) — later calls
+    /// to either override it.
     #[must_use]
     pub fn budget(mut self, budget: PrivacyBudget) -> Self {
-        self.budget = Some(budget);
+        self.epsilon = Some(budget.epsilon());
+        self.delta = budget.delta();
         self
     }
 
@@ -291,7 +271,6 @@ impl ExperimentBuilder {
     #[must_use]
     pub fn no_dp(mut self) -> Self {
         self.epsilon = None;
-        self.budget = None;
         self
     }
 
@@ -308,9 +287,9 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Runs on the threaded engine instead of the sequential one (the two
-    /// are bit-identical; threaded pays thread overhead but exercises the
-    /// wire format). Sugar over [`backend`](Self::backend).
+    /// Runs on the threaded engine instead of the sequential one (one
+    /// round loop, bit-identical histories; threaded computes the workers'
+    /// local steps on pooled threads). Sugar over [`backend`](Self::backend).
     #[must_use]
     pub fn threaded(self, threaded: bool) -> Self {
         self.backend(if threaded { "threaded" } else { "sequential" })
@@ -361,53 +340,30 @@ impl ExperimentBuilder {
             .into());
         }
 
-        let budget = match (self.budget, self.epsilon) {
-            (Some(budget), _) => Some(budget),
-            (None, Some(epsilon)) => Some(PrivacyBudget::new(epsilon, self.delta)?),
-            (None, None) => None,
-        };
+        let budget = self
+            .epsilon
+            .map(|e| PrivacyBudget::new(e, self.delta))
+            .transpose()?;
 
-        let config = match self.config {
-            Some(mut config) => {
-                // The same normalization the knob path applies: with no
-                // attack armed, every worker is honest — a nonzero
-                // `n_byzantine` left in an explicit config would make the
-                // GAR trim (or reject) honest submissions on step 1.
-                if self.attack.is_none() {
-                    config.n_byzantine = 0;
-                }
-                config
-            }
-            None => {
-                let (n, f) = self.workers;
-                // An unarmed attack means every worker is honest.
-                let f = if self.attack.is_some() { f } else { 0 };
-                TrainingConfig::builder()
-                    .workers(n, f)
-                    .batch_size(self.batch_size)
-                    .steps(self.steps)
-                    .lr(self.lr)
-                    .momentum(self.momentum)
-                    .momentum_mode(self.momentum_mode)
-                    .clip(self.clip)
-                    .eval_every(self.eval_every)
-                    .agg_threads(self.agg_threads)
-                    .build()?
-            }
-        };
+        // An unarmed attack means every worker is honest: a nonzero
+        // `n_byzantine` left over from the defaults or an explicit config
+        // would make the GAR trim (or reject) honest submissions on step 1.
+        let mut config = self.config;
+        if self.attack.is_none() {
+            config.n_byzantine = 0;
+        }
+        let config = config.validate()?;
 
         // An experiment whose rule cannot tolerate its Byzantine count
         // would error on step 1 of every run; reject it here instead.
-        if self.attack.is_some() {
-            let tolerance = gar.max_byzantine(config.n_workers);
-            if config.n_byzantine > tolerance {
-                return Err(PipelineError::Spec(format!(
-                    "gar `{}` tolerates at most {tolerance} Byzantine workers \
-                     among {}, but the experiment arms {} — lower `byzantine(..)` \
-                     or pick a more tolerant rule",
-                    gar_spec.id, config.n_workers, config.n_byzantine
-                )));
-            }
+        let tolerance = gar.max_byzantine(config.n_workers);
+        if config.n_byzantine > tolerance {
+            return Err(PipelineError::Spec(format!(
+                "gar `{}` tolerates at most {tolerance} Byzantine workers \
+                 among {}, but the experiment arms {} — lower `byzantine(..)` \
+                 or pick a more tolerant rule",
+                gar_spec.id, config.n_workers, config.n_byzantine
+            )));
         }
 
         let workload = self.workload.unwrap_or(Workload::PhishingLike {
@@ -621,5 +577,85 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(armed.config.n_byzantine, 5);
+    }
+
+    #[test]
+    fn knobs_after_explicit_config_apply() {
+        let config = TrainingConfig::builder()
+            .workers(3, 0)
+            .batch_size(4)
+            .steps(7)
+            .build()
+            .unwrap();
+        let exp = Experiment::builder()
+            .config(config)
+            .steps(5)
+            .clip(0.5)
+            .build()
+            .unwrap();
+        assert_eq!(exp.config.steps, 5);
+        assert_eq!(exp.config.clip, 0.5);
+        assert_eq!(exp.config.batch_size, 4); // untouched knob kept
+    }
+
+    #[test]
+    fn explicit_config_is_validated() {
+        let config = TrainingConfig::builder().build().unwrap();
+        let err = Experiment::builder()
+            .config(config)
+            .batch_size(0)
+            .build()
+            .expect_err("a zero batch is invalid however it is set");
+        assert!(matches!(err, PipelineError::Config(_)), "{err}");
+    }
+
+    #[test]
+    fn paper_constructors_keep_their_training_configs() {
+        use crate::pipeline::FigureConfig;
+        use crate::AttackKind;
+        // Each constructor's config, written out as a
+        // `TrainingConfig::builder()` literal.
+        let figure = |n_byz: usize| {
+            TrainingConfig::builder()
+                .workers(11, n_byz)
+                .batch_size(10)
+                .steps(30)
+                .lr(LrSchedule::Constant(2.0))
+                .momentum(0.99)
+                .momentum_mode(MomentumMode::Worker)
+                .clip(1e-2)
+                .eval_every(50)
+                .build()
+                .unwrap()
+        };
+        let fig = FigureConfig {
+            batch_size: 10,
+            steps: 30,
+            dataset_size: 400,
+            ..FigureConfig::default()
+        };
+        let clean = Experiment::paper_figure(fig).unwrap();
+        assert_eq!(clean.config, figure(0));
+        let dp_alie = Experiment::paper_figure(FigureConfig {
+            epsilon: Some(0.2),
+            attack: Some(AttackKind::PAPER_ALIE),
+            ..fig
+        })
+        .unwrap();
+        assert_eq!(dp_alie.config, figure(5));
+
+        let theorem1 = Experiment::theorem1(8, 1.0, None, 50, 4, 3).unwrap();
+        let expected = TrainingConfig::builder()
+            .workers(3, 0)
+            .batch_size(4)
+            .steps(50)
+            .lr(LrSchedule::InvT { gamma0: 1.0 })
+            .momentum(0.0)
+            .clip(1e9)
+            .eval_every(0)
+            .build()
+            .unwrap();
+        assert_eq!(theorem1.config, expected);
+        assert_eq!(theorem1.config.momentum_mode, MomentumMode::Server);
     }
 }

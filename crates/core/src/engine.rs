@@ -12,8 +12,8 @@
 //!
 //! * `"sequential"` — [`Trainer`](dpbyz_server::Trainer), the golden
 //!   zero-copy reference engine;
-//! * `"threaded"` — [`ThreadedTrainer`], one pooled OS thread per honest
-//!   worker over the serialized wire format.
+//! * `"threaded"` — [`ThreadedTrainer`], the same round loop with each
+//!   honest worker's local step on its own pooled OS thread.
 //!
 //! Every backend must reproduce the reference engine's histories **bit
 //! for bit** on a clean run — that contract is what lets the pipeline

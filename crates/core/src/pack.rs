@@ -202,10 +202,7 @@ impl PackCell {
             base = base.delta(delta);
         }
         if let Some(epsilon) = self.epsilon {
-            // Clear any *full* budget the base carries first: the builder
-            // prefers `budget` over `epsilon`, so a pinned ε would
-            // otherwise lose to a base budget silently.
-            base = base.no_dp().epsilon(epsilon);
+            base = base.epsilon(epsilon);
         }
         if let Some(batch) = self.batch_size {
             base = base.batch_size(batch as usize);

@@ -2,7 +2,7 @@
 //! combined DP + Byzantine-resilient SGD system.
 
 use crate::registry::{self, ComponentSpec, RegistryError};
-use crate::{AttackKind, GarKind, MechanismKind};
+use crate::{AttackKind, GarKind};
 use dpbyz_data::sampler::{BatchSource, DatasetSource, SamplingMode};
 use dpbyz_data::synthetic::{self, MeanEstimation, MeanEstimationSource};
 use dpbyz_data::Dataset;
@@ -184,63 +184,39 @@ impl Default for FigureConfig {
 }
 
 impl Experiment {
-    /// Builds one cell of the paper's Figs. 2–4 grid (§5.1 protocol:
-    /// n = 11 workers, f = 5, lr = 2, momentum 0.99, `G_max = 10⁻²`,
+    /// Builds one cell of the paper's Figs. 2–4 grid: the
+    /// [`builder`](Experiment::builder)'s §5.1 protocol (n = 11 workers,
+    /// f = 5, lr = 2, momentum 0.99 at the workers, `G_max = 10⁻²`,
     /// accuracy every 50 steps; unattacked ⇒ averaging over 11 honest
-    /// workers, attacked ⇒ MDA).
+    /// workers, attacked ⇒ MDA) with the figure's knobs on top.
     ///
     /// # Errors
     ///
-    /// [`PipelineError::Dp`] for an invalid `(ε, δ)`.
+    /// As [`ExperimentBuilder::build`](crate::ExperimentBuilder::build):
+    /// [`PipelineError::Dp`] for an invalid `(ε, δ)`,
+    /// [`PipelineError::Config`] for an invalid knob (e.g. zero steps).
     pub fn paper_figure(fig: FigureConfig) -> Result<Self, PipelineError> {
-        let budget = match fig.epsilon {
-            None => None,
-            Some(e) => Some(PrivacyBudget::new(e, fig.delta)?),
-        };
-        let (n_byz, gar) = if fig.attack.is_some() {
-            (5, GarKind::Mda.spec())
-        } else {
-            (0, GarKind::Average.spec())
-        };
-        // Momentum lives at the *workers* (El-Mhamdi et al. 2021, the
-        // paper's [16] — same authors, same experimental codebase): each
-        // honest worker submits its momentum-ed clipped gradient. This is
-        // load-bearing for Fig. 2's left panel — worker momentum shrinks
-        // the variance-to-norm ratio of the submitted vectors over time,
-        // which is what lets MDA survive ALIE without DP; with server-side
-        // momentum ALIE defeats MDA even noise-free. The server-side
-        // variant remains available as an ablation (`sweep` binary).
-        let config = TrainingConfig::builder()
-            .workers(11, n_byz)
+        let mut builder = Experiment::builder()
             .batch_size(fig.batch_size)
             .steps(fig.steps)
-            .lr(LrSchedule::Constant(2.0))
-            .momentum(0.99)
-            .momentum_mode(MomentumMode::Worker)
-            .clip(1e-2)
-            .eval_every(50)
-            .build()?;
-        Ok(Experiment {
-            workload: Workload::PhishingLike {
-                data_seed: fig.data_seed,
-                size: fig.dataset_size,
-            },
-            config,
-            gar,
-            attack: fig.attack.map(AttackKind::spec),
-            budget,
-            mechanism: MechanismKind::Gaussian.spec(),
-            backend: ComponentSpec::new("sequential"),
-            dp_reference_g_max: None,
-        })
+            .dataset_size(fig.dataset_size)
+            .data_seed(fig.data_seed)
+            .delta(fig.delta);
+        if let Some(attack) = fig.attack {
+            builder = builder.attack(attack);
+        }
+        if let Some(epsilon) = fig.epsilon {
+            builder = builder.epsilon(epsilon);
+        }
+        builder.build()
     }
 
     /// Builds the Theorem 1 validation workload: mean estimation in
     /// dimension `dim` with a hypothetical ideal GAR stand-in (averaging
     /// over honest workers — the theorem's statement is GAR-agnostic, and
     /// the lower-bound construction uses an honest-output GAR), `γ_t = 1/t`
-    /// (λ = 1, α = 0), DP noise calibrated at a nominal `G_max = 2` with
-    /// clipping effectively disabled (see
+    /// (λ = 1, α = 0), no momentum, DP noise calibrated at a nominal
+    /// `G_max = 2` with clipping effectively disabled (see
     /// [`Experiment::dp_reference_g_max`]). Use `n_workers = 1` to compare
     /// against the Cramér–Rao lower bound exactly (its construction
     /// observes one noisy gradient per step); more workers divide the
@@ -257,29 +233,25 @@ impl Experiment {
         batch_size: usize,
         n_workers: usize,
     ) -> Result<Self, PipelineError> {
-        let config = TrainingConfig::builder()
+        let mut builder = Experiment::builder()
+            .workload(Workload::MeanEstimation {
+                dim,
+                sigma,
+                data_seed: 0x7E01,
+            })
             .workers(n_workers, 0)
             .batch_size(batch_size)
             .steps(steps)
             .lr(LrSchedule::InvT { gamma0: 1.0 })
             .momentum(0.0)
+            .momentum_mode(MomentumMode::Server)
             .clip(1e9)
             .eval_every(0)
-            .build()?;
-        Ok(Experiment {
-            workload: Workload::MeanEstimation {
-                dim,
-                sigma,
-                data_seed: 0x7E01,
-            },
-            config,
-            gar: GarKind::Average.spec(),
-            attack: None,
-            budget,
-            mechanism: MechanismKind::Gaussian.spec(),
-            backend: ComponentSpec::new("sequential"),
-            dp_reference_g_max: Some(2.0),
-        })
+            .dp_reference_g_max(2.0);
+        if let Some(budget) = budget {
+            builder = builder.budget(budget);
+        }
+        builder.build()
     }
 
     /// A paper-protocol figure cell with a *different* aggregation rule
@@ -549,6 +521,7 @@ fn make_mean_estimation(dim: usize, sigma: f64, data_seed: u64) -> MeanEstimatio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MechanismKind;
 
     fn quick_fig(
         batch: usize,

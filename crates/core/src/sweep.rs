@@ -42,6 +42,7 @@
 //! ```
 
 use crate::builder::ExperimentBuilder;
+use crate::pack::PackCell;
 use crate::pipeline::{check_seeds, Experiment, PipelineError};
 use crate::registry::ComponentSpec;
 use crossbeam::channel;
@@ -85,6 +86,18 @@ pub struct SweepEvent<'a> {
 pub type ObserverFactory = Arc<dyn Fn(&JobInfo<'_>) -> Box<dyn RunObserver> + Send + Sync>;
 
 type ProgressFn = Box<dyn FnMut(&SweepEvent<'_>)>;
+
+/// Indices of [`SweepBuilder`]'s grid axes, outer to inner.
+const GARS: usize = 0;
+const ATTACKS: usize = 1;
+const MECHANISMS: usize = 2;
+const EPSILONS: usize = 3;
+const BATCHES: usize = 4;
+
+/// A grid-axis cell pinning a component with `pin`, labelled by its id.
+fn by_id(spec: ComponentSpec, pin: fn(PackCell, ComponentSpec) -> PackCell) -> PackCell {
+    pin(PackCell::new(spec.id.clone()), spec)
+}
 
 /// One labelled cell of a sweep: a fully assembled experiment plus the
 /// label it reports under.
@@ -157,11 +170,9 @@ impl SweepResults {
 /// the equivalent serial `run_seeds` loop produces, at any pool size.
 pub struct SweepBuilder {
     base: ExperimentBuilder,
-    gars: Vec<ComponentSpec>,
-    attacks: Vec<Option<ComponentSpec>>,
-    mechanisms: Vec<ComponentSpec>,
-    epsilons: Vec<Option<f64>>,
-    batch_sizes: Vec<usize>,
+    /// The grid axes, outer to inner ([`GARS`] … [`BATCHES`]): each
+    /// element is a labelled [`PackCell`] pinning that axis's value.
+    axes: [Vec<PackCell>; 5],
     packs: Vec<String>,
     explicit: Vec<SweepCell>,
     seeds: Option<Vec<u64>>,
@@ -187,11 +198,7 @@ impl SweepBuilder {
     pub fn over(base: ExperimentBuilder) -> Self {
         SweepBuilder {
             base,
-            gars: Vec::new(),
-            attacks: Vec::new(),
-            mechanisms: Vec::new(),
-            epsilons: Vec::new(),
-            batch_sizes: Vec::new(),
+            axes: Default::default(),
             packs: Vec::new(),
             explicit: Vec::new(),
             seeds: None,
@@ -202,71 +209,88 @@ impl SweepBuilder {
     }
 
     /// Adds aggregation rules to the GAR axis (registry ids, `GarKind`s,
-    /// or full specs).
+    /// or full specs), each labelled by its id.
     #[must_use]
     pub fn gars<I>(mut self, gars: I) -> Self
     where
         I: IntoIterator,
         I::Item: Into<ComponentSpec>,
     {
-        self.gars.extend(gars.into_iter().map(Into::into));
+        self.axes[GARS].extend(gars.into_iter().map(|g| by_id(g.into(), PackCell::gar)));
         self
     }
 
-    /// Adds armed attacks to the attack axis. Combine with
-    /// [`SweepBuilder::with_unattacked`] for a "clean" control cell.
+    /// Adds armed attacks to the attack axis, each labelled by its id.
+    /// Combine with [`SweepBuilder::with_unattacked`] for a "clean"
+    /// control cell.
     #[must_use]
     pub fn attacks<I>(mut self, attacks: I) -> Self
     where
         I: IntoIterator,
         I::Item: Into<ComponentSpec>,
     {
-        self.attacks
-            .extend(attacks.into_iter().map(|a| Some(a.into())));
+        let cells = attacks
+            .into_iter()
+            .map(|a| by_id(a.into(), PackCell::attack));
+        self.axes[ATTACKS].extend(cells);
         self
     }
 
     /// Adds an unattacked element to the attack axis (labelled `clean`),
     /// at the position of this call relative to [`SweepBuilder::attacks`].
+    /// The cell disarms any attack the base carries, so every worker is
+    /// honest (`n_byzantine = 0`).
     #[must_use]
     pub fn with_unattacked(mut self) -> Self {
-        self.attacks.push(None);
+        self.axes[ATTACKS].push(PackCell::new("clean").unattacked());
         self
     }
 
-    /// Adds noise mechanisms to the mechanism axis.
+    /// Adds noise mechanisms to the mechanism axis, each labelled by its
+    /// id.
     #[must_use]
     pub fn mechanisms<I>(mut self, mechanisms: I) -> Self
     where
         I: IntoIterator,
         I::Item: Into<ComponentSpec>,
     {
-        self.mechanisms
-            .extend(mechanisms.into_iter().map(Into::into));
+        let cells = mechanisms
+            .into_iter()
+            .map(|m| by_id(m.into(), PackCell::mechanism));
+        self.axes[MECHANISMS].extend(cells);
         self
     }
 
     /// Adds privacy budgets (per-step ε, with the base builder's δ) to
-    /// the DP axis. Combine with [`SweepBuilder::with_no_dp`] for a
-    /// noise-free control cell.
+    /// the DP axis, labelled `eps{ε}`. A swept ε replaces any budget the
+    /// base carries, a full [`budget`](ExperimentBuilder::budget) too.
+    /// Combine with [`SweepBuilder::with_no_dp`] for a noise-free control
+    /// cell.
     #[must_use]
     pub fn epsilons(mut self, epsilons: &[f64]) -> Self {
-        self.epsilons.extend(epsilons.iter().map(|&e| Some(e)));
+        let cells = epsilons
+            .iter()
+            .map(|&e| PackCell::new(format!("eps{e}")).epsilon(e));
+        self.axes[EPSILONS].extend(cells);
         self
     }
 
     /// Adds a no-DP element to the DP axis (labelled `nodp`), at the
-    /// position of this call relative to [`SweepBuilder::epsilons`].
+    /// position of this call relative to [`SweepBuilder::epsilons`]. The
+    /// cell clears any budget the base carries, so it runs noise-free.
     #[must_use]
     pub fn with_no_dp(mut self) -> Self {
-        self.epsilons.push(None);
+        self.axes[EPSILONS].push(PackCell::new("nodp").no_dp());
         self
     }
 
-    /// Adds batch sizes to the batch axis.
+    /// Adds batch sizes to the batch axis, labelled `b{size}`.
     #[must_use]
     pub fn batch_sizes(mut self, batch_sizes: &[usize]) -> Self {
-        self.batch_sizes.extend_from_slice(batch_sizes);
+        let cells = batch_sizes
+            .iter()
+            .map(|&b| PackCell::new(format!("b{b}")).batch_size(b));
+        self.axes[BATCHES].extend(cells);
         self
     }
 
@@ -336,79 +360,43 @@ impl SweepBuilder {
         self
     }
 
-    /// Expands the grid (axes over the base, then explicit cells) without
-    /// running it. Cell experiments are validated here, so a bad id or an
-    /// intolerable Byzantine count fails before any thread spawns.
+    /// Expands the axes and packs over the base, then the explicit cells,
+    /// without running it. Cell experiments are validated here, so a bad
+    /// id or an intolerable Byzantine count fails before any thread spawns.
     ///
     /// # Errors
     ///
     /// Any [`PipelineError`] the base builder surfaces for a grid cell.
     pub fn cells(&self) -> Result<Vec<SweepCell>, PipelineError> {
+        // Every cell — grid point or pack cell — is the base with a list of
+        // pack cells applied in order.
+        let expand = |pinned: &[&PackCell]| {
+            pinned
+                .iter()
+                .fold(self.base.clone(), |builder, cell| cell.apply(builder))
+                .build()
+        };
         let mut cells = Vec::new();
-        let has_axes = !(self.gars.is_empty()
-            && self.attacks.is_empty()
-            && self.mechanisms.is_empty()
-            && self.epsilons.is_empty()
-            && self.batch_sizes.is_empty());
+        let has_axes = self.axes.iter().any(|axis| !axis.is_empty());
         if has_axes || (self.explicit.is_empty() && self.packs.is_empty()) {
-            // An unset axis contributes one pass-through element.
-            fn axis<T>(values: &[T]) -> Vec<Option<&T>> {
-                if values.is_empty() {
-                    vec![None]
-                } else {
-                    values.iter().map(Some).collect()
-                }
+            // The cross product of the set axes, outer to inner; an unset
+            // axis contributes nothing (the base's value stands).
+            let mut points: Vec<Vec<&PackCell>> = vec![Vec::new()];
+            for axis in self.axes.iter().filter(|axis| !axis.is_empty()) {
+                points = points
+                    .iter()
+                    .flat_map(|point| axis.iter().map(move |cell| [&point[..], &[cell]].concat()))
+                    .collect();
             }
-            for gar in axis(&self.gars) {
-                for attack in axis(&self.attacks) {
-                    for mechanism in axis(&self.mechanisms) {
-                        for epsilon in axis(&self.epsilons) {
-                            for batch in axis(&self.batch_sizes) {
-                                let mut builder = self.base.clone();
-                                let mut label = Vec::new();
-                                if let Some(gar) = gar {
-                                    builder = builder.gar(gar.clone());
-                                    label.push(gar.id.clone());
-                                }
-                                if let Some(attack) = attack {
-                                    match attack {
-                                        Some(spec) => {
-                                            builder = builder.attack(spec.clone());
-                                            label.push(spec.id.clone());
-                                        }
-                                        None => label.push("clean".into()),
-                                    }
-                                }
-                                if let Some(mechanism) = mechanism {
-                                    builder = builder.mechanism(mechanism.clone());
-                                    label.push(mechanism.id.clone());
-                                }
-                                if let Some(epsilon) = epsilon {
-                                    match epsilon {
-                                        Some(eps) => {
-                                            builder = builder.epsilon(*eps);
-                                            label.push(format!("eps{eps}"));
-                                        }
-                                        None => label.push("nodp".into()),
-                                    }
-                                }
-                                if let Some(batch) = batch {
-                                    builder = builder.batch_size(*batch);
-                                    label.push(format!("b{batch}"));
-                                }
-                                let label = if label.is_empty() {
-                                    "base".to_string()
-                                } else {
-                                    label.join("/")
-                                };
-                                cells.push(SweepCell {
-                                    label,
-                                    experiment: builder.build()?,
-                                });
-                            }
-                        }
-                    }
-                }
+            for point in points {
+                let labels: Vec<&str> = point.iter().map(|c| c.label.as_str()).collect();
+                let label = if labels.is_empty() {
+                    "base".into()
+                } else {
+                    labels.join("/")
+                };
+                let experiment = expand(&point)?;
+                cells.push(SweepCell { label, experiment });
             }
         }
         for pack_id in &self.packs {
@@ -419,7 +407,7 @@ impl SweepBuilder {
                 // the cells even if a factory's pack carries a different
                 // internal id.
                 let label = format!("{pack_id}/{}", cell.label);
-                let experiment = cell.apply(self.base.clone()).build().map_err(|e| {
+                let experiment = expand(&[cell]).map_err(|e| {
                     // Name the failing cell: in a ~100-cell pack a bare
                     // build error is unactionable.
                     PipelineError::Spec(format!("pack cell `{label}` failed to build: {e}"))
@@ -884,5 +872,34 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, PipelineError::Gar(_)), "{err}");
+    }
+
+    #[test]
+    fn no_dp_cell_clears_a_base_epsilon() {
+        let cells = SweepBuilder::over(quick_base().epsilon(0.2))
+            .with_no_dp()
+            .cells()
+            .unwrap();
+        assert_eq!(cells[0].label, "nodp");
+        assert!(cells[0].experiment.budget.is_none());
+    }
+
+    #[test]
+    fn clean_cell_disarms_a_base_attack() {
+        let cells = SweepBuilder::over(quick_base().attack("alie"))
+            .with_unattacked()
+            .cells()
+            .unwrap();
+        assert_eq!(cells[0].label, "clean");
+        assert!(cells[0].experiment.attack.is_none());
+        assert_eq!(cells[0].experiment.config.n_byzantine, 0);
+    }
+
+    #[test]
+    fn swept_epsilon_replaces_a_base_budget() {
+        let base = quick_base().budget(dpbyz_dp::PrivacyBudget::new(0.2, 1e-6).unwrap());
+        let cells = SweepBuilder::over(base).epsilons(&[0.4]).cells().unwrap();
+        assert_eq!(cells[0].label, "eps0.4");
+        assert_eq!(cells[0].experiment.budget.unwrap().epsilon(), 0.4);
     }
 }

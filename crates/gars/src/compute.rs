@@ -3,8 +3,7 @@
 //!
 //! Every data-parallel piece of a GAR in this crate has the same shape:
 //! `items` independent outputs (coordinates for the column-statistics
-//! family, candidates for Krum scoring), each a pure function of `rows`
-//! packed input values. [`run_sharded`] evaluates that shape either
+//! family), each a pure function of `rows` packed input values. [`run_sharded`] evaluates that shape either
 //! inline (pool size 1 — exactly the historical serial loop, no threads
 //! ever spawned) or sharded over the pool's persistent worker threads.
 //!
@@ -62,13 +61,6 @@ pub(crate) enum ShardOp {
         /// Values kept around the centre.
         keep: usize,
     },
-    /// Krum score: the sum of the `k` smallest packed neighbour
-    /// distances ([`Krum`](crate::Krum) / [`MultiKrum`](crate::MultiKrum)
-    /// / [`Bulyan`](crate::Bulyan) stage 1).
-    KrumScores {
-        /// Nearest neighbours summed (`m − f − 2`).
-        k: usize,
-    },
 }
 
 /// Evaluates `op` over one item's packed values — the **single**
@@ -90,12 +82,6 @@ pub(crate) fn eval_item(op: ShardOp, values: &[f64], sort_buf: &mut Vec<f64>) ->
             let tm = stats::trimmed_mean_with(values, trim, sort_buf).expect("2f < n"); // lint:allow(panic-unwrap, reason = "2f < n is enforced by the caller's tolerance check")
                                                                                         // lint:allow(panic-unwrap, reason = "keep <= n by construction from the caller's tolerance check")
             stats::mean_around_with(values, tm, keep, sort_buf).expect("keep <= n")
-        }
-        ShardOp::KrumScores { k } => {
-            sort_buf.clear();
-            sort_buf.extend_from_slice(values);
-            sort_buf.sort_unstable_by(|x, y| x.partial_cmp(y).expect("finite distances")); // lint:allow(panic-unwrap, reason = "distances between finite gradients; NaN is excluded by the kernel contract")
-            sort_buf[..k].iter().sum()
         }
     }
 }
@@ -294,7 +280,6 @@ mod tests {
             ShardOp::TrimmedMean { trim: 2 },
             ShardOp::MeanAroundMedian { keep: 5 },
             ShardOp::MeanAroundTrimmedMean { trim: 2, keep: 5 },
-            ShardOp::KrumScores { k: 3 },
         ];
         for op in ops {
             let serial = run_at(1, op, 257, 9);

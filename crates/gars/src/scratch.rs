@@ -9,7 +9,7 @@
 //! O(n²·d) part of their cost is computed once per call into reused
 //! storage instead of a fresh `Vec<Vec<f64>>` per round.
 
-use crate::compute::{self, ComputePool, ShardOp};
+use crate::compute::ComputePool;
 use dpbyz_tensor::{kernels, Vector};
 
 /// Dimension at which the distance-matrix fill switches to the cache-tiled
@@ -36,9 +36,9 @@ pub struct GarScratch {
     pub(crate) scores: Vec<f64>,
     /// Per-pair lane accumulators for the cache-tiled distance fill.
     pub(crate) pair_acc: Vec<[f64; kernels::LANES]>,
-    /// Intra-round parallel executor for the sharded per-item work
-    /// (coordinate statistics, Krum scoring). Size 1 — the default — is
-    /// the serial path and never spawns a thread.
+    /// Intra-round parallel executor for the sharded per-coordinate
+    /// statistics. Size 1 — the default — is the serial path and never
+    /// spawns a thread.
     pub(crate) pool: ComputePool,
     /// Indices of the gradients currently in play (the full set for Krum,
     /// the shrinking pool for Bulyan's iterated selection).
@@ -124,7 +124,7 @@ impl GarScratch {
     }
 
     /// Sets the intra-round aggregation parallelism used by the sharded
-    /// GAR paths (coordinate statistics, Krum scoring). Clamped to ≥ 1;
+    /// GAR paths (coordinate statistics). Clamped to ≥ 1;
     /// size 1 — the default — is the serial path and never spawns a
     /// thread. The parallel result is bit-identical to serial at any
     /// size, so this is a pure throughput knob.
@@ -162,44 +162,27 @@ impl GarScratch {
 
     /// Computes the Krum score of every member in `active` (sum of squared
     /// distances to its `m − f − 2` nearest co-members), leaving the
-    /// scores in `self.scores` aligned with `active`. Per-candidate scores
-    /// are independent, so they shard over the compute pool; serial or
-    /// parallel, every candidate's neighbour distances are packed in the
-    /// same order and reduced by the same sorted-prefix sum —
-    /// bit-identical to the historical implementation at any pool size.
+    /// scores in `self.scores` aligned with `active`. Scoring is
+    /// O(m² log m) whatever the dimension, so it runs serially on the
+    /// calling thread: each member's neighbour distances are packed in
+    /// co-member order and reduced by the sorted-prefix sum of
+    /// [`krum_score`].
     pub(crate) fn compute_krum_scores(&mut self, gradients: &[Vector], f: usize) {
         self.fill_dist2_active(gradients);
         let m = self.active.len();
         let k = m - f - 2;
         self.scores.clear();
-        self.scores.resize(m, 0.0);
-        let GarScratch {
-            ref dist2,
-            ref mut scores,
-            ref mut pool,
-            ref mut col,
-            ref mut sort_buf,
-            ..
-        } = *self;
-        compute::run_sharded(
-            pool,
-            col,
-            sort_buf,
-            ShardOp::KrumScores { k },
-            m,
-            m - 1,
-            &|range, values| {
-                values.clear();
-                for a in range {
-                    for b in 0..m {
-                        if b != a {
-                            values.push(dist2[a * m + b]);
-                        }
-                    }
-                }
-            },
-            scores,
-        );
+        for a in 0..m {
+            self.sort_buf.clear();
+            let row = &self.dist2[a * m..(a + 1) * m];
+            self.sort_buf.extend(
+                row.iter()
+                    .enumerate()
+                    .filter(|&(b, _)| b != a)
+                    .map(|(_, &d)| d),
+            );
+            self.scores.push(krum_score(&mut self.sort_buf, k));
+        }
     }
 
     /// Krum scores for a *shrinking* pool over a pre-filled matrix: the
@@ -207,45 +190,33 @@ impl GarScratch {
     /// (`active` = identity at fill time, stride `n`), and members are
     /// looked up by their original index. Pairwise distances never change
     /// as a pool shrinks, so Bulyan's θ selection iterations share one
-    /// O(n²·d) fill instead of recomputing it every round. Sharded over
-    /// the compute pool like [`GarScratch::compute_krum_scores`], and
-    /// bitwise the same scores as re-filling per round: the same distance
-    /// values feed the same sorted prefix sums.
+    /// O(n²·d) fill instead of recomputing it every round — bitwise the
+    /// same scores as re-filling per round: the same distance values feed
+    /// the same sorted prefix sums.
     pub(crate) fn compute_krum_scores_prefilled(&mut self, n: usize, f: usize) {
         let m = self.active.len();
         let k = m - f - 2;
         self.scores.clear();
-        self.scores.resize(m, 0.0);
-        let GarScratch {
-            ref dist2,
-            ref active,
-            ref mut scores,
-            ref mut pool,
-            ref mut col,
-            ref mut sort_buf,
-            ..
-        } = *self;
-        compute::run_sharded(
-            pool,
-            col,
-            sort_buf,
-            ShardOp::KrumScores { k },
-            m,
-            m - 1,
-            &|range, values| {
-                values.clear();
-                for pos_a in range {
-                    let row = active[pos_a] * n;
-                    for (pos_b, &member_b) in active.iter().enumerate() {
-                        if pos_b != pos_a {
-                            values.push(dist2[row + member_b]);
-                        }
-                    }
-                }
-            },
-            scores,
-        );
+        for (pos_a, &member_a) in self.active.iter().enumerate() {
+            self.sort_buf.clear();
+            let row = &self.dist2[member_a * n..(member_a + 1) * n];
+            self.sort_buf.extend(
+                self.active
+                    .iter()
+                    .enumerate()
+                    .filter(|&(pos_b, _)| pos_b != pos_a)
+                    .map(|(_, &member_b)| row[member_b]),
+            );
+            self.scores.push(krum_score(&mut self.sort_buf, k));
+        }
     }
+}
+
+/// One member's Krum score: the sum of the `k` smallest of its neighbour
+/// distances (sorted in place).
+fn krum_score(neighbours: &mut [f64], k: usize) -> f64 {
+    neighbours.sort_unstable_by(|x, y| x.partial_cmp(y).expect("finite distances")); // lint:allow(panic-unwrap, reason = "distances between finite gradients; NaN is excluded by the kernel contract")
+    neighbours[..k].iter().sum()
 }
 
 /// Writes the mean of `gradients[indices]` into `out` without cloning any

@@ -8,14 +8,14 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MomentumMode {
     /// The server accumulates momentum on the aggregated gradient
-    /// (classical parameter-server SGD; the default, used to reproduce the
-    /// paper's figures).
+    /// (classical parameter-server SGD; the [`TrainingConfig`] default).
     Server,
     /// Each honest worker accumulates momentum locally and submits the
-    /// momentum-ed vector (El-Mhamdi et al. 2021). Ablation only — note
-    /// that DP calibration then no longer matches the worker's submission
-    /// sensitivity (momentum accumulates the per-sample influence by up to
-    /// `1/(1 − m)`), which is itself an instructive failure mode.
+    /// momentum-ed vector (El-Mhamdi et al. 2021) — the paper protocol
+    /// behind its figures. Note that DP calibration then no longer matches
+    /// the worker's submission sensitivity (momentum accumulates the
+    /// per-sample influence by up to `1/(1 − m)`), which is itself an
+    /// instructive failure mode.
     Worker,
 }
 
@@ -113,9 +113,11 @@ impl std::error::Error for ConfigError {}
 
 /// Hyper-parameters of one distributed training run.
 ///
-/// Defaults mirror the paper's §5.1: `n = 11`, `f = 5`, `b = 50`,
-/// `T = 1000`, `γ = 2` constant, momentum `0.99` at the server,
-/// `G_max = 10⁻²`, accuracy evaluated every 50 steps.
+/// Defaults are the paper's §5.1 knobs (`n = 11`, `f = 5`, `b = 50`,
+/// `T = 1000`, `γ = 2` constant, momentum `0.99`, `G_max = 10⁻²`, accuracy
+/// every 50 steps) with momentum at the server, which digest-pinned
+/// histories rely on; the paper protocol, like `Experiment::builder()` in
+/// `dpbyz-core`, puts momentum at the workers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainingConfig {
     /// Total number of workers `n`.
@@ -152,9 +154,8 @@ pub struct TrainingConfig {
     /// Dynamic batch-size growth (§7's "dynamic sampling"). `None` keeps
     /// the batch constant.
     pub batch_growth: Option<BatchGrowth>,
-    /// Intra-round aggregation parallelism: the GAR's coordinate and
-    /// candidate loops shard over this many threads (1 = serial, the
-    /// default). The parallel result is bit-identical to serial at any
+    /// Intra-round aggregation parallelism: the GAR's coordinate loops
+    /// shard over this many threads (1 = serial, the default). The parallel result is bit-identical to serial at any
     /// count, so this is a pure throughput knob — it never changes a
     /// training trajectory.
     pub agg_threads: usize,
@@ -171,9 +172,56 @@ pub struct TrainingConfig {
 }
 
 impl TrainingConfig {
-    /// Starts a builder pre-loaded with the paper's §5.1 defaults.
+    /// Starts a builder pre-loaded with the defaults (see the type docs).
     pub fn builder() -> TrainingConfigBuilder {
         TrainingConfigBuilder::default()
+    }
+
+    /// Checks every knob and returns the configuration unchanged (what
+    /// [`TrainingConfigBuilder::build`] runs).
+    ///
+    /// # Errors
+    ///
+    /// See [`ConfigError`].
+    pub fn validate(self) -> Result<Self, ConfigError> {
+        if self.n_workers == 0 || self.n_byzantine >= self.n_workers {
+            return Err(ConfigError::BadTopology {
+                n: self.n_workers,
+                f: self.n_byzantine,
+            });
+        }
+        if self.batch_size == 0 {
+            return Err(ConfigError::ZeroBatch);
+        }
+        if self.steps == 0 {
+            return Err(ConfigError::ZeroSteps);
+        }
+        if !(0.0..1.0).contains(&self.momentum) {
+            return Err(ConfigError::BadMomentum(self.momentum));
+        }
+        if !(self.clip > 0.0 && self.clip.is_finite()) {
+            return Err(ConfigError::BadClip(self.clip));
+        }
+        if !(0.0..1.0).contains(&self.drop_rate) {
+            return Err(ConfigError::BadDropRate(self.drop_rate));
+        }
+        if let Some(beta) = self.gradient_ema {
+            if !(beta > 0.0 && beta < 1.0) {
+                return Err(ConfigError::BadEma(beta));
+            }
+        }
+        if let Some(BatchGrowth { factor, max }) = self.batch_growth {
+            if !(factor >= 1.0 && factor.is_finite()) || max < self.batch_size {
+                return Err(ConfigError::BadBatchGrowth { factor, max });
+            }
+        }
+        if self.agg_threads == 0 {
+            return Err(ConfigError::ZeroAggThreads);
+        }
+        if !(self.staleness_damping > 0.0 && self.staleness_damping <= 1.0) {
+            return Err(ConfigError::BadStalenessDamping(self.staleness_damping));
+        }
+        Ok(self)
     }
 
     /// Number of honest workers `n − f` when an attack is active.
@@ -199,35 +247,33 @@ impl TrainingConfig {
     }
 }
 
-/// Builder for [`TrainingConfig`].
-#[derive(Debug, Clone)]
-pub struct TrainingConfigBuilder {
-    config: TrainingConfig,
-}
-
-impl Default for TrainingConfigBuilder {
+impl Default for TrainingConfig {
     fn default() -> Self {
-        TrainingConfigBuilder {
-            config: TrainingConfig {
-                n_workers: 11,
-                n_byzantine: 5,
-                batch_size: 50,
-                steps: 1000,
-                lr: LrSchedule::Constant(2.0),
-                momentum: 0.99,
-                momentum_mode: MomentumMode::Server,
-                clip: 1e-2,
-                eval_every: 50,
-                attack_visibility: AttackVisibility::Submitted,
-                drop_rate: 0.0,
-                gradient_ema: None,
-                batch_growth: None,
-                agg_threads: 1,
-                staleness_window: 0,
-                staleness_damping: 0.5,
-            },
+        TrainingConfig {
+            n_workers: 11,
+            n_byzantine: 5,
+            batch_size: 50,
+            steps: 1000,
+            lr: LrSchedule::Constant(2.0),
+            momentum: 0.99,
+            momentum_mode: MomentumMode::Server,
+            clip: 1e-2,
+            eval_every: 50,
+            attack_visibility: AttackVisibility::Submitted,
+            drop_rate: 0.0,
+            gradient_ema: None,
+            batch_growth: None,
+            agg_threads: 1,
+            staleness_window: 0,
+            staleness_damping: 0.5,
         }
     }
+}
+
+/// Builder for [`TrainingConfig`].
+#[derive(Debug, Clone, Default)]
+pub struct TrainingConfigBuilder {
+    config: TrainingConfig,
 }
 
 impl TrainingConfigBuilder {
@@ -330,45 +376,7 @@ impl TrainingConfigBuilder {
     ///
     /// See [`ConfigError`].
     pub fn build(self) -> Result<TrainingConfig, ConfigError> {
-        let c = self.config;
-        if c.n_workers == 0 || c.n_byzantine >= c.n_workers {
-            return Err(ConfigError::BadTopology {
-                n: c.n_workers,
-                f: c.n_byzantine,
-            });
-        }
-        if c.batch_size == 0 {
-            return Err(ConfigError::ZeroBatch);
-        }
-        if c.steps == 0 {
-            return Err(ConfigError::ZeroSteps);
-        }
-        if !(0.0..1.0).contains(&c.momentum) {
-            return Err(ConfigError::BadMomentum(c.momentum));
-        }
-        if !(c.clip > 0.0 && c.clip.is_finite()) {
-            return Err(ConfigError::BadClip(c.clip));
-        }
-        if !(0.0..1.0).contains(&c.drop_rate) {
-            return Err(ConfigError::BadDropRate(c.drop_rate));
-        }
-        if let Some(beta) = c.gradient_ema {
-            if !(beta > 0.0 && beta < 1.0) {
-                return Err(ConfigError::BadEma(beta));
-            }
-        }
-        if let Some(BatchGrowth { factor, max }) = c.batch_growth {
-            if !(factor >= 1.0 && factor.is_finite()) || max < c.batch_size {
-                return Err(ConfigError::BadBatchGrowth { factor, max });
-            }
-        }
-        if c.agg_threads == 0 {
-            return Err(ConfigError::ZeroAggThreads);
-        }
-        if !(c.staleness_damping > 0.0 && c.staleness_damping <= 1.0) {
-            return Err(ConfigError::BadStalenessDamping(c.staleness_damping));
-        }
-        Ok(c)
+        self.config.validate()
     }
 }
 
