@@ -118,21 +118,17 @@ pub trait Attack: Send + Sync {
     /// Attack name for reports.
     fn name(&self) -> &'static str;
 
-    /// Forges the Byzantine gradient for this round.
-    fn forge(&self, ctx: &AttackContext<'_>, rng: &mut Prng) -> Vector;
+    /// Forges the Byzantine gradient for this round into a caller-provided
+    /// buffer — the output-reuse path the zero-copy round engine drives
+    /// (the server keeps one forged-vector buffer alive across rounds).
+    /// The result must not depend on what `out` held before the call.
+    fn forge_into(&self, ctx: &AttackContext<'_>, rng: &mut Prng, out: &mut Vector);
 
-    /// Forges into a caller-provided buffer — the output-reuse path the
-    /// zero-copy round engine drives (the server keeps one forged-vector
-    /// buffer alive across rounds). Must consume the RNG stream
-    /// identically to [`Attack::forge`] and produce the same coordinates,
-    /// bit for bit.
-    ///
-    /// The default delegates to `forge` (one allocation per round), so
-    /// out-of-tree attacks keep working unchanged; the built-ins override
-    /// it allocation-free.
-    fn forge_into(&self, ctx: &AttackContext<'_>, rng: &mut Prng, out: &mut Vector) {
-        let forged = self.forge(ctx, rng);
-        out.copy_from(&forged);
+    /// [`Attack::forge_into`] with a fresh output buffer.
+    fn forge(&self, ctx: &AttackContext<'_>, rng: &mut Prng) -> Vector {
+        let mut out = Vector::default();
+        self.forge_into(ctx, rng, &mut out);
+        out
     }
 }
 
@@ -164,17 +160,11 @@ impl Attack for LittleIsEnough {
         "alie"
     }
 
-    fn forge(&self, ctx: &AttackContext<'_>, _rng: &mut Prng) -> Vector {
-        let mut g = ctx.honest_mean();
-        g.axpy(-self.nu, &ctx.honest_std());
-        g
-    }
-
     fn forge_into(&self, ctx: &AttackContext<'_>, _rng: &mut Prng, out: &mut Vector) {
         // mean − ν·std computed coordinate-wise in place: the per-
         // coordinate accumulation, `1/(n−1)` scaling, and `+(−ν)·std`
-        // update mirror `honest_std` + `axpy` exactly, so the output is
-        // bit-identical to `forge`.
+        // update mirror `honest_std` + `axpy` exactly (the reference the
+        // tests hold it to, bit for bit).
         ctx.honest_mean_into(out);
         let obs = ctx.observed();
         if obs.len() < 2 {
@@ -222,10 +212,6 @@ impl Attack for FallOfEmpires {
         "foe"
     }
 
-    fn forge(&self, ctx: &AttackContext<'_>, _rng: &mut Prng) -> Vector {
-        ctx.honest_mean().scaled(1.0 - self.nu)
-    }
-
     fn forge_into(&self, ctx: &AttackContext<'_>, _rng: &mut Prng, out: &mut Vector) {
         ctx.honest_mean_into(out);
         out.scale(1.0 - self.nu);
@@ -239,10 +225,6 @@ pub struct SignFlip;
 impl Attack for SignFlip {
     fn name(&self) -> &'static str {
         "sign-flip"
-    }
-
-    fn forge(&self, ctx: &AttackContext<'_>, _rng: &mut Prng) -> Vector {
-        -&ctx.honest_mean()
     }
 
     fn forge_into(&self, ctx: &AttackContext<'_>, _rng: &mut Prng, out: &mut Vector) {
@@ -276,15 +258,11 @@ impl Attack for RandomNoise {
         "random-noise"
     }
 
-    fn forge(&self, ctx: &AttackContext<'_>, rng: &mut Prng) -> Vector {
-        let dim = ctx.observed().first().map_or(0, Vector::dim);
-        rng.normal_vector(dim, self.std)
-    }
-
     fn forge_into(&self, ctx: &AttackContext<'_>, rng: &mut Prng, out: &mut Vector) {
         let dim = ctx.observed().first().map_or(0, Vector::dim);
         out.resize(dim, 0.0);
-        // Same per-coordinate draw order as `normal_vector`.
+        // Same per-coordinate draw order as `normal_vector` (the
+        // reference the tests hold it to, bit for bit).
         for x in out.as_mut_slice() {
             *x = rng.normal(0.0, self.std);
         }
@@ -299,10 +277,6 @@ pub struct Zero;
 impl Attack for Zero {
     fn name(&self) -> &'static str {
         "zero"
-    }
-
-    fn forge(&self, ctx: &AttackContext<'_>, _rng: &mut Prng) -> Vector {
-        Vector::zeros(ctx.observed().first().map_or(0, Vector::dim))
     }
 
     fn forge_into(&self, ctx: &AttackContext<'_>, _rng: &mut Prng, out: &mut Vector) {
@@ -334,12 +308,6 @@ impl Mimic {
 impl Attack for Mimic {
     fn name(&self) -> &'static str {
         "mimic"
-    }
-
-    fn forge(&self, ctx: &AttackContext<'_>, _rng: &mut Prng) -> Vector {
-        let obs = ctx.observed();
-        assert!(!obs.is_empty(), "mimic requires visible honest gradients");
-        obs[self.target % obs.len()].clone()
     }
 
     fn forge_into(&self, ctx: &AttackContext<'_>, _rng: &mut Prng, out: &mut Vector) {
@@ -386,10 +354,6 @@ impl Attack for InnerProductManipulation {
         "ipm"
     }
 
-    fn forge(&self, ctx: &AttackContext<'_>, _rng: &mut Prng) -> Vector {
-        ctx.honest_mean().scaled(-self.epsilon)
-    }
-
     fn forge_into(&self, ctx: &AttackContext<'_>, _rng: &mut Prng, out: &mut Vector) {
         ctx.honest_mean_into(out);
         out.scale(-self.epsilon);
@@ -431,15 +395,6 @@ impl Attack for Rescaling {
         "rescaling"
     }
 
-    fn forge(&self, ctx: &AttackContext<'_>, _rng: &mut Prng) -> Vector {
-        let mut g = ctx.honest_mean();
-        let n = g.l2_norm();
-        if n > 0.0 {
-            g.scale(self.norm / n);
-        }
-        g
-    }
-
     fn forge_into(&self, ctx: &AttackContext<'_>, _rng: &mut Prng, out: &mut Vector) {
         ctx.honest_mean_into(out);
         let n = out.l2_norm();
@@ -475,10 +430,6 @@ impl Attack for LargeNorm {
         "large-norm"
     }
 
-    fn forge(&self, ctx: &AttackContext<'_>, _rng: &mut Prng) -> Vector {
-        ctx.honest_mean().scaled(self.scale)
-    }
-
     fn forge_into(&self, ctx: &AttackContext<'_>, _rng: &mut Prng, out: &mut Vector) {
         ctx.honest_mean_into(out);
         out.scale(self.scale);
@@ -488,6 +439,7 @@ impl Attack for LargeNorm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn honest() -> Vec<Vector> {
         vec![
@@ -707,6 +659,34 @@ mod tests {
         let mut out = Vector::default();
         LittleIsEnough::default().forge_into(&ctx, &mut Prng::seed_from_u64(0), &mut out);
         assert_eq!(out, h[0]);
+    }
+
+    proptest! {
+        /// `forge_into` against the reference formulas, bit for bit and
+        /// RNG stream included: ALIE is `mean − ν·std`, RandomNoise is
+        /// `normal_vector`.
+        #[test]
+        fn prop_forge_into_matches_reference_formulas(seed in 0u64..500, n in 1usize..8, dim in 1usize..16) {
+            let mut rng = Prng::seed_from_u64(seed);
+            let honest: Vec<Vector> = (0..n).map(|_| rng.normal_vector(dim, 1.0)).collect();
+            let ctx = AttackContext::new(&honest, 0);
+            let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut out = Vector::from(vec![-1.0; 2]); // dirty, wrong dim
+
+            let alie = LittleIsEnough::default();
+            let mut expected = ctx.honest_mean();
+            expected.axpy(-alie.nu, &ctx.honest_std());
+            alie.forge_into(&ctx, &mut Prng::seed_from_u64(seed), &mut out);
+            prop_assert_eq!(bits(&out), bits(&expected));
+
+            let noise = RandomNoise::new(1.3);
+            let mut rng_ref = Prng::seed_from_u64(seed);
+            let expected = rng_ref.normal_vector(dim, noise.std);
+            let mut rng = Prng::seed_from_u64(seed);
+            noise.forge_into(&ctx, &mut rng, &mut out);
+            prop_assert_eq!(bits(&out), bits(&expected));
+            prop_assert_eq!(rng.uniform().to_bits(), rng_ref.uniform().to_bits());
+        }
     }
 
     #[test]

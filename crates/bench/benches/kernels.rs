@@ -4,8 +4,8 @@
 //! The vectorized kernels (`dpbyz_tensor::kernels`) are 4-lane blocked
 //! loops with fixed, machine-independent summation order; the references
 //! (`kernels::reference`) are the historical sequential folds. This group
-//! is the per-kernel evidence behind the `results/BENCH_kernels.json`
-//! artifact that `bench_baseline` archives per commit.
+//! is the scalar-vs-vectorized measurement behind the kernel layer's
+//! dispatch choices (e.g. `kernels::SCALAR_CUTOFF`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpbyz_tensor::{kernels, Prng, Vector};

@@ -1,9 +1,9 @@
 //! Emits `results/BENCH_gar.json`: per-GAR aggregation timings, serial vs
 //! the intra-round parallel path, at d ∈ {10³, 10⁵, 10⁶} on the paper's
 //! n = 11 cohort — plus the untiled vs cache-tiled distance-matrix fill
-//! the Krum family drives. Companion artifact to `BENCH_baseline.json`;
-//! CI archives it per commit so the perf trajectory of the aggregation
-//! layer accumulates alongside the round-engine baseline.
+//! the Krum family drives. CI runs it in smoke mode (`--test`); the full
+//! run is committed per perf change, so the perf trajectory of the
+//! aggregation layer accumulates in the history of that file.
 //!
 //! Both paths are bit-identical by construction (and digest-pinned in the
 //! test suite), so every pair of entries here measures the same

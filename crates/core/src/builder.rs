@@ -32,15 +32,15 @@ use dpbyz_server::{LrSchedule, MomentumMode, TrainingConfig};
 #[derive(Debug, Clone)]
 pub struct ExperimentBuilder {
     workload: Option<Workload>,
-    dataset_size: usize,
-    data_seed: u64,
+    pub(crate) dataset_size: usize,
+    pub(crate) data_seed: u64,
     /// The only copy of the training knobs; every knob setter edits it.
     config: TrainingConfig,
     gar: Option<ComponentSpec>,
     attack: Option<ComponentSpec>,
     mechanism: ComponentSpec,
     epsilon: Option<f64>,
-    delta: f64,
+    pub(crate) delta: f64,
     backend: ComponentSpec,
     dp_reference_g_max: Option<f64>,
 }

@@ -170,15 +170,19 @@ pub struct FigureConfig {
 }
 
 impl Default for FigureConfig {
+    /// The §5.1 protocol as [`Experiment::builder`] and
+    /// [`TrainingConfig::default`] state it: no DP, no attack.
     fn default() -> Self {
+        let protocol = Experiment::builder();
+        let config = TrainingConfig::default();
         FigureConfig {
-            batch_size: 50,
+            batch_size: config.batch_size,
             epsilon: None,
-            delta: 1e-6,
+            delta: protocol.delta,
             attack: None,
-            steps: 1000,
-            dataset_size: synthetic::PHISHING_SIZE,
-            data_seed: 0xD1B2_2021,
+            steps: config.steps,
+            dataset_size: protocol.dataset_size,
+            data_seed: protocol.data_seed,
         }
     }
 }
@@ -538,6 +542,13 @@ mod tests {
             ..FigureConfig::default()
         })
         .unwrap()
+    }
+
+    #[test]
+    fn default_figure_is_the_builder_default() {
+        let figure = Experiment::paper_figure(FigureConfig::default()).unwrap();
+        let builder = Experiment::builder().build().unwrap();
+        assert_eq!(format!("{figure:?}"), format!("{builder:?}"));
     }
 
     #[test]

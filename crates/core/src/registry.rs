@@ -19,7 +19,7 @@
 //!
 //! ```
 //! use dpbyz_core::registry::{self, ComponentSpec};
-//! use dpbyz_gars::{Gar, GarError};
+//! use dpbyz_gars::{Gar, GarError, GarScratch};
 //! use dpbyz_tensor::Vector;
 //! use std::sync::Arc;
 //!
@@ -27,8 +27,15 @@
 //!
 //! impl Gar for FirstVector {
 //!     fn name(&self) -> &'static str { "first-vector" }
-//!     fn aggregate(&self, gradients: &[Vector], _f: usize) -> Result<Vector, GarError> {
-//!         gradients.first().cloned().ok_or(GarError::Empty)
+//!     fn aggregate_into(
+//!         &self,
+//!         gradients: &[Vector],
+//!         _f: usize,
+//!         _scratch: &mut GarScratch,
+//!         out: &mut Vector,
+//!     ) -> Result<(), GarError> {
+//!         out.copy_from(gradients.first().ok_or(GarError::Empty)?);
+//!         Ok(())
 //!     }
 //!     fn kappa(&self, _n: usize, _f: usize) -> Option<f64> { None }
 //!     fn max_byzantine(&self, _n: usize) -> usize { 0 }
@@ -515,22 +522,7 @@ fn built_in_gars() -> Registry<dyn Gar> {
                 message: "bucket size `s` must be at least 1".into(),
             });
         }
-        // The inner rule is itself resolved through the registry, so any
-        // registered GAR — built-in or third-party — can sit under the
-        // bucketing wrapper by id. Every parameter except bucketing's own
-        // (`s`, `inner`) is forwarded to the inner factory, so e.g.
-        // `bucketing{inner: "centered-clipping", tau: 0.01}` tunes the
-        // inner radius instead of silently dropping it.
-        let mut inner_spec = ComponentSpec::new(spec.str_or_reject("inner", "median")?);
-        for (key, value) in &spec.params {
-            if key != "s" && key != "inner" {
-                inner_spec.params.insert(key.clone(), value.clone());
-            }
-        }
-        let inner = build_gar(&inner_spec).map_err(|e| RegistryError::Build {
-            id: "bucketing".into(),
-            message: format!("inner rule failed to resolve: {e}"),
-        })?;
+        let inner = build_inner_gar(spec, "bucketing", "s")?;
         Ok(Arc::new(Bucketing::new(inner, s as usize)) as Arc<dyn Gar>)
     });
     r.seed("staleness-damped", |spec| {
@@ -543,24 +535,33 @@ fn built_in_gars() -> Registry<dyn Gar> {
                 message: format!("`lambda` must be in (0, 1], got {lambda}"),
             });
         }
-        // The inner rule is resolved through the registry exactly as
-        // `bucketing` resolves its wrapped rule: every parameter except
-        // this wrapper's own (`lambda`, `inner`) is forwarded, so e.g.
-        // `staleness-damped{inner: "centered-clipping", tau: 0.01}` tunes
-        // the inner radius instead of silently dropping it.
-        let mut inner_spec = ComponentSpec::new(spec.str_or_reject("inner", "median")?);
-        for (key, value) in &spec.params {
-            if key != "lambda" && key != "inner" {
-                inner_spec.params.insert(key.clone(), value.clone());
-            }
-        }
-        let inner = build_gar(&inner_spec).map_err(|e| RegistryError::Build {
-            id: "staleness-damped".into(),
-            message: format!("inner rule failed to resolve: {e}"),
-        })?;
+        let inner = build_inner_gar(spec, "staleness-damped", "lambda")?;
         Ok(Arc::new(StalenessDamped::new(inner, lambda)) as Arc<dyn Gar>)
     });
     r
+}
+
+/// Resolves the inner rule of the meta-GAR `wrapper` through the registry,
+/// so any registered GAR — built-in or third-party — can sit under it by
+/// id (`inner`, default `median`). Every parameter except the wrapper's
+/// own (`own` and `inner`) is forwarded to the inner factory, so e.g.
+/// `bucketing{inner: "centered-clipping", tau: 0.01}` tunes the inner
+/// radius instead of silently dropping it.
+fn build_inner_gar(
+    spec: &ComponentSpec,
+    wrapper: &str,
+    own: &str,
+) -> Result<Arc<dyn Gar>, RegistryError> {
+    let mut inner_spec = ComponentSpec::new(spec.str_or_reject("inner", "median")?);
+    for (key, value) in &spec.params {
+        if key != own && key != "inner" {
+            inner_spec.params.insert(key.clone(), value.clone());
+        }
+    }
+    build_gar(&inner_spec).map_err(|e| RegistryError::Build {
+        id: wrapper.into(),
+        message: format!("inner rule failed to resolve: {e}"),
+    })
 }
 
 fn built_in_attacks() -> Registry<dyn Attack> {

@@ -21,19 +21,16 @@ pub trait BatchSource: Send {
     /// Feature dimension of produced batches.
     fn num_features(&self) -> usize;
 
-    /// Draws the next batch of `batch_size` examples.
-    fn next_batch(&mut self, batch_size: usize, rng: &mut Prng) -> Batch;
+    /// Draws the next batch of `batch_size` examples into a caller-provided
+    /// buffer — the zero-copy path the worker loop drives every step. The
+    /// batch must not depend on what `out` held before the call.
+    fn next_batch_into(&mut self, batch_size: usize, rng: &mut Prng, out: &mut Batch);
 
-    /// Draws the next batch into a caller-provided buffer — the zero-copy
-    /// counterpart of [`BatchSource::next_batch`] driven every step by the
-    /// buffer-recycling worker loop. Must consume the RNG identically to
-    /// `next_batch` and produce an equal batch.
-    ///
-    /// The default delegates to `next_batch` (one allocation per call), so
-    /// out-of-tree sources keep working unchanged; the in-tree sources
-    /// override it allocation-free.
-    fn next_batch_into(&mut self, batch_size: usize, rng: &mut Prng, out: &mut Batch) {
-        *out = self.next_batch(batch_size, rng);
+    /// [`BatchSource::next_batch_into`] with a fresh batch buffer.
+    fn next_batch(&mut self, batch_size: usize, rng: &mut Prng) -> Batch {
+        let mut out = Batch::empty();
+        self.next_batch_into(batch_size, rng, &mut out);
+        out
     }
 }
 
@@ -129,12 +126,6 @@ impl DatasetSource {
 impl BatchSource for DatasetSource {
     fn num_features(&self) -> usize {
         self.dataset.num_features()
-    }
-
-    fn next_batch(&mut self, batch_size: usize, rng: &mut Prng) -> Batch {
-        let mut out = Batch::empty();
-        self.next_batch_into(batch_size, rng, &mut out);
-        out
     }
 
     fn next_batch_into(&mut self, batch_size: usize, rng: &mut Prng, out: &mut Batch) {

@@ -224,10 +224,6 @@ impl BatchSource for MeanEstimationSource {
         self.0.dim()
     }
 
-    fn next_batch(&mut self, batch_size: usize, rng: &mut Prng) -> Batch {
-        self.0.sample_batch(batch_size, rng)
-    }
-
     fn next_batch_into(&mut self, batch_size: usize, rng: &mut Prng, out: &mut Batch) {
         self.0.sample_batch_into(batch_size, rng, out);
     }

@@ -7,20 +7,15 @@ use serde::{Deserialize, Serialize};
 /// A local randomizer `M_i` applied by each honest worker to its clipped
 /// gradient before submission (Eq. 6–7).
 pub trait Mechanism: Send + Sync {
-    /// Returns `gradient + noise`.
-    fn perturb(&self, gradient: &Vector, rng: &mut Prng) -> Vector;
+    /// Adds the noise directly into `gradient` — the zero-copy path the
+    /// buffer-reusing worker loop drives every step.
+    fn perturb_in_place(&self, gradient: &mut Vector, rng: &mut Prng);
 
-    /// Adds the noise directly into `gradient` — the zero-copy counterpart
-    /// of [`Mechanism::perturb`] used by the buffer-reusing worker loop.
-    /// Must consume the RNG stream identically to `perturb` and produce
-    /// the same coordinates, bit for bit.
-    ///
-    /// The default delegates to `perturb` (one allocation per call), so
-    /// out-of-tree mechanisms keep working unchanged; the built-ins
-    /// override it with allocation-free sampling loops.
-    fn perturb_in_place(&self, gradient: &mut Vector, rng: &mut Prng) {
-        let noisy = self.perturb(gradient, rng);
-        *gradient = noisy;
+    /// Returns `gradient + noise`: [`Mechanism::perturb_in_place`] on a copy.
+    fn perturb(&self, gradient: &Vector, rng: &mut Prng) -> Vector {
+        let mut noisy = gradient.clone();
+        self.perturb_in_place(&mut noisy, rng);
+        noisy
     }
 
     /// Per-coordinate noise standard deviation (0 for [`NoNoise`]).
@@ -111,13 +106,10 @@ impl GaussianMechanism {
 }
 
 impl Mechanism for GaussianMechanism {
-    fn perturb(&self, gradient: &Vector, rng: &mut Prng) -> Vector {
-        gradient + &rng.normal_vector(gradient.dim(), self.sigma)
-    }
-
     fn perturb_in_place(&self, gradient: &mut Vector, rng: &mut Prng) {
         // Same per-coordinate draw order as `normal_vector`, added in
-        // place: the stream and the sums match `perturb` bit for bit.
+        // place: the stream and the sums match `g + normal_vector` bit
+        // for bit (the reference the tests hold it to).
         for x in gradient.as_mut_slice() {
             *x += rng.normal(0.0, self.sigma);
         }
@@ -195,10 +187,6 @@ impl LaplaceMechanism {
 }
 
 impl Mechanism for LaplaceMechanism {
-    fn perturb(&self, gradient: &Vector, rng: &mut Prng) -> Vector {
-        gradient + &rng.laplace_vector(gradient.dim(), self.scale)
-    }
-
     fn perturb_in_place(&self, gradient: &mut Vector, rng: &mut Prng) {
         for x in gradient.as_mut_slice() {
             *x += rng.laplace(self.scale);
@@ -225,10 +213,6 @@ impl Mechanism for LaplaceMechanism {
 pub struct NoNoise;
 
 impl Mechanism for NoNoise {
-    fn perturb(&self, gradient: &Vector, _rng: &mut Prng) -> Vector {
-        gradient.clone()
-    }
-
     fn perturb_in_place(&self, _gradient: &mut Vector, _rng: &mut Prng) {}
 
     fn per_coordinate_std(&self) -> f64 {
@@ -390,6 +374,29 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
+            /// `perturb_in_place` against the reference formulas
+            /// `g + normal_vector` (Gaussian) and `g + laplace_vector`
+            /// (Laplace), bit for bit and RNG stream included.
+            #[test]
+            fn prop_perturb_in_place_matches_reference_formulas(seed in 0u64..500, dim in 1usize..48) {
+                let g = Prng::seed_from_u64(seed).normal_vector(dim, 2.0);
+                let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let gaussian = GaussianMechanism::with_sigma(0.3).unwrap();
+                let laplace = LaplaceMechanism::calibrate(0.7, 1.0).unwrap();
+                let mut rng_ref = Prng::seed_from_u64(seed ^ 0xABCD);
+                let gaussian_ref = &g + &rng_ref.normal_vector(dim, gaussian.sigma());
+                let laplace_ref = &g + &rng_ref.laplace_vector(dim, laplace.scale());
+
+                let mut rng = Prng::seed_from_u64(seed ^ 0xABCD);
+                let mut noisy = g.clone();
+                gaussian.perturb_in_place(&mut noisy, &mut rng);
+                prop_assert_eq!(bits(&noisy), bits(&gaussian_ref));
+                let mut noisy = g.clone();
+                laplace.perturb_in_place(&mut noisy, &mut rng);
+                prop_assert_eq!(bits(&noisy), bits(&laplace_ref));
+                prop_assert_eq!(rng.uniform().to_bits(), rng_ref.uniform().to_bits());
+            }
+
             #[test]
             fn prop_sigma_monotone_in_epsilon(
                 e1 in 0.01..0.99f64,

@@ -59,15 +59,21 @@
 //!
 //! ```
 //! use dpbyz::prelude::*;
-//! use dpbyz::gars::{Gar, GarError};
+//! use dpbyz::gars::{Gar, GarError, GarScratch};
 //! use dpbyz::tensor::Vector;
 //! use std::sync::Arc;
 //!
 //! struct Clamp;
 //! impl Gar for Clamp {
 //!     fn name(&self) -> &'static str { "clamp-demo" }
-//!     fn aggregate(&self, g: &[Vector], _f: usize) -> Result<Vector, GarError> {
-//!         Vector::mean(g).map_err(|_| GarError::Empty)
+//!     fn aggregate_into(
+//!         &self,
+//!         g: &[Vector],
+//!         _f: usize,
+//!         _scratch: &mut GarScratch,
+//!         out: &mut Vector,
+//!     ) -> Result<(), GarError> {
+//!         Vector::mean_into(g, out).map_err(|_| GarError::Empty)
 //!     }
 //!     fn kappa(&self, _n: usize, _f: usize) -> Option<f64> { None }
 //!     fn max_byzantine(&self, _n: usize) -> usize { 0 }

@@ -86,12 +86,6 @@ impl Gar for Bucketing {
         "bucketing"
     }
 
-    fn aggregate(&self, gradients: &[Vector], f: usize) -> Result<Vector, GarError> {
-        let mut out = Vector::default();
-        self.aggregate_into(gradients, f, &mut GarScratch::new(), &mut out)?;
-        Ok(out)
-    }
-
     fn aggregate_into(
         &self,
         gradients: &[Vector],
@@ -117,15 +111,10 @@ impl Gar for Bucketing {
             Vector::mean_into(chunk, bucket).expect("validated non-empty chunk");
         }
 
-        // The nested scratch is taken out of `self`-scratch for the inner
-        // call (the bucket slice keeps `scratch.buckets` borrowed) and put
-        // back afterwards, so meta-aggregation stays allocation-free at
-        // steady state too.
-        let mut nested = scratch.nested.take().unwrap_or_default();
-        let result = self
-            .inner
-            .aggregate_into(&scratch.buckets[..b], f_inner, &mut nested, out);
-        scratch.nested = Some(nested);
+        let result = scratch.lend_nested(|own, nested| {
+            self.inner
+                .aggregate_into(&own.buckets[..b], f_inner, nested, out)
+        });
         // The inner rule reports the *bucketed* topology; re-state an
         // over-tolerance error in the caller's terms (n submissions, the
         // composed rule's own maximum) so direct Gar-level callers aren't

@@ -101,12 +101,6 @@ impl Gar for Krum {
         "krum"
     }
 
-    fn aggregate(&self, gradients: &[Vector], f: usize) -> Result<Vector, GarError> {
-        let mut out = Vector::default();
-        self.aggregate_into(gradients, f, &mut GarScratch::new(), &mut out)?;
-        Ok(out)
-    }
-
     fn aggregate_into(
         &self,
         gradients: &[Vector],
@@ -152,12 +146,6 @@ impl MultiKrum {
 impl Gar for MultiKrum {
     fn name(&self) -> &'static str {
         "multi-krum"
-    }
-
-    fn aggregate(&self, gradients: &[Vector], f: usize) -> Result<Vector, GarError> {
-        let mut out = Vector::default();
-        self.aggregate_into(gradients, f, &mut GarScratch::new(), &mut out)?;
-        Ok(out)
     }
 
     fn aggregate_into(

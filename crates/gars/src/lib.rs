@@ -83,40 +83,35 @@ pub trait Gar: Send + Sync {
     /// Rule name for reports.
     fn name(&self) -> &'static str;
 
-    /// Aggregates `gradients` assuming at most `f` of them are Byzantine.
+    /// Aggregates `gradients`, assuming at most `f` of them are Byzantine,
+    /// into a caller-provided output buffer, reusing `scratch` across
+    /// calls — the zero-copy hot path the round engine drives every step.
+    /// The result must not depend on what `scratch` and `out` held before
+    /// the call. Implementations may leave `out` at a different dimension
+    /// on error.
     ///
     /// # Errors
     ///
     /// [`GarError::Empty`] for no gradients, [`GarError::DimensionMismatch`]
     /// for ragged input, [`GarError::TooManyByzantine`] if `f` exceeds the
     /// rule's tolerance for `n = gradients.len()`.
-    fn aggregate(&self, gradients: &[Vector], f: usize) -> Result<Vector, GarError>;
-
-    /// Aggregates into a caller-provided output buffer, reusing `scratch`
-    /// across calls — the zero-copy hot path the round engine drives every
-    /// step. Must produce exactly the same coordinates as
-    /// [`Gar::aggregate`], bit for bit.
-    ///
-    /// The default delegates to `aggregate` (one allocation per call), so
-    /// out-of-tree GARs written against the two-method trait keep working
-    /// unchanged; every built-in rule overrides it with an
-    /// allocation-free implementation. Implementations may leave `out` at
-    /// a different dimension on error.
-    ///
-    /// # Errors
-    ///
-    /// As [`Gar::aggregate`].
     fn aggregate_into(
         &self,
         gradients: &[Vector],
         f: usize,
         scratch: &mut GarScratch,
         out: &mut Vector,
-    ) -> Result<(), GarError> {
-        let _ = scratch;
-        let result = self.aggregate(gradients, f)?;
-        out.copy_from(&result);
-        Ok(())
+    ) -> Result<(), GarError>;
+
+    /// [`Gar::aggregate_into`] with a fresh output buffer and scratch.
+    ///
+    /// # Errors
+    ///
+    /// As [`Gar::aggregate_into`].
+    fn aggregate(&self, gradients: &[Vector], f: usize) -> Result<Vector, GarError> {
+        let mut out = Vector::default();
+        self.aggregate_into(gradients, f, &mut GarScratch::new(), &mut out)?;
+        Ok(out)
     }
 
     /// The VN-ratio bound `κ_F(n, f)` of Eq. 2, or `None` when the rule has

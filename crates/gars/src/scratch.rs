@@ -22,11 +22,10 @@ const TILED_MIN_DIM: usize = 8192;
 
 /// Scratch buffers for [`Gar::aggregate_into`](crate::Gar::aggregate_into).
 ///
-/// Built-in rules use the private buffers below. Out-of-tree GARs that
-/// override `aggregate_into` can either keep their own state or borrow the
-/// dedicated extension buffers ([`GarScratch::scalars`],
-/// [`GarScratch::indices`], [`GarScratch::vector`]), which the built-ins
-/// never touch.
+/// Built-in rules use the private buffers below. Out-of-tree GARs can
+/// either keep their own state or borrow the dedicated extension buffers
+/// ([`GarScratch::scalars`], [`GarScratch::indices`],
+/// [`GarScratch::vector`]), which the built-ins never touch.
 #[derive(Debug, Default)]
 pub struct GarScratch {
     /// Flat `m × m` symmetric squared-distance matrix over the current
@@ -130,6 +129,16 @@ impl GarScratch {
     /// size, so this is a pure throughput knob.
     pub fn set_parallelism(&mut self, threads: usize) {
         self.pool.set_size(threads);
+    }
+
+    /// Lends the nested scratch (allocated once, put back afterwards) to a
+    /// meta-rule's inner GAR: `call` gets this scratch read-only, so its
+    /// buffers can be the inner rule's input, and the nested one mutably.
+    pub(crate) fn lend_nested<R>(&mut self, call: impl FnOnce(&Self, &mut Self) -> R) -> R {
+        let mut nested = self.nested.take().unwrap_or_default();
+        let result = call(self, &mut nested);
+        self.nested = Some(nested);
+        result
     }
 
     /// Fills `active` with the identity member set `0..n`.

@@ -88,13 +88,6 @@ impl Gar for StalenessDamped {
         "staleness-damped"
     }
 
-    fn aggregate(&self, gradients: &[Vector], f: usize) -> Result<Vector, GarError> {
-        // The allocating path has no scratch, hence no recorded ages:
-        // every submission counts as fresh and the wrapper is the
-        // identity around the inner rule.
-        self.inner.aggregate(gradients, f)
-    }
-
     fn aggregate_into(
         &self,
         gradients: &[Vector],
@@ -105,40 +98,37 @@ impl Gar for StalenessDamped {
         // lint:begin(zero-copy)
         check_input(gradients)?;
         let n = gradients.len();
-        // All-fresh rounds (k = 0 deployments, or a window that nothing
-        // exercised this round) take the pure-delegation path: no copy,
-        // no float op, bit-identical to the bare inner rule.
+        // All-fresh rounds (k = 0 deployments, an unexercised window, or
+        // the provided `aggregate`, whose fresh scratch records no ages)
+        // hand the inner rule the submissions as they are: no copy, no
+        // float op, bit-identical to the bare inner rule.
         let damped_any = scratch
             .ages
             .iter()
             .take(n)
             .any(|&age| age > 0 && self.lambda < 1.0);
-        if !damped_any {
-            let mut nested = scratch.nested.take().unwrap_or_default();
-            let result = self.inner.aggregate_into(gradients, f, &mut nested, out);
-            scratch.nested = Some(nested);
-            return result;
-        }
-
-        // Damped copies into reused vectors (the tail of `weighted`
-        // beyond `n` is dormant capacity from larger past topologies).
-        if scratch.weighted.len() < n {
-            scratch.weighted.resize_with(n, Vector::default);
-        }
-        for (i, (slot, grad)) in scratch.weighted.iter_mut().zip(gradients).enumerate() {
-            slot.copy_from(grad);
-            let age = scratch.ages.get(i).copied().unwrap_or(0);
-            if age > 0 {
-                slot.scale(self.lambda.powi(age.min(i32::MAX as u32) as i32));
+        if damped_any {
+            // Damped copies into reused vectors (the tail of `weighted`
+            // beyond `n` is dormant capacity from larger past topologies).
+            if scratch.weighted.len() < n {
+                scratch.weighted.resize_with(n, Vector::default);
+            }
+            for (i, (slot, grad)) in scratch.weighted.iter_mut().zip(gradients).enumerate() {
+                slot.copy_from(grad);
+                let age = scratch.ages.get(i).copied().unwrap_or(0);
+                if age > 0 {
+                    slot.scale(self.lambda.powi(age.min(i32::MAX as u32) as i32));
+                }
             }
         }
-
-        let mut nested = scratch.nested.take().unwrap_or_default();
-        let result = self
-            .inner
-            .aggregate_into(&scratch.weighted[..n], f, &mut nested, out);
-        scratch.nested = Some(nested);
-        result
+        scratch.lend_nested(|own, nested| {
+            let inputs = if damped_any {
+                &own.weighted[..n]
+            } else {
+                gradients
+            };
+            self.inner.aggregate_into(inputs, f, nested, out)
+        })
         // lint:end(zero-copy)
     }
 

@@ -34,12 +34,6 @@ impl Gar for TrimmedMean {
         "trimmed-mean"
     }
 
-    fn aggregate(&self, gradients: &[Vector], f: usize) -> Result<Vector, GarError> {
-        let mut out = Vector::default();
-        self.aggregate_into(gradients, f, &mut GarScratch::new(), &mut out)?;
-        Ok(out)
-    }
-
     fn aggregate_into(
         &self,
         gradients: &[Vector],

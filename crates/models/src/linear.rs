@@ -62,13 +62,14 @@ impl Model for LinearRegression {
         total / batch.len() as f64
     }
 
-    fn gradient(&self, params: &Vector, batch: &Batch) -> Vector {
+    fn gradient_into(&self, params: &Vector, batch: &Batch, out: &mut Vector) {
         assert!(
             !batch.is_empty(),
             "gradient over an empty batch is undefined"
         );
-        let mut grad = Vector::zeros(self.dim());
-        let g = grad.as_mut_slice();
+        out.resize(self.dim(), 0.0);
+        out.fill(0.0);
+        let g = out.as_mut_slice();
         for i in 0..batch.len() {
             let (x, y) = batch.example(i);
             let r = self.raw(params, x) - y;
@@ -77,8 +78,7 @@ impl Model for LinearRegression {
             }
             g[self.num_features] += r;
         }
-        grad.scale(1.0 / batch.len() as f64);
-        grad
+        out.scale(1.0 / batch.len() as f64);
     }
 
     fn predict(&self, params: &Vector, features: &[f64]) -> f64 {

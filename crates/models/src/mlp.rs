@@ -138,14 +138,15 @@ impl Model for Mlp {
         total / batch.len() as f64
     }
 
-    fn gradient(&self, params: &Vector, batch: &Batch) -> Vector {
+    fn gradient_into(&self, params: &Vector, batch: &Batch, out: &mut Vector) {
         assert!(
             !batch.is_empty(),
             "gradient over an empty batch is undefined"
         );
         let p = params.as_slice();
-        let mut grad = Vector::zeros(self.dim());
-        let g = grad.as_mut_slice();
+        out.resize(self.dim(), 0.0);
+        out.fill(0.0);
+        let g = out.as_mut_slice();
         for i in 0..batch.len() {
             let (x, y) = batch.example(i);
             let (z1, a1, prob) = self.forward(params, x);
@@ -163,8 +164,7 @@ impl Model for Mlp {
                 }
             }
         }
-        grad.scale(1.0 / batch.len() as f64);
-        grad
+        out.scale(1.0 / batch.len() as f64);
     }
 
     fn predict(&self, params: &Vector, features: &[f64]) -> f64 {

@@ -76,12 +76,6 @@ impl Model for QuadraticMean {
         total / batch.len() as f64
     }
 
-    fn gradient(&self, params: &Vector, batch: &Batch) -> Vector {
-        let mut grad = Vector::default();
-        self.gradient_into(params, batch, &mut grad);
-        grad
-    }
-
     fn gradient_into(&self, params: &Vector, batch: &Batch, out: &mut Vector) {
         assert!(
             !batch.is_empty(),

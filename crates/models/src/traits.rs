@@ -15,20 +15,17 @@ pub trait Model: Send + Sync {
     /// Average loss of `params` over `batch`.
     fn loss(&self, params: &Vector, batch: &Batch) -> f64;
 
-    /// Average gradient of the loss over `batch` — the worker-side map `h`
-    /// of Eq. (4).
-    fn gradient(&self, params: &Vector, batch: &Batch) -> Vector;
+    /// Writes the average gradient of the loss over `batch` — the
+    /// worker-side map `h` of Eq. (4) — into a caller-provided buffer, the
+    /// zero-copy path the buffer-recycling worker loop drives every step.
+    /// The result must not depend on what `out` held before the call.
+    fn gradient_into(&self, params: &Vector, batch: &Batch, out: &mut Vector);
 
-    /// Writes the gradient into a caller-provided buffer — the zero-copy
-    /// counterpart of [`Model::gradient`] driven every step by the
-    /// buffer-recycling worker loop. Must produce the same coordinates,
-    /// bit for bit.
-    ///
-    /// The default delegates to `gradient` (one allocation per call), so
-    /// out-of-tree models keep working unchanged; the analytic in-tree
-    /// models override it allocation-free.
-    fn gradient_into(&self, params: &Vector, batch: &Batch, out: &mut Vector) {
-        out.copy_from(&self.gradient(params, batch));
+    /// [`Model::gradient_into`] with a fresh output buffer.
+    fn gradient(&self, params: &Vector, batch: &Batch) -> Vector {
+        let mut out = Vector::default();
+        self.gradient_into(params, batch, &mut out);
+        out
     }
 
     /// Returns [`Model::loss`] and writes [`Model::gradient_into`]'s
@@ -89,8 +86,8 @@ mod tests {
         fn loss(&self, params: &Vector, _batch: &Batch) -> f64 {
             0.5 * params.l2_norm_squared()
         }
-        fn gradient(&self, params: &Vector, _batch: &Batch) -> Vector {
-            params.clone()
+        fn gradient_into(&self, params: &Vector, _batch: &Batch, out: &mut Vector) {
+            out.copy_from(params);
         }
         fn predict(&self, _params: &Vector, _features: &[f64]) -> f64 {
             0.0

@@ -38,9 +38,9 @@
 pub const LANES: usize = 4;
 
 /// Reduction lengths below this take the sequential scalar path. At small
-/// `d` the blocked loop's lane setup costs more than it saves — the
-/// committed `results/BENCH_kernels.json` baseline had `squared_distance`
-/// at `d = 10` *slower* vectorized than scalar (14.1 vs 10.9) — and
+/// `d` the blocked loop's lane setup costs more than it saves — a
+/// scalar-vs-vectorized micro-baseline had `squared_distance` at `d = 10`
+/// *slower* vectorized than scalar (14.1 vs 10.9) — and
 /// inputs this short barely vectorize anyway. Applied to [`dot`],
 /// [`sum_squares`], and [`squared_distance`]; [`sum`] deliberately keeps
 /// the blocked path at every length because its dominant callers are the

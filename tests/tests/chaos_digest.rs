@@ -136,7 +136,7 @@ fn late_joiners_attach_mid_chaos_and_replay_bit_identically() {
     }
 }
 
-/// The staleness × churn smoke matrix the CI `chaos-smoke` job names:
+/// The staleness × churn smoke matrix CI's chaos digest step names:
 /// `k ∈ {0, 2}` crossed with {crash-and-rejoin, late-join} on the sim
 /// backend. Every cell must complete at quorum `n_honest − 1`, replay
 /// bit-identically, and report the churn kind it was dealt — a cheap

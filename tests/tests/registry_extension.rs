@@ -4,7 +4,7 @@
 //! registry's error contract and the serde compatibility of experiment
 //! specs through the `*Kind` wrappers.
 
-use dpbyz::gars::{Gar, GarError};
+use dpbyz::gars::{Gar, GarError, GarScratch};
 use dpbyz::prelude::*;
 use dpbyz::tensor::Vector;
 use dpbyz::RegistryError;
@@ -25,11 +25,17 @@ impl Gar for MidrangeMix {
         "midrange-mix"
     }
 
-    fn aggregate(&self, gradients: &[Vector], _f: usize) -> Result<Vector, GarError> {
+    fn aggregate_into(
+        &self,
+        gradients: &[Vector],
+        _f: usize,
+        _scratch: &mut GarScratch,
+        out: &mut Vector,
+    ) -> Result<(), GarError> {
         let first = gradients.first().ok_or(GarError::Empty)?;
         let dim = first.dim();
-        let mut out = Vec::with_capacity(dim);
         let mean = Vector::mean(gradients).map_err(|_| GarError::Empty)?;
+        out.resize(dim, 0.0);
         for j in 0..dim {
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
             for g in gradients {
@@ -37,9 +43,9 @@ impl Gar for MidrangeMix {
                 hi = hi.max(g[j]);
             }
             let midrange = 0.5 * (lo + hi);
-            out.push(self.blend * midrange + (1.0 - self.blend) * mean[j]);
+            out[j] = self.blend * midrange + (1.0 - self.blend) * mean[j];
         }
-        Ok(Vector::from(out))
+        Ok(())
     }
 
     fn kappa(&self, _n: usize, _f: usize) -> Option<f64> {
@@ -204,12 +210,14 @@ fn custom_attack_and_mechanism_register_end_to_end() {
         fn name(&self) -> &'static str {
             "stale-replay"
         }
-        fn forge(
+        fn forge_into(
             &self,
             ctx: &dpbyz::attacks::AttackContext<'_>,
             _rng: &mut dpbyz::tensor::Prng,
-        ) -> Vector {
-            ctx.observed()[0].scaled(0.5)
+            out: &mut Vector,
+        ) {
+            out.copy_from(&ctx.observed()[0]);
+            out.scale(0.5);
         }
     }
     register_attack("stale-replay", |_| Ok(Arc::new(Replay))).expect("registers");
@@ -217,8 +225,10 @@ fn custom_attack_and_mechanism_register_end_to_end() {
     // A fixed-sigma mechanism that ignores budget calibration.
     struct FixedSigma(f64);
     impl dpbyz::dp::Mechanism for FixedSigma {
-        fn perturb(&self, gradient: &Vector, rng: &mut dpbyz::tensor::Prng) -> Vector {
-            gradient + &rng.normal_vector(gradient.dim(), self.0)
+        fn perturb_in_place(&self, gradient: &mut Vector, rng: &mut dpbyz::tensor::Prng) {
+            for x in gradient.as_mut_slice() {
+                *x += rng.normal(0.0, self.0);
+            }
         }
         fn per_coordinate_std(&self) -> f64 {
             self.0
@@ -258,8 +268,10 @@ fn third_party_budget_calibrated_mechanism_degrades_without_budget() {
     // mechanism as the built-in `gaussian`/`laplace`.
     struct BudgetNoise(f64);
     impl dpbyz::dp::Mechanism for BudgetNoise {
-        fn perturb(&self, gradient: &Vector, rng: &mut dpbyz::tensor::Prng) -> Vector {
-            gradient + &rng.normal_vector(gradient.dim(), self.0)
+        fn perturb_in_place(&self, gradient: &mut Vector, rng: &mut dpbyz::tensor::Prng) {
+            for x in gradient.as_mut_slice() {
+                *x += rng.normal(0.0, self.0);
+            }
         }
         fn per_coordinate_std(&self) -> f64 {
             self.0
@@ -310,8 +322,10 @@ fn third_party_budget_calibrated_mechanism_degrades_without_budget() {
     // specified even without a budget.
     struct AlwaysNoise;
     impl dpbyz::dp::Mechanism for AlwaysNoise {
-        fn perturb(&self, gradient: &Vector, rng: &mut dpbyz::tensor::Prng) -> Vector {
-            gradient + &rng.normal_vector(gradient.dim(), 0.05)
+        fn perturb_in_place(&self, gradient: &mut Vector, rng: &mut dpbyz::tensor::Prng) {
+            for x in gradient.as_mut_slice() {
+                *x += rng.normal(0.0, 0.05);
+            }
         }
         fn per_coordinate_std(&self) -> f64 {
             0.05

@@ -130,7 +130,7 @@ fn clipping_study_covers_the_new_defense_attack_matrix() {
 /// components register.
 #[test]
 fn custom_pack_with_custom_component_registers_and_sweeps() {
-    use dpbyz::gars::{Gar, GarError};
+    use dpbyz::gars::{Gar, GarError, GarScratch};
     use dpbyz::tensor::Vector;
     use std::sync::Arc;
 
@@ -140,9 +140,15 @@ fn custom_pack_with_custom_component_registers_and_sweeps() {
         fn name(&self) -> &'static str {
             "head-mean"
         }
-        fn aggregate(&self, gradients: &[Vector], f: usize) -> Result<Vector, GarError> {
+        fn aggregate_into(
+            &self,
+            gradients: &[Vector],
+            f: usize,
+            _scratch: &mut GarScratch,
+            out: &mut Vector,
+        ) -> Result<(), GarError> {
             let k = gradients.len().saturating_sub(f).max(1);
-            Vector::mean(&gradients[..k]).map_err(|_| GarError::Empty)
+            Vector::mean_into(&gradients[..k], out).map_err(|_| GarError::Empty)
         }
         fn kappa(&self, _n: usize, _f: usize) -> Option<f64> {
             None

@@ -173,23 +173,23 @@ fn aggregate_into_error_contract_matches_aggregate() {
 }
 
 #[test]
-fn default_aggregate_into_delegates_to_aggregate() {
-    // An out-of-tree GAR that only implements `aggregate` must get the
-    // default `aggregate_into` for free, bit-identically.
+fn default_aggregate_delegates_to_aggregate_into() {
+    // An out-of-tree GAR that only implements `aggregate_into` must get
+    // the provided `aggregate` for free, bit-identically.
     struct FirstVector;
     impl Gar for FirstVector {
         fn name(&self) -> &'static str {
             "first-vector"
         }
-        fn aggregate(
+        fn aggregate_into(
             &self,
             gradients: &[Vector],
             _f: usize,
-        ) -> Result<Vector, dpbyz::gars::GarError> {
-            gradients
-                .first()
-                .cloned()
-                .ok_or(dpbyz::gars::GarError::Empty)
+            _scratch: &mut GarScratch,
+            out: &mut Vector,
+        ) -> Result<(), dpbyz::gars::GarError> {
+            out.copy_from(gradients.first().ok_or(dpbyz::gars::GarError::Empty)?);
+            Ok(())
         }
         fn kappa(&self, _n: usize, _f: usize) -> Option<f64> {
             None
@@ -199,14 +199,10 @@ fn default_aggregate_into_delegates_to_aggregate() {
         }
     }
     let grads = random_gradients(3, 4, 6);
-    let mut scratch = GarScratch::new();
-    let mut out = Vector::from(vec![5.0]); // dirty, wrong dim
-    FirstVector
-        .aggregate_into(&grads, 0, &mut scratch, &mut out)
-        .unwrap();
+    let out = FirstVector.aggregate(&grads, 0).unwrap();
     assert!(bits_equal(&grads[0], &out));
     assert!(matches!(
-        FirstVector.aggregate_into(&[], 0, &mut scratch, &mut out),
+        FirstVector.aggregate(&[], 0),
         Err(dpbyz::gars::GarError::Empty)
     ));
 }
