@@ -5,10 +5,10 @@
 //!   cargo run --release -p dpbyz-bench --bin table1
 //!   cargo run --release -p dpbyz-bench --bin table1 -- --resnet
 
-use dpbyz::analysis;
 use dpbyz::prelude::*;
 use dpbyz::report::csv;
 use dpbyz::theory::table1::{self, Condition};
+use dpbyz::{analysis, build_gar};
 use dpbyz_bench::{arg_present, write_csv};
 
 fn main() {
@@ -23,9 +23,9 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    for gar in GarKind::ROBUST {
-        let mut row = vec![gar.name().to_string()];
-        print!("{:<14}", gar.name());
+    for gar in table1::ROBUST {
+        let mut row = vec![gar.to_string()];
+        print!("{gar:<14}");
         for b in [10usize, 50, 500] {
             let cell = table1::condition_for(gar, n, f, d, b, budget)
                 .map(|r| {
@@ -102,26 +102,22 @@ fn main() {
         "\n{:<14} {:>10} {:>16} {:>16}",
         "GAR", "κ(n,f)", "clean VN ≤ κ?", "DP VN ≤ κ?"
     );
-    for gar in GarKind::ROBUST {
-        let fr = match gar {
-            GarKind::Krum | GarKind::MultiKrum => 4,
-            GarKind::Bulyan => 2,
-            _ => f,
-        };
-        let Some(kappa) = gar.kappa(n, fr) else {
+    for gar in table1::ROBUST {
+        let rule = build_gar(&gar.into()).expect("built-in GAR");
+        let Some(kappa) = rule.kappa(n, rule.max_byzantine(n).min(f)) else {
             continue;
         };
         let c_ok = vn_clean <= kappa;
         let d_ok = vn_dp <= kappa;
         println!(
             "{:<14} {:>10.4} {:>16} {:>16}",
-            gar.name(),
+            gar,
             kappa,
             if c_ok { "yes" } else { "no" },
             if d_ok { "yes" } else { "no" }
         );
         kappa_rows.push(vec![
-            gar.name().to_string(),
+            gar.to_string(),
             format!("{kappa:.5}"),
             format!("{vn_clean:.4}"),
             format!("{vn_dp:.4}"),
@@ -145,8 +141,8 @@ fn main() {
         println!("    √d = {:.0}  (the paper's 'b > 5000')", ex.sqrt_d);
         for (gar, b) in ex.required_batches {
             match b {
-                Some(b) => println!("    {:<14} requires b ≥ {b}", gar.name()),
-                None => println!("    {:<14} condition vacuous at f/n = 5/11", gar.name()),
+                Some(b) => println!("    {gar:<14} requires b ≥ {b}"),
+                None => println!("    {gar:<14} condition vacuous at f/n = 5/11"),
             }
         }
     }

@@ -1,7 +1,6 @@
 //! Feasibility-frontier explorers and the §3 worked example.
 
 use crate::theory::table1;
-use crate::GarKind;
 use dpbyz_dp::PrivacyBudget;
 use serde::{Deserialize, Serialize};
 
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// Entries where the condition is vacuous (e.g. `τ ≥ 1/2` for trimmed
 /// rules) are omitted.
 pub fn batch_frontier(
-    gar: GarKind,
+    gar: &str,
     n: usize,
     f: usize,
     dims: &[usize],
@@ -44,7 +43,7 @@ pub fn mda_fraction_frontier(
 /// when even `ε → 1` cannot satisfy the condition (or the rule has no
 /// condition).
 pub fn min_epsilon_for_certificate(
-    gar: GarKind,
+    gar: &str,
     n: usize,
     f: usize,
     dim: usize,
@@ -79,9 +78,9 @@ pub struct Resnet50Example {
     pub dim: usize,
     /// `√d` — the paper's back-of-envelope "b > 5000".
     pub sqrt_d: f64,
-    /// Per-GAR exact required batch size at `n = 11, f = 5` (None where
-    /// the condition is vacuous).
-    pub required_batches: Vec<(GarKind, Option<usize>)>,
+    /// Per-GAR (by registry id) exact required batch size at
+    /// `n = 11, f = 5` (None where the condition is vacuous).
+    pub required_batches: Vec<(String, Option<usize>)>,
 }
 
 /// Computes the ResNet-50 example at the paper's topology.
@@ -90,9 +89,9 @@ pub fn resnet50_example(budget: PrivacyBudget) -> Resnet50Example {
     Resnet50Example {
         dim,
         sqrt_d: (dim as f64).sqrt(),
-        required_batches: GarKind::ROBUST
+        required_batches: table1::ROBUST
             .iter()
-            .map(|&g| (g, table1::required_batch(g, 11, 5, dim, budget)))
+            .map(|&g| (g.to_string(), table1::required_batch(g, 11, 5, dim, budget)))
             .collect(),
     }
 }
@@ -107,7 +106,7 @@ mod tests {
 
     #[test]
     fn batch_frontier_grows_with_dimension() {
-        let frontier = batch_frontier(GarKind::Krum, 11, 5, &[100, 400, 1600], paper_budget());
+        let frontier = batch_frontier("krum", 11, 5, &[100, 400, 1600], paper_budget());
         assert_eq!(frontier.len(), 3);
         assert!(frontier[0].1 < frontier[1].1 && frontier[1].1 < frontier[2].1);
         // Ω(√d): quadrupling d doubles the bound.
@@ -127,14 +126,14 @@ mod tests {
     #[test]
     fn min_epsilon_frontier_behaves() {
         // At the Fig. 2 point no ε < 1 rescues MDA's certificate.
-        assert!(min_epsilon_for_certificate(GarKind::Mda, 11, 5, 69, 50, 1e-6).is_none());
+        assert!(min_epsilon_for_certificate("mda", 11, 5, 69, 50, 1e-6).is_none());
         // With a huge batch, a moderate ε suffices — and the boundary is
         // consistent with the condition itself.
-        let eps = min_epsilon_for_certificate(GarKind::Mda, 11, 5, 69, 5000, 1e-6)
+        let eps = min_epsilon_for_certificate("mda", 11, 5, 69, 5000, 1e-6)
             .expect("feasible at b = 5000");
         assert!(eps > 0.0 && eps < 1.0);
         let at = table1::condition_for(
-            GarKind::Mda,
+            "mda",
             11,
             5,
             69,
@@ -144,7 +143,7 @@ mod tests {
         .unwrap();
         assert!(at.satisfied);
         let below = table1::condition_for(
-            GarKind::Mda,
+            "mda",
             11,
             5,
             69,
@@ -154,7 +153,7 @@ mod tests {
         .unwrap();
         assert!(!below.satisfied);
         // Average has no certificate at all.
-        assert!(min_epsilon_for_certificate(GarKind::Average, 11, 5, 69, 50, 1e-6).is_none());
+        assert!(min_epsilon_for_certificate("average", 11, 5, 69, 50, 1e-6).is_none());
     }
 
     #[test]
@@ -171,6 +170,6 @@ mod tests {
         assert!(ex
             .required_batches
             .iter()
-            .any(|(g, b)| *g == GarKind::Mda && b.is_some()));
+            .any(|(g, b)| g == "mda" && b.is_some()));
     }
 }

@@ -1,8 +1,8 @@
 //! The fluent experiment builder: the front door of the redesigned API.
 //!
 //! [`ExperimentBuilder`] assembles an [`Experiment`] from string component
-//! ids (resolved through the [`registry`](crate::registry)), `*Kind`
-//! wrappers, or full [`ComponentSpec`]s, layered over the paper's §5.1
+//! ids (resolved through the [`registry`](crate::registry)) or full
+//! [`ComponentSpec`]s, layered over the paper's §5.1
 //! protocol defaults. Component ids are validated at [`build`] time, so a
 //! typo fails fast with the list of available ids instead of erroring
 //! mid-sweep.
@@ -203,7 +203,7 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Sets the aggregation rule by registry id, `GarKind`, or full spec.
+    /// Sets the aggregation rule by registry id or full spec.
     /// Unset, the rule follows the paper's protocol: plain averaging, or
     /// MDA once an attack is armed.
     #[must_use]
@@ -212,7 +212,7 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Arms an attack by registry id, `AttackKind`, or full spec.
+    /// Arms an attack by registry id or full spec.
     #[must_use]
     pub fn attack(mut self, attack: impl Into<ComponentSpec>) -> Self {
         self.attack = Some(attack.into());
@@ -228,8 +228,8 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Sets the noise mechanism by registry id, `MechanismKind`, or full
-    /// spec. The budget-calibrated built-ins (`gaussian`, `laplace`)
+    /// Sets the noise mechanism by registry id or full spec. The
+    /// budget-calibrated built-ins (`gaussian`, `laplace`)
     /// degrade to the identity mechanism while no budget is set; a custom
     /// registered mechanism is always resolved as specified, with the
     /// calibration context injected for factories that want it.
@@ -388,12 +388,11 @@ impl ExperimentBuilder {
 mod tests {
     use super::*;
     use crate::registry::RegistryError;
-    use crate::{AttackKind, GarKind};
 
     #[test]
     fn defaults_mirror_paper_protocol() {
         let exp = Experiment::builder().build().unwrap();
-        assert_eq!(exp.gar, GarKind::Average);
+        assert_eq!(exp.gar, ComponentSpec::new("average"));
         assert_eq!(exp.config.n_workers, 11);
         assert_eq!(exp.config.n_byzantine, 0); // no attack armed
         assert_eq!(exp.config.batch_size, 50);
@@ -408,15 +407,15 @@ mod tests {
             .attack("alie")
             .build()
             .unwrap();
-        let by_kind = Experiment::builder()
-            .gar(GarKind::Mda)
-            .attack(AttackKind::PAPER_ALIE)
+        let by_spec = Experiment::builder()
+            .gar(ComponentSpec::new("mda"))
+            .attack(ComponentSpec::new("alie").with("nu", 1.5))
             .build()
             .unwrap();
-        assert_eq!(by_id.gar, by_kind.gar);
-        // The bare id carries no ν parameter; the kind pins the paper's.
+        assert_eq!(by_id.gar, by_spec.gar);
+        // The bare id carries no ν parameter; the spec pins the paper's.
         assert_eq!(by_id.attack.as_ref().unwrap().id, "alie");
-        assert_eq!(by_kind.attack.as_ref().unwrap().f64("nu"), Some(1.5));
+        assert_eq!(by_spec.attack.as_ref().unwrap().f64("nu"), Some(1.5));
     }
 
     #[test]
@@ -425,7 +424,7 @@ mod tests {
         assert_eq!(exp.config.n_byzantine, 5);
         // The paper protocol: an armed attack without an explicit rule
         // aggregates with MDA (averaging tolerates no Byzantine workers).
-        assert_eq!(exp.gar, GarKind::Mda);
+        assert_eq!(exp.gar, ComponentSpec::new("mda"));
         let custom_f = Experiment::builder()
             .attack("foe")
             .byzantine(3)
@@ -612,7 +611,6 @@ mod tests {
     #[test]
     fn paper_constructors_keep_their_training_configs() {
         use crate::pipeline::FigureConfig;
-        use crate::AttackKind;
         // Each constructor's config, written out as a
         // `TrainingConfig::builder()` literal.
         let figure = |n_byz: usize| {
@@ -634,11 +632,11 @@ mod tests {
             dataset_size: 400,
             ..FigureConfig::default()
         };
-        let clean = Experiment::paper_figure(fig).unwrap();
+        let clean = Experiment::paper_figure(fig.clone()).unwrap();
         assert_eq!(clean.config, figure(0));
         let dp_alie = Experiment::paper_figure(FigureConfig {
             epsilon: Some(0.2),
-            attack: Some(AttackKind::PAPER_ALIE),
+            attack: Some("alie".into()),
             ..fig
         })
         .unwrap();

@@ -34,7 +34,7 @@
 //! let exp = Experiment::paper_figure(FigureConfig {
 //!     batch_size: 50,
 //!     epsilon: Some(0.2),
-//!     attack: Some(dpbyz_core::AttackKind::Alie { nu: 1.5 }),
+//!     attack: Some("alie".into()), // the registry default is the paper's ν = 1.5
 //!     steps: 30,
 //!     dataset_size: 300,
 //!     ..FigureConfig::default()
@@ -50,7 +50,6 @@
 pub mod analysis;
 mod builder;
 pub mod engine;
-mod kinds;
 pub mod pack;
 pub mod pipeline;
 pub mod registry;
@@ -60,7 +59,6 @@ pub mod theory;
 
 pub use builder::ExperimentBuilder;
 pub use engine::EngineBackend;
-pub use kinds::{AttackKind, GarKind, MechanismKind};
 pub use pack::{PackCell, ScenarioPack};
 pub use pipeline::Experiment;
 pub use registry::{ComponentSpec, ParamValue, Registry, RegistryError};
@@ -77,7 +75,7 @@ pub use sweep::{CellRun, SweepBuilder, SweepResults};
 ///     ..FigureConfig::default()
 /// })
 /// .unwrap();
-/// assert_eq!(exp.gar, GarKind::Average);
+/// assert_eq!(exp.gar, ComponentSpec::new("average"));
 /// ```
 pub mod prelude {
     pub use crate::engine::{backend_ids, register_backend, EngineBackend};
@@ -91,7 +89,7 @@ pub mod prelude {
         MechanismCapabilities,
     };
     pub use crate::sweep::{CellRun, SweepBuilder, SweepResults};
-    pub use crate::{AttackKind, ExperimentBuilder, GarKind, MechanismKind};
+    pub use crate::ExperimentBuilder;
     pub use dpbyz_dp::PrivacyBudget;
     pub use dpbyz_server::{
         FnObserver, RunHistory, RunObserver, SeedSummary, StepMetrics, TrainingConfig,

@@ -44,6 +44,8 @@
 //! ```
 
 use crate::registry::{self, ComponentSpec, Registry, RegistryError};
+use crate::Experiment;
+use dpbyz_server::TrainingConfig;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -279,13 +281,19 @@ fn pack_registry() -> &'static RwLock<Registry<ScenarioPack>> {
     REGISTRY.get_or_init(|| RwLock::new(built_in_packs()))
 }
 
-/// The paper's §5.1 topology the built-in packs are curated for.
-const PACK_N_WORKERS: usize = 11;
-const PACK_F: usize = 5;
+/// The paper's §5.1 topology `(n, f)` the built-in packs are curated
+/// for, as [`TrainingConfig::default`] states it.
+fn paper_topology() -> (usize, usize) {
+    let config = TrainingConfig::default();
+    (config.n_workers, config.n_byzantine)
+}
+
+/// The paper's per-step ε (there is no default ε: DP is opt-in).
 const PAPER_EPSILON: f64 = 0.2;
-const PAPER_DELTA: f64 = 1e-6;
 
 fn paper_core_pack() -> ScenarioPack {
+    let (n, f) = paper_topology();
+    let delta = Experiment::builder().delta;
     let mut pack = ScenarioPack::new(
         "paper-core",
         "the seed §5 grid: clean/ALIE/FoE × {no DP, the paper's (0.2, 1e-6) budget}",
@@ -295,7 +303,7 @@ fn paper_core_pack() -> ScenarioPack {
         PackCell::new("clean/dp")
             .unattacked()
             .epsilon(PAPER_EPSILON)
-            .delta(PAPER_DELTA),
+            .delta(delta),
     );
     for (name, spec) in [
         ("alie", ComponentSpec::new("alie").with("nu", 1.5)),
@@ -306,18 +314,18 @@ fn paper_core_pack() -> ScenarioPack {
                 PackCell::new(format!("mda/{name}/nodp"))
                     .gar("mda")
                     .attack(spec.clone())
-                    .workers(PACK_N_WORKERS)
-                    .byzantine(PACK_F)
+                    .workers(n)
+                    .byzantine(f)
                     .no_dp(),
             )
             .cell(
                 PackCell::new(format!("mda/{name}/dp"))
                     .gar("mda")
                     .attack(spec)
-                    .workers(PACK_N_WORKERS)
-                    .byzantine(PACK_F)
+                    .workers(n)
+                    .byzantine(f)
                     .epsilon(PAPER_EPSILON)
-                    .delta(PAPER_DELTA),
+                    .delta(delta),
             );
     }
     pack
@@ -334,12 +342,13 @@ fn attack_zoo_pack() -> ScenarioPack {
         "attack-zoo",
         "every registered GAR tolerating f >= 1 at n = 11, against every registered attack",
     );
+    let (n, max_f) = paper_topology();
     let attack_ids = registry::attack_ids();
     for gar_id in registry::gar_ids() {
         let Ok(gar) = registry::build_gar(&ComponentSpec::new(&gar_id)) else {
             continue;
         };
-        let f = gar.max_byzantine(PACK_N_WORKERS).min(PACK_F);
+        let f = gar.max_byzantine(n).min(max_f);
         if f == 0 {
             continue;
         }
@@ -348,7 +357,7 @@ fn attack_zoo_pack() -> ScenarioPack {
                 PackCell::new(format!("{gar_id}/{attack_id}"))
                     .gar(ComponentSpec::new(&gar_id))
                     .attack(ComponentSpec::new(attack_id))
-                    .workers(PACK_N_WORKERS)
+                    .workers(n)
                     .byzantine(f),
             );
         }
@@ -357,18 +366,19 @@ fn attack_zoo_pack() -> ScenarioPack {
 }
 
 fn clipping_study_pack() -> ScenarioPack {
+    let (n, f) = paper_topology();
     // Radii on the scale of the protocol's clipped gradients
     // (G_max = 10⁻²): a tight τ at the clip threshold and a loose 10×.
     let defenses = [
         (
             "cc-tight",
             ComponentSpec::new("centered-clipping").with("tau", 0.01),
-            PACK_F,
+            f,
         ),
         (
             "cc-loose",
             ComponentSpec::new("centered-clipping").with("tau", 0.1),
-            PACK_F,
+            f,
         ),
         (
             "bucket-median",
@@ -391,14 +401,14 @@ fn clipping_study_pack() -> ScenarioPack {
         "clipping-study",
         "radius-tuned defenses (centered clipping, bucketed median) vs ALIE/IPM/rescaling",
     );
-    for (gar_name, gar_spec, f) in &defenses {
+    for (gar_name, gar_spec, gar_f) in &defenses {
         for (attack_name, attack_spec) in &attacks {
             pack = pack.cell(
                 PackCell::new(format!("{gar_name}/{attack_name}"))
                     .gar(gar_spec.clone())
                     .attack(attack_spec.clone())
-                    .workers(PACK_N_WORKERS)
-                    .byzantine(*f),
+                    .workers(n)
+                    .byzantine(*gar_f),
             );
         }
     }

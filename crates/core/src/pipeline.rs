@@ -2,7 +2,6 @@
 //! combined DP + Byzantine-resilient SGD system.
 
 use crate::registry::{self, ComponentSpec, RegistryError};
-use crate::{AttackKind, GarKind};
 use dpbyz_data::sampler::{BatchSource, DatasetSource, SamplingMode};
 use dpbyz_data::synthetic::{self, MeanEstimation, MeanEstimationSource};
 use dpbyz_data::Dataset;
@@ -104,8 +103,7 @@ pub enum Workload {
 /// A fully specified experiment: run it with any number of seeds.
 ///
 /// Components are named by registry [`ComponentSpec`]s, so any registered
-/// GAR/attack/mechanism — built-in or third-party — can appear here; the
-/// `*Kind` enums convert `Into<ComponentSpec>` for the built-ins.
+/// GAR/attack/mechanism — built-in or third-party — can appear here.
 #[derive(Debug, Clone)]
 pub struct Experiment {
     /// The data/model workload.
@@ -149,7 +147,7 @@ pub struct Experiment {
 }
 
 /// Knobs of the paper's §5 figure experiments, with §5.1 defaults.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureConfig {
     /// Batch size `b` (Fig. 2: 50, Fig. 3: 10, Fig. 4: 500).
     pub batch_size: usize,
@@ -159,8 +157,10 @@ pub struct FigureConfig {
     pub delta: f64,
     /// The attack, if any. Unattacked runs aggregate with plain averaging
     /// over all `n` honest workers; attacked runs use MDA with `f = 5`
-    /// (exactly the paper's protocol).
-    pub attack: Option<AttackKind>,
+    /// (exactly the paper's protocol). A bare id takes the registry's
+    /// defaults, which are the paper's settings (`alie` ν = 1.5, `foe`
+    /// ν = 1.1).
+    pub attack: Option<ComponentSpec>,
     /// Steps `T` (paper: 1000).
     pub steps: u32,
     /// Synthetic dataset size (paper: 11 055; shrink for quick runs).
@@ -259,21 +259,23 @@ impl Experiment {
     }
 
     /// A paper-protocol figure cell with a *different* aggregation rule
-    /// and Byzantine count — the grid the `attack_showdown` example and
-    /// the GAR-robustness matrix sweep over. `f` is clamped to the rule's
-    /// tolerance at n = 11 (e.g. Krum: 4, Bulyan: 2).
+    /// and Byzantine count — the grid the GAR-robustness matrix sweeps
+    /// over. `f` is clamped to the rule's tolerance at the protocol's
+    /// `n` (at n = 11, Krum: 4, Bulyan: 2).
     ///
     /// # Errors
     ///
-    /// As [`Experiment::paper_figure`].
+    /// As [`Experiment::paper_figure`], plus [`PipelineError::Registry`]
+    /// when `gar` does not resolve through the GAR registry.
     pub fn paper_figure_with_gar(
         fig: FigureConfig,
-        gar: GarKind,
+        gar: impl Into<ComponentSpec>,
         f: usize,
     ) -> Result<Self, PipelineError> {
         let mut exp = Self::paper_figure(fig)?;
-        let f = f.min(gar.build().max_byzantine(11));
-        exp.gar = gar.spec();
+        let gar = gar.into();
+        let f = f.min(registry::build_gar(&gar)?.max_byzantine(exp.config.n_workers));
+        exp.gar = gar;
         exp.config.n_byzantine = if exp.attack.is_some() { f } else { 0 };
         Ok(exp)
     }
@@ -525,18 +527,12 @@ fn make_mean_estimation(dim: usize, sigma: f64, data_seed: u64) -> MeanEstimatio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MechanismKind;
 
-    fn quick_fig(
-        batch: usize,
-        eps: Option<f64>,
-        attack: Option<AttackKind>,
-        steps: u32,
-    ) -> Experiment {
+    fn quick_fig(batch: usize, eps: Option<f64>, attack: Option<&str>, steps: u32) -> Experiment {
         Experiment::paper_figure(FigureConfig {
             batch_size: batch,
             epsilon: eps,
-            attack,
+            attack: attack.map(ComponentSpec::new),
             steps,
             dataset_size: 400,
             ..FigureConfig::default()
@@ -554,12 +550,12 @@ mod tests {
     #[test]
     fn paper_figure_wires_protocol() {
         let unattacked = quick_fig(50, None, None, 10);
-        assert_eq!(unattacked.gar, GarKind::Average);
+        assert_eq!(unattacked.gar, ComponentSpec::new("average"));
         assert_eq!(unattacked.config.n_byzantine, 0);
         assert_eq!(unattacked.config.momentum, 0.99);
 
-        let attacked = quick_fig(50, Some(0.2), Some(AttackKind::PAPER_ALIE), 10);
-        assert_eq!(attacked.gar, GarKind::Mda);
+        let attacked = quick_fig(50, Some(0.2), Some("alie"), 10);
+        assert_eq!(attacked.gar, ComponentSpec::new("mda"));
         assert_eq!(attacked.config.n_byzantine, 5);
         assert!(attacked.budget.is_some());
     }
@@ -575,7 +571,7 @@ mod tests {
 
     #[test]
     fn threaded_backend_matches_sequential() {
-        let mut exp = quick_fig(10, Some(0.2), Some(AttackKind::PAPER_FOE), 8);
+        let mut exp = quick_fig(10, Some(0.2), Some("foe"), 8);
         let seq = exp.run(2).unwrap();
         exp.backend = "threaded".into();
         let thr = exp.run(2).unwrap();
@@ -610,14 +606,16 @@ mod tests {
         let fig = FigureConfig {
             steps: 5,
             dataset_size: 300,
-            attack: Some(AttackKind::PAPER_ALIE),
+            attack: Some("alie".into()),
             ..FigureConfig::default()
         };
-        let krum = Experiment::paper_figure_with_gar(fig, GarKind::Krum, 5).unwrap();
-        assert_eq!(krum.gar, GarKind::Krum);
+        let krum = Experiment::paper_figure_with_gar(fig.clone(), "krum", 5).unwrap();
+        assert_eq!(krum.gar, ComponentSpec::new("krum"));
         assert_eq!(krum.config.n_byzantine, 4); // clamped to Krum's max at n = 11
-        let bulyan = Experiment::paper_figure_with_gar(fig, GarKind::Bulyan, 5).unwrap();
+        let bulyan = Experiment::paper_figure_with_gar(fig.clone(), "bulyan", 5).unwrap();
         assert_eq!(bulyan.config.n_byzantine, 2);
+        let err = Experiment::paper_figure_with_gar(fig, "no-such-gar", 5).unwrap_err();
+        assert!(matches!(err, PipelineError::Registry(_)), "{err}");
         // Runs end-to-end.
         assert!(krum.run(1).is_ok());
     }
@@ -665,10 +663,10 @@ mod tests {
                 .eval_every(20)
                 .build()
                 .unwrap(),
-            gar: GarKind::Average.spec(),
+            gar: ComponentSpec::new("average"),
             attack: None,
             budget: None,
-            mechanism: MechanismKind::Gaussian.spec(),
+            mechanism: ComponentSpec::new("gaussian"),
             backend: ComponentSpec::new("sequential"),
             dp_reference_g_max: None,
         };

@@ -11,10 +11,6 @@
 //! [`ComponentSpec`] — an id plus a flat parameter map — which is what
 //! makes them serializable, sweepable, and CLI-addressable.
 //!
-//! The old `GarKind` / `AttackKind` / `MechanismKind` enums survive as
-//! thin serde-compatible wrappers whose `build` methods resolve through
-//! the registry, so existing specs and JSON round-trip unchanged.
-//!
 //! # Registering a custom component
 //!
 //! ```
@@ -104,9 +100,10 @@ impl From<String> for ParamValue {
 
 /// A serializable component reference: a stable string id plus parameters.
 ///
-/// This is the open replacement for the closed `*Kind` enums: any
-/// registered component — built-in or third-party — can be named in an
-/// experiment spec.
+/// The one way to name a component: any registered component —
+/// built-in or third-party — can be named in an experiment spec. A bare
+/// id takes the factory's defaults (the paper's settings for the
+/// built-ins, e.g. `alie` ν = 1.5).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ComponentSpec {
     /// Registry id, e.g. `"krum"` or `"alie"`.
@@ -989,6 +986,44 @@ mod tests {
             build_mechanism(&ComponentSpec::new("none")).unwrap().name(),
             "none"
         );
+    }
+
+    /// A built-in mechanism calibrated at `(ε, 10⁻⁶)`, `G_max = 0.01`,
+    /// b = 50 and d = 69.
+    fn calibrated(id: &str, epsilon: f64) -> Result<Arc<dyn Mechanism>, RegistryError> {
+        build_mechanism(
+            &ComponentSpec::new(id)
+                .with("epsilon", epsilon)
+                .with("delta", 1e-6)
+                .with("g_max", 0.01)
+                .with("batch_size", 50u64)
+                .with("dim", 69u64),
+        )
+    }
+
+    #[test]
+    fn laplace_carries_more_noise_than_gaussian() {
+        // Laplace noise carries the extra √d: more total variance here.
+        let gaussian = calibrated("gaussian", 0.2).unwrap();
+        let laplace = calibrated("laplace", 0.2).unwrap();
+        assert!(laplace.total_noise_variance(69) > gaussian.total_noise_variance(69));
+    }
+
+    #[test]
+    fn mechanism_calibration_errors_surface_as_build_errors() {
+        // ε ≥ 1 is outside the classical Gaussian mechanism's validity.
+        let err = calibrated("gaussian", 2.0).err().unwrap();
+        assert!(matches!(err, RegistryError::Build { .. }), "{err}");
+    }
+
+    #[test]
+    fn robust_rules_have_kappa_at_paper_topology() {
+        // n = 11: MDA tolerates f = 5, Krum f = 4, Bulyan f = 2.
+        let kappa = |id: &str, f: usize| build_gar(&ComponentSpec::new(id)).unwrap().kappa(11, f);
+        assert!(kappa("mda", 5).is_some());
+        assert!(kappa("krum", 4).is_some());
+        assert!(kappa("bulyan", 2).is_some());
+        assert!(kappa("average", 0).is_none());
     }
 
     #[test]

@@ -208,8 +208,8 @@ impl SweepBuilder {
         }
     }
 
-    /// Adds aggregation rules to the GAR axis (registry ids, `GarKind`s,
-    /// or full specs), each labelled by its id.
+    /// Adds aggregation rules to the GAR axis (registry ids or full
+    /// specs), each labelled by its id.
     #[must_use]
     pub fn gars<I>(mut self, gars: I) -> Self
     where
@@ -631,7 +631,6 @@ fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GarKind;
     use std::sync::Mutex;
 
     fn quick_base() -> ExperimentBuilder {
@@ -671,7 +670,7 @@ mod tests {
     #[test]
     fn gar_and_attack_axes_expand() {
         let cells = SweepBuilder::over(quick_base())
-            .gars([GarKind::Mda, GarKind::Median])
+            .gars(["mda", "median"])
             .attacks(["alie", "foe"])
             .cells()
             .unwrap();

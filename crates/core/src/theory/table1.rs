@@ -16,9 +16,20 @@
 //! i.e. `b ∈ Ω(√(n·d))` for the first group and `f/n ∈ O(b/(√d + b))` /
 //! `O(b²/(d + b²))` for the others — the paper's headline incompatibility.
 
-use crate::GarKind;
 use dpbyz_dp::PrivacyBudget;
 use serde::{Deserialize, Serialize};
+
+/// The registry ids of the seven robust rules analyzed in Table 1
+/// (everything except plain averaging; Multi-Krum shares Krum's row).
+pub const ROBUST: [&str; 7] = [
+    "krum",
+    "mda",
+    "median",
+    "trimmed-mean",
+    "meamed",
+    "phocas",
+    "bulyan",
+];
 
 /// The flavour of necessary condition a GAR falls under.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -32,8 +43,8 @@ pub enum Condition {
 /// One row of (the reproduction of) Table 1.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table1Row {
-    /// The rule.
-    pub gar: GarKind,
+    /// The rule's registry id.
+    pub gar: String,
     /// The necessary condition evaluated at the given `(n, f, d, b, ε, δ)`.
     pub condition: Condition,
     /// Whether the supplied configuration satisfies the necessary
@@ -42,75 +53,76 @@ pub struct Table1Row {
     pub satisfied: bool,
 }
 
-/// Evaluates the necessary condition of one GAR.
+/// How a row's coefficient `k` enters its necessary condition.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// `C·b ≥ √(k·d·(n + f²))`.
+    MinBatchKrum,
+    /// `C·b ≥ √(k·d·(n + 1))`.
+    MinBatch,
+    /// `f/n ≤ C·b / (k·√d + C·b)`.
+    MaxFraction,
+    /// `f/n ≤ C²·b² / (k·d + 2·C²·b²)`.
+    MaxFractionSquared,
+}
+
+/// Table 1 by registry id: each rule's condition shape and coefficient.
+/// Multi-Krum shares Krum's row.
+const ROWS: [(&str, Shape, f64); 8] = [
+    ("krum", Shape::MinBatchKrum, 16.0),
+    ("multi-krum", Shape::MinBatchKrum, 16.0),
+    ("bulyan", Shape::MinBatchKrum, 16.0),
+    ("median", Shape::MinBatch, 4.0),
+    ("meamed", Shape::MinBatch, 40.0),
+    ("mda", Shape::MaxFraction, 8.0),
+    ("trimmed-mean", Shape::MaxFractionSquared, 16.0),
+    ("phocas", Shape::MaxFractionSquared, 64.0),
+];
+
+fn row(gar: &str) -> Option<(Shape, f64)> {
+    ROWS.iter()
+        .find(|(id, ..)| *id == gar)
+        .map(|&(_, shape, k)| (shape, k))
+}
+
+/// A min-batch row's bound `√(k·d·(n + m)) / C`.
+fn min_batch(k: f64, m: f64, nf: f64, d: f64, c: f64) -> f64 {
+    (k * d * (nf + m)).sqrt() / c
+}
+
+/// Evaluates the necessary condition of the GAR with registry id `gar`.
 ///
-/// Returns `None` for [`GarKind::Average`] (no resilience certificate
-/// exists at all) and for Multi-Krum (shares Krum's row).
+/// Returns `None` for ids without a row: `average` (no resilience
+/// certificate exists at all), `geometric-median` and unknown ids.
 pub fn condition_for(
-    gar: GarKind,
+    gar: &str,
     n: usize,
     f: usize,
     dim: usize,
     batch_size: usize,
     budget: PrivacyBudget,
 ) -> Option<Table1Row> {
+    let (shape, k) = row(gar)?;
     let c = budget.c_constant();
     let (nf, ff, d, b) = (n as f64, f as f64, dim as f64, batch_size as f64);
-    let tau = ff / nf;
-    let row = match gar {
-        GarKind::Average | GarKind::GeometricMedian => return None,
-        GarKind::Krum | GarKind::MultiKrum | GarKind::Bulyan => {
-            let min_b = (16.0 * d * (nf + ff * ff)).sqrt() / c;
-            Table1Row {
-                gar,
-                condition: Condition::MinBatch(min_b),
-                satisfied: b >= min_b,
-            }
-        }
-        GarKind::Median => {
-            let min_b = (4.0 * d * (nf + 1.0)).sqrt() / c;
-            Table1Row {
-                gar,
-                condition: Condition::MinBatch(min_b),
-                satisfied: b >= min_b,
-            }
-        }
-        GarKind::Meamed => {
-            let min_b = (40.0 * d * (nf + 1.0)).sqrt() / c;
-            Table1Row {
-                gar,
-                condition: Condition::MinBatch(min_b),
-                satisfied: b >= min_b,
-            }
-        }
-        GarKind::Mda => {
-            let max_tau = c * b / (8.0 * d.sqrt() + c * b);
-            Table1Row {
-                gar,
-                condition: Condition::MaxByzantineFraction(max_tau),
-                satisfied: tau <= max_tau,
-            }
-        }
-        GarKind::TrimmedMean => {
+    let condition = match shape {
+        Shape::MinBatchKrum => Condition::MinBatch(min_batch(k, ff * ff, nf, d, c)),
+        Shape::MinBatch => Condition::MinBatch(min_batch(k, 1.0, nf, d, c)),
+        Shape::MaxFraction => Condition::MaxByzantineFraction(c * b / (k * d.sqrt() + c * b)),
+        Shape::MaxFractionSquared => {
             let cb2 = c * c * b * b;
-            let max_tau = cb2 / (16.0 * d + 2.0 * cb2);
-            Table1Row {
-                gar,
-                condition: Condition::MaxByzantineFraction(max_tau),
-                satisfied: tau <= max_tau,
-            }
-        }
-        GarKind::Phocas => {
-            let cb2 = c * c * b * b;
-            let max_tau = cb2 / (64.0 * d + 2.0 * cb2);
-            Table1Row {
-                gar,
-                condition: Condition::MaxByzantineFraction(max_tau),
-                satisfied: tau <= max_tau,
-            }
+            Condition::MaxByzantineFraction(cb2 / (k * d + 2.0 * cb2))
         }
     };
-    Some(row)
+    let satisfied = match condition {
+        Condition::MinBatch(min_b) => b >= min_b,
+        Condition::MaxByzantineFraction(max_tau) => ff / nf <= max_tau,
+    };
+    Some(Table1Row {
+        gar: gar.to_string(),
+        condition,
+        satisfied,
+    })
 }
 
 /// The full table for one configuration — one row per robust GAR.
@@ -121,59 +133,39 @@ pub fn table(
     batch_size: usize,
     budget: PrivacyBudget,
 ) -> Vec<Table1Row> {
-    GarKind::ROBUST
+    ROBUST
         .iter()
-        .filter_map(|&g| condition_for(g, n, f, dim, batch_size, budget))
+        .filter_map(|g| condition_for(g, n, f, dim, batch_size, budget))
         .collect()
 }
 
 /// The smallest batch size satisfying a GAR's necessary condition at a
 /// fixed Byzantine fraction `f/n` (the quantity behind the paper's
-/// "ResNet-50 needs b > 5000" worked example).
+/// "ResNet-50 needs b > 5000" worked example). `None` where the rule has
+/// no row or the condition is vacuous (`f/n ≥ 1/2` for the trimmed rules).
 pub fn required_batch(
-    gar: GarKind,
+    gar: &str,
     n: usize,
     f: usize,
     dim: usize,
     budget: PrivacyBudget,
 ) -> Option<usize> {
+    let (shape, k) = row(gar)?;
     let c = budget.c_constant();
     let (nf, ff, d) = (n as f64, f as f64, dim as f64);
-    let b = match gar {
-        GarKind::Average | GarKind::GeometricMedian => return None,
-        GarKind::Krum | GarKind::MultiKrum | GarKind::Bulyan => {
-            (16.0 * d * (nf + ff * ff)).sqrt() / c
-        }
-        GarKind::Median => (4.0 * d * (nf + 1.0)).sqrt() / c,
-        GarKind::Meamed => (40.0 * d * (nf + 1.0)).sqrt() / c,
-        GarKind::Mda => {
-            // τ ≤ C·b/(8√d + C·b)  ⇔  b ≥ 8√d·τ / (C·(1 − τ)).
-            if f == 0 {
-                return Some(1);
-            }
-            let tau = ff / nf;
-            8.0 * d.sqrt() * tau / (c * (1.0 - tau))
-        }
-        GarKind::TrimmedMean => {
-            // τ ≤ C²b²/(16d + 2C²b²)  ⇔  b² ≥ 16·d·τ / (C²·(1 − 2τ)).
-            if f == 0 {
-                return Some(1);
-            }
-            let tau = ff / nf;
+    let tau = ff / nf;
+    let b = match shape {
+        Shape::MinBatchKrum => min_batch(k, ff * ff, nf, d, c),
+        Shape::MinBatch => min_batch(k, 1.0, nf, d, c),
+        _ if f == 0 => return Some(1),
+        // τ ≤ C·b/(k√d + C·b)  ⇔  b ≥ k√d·τ / (C·(1 − τ)).
+        Shape::MaxFraction => k * d.sqrt() * tau / (c * (1.0 - tau)),
+        // τ ≤ C²b²/(k·d + 2C²b²)  ⇔  b² ≥ k·d·τ / (C²·(1 − 2τ)).
+        Shape::MaxFractionSquared => {
             if 1.0 - 2.0 * tau <= 0.0 {
                 return None;
             }
-            (16.0 * d * tau / (c * c * (1.0 - 2.0 * tau))).sqrt()
-        }
-        GarKind::Phocas => {
-            if f == 0 {
-                return Some(1);
-            }
-            let tau = ff / nf;
-            if 1.0 - 2.0 * tau <= 0.0 {
-                return None;
-            }
-            (64.0 * d * tau / (c * c * (1.0 - 2.0 * tau))).sqrt()
+            (k * d * tau / (c * c * (1.0 - 2.0 * tau))).sqrt()
         }
     };
     Some(b.ceil().max(1.0) as usize)
@@ -208,7 +200,7 @@ mod tests {
                 // MDA's fraction cap rises toward 1 with b, and τ = 5/11 is
                 // below it for b this large.
                 Condition::MaxByzantineFraction(cap) => {
-                    if row.gar == GarKind::Mda {
+                    if row.gar == "mda" {
                         assert!(row.satisfied, "MDA cap {cap}");
                     }
                 }
@@ -219,7 +211,7 @@ mod tests {
     #[test]
     fn mda_fraction_cap_matches_formula() {
         let budget = paper_budget();
-        let row = condition_for(GarKind::Mda, 11, 5, 69, 50, budget).unwrap();
+        let row = condition_for("mda", 11, 5, 69, 50, budget).unwrap();
         let c = budget.c_constant();
         let expected = c * 50.0 / (8.0 * 69f64.sqrt() + c * 50.0);
         match row.condition {
@@ -231,8 +223,8 @@ mod tests {
     #[test]
     fn krum_min_batch_scales_as_sqrt_nd() {
         let budget = paper_budget();
-        let b1 = required_batch(GarKind::Krum, 11, 5, 100, budget).unwrap();
-        let b2 = required_batch(GarKind::Krum, 11, 5, 400, budget).unwrap();
+        let b1 = required_batch("krum", 11, 5, 100, budget).unwrap();
+        let b2 = required_batch("krum", 11, 5, 400, budget).unwrap();
         let ratio = b2 as f64 / b1 as f64;
         assert!((ratio - 2.0).abs() < 0.01, "ratio {ratio}");
     }
@@ -242,33 +234,58 @@ mod tests {
         // 64d vs 16d under the same fraction: Phocas is strictly more
         // demanding.
         let budget = paper_budget();
-        let tm = required_batch(GarKind::TrimmedMean, 11, 5, 69, budget).unwrap();
-        let ph = required_batch(GarKind::Phocas, 11, 5, 69, budget).unwrap();
+        let tm = required_batch("trimmed-mean", 11, 5, 69, budget).unwrap();
+        let ph = required_batch("phocas", 11, 5, 69, budget).unwrap();
         assert!(ph > tm);
     }
 
     #[test]
     fn required_batch_consistency_with_condition() {
-        let budget = paper_budget();
-        for gar in GarKind::ROBUST {
-            let Some(b) = required_batch(gar, 11, 5, 69, budget) else {
-                continue;
-            };
-            let at = condition_for(gar, 11, 5, 69, b, budget).unwrap();
-            assert!(at.satisfied, "{gar:?} unsatisfied at its own bound b={b}");
-            if b > 2 {
-                let below = condition_for(gar, 11, 5, 69, b / 2, budget).unwrap();
-                assert!(!below.satisfied, "{gar:?} satisfied below bound");
+        // Over a grid of topologies, model sizes and budgets, every row's
+        // required batch satisfies its own condition and b − 1 does not.
+        for n in [5usize, 11, 25] {
+            for f in 0..=n / 2 {
+                for dim in [1usize, 69, 100_000, 25_600_000] {
+                    for eps in [0.1, 0.2, 0.9] {
+                        let budget = PrivacyBudget::new(eps, 1e-6).unwrap();
+                        for gar in ROBUST {
+                            let at = (gar, n, f, dim, eps);
+                            let Some(b) = required_batch(gar, n, f, dim, budget) else {
+                                continue;
+                            };
+                            let row = condition_for(gar, n, f, dim, b, budget).unwrap();
+                            assert!(row.satisfied, "{at:?} unsatisfied at its own bound b={b}");
+                            if b > 1 {
+                                let below = condition_for(gar, n, f, dim, b - 1, budget).unwrap();
+                                assert!(!below.satisfied, "{at:?} satisfied at b={}", b - 1);
+                            }
+                        }
+                    }
+                }
             }
+        }
+    }
+
+    #[test]
+    fn ids_resolve_through_the_registry() {
+        let budget = paper_budget();
+        for id in ROBUST {
+            let gar = crate::registry::build_gar(&id.into()).unwrap();
+            assert_eq!(gar.name(), id);
+            assert!(condition_for(id, 11, 5, 69, 50, budget).is_some(), "{id}");
+        }
+        for id in ["average", "geometric-median", "no-such-gar"] {
+            assert!(condition_for(id, 11, 5, 69, 50, budget).is_none(), "{id}");
+            assert!(required_batch(id, 11, 5, 69, budget).is_none(), "{id}");
         }
     }
 
     #[test]
     fn average_and_half_byzantine_have_no_row() {
         let budget = paper_budget();
-        assert!(condition_for(GarKind::Average, 11, 5, 69, 50, budget).is_none());
+        assert!(condition_for("average", 11, 5, 69, 50, budget).is_none());
         // Trimmed Mean / Phocas caps are vacuous at τ ≥ 1/2.
-        assert!(required_batch(GarKind::TrimmedMean, 10, 5, 69, budget).is_none());
+        assert!(required_batch("trimmed-mean", 10, 5, 69, budget).is_none());
     }
 
     #[test]
@@ -278,9 +295,9 @@ mod tests {
         let budget = paper_budget();
         let d = 25_600_000;
         assert!((d as f64).sqrt() > 5000.0);
-        let krum = required_batch(GarKind::Krum, 11, 5, d, budget).unwrap();
+        let krum = required_batch("krum", 11, 5, d, budget).unwrap();
         assert!(krum > 100_000, "krum requires b = {krum}");
-        let mda = required_batch(GarKind::Mda, 11, 5, d, budget).unwrap();
+        let mda = required_batch("mda", 11, 5, d, budget).unwrap();
         assert!(mda > 5000, "mda requires b = {mda}");
     }
 }

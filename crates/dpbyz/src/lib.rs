@@ -133,9 +133,20 @@ pub use dpbyz_core::registry::{
     MechanismCapabilities,
 };
 pub use dpbyz_core::{
-    AttackKind, ComponentSpec, Experiment, ExperimentBuilder, GarKind, MechanismKind, ParamValue,
-    Registry, RegistryError,
+    ComponentSpec, Experiment, ExperimentBuilder, ParamValue, Registry, RegistryError,
 };
+
+/// The registry id of the paper's ALIE attack, kept at this path only
+/// because the `perfbench` package still spells it
+/// `AttackKind::PAPER_ALIE`; everything else names components by id
+/// (`"alie"`). The registry's ALIE default is the paper's ν = 1.5, so
+/// the attack built from this id is the paper's.
+pub struct AttackKind;
+
+impl AttackKind {
+    /// The paper's ALIE setting, by registry id.
+    pub const PAPER_ALIE: &'static str = "alie";
+}
 
 /// The scenario catalog (`docs/SCENARIOS.md`, rendered as rustdoc): every
 /// registered GAR, attack, mechanism, and scenario pack — ids,
@@ -177,17 +188,16 @@ pub use dpbyz_server as server;
 /// Dense linear algebra, statistics, and seeded randomness.
 pub use dpbyz_tensor as tensor;
 
-/// One-line import for experiment scripts: the builder, kinds, registry
-/// registration hooks, observers, and run artifacts.
+/// One-line import for experiment scripts: the builder, component specs,
+/// registry registration hooks, observers, and run artifacts.
 pub mod prelude {
     pub use crate::sweep::{CellRun, SweepBuilder, SweepEvent, SweepResults};
     pub use crate::{
         register_attack, register_gar, register_mechanism, register_mechanism_with,
         register_scenario_pack, register_scenario_pack_with, scenario_pack, scenario_pack_ids,
-        AttackKind, ComponentSpec, Experiment, ExperimentBuilder, FigureConfig, FnObserver,
-        GarKind, LrSchedule, MechanismCapabilities, MechanismKind, MomentumMode, PackCell,
-        PipelineError, PrivacyBudget, RunHistory, RunObserver, ScenarioPack, SeedSummary,
-        StepMetrics, TrainingConfig, Workload,
+        ComponentSpec, Experiment, ExperimentBuilder, FigureConfig, FnObserver, LrSchedule,
+        MechanismCapabilities, MomentumMode, PackCell, PipelineError, PrivacyBudget, RunHistory,
+        RunObserver, ScenarioPack, SeedSummary, StepMetrics, TrainingConfig, Workload,
     };
 }
 

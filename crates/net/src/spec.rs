@@ -182,13 +182,12 @@ impl JobSpec {
 mod tests {
     use super::*;
     use dpbyz_core::pipeline::FigureConfig;
-    use dpbyz_core::AttackKind;
 
     fn experiment() -> Experiment {
         Experiment::paper_figure(FigureConfig {
             batch_size: 10,
             epsilon: Some(0.2),
-            attack: Some(AttackKind::PAPER_ALIE),
+            attack: Some("alie".into()),
             steps: 5,
             dataset_size: 300,
             ..FigureConfig::default()

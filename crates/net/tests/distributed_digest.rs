@@ -3,13 +3,13 @@
 //! mistakes must surface as [`PipelineError::Spec`] — not hangs.
 
 use dpbyz_core::pipeline::{Experiment, FigureConfig, PipelineError};
-use dpbyz_core::{AttackKind, ComponentSpec};
+use dpbyz_core::ComponentSpec;
 
 fn attacked_experiment() -> Experiment {
     Experiment::paper_figure(FigureConfig {
         batch_size: 10,
         epsilon: Some(0.2),
-        attack: Some(AttackKind::PAPER_ALIE),
+        attack: Some("alie".into()),
         steps: 8,
         dataset_size: 300,
         ..FigureConfig::default()

@@ -11,7 +11,7 @@
 //! (defaults: d = 69, n = 11, f = 5, eps = 0.2, delta = 1e-6, b = 50)
 
 use dpbyz::theory::table1::{self, Condition};
-use dpbyz::{analysis, GarKind, PrivacyBudget};
+use dpbyz::{analysis, PrivacyBudget};
 
 fn arg<T: std::str::FromStr>(n: usize, default: T) -> T {
     std::env::args()
@@ -60,20 +60,17 @@ fn main() {
                 if row.satisfied { "OK" } else { "VIOLATED" },
             ),
         };
-        let min_batch = table1::required_batch(row.gar, n, f, d, budget)
+        let min_batch = table1::required_batch(&row.gar, n, f, d, budget)
             .map_or("-".to_string(), |v| v.to_string());
         println!(
             "{:<14} {:<44} {:>10} {:>12}",
-            row.gar.name(),
-            desc,
-            status,
-            min_batch
+            row.gar, desc, status, min_batch
         );
     }
 
     println!("\nBatch frontier for Krum across model sizes (b ∈ Ω(√(n·d))):");
     for (dim, min_b) in analysis::batch_frontier(
-        GarKind::Krum,
+        "krum",
         n,
         f,
         &[69, 1_000, 100_000, 1_000_000, 25_600_000],
@@ -96,8 +93,8 @@ fn main() {
     );
     for (gar, req) in ex.required_batches {
         match req {
-            Some(b) => println!("  {:<14} needs b >= {b}", gar.name()),
-            None => println!("  {:<14} condition vacuous at f/n = 5/11", gar.name()),
+            Some(b) => println!("  {gar:<14} needs b >= {b}"),
+            None => println!("  {gar:<14} condition vacuous at f/n = 5/11"),
         }
     }
     println!("\n=> at contemporary model sizes, no statistically-robust GAR retains its");

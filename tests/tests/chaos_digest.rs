@@ -7,7 +7,7 @@
 //! deterministic: the same chaos seed replays the same run.
 
 use dpbyz_core::pipeline::{Experiment, FigureConfig};
-use dpbyz_core::{AttackKind, ComponentSpec};
+use dpbyz_core::ComponentSpec;
 use dpbyz_net::{FaultPlan, SimBackend};
 use dpbyz_server::RunScratch;
 
@@ -19,7 +19,7 @@ fn experiment() -> Experiment {
     Experiment::paper_figure(FigureConfig {
         batch_size: 10,
         epsilon: Some(0.2),
-        attack: Some(AttackKind::PAPER_ALIE),
+        attack: Some("alie".into()),
         steps: 6,
         dataset_size: 300,
         ..FigureConfig::default()

@@ -1,13 +1,12 @@
 //! Reproducibility contracts: seeded determinism and engine equivalence.
 
 use dpbyz_core::pipeline::{Experiment, FigureConfig};
-use dpbyz_core::AttackKind;
 
 fn experiment(threaded: bool) -> Experiment {
     let mut exp = Experiment::paper_figure(FigureConfig {
         batch_size: 20,
         epsilon: Some(0.2),
-        attack: Some(AttackKind::PAPER_ALIE),
+        attack: Some("alie".into()),
         steps: 25,
         dataset_size: 600,
         ..FigureConfig::default()

@@ -2,13 +2,12 @@
 //! scale (Figs. 2–4's qualitative shape).
 
 use dpbyz_core::pipeline::{Experiment, FigureConfig};
-use dpbyz_core::AttackKind;
 
-fn cell(batch: usize, eps: Option<f64>, attack: Option<AttackKind>) -> Experiment {
+fn cell(batch: usize, eps: Option<f64>, attack: Option<&str>) -> Experiment {
     Experiment::paper_figure(FigureConfig {
         batch_size: batch,
         epsilon: eps,
-        attack,
+        attack: attack.map(Into::into),
         steps: 200,
         dataset_size: 2500,
         ..FigureConfig::default()
@@ -16,7 +15,7 @@ fn cell(batch: usize, eps: Option<f64>, attack: Option<AttackKind>) -> Experimen
     .expect("valid configuration")
 }
 
-fn tail(batch: usize, eps: Option<f64>, attack: Option<AttackKind>, seed: u64) -> f64 {
+fn tail(batch: usize, eps: Option<f64>, attack: Option<&str>, seed: u64) -> f64 {
     cell(batch, eps, attack)
         .run(seed)
         .expect("runs")
@@ -35,7 +34,7 @@ fn mda_defends_against_alie_without_dp() {
     // Fig. 2 left panel: attacked no-DP training still reaches a loss in
     // the neighbourhood of the clean run.
     let clean = tail(50, None, None, 1);
-    let attacked = tail(50, None, Some(AttackKind::PAPER_ALIE), 1);
+    let attacked = tail(50, None, Some("alie"), 1);
     assert!(
         attacked < clean + 0.15,
         "MDA failed without DP: clean {clean}, attacked {attacked}"
@@ -54,16 +53,14 @@ fn dp_alone_is_fine_at_b50() {
 fn dp_plus_attack_collapses_at_b50() {
     // The headline: DP + ALIE at b = 50 is much worse than either alone.
     let dp = tail(50, Some(0.2), None, 1);
-    let attacked = tail(50, None, Some(AttackKind::PAPER_ALIE), 1);
-    let both = tail(50, Some(0.2), Some(AttackKind::PAPER_ALIE), 1);
+    let attacked = tail(50, None, Some("alie"), 1);
+    let both = tail(50, Some(0.2), Some("alie"), 1);
     assert!(
         both > dp + 0.15 && both > attacked + 0.15,
         "no collapse: dp {dp}, attacked {attacked}, both {both}"
     );
     // Accuracy collapses to near-chance.
-    let h = cell(50, Some(0.2), Some(AttackKind::PAPER_ALIE))
-        .run(1)
-        .expect("runs");
+    let h = cell(50, Some(0.2), Some("alie")).run(1).expect("runs");
     assert!(
         h.final_accuracy().unwrap() < 0.7,
         "accuracy {}",
@@ -75,8 +72,8 @@ fn dp_plus_attack_collapses_at_b50() {
 fn large_batch_rescues_the_combination() {
     // Fig. 4: at b = 500 DP + attack converges again (antagonism, not
     // impossibility).
-    let both_b50 = tail(50, Some(0.2), Some(AttackKind::PAPER_ALIE), 1);
-    let both_b500 = tail(500, Some(0.2), Some(AttackKind::PAPER_ALIE), 1);
+    let both_b50 = tail(50, Some(0.2), Some("alie"), 1);
+    let both_b500 = tail(500, Some(0.2), Some("alie"), 1);
     assert!(
         both_b500 < both_b50 - 0.15,
         "no rescue: b=50 {both_b50}, b=500 {both_b500}"
@@ -100,8 +97,8 @@ fn tiny_batch_dp_fails_even_unattacked() {
 
 #[test]
 fn foe_attack_shows_same_antagonism() {
-    let attacked = tail(50, None, Some(AttackKind::PAPER_FOE), 1);
-    let both = tail(50, Some(0.2), Some(AttackKind::PAPER_FOE), 1);
+    let attacked = tail(50, None, Some("foe"), 1);
+    let both = tail(50, Some(0.2), Some("foe"), 1);
     assert!(
         both > attacked + 0.02,
         "FoE: no degradation with DP: {attacked} vs {both}"

@@ -3,7 +3,7 @@
 //! per-run CSV export.
 
 use dpbyz_core::pipeline::{Experiment, FigureConfig};
-use dpbyz_core::{AttackKind, GarKind};
+use dpbyz_core::ComponentSpec;
 use dpbyz_dp::amplification;
 use dpbyz_dp::{GaussianMechanism, PrivacyBudget};
 
@@ -16,12 +16,15 @@ fn mimic_is_harmless_on_iid_data() {
     let fig = FigureConfig {
         batch_size: 50,
         epsilon: None,
-        attack: Some(AttackKind::Mimic { target: 0 }),
+        attack: Some(ComponentSpec::new("mimic").with("target", 0usize)),
         steps: 150,
         dataset_size: 2000,
         ..FigureConfig::default()
     };
-    let mimic = Experiment::paper_figure(fig).unwrap().run(1).unwrap();
+    let mimic = Experiment::paper_figure(fig.clone())
+        .unwrap()
+        .run(1)
+        .unwrap();
     let clean = Experiment::paper_figure(FigureConfig {
         attack: None,
         ..fig
@@ -39,12 +42,12 @@ fn mimic_is_harmless_on_iid_data() {
 
 #[test]
 fn mimic_with_other_gars_also_trains() {
-    for gar in [GarKind::Krum, GarKind::Median] {
+    for gar in ["krum", "median"] {
         let exp = Experiment::paper_figure_with_gar(
             FigureConfig {
                 batch_size: 50,
                 epsilon: None,
-                attack: Some(AttackKind::Mimic { target: 2 }),
+                attack: Some(ComponentSpec::new("mimic").with("target", 2usize)),
                 steps: 100,
                 dataset_size: 1200,
                 ..FigureConfig::default()
@@ -56,8 +59,7 @@ fn mimic_with_other_gars_also_trains() {
         let h = exp.run(1).unwrap();
         assert!(
             h.tail_loss(10) < h.train_loss[0],
-            "{} failed under mimic",
-            gar.name()
+            "{gar} failed under mimic"
         );
     }
 }

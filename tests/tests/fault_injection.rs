@@ -2,14 +2,13 @@
 //! the §7 extensions, exercised end-to-end across both engines.
 
 use dpbyz_core::pipeline::{Experiment, FigureConfig};
-use dpbyz_core::AttackKind;
 use dpbyz_server::BatchGrowth;
 
 fn base(steps: u32) -> Experiment {
     Experiment::paper_figure(FigureConfig {
         batch_size: 20,
         epsilon: Some(0.2),
-        attack: Some(AttackKind::PAPER_ALIE),
+        attack: Some("alie".into()),
         steps,
         dataset_size: 800,
         ..FigureConfig::default()

@@ -3,11 +3,10 @@
 
 use dpbyz_core::pipeline::{Experiment, FigureConfig, Workload};
 use dpbyz_core::registry::ComponentSpec;
-use dpbyz_core::{AttackKind, GarKind, MechanismKind};
 use dpbyz_server::TrainingConfig;
 
-/// One matrix cell over registry specs (the open path the new components
-/// use — no `*Kind` variants exist for them). Returns the sequential
+/// One matrix cell over registry specs, with the pinned protocol config
+/// written out. Returns the sequential
 /// run's tail loss after asserting the threaded engine reproduces it
 /// bit-for-bit.
 fn run_spec_attack(gar: ComponentSpec, attack: ComponentSpec, f: usize) -> f64 {
@@ -31,7 +30,7 @@ fn run_spec_attack(gar: ComponentSpec, attack: ComponentSpec, f: usize) -> f64 {
         gar,
         attack: Some(attack),
         budget: None,
-        mechanism: MechanismKind::Gaussian.spec(),
+        mechanism: "gaussian".into(),
         backend: "sequential".into(),
         dp_reference_g_max: None,
     };
@@ -48,11 +47,11 @@ fn run_spec_attack(gar: ComponentSpec, attack: ComponentSpec, f: usize) -> f64 {
     sequential.tail_loss(10)
 }
 
-fn run_gar_attack(gar: GarKind, attack: AttackKind, f: usize) -> f64 {
+fn run_gar_attack(gar: &str, attack: ComponentSpec, f: usize) -> f64 {
     let base = Experiment::paper_figure(FigureConfig {
         batch_size: 25,
         epsilon: None,
-        attack: Some(attack),
+        attack: Some(attack.clone()),
         steps: 120,
         dataset_size: 1500,
         ..FigureConfig::default()
@@ -74,10 +73,10 @@ fn run_gar_attack(gar: GarKind, attack: AttackKind, f: usize) -> f64 {
             size: 1500,
         },
         config,
-        gar: gar.spec(),
-        attack: Some(attack.spec()),
+        gar: gar.into(),
+        attack: Some(attack),
         budget: None,
-        mechanism: MechanismKind::Gaussian.spec(),
+        mechanism: "gaussian".into(),
         backend: "sequential".into(),
         dp_reference_g_max: None,
     };
@@ -104,20 +103,20 @@ fn every_robust_gar_survives_large_norm_attack() {
     // The naive attack is table stakes: all robust rules must shrug it off.
     let clean = clean_reference();
     for (gar, f) in [
-        (GarKind::Mda, 5),
-        (GarKind::Krum, 4),
-        (GarKind::MultiKrum, 4),
-        (GarKind::Median, 5),
-        (GarKind::TrimmedMean, 5),
-        (GarKind::Meamed, 5),
-        (GarKind::Phocas, 5),
-        (GarKind::Bulyan, 2),
+        ("mda", 5),
+        ("krum", 4),
+        ("multi-krum", 4),
+        ("median", 5),
+        ("trimmed-mean", 5),
+        ("meamed", 5),
+        ("phocas", 5),
+        ("bulyan", 2),
     ] {
-        let loss = run_gar_attack(gar, AttackKind::LargeNorm { scale: 1e6 }, f);
+        let large_norm = ComponentSpec::new("large-norm").with("scale", 1e6);
+        let loss = run_gar_attack(gar, large_norm, f);
         assert!(
             loss.is_finite() && loss < clean + 0.2,
-            "{} failed under large-norm: {loss} (clean {clean})",
-            gar.name()
+            "{gar} failed under large-norm: {loss} (clean {clean})"
         );
     }
 }
@@ -125,12 +124,11 @@ fn every_robust_gar_survives_large_norm_attack() {
 #[test]
 fn mda_survives_both_paper_attacks() {
     let clean = clean_reference();
-    for attack in [AttackKind::PAPER_ALIE, AttackKind::PAPER_FOE] {
-        let loss = run_gar_attack(GarKind::Mda, attack, 5);
+    for attack in ["alie", "foe"] {
+        let loss = run_gar_attack("mda", attack.into(), 5);
         assert!(
             loss < clean + 0.2,
-            "MDA failed under {}: {loss} (clean {clean})",
-            attack.name()
+            "MDA failed under {attack}: {loss} (clean {clean})"
         );
     }
 }
@@ -138,20 +136,16 @@ fn mda_survives_both_paper_attacks() {
 #[test]
 fn median_family_survives_sign_flip() {
     let clean = clean_reference();
-    for gar in [GarKind::Median, GarKind::TrimmedMean, GarKind::Phocas] {
-        let loss = run_gar_attack(gar, AttackKind::SignFlip, 5);
-        assert!(
-            loss < clean + 0.25,
-            "{} failed under sign-flip: {loss}",
-            gar.name()
-        );
+    for gar in ["median", "trimmed-mean", "phocas"] {
+        let loss = run_gar_attack(gar, "sign-flip".into(), 5);
+        assert!(loss < clean + 0.25, "{gar} failed under sign-flip: {loss}");
     }
 }
 
 #[test]
 fn zero_attack_slows_but_does_not_poison() {
     // f zero-gradients dilute the aggregate but cannot steer it.
-    let loss = run_gar_attack(GarKind::Mda, AttackKind::Zero, 5);
+    let loss = run_gar_attack("mda", "zero".into(), 5);
     assert!(loss < 0.3, "zero attack poisoned MDA: {loss}");
 }
 
@@ -207,17 +201,16 @@ fn established_gars_survive_ipm_and_rescaling() {
     // The new attacks against the paper's rules: stealthy IPM and the
     // fixed-norm probe are both rejected by the selection/median family.
     let clean = clean_reference();
-    for (gar, f) in [(GarKind::Mda, 5), (GarKind::Median, 5), (GarKind::Krum, 4)] {
+    for (gar, f) in [("mda", 5), ("median", 5), ("krum", 4)] {
         for attack in [
             ComponentSpec::new("ipm").with("epsilon", 0.5),
             ComponentSpec::new("rescaling").with("norm", -1.0),
         ] {
             let id = attack.id.clone();
-            let loss = run_spec_attack(gar.spec(), attack, f);
+            let loss = run_spec_attack(gar.into(), attack, f);
             assert!(
                 loss < clean + 0.2,
-                "{} failed under {id}: {loss} (clean {clean})",
-                gar.name()
+                "{gar} failed under {id}: {loss} (clean {clean})"
             );
         }
     }

@@ -3,7 +3,6 @@
 //! through the full distributed pipeline via `Workload::Provided`.
 
 use dpbyz_core::pipeline::{Experiment, FigureConfig, Workload};
-use dpbyz_core::{GarKind, MechanismKind};
 use dpbyz_data::{libsvm, synthetic};
 use dpbyz_server::TrainingConfig;
 use dpbyz_tensor::Prng;
@@ -39,10 +38,10 @@ fn libsvm_roundtrip_preserves_training_behaviour() {
             test: Arc::new(test),
         },
         config,
-        gar: GarKind::Average.spec(),
+        gar: "average".into(),
         attack: None,
         budget: None,
-        mechanism: MechanismKind::Gaussian.spec(),
+        mechanism: "gaussian".into(),
         backend: "sequential".into(),
         dp_reference_g_max: None,
     };

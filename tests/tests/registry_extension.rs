@@ -1,14 +1,12 @@
 //! End-to-end coverage of the component registry: a user-defined GAR —
 //! implemented here, outside every workspace crate — registered by id and
 //! driven through `ExperimentBuilder` to a `RunHistory`, plus the
-//! registry's error contract and the serde compatibility of experiment
-//! specs through the `*Kind` wrappers.
+//! registry's error contract and the JSON round trip of component specs.
 
 use dpbyz::gars::{Gar, GarError, GarScratch};
 use dpbyz::prelude::*;
 use dpbyz::tensor::Vector;
 use dpbyz::RegistryError;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A third-party aggregation rule: coordinate-wise midrange of the two
@@ -142,48 +140,6 @@ fn unknown_id_error_lists_available_ids() {
     );
 }
 
-/// An experiment spec as a user would persist it: `*Kind` wrappers for the
-/// built-ins, serialized to JSON and back.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct PersistedSpec {
-    gar: GarKind,
-    attack: Option<AttackKind>,
-    mechanism: MechanismKind,
-    epsilon: f64,
-    batch_size: u64,
-}
-
-#[test]
-fn kind_wrappers_round_trip_through_json_and_resolve() {
-    let spec = PersistedSpec {
-        gar: GarKind::TrimmedMean,
-        attack: Some(AttackKind::Alie { nu: 1.5 }),
-        mechanism: MechanismKind::Gaussian,
-        epsilon: 0.2,
-        batch_size: 50,
-    };
-    let json = serde_json::to_string(&spec).unwrap();
-    // Externally tagged enum shapes, exactly as real serde_json writes them.
-    assert!(json.contains("\"TrimmedMean\""), "{json}");
-    assert!(json.contains("\"Alie\":{\"nu\":1.5}"), "{json}");
-    let back: PersistedSpec = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, spec);
-
-    // The deserialized wrappers still resolve through the registry into a
-    // runnable experiment.
-    let exp = Experiment::builder()
-        .steps(5)
-        .dataset_size(300)
-        .batch_size(back.batch_size as usize)
-        .gar(back.gar)
-        .attack(back.attack.unwrap())
-        .epsilon(back.epsilon)
-        .build()
-        .unwrap();
-    assert_eq!(exp.gar, GarKind::TrimmedMean);
-    assert_eq!(exp.run(1).unwrap().train_loss.len(), 5);
-}
-
 #[test]
 fn component_specs_round_trip_through_json() {
     let spec = ComponentSpec::new("alie")
@@ -195,11 +151,10 @@ fn component_specs_round_trip_through_json() {
     assert_eq!(back.f64("nu"), Some(2.5));
     assert_eq!(back.u64("rounds"), Some(7));
 
-    // Kind-derived specs compare equal after the trip too.
-    let kind_spec = AttackKind::PAPER_FOE.spec();
-    let back: ComponentSpec =
-        serde_json::from_str(&serde_json::to_string(&kind_spec).unwrap()).unwrap();
-    assert_eq!(back, AttackKind::PAPER_FOE);
+    // The paper's FoE setting compares equal after the trip too.
+    let foe = ComponentSpec::new("foe").with("nu", 1.1);
+    let back: ComponentSpec = serde_json::from_str(&serde_json::to_string(&foe).unwrap()).unwrap();
+    assert_eq!(back, foe);
 }
 
 #[test]

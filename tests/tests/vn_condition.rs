@@ -8,8 +8,8 @@
 //! also where the paper's experiments live).
 
 use dpbyz_core::pipeline::{Experiment, FigureConfig};
+use dpbyz_core::registry::build_gar;
 use dpbyz_core::theory::vn as theory_vn;
-use dpbyz_core::GarKind;
 use dpbyz_dp::PrivacyBudget;
 use dpbyz_server::RunHistory;
 
@@ -44,6 +44,11 @@ fn early_mean(xs: &[f64], k: usize) -> f64 {
 
 fn paper_budget() -> PrivacyBudget {
     PrivacyBudget::new(0.2, 1e-6).unwrap()
+}
+
+/// MDA's VN bound κ(11, 5), the paper's topology.
+fn mda_kappa() -> f64 {
+    build_gar(&"mda".into()).unwrap().kappa(11, 5).unwrap()
 }
 
 #[test]
@@ -111,7 +116,7 @@ fn measured_vn_vs_gar_kappas_flips_under_dp() {
     // During early training, the clean b = 500 run satisfies MDA's κ(11,5)
     // while the DP b = 50 run violates it — the certificate flip the
     // paper is about, on live measurements.
-    let kappa = GarKind::Mda.kappa(11, 5).unwrap();
+    let kappa = mda_kappa();
     let good = early_mean(&run(500, None).vn_clean, 10);
     let bad = early_mean(&run(50, Some(0.2)).vn_submitted, 10);
     assert!(
@@ -129,7 +134,7 @@ fn min_feasible_batch_is_consistent_with_measurements() {
     // Below theory's hard floor (best-case statistics) the measured noisy
     // VN ratio must violate κ.
     let budget = paper_budget();
-    let kappa = GarKind::Mda.kappa(11, 5).unwrap();
+    let kappa = mda_kappa();
     let floor = theory_vn::min_feasible_batch(budget, 69, kappa).unwrap();
     assert!(floor > 500, "floor unexpectedly small: {floor}");
     let measured = early_mean(&run(50, Some(0.2)).vn_submitted, 15);
