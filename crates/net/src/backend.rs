@@ -19,7 +19,6 @@
 //!   phase deadlines (default 10 000 each).
 
 use crate::coordinator::{CoordinatorConfig, CoordinatorError, TcpCoordinator};
-use crate::protocol::session_token;
 use crate::worker::{run_worker, WorkerConfig};
 use dpbyz_core::engine::register_backend;
 use dpbyz_core::pipeline::{Experiment, PipelineError};
@@ -135,18 +134,13 @@ impl EngineBackend for TcpBackend {
             .local_addr()
             .map_err(|e| PipelineError::Spec(format!("tcp backend: local_addr failed: {e}")))?;
 
-        // One session thread per honest worker — same wire protocol the
-        // standalone `worker` binary speaks. Each carries its session
-        // token so a lost socket resumes via REJOIN instead of failing
-        // the run.
+        // One session thread per honest worker — same wire protocol and
+        // config the standalone `worker` binary uses, so a lost socket
+        // resumes via REJOIN instead of failing the run.
         let handles: Vec<_> = workers
             .into_iter()
             .map(|w| {
-                let cfg = WorkerConfig {
-                    session_token: Some(session_token(seed, w.id())),
-                    max_rejoins: 3,
-                    ..WorkerConfig::default()
-                };
+                let cfg = WorkerConfig::for_run(seed, w.id());
                 std::thread::spawn(move || run_worker(addr, w, cfg))
             })
             .collect();

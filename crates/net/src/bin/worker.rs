@@ -10,6 +10,10 @@
 //!        [--fresh-join]
 //! ```
 //!
+//! A lost socket is not fatal: the worker reconnects and resumes its
+//! session through `REJOIN`, exactly as the in-process `tcp` backend's
+//! workers do.
+//!
 //! `--fresh-join` attaches a never-started worker to a run already in
 //! flight: the first frame sent is `JOIN_FRESH` and the coordinator
 //! replies with its resume-ring tail (the in-flight `STEP` carries the
@@ -82,7 +86,7 @@ fn main() {
 
     let cfg = WorkerConfig {
         fresh_join: arg_present(&args, "--fresh-join"),
-        ..WorkerConfig::default()
+        ..WorkerConfig::for_run(spec.seed, worker.id())
     };
     match run_worker(addr, worker, cfg) {
         Ok(steps) => {

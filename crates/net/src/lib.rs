@@ -74,6 +74,7 @@ pub mod worker;
 pub use backend::TcpBackend;
 pub use coordinator::{CoordinatorConfig, TcpCoordinator};
 pub use machine::{Action, Event, MachineConfig, Phase, RoundStateMachine};
+pub use session::{WorkerFlow, WorkerSession};
 pub use sim::{FaultPlan, LateJoinPlan, SimBackend, SimNet};
 pub use spec::{JobSpec, WorkloadSpec};
 pub use transport::{drive, CoordinatorError, ResumeRing, Transport};

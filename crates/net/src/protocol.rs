@@ -19,11 +19,12 @@
 //! over everything before it: the paper's channels guarantee only
 //! integrity and authentication (Remark 1), not secrecy.
 //!
-//! Reading is built for the coordinator's nonblocking single-threaded
-//! loop: [`FrameReader`] owns one recycled `Vec<u8>`, fills it from the
-//! socket without blocking, and pops complete frames as index ranges into
-//! that buffer — steady-state reception allocates nothing once the buffer
-//! has grown to the session's frame size.
+//! Both endpoints read through [`FrameReader`]: it owns one recycled
+//! `Vec<u8>`, fills it from the socket (the coordinator's nonblocking
+//! ones, or the worker's blocking one with a read timeout), and pops
+//! complete frames as index ranges into that buffer — steady-state
+//! reception allocates nothing once the buffer has grown to the session's
+//! frame size.
 
 use bytes::{BufMut, BytesMut};
 use dpbyz_server::WorkerOutput;
@@ -80,27 +81,29 @@ pub const KIND_JOIN_FRESH: u8 = 9;
 /// trains, far below a `u32`'s worth of `f64`s.
 pub const MAX_WIRE_DIM: usize = 1 << 24;
 
-/// Vector-frame decode failures, typed by cause so transports can react
+/// Frame decode failures, typed by cause so transports can react
 /// differently: a short read may mean "wait for more bytes", a length
 /// overflow or bad checksum means the frame (and probably the peer) is
 /// garbage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MessageError {
     /// The frame's byte count does not match what its layout requires —
-    /// either below the fixed header+tag minimum, or inconsistent with
-    /// the declared coordinate count.
+    /// either below the layout's minimum (a zero-length frame lacks even
+    /// its kind byte), or inconsistent with the declared coordinate count.
     ShortRead {
         /// Bytes the layout requires.
         needed: usize,
         /// Bytes actually presented.
         got: usize,
     },
-    /// The declared coordinate count exceeds [`MAX_WIRE_DIM`] — treated
-    /// as corruption before any allocation happens.
+    /// A declared size exceeds its cap — a vector frame's coordinate
+    /// count above [`MAX_WIRE_DIM`], or a frame's length word above
+    /// [`MAX_FRAME_LEN`] — treated as corruption before any allocation or
+    /// buffering happens.
     LengthOverflow {
-        /// Coordinate count the frame declared.
+        /// The size the frame declared.
         declared: usize,
-        /// The decoder's cap ([`MAX_WIRE_DIM`]).
+        /// The decoder's cap.
         limit: usize,
     },
     /// The integrity tag did not match.
@@ -119,7 +122,7 @@ impl fmt::Display for MessageError {
             MessageError::LengthOverflow { declared, limit } => {
                 write!(
                     f,
-                    "frame declares {declared} coordinates, above the {limit} cap"
+                    "frame declares a size of {declared}, above the {limit} cap"
                 )
             }
             MessageError::BadChecksum => write!(f, "integrity check failed"),
@@ -232,40 +235,11 @@ pub fn decode_vec_frame(frame: &[u8], v: &mut Vector) -> Result<(u32, u32), Mess
 /// buffering happens.
 pub const MAX_FRAME_LEN: usize = 2 * (VEC_HEADER + MAX_WIRE_DIM * 8 + VEC_TAG) + 13;
 
-/// A frame whose length word is implausible — the session-layer analogue
-/// of [`MessageError::LengthOverflow`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameError {
-    /// The declared frame length exceeds [`MAX_FRAME_LEN`].
-    TooLong {
-        /// Length the frame declared.
-        declared: usize,
-        /// The reader's cap.
-        limit: usize,
-    },
-    /// The declared length is zero — every frame carries at least a kind
-    /// byte.
-    Empty,
-}
-
-impl fmt::Display for FrameError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameError::TooLong { declared, limit } => {
-                write!(f, "frame declares {declared} bytes, above the {limit} cap")
-            }
-            FrameError::Empty => write!(f, "zero-length frame (missing kind byte)"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
 /// Incremental frame reassembly over one recycled buffer.
 ///
-/// The coordinator keeps one `FrameReader` per connection for the life of
-/// the run: [`FrameReader::fill`] appends whatever the (nonblocking)
-/// socket has, [`FrameReader::next_frame`] pops complete frames in
+/// Each endpoint keeps one `FrameReader` per connection for the life of
+/// that connection: [`FrameReader::fill`] appends whatever the socket
+/// has, [`FrameReader::next_frame`] pops complete frames in
 /// arrival order. Consumed bytes are reclaimed by index bookkeeping plus
 /// an occasional `copy_within` compaction — no per-frame allocation.
 #[derive(Debug)]
@@ -297,7 +271,8 @@ impl FrameReader {
     /// Pulls available bytes from `stream` into the buffer.
     ///
     /// Returns the number of bytes read; `Ok(0)` means the read would
-    /// block (try again next loop iteration).
+    /// block (try again next loop iteration). On a blocking socket with a
+    /// read timeout, `Ok(0)` means the timeout expired.
     ///
     /// # Errors
     ///
@@ -344,9 +319,10 @@ impl FrameReader {
     ///
     /// # Errors
     ///
-    /// [`FrameError`] when the length word is implausible; the connection
-    /// should be dropped (resynchronization is impossible).
-    pub fn next_frame(&mut self) -> Result<Option<(u8, &[u8])>, FrameError> {
+    /// [`MessageError`] when the length word is zero or above
+    /// [`MAX_FRAME_LEN`]; the connection should be dropped
+    /// (resynchronization is impossible).
+    pub fn next_frame(&mut self) -> Result<Option<(u8, &[u8])>, MessageError> {
         let avail = self.filled.saturating_sub(self.start);
         if avail < 4 {
             return Ok(None);
@@ -360,10 +336,10 @@ impl FrameReader {
         };
         let len = u32::from_le_bytes(header) as usize;
         if len == 0 {
-            return Err(FrameError::Empty);
+            return Err(MessageError::ShortRead { needed: 1, got: 0 });
         }
         if len > MAX_FRAME_LEN {
-            return Err(FrameError::TooLong {
+            return Err(MessageError::LengthOverflow {
                 declared: len,
                 limit: MAX_FRAME_LEN,
             });
@@ -605,31 +581,6 @@ pub fn end_frame(buf: &mut BytesMut) {
     }
 }
 
-/// Encodes worker `id`'s opening handshake: [`KIND_JOIN`], or
-/// [`KIND_JOIN_FRESH`] for a mid-run attach.
-pub(crate) fn encode_join(buf: &mut BytesMut, id: u32, fresh: bool) {
-    begin_frame(buf, if fresh { KIND_JOIN_FRESH } else { KIND_JOIN });
-    buf.put_u32_le(id);
-    end_frame(buf);
-}
-
-/// Encodes worker `id`'s [`KIND_READY`] answer to `WARMUP`.
-pub(crate) fn encode_ready(buf: &mut BytesMut, id: u32) {
-    begin_frame(buf, KIND_READY);
-    buf.put_u32_le(id);
-    end_frame(buf);
-}
-
-/// Encodes worker `id`'s [`KIND_REJOIN`] handshake: its session token and
-/// the first slot it has not computed.
-pub(crate) fn encode_rejoin(buf: &mut BytesMut, id: u32, token: u64, next_slot: u32) {
-    begin_frame(buf, KIND_REJOIN);
-    buf.put_u32_le(id);
-    buf.put_u64_le(token);
-    buf.put_u32_le(next_slot);
-    end_frame(buf);
-}
-
 /// Encodes worker `id`'s [`KIND_GRAD`] report for `step` from `out`.
 /// `scratch` holds each embedded vector frame in turn; both buffers
 /// recycle, so a steady-state report allocates nothing.
@@ -681,17 +632,6 @@ pub fn write_all_frame(stream: &mut impl Write, data: &[u8]) -> io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// Blocking `read_exact` with the caller's deadline semantics delegated
-/// to the socket's read timeout — the worker-side receive path.
-///
-/// # Errors
-///
-/// As [`Read::read_exact`].
-pub fn read_exact_frame(stream: &mut impl Read, buf: &mut Vec<u8>, n: usize) -> io::Result<()> {
-    buf.resize(n, 0);
-    stream.read_exact(buf)
 }
 
 /// Millisecond virtual time since `start` — what the coordinator feeds
@@ -778,11 +718,11 @@ mod tests {
         reader.fill(&mut stream).unwrap();
         let before = reader.buf.len();
         match reader.next_frame() {
-            Err(FrameError::TooLong { declared, limit }) => {
+            Err(MessageError::LengthOverflow { declared, limit }) => {
                 assert_eq!(declared, u32::MAX as usize);
                 assert_eq!(limit, MAX_FRAME_LEN);
             }
-            other => panic!("expected TooLong, got {other:?}"),
+            other => panic!("expected LengthOverflow, got {other:?}"),
         }
         assert_eq!(reader.buf.len(), before, "no allocation for hostile length");
     }
@@ -796,7 +736,10 @@ mod tests {
             chunk: 4,
         };
         reader.fill(&mut stream).unwrap();
-        assert_eq!(reader.next_frame(), Err(FrameError::Empty));
+        assert_eq!(
+            reader.next_frame(),
+            Err(MessageError::ShortRead { needed: 1, got: 0 })
+        );
     }
 
     #[test]
@@ -809,6 +752,28 @@ mod tests {
         }
         let err = FrameReader::new().fill(&mut Closed).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn truncated_header_then_eof_is_a_typed_io_error() {
+        // The peer dies mid-header: every prefix of a header is held as
+        // an incomplete frame, and the close then surfaces as a typed
+        // UnexpectedEof, never a panic or a bogus frame.
+        let full = frame(KIND_STEP, &[0; 9]);
+        for cut in 0..5 {
+            let mut stream = io::Cursor::new(full[..cut].to_vec());
+            let mut reader = FrameReader::new();
+            loop {
+                match reader.fill(&mut stream) {
+                    Ok(n) => assert!(n > 0, "cut at {cut}: a cursor never blocks"),
+                    Err(e) => {
+                        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+                        break;
+                    }
+                }
+                assert_eq!(reader.next_frame(), Ok(None), "cut at {cut}");
+            }
+        }
     }
 
     /// A well-formed GRAD payload exactly as `run_worker` builds one:

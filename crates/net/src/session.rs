@@ -1,10 +1,12 @@
-//! The coordinator's session protocol, written once for every transport.
+//! Both halves of the session protocol, written once for every
+//! transport: the coordinator's [`Session`] and the worker's
+//! [`WorkerSession`].
 //!
-//! [`Session`] is sans-IO: it never touches a socket or a queue. A
-//! transport hands it each inbound frame as `(link, kind, payload)` and
-//! acts on the returned [`Verdict`] — attach the link (writing any
-//! replayed frames down it first), close it, or carry on. Every
-//! decision about who may speak lives here:
+//! Both are sans-IO: they never touch a socket or a queue. A transport
+//! hands the coordinator's [`Session`] each inbound frame as
+//! `(link, kind, payload)` and acts on the returned [`Verdict`] — attach
+//! the link (writing any replayed frames down it first), close it, or
+//! carry on. Every decision about who may speak lives here:
 //!
 //! * the **join gate** — `JOIN` (or `JOIN_FRESH`, its twin while the gate
 //!   is open) attaches a free slot only during the join phase;
@@ -28,18 +30,30 @@
 //! duplicated frame, a re-send) is harmless — except `REJOIN`, which is
 //! always answered with a fresh replay.
 //!
+//! The worker's half owns the worker's slot cursor and answers each
+//! coordinator frame through a `send` callback: `WARMUP` with `READY`,
+//! each `STEP` the cursor reaches with one `GRAD`, in step order. Stale
+//! copies of computed steps are ignored. `STEP`s up to `reorder` steps
+//! ahead of the cursor wait in a bounded reorder buffer, and anything
+//! further ahead is a violation. TCP is FIFO and passes `reorder = 0`;
+//! the simulator's links reorder and it passes its resume window, since
+//! a worker further behind than that could not be replayed anyway.
+//!
 //! [`session_token`]: crate::protocol::session_token
 
 use crate::machine::{Event, Phase};
 use crate::protocol::{
-    begin_frame, decode_grad, encode_vec_frame, end_frame, peek_grad, read_array, session_token,
-    Admission, GradGuard, KIND_ABORT, KIND_DONE, KIND_GRAD, KIND_JOIN, KIND_JOIN_FRESH, KIND_READY,
-    KIND_REJOIN, KIND_STEP, KIND_WARMUP,
+    begin_frame, decode_grad, decode_vec_frame, encode_grad, encode_vec_frame, end_frame,
+    peek_grad, read_array, session_token, Admission, GradGuard, MessageError, KIND_ABORT,
+    KIND_DONE, KIND_GRAD, KIND_JOIN, KIND_JOIN_FRESH, KIND_READY, KIND_REJOIN, KIND_STEP,
+    KIND_WARMUP,
 };
 use crate::transport::{current_step, Replay, ResumeRing};
+use crate::worker::WorkerError;
 use bytes::{BufMut, BytesMut};
-use dpbyz_server::WorkerOutput;
+use dpbyz_server::{HonestWorker, WorkerOutput};
 use dpbyz_tensor::Vector;
+use std::io;
 
 /// What the transport must do with the link a frame arrived on.
 pub(crate) enum Verdict<'a> {
@@ -356,10 +370,215 @@ impl Session {
     }
 }
 
+/// What a worker does after its [`WorkerSession`] handled a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkerFlow {
+    /// Keep reading.
+    Continue,
+    /// `DONE`, with the number of steps this session computed.
+    Done(u32),
+}
+
+/// The worker's half of the session protocol: one [`HonestWorker`] and
+/// everything it must remember across frames and links (module docs).
+///
+/// Its methods answer through `send(frame, computed)`, which writes one
+/// frame down the link; `computed` is `Some(step)` for the report of a
+/// step computed just now. A `send` error means the link died after this
+/// write; the session's state already accounts for it, ready for the
+/// next [`WorkerSession::hello`].
+pub struct WorkerSession {
+    worker: HonestWorker,
+    /// The `REJOIN` credential.
+    token: u64,
+    /// Open with `JOIN_FRESH`; the first `STEP` anchors the cursor.
+    fresh_join: bool,
+    /// A handshake went out before: the next one is `REJOIN`.
+    joined: bool,
+    /// `0` = warmup not yet answered; `t ≥ 1` = first uncomputed step.
+    next_slot: u32,
+    steps_served: u32,
+    params: Vector,
+    out: WorkerOutput,
+    /// Handshakes, and each embedded vector frame of a report.
+    scratch: BytesMut,
+    /// The newest report's wire frame, resent after `REJOIN`.
+    report: BytesMut,
+    /// The reorder buffer, as long as the `reorder` bound: the `STEP`
+    /// payload of step `s` ahead of the cursor waits in slot `s % len`.
+    ahead: Vec<BytesMut>,
+}
+
+impl WorkerSession {
+    /// A session for `worker` that has sent nothing yet, with `REJOIN`
+    /// credential `token`, opening with `JOIN_FRESH` if `fresh_join`,
+    /// and accepting `STEP`s at most `reorder` steps ahead of the cursor.
+    pub fn new(worker: HonestWorker, token: u64, fresh_join: bool, reorder: u32) -> Self {
+        WorkerSession {
+            worker,
+            token,
+            fresh_join,
+            joined: false,
+            next_slot: 0,
+            steps_served: 0,
+            params: Vector::default(),
+            out: WorkerOutput::default(),
+            scratch: BytesMut::with_capacity(1024),
+            report: BytesMut::with_capacity(1024),
+            ahead: (0..reorder).map(|_| BytesMut::default()).collect(),
+        }
+    }
+
+    /// The worker's id.
+    pub fn id(&self) -> u32 {
+        self.worker.id()
+    }
+
+    /// Opens a link: `JOIN` (or `JOIN_FRESH`) the first time, afterwards
+    /// `REJOIN` naming the cursor, then the newest report, which may have
+    /// died unread with the old link (the coordinator's guard drops it
+    /// otherwise).
+    ///
+    /// # Errors
+    ///
+    /// Whatever `send` returns.
+    pub fn hello(
+        &mut self,
+        mut send: impl FnMut(&[u8], Option<u32>) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let kind = match (std::mem::replace(&mut self.joined, true), self.fresh_join) {
+            (false, false) => KIND_JOIN,
+            (false, true) => KIND_JOIN_FRESH,
+            (true, _) => KIND_REJOIN,
+        };
+        let buf = &mut self.scratch;
+        begin_frame(buf, kind);
+        buf.put_u32_le(self.worker.id());
+        if kind == KIND_REJOIN {
+            buf.put_u64_le(self.token);
+            buf.put_u32_le(self.next_slot);
+        }
+        end_frame(buf);
+        send(buf, None)?;
+        if kind == KIND_REJOIN && !self.report.is_empty() {
+            send(&self.report, None)?;
+        }
+        Ok(())
+    }
+
+    /// Handles one coordinator frame, then computes every step the cursor
+    /// reaches, in order, answering through `send`.
+    ///
+    /// # Errors
+    ///
+    /// [`WorkerError::Io`] when `send` failed, [`WorkerError::Aborted`]
+    /// on `ABORT`, and [`WorkerError::Protocol`] or
+    /// [`WorkerError::Message`] for a violation that computes and sends
+    /// nothing: an unknown kind, a malformed `STEP`, or one further ahead
+    /// of the cursor than the reorder bound.
+    pub fn handle(
+        &mut self,
+        kind: u8,
+        payload: &[u8],
+        mut send: impl FnMut(&[u8], Option<u32>) -> io::Result<()>,
+    ) -> Result<WorkerFlow, WorkerError> {
+        let mut due = None;
+        match kind {
+            KIND_WARMUP => {
+                self.next_slot = self.next_slot.max(1);
+                // A replayed WARMUP re-READYs; the machine dedups.
+                begin_frame(&mut self.scratch, KIND_READY);
+                self.scratch.put_u32_le(self.worker.id());
+                end_frame(&mut self.scratch);
+                send(&self.scratch, None)?;
+            }
+            KIND_STEP => due = self.receive_step(payload)?,
+            KIND_DONE => return Ok(WorkerFlow::Done(self.steps_served)),
+            KIND_ABORT => {
+                let reason = String::from_utf8_lossy(payload).into_owned();
+                return Err(WorkerError::Aborted(reason));
+            }
+            other => {
+                return Err(WorkerError::Protocol(format!(
+                    "unexpected frame kind {other} from coordinator"
+                )))
+            }
+        }
+        loop {
+            let next = match due.take() {
+                Some(due) => Some(due),
+                None => self.take_buffered()?,
+            };
+            let Some((step, batch)) = next else {
+                return Ok(WorkerFlow::Continue);
+            };
+            let id = self.worker.id();
+            self.worker
+                .compute_into(&self.params, batch as usize, &mut self.out);
+            self.next_slot = step.saturating_add(1);
+            self.steps_served += 1;
+            encode_grad(&mut self.report, &mut self.scratch, id, step, &self.out);
+            send(&self.report, Some(step))?;
+        }
+    }
+
+    /// Classifies a `STEP` by its step alone, then verifies it. Returns
+    /// the cursor's step as `(step, batch)`, decoded into `params`; a
+    /// stale copy is ignored and a step ahead waits in the reorder buffer.
+    fn receive_step(&mut self, payload: &[u8]) -> Result<Option<(u32, u32)>, WorkerError> {
+        let step = u32::from_le_bytes(read_array(payload, 0)?);
+        // A fresh mid-run joiner skips warmup: the first STEP it receives
+        // (the replayed in-flight step) anchors its cursor.
+        let cursor = match self.next_slot {
+            0 if self.fresh_join => step.max(1),
+            next => next,
+        };
+        if step < cursor {
+            return Ok(None); // a stale copy: its report already went out
+        }
+        if step == 0 || (step - cursor) as usize > self.ahead.len() {
+            return Err(WorkerError::Protocol(format!(
+                "step {step} broadcast while {cursor} was the next expected slot"
+            )));
+        }
+        let (_, batch) = decode_vec_frame(payload, &mut self.params)?;
+        self.next_slot = cursor;
+        if step == cursor {
+            return Ok(Some((step, batch)));
+        }
+        if let Some(slot) = reorder_slot(&mut self.ahead, step) {
+            slot.clear();
+            slot.put_slice(payload);
+        }
+        Ok(None)
+    }
+
+    /// Takes the cursor's step out of the reorder buffer, decoded into
+    /// `params`.
+    fn take_buffered(&mut self) -> Result<Option<(u32, u32)>, MessageError> {
+        let Some(slot) = reorder_slot(&mut self.ahead, self.next_slot) else {
+            return Ok(None);
+        };
+        if read_array(slot, 0) != Ok(self.next_slot.to_le_bytes()) {
+            return Ok(None);
+        }
+        let decoded = decode_vec_frame(slot, &mut self.params);
+        slot.clear();
+        decoded.map(Some)
+    }
+}
+
+/// The reorder-buffer slot of `step`; `None` when there is no buffer.
+fn reorder_slot(ahead: &mut [BytesMut], step: u32) -> Option<&mut BytesMut> {
+    let i = (step as usize).checked_rem(ahead.len())?;
+    ahead.get_mut(i)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{encode_grad, encode_join, encode_ready, encode_rejoin};
+    use dpbyz_core::pipeline::Experiment;
+    use dpbyz_server::RunScratch;
 
     const SEED: u64 = 42;
     const N: usize = 3;
@@ -393,15 +612,15 @@ mod tests {
     }
 
     fn join(id: u32, fresh: bool) -> Frame {
-        let mut buf = BytesMut::default();
-        encode_join(&mut buf, id, fresh);
-        split(&buf)
+        let kind = if fresh { KIND_JOIN_FRESH } else { KIND_JOIN };
+        (kind, id.to_le_bytes().to_vec())
     }
 
     fn rejoin(id: u32, token: u64, next_slot: u32) -> Frame {
-        let mut buf = BytesMut::default();
-        encode_rejoin(&mut buf, id, token, next_slot);
-        split(&buf)
+        let mut payload = id.to_le_bytes().to_vec();
+        payload.extend(token.to_le_bytes());
+        payload.extend(next_slot.to_le_bytes());
+        (KIND_REJOIN, payload)
     }
 
     fn grad(id: u32, step: u32) -> Frame {
@@ -556,10 +775,9 @@ mod tests {
         // A bound link may not speak for another slot.
         assert_eq!(handle(Some(0), join(1, false)), Outcome::Violation);
         // Nothing but a handshake opens an unbound link.
-        let mut ready = BytesMut::default();
-        encode_ready(&mut ready, 0);
-        assert_eq!(handle(None, split(&ready)), Outcome::Violation);
-        assert_eq!(handle(Some(0), split(&ready)), Outcome::Continue);
+        let ready = (KIND_READY, 0u32.to_le_bytes().to_vec());
+        assert_eq!(handle(None, ready.clone()), Outcome::Violation);
+        assert_eq!(handle(Some(0), ready), Outcome::Continue);
         assert_eq!(events, vec![Event::Ready(0)]);
     }
 
@@ -599,5 +817,96 @@ mod tests {
         let mut sent = Vec::new();
         session.broadcast(Broadcast::Done, |id, frame| sent.push((id, frame[4])));
         assert_eq!(sent, vec![(0, KIND_DONE)]);
+    }
+
+    /// A worker session at reorder bound `reorder`. Every call builds the
+    /// same worker, so two calls give twins.
+    fn worker_session(reorder: u32, fresh_join: bool) -> WorkerSession {
+        let exp = Experiment::theorem1(4, 0.1, None, 8, 5, 1).unwrap();
+        let (_, mut workers) = exp
+            .build_trainer()
+            .unwrap()
+            .into_distributed_parts(SEED, &mut RunScratch::new());
+        WorkerSession::new(
+            workers.remove(0),
+            session_token(SEED, 0),
+            fresh_join,
+            reorder,
+        )
+    }
+
+    fn warmup() -> Frame {
+        (KIND_WARMUP, Vec::new())
+    }
+
+    fn step(step: u32) -> Frame {
+        let mut buf = BytesMut::default();
+        let params = Vector::from(vec![0.25 * f64::from(step); 4]);
+        encode_vec_frame(step, 5, &params, &mut buf);
+        (KIND_STEP, buf.to_vec())
+    }
+
+    /// Hands `frames` to `session` in order, returning every frame sent.
+    fn feed(session: &mut WorkerSession, frames: &[Frame]) -> Vec<Vec<u8>> {
+        let mut sent = Vec::new();
+        for (kind, payload) in frames {
+            let flow = session.handle(*kind, payload, |frame, _| {
+                sent.push(frame.to_vec());
+                Ok(())
+            });
+            assert!(matches!(flow, Ok(WorkerFlow::Continue)), "{flow:?}");
+        }
+        sent
+    }
+
+    #[test]
+    fn hostile_coordinator_frames_are_violations_that_touch_nothing() {
+        let mut truncated = step(2);
+        truncated.1.pop();
+        let corrupt = |at| {
+            let (kind, mut payload) = step(at);
+            payload[12] ^= 0x01; // the first coordinate
+            (kind, payload)
+        };
+        let in_order = [warmup(), step(1), step(2), step(3)];
+        // (case, reorder bound, fresh join, frames handled before the
+        // hostile one)
+        let cases: [(&str, u32, bool, usize, Frame); 7] = [
+            ("a truncated STEP", 0, false, 2, truncated),
+            ("a STEP with a bad checksum", 0, false, 2, corrupt(2)),
+            (
+                "a corrupt STEP ahead of the cursor",
+                2,
+                false,
+                2,
+                corrupt(3),
+            ),
+            ("a corrupt STEP to a fresh joiner", 0, true, 0, corrupt(3)),
+            ("an unknown kind", 0, false, 2, (42, vec![1, 2, 3])),
+            ("a STEP beyond the reorder bound", 2, false, 2, step(5)),
+            ("a STEP before WARMUP at reorder 0", 0, false, 0, step(1)),
+        ];
+        for (case, reorder, fresh, before, (kind, payload)) in cases {
+            let mut hit = worker_session(reorder, fresh);
+            let mut twin = worker_session(reorder, fresh);
+            let (done, rest) = in_order.split_at(before);
+            feed(&mut hit, done);
+            feed(&mut twin, done);
+            let mut sent = 0;
+            let got = hit.handle(kind, &payload, |_, _| {
+                sent += 1;
+                Ok(())
+            });
+            assert!(
+                matches!(got, Err(WorkerError::Protocol(_) | WorkerError::Message(_))),
+                "{case}: {got:?}"
+            );
+            assert_eq!(sent, 0, "{case}: nothing sent");
+            assert_eq!(
+                feed(&mut hit, rest),
+                feed(&mut twin, rest),
+                "{case}: the next reports are bit-equal to the twin's"
+            );
+        }
     }
 }

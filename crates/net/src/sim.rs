@@ -11,13 +11,16 @@
 //! what lets CI *pin* chaos runs instead of hoping on real sockets.
 //!
 //! Fidelity over mocking: frames on simulated links are the real wire
-//! bytes, built by the same [`protocol`](crate::protocol) encoders the
-//! TCP worker uses, and every inbound frame goes to the same session
-//! handler (`session.rs`: join gate, token-checked rejoin with ring
-//! replay, gradient admission) the TCP coordinator runs, so this
-//! transport only moves bytes through its chaos queue. The simulated
-//! workers host real [`HonestWorker`]s, so their RNG streams and
-//! momentum are bit-identical to their in-process and TCP twins.
+//! bytes, and both ends run the code TCP runs. Every inbound frame goes
+//! to the coordinator's session handler (`session.rs`: join gate,
+//! token-checked rejoin with ring replay, gradient admission), and every
+//! simulated worker is a [`WorkerSession`] hosting a real
+//! [`HonestWorker`], so its RNG stream and momentum are bit-identical to
+//! its in-process and TCP twins. This transport only moves bytes through
+//! its chaos queue and fires the crash and join schedules. Its links
+//! reorder, so each worker session buffers up to `resume_window` steps
+//! ahead of its cursor: a worker further behind than that could not be
+//! replayed anyway.
 //!
 //! Losses are modeled as *delayed retransmissions* (TCP's own model —
 //! a "dropped" segment is retried, not gone), so a crash-free fault plan
@@ -35,13 +38,10 @@
 //! executes in microseconds.
 
 use crate::machine::{Event, MachineConfig, Phase};
-use crate::protocol::{
-    decode_vec_frame, encode_grad, encode_join, encode_ready, encode_rejoin, read_array,
-    session_token, KIND_STEP, KIND_WARMUP,
-};
-use crate::session::{Broadcast, Session, Verdict};
+use crate::protocol::session_token;
+use crate::session::{Broadcast, Session, Verdict, WorkerSession};
 use crate::transport::{drive, CoordinatorError, Transport};
-use bytes::BytesMut;
+use crate::worker::WorkerError;
 use dpbyz_core::engine::register_backend;
 use dpbyz_core::pipeline::{Experiment, PipelineError};
 use dpbyz_core::{ComponentSpec, EngineBackend, RegistryError};
@@ -353,34 +353,22 @@ impl Wire {
     }
 }
 
-/// A simulated worker: a real [`HonestWorker`] plus the worker-side
-/// session state `run_worker` keeps, with a pending-step buffer in place
-/// of TCP's ordering guarantee.
+/// A simulated worker's `send`: the frame, and the step if it is a report
+/// computed just now.
+type Uplink<'a> = &'a mut dyn FnMut(&[u8], Option<u32>) -> io::Result<()>;
+
+/// A simulated worker: the same [`WorkerSession`] a TCP worker runs,
+/// plus its crash and join schedule.
 struct SimWorker {
-    hw: HonestWorker,
+    session: WorkerSession,
     /// `false` between a crash and its rejoin: deliveries are discarded
     /// (they were on the dead wire) and nothing is sent.
     alive: bool,
-    /// `0` = warmup not yet answered; `t ≥ 1` = first uncomputed step.
-    next_slot: u32,
-    /// Broadcast steps received ahead of the cursor (non-FIFO links
-    /// reorder; the worker computes strictly in step order).
-    pending: BTreeMap<u32, Vec<u8>>,
     crash_after: Option<u32>,
     rejoin_on: Option<u32>,
     /// `Some(step)` until this worker's `JOIN_FRESH` fires (on the
     /// broadcast of `step`, or warmup for `0`).
     join_fresh_on: Option<u32>,
-    /// A fresh mid-run joiner anchors its slot cursor on the first
-    /// replayed `STEP` instead of requiring `WARMUP` first.
-    fresh_join: bool,
-    /// Its `REJOIN` credential.
-    token: u64,
-    params: Vector,
-    out: WorkerOutput,
-    /// Handshake frames, and each embedded vector frame of a report.
-    scratch: BytesMut,
-    grad_frame: BytesMut,
 }
 
 /// The in-memory chaos [`Transport`]: a virtual clock, a deterministic
@@ -436,26 +424,20 @@ impl SimNet {
             to_worker: links(&plan.to_worker, 1),
             to_coord: links(&plan.to_coord, 2),
         };
+        let reorder = u32::try_from(resume_window).unwrap_or(u32::MAX);
         let workers = workers
             .into_iter()
             .map(|hw| {
                 let id = hw.id();
                 let crash = plan.crashes.iter().find(|c| c.worker == id);
                 let late = plan.late_joins.iter().find(|j| j.worker == id);
+                let token = session_token(run_seed, id);
                 SimWorker {
-                    hw,
+                    session: WorkerSession::new(hw, token, late.is_some(), reorder),
                     alive: true,
-                    next_slot: 0,
-                    pending: BTreeMap::new(),
                     crash_after: crash.map(|c| c.after_step),
                     rejoin_on: crash.map(|c| c.rejoin_on_step),
                     join_fresh_on: late.map(|j| j.on_step),
-                    fresh_join: late.is_some(),
-                    token: session_token(run_seed, id),
-                    params: Vector::default(),
-                    out: WorkerOutput::default(),
-                    scratch: BytesMut::with_capacity(1024),
-                    grad_frame: BytesMut::with_capacity(1024),
                 }
             })
             .collect();
@@ -469,9 +451,10 @@ impl SimNet {
         };
         // Late joiners sit out the join phase entirely; their JOIN_FRESH
         // fires on the scheduled broadcast instead.
-        for w in net.workers.iter_mut().filter(|w| !w.fresh_join) {
-            encode_join(&mut w.scratch, w.hw.id(), false);
-            net.wire.send_to_coord(w.hw.id(), 0, &w.scratch);
+        for idx in 0..n {
+            if net.workers[idx].join_fresh_on.is_none() {
+                net.hello(idx);
+            }
         }
         net
     }
@@ -488,101 +471,77 @@ impl SimNet {
             Broadcast::Step { step, .. } => step,
             Broadcast::Done | Broadcast::Abort(_) => return,
         };
-        for w in &mut self.workers {
-            if w.join_fresh_on == Some(slot) {
-                w.join_fresh_on = None;
-                encode_join(&mut w.scratch, w.hw.id(), true);
-                self.wire.send_to_coord(w.hw.id(), 0, &w.scratch);
+        for idx in 0..self.workers.len() {
+            if self.workers[idx].join_fresh_on == Some(slot) {
+                self.workers[idx].join_fresh_on = None;
+                self.hello(idx);
             }
         }
         // Rejoin schedules fire on step broadcasts: a dead worker whose
         // trigger step just went out revives and starts its handshake.
-        for w in &mut self.workers {
+        for idx in 0..self.workers.len() {
+            let w = &mut self.workers[idx];
             if slot > 0 && !w.alive && w.rejoin_on == Some(slot) {
                 w.alive = true;
                 w.rejoin_on = None;
-                encode_rejoin(&mut w.scratch, w.hw.id(), w.token, w.next_slot);
-                self.wire.send_to_coord(w.hw.id(), 0, &w.scratch);
+                self.hello(idx);
             }
         }
     }
 
-    /// The worker-side receive path for one delivered frame: `run_worker`'s
-    /// policy, with the pending buffer restoring step order over the
-    /// non-FIFO links.
-    fn worker_receive(&mut self, idx: usize, frame: Vec<u8>) {
-        let Some(&kind) = frame.get(4) else { return };
-        let w = &mut self.workers[idx];
-        if !w.alive {
+    /// Worker `idx` opens its link: its session's handshake goes up the
+    /// wire. Only a fresh report can fire the crash plan, so it never
+    /// fails.
+    fn hello(&mut self, idx: usize) {
+        let _ = self.uplink(idx, |session, send| session.hello(send));
+    }
+
+    /// Hands one delivered frame to worker `idx`'s session. Any error but
+    /// the crash is a violation: a simulated link has no connection to
+    /// close, so the frame is simply dropped.
+    fn worker_deliver(&mut self, idx: usize, frame: &[u8]) {
+        let (Some(&kind), Some(payload)) = (frame.get(4), frame.get(5..)) else {
+            return;
+        };
+        if !self.workers[idx].alive {
             return; // the wire it was on is dead
         }
-        match kind {
-            KIND_WARMUP => {
-                if w.next_slot == 0 {
-                    w.next_slot = 1;
-                }
-                // A duplicated WARMUP re-READYs; the machine dedups.
-                encode_ready(&mut w.scratch, w.hw.id());
-                self.wire.send_to_coord(w.hw.id(), 0, &w.scratch);
+        let sent = self.uplink(idx, |session, send| session.handle(kind, payload, send));
+        if let Err(WorkerError::Io(_)) = sent {
+            self.workers[idx].alive = false;
+            if self.detect_crash {
+                // The reset travels the wire like any frame, minus
+                // chaos draws (a reset is not retransmitted).
+                let at = self.wire.now + self.wire.to_coord[idx].plan.delay_ms;
+                self.wire.push(at, Delivery::Detach { worker: idx as u32 });
             }
-            KIND_STEP => {
-                let payload = frame.get(5..).unwrap_or_default();
-                let Ok(step) = read_array(payload, 0).map(u32::from_le_bytes) else {
-                    return;
-                };
-                if w.fresh_join && w.next_slot == 0 {
-                    // A fresh mid-run joiner skips warmup: the first
-                    // replayed STEP carries the model snapshot and
-                    // anchors the slot cursor.
-                    w.next_slot = step.max(1);
-                }
-                if step >= w.next_slot.max(1) {
-                    w.pending.entry(step).or_insert(frame);
-                }
-                // Stale copies (step < next_slot) are settled history:
-                // eventual delivery means the original report already
-                // made it out, so no retransmission is needed.
-            }
-            // DONE / ABORT end the session; nothing to send back.
-            _ => return,
         }
-        self.drain_pending(idx);
     }
 
-    /// Computes every buffered step the cursor has reached, in order,
-    /// scheduling one `GRAD` per step — and honouring the crash plan.
-    fn drain_pending(&mut self, idx: usize) {
-        let w = &mut self.workers[idx];
-        while w.alive && w.next_slot > 0 {
-            let Some(frame) = w.pending.remove(&w.next_slot) else {
-                return;
-            };
-            let payload = frame.get(5..).unwrap_or_default();
-            let Ok((step, batch)) = decode_vec_frame(payload, &mut w.params) else {
-                return; // locally built frames never fail; belt and braces
-            };
-            let id = w.hw.id();
-            w.hw.compute_into(&w.params, batch as usize, &mut w.out);
-            w.next_slot = step + 1;
-            encode_grad(&mut w.grad_frame, &mut w.scratch, id, step, &w.out);
-            let straggle: u64 = self
-                .grad_delays
-                .iter()
-                .filter(|d| d.worker == id && d.from_step <= step && step <= d.to_step)
-                .map(|d| d.extra_ms)
-                .sum();
-            self.wire
-                .send_to_coord(id, self.compute_ms + straggle, &w.grad_frame);
-            if w.crash_after == Some(step) {
-                w.alive = false;
-                if self.detect_crash {
-                    // The reset travels the wire like any frame, minus
-                    // chaos draws (a reset is not retransmitted).
-                    let at = self.wire.now + self.wire.to_coord[idx].plan.delay_ms;
-                    self.wire.push(at, Delivery::Detach { worker: id });
-                }
+    /// Runs `act` on worker `idx`'s session with its uplink as `send`. A
+    /// fresh report is charged the compute time plus any straggler delay,
+    /// and the one the crash plan names is the last frame the link
+    /// carries.
+    fn uplink<R>(
+        &mut self,
+        idx: usize,
+        act: impl FnOnce(&mut WorkerSession, Uplink<'_>) -> R,
+    ) -> R {
+        let (wire, w, id) = (&mut self.wire, &mut self.workers[idx], idx as u32);
+        let (compute_ms, delays, crash_after) = (self.compute_ms, &self.grad_delays, w.crash_after);
+        act(&mut w.session, &mut |frame, computed| {
+            let extra = computed.map_or(0, |step| {
+                let late = delays
+                    .iter()
+                    .filter(|d| d.worker == id && (d.from_step..=d.to_step).contains(&step));
+                compute_ms + late.map(|d| d.extra_ms).sum::<u64>()
+            });
+            wire.send_to_coord(id, extra, frame);
+            if computed.is_some() && computed == crash_after {
+                return Err(io::ErrorKind::ConnectionReset.into());
             }
-        }
+            Ok(())
+        })
     }
 }
 
@@ -616,13 +575,13 @@ impl Transport for SimNet {
                             .handle(Some(from), kind, payload, phase, outputs, events);
                     if let Verdict::Attach(_, Some(replay)) = verdict {
                         // The replay crosses the faulty link; the worker's
-                        // pending buffer restores order.
+                        // reorder buffer restores order.
                         for frame in replay {
                             self.wire.send_to_worker(from, frame);
                         }
                     }
                 }
-                Delivery::ToWorker { to, frame } => self.worker_receive(to as usize, frame),
+                Delivery::ToWorker { to, frame } => self.worker_deliver(to as usize, &frame),
                 Delivery::Detach { worker } => self.session.detach(worker, events),
             }
         }

@@ -1,41 +1,33 @@
-//! The worker process's event loop: connect, join, warm up, then compute
-//! one gradient per `STEP` broadcast until `DONE`.
+//! The TCP worker: connect, say hello, then carry frames between the
+//! socket and the worker's [`WorkerSession`] until `DONE`.
 //!
-//! The loop is deliberately dumb — all scheduling intelligence lives in
-//! the coordinator's state machine. A worker connects (with retry, since
-//! worker processes may launch before the coordinator's listener), sends
-//! `JOIN`, answers `WARMUP` with `READY`, and then for every `STEP` frame
-//! decodes the broadcast parameters, runs
-//! [`HonestWorker::compute_into`], and replies with a `GRAD` frame. The
+//! Every worker-side decision lives in that sans-IO session, which the
+//! simulator's workers run too. This loop only connects (with retry,
+//! since worker processes may launch before the coordinator's listener),
+//! reads frames through [`FrameReader`], writes the session's answers,
+//! and reconnects. TCP is FIFO, so the session keeps no reorder buffer:
+//! a gap, or a `STEP` before `WARMUP`, is a protocol violation. The
 //! worker's RNG stream, clip, and momentum come from
 //! [`Trainer::into_worker`](dpbyz_server::Trainer::into_worker), so its
 //! submissions are bit-identical to its in-process twin's.
 //!
-//! A lost socket is survivable: when [`WorkerConfig::session_token`] is
-//! set, the worker holds on to its model state, reconnects, and sends
+//! A lost socket is survivable when [`WorkerConfig::session_token`] is
+//! set: the worker keeps its session, reconnects, and says hello again —
 //! `REJOIN` naming the first step it has not computed. The coordinator
 //! replays every missed broadcast from its resume ring, so the worker
-//! computes the missed steps in order — the same parameter bytes, the
-//! same RNG draws — and its state catches up exactly as if it had merely
-//! straggled. Replayed or duplicated broadcasts are handled by slot
-//! arithmetic: stale steps retransmit the cached report (the coordinator
-//! dedups), future steps are a protocol violation.
+//! computes the missed steps in order, the same parameter bytes and the
+//! same RNG draws, exactly as if it had merely straggled.
 //!
-//! All buffers (parameter vector, output slot, frame scratch, the cached
-//! report) are recycled across rounds *and* across reconnects: a
-//! steady-state round allocates nothing.
+//! The session's buffers are recycled across rounds and reconnects, and
+//! the [`FrameReader`] across the rounds of its socket: a steady-state
+//! round allocates nothing.
 
-use crate::protocol::{
-    decode_vec_frame, encode_grad, encode_join, encode_ready, encode_rejoin, read_array,
-    read_exact_frame, write_all_frame, MessageError, KIND_ABORT, KIND_DONE, KIND_STEP, KIND_WARMUP,
-    MAX_FRAME_LEN,
-};
-use bytes::BytesMut;
-use dpbyz_server::{HonestWorker, WorkerOutput};
-use dpbyz_tensor::{Prng, Vector};
+use crate::protocol::{session_token, write_all_frame, FrameReader, MessageError};
+use crate::session::{WorkerFlow, WorkerSession};
+use dpbyz_server::HonestWorker;
+use dpbyz_tensor::Prng;
 use std::fmt;
 use std::io;
-use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -88,7 +80,7 @@ pub struct WorkerConfig {
     /// without `ABORT`) exits with an error instead of lingering forever.
     pub read_timeout: Duration,
     /// The `REJOIN` credential, equal to
-    /// [`session_token`](crate::protocol::session_token)`(seed, id)`.
+    /// [`session_token`]`(seed, id)`.
     /// `None` (the default) disables reconnection: a lost socket is a
     /// fatal [`WorkerError::Io`], the pre-churn behaviour.
     pub session_token: Option<u64>,
@@ -116,22 +108,17 @@ impl Default for WorkerConfig {
     }
 }
 
-/// The state that outlives a socket: frame scratch, the decoded
-/// parameter vector, the output slot, and the session's slot cursor
-/// (`0` = warmup not yet answered, `t ≥ 1` = first uncomputed step).
-struct Session {
-    send: BytesMut,
-    /// Each embedded vector frame of a report, in turn.
-    vec_frame: BytesMut,
-    /// The full wire frame of the newest report — retransmitted after a
-    /// reconnect (its first send may have died with the old socket) and
-    /// on duplicated broadcasts; the coordinator's guard dedups.
-    grad_cache: BytesMut,
-    recv: Vec<u8>,
-    params: Vector,
-    out: WorkerOutput,
-    next_slot: u32,
-    steps_served: u32,
+impl WorkerConfig {
+    /// The config of worker `id` in a run seeded `seed`: it reconnects
+    /// through `REJOIN` with [`session_token`]`(seed, id)`, surviving up
+    /// to three lost sockets.
+    pub fn for_run(seed: u64, id: u32) -> Self {
+        WorkerConfig {
+            session_token: Some(session_token(seed, id)),
+            max_rejoins: 3,
+            ..WorkerConfig::default()
+        }
+    }
 }
 
 /// Runs one worker session to completion, reconnecting through
@@ -143,138 +130,58 @@ struct Session {
 /// See [`WorkerError`].
 pub fn run_worker(
     addr: SocketAddr,
-    mut worker: HonestWorker,
+    worker: HonestWorker,
     cfg: WorkerConfig,
 ) -> Result<u32, WorkerError> {
-    let id = worker.id();
-    let mut session = Session {
-        send: BytesMut::with_capacity(4096),
-        vec_frame: BytesMut::with_capacity(4096),
-        grad_cache: BytesMut::with_capacity(4096),
-        recv: Vec::new(),
-        params: Vector::default(),
-        out: WorkerOutput::default(),
-        next_slot: 0,
-        steps_served: 0,
-    };
+    let token = cfg.session_token.unwrap_or_default();
+    let mut session = WorkerSession::new(worker, token, cfg.fresh_join, 0);
     let mut rejoins_left = cfg.max_rejoins;
-    let mut fresh = true;
     loop {
-        match serve(addr, id, &mut worker, &cfg, &mut session, fresh) {
-            Ok(steps) => return Ok(steps),
+        match serve(addr, &cfg, &mut session) {
+            // The socket died but the session is intact: resume.
             Err(WorkerError::Io(_)) if cfg.session_token.is_some() && rejoins_left > 0 => {
-                // The socket died but the model state is intact: resume.
                 rejoins_left -= 1;
-                fresh = false;
             }
-            Err(e) => return Err(e),
+            result => return result,
         }
     }
 }
 
+/// One connection: hello, then frames from the socket into the session
+/// and its answers back, until `DONE` or an error.
 fn serve(
     addr: SocketAddr,
-    id: u32,
-    worker: &mut HonestWorker,
     cfg: &WorkerConfig,
-    st: &mut Session,
-    fresh: bool,
+    session: &mut WorkerSession,
 ) -> Result<u32, WorkerError> {
     // Retry jitter must be deterministic per worker: seed from the
     // session credential (or the id when reconnection is disabled).
+    let id = session.id();
     let retry_seed = cfg.session_token.unwrap_or(0) ^ (u64::from(id) << 32) ^ u64::from(id);
     let mut stream = connect_with_retry(addr, cfg.connect_timeout, retry_seed)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(cfg.read_timeout))?;
-
-    if fresh {
-        encode_join(&mut st.send, id, cfg.fresh_join);
-        write_all_frame(&mut stream, &st.send)?;
-    } else {
-        let token = cfg.session_token.unwrap_or_default();
-        encode_rejoin(&mut st.send, id, token, st.next_slot);
-        write_all_frame(&mut stream, &st.send)?;
-        // The newest report may have died unread with the old socket.
-        if !st.grad_cache.is_empty() {
-            write_all_frame(&mut stream, &st.grad_cache)?;
-        }
-    }
-
+    session.hello(|frame, _| write_all_frame(&mut stream, frame))?;
+    let mut reader = FrameReader::new();
     loop {
-        let (kind, len) = read_header(&mut stream, &mut st.recv)?;
-        read_exact_frame(&mut stream, &mut st.recv, len)?;
-        match kind {
-            KIND_WARMUP => {
-                if st.next_slot == 0 {
-                    st.next_slot = 1;
-                }
-                // A replayed WARMUP re-READYs; the machine dedups.
-                encode_ready(&mut st.send, id);
-                write_all_frame(&mut stream, &st.send)?;
+        let Some((kind, payload)) = reader.next_frame()? else {
+            // On a blocking socket, a read that returns nothing ran into
+            // the read timeout: the coordinator fell silent.
+            if reader.fill(&mut stream)? == 0 {
+                return Err(WorkerError::Io(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "no frame from the coordinator within the read timeout",
+                )));
             }
-            KIND_STEP => {
-                let (step, batch_size) = decode_vec_frame(&st.recv, &mut st.params)?;
-                if cfg.fresh_join && st.next_slot == 0 {
-                    // A fresh mid-run join skips warmup: the first
-                    // replayed STEP carries the current model snapshot
-                    // and anchors the slot cursor. Ordinary workers keep
-                    // the strict STEP-before-WARMUP protocol error.
-                    st.next_slot = step.max(1);
-                }
-                if step < st.next_slot {
-                    // Already computed: a duplicated or replayed
-                    // broadcast. Retransmit the report it asks for when
-                    // we still hold it; otherwise it is settled history.
-                    if step.saturating_add(1) == st.next_slot && !st.grad_cache.is_empty() {
-                        write_all_frame(&mut stream, &st.grad_cache)?;
-                    }
-                } else if step == st.next_slot && step >= 1 {
-                    worker.compute_into(&st.params, batch_size as usize, &mut st.out);
-                    st.next_slot = step + 1;
-                    st.steps_served += 1;
-                    encode_grad(&mut st.grad_cache, &mut st.vec_frame, id, step, &st.out);
-                    write_all_frame(&mut stream, &st.grad_cache)?;
-                } else {
-                    // A gap (or a STEP before WARMUP): TCP ordering and
-                    // the rejoin replay both forbid this from an honest
-                    // coordinator.
-                    return Err(WorkerError::Protocol(format!(
-                        "step {step} broadcast while {} was the next expected slot",
-                        st.next_slot
-                    )));
-                }
-            }
-            KIND_DONE => return Ok(st.steps_served),
-            KIND_ABORT => {
-                return Err(WorkerError::Aborted(
-                    String::from_utf8_lossy(&st.recv).into_owned(),
-                ))
-            }
-            other => {
-                return Err(WorkerError::Protocol(format!(
-                    "unexpected frame kind {other} from coordinator"
-                )))
-            }
+            continue;
+        };
+        let flow = session.handle(kind, payload, |frame, _| {
+            write_all_frame(&mut stream, frame)
+        })?;
+        if let WorkerFlow::Done(steps) = flow {
+            return Ok(steps);
         }
     }
-}
-
-/// Reads and validates one frame header, returning `(kind, payload_len)`.
-/// Generic over [`Read`] so hostile-header handling is testable without a
-/// socket; every byte of the peer-supplied header is bounds-checked.
-fn read_header(stream: &mut impl Read, scratch: &mut Vec<u8>) -> Result<(u8, usize), WorkerError> {
-    read_exact_frame(stream, scratch, 5)?;
-    let len = u32::from_le_bytes(read_array(scratch, 0)?) as usize;
-    if len == 0 || len > MAX_FRAME_LEN {
-        return Err(WorkerError::Protocol(format!(
-            "implausible frame length {len} from coordinator"
-        )));
-    }
-    let kind = *scratch.get(4).ok_or(MessageError::ShortRead {
-        needed: 5,
-        got: scratch.len(),
-    })?;
-    Ok((kind, len - 1))
 }
 
 /// Connects with capped exponential backoff: 10 ms doubling to a 500 ms
@@ -305,51 +212,39 @@ fn connect_with_retry(addr: SocketAddr, timeout: Duration, seed: u64) -> io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
-
-    fn header(len: u32, kind: u8) -> Vec<u8> {
-        let mut bytes = len.to_le_bytes().to_vec();
-        bytes.push(kind);
-        bytes
-    }
+    use dpbyz_core::pipeline::Experiment;
+    use dpbyz_server::RunScratch;
+    use std::net::TcpListener;
 
     #[test]
-    fn valid_header_decodes() {
-        let mut scratch = Vec::new();
-        let got = read_header(&mut Cursor::new(header(10, KIND_STEP)), &mut scratch);
-        assert!(matches!(got, Ok((KIND_STEP, 9))));
-    }
-
-    #[test]
-    fn truncated_header_is_an_io_error_not_a_panic() {
-        // The coordinator dies mid-header: every prefix length must
-        // surface a typed error.
-        let full = header(10, KIND_STEP);
-        for cut in 0..full.len() {
-            let mut scratch = Vec::new();
-            let got = read_header(&mut Cursor::new(&full[..cut]), &mut scratch);
-            assert!(matches!(got, Err(WorkerError::Io(_))), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn zero_length_header_is_a_protocol_error() {
-        let mut scratch = Vec::new();
-        let got = read_header(&mut Cursor::new(header(0, KIND_STEP)), &mut scratch);
-        assert!(matches!(got, Err(WorkerError::Protocol(_))));
-    }
-
-    #[test]
-    fn hostile_length_header_is_a_protocol_error() {
-        // A corrupted or hostile length word must be rejected before any
-        // buffering happens, with the declared length in the message.
-        let mut scratch = Vec::new();
-        let got = read_header(&mut Cursor::new(header(u32::MAX, KIND_STEP)), &mut scratch);
-        match got {
-            Err(WorkerError::Protocol(msg)) => {
-                assert!(msg.contains(&u32::MAX.to_string()), "{msg}")
-            }
-            other => panic!("expected Protocol error, got {other:?}"),
-        }
+    fn an_orphaned_worker_times_out_instead_of_spinning() {
+        // A coordinator that accepts and then never writes: the blocking
+        // read runs into its timeout, and the worker exits with a typed
+        // error instead of looping on empty reads.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // The accepted socket lives in the join handle until the end.
+        let coordinator = std::thread::spawn(move || listener.accept());
+        let exp = Experiment::theorem1(4, 0.1, None, 2, 5, 1).unwrap();
+        let (_, mut workers) = exp
+            .build_trainer()
+            .unwrap()
+            .into_distributed_parts(1, &mut RunScratch::new());
+        let read_timeout = Duration::from_millis(200);
+        let cfg = WorkerConfig {
+            read_timeout,
+            ..WorkerConfig::default()
+        };
+        let worker = workers.remove(0);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(run_worker(addr, worker, cfg)));
+        let got = rx
+            .recv_timeout(2 * read_timeout)
+            .expect("the worker exits within twice its read timeout");
+        assert!(
+            matches!(&got, Err(WorkerError::Io(e)) if e.kind() == io::ErrorKind::TimedOut),
+            "{got:?}"
+        );
+        assert!(coordinator.join().unwrap().is_ok());
     }
 }
