@@ -49,7 +49,7 @@ use dpbyz_attacks::{
 use dpbyz_dp::{GaussianMechanism, LaplaceMechanism, Mechanism, NoNoise, PrivacyBudget};
 use dpbyz_gars::{
     Average, Bucketing, Bulyan, CenteredClipping, CoordinateMedian, Gar, GeometricMedian, Krum,
-    Mda, Meamed, MultiKrum, Phocas, StalenessDamped, TrimmedMean,
+    Mda, Meamed, MultiKrum, Phocas, TrimmedMean,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -212,10 +212,21 @@ impl ComponentSpec {
     /// [`RegistryError::Build`] when the key is present but not an
     /// unsigned integer.
     pub fn u64_or_reject(&self, key: &str, default: u64) -> Result<u64, RegistryError> {
+        Ok(self.u64_if_present(key)?.unwrap_or(default))
+    }
+
+    /// [`ComponentSpec::u64`] for a parameter without a default: `None`
+    /// when absent, an error when present but not an unsigned integer.
+    ///
+    /// # Errors
+    ///
+    /// As [`ComponentSpec::u64_or_reject`].
+    pub fn u64_if_present(&self, key: &str) -> Result<Option<u64>, RegistryError> {
         match self.params.get(key) {
-            None => Ok(default),
+            None => Ok(None),
             Some(_) => self
                 .u64(key)
+                .map(Some)
                 .ok_or_else(|| self.wrong_type(key, "an unsigned integer")),
         }
     }
@@ -522,19 +533,6 @@ fn built_in_gars() -> Registry<dyn Gar> {
         let inner = build_inner_gar(spec, "bucketing", "s")?;
         Ok(Arc::new(Bucketing::new(inner, s as usize)) as Arc<dyn Gar>)
     });
-    r.seed("staleness-damped", |spec| {
-        let lambda = spec.f64_or_reject("lambda", 0.5)?;
-        // NaN must take the Build-error path too, not the constructor's
-        // assert.
-        if lambda.is_nan() || lambda <= 0.0 || lambda > 1.0 {
-            return Err(RegistryError::Build {
-                id: "staleness-damped".into(),
-                message: format!("`lambda` must be in (0, 1], got {lambda}"),
-            });
-        }
-        let inner = build_inner_gar(spec, "staleness-damped", "lambda")?;
-        Ok(Arc::new(StalenessDamped::new(inner, lambda)) as Arc<dyn Gar>)
-    });
     r
 }
 
@@ -834,12 +832,11 @@ mod tests {
             "geometric-median",
             "centered-clipping",
             "bucketing",
-            "staleness-damped",
         ] {
             let gar = build_gar(&ComponentSpec::new(id)).unwrap();
             assert_eq!(gar.name(), id);
         }
-        assert!(gar_ids().len() >= 13);
+        assert!(gar_ids().len() >= 12);
     }
 
     #[test]
@@ -896,6 +893,17 @@ mod tests {
         let krum_inner = build_gar(&ComponentSpec::new("bucketing").with("inner", "krum")).unwrap();
         assert_eq!(krum_inner.max_byzantine(11), 1); // krum at 6: (6−3)/2
 
+        // A meta-rule nested in a meta-rule: each level lends its own
+        // nested scratch to the next.
+        let nested =
+            build_gar(&ComponentSpec::new("bucketing").with("inner", "bucketing")).unwrap();
+        assert_eq!(nested.max_byzantine(11), 1); // median at ⌈⌈11/2⌉/2⌉ = 3
+        let grads: Vec<dpbyz_tensor::Vector> = (0..11)
+            .map(|i| dpbyz_tensor::Vector::from(vec![i as f64]))
+            .collect();
+        // Buckets of buckets: [1.5, 5.5, 9.25], whose median is 5.5.
+        assert_eq!(nested.aggregate(&grads, 1).unwrap()[0], 5.5);
+
         // An unresolvable inner id surfaces as a build error naming it.
         let err = build_gar(&ComponentSpec::new("bucketing").with("inner", "nope"))
             .err()
@@ -924,45 +932,6 @@ mod tests {
             .err()
             .unwrap();
         assert!(matches!(err, RegistryError::Build { .. }));
-    }
-
-    #[test]
-    fn staleness_damped_factory_resolves_inner_rule_by_string_param() {
-        // Tolerance delegates at the same (n, f): median tolerates 5 of 11.
-        let default = build_gar(&ComponentSpec::new("staleness-damped")).unwrap();
-        assert_eq!(default.name(), "staleness-damped");
-        assert_eq!(default.max_byzantine(11), 5);
-
-        // Inner selected via a string param, recursively through the
-        // registry — including another meta-rule.
-        let mda = build_gar(&ComponentSpec::new("staleness-damped").with("inner", "mda")).unwrap();
-        assert_eq!(mda.max_byzantine(11), 5);
-        let bucketed =
-            build_gar(&ComponentSpec::new("staleness-damped").with("inner", "bucketing")).unwrap();
-        assert_eq!(bucketed.max_byzantine(11), 2); // median at ⌈11/2⌉ = 6
-
-        // Non-wrapper params reach the inner factory.
-        let err = build_gar(
-            &ComponentSpec::new("staleness-damped")
-                .with("inner", "centered-clipping")
-                .with("tau", -1.0),
-        )
-        .err()
-        .unwrap();
-        assert!(err.to_string().contains("tau"), "{err}");
-
-        // λ outside (0, 1] (or NaN) is a build error, not a panic.
-        for bad in [0.0, -0.5, 1.5, f64::NAN] {
-            let err = build_gar(&ComponentSpec::new("staleness-damped").with("lambda", bad))
-                .err()
-                .unwrap();
-            assert!(matches!(err, RegistryError::Build { .. }), "{err}");
-        }
-        // An unresolvable inner id surfaces as a build error naming it.
-        let err = build_gar(&ComponentSpec::new("staleness-damped").with("inner", "nope"))
-            .err()
-            .unwrap();
-        assert!(err.to_string().contains("nope"), "{err}");
     }
 
     #[test]

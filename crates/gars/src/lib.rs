@@ -54,7 +54,6 @@ mod meamed;
 mod median;
 mod phocas;
 mod scratch;
-mod staleness;
 mod trimmed_mean;
 pub mod vn;
 
@@ -70,7 +69,6 @@ pub use meamed::Meamed;
 pub use median::CoordinateMedian;
 pub use phocas::Phocas;
 pub use scratch::GarScratch;
-pub use staleness::StalenessDamped;
 pub use trimmed_mean::TrimmedMean;
 
 use dpbyz_tensor::Vector;
@@ -143,8 +141,7 @@ pub(crate) fn check_input(gradients: &[Vector]) -> Result<usize, GarError> {
 
 /// Every GAR in this crate, boxed — convenient for sweeps over rules.
 /// Parameterized rules carry neutral defaults (centered clipping at τ = 1,
-/// bucketing over the coordinate median with s = 2, staleness damping over
-/// the coordinate median with λ = 0.5).
+/// bucketing over the coordinate median with s = 2).
 pub fn all_gars() -> Vec<Box<dyn Gar>> {
     vec![
         Box::new(Average::new()),
@@ -160,10 +157,6 @@ pub fn all_gars() -> Vec<Box<dyn Gar>> {
         Box::new(Bucketing::new(
             std::sync::Arc::new(CoordinateMedian::new()),
             2,
-        )),
-        Box::new(StalenessDamped::new(
-            std::sync::Arc::new(CoordinateMedian::new()),
-            0.5,
         )),
     ]
 }
@@ -188,8 +181,8 @@ mod tests {
     }
 
     #[test]
-    fn all_gars_lists_twelve() {
-        assert_eq!(all_gars().len(), 12);
+    fn all_gars_lists_eleven() {
+        assert_eq!(all_gars().len(), 11);
     }
 
     #[test]

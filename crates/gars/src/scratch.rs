@@ -22,10 +22,9 @@ const TILED_MIN_DIM: usize = 8192;
 
 /// Scratch buffers for [`Gar::aggregate_into`](crate::Gar::aggregate_into).
 ///
-/// Built-in rules use the private buffers below. Out-of-tree GARs can
-/// either keep their own state or borrow the dedicated extension buffers
-/// ([`GarScratch::scalars`], [`GarScratch::indices`],
-/// [`GarScratch::vector`]), which the built-ins never touch.
+/// The built-in rules' private workspace: every buffer is crate-private,
+/// so an out-of-tree GAR keeps its own state and only passes the scratch
+/// through to any built-in rule it wraps.
 #[derive(Debug, Default)]
 pub struct GarScratch {
     /// Flat `m × m` symmetric squared-distance matrix over the current
@@ -62,18 +61,6 @@ pub struct GarScratch {
     /// Nested scratch handed to a meta-rule's inner GAR (boxed so the
     /// recursive type has a fixed size; allocated once, reused forever).
     pub(crate) nested: Option<Box<GarScratch>>,
-    /// Per-submission staleness ages (rounds late) consumed by the
-    /// `staleness-damped` meta-rule — set by the caller via
-    /// [`GarScratch::set_submission_ages`] before the aggregate call.
-    /// Empty (the default) means "every submission is fresh".
-    pub(crate) ages: Vec<u32>,
-    /// Damped copies of the submissions for the `staleness-damped`
-    /// meta-rule (reused across rounds like `buckets`).
-    pub(crate) weighted: Vec<Vector>,
-    /// Extension buffers reserved for out-of-tree implementations.
-    ext_scalars: Vec<f64>,
-    ext_indices: Vec<usize>,
-    ext_vector: Vector,
 }
 
 impl GarScratch {
@@ -81,45 +68,6 @@ impl GarScratch {
     /// and are reused afterwards.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A cleared general-purpose `f64` buffer for out-of-tree
-    /// `aggregate_into` implementations. The built-in rules never touch it.
-    pub fn scalars(&mut self) -> &mut Vec<f64> {
-        self.ext_scalars.clear();
-        &mut self.ext_scalars
-    }
-
-    /// A cleared general-purpose index buffer for out-of-tree
-    /// implementations. The built-in rules never touch it.
-    pub fn indices(&mut self) -> &mut Vec<usize> {
-        self.ext_indices.clear();
-        &mut self.ext_indices
-    }
-
-    /// A general-purpose vector buffer for out-of-tree implementations
-    /// (contents unspecified; overwrite before reading). The built-in
-    /// rules never touch it.
-    pub fn vector(&mut self) -> &mut Vector {
-        &mut self.ext_vector
-    }
-
-    /// Records the per-submission staleness ages the `staleness-damped`
-    /// meta-rule folds into its next aggregate call: `ages[i]` is how many
-    /// rounds late submission `i` arrived (`0` = fresh). The ages persist
-    /// until the next `set_submission_ages` call — callers admitting late
-    /// gradients set them every round. An empty slice (the default state)
-    /// means every submission is fresh, in which case the meta-rule
-    /// delegates to its inner rule untouched.
-    pub fn set_submission_ages(&mut self, ages: &[u32]) {
-        self.ages.clear();
-        self.ages.extend_from_slice(ages);
-    }
-
-    /// The currently recorded per-submission staleness ages (empty =
-    /// all fresh). See [`GarScratch::set_submission_ages`].
-    pub fn submission_ages(&self) -> &[u32] {
-        &self.ages
     }
 
     /// Sets the intra-round aggregation parallelism used by the sharded
@@ -245,17 +193,6 @@ pub(crate) fn mean_indexed_into(gradients: &[Vector], indices: &[usize], out: &m
 mod tests {
     use super::*;
     use dpbyz_tensor::Prng;
-
-    #[test]
-    fn extension_buffers_are_cleared_and_reusable() {
-        let mut s = GarScratch::new();
-        s.scalars().extend_from_slice(&[1.0, 2.0]);
-        assert!(s.scalars().is_empty());
-        s.indices().push(7);
-        assert!(s.indices().is_empty());
-        s.vector().resize(3, 1.0);
-        assert_eq!(s.vector().dim(), 3);
-    }
 
     #[test]
     fn mean_indexed_matches_subset_mean_bitwise() {

@@ -198,9 +198,9 @@ fn determinism_rules_cover_the_chaos_transport_files() {
 /// state (`GradGuard`'s window) that the replay contract depends on, so
 /// `protocol.rs` sits in *both* scopes — determinism (no wall clock,
 /// no ambient RNG, no unordered maps deciding admission) and hostile
-/// input (it still parses peer-controlled bytes). The staleness-damped
-/// meta-GAR is covered by the `crates/gars/src/` prefix, never by
-/// enumeration.
+/// input (it still parses peer-controlled bytes). The GAR scratch every
+/// rule aggregates through is covered by the `crates/gars/src/` prefix,
+/// never by enumeration.
 #[test]
 fn determinism_rules_cover_the_staleness_admission_files() {
     for rule in [
@@ -213,8 +213,8 @@ fn determinism_rules_cover_the_staleness_admission_files() {
             "{rule} must cover the wire codec's admission guard"
         );
         assert!(
-            rules::rule_applies(rule, "crates/gars/src/staleness.rs"),
-            "{rule} must cover the staleness-damped meta-GAR"
+            rules::rule_applies(rule, "crates/gars/src/scratch.rs"),
+            "{rule} must cover the GAR scratch"
         );
     }
     for rule in [rules::RULE_EXPLICIT_PANIC, rules::RULE_INDEXING] {
@@ -224,8 +224,8 @@ fn determinism_rules_cover_the_staleness_admission_files() {
         );
     }
     assert!(
-        rules::rule_applies(rules::RULE_ZERO_COPY, "crates/gars/src/staleness.rs"),
-        "zero-copy regions must be honoured in the damped aggregation path"
+        rules::rule_applies(rules::RULE_ZERO_COPY, "crates/gars/src/scratch.rs"),
+        "zero-copy regions must be honoured in the GAR scratch"
     );
 }
 

@@ -28,31 +28,35 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Resolves and validates the deployment shape shared by every
-/// distributed backend (`"tcp"` and `"sim"`): how many honest workers
-/// connect, the join gate, and the per-round quorum. Misconfiguration
-/// surfaces as a [`PipelineError::Spec`] instead of a hung join phase.
-pub(crate) fn resolve_deployment(
+/// distributed deployment (the `"tcp"` and `"sim"` backends and the
+/// `coordinator` binary): how many honest workers connect, the join
+/// gate (default: all of them), and the per-round quorum (default:
+/// `max(min_workers, n_honest − f)`). Returns `(n_honest, min_workers,
+/// quorum)`. Misconfiguration surfaces as a [`PipelineError::Spec`]
+/// prefixed with `label` instead of a hung join phase.
+///
+/// # Errors
+///
+/// [`PipelineError::Spec`] when `min_workers` or `quorum` exceeds the
+/// workers that can ever connect.
+pub fn resolve_deployment(
     label: &str,
     exp: &Experiment,
     min_workers: Option<usize>,
     quorum: Option<usize>,
 ) -> Result<(usize, usize, usize), PipelineError> {
     let n_workers = exp.config.n_workers;
-    let n_honest = if exp.attack.is_some() {
-        exp.config.n_honest()
-    } else {
-        n_workers
-    };
+    let n_honest = exp.config.honest_workers(exp.attack.is_some());
     let min_workers = min_workers.unwrap_or(n_honest);
     if min_workers > n_workers {
         return Err(PipelineError::Spec(format!(
-            "{label} backend: min_workers {min_workers} exceeds n_workers {n_workers} \
+            "{label}: min_workers {min_workers} exceeds n_workers {n_workers} \
              — the join gate could never open"
         )));
     }
     if min_workers > n_honest {
         return Err(PipelineError::Spec(format!(
-            "{label} backend: min_workers {min_workers} exceeds the {n_honest} honest \
+            "{label}: min_workers {min_workers} exceeds the {n_honest} honest \
              workers; Byzantine colluders are simulated server-side and never \
              join, so at most {n_honest} processes ever connect"
         )));
@@ -66,7 +70,7 @@ pub(crate) fn resolve_deployment(
         .max(1);
     if quorum > n_honest {
         return Err(PipelineError::Spec(format!(
-            "{label} backend: quorum {quorum} exceeds the {n_honest} honest workers"
+            "{label}: quorum {quorum} exceeds the {n_honest} honest workers"
         )));
     }
     Ok((n_honest, min_workers, quorum))
@@ -85,15 +89,20 @@ pub struct TcpBackend {
 impl TcpBackend {
     /// Reads deployment knobs from a backend spec (see the module docs
     /// for the parameter list).
-    pub fn from_spec(spec: &ComponentSpec) -> Self {
-        let ms = |key: &str| spec.u64(key).map(Duration::from_millis);
-        TcpBackend {
-            min_workers: spec.u64("min_workers").map(|v| v as usize),
-            quorum: spec.u64("quorum").map(|v| v as usize),
-            join_timeout: ms("join_timeout_ms").unwrap_or(Duration::from_secs(10)),
-            warmup_timeout: ms("warmup_timeout_ms").unwrap_or(Duration::from_secs(10)),
-            step_timeout: ms("step_timeout_ms").unwrap_or(Duration::from_secs(10)),
-        }
+    ///
+    /// # Errors
+    ///
+    /// [`RegistryError::Build`] when a knob is present but not an
+    /// unsigned integer.
+    pub fn from_spec(spec: &ComponentSpec) -> Result<Self, RegistryError> {
+        let ms = |key: &str| spec.u64_or_reject(key, 10_000).map(Duration::from_millis);
+        Ok(TcpBackend {
+            min_workers: spec.u64_if_present("min_workers")?.map(|v| v as usize),
+            quorum: spec.u64_if_present("quorum")?.map(|v| v as usize),
+            join_timeout: ms("join_timeout_ms")?,
+            warmup_timeout: ms("warmup_timeout_ms")?,
+            step_timeout: ms("step_timeout_ms")?,
+        })
     }
 }
 
@@ -110,7 +119,7 @@ impl EngineBackend for TcpBackend {
         scratch: &mut RunScratch,
     ) -> Result<RunHistory, PipelineError> {
         let (n_honest, min_workers, quorum) =
-            resolve_deployment("tcp", exp, self.min_workers, self.quorum)?;
+            resolve_deployment("tcp backend", exp, self.min_workers, self.quorum)?;
 
         let mut trainer = exp.build_trainer()?;
         if let Some(observer) = observer {
@@ -162,7 +171,7 @@ impl EngineBackend for TcpBackend {
 /// binary and test that might race another `install`.
 pub fn install() {
     match register_backend("tcp", |spec| {
-        Ok(Arc::new(TcpBackend::from_spec(spec)) as Arc<dyn EngineBackend>)
+        Ok(Arc::new(TcpBackend::from_spec(spec)?) as Arc<dyn EngineBackend>)
     }) {
         Ok(()) | Err(RegistryError::DuplicateId(_)) => {}
         Err(e) => unreachable!("tcp backend registration failed: {e}"),

@@ -15,14 +15,19 @@
 //!             [--min-workers M] [--quorum Q]
 //!             [--staleness-window 0] [--staleness-damping 0.5]
 //!             [--join-timeout-ms 10000] [--step-timeout-ms 10000]
-//!             [--spawn] [--verify]
+//!             [--resume-window 8] [--spawn] [--verify]
 //! ```
+//!
+//! The honest-worker count and the `--min-workers`/`--quorum` defaults
+//! come from the same deployment rule as the `tcp` backend
+//! ([`resolve_deployment`]); an out-of-range value exits with code 2.
 //!
 //! Without `--spawn`, the process prints the listen address and the job
 //! spec JSON, then waits for externally launched workers (see the
 //! `worker` binary and `docs/DEPLOYMENT.md`).
 
 use dpbyz_core::pipeline::Experiment;
+use dpbyz_net::backend::resolve_deployment;
 use dpbyz_net::{CoordinatorConfig, JobSpec, TcpCoordinator};
 use dpbyz_server::RunScratch;
 use std::process::{Child, Command, Stdio};
@@ -38,14 +43,17 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn parsed<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    match arg_value(args, flag) {
-        Some(text) => text.parse().unwrap_or_else(|_| {
+fn parsed_opt<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    arg_value(args, flag).map(|text| {
+        text.parse().unwrap_or_else(|_| {
             eprintln!("coordinator: bad value for {flag}: {text}");
             std::process::exit(2);
-        }),
-        None => default,
-    }
+        })
+    })
+}
+
+fn parsed<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
+    parsed_opt(args, flag).unwrap_or(default)
 }
 
 fn main() {
@@ -90,10 +98,17 @@ fn main() {
     // keeps the strict digest-pinned semantics.
     exp.config.staleness_window = parsed(&args, "--staleness-window", 0);
     exp.config.staleness_damping = parsed(&args, "--staleness-damping", 0.5);
-    let n_honest = if exp.attack.is_some() {
-        exp.config.n_honest()
-    } else {
-        exp.config.n_workers
+    let (n_honest, min_workers, quorum) = match resolve_deployment(
+        "coordinator",
+        &exp,
+        parsed_opt(&args, "--min-workers"),
+        parsed_opt(&args, "--quorum"),
+    ) {
+        Ok(deployment) => deployment,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
     };
 
     let spec = match JobSpec::from_experiment(&exp, seed) {
@@ -106,15 +121,8 @@ fn main() {
     let spec_json = spec.to_json().expect("job spec serializes");
 
     let cfg = CoordinatorConfig {
-        min_workers: parsed(&args, "--min-workers", n_honest),
-        quorum: parsed(
-            &args,
-            "--quorum",
-            n_honest
-                .saturating_sub(exp.config.n_byzantine)
-                .max(1)
-                .min(n_honest),
-        ),
+        min_workers,
+        quorum,
         join_timeout: Duration::from_millis(parsed(&args, "--join-timeout-ms", 10_000)),
         warmup_timeout: Duration::from_millis(parsed(&args, "--join-timeout-ms", 10_000)),
         step_timeout: Duration::from_millis(parsed(&args, "--step-timeout-ms", 10_000)),

@@ -649,17 +649,22 @@ pub struct SimBackend {
 impl SimBackend {
     /// Reads deployment knobs from a backend spec (see the type docs for
     /// the parameter list).
-    pub fn from_spec(spec: &ComponentSpec) -> Self {
-        SimBackend {
-            chaos: spec.u64("chaos"),
-            min_workers: spec.u64("min_workers").map(|v| v as usize),
-            quorum: spec.u64("quorum").map(|v| v as usize),
-            join_timeout_ms: spec.u64("join_timeout_ms").unwrap_or(10_000),
-            warmup_timeout_ms: spec.u64("warmup_timeout_ms").unwrap_or(10_000),
-            step_timeout_ms: spec.u64("step_timeout_ms").unwrap_or(10_000),
-            compute_ms: spec.u64("compute_ms").unwrap_or(2),
-            resume_window: spec.u64("resume_window").unwrap_or(32) as usize,
-        }
+    ///
+    /// # Errors
+    ///
+    /// [`RegistryError::Build`] when a knob is present but not an
+    /// unsigned integer.
+    pub fn from_spec(spec: &ComponentSpec) -> Result<Self, RegistryError> {
+        Ok(SimBackend {
+            chaos: spec.u64_if_present("chaos")?,
+            min_workers: spec.u64_if_present("min_workers")?.map(|v| v as usize),
+            quorum: spec.u64_if_present("quorum")?.map(|v| v as usize),
+            join_timeout_ms: spec.u64_or_reject("join_timeout_ms", 10_000)?,
+            warmup_timeout_ms: spec.u64_or_reject("warmup_timeout_ms", 10_000)?,
+            step_timeout_ms: spec.u64_or_reject("step_timeout_ms", 10_000)?,
+            compute_ms: spec.u64_or_reject("compute_ms", 2)?,
+            resume_window: spec.u64_or_reject("resume_window", 32)? as usize,
+        })
     }
 
     /// Runs one experiment over an explicit [`FaultPlan`] — the entry
@@ -678,7 +683,7 @@ impl SimBackend {
         scratch: &mut RunScratch,
     ) -> Result<RunHistory, PipelineError> {
         let (n_honest, min_workers, quorum) =
-            crate::backend::resolve_deployment("sim", exp, self.min_workers, self.quorum)?;
+            crate::backend::resolve_deployment("sim backend", exp, self.min_workers, self.quorum)?;
         if plan.to_worker.len() != n_honest {
             return Err(PipelineError::Spec(format!(
                 "sim backend: fault plan covers {} workers, run has {n_honest}",
@@ -728,11 +733,7 @@ impl EngineBackend for SimBackend {
         observer: Option<Box<dyn RunObserver>>,
         scratch: &mut RunScratch,
     ) -> Result<RunHistory, PipelineError> {
-        let n_honest = if exp.attack.is_some() {
-            exp.config.n_honest()
-        } else {
-            exp.config.n_workers
-        };
+        let n_honest = exp.config.honest_workers(exp.attack.is_some());
         let plan = match self.chaos {
             Some(chaos_seed) => FaultPlan::from_seed(chaos_seed, n_honest),
             None => FaultPlan::clean(n_honest),
@@ -745,7 +746,7 @@ impl EngineBackend for SimBackend {
 /// binary and test that might race another `install`.
 pub fn install() {
     match register_backend("sim", |spec| {
-        Ok(Arc::new(SimBackend::from_spec(spec)) as Arc<dyn EngineBackend>)
+        Ok(Arc::new(SimBackend::from_spec(spec)?) as Arc<dyn EngineBackend>)
     }) {
         Ok(()) | Err(RegistryError::DuplicateId(_)) => {}
         Err(e) => unreachable!("sim backend registration failed: {e}"),
@@ -764,6 +765,22 @@ mod tests {
         let c = FaultPlan::from_seed(8, 4);
         assert_ne!(a, c, "different seed, different plan");
         assert!(a.crashes.is_empty(), "derived plans never crash workers");
+    }
+
+    #[test]
+    fn wrong_typed_knobs_are_rejected() {
+        // `chaos: 1.5` must not quietly run on clean links.
+        for (key, spec) in [
+            ("chaos", ComponentSpec::new("sim").with("chaos", 1.5)),
+            ("quorum", ComponentSpec::new("sim").with("quorum", "3")),
+        ] {
+            match SimBackend::from_spec(&spec) {
+                Err(RegistryError::Build { message, .. }) => {
+                    assert!(message.contains(key), "{message}")
+                }
+                _ => panic!("`{key}` of the wrong type was accepted"),
+            }
+        }
     }
 
     #[test]

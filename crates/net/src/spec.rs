@@ -172,7 +172,7 @@ impl JobSpec {
         trainer.into_worker(self.seed, index).ok_or_else(|| {
             PipelineError::Spec(format!(
                 "worker index {index} is not an honest slot (honest workers are 0..{})",
-                self.config.n_honest()
+                self.config.honest_workers(self.attack.is_some())
             ))
         })
     }

@@ -3,7 +3,7 @@
 //! mistakes must surface as [`PipelineError::Spec`] — not hangs.
 
 use dpbyz_core::pipeline::{Experiment, FigureConfig, PipelineError};
-use dpbyz_core::ComponentSpec;
+use dpbyz_core::{ComponentSpec, RegistryError};
 
 fn attacked_experiment() -> Experiment {
     Experiment::paper_figure(FigureConfig {
@@ -100,6 +100,23 @@ fn min_workers_beyond_honest_names_the_server_side_simulation() {
         }
         Ok(_) => panic!("min_workers 8 > n_honest 6 must not run"),
         Err(other) => panic!("expected Spec error, got {other}"),
+    }
+}
+
+/// A deployment knob of the wrong type is refused, not read as absent:
+/// `quorum: "3"` must not quietly run with the default quorum.
+#[test]
+fn wrong_typed_tcp_knob_is_rejected() {
+    dpbyz_net::install();
+    let mut exp = attacked_experiment();
+    exp.backend = ComponentSpec::new("tcp").with("quorum", "3");
+    match exp.run(5) {
+        Err(PipelineError::Registry(RegistryError::Build { id, message })) => {
+            assert_eq!(id, "tcp");
+            assert!(message.contains("quorum"), "{message}");
+        }
+        Ok(_) => panic!("a string quorum must not run"),
+        Err(other) => panic!("expected a build error, got {other}"),
     }
 }
 

@@ -37,6 +37,30 @@ fn spawned_worker_processes_reproduce_the_in_process_digest() {
 }
 
 #[test]
+fn coordinator_binary_rejects_an_out_of_range_deployment() {
+    // n = 11, f = 2 under attack ⇒ 9 honest workers: neither a join gate
+    // nor a quorum above 9 can ever be met, so both exit 2 before binding.
+    for (flag, value) in [("--min-workers", "10"), ("--quorum", "10")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_coordinator"))
+            .args([
+                "--workers",
+                "11",
+                "--byzantine",
+                "2",
+                "--attack",
+                "alie",
+                flag,
+                value,
+            ])
+            .output()
+            .expect("coordinator binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains("exceeds the 9 honest"), "{stderr}");
+    }
+}
+
+#[test]
 fn worker_binary_rejects_a_byzantine_index() {
     // n = 11, f = 5 in this spec ⇒ honest slots 0..6; index 7 must be
     // refused before any socket traffic.

@@ -31,7 +31,7 @@ fn experiment() -> Experiment {
 }
 
 fn sim_backend(quorum: usize) -> SimBackend {
-    SimBackend::from_spec(&ComponentSpec::new("sim").with("quorum", quorum as u64))
+    SimBackend::from_spec(&ComponentSpec::new("sim").with("quorum", quorum as u64)).unwrap()
 }
 
 /// Silent crash (no TCP-reset analogue: the coordinator waits out each

@@ -45,7 +45,7 @@ fn experiment(window: u32) -> Experiment {
 }
 
 fn sim_backend(quorum: usize) -> SimBackend {
-    SimBackend::from_spec(&ComponentSpec::new("sim").with("quorum", quorum as u64))
+    SimBackend::from_spec(&ComponentSpec::new("sim").with("quorum", quorum as u64)).unwrap()
 }
 
 /// Worker `w` straggles on a fixed schedule (virtual step deadline is
@@ -141,7 +141,7 @@ fn damped_late_admits_match_the_hand_damped_sequential_engine() {
     let reference = damped_reference(&exp, seed, &[2, 5], &[(3, 2), (6, 5)]);
     assert_eq!(
         sim, reference,
-        "staleness-damped sim run diverged from the hand-damped sequential engine"
+        "server-side λ^age damping on the sim diverged from the hand-damped sequential engine"
     );
     assert_eq!(sim.digest(), reference.digest());
 

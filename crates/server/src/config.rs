@@ -229,6 +229,18 @@ impl TrainingConfig {
         self.n_workers - self.n_byzantine
     }
 
+    /// Number of honest workers that actually compute: [`Self::n_honest`]
+    /// when an attack is armed (the `f` colluders are forged server-side
+    /// and never run), all `n_workers` otherwise. Every engine and
+    /// deployment sizes its worker fleet with this one rule.
+    pub fn honest_workers(&self, attack_armed: bool) -> usize {
+        if attack_armed {
+            self.n_honest()
+        } else {
+            self.n_workers
+        }
+    }
+
     /// The batch size at (1-based) step `t` under the configured growth
     /// schedule.
     ///
@@ -399,6 +411,8 @@ mod tests {
         assert_eq!(c.staleness_window, 0);
         assert_eq!(c.staleness_damping, 0.5);
         assert_eq!(c.n_honest(), 6);
+        assert_eq!(c.honest_workers(true), 6);
+        assert_eq!(c.honest_workers(false), 11);
     }
 
     #[test]

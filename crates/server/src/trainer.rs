@@ -625,14 +625,10 @@ impl Trainer {
         scratch: &mut RunScratch,
     ) -> (ServerCore, Vec<HonestWorker>) {
         let config = self.config;
-        let n = config.n_workers;
-        let (mut init_rng, worker_rngs, attack_rng, fault_rng) = derive_streams(seed, n);
+        let (mut init_rng, worker_rngs, attack_rng, fault_rng) =
+            derive_streams(seed, config.n_workers);
 
-        let n_honest = if self.attack.is_some() {
-            config.n_honest()
-        } else {
-            n
-        };
+        let n_honest = config.honest_workers(self.attack.is_some());
         let worker_momentum = match config.momentum_mode {
             MomentumMode::Worker => config.momentum,
             MomentumMode::Server => 0.0,
@@ -987,7 +983,7 @@ mod tests {
     }
 
     #[test]
-    fn submission_ages_damp_the_marked_round_only() {
+    fn late_submission_age_damps_the_marked_round_only() {
         let config = TrainingConfig::builder()
             .workers(3, 0)
             .batch_size(10)

@@ -83,13 +83,14 @@ fn clean_sim_backend_matches_sequential() {
 #[test]
 fn late_joiners_attach_mid_chaos_and_replay_bit_identically() {
     let exp = experiment();
-    let n_honest = exp.config.n_workers - exp.config.n_byzantine;
+    let n_honest = exp.config.honest_workers(exp.attack.is_some());
     let w = (n_honest - 1) as u32;
     let backend = SimBackend::from_spec(
         &ComponentSpec::new("sim")
             .with("min_workers", (n_honest - 1) as u64)
             .with("quorum", (n_honest - 1) as u64),
-    );
+    )
+    .unwrap();
     let run_seed = 17;
     let mut scratch = RunScratch::new();
 
@@ -145,13 +146,14 @@ fn late_joiners_attach_mid_chaos_and_replay_bit_identically() {
 #[test]
 fn staleness_churn_matrix_completes_and_replays_in_every_quadrant() {
     let base = experiment();
-    let n_honest = base.config.n_workers - base.config.n_byzantine;
+    let n_honest = base.config.honest_workers(base.attack.is_some());
     let w = (n_honest - 1) as u32;
     let backend = SimBackend::from_spec(
         &ComponentSpec::new("sim")
             .with("min_workers", (n_honest - 1) as u64)
             .with("quorum", (n_honest - 1) as u64),
-    );
+    )
+    .unwrap();
     let run_seed = 21;
     let mut scratch = RunScratch::new();
 
