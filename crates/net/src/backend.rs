@@ -1,14 +1,14 @@
-//! The `"tcp"` execution backend: one coordinator, `n_honest` worker
-//! sessions over localhost TCP, behind the same [`EngineBackend`] trait
-//! as the in-process engines.
+//! The [`Deployment`] every distributed run shares, and the `"tcp"`
+//! execution backend.
 //!
-//! [`install`] registers it; afterwards `exp.backend = "tcp".into()`
-//! routes [`Experiment::run`] through real sockets. Worker sessions run
-//! as in-process threads here (each speaking the full wire protocol);
-//! the `coordinator`/`worker` binaries deploy the same loops as separate
-//! OS processes.
+//! A deployment is the shape of one coordinated run: the join gate, the
+//! per-round quorum, the phase deadlines and the rejoin replay window.
+//! The `"tcp"` and `"sim"` backends and the `coordinator` binary all
+//! read it with [`Deployment::from_spec`] and turn it into the round
+//! machine's [`MachineConfig`] with [`Deployment::resolve`].
 //!
-//! Spec parameters (all optional):
+//! Spec parameters (all optional unsigned integers; a key not listed
+//! here is refused):
 //!
 //! * `min_workers` — joins required at the join deadline (default: all
 //!   honest workers);
@@ -16,95 +16,196 @@
 //!   are dropped (default: `max(min_workers, n_honest − f)`, the
 //!   witness-style `n − f` budget);
 //! * `join_timeout_ms` / `warmup_timeout_ms` / `step_timeout_ms` —
-//!   phase deadlines (default 10 000 each).
+//!   phase deadlines, in virtual ms on the sim (default 10 000 each);
+//! * `resume_window` — broadcast frames retained for rejoin replay
+//!   (default 32).
+//!
+//! The `"sim"` backend also reads `chaos` and `compute_ms` (see
+//! [`SimBackend`](crate::sim::SimBackend)).
+//!
+//! [`install`](crate::install) registers the `"tcp"` backend; afterwards
+//! `exp.backend = "tcp".into()` routes [`Experiment::run`] through real
+//! sockets. Worker sessions run as in-process threads here (each
+//! speaking the full wire protocol); the `coordinator`/`worker` binaries
+//! deploy the same loops as separate OS processes.
 
-use crate::coordinator::{CoordinatorConfig, CoordinatorError, TcpCoordinator};
+use crate::coordinator::TcpCoordinator;
+use crate::machine::MachineConfig;
+use crate::transport::CoordinatorError;
 use crate::worker::{run_worker, WorkerConfig};
-use dpbyz_core::engine::register_backend;
 use dpbyz_core::pipeline::{Experiment, PipelineError};
 use dpbyz_core::{ComponentSpec, EngineBackend, RegistryError};
-use dpbyz_server::{RunHistory, RunObserver, RunScratch};
-use std::sync::Arc;
-use std::time::Duration;
+use dpbyz_server::{HonestWorker, RunHistory, RunObserver, RunScratch, ServerCore, TrainingConfig};
 
-/// Resolves and validates the deployment shape shared by every
-/// distributed deployment (the `"tcp"` and `"sim"` backends and the
-/// `coordinator` binary): how many honest workers connect, the join
-/// gate (default: all of them), and the per-round quorum (default:
-/// `max(min_workers, n_honest − f)`). Returns `(n_honest, min_workers,
-/// quorum)`. Misconfiguration surfaces as a [`PipelineError::Spec`]
-/// prefixed with `label` instead of a hung join phase.
-///
-/// # Errors
-///
-/// [`PipelineError::Spec`] when `min_workers` or `quorum` exceeds the
-/// workers that can ever connect.
-pub fn resolve_deployment(
-    label: &str,
-    exp: &Experiment,
-    min_workers: Option<usize>,
-    quorum: Option<usize>,
-) -> Result<(usize, usize, usize), PipelineError> {
-    let n_workers = exp.config.n_workers;
-    let n_honest = exp.config.honest_workers(exp.attack.is_some());
-    let min_workers = min_workers.unwrap_or(n_honest);
-    if min_workers > n_workers {
-        return Err(PipelineError::Spec(format!(
-            "{label}: min_workers {min_workers} exceeds n_workers {n_workers} \
-             — the join gate could never open"
-        )));
-    }
-    if min_workers > n_honest {
-        return Err(PipelineError::Spec(format!(
-            "{label}: min_workers {min_workers} exceeds the {n_honest} honest \
-             workers; Byzantine colluders are simulated server-side and never \
-             join, so at most {n_honest} processes ever connect"
-        )));
-    }
-    let quorum = quorum
-        .unwrap_or_else(|| {
-            n_honest
-                .saturating_sub(exp.config.n_byzantine)
-                .max(min_workers)
-        })
-        .max(1);
-    if quorum > n_honest {
-        return Err(PipelineError::Spec(format!(
-            "{label}: quorum {quorum} exceeds the {n_honest} honest workers"
-        )));
-    }
-    Ok((n_honest, min_workers, quorum))
+/// The shape of one distributed run (spec keys in the module docs).
+/// `Default` holds the one default of every knob.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deployment {
+    /// Joins required at the join deadline (and readies at the warmup
+    /// deadline); below this the run aborts. `None`: every honest worker.
+    pub min_workers: Option<usize>,
+    /// Reports required at a step deadline; at or above this the round
+    /// advances and the stragglers are dropped (their submissions
+    /// zeroed), below it the run aborts. `None`:
+    /// `max(min_workers, n_honest − f)`.
+    pub quorum: Option<usize>,
+    /// Join-phase deadline, ms.
+    pub join_timeout_ms: u64,
+    /// Warmup-phase deadline, ms.
+    pub warmup_timeout_ms: u64,
+    /// Per-step deadline, ms from the step broadcast.
+    pub step_timeout_ms: u64,
+    /// Broadcast frames the [`ResumeRing`](crate::transport::ResumeRing)
+    /// retains for `REJOIN` replay: a worker more than this many rounds
+    /// behind cannot resume (it stays detached, zeroed every round).
+    pub resume_window: usize,
 }
 
-/// The TCP deployment backend. Build via the registry (`"tcp"` after
-/// [`install`]) or [`TcpBackend::from_spec`].
-pub struct TcpBackend {
-    min_workers: Option<usize>,
-    quorum: Option<usize>,
-    join_timeout: Duration,
-    warmup_timeout: Duration,
-    step_timeout: Duration,
+impl Default for Deployment {
+    fn default() -> Self {
+        Deployment {
+            min_workers: None,
+            quorum: None,
+            join_timeout_ms: 10_000,
+            warmup_timeout_ms: 10_000,
+            step_timeout_ms: 10_000,
+            resume_window: 32,
+        }
+    }
 }
 
-impl TcpBackend {
-    /// Reads deployment knobs from a backend spec (see the module docs
-    /// for the parameter list).
+impl Deployment {
+    /// Reads a deployment from a backend spec; an absent key takes its
+    /// [`Default`]. `extra` names the keys the calling backend reads
+    /// itself.
     ///
     /// # Errors
     ///
-    /// [`RegistryError::Build`] when a knob is present but not an
-    /// unsigned integer.
-    pub fn from_spec(spec: &ComponentSpec) -> Result<Self, RegistryError> {
-        let ms = |key: &str| spec.u64_or_reject(key, 10_000).map(Duration::from_millis);
-        Ok(TcpBackend {
-            min_workers: spec.u64_if_present("min_workers")?.map(|v| v as usize),
-            quorum: spec.u64_if_present("quorum")?.map(|v| v as usize),
-            join_timeout: ms("join_timeout_ms")?,
-            warmup_timeout: ms("warmup_timeout_ms")?,
-            step_timeout: ms("step_timeout_ms")?,
+    /// [`RegistryError::Build`] when a key is present but not an
+    /// unsigned integer, or is neither a deployment key nor in `extra`.
+    pub fn from_spec(spec: &ComponentSpec, extra: &[&str]) -> Result<Self, RegistryError> {
+        let mut known = extra.to_vec();
+        let mut read = |key| {
+            known.push(key);
+            spec.u64_if_present(key)
+        };
+        let d = Deployment::default();
+        let deployment = Deployment {
+            min_workers: read("min_workers")?.map(|v| v as usize),
+            quorum: read("quorum")?.map(|v| v as usize),
+            join_timeout_ms: read("join_timeout_ms")?.unwrap_or(d.join_timeout_ms),
+            warmup_timeout_ms: read("warmup_timeout_ms")?.unwrap_or(d.warmup_timeout_ms),
+            step_timeout_ms: read("step_timeout_ms")?.unwrap_or(d.step_timeout_ms),
+            resume_window: read("resume_window")?.map_or(d.resume_window, |v| v as usize),
+        };
+        let unknown = spec
+            .params
+            .keys()
+            .find(|key| !known.contains(&key.as_str()));
+        match unknown {
+            None => Ok(deployment),
+            Some(key) => Err(RegistryError::Build {
+                id: spec.id.clone(),
+                message: format!(
+                    "unknown parameter `{key}`; expected one of {}",
+                    known.join(", ")
+                ),
+            }),
+        }
+    }
+
+    /// Resolves this deployment for a run of `config` into the round
+    /// machine's configuration: the honest workers that connect
+    /// ([`TrainingConfig::honest_workers`]), the join gate (default: all
+    /// of them) and the per-round quorum (default:
+    /// `max(min_workers, n_honest − f)`, at least 1). Misconfiguration
+    /// surfaces as a [`PipelineError::Spec`] prefixed with `label`
+    /// instead of a hung join phase.
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::Spec`] when `min_workers` or `quorum` exceeds the
+    /// workers that can ever connect.
+    pub fn resolve(
+        &self,
+        label: &str,
+        config: &TrainingConfig,
+        attack_armed: bool,
+    ) -> Result<MachineConfig, PipelineError> {
+        let n_workers = config.n_workers;
+        let n_honest = config.honest_workers(attack_armed);
+        let min_workers = self.min_workers.unwrap_or(n_honest);
+        if min_workers > n_workers {
+            return Err(PipelineError::Spec(format!(
+                "{label}: min_workers {min_workers} exceeds n_workers {n_workers} \
+                 — the join gate could never open"
+            )));
+        }
+        if min_workers > n_honest {
+            return Err(PipelineError::Spec(format!(
+                "{label}: min_workers {min_workers} exceeds the {n_honest} honest \
+                 workers; Byzantine colluders are simulated server-side and never \
+                 join, so at most {n_honest} processes ever connect"
+            )));
+        }
+        let quorum = self
+            .quorum
+            .unwrap_or_else(|| n_honest.saturating_sub(config.n_byzantine).max(min_workers))
+            .max(1);
+        if quorum > n_honest {
+            return Err(PipelineError::Spec(format!(
+                "{label}: quorum {quorum} exceeds the {n_honest} honest workers"
+            )));
+        }
+        Ok(MachineConfig {
+            n_workers: n_honest,
+            min_workers,
+            quorum,
+            steps: config.steps,
+            join_deadline_ms: self.join_timeout_ms,
+            warmup_deadline_ms: self.warmup_timeout_ms,
+            step_deadline_ms: self.step_timeout_ms,
+            staleness_window: config.staleness_window,
+        })
+    }
+
+    /// The steps every distributed backend shares: resolve under
+    /// `label`, build the trainer (with `observer`), split it into the
+    /// server core and the honest workers, hand both and the resolved
+    /// machine config to `transport`, and lift its error into a
+    /// [`PipelineError`].
+    pub(crate) fn run(
+        &self,
+        label: &str,
+        exp: &Experiment,
+        seed: u64,
+        observer: Option<Box<dyn RunObserver>>,
+        scratch: &mut RunScratch,
+        transport: impl FnOnce(
+            ServerCore,
+            Vec<HonestWorker>,
+            MachineConfig,
+            &mut RunScratch,
+        ) -> Result<RunHistory, CoordinatorError>,
+    ) -> Result<RunHistory, PipelineError> {
+        let machine = self.resolve(label, &exp.config, exp.attack.is_some())?;
+        let mut trainer = exp.build_trainer()?;
+        if let Some(observer) = observer {
+            trainer = trainer.observer(observer);
+        }
+        let (core, workers) = trainer.into_distributed_parts(seed, scratch);
+        transport(core, workers, machine, scratch).map_err(|e| match e {
+            CoordinatorError::Gar(g) => PipelineError::Gar(g),
+            other => PipelineError::Spec(format!("{label}: {other}")),
         })
     }
 }
+
+/// The TCP deployment backend: its [`Deployment`] over localhost
+/// sockets. Build via the registry (`"tcp"` after
+/// [`install`](crate::install)).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TcpBackend(pub Deployment);
 
 impl EngineBackend for TcpBackend {
     fn name(&self) -> &str {
@@ -118,62 +219,35 @@ impl EngineBackend for TcpBackend {
         observer: Option<Box<dyn RunObserver>>,
         scratch: &mut RunScratch,
     ) -> Result<RunHistory, PipelineError> {
-        let (n_honest, min_workers, quorum) =
-            resolve_deployment("tcp backend", exp, self.min_workers, self.quorum)?;
-
-        let mut trainer = exp.build_trainer()?;
-        if let Some(observer) = observer {
-            trainer = trainer.observer(observer);
-        }
-        let (core, workers) = trainer.into_distributed_parts(seed, scratch);
-
-        let coordinator = TcpCoordinator::bind(
-            "127.0.0.1:0",
-            CoordinatorConfig {
-                min_workers,
-                quorum,
-                join_timeout: self.join_timeout,
-                warmup_timeout: self.warmup_timeout,
-                step_timeout: self.step_timeout,
-                ..CoordinatorConfig::default()
+        let d = &self.0;
+        d.run(
+            "tcp backend",
+            exp,
+            seed,
+            observer,
+            scratch,
+            |core, workers, cfg, scratch| {
+                let coordinator = TcpCoordinator::bind("127.0.0.1:0")?;
+                let addr = coordinator.local_addr()?;
+                // One session thread per honest worker — same wire protocol
+                // and config the standalone `worker` binary uses, so a lost
+                // socket resumes via REJOIN instead of failing the run.
+                let handles: Vec<_> = workers
+                    .into_iter()
+                    .map(|w| {
+                        let cfg = WorkerConfig::for_run(seed, w.id());
+                        std::thread::spawn(move || run_worker(addr, w, cfg))
+                    })
+                    .collect();
+                let result = coordinator.run(core, cfg, d.resume_window, seed, scratch);
+                for handle in handles {
+                    // Worker-side errors are subsumed by the coordinator's own
+                    // (abort/timeout) diagnosis; a panic is a bug worth surfacing.
+                    // lint:allow(panic-unwrap, reason = "a join error means the worker session thread panicked; propagating is the designed response")
+                    let _ = handle.join().expect("worker session thread panicked");
+                }
+                result
             },
         )
-        .map_err(|e| PipelineError::Spec(format!("tcp backend: bind failed: {e}")))?;
-        let addr = coordinator
-            .local_addr()
-            .map_err(|e| PipelineError::Spec(format!("tcp backend: local_addr failed: {e}")))?;
-
-        // One session thread per honest worker — same wire protocol and
-        // config the standalone `worker` binary uses, so a lost socket
-        // resumes via REJOIN instead of failing the run.
-        let handles: Vec<_> = workers
-            .into_iter()
-            .map(|w| {
-                let cfg = WorkerConfig::for_run(seed, w.id());
-                std::thread::spawn(move || run_worker(addr, w, cfg))
-            })
-            .collect();
-
-        let result = coordinator.run(core, n_honest, seed, scratch);
-        for handle in handles {
-            // Worker-side errors are subsumed by the coordinator's own
-            // (abort/timeout) diagnosis; a panic is a bug worth surfacing.
-            let _ = handle.join().expect("worker session thread panicked"); // lint:allow(panic-unwrap, reason = "a join error means the worker session thread panicked; propagating is the designed response")
-        }
-        result.map_err(|e| match e {
-            CoordinatorError::Gar(g) => PipelineError::Gar(g),
-            other => PipelineError::Spec(format!("tcp backend: {other}")),
-        })
-    }
-}
-
-/// Registers the `"tcp"` backend. Idempotent — safe to call from every
-/// binary and test that might race another `install`.
-pub fn install() {
-    match register_backend("tcp", |spec| {
-        Ok(Arc::new(TcpBackend::from_spec(spec)?) as Arc<dyn EngineBackend>)
-    }) {
-        Ok(()) | Err(RegistryError::DuplicateId(_)) => {}
-        Err(e) => unreachable!("tcp backend registration failed: {e}"),
     }
 }

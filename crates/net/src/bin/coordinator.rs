@@ -15,127 +15,94 @@
 //!             [--min-workers M] [--quorum Q]
 //!             [--staleness-window 0] [--staleness-damping 0.5]
 //!             [--join-timeout-ms 10000] [--step-timeout-ms 10000]
-//!             [--resume-window 8] [--spawn] [--verify]
+//!             [--resume-window 32] [--spawn] [--verify]
 //! ```
 //!
-//! The honest-worker count and the `--min-workers`/`--quorum` defaults
-//! come from the same deployment rule as the `tcp` backend
-//! ([`resolve_deployment`]); an out-of-range value exits with code 2.
+//! The five deployment flags set the `tcp` backend's spec keys
+//! (`--join-timeout-ms` bounds both the join and the warmup phase) and
+//! go through the same [`Deployment`] parser and resolver, so the
+//! honest-worker count and every default match that backend. An unknown
+//! flag, a flag without its value, or an out-of-range deployment exits
+//! with code 2.
 //!
 //! Without `--spawn`, the process prints the listen address and the job
 //! spec JSON, then waits for externally launched workers (see the
 //! `worker` binary and `docs/DEPLOYMENT.md`).
 
+mod args;
+
+use args::Args;
 use dpbyz_core::pipeline::Experiment;
-use dpbyz_net::backend::resolve_deployment;
-use dpbyz_net::{CoordinatorConfig, JobSpec, TcpCoordinator};
+use dpbyz_core::ComponentSpec;
+use dpbyz_net::{Deployment, JobSpec, TcpCoordinator};
 use dpbyz_server::RunScratch;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
 
-fn arg_present(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parsed_opt<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    arg_value(args, flag).map(|text| {
-        text.parse().unwrap_or_else(|_| {
-            eprintln!("coordinator: bad value for {flag}: {text}");
-            std::process::exit(2);
-        })
-    })
-}
-
-fn parsed<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    parsed_opt(args, flag).unwrap_or(default)
-}
+/// Each deployment flag and the [`Deployment`] spec key it sets.
+const DEPLOYMENT_FLAGS: [(&str, &str); 6] = [
+    ("--min-workers", "min_workers"),
+    ("--quorum", "quorum"),
+    ("--join-timeout-ms", "join_timeout_ms"),
+    ("--join-timeout-ms", "warmup_timeout_ms"),
+    ("--step-timeout-ms", "step_timeout_ms"),
+    ("--resume-window", "resume_window"),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-
-    let listen = arg_value(&args, "--listen").unwrap_or_else(|| "127.0.0.1:0".into());
-    let n_workers: usize = parsed(&args, "--workers", 4);
-    let byzantine: usize = parsed(&args, "--byzantine", 0);
-    let steps: u32 = parsed(&args, "--steps", 20);
-    let batch: usize = parsed(&args, "--batch", 10);
-    let seed: u64 = parsed(&args, "--seed", 1);
-    let dataset_size: usize = parsed(&args, "--dataset-size", 400);
-    let eval_every: u32 = parsed(&args, "--eval-every", 0);
-
+    let mut args = Args::new("coordinator");
+    let listen = args
+        .value("--listen")
+        .unwrap_or_else(|| "127.0.0.1:0".into());
+    let seed: u64 = args.parsed("--seed").unwrap_or(1);
+    let (spawn, verify) = (args.present("--spawn"), args.present("--verify"));
     let mut builder = Experiment::builder()
-        .workers(n_workers, byzantine)
-        .steps(steps)
-        .batch_size(batch)
-        .dataset_size(dataset_size)
-        .eval_every(eval_every);
-    if let Some(gar) = arg_value(&args, "--gar") {
+        .workers(
+            args.parsed("--workers").unwrap_or(4),
+            args.parsed("--byzantine").unwrap_or(0),
+        )
+        .steps(args.parsed("--steps").unwrap_or(20))
+        .batch_size(args.parsed("--batch").unwrap_or(10))
+        .dataset_size(args.parsed("--dataset-size").unwrap_or(400))
+        .eval_every(args.parsed("--eval-every").unwrap_or(0));
+    if let Some(gar) = args.value("--gar") {
         builder = builder.gar(gar.as_str());
     }
-    if let Some(attack) = arg_value(&args, "--attack") {
+    if let Some(attack) = args.value("--attack") {
         builder = builder.attack(attack.as_str());
     }
-    if let Some(eps) = arg_value(&args, "--epsilon") {
-        builder = builder.epsilon(eps.parse().unwrap_or_else(|_| {
-            eprintln!("coordinator: bad value for --epsilon: {eps}");
-            std::process::exit(2);
-        }));
+    if let Some(eps) = args.parsed("--epsilon") {
+        builder = builder.epsilon(eps);
     }
-    let mut exp = match builder.build() {
-        Ok(exp) => exp,
-        Err(e) => {
-            eprintln!("coordinator: invalid experiment: {e}");
-            std::process::exit(2);
-        }
-    };
     // Bounded staleness: k > 0 admits a report up to k rounds old, damped
     // by λ^age server-side before the GAR sees it. k = 0 (the default)
     // keeps the strict digest-pinned semantics.
-    exp.config.staleness_window = parsed(&args, "--staleness-window", 0);
-    exp.config.staleness_damping = parsed(&args, "--staleness-damping", 0.5);
-    let (n_honest, min_workers, quorum) = match resolve_deployment(
-        "coordinator",
-        &exp,
-        parsed_opt(&args, "--min-workers"),
-        parsed_opt(&args, "--quorum"),
-    ) {
-        Ok(deployment) => deployment,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
+    let staleness_window = args.parsed("--staleness-window");
+    let staleness_damping = args.parsed("--staleness-damping");
+    let mut spec = ComponentSpec::new("coordinator");
+    for (flag, key) in DEPLOYMENT_FLAGS {
+        if let Some(value) = args.parsed::<u64>(flag) {
+            spec = spec.with(key, value);
         }
-    };
+    }
+    args.finish();
 
-    let spec = match JobSpec::from_experiment(&exp, seed) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("coordinator: {e}");
-            std::process::exit(2);
-        }
-    };
-    let spec_json = spec.to_json().expect("job spec serializes");
+    let mut exp = builder
+        .build()
+        .unwrap_or_else(|e| args.exit(2, format_args!("invalid experiment: {e}")));
+    exp.config.staleness_window = staleness_window.unwrap_or(exp.config.staleness_window);
+    exp.config.staleness_damping = staleness_damping.unwrap_or(exp.config.staleness_damping);
+    let deployment = Deployment::from_spec(&spec, &[]).unwrap_or_else(|e| args.exit(2, e));
+    let machine = deployment
+        .resolve("coordinator", &exp.config, exp.attack.is_some())
+        .unwrap_or_else(|e| args.exit(2, e));
+    let n_honest = machine.n_workers;
+    let spec_json = JobSpec::from_experiment(&exp, seed)
+        .unwrap_or_else(|e| args.exit(2, e))
+        .to_json()
+        .expect("job spec serializes");
 
-    let cfg = CoordinatorConfig {
-        min_workers,
-        quorum,
-        join_timeout: Duration::from_millis(parsed(&args, "--join-timeout-ms", 10_000)),
-        warmup_timeout: Duration::from_millis(parsed(&args, "--join-timeout-ms", 10_000)),
-        step_timeout: Duration::from_millis(parsed(&args, "--step-timeout-ms", 10_000)),
-        resume_window: parsed(&args, "--resume-window", 8),
-    };
-
-    let coordinator = match TcpCoordinator::bind(listen.as_str(), cfg) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("coordinator: bind {listen}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let coordinator = TcpCoordinator::bind(listen.as_str())
+        .unwrap_or_else(|e| args.exit(1, format_args!("bind {listen}: {e}")));
     let addr = coordinator
         .local_addr()
         .expect("bound socket has an address");
@@ -143,50 +110,43 @@ fn main() {
     println!("spec {spec_json}");
 
     let mut children: Vec<Child> = Vec::new();
-    if arg_present(&args, "--spawn") {
+    if spawn {
         let worker_bin = std::env::current_exe()
             .expect("own path")
             .parent()
             .expect("bin dir")
             .join("worker");
         for index in 0..n_honest {
+            let (addr, index) = (addr.to_string(), index.to_string());
             let child = Command::new(&worker_bin)
-                .arg("--connect")
-                .arg(addr.to_string())
-                .arg("--index")
-                .arg(index.to_string())
-                .arg("--spec-json")
-                .arg(&spec_json)
+                .args([
+                    "--connect",
+                    &addr,
+                    "--index",
+                    &index,
+                    "--spec-json",
+                    &spec_json,
+                ])
                 .stdin(Stdio::null())
                 .spawn()
                 .unwrap_or_else(|e| {
-                    eprintln!("coordinator: spawning {}: {e}", worker_bin.display());
-                    std::process::exit(1);
+                    args.exit(1, format_args!("spawning {}: {e}", worker_bin.display()))
                 });
             children.push(child);
         }
         println!("spawned {n_honest} worker processes");
     }
 
-    let trainer = exp.build_trainer().unwrap_or_else(|e| {
-        eprintln!("coordinator: {e}");
-        std::process::exit(1);
-    });
+    let trainer = exp.build_trainer().unwrap_or_else(|e| args.exit(1, e));
     let mut scratch = RunScratch::new();
     let (core, _local_workers) = trainer.into_distributed_parts(seed, &mut scratch);
-    let result = coordinator.run(core, n_honest, seed, &mut scratch);
+    let result = coordinator.run(core, machine, deployment.resume_window, seed, &mut scratch);
 
     for mut child in children {
         let _ = child.wait();
     }
 
-    let history = match result {
-        Ok(history) => history,
-        Err(e) => {
-            eprintln!("coordinator: run failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let history = result.unwrap_or_else(|e| args.exit(1, format_args!("run failed: {e}")));
     let digest = history.digest();
     println!("digest {digest:016x}");
     println!(
@@ -195,19 +155,16 @@ fn main() {
         history.train_loss.len()
     );
 
-    if arg_present(&args, "--verify") {
-        let reference = exp.run(seed).unwrap_or_else(|e| {
-            eprintln!("coordinator: in-process reference run failed: {e}");
-            std::process::exit(1);
-        });
+    if verify {
+        let reference = exp
+            .run(seed)
+            .unwrap_or_else(|e| args.exit(1, format_args!("in-process reference run failed: {e}")));
         let ref_digest = reference.digest();
         if reference == history {
             println!("verify OK: distributed digest {digest:016x} == in-process {ref_digest:016x}");
         } else {
-            eprintln!(
-                "verify FAILED: distributed digest {digest:016x} != in-process {ref_digest:016x}"
-            );
-            std::process::exit(1);
+            let diff = format!("distributed digest {digest:016x} != in-process {ref_digest:016x}");
+            args.exit(1, format_args!("verify FAILED: {diff}"));
         }
     }
 }

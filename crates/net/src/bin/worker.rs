@@ -10,6 +10,8 @@
 //!        [--fresh-join]
 //! ```
 //!
+//! An unknown flag, or a flag without its value, exits with code 2.
+//!
 //! A lost socket is not fatal: the worker reconnects and resumes its
 //! session through `REJOIN`, exactly as the in-process `tcp` backend's
 //! workers do.
@@ -20,81 +22,37 @@
 //! model snapshot), so the worker starts computing at the current round
 //! instead of aborting because the join phase closed.
 
+mod args;
+
+use args::Args;
 use dpbyz_net::{run_worker, JobSpec, WorkerConfig};
 use std::net::SocketAddr;
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn arg_present(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::new("worker");
+    let addr: Option<SocketAddr> = args.parsed("--connect");
+    let index: Option<usize> = args.parsed("--index");
+    let spec_json = args.value("--spec-json");
+    let spec_file = args.value("--spec-file");
+    let fresh_join = args.present("--fresh-join");
+    args.finish();
 
-    let addr: SocketAddr = match arg_value(&args, "--connect").map(|a| a.parse()) {
-        Some(Ok(addr)) => addr,
-        Some(Err(e)) => {
-            eprintln!("worker: bad --connect address: {e}");
-            std::process::exit(2);
-        }
-        None => {
-            eprintln!("worker: --connect HOST:PORT is required");
-            std::process::exit(2);
-        }
-    };
-    let index: usize = match arg_value(&args, "--index").map(|v| v.parse()) {
-        Some(Ok(index)) => index,
-        _ => {
-            eprintln!("worker: --index N is required");
-            std::process::exit(2);
-        }
-    };
-    let spec_text = match (
-        arg_value(&args, "--spec-json"),
-        arg_value(&args, "--spec-file"),
-    ) {
+    let addr = addr.unwrap_or_else(|| args.exit(2, "--connect HOST:PORT is required"));
+    let index = index.unwrap_or_else(|| args.exit(2, "--index N is required"));
+    let spec_text = match (spec_json, spec_file) {
         (Some(json), _) => json,
-        (None, Some(path)) => std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("worker: reading {path}: {e}");
-            std::process::exit(2);
-        }),
-        (None, None) => {
-            eprintln!("worker: --spec-json JSON or --spec-file PATH is required");
-            std::process::exit(2);
-        }
+        (None, Some(path)) => std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| args.exit(2, format_args!("reading {path}: {e}"))),
+        (None, None) => args.exit(2, "--spec-json JSON or --spec-file PATH is required"),
     };
-
-    let spec = match JobSpec::from_json(&spec_text) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("worker: {e}");
-            std::process::exit(2);
-        }
-    };
-    let worker = match spec.worker(index) {
-        Ok(worker) => worker,
-        Err(e) => {
-            eprintln!("worker: {e}");
-            std::process::exit(2);
-        }
-    };
+    let spec = JobSpec::from_json(&spec_text).unwrap_or_else(|e| args.exit(2, e));
+    let worker = spec.worker(index).unwrap_or_else(|e| args.exit(2, e));
 
     let cfg = WorkerConfig {
-        fresh_join: arg_present(&args, "--fresh-join"),
+        fresh_join,
         ..WorkerConfig::for_run(spec.seed, worker.id())
     };
-    match run_worker(addr, worker, cfg) {
-        Ok(steps) => {
-            println!("worker {index}: served {steps} steps");
-        }
-        Err(e) => {
-            eprintln!("worker {index}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let steps = run_worker(addr, worker, cfg)
+        .unwrap_or_else(|e| args.exit(1, format_args!("slot {index}: {e}")));
+    println!("worker {index}: served {steps} steps");
 }

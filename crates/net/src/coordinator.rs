@@ -33,50 +33,12 @@
 use crate::machine::{Event, MachineConfig, Phase};
 use crate::protocol::{elapsed_ms, write_all_frame, FrameReader};
 use crate::session::{Broadcast, Session, Verdict};
-use crate::transport::{drive, Replay, Transport};
+use crate::transport::{drive, CoordinatorError, Replay, Transport};
 use dpbyz_server::{RunHistory, RunScratch, ServerCore, WorkerOutput};
 use dpbyz_tensor::Vector;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
-
-pub use crate::transport::CoordinatorError;
-
-/// Deployment knobs of one coordinated run.
-#[derive(Debug, Clone, Copy)]
-pub struct CoordinatorConfig {
-    /// Joins required at the join deadline (and readies at the warmup
-    /// deadline); below this the run aborts.
-    pub min_workers: usize,
-    /// Reports required at a step deadline; at or above this the round
-    /// advances and the stragglers are dropped (their submissions zeroed,
-    /// the fault-injection semantics), below it the run aborts.
-    pub quorum: usize,
-    /// Join-phase deadline.
-    pub join_timeout: Duration,
-    /// Warmup-phase deadline.
-    pub warmup_timeout: Duration,
-    /// Per-step deadline, measured from the step broadcast.
-    pub step_timeout: Duration,
-    /// Broadcast frames the [`ResumeRing`](crate::transport::ResumeRing)
-    /// retains for `Rejoin` replay: a worker more than this many rounds
-    /// behind cannot resume (it stays detached, zeroed every round, and
-    /// the quorum logic owns the consequences).
-    pub resume_window: usize,
-}
-
-impl Default for CoordinatorConfig {
-    fn default() -> Self {
-        CoordinatorConfig {
-            min_workers: 0, // resolved to n_honest by the backend
-            quorum: 0,      // resolved likewise
-            join_timeout: Duration::from_secs(10),
-            warmup_timeout: Duration::from_secs(10),
-            step_timeout: Duration::from_secs(10),
-            resume_window: 8,
-        }
-    }
-}
 
 /// One joined connection: the socket plus its reassembly buffer.
 struct Conn {
@@ -112,7 +74,6 @@ impl Conn {
 /// connect to), then [`TcpCoordinator::run`] one training run over it.
 pub struct TcpCoordinator {
     listener: TcpListener,
-    cfg: CoordinatorConfig,
 }
 
 impl TcpCoordinator {
@@ -122,10 +83,10 @@ impl TcpCoordinator {
     /// # Errors
     ///
     /// Socket-level bind failures.
-    pub fn bind(addr: impl ToSocketAddrs, cfg: CoordinatorConfig) -> io::Result<Self> {
+    pub fn bind(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        Ok(TcpCoordinator { listener, cfg })
+        Ok(TcpCoordinator { listener })
     }
 
     /// The bound address workers must connect to.
@@ -137,12 +98,15 @@ impl TcpCoordinator {
         self.listener.local_addr()
     }
 
-    /// Runs one training run over the wire: accepts `n_honest` worker
-    /// sessions, walks the state machine through
+    /// Runs one training run over the wire: accepts `machine.n_workers`
+    /// worker sessions, walks the state machine through
     /// `WaitingForWorkers → Warmup → (Train → Aggregate)* → Done`, and
-    /// seals the [`RunHistory`].
+    /// seals the [`RunHistory`]. The last `resume_window` broadcasts are
+    /// kept for `REJOIN` replay.
     ///
-    /// `core` comes from
+    /// `machine` comes from
+    /// [`Deployment::resolve`](crate::backend::Deployment::resolve),
+    /// `core` from
     /// [`Trainer::into_distributed_parts`](dpbyz_server::Trainer::into_distributed_parts);
     /// buffers recycle through `scratch` exactly as the in-process
     /// engines do.
@@ -153,30 +117,21 @@ impl TcpCoordinator {
     pub fn run(
         self,
         core: ServerCore,
-        n_honest: usize,
+        machine: MachineConfig,
+        resume_window: usize,
         seed: u64,
         scratch: &mut RunScratch,
     ) -> Result<RunHistory, CoordinatorError> {
-        let staleness_window = core.config().staleness_window;
-        let machine_cfg = MachineConfig {
-            n_workers: n_honest,
-            min_workers: self.cfg.min_workers,
-            quorum: self.cfg.quorum,
-            steps: core.config().steps,
-            join_deadline_ms: self.cfg.join_timeout.as_millis() as u64,
-            warmup_deadline_ms: self.cfg.warmup_timeout.as_millis() as u64,
-            step_deadline_ms: self.cfg.step_timeout.as_millis() as u64,
-            staleness_window,
-        };
+        let n = machine.n_workers;
         let mut transport = TcpTransport {
             listener: self.listener,
             start: Instant::now(),
-            conns: (0..n_honest).map(|_| None).collect(),
+            conns: (0..n).map(|_| None).collect(),
             pending: Vec::new(),
-            session: Session::new(n_honest, seed, self.cfg.resume_window, staleness_window),
+            session: Session::new(n, seed, resume_window, machine.staleness_window),
             dead_pending: Vec::new(),
         };
-        drive(&mut transport, core, machine_cfg, seed, scratch)
+        drive(&mut transport, core, machine, seed, scratch)
     }
 }
 

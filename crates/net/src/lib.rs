@@ -1,7 +1,6 @@
 //! `dpbyz-net` — the multi-process distributed engine: a TCP
-//! coordinator/worker deployment behind the same
-//! [`EngineBackend`](dpbyz_core::EngineBackend) trait as the in-process
-//! engines.
+//! coordinator/worker deployment behind the same [`EngineBackend`]
+//! trait as the in-process engines.
 //!
 //! The parameter-server topology of the paper's §2 becomes real
 //! processes: a **coordinator** hosts the
@@ -71,8 +70,8 @@ pub mod spec;
 pub mod transport;
 pub mod worker;
 
-pub use backend::TcpBackend;
-pub use coordinator::{CoordinatorConfig, TcpCoordinator};
+pub use backend::{Deployment, TcpBackend};
+pub use coordinator::TcpCoordinator;
 pub use machine::{Action, Event, MachineConfig, Phase, RoundStateMachine};
 pub use session::{WorkerFlow, WorkerSession};
 pub use sim::{FaultPlan, LateJoinPlan, SimBackend, SimNet};
@@ -80,10 +79,24 @@ pub use spec::{JobSpec, WorkloadSpec};
 pub use transport::{drive, CoordinatorError, ResumeRing, Transport};
 pub use worker::{run_worker, WorkerConfig, WorkerError};
 
+use dpbyz_core::engine::register_backend;
+use dpbyz_core::{EngineBackend, RegistryError};
+use std::sync::Arc;
+
 /// Registers every deployment backend this crate provides — `"tcp"`
 /// ([`TcpBackend`]) and `"sim"` ([`SimBackend`]). Idempotent, so every
 /// binary and test may call it without coordination.
 pub fn install() {
-    backend::install();
-    sim::install();
+    let tcp = register_backend("tcp", |spec| {
+        Ok(Arc::new(TcpBackend(Deployment::from_spec(spec, &[])?)) as Arc<dyn EngineBackend>)
+    });
+    let sim = register_backend("sim", |spec| {
+        Ok(Arc::new(SimBackend::from_spec(spec)?) as Arc<dyn EngineBackend>)
+    });
+    for registered in [tcp, sim] {
+        match registered {
+            Ok(()) | Err(RegistryError::DuplicateId(_)) => {}
+            Err(e) => unreachable!("backend registration failed: {e}"),
+        }
+    }
 }

@@ -57,9 +57,12 @@
 //!   worker when it misses a deadline — the `f`-accounting already
 //!   treats every joined non-reporter the same way.
 //!
-//! The machine also keeps the per-worker churn ledger (drop, beyond-window
-//! stale, and late-admit counters plus detach/reattach/fresh-join totals)
-//! that the driver seals into `RunHistory::churn`.
+//! The machine also keeps the run's churn ledger, a [`ChurnStats`]
+//! (per-worker drop, beyond-window stale, and late-admit counters plus
+//! detach/reattach/fresh-join totals), which the driver moves into
+//! `RunHistory::churn`.
+
+use dpbyz_server::ChurnStats;
 
 /// Where the coordinator is in the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,15 +201,8 @@ pub struct RoundStateMachine {
     /// admitted reports; reset to 0 at every broadcast. All-zero under
     /// `staleness_window = 0`.
     ages: Vec<u32>,
-    /// Per-worker count of rounds aggregated without this worker.
-    dropped_rounds: Vec<u32>,
-    /// Per-worker count of beyond-window stale rejections.
-    stale_rejected: Vec<u32>,
-    /// Per-worker count of late (age ≥ 1) admissions.
-    late_admits: Vec<u32>,
-    n_detached_total: u32,
-    n_reattached_total: u32,
-    n_joined_fresh_total: u32,
+    /// The run's churn ledger; `drive` moves it into the server core.
+    pub(crate) churn: ChurnStats,
     abort_reason: Option<String>,
 }
 
@@ -239,12 +235,12 @@ impl RoundStateMachine {
             n_detached: 0,
             dropped: Vec::with_capacity(cfg.n_workers),
             ages: vec![0; cfg.n_workers],
-            dropped_rounds: vec![0; cfg.n_workers],
-            stale_rejected: vec![0; cfg.n_workers],
-            late_admits: vec![0; cfg.n_workers],
-            n_detached_total: 0,
-            n_reattached_total: 0,
-            n_joined_fresh_total: 0,
+            churn: ChurnStats {
+                dropped_rounds: vec![0; cfg.n_workers],
+                stale_rejected: vec![0; cfg.n_workers],
+                late_admits: vec![0; cfg.n_workers],
+                ..ChurnStats::default()
+            },
             abort_reason: None,
             cfg,
         }
@@ -306,36 +302,11 @@ impl RoundStateMachine {
         &self.ages
     }
 
-    /// Per-worker count of rounds aggregated without this worker
-    /// (zero-substituted per §2.1).
-    pub fn dropped_rounds(&self) -> &[u32] {
-        &self.dropped_rounds
-    }
-
-    /// Per-worker count of gradients rejected as beyond the staleness
-    /// window (fed in by transports via [`Event::StaleGradient`]).
-    pub fn stale_rejected(&self) -> &[u32] {
-        &self.stale_rejected
-    }
-
-    /// Per-worker count of gradients admitted late (age ≥ 1).
-    pub fn late_admits(&self) -> &[u32] {
-        &self.late_admits
-    }
-
-    /// Total connection losses over the run.
-    pub fn n_detached_total(&self) -> u32 {
-        self.n_detached_total
-    }
-
-    /// Total completed `Rejoin` handshakes over the run.
-    pub fn n_reattached_total(&self) -> u32 {
-        self.n_reattached_total
-    }
-
-    /// Total completed mid-run `JOIN_FRESH` handshakes over the run.
-    pub fn n_joined_fresh_total(&self) -> u32 {
-        self.n_joined_fresh_total
+    /// The churn ledger so far: detach, reattach and fresh-join totals,
+    /// and per-worker dropped rounds, stale rejections (fed in by
+    /// transports via [`Event::StaleGradient`]) and late admits.
+    pub fn churn(&self) -> &ChurnStats {
+        &self.churn
     }
 
     /// When the current phase's deadline fires, in virtual ms — the
@@ -420,7 +391,7 @@ impl RoundStateMachine {
                 self.n_reported += 1;
                 self.ages[slot] = step - s;
                 if s < step {
-                    self.late_admits[slot] += 1;
+                    self.churn.late_admits[slot] += 1;
                 }
                 self.try_advance_train(step, now_ms, out);
             }
@@ -428,7 +399,7 @@ impl RoundStateMachine {
             (_, Event::StaleGradient(id)) => {
                 let slot = id as usize;
                 if slot < self.cfg.n_workers {
-                    self.stale_rejected[slot] += 1;
+                    self.churn.stale_rejected[slot] += 1;
                 }
             }
             (
@@ -447,7 +418,7 @@ impl RoundStateMachine {
                 // current round on.
                 self.ready[slot] = true;
                 self.n_ready += 1;
-                self.n_joined_fresh_total += 1;
+                self.churn.joined_fresh += 1;
             }
             (_, Event::Detached(id)) => {
                 let slot = id as usize;
@@ -456,7 +427,7 @@ impl RoundStateMachine {
                 }
                 self.detached[slot] = true;
                 self.n_detached += 1;
-                self.n_detached_total += 1;
+                self.churn.detached += 1;
                 // Losing a peer can complete the attached set: the round
                 // it was blocking advances now instead of at the
                 // deadline (the zeroing outcome is identical either way).
@@ -473,7 +444,7 @@ impl RoundStateMachine {
                 }
                 self.detached[slot] = false;
                 self.n_detached -= 1;
-                self.n_reattached_total += 1;
+                self.churn.reattached += 1;
             }
             // Anything else (late gradients during Aggregate, READY after
             // warmup, JOIN after the gate closed, …) is dropped: the
@@ -592,7 +563,7 @@ impl RoundStateMachine {
         for id in 0..self.cfg.n_workers {
             if self.joined[id] && !self.reported[id] {
                 self.dropped.push(id as u32);
-                self.dropped_rounds[id] += 1;
+                self.churn.dropped_rounds[id] += 1;
             }
         }
         out.push(Action::Aggregate(step));
@@ -991,8 +962,8 @@ mod tests {
         assert_eq!(m.n_reported(), 0);
         // Ages reset at the broadcast.
         assert_eq!(m.ages(), &[0, 0, 0]);
-        assert_eq!(m.late_admits(), &[0, 0, 1]);
-        assert_eq!(m.dropped_rounds(), &[0, 0, 1]);
+        assert_eq!(m.churn().late_admits, [0, 0, 1]);
+        assert_eq!(m.churn().dropped_rounds, [0, 0, 1]);
     }
 
     #[test]
@@ -1039,7 +1010,7 @@ mod tests {
         assert!(m.is_joined(2));
         assert_eq!(m.n_joined(), 3);
         assert_eq!(m.n_ready(), 3, "fresh joiner skips warmup");
-        assert_eq!(m.n_joined_fresh_total(), 1);
+        assert_eq!(m.churn().joined_fresh, 1);
         // Both original workers report: the round must still wait for the
         // fresh joiner (it is attached and unreported).
         m.on_event(Event::Gradient { id: 0, step: 1 }, 110, &mut out);
@@ -1060,11 +1031,11 @@ mod tests {
         m.on_event(Event::JoinedFresh(0), 101, &mut out); // already joined
         m.on_event(Event::JoinedFresh(9), 102, &mut out); // out of range
         assert_eq!(m.n_joined(), 1);
-        assert_eq!(m.n_joined_fresh_total(), 0);
+        assert_eq!(m.churn().joined_fresh, 0);
         m.on_event(Event::JoinedFresh(1), 103, &mut out);
         m.on_event(Event::JoinedFresh(1), 104, &mut out); // duplicate
         assert_eq!(m.n_joined(), 2);
-        assert_eq!(m.n_joined_fresh_total(), 1);
+        assert_eq!(m.churn().joined_fresh, 1);
     }
 
     #[test]
@@ -1076,12 +1047,12 @@ mod tests {
         m.on_event(Event::Detached(1), 3, &mut out);
         m.on_event(Event::Reattached(1), 4, &mut out);
         m.on_event(Event::Detached(1), 5, &mut out);
-        assert_eq!(m.n_detached_total(), 2);
-        assert_eq!(m.n_reattached_total(), 1);
+        assert_eq!(m.churn().detached, 2);
+        assert_eq!(m.churn().reattached, 1);
         m.on_event(Event::StaleGradient(0), 6, &mut out);
         m.on_event(Event::StaleGradient(0), 7, &mut out);
         m.on_event(Event::StaleGradient(9), 8, &mut out); // out of range
-        assert_eq!(m.stale_rejected(), &[2, 0]);
+        assert_eq!(m.churn().stale_rejected, [2, 0]);
     }
 
     #[test]

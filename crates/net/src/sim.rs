@@ -37,19 +37,18 @@
 //! machine deadline. No wall clock, no sleeps, no sockets — a chaos run
 //! executes in microseconds.
 
-use crate::machine::{Event, MachineConfig, Phase};
+use crate::backend::Deployment;
+use crate::machine::{Event, Phase};
 use crate::protocol::session_token;
 use crate::session::{Broadcast, Session, Verdict, WorkerSession};
-use crate::transport::{drive, CoordinatorError, Transport};
+use crate::transport::{drive, Transport};
 use crate::worker::WorkerError;
-use dpbyz_core::engine::register_backend;
 use dpbyz_core::pipeline::{Experiment, PipelineError};
 use dpbyz_core::{ComponentSpec, EngineBackend, RegistryError};
 use dpbyz_server::{HonestWorker, RunHistory, RunObserver, RunScratch, WorkerOutput};
 use dpbyz_tensor::{Prng, Vector};
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::Arc;
 
 /// Extra one-way latency charged per simulated "drop": the frame is not
 /// lost, it is redelivered later — TCP's retransmission model, which is
@@ -624,46 +623,30 @@ impl Transport for SimNet {
 }
 
 /// The `"sim"` deployment backend: the full round protocol over
-/// [`SimNet`]. Spec parameters (all optional):
+/// [`SimNet`]. Its spec takes every [`Deployment`] key (listed in
+/// [`crate::backend`]; deadlines are in *virtual* ms) plus:
 ///
 /// * `chaos` — fault-plan seed ([`FaultPlan::from_seed`]); absent means
 ///   clean links;
-/// * `min_workers` / `quorum` — as the `"tcp"` backend;
-/// * `join_timeout_ms` / `warmup_timeout_ms` / `step_timeout_ms` —
-///   phase deadlines in *virtual* ms (default 10 000 each);
 /// * `compute_ms` — virtual cost of one gradient computation (default
-///   2);
-/// * `resume_window` — broadcast frames retained for rejoin replay
-///   (default 32).
+///   2).
 pub struct SimBackend {
+    deployment: Deployment,
     chaos: Option<u64>,
-    min_workers: Option<usize>,
-    quorum: Option<usize>,
-    join_timeout_ms: u64,
-    warmup_timeout_ms: u64,
-    step_timeout_ms: u64,
     compute_ms: u64,
-    resume_window: usize,
 }
 
 impl SimBackend {
-    /// Reads deployment knobs from a backend spec (see the type docs for
-    /// the parameter list).
+    /// Reads the backend's knobs from a spec (see the type docs).
     ///
     /// # Errors
     ///
-    /// [`RegistryError::Build`] when a knob is present but not an
-    /// unsigned integer.
+    /// As [`Deployment::from_spec`].
     pub fn from_spec(spec: &ComponentSpec) -> Result<Self, RegistryError> {
         Ok(SimBackend {
+            deployment: Deployment::from_spec(spec, &["chaos", "compute_ms"])?,
             chaos: spec.u64_if_present("chaos")?,
-            min_workers: spec.u64_if_present("min_workers")?.map(|v| v as usize),
-            quorum: spec.u64_if_present("quorum")?.map(|v| v as usize),
-            join_timeout_ms: spec.u64_or_reject("join_timeout_ms", 10_000)?,
-            warmup_timeout_ms: spec.u64_or_reject("warmup_timeout_ms", 10_000)?,
-            step_timeout_ms: spec.u64_or_reject("step_timeout_ms", 10_000)?,
             compute_ms: spec.u64_or_reject("compute_ms", 2)?,
-            resume_window: spec.u64_or_reject("resume_window", 32)? as usize,
         })
     }
 
@@ -682,42 +665,32 @@ impl SimBackend {
         observer: Option<Box<dyn RunObserver>>,
         scratch: &mut RunScratch,
     ) -> Result<RunHistory, PipelineError> {
-        let (n_honest, min_workers, quorum) =
-            crate::backend::resolve_deployment("sim backend", exp, self.min_workers, self.quorum)?;
+        let n_honest = exp.config.honest_workers(exp.attack.is_some());
         if plan.to_worker.len() != n_honest {
             return Err(PipelineError::Spec(format!(
                 "sim backend: fault plan covers {} workers, run has {n_honest}",
                 plan.to_worker.len()
             )));
         }
-        let mut trainer = exp.build_trainer()?;
-        if let Some(observer) = observer {
-            trainer = trainer.observer(observer);
-        }
-        let (core, workers) = trainer.into_distributed_parts(seed, scratch);
-        let staleness_window = core.config().staleness_window;
-        let machine_cfg = MachineConfig {
-            n_workers: n_honest,
-            min_workers,
-            quorum,
-            steps: core.config().steps,
-            join_deadline_ms: self.join_timeout_ms,
-            warmup_deadline_ms: self.warmup_timeout_ms,
-            step_deadline_ms: self.step_timeout_ms,
-            staleness_window,
-        };
-        let mut net = SimNet::new(
-            workers,
-            plan,
+        let d = &self.deployment;
+        d.run(
+            "sim backend",
+            exp,
             seed,
-            self.compute_ms,
-            self.resume_window,
-            staleness_window,
-        );
-        drive(&mut net, core, machine_cfg, seed, scratch).map_err(|e| match e {
-            CoordinatorError::Gar(g) => PipelineError::Gar(g),
-            other => PipelineError::Spec(format!("sim backend: {other}")),
-        })
+            observer,
+            scratch,
+            |core, workers, cfg, scratch| {
+                let mut net = SimNet::new(
+                    workers,
+                    plan,
+                    seed,
+                    self.compute_ms,
+                    d.resume_window,
+                    cfg.staleness_window,
+                );
+                drive(&mut net, core, cfg, seed, scratch)
+            },
+        )
     }
 }
 
@@ -742,17 +715,6 @@ impl EngineBackend for SimBackend {
     }
 }
 
-/// Registers the `"sim"` backend. Idempotent — safe to call from every
-/// binary and test that might race another `install`.
-pub fn install() {
-    match register_backend("sim", |spec| {
-        Ok(Arc::new(SimBackend::from_spec(spec)?) as Arc<dyn EngineBackend>)
-    }) {
-        Ok(()) | Err(RegistryError::DuplicateId(_)) => {}
-        Err(e) => unreachable!("sim backend registration failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -769,10 +731,12 @@ mod tests {
 
     #[test]
     fn wrong_typed_knobs_are_rejected() {
-        // `chaos: 1.5` must not quietly run on clean links.
+        // `chaos: 1.5` must not quietly run on clean links, nor a
+        // misspelt `qourum` with the default quorum.
         for (key, spec) in [
             ("chaos", ComponentSpec::new("sim").with("chaos", 1.5)),
             ("quorum", ComponentSpec::new("sim").with("quorum", "3")),
+            ("qourum", ComponentSpec::new("sim").with("qourum", 3u64)),
         ] {
             match SimBackend::from_spec(&spec) {
                 Err(RegistryError::Build { message, .. }) => {
@@ -781,6 +745,57 @@ mod tests {
                 _ => panic!("`{key}` of the wrong type was accepted"),
             }
         }
+    }
+
+    #[test]
+    fn tcp_and_sim_specs_resolve_to_one_deployment() {
+        // n = 11, f = 2 under attack: 9 honest workers connect.
+        let config = dpbyz_server::TrainingConfig::builder()
+            .workers(11, 2)
+            .steps(5)
+            .build()
+            .unwrap();
+        let resolved = |d: Deployment| {
+            let m = d.resolve("test", &config, true).unwrap();
+            let deadlines = (m.join_deadline_ms, m.warmup_deadline_ms, m.step_deadline_ms);
+            (
+                m.n_workers,
+                m.min_workers,
+                m.quorum,
+                deadlines,
+                d.resume_window,
+            )
+        };
+        let shared = |id: &str| {
+            ComponentSpec::new(id)
+                .with("min_workers", 6u64)
+                .with("quorum", 5u64)
+                .with("join_timeout_ms", 100u64)
+                .with("warmup_timeout_ms", 200u64)
+                .with("step_timeout_ms", 300u64)
+                .with("resume_window", 4u64)
+        };
+        let tcp = Deployment::from_spec(&shared("tcp"), &[]).unwrap();
+        let sim =
+            SimBackend::from_spec(&shared("sim").with("chaos", 7u64).with("compute_ms", 5u64))
+                .unwrap()
+                .deployment;
+        assert_eq!(
+            tcp.resolve("test", &config, true),
+            sim.resolve("test", &config, true)
+        );
+        assert_eq!(resolved(tcp), (9, 6, 5, (100, 200, 300), 4));
+        assert_eq!(resolved(sim), resolved(tcp));
+
+        // The documented defaults: every honest worker joins and
+        // reports, 10 s deadlines, a 32-frame replay window.
+        let tcp = Deployment::from_spec(&ComponentSpec::new("tcp"), &[]).unwrap();
+        let sim = SimBackend::from_spec(&ComponentSpec::new("sim"))
+            .unwrap()
+            .deployment;
+        let defaults = (9, 9, 9, (10_000, 10_000, 10_000), 32);
+        assert_eq!(resolved(tcp), defaults);
+        assert_eq!(resolved(sim), defaults);
     }
 
     #[test]

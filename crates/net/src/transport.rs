@@ -23,7 +23,7 @@
 use crate::machine::{Action, Event, MachineConfig, Phase, RoundStateMachine};
 use bytes::{BufMut, BytesMut};
 use dpbyz_gars::GarError;
-use dpbyz_server::{ChurnStats, RunHistory, RunScratch, ServerCore, WorkerOutput};
+use dpbyz_server::{RunHistory, RunScratch, ServerCore, WorkerOutput};
 use dpbyz_tensor::Vector;
 use std::collections::VecDeque;
 use std::fmt;
@@ -227,17 +227,8 @@ pub fn drive<T: Transport>(
     result.map(|()| {
         // Churn accounting rides along in the history but is excluded
         // from its equality/digest: pins compare trajectories, not
-        // delivery schedules. `abort_reason` stays `None` here — an
-        // aborted run returns `Err` and seals no history at all.
-        core.record_churn(ChurnStats {
-            abort_reason: None,
-            detached: machine.n_detached_total(),
-            reattached: machine.n_reattached_total(),
-            joined_fresh: machine.n_joined_fresh_total(),
-            dropped_rounds: machine.dropped_rounds().to_vec(),
-            stale_rejected: machine.stale_rejected().to_vec(),
-            late_admits: machine.late_admits().to_vec(),
-        });
+        // delivery schedules.
+        core.record_churn(machine.churn);
         core.finish(seed)
     })
 }

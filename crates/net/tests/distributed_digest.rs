@@ -103,20 +103,26 @@ fn min_workers_beyond_honest_names_the_server_side_simulation() {
     }
 }
 
-/// A deployment knob of the wrong type is refused, not read as absent:
-/// `quorum: "3"` must not quietly run with the default quorum.
+/// A deployment knob of the wrong type, or an unknown one, is refused,
+/// not read as absent: neither `quorum: "3"` nor a misspelt `qourum`
+/// may quietly run with the default quorum.
 #[test]
 fn wrong_typed_tcp_knob_is_rejected() {
     dpbyz_net::install();
     let mut exp = attacked_experiment();
-    exp.backend = ComponentSpec::new("tcp").with("quorum", "3");
-    match exp.run(5) {
-        Err(PipelineError::Registry(RegistryError::Build { id, message })) => {
-            assert_eq!(id, "tcp");
-            assert!(message.contains("quorum"), "{message}");
+    for (key, spec) in [
+        ("quorum", ComponentSpec::new("tcp").with("quorum", "3")),
+        ("qourum", ComponentSpec::new("tcp").with("qourum", 3u64)),
+    ] {
+        exp.backend = spec;
+        match exp.run(5) {
+            Err(PipelineError::Registry(RegistryError::Build { id, message })) => {
+                assert_eq!(id, "tcp");
+                assert!(message.contains(key), "{message}");
+            }
+            Ok(_) => panic!("`{key}` must not run"),
+            Err(other) => panic!("`{key}`: expected a build error, got {other}"),
         }
-        Ok(_) => panic!("a string quorum must not run"),
-        Err(other) => panic!("expected a build error, got {other}"),
     }
 }
 

@@ -454,7 +454,7 @@ proptest! {
                 break;
             }
         }
-        for (w, &late) in machine.late_admits().iter().enumerate() {
+        for (w, &late) in machine.churn().late_admits.iter().enumerate() {
             if k == 0 {
                 prop_assert_eq!(late, 0, "worker {} admitted late with window 0", w);
             }

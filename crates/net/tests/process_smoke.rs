@@ -40,31 +40,31 @@ fn spawned_worker_processes_reproduce_the_in_process_digest() {
 fn coordinator_binary_rejects_an_out_of_range_deployment() {
     // n = 11, f = 2 under attack ⇒ 9 honest workers: neither a join gate
     // nor a quorum above 9 can ever be met, so both exit 2 before binding.
-    for (flag, value) in [("--min-workers", "10"), ("--quorum", "10")] {
+    // A misspelt flag, or a flag without its value, exits 2 the same way
+    // instead of running with the default.
+    for (extra, expected) in [
+        (&["--min-workers", "10"][..], "exceeds the 9 honest"),
+        (&["--quorum", "10"], "exceeds the 9 honest"),
+        (&["--quorom", "3"], "--quorom"),
+        (&["--quorum"], "--quorum"),
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_coordinator"))
-            .args([
-                "--workers",
-                "11",
-                "--byzantine",
-                "2",
-                "--attack",
-                "alie",
-                flag,
-                value,
-            ])
+            .args(["--workers", "11", "--byzantine", "2", "--attack", "alie"])
+            .args(extra)
             .output()
             .expect("coordinator binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
-        assert!(stderr.contains("exceeds the 9 honest"), "{stderr}");
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(stderr.contains(expected), "{extra:?}: {stderr}");
     }
 }
 
+/// A job spec with n = 11, f = 5 under attack: honest slots `0..6`.
+const SPEC: &str = r#"{"workload":{"PhishingLike":{"data_seed":1,"size":100}},"config":{"n_workers":11,"n_byzantine":5,"batch_size":10,"steps":2,"lr":{"Constant":2.0},"momentum":0.99,"momentum_mode":"Worker","clip":0.01,"eval_every":0,"attack_visibility":"Submitted","drop_rate":0.0,"gradient_ema":null,"batch_growth":null,"agg_threads":1,"staleness_window":0,"staleness_damping":0.5},"gar":{"id":"mda","params":{}},"attack":{"id":"alie","params":{}},"budget":null,"mechanism":{"id":"gaussian","params":{}},"dp_reference_g_max":null,"seed":1}"#;
+
 #[test]
 fn worker_binary_rejects_a_byzantine_index() {
-    // n = 11, f = 5 in this spec ⇒ honest slots 0..6; index 7 must be
-    // refused before any socket traffic.
-    let spec = r#"{"workload":{"PhishingLike":{"data_seed":1,"size":100}},"config":{"n_workers":11,"n_byzantine":5,"batch_size":10,"steps":2,"lr":{"Constant":2.0},"momentum":0.99,"momentum_mode":"Worker","clip":0.01,"eval_every":0,"attack_visibility":"Submitted","drop_rate":0.0,"gradient_ema":null,"batch_growth":null,"agg_threads":1,"staleness_window":0,"staleness_damping":0.5},"gar":{"id":"mda","params":{}},"attack":{"id":"alie","params":{}},"budget":null,"mechanism":{"id":"gaussian","params":{}},"dp_reference_g_max":null,"seed":1}"#;
+    // Index 7 is a Byzantine slot: refused before any socket traffic.
     let out = Command::new(env!("CARGO_BIN_EXE_worker"))
         .args([
             "--connect",
@@ -72,11 +72,38 @@ fn worker_binary_rejects_a_byzantine_index() {
             "--index",
             "7",
             "--spec-json",
-            spec,
+            SPEC,
         ])
         .output()
         .expect("worker binary runs");
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("honest"), "stderr:\n{stderr}");
+}
+
+#[test]
+fn worker_binary_rejects_an_unknown_flag() {
+    // An otherwise valid invocation with a misspelt flag, or a flag
+    // without its value, exits 2 naming it before connecting.
+    for (extra, expected) in [
+        (&["--quorom", "3"][..], "--quorom"),
+        (&["--fresh-joinn"], "--fresh-joinn"),
+        (&["--spec-file"], "--spec-file"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_worker"))
+            .args([
+                "--connect",
+                "127.0.0.1:9",
+                "--index",
+                "0",
+                "--spec-json",
+                SPEC,
+            ])
+            .args(extra)
+            .output()
+            .expect("worker binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(stderr.contains(expected), "{extra:?}: {stderr}");
+    }
 }

@@ -18,7 +18,7 @@ use dpbyz_net::protocol::{
     begin_frame, decode_vec_frame, encode_vec_frame, end_frame, write_all_frame, KIND_ABORT,
     KIND_DONE, KIND_GRAD, KIND_JOIN, KIND_JOIN_FRESH, KIND_READY, KIND_STEP, KIND_WARMUP,
 };
-use dpbyz_net::{CoordinatorConfig, FaultPlan, SimBackend, TcpCoordinator};
+use dpbyz_net::{Deployment, FaultPlan, SimBackend, TcpCoordinator};
 use dpbyz_server::{FnObserver, HonestWorker, RunHistory, RunScratch, WorkerOutput};
 use dpbyz_tensor::Vector;
 use std::collections::HashMap;
@@ -284,16 +284,19 @@ fn an_ahead_of_round_frame_is_buffered_and_admitted_on_advance() {
         .into_distributed_parts(seed, &mut scratch);
     let worker = workers.pop().unwrap();
 
-    let cfg = CoordinatorConfig {
-        min_workers: 1,
-        quorum: 1,
-        ..CoordinatorConfig::default()
+    let deployment = Deployment {
+        min_workers: Some(1),
+        quorum: Some(1),
+        ..Deployment::default()
     };
-    let coord = TcpCoordinator::bind("127.0.0.1:0", cfg).unwrap();
+    let machine = deployment.resolve("tcp", &exp.config, false).unwrap();
+    let coord = TcpCoordinator::bind("127.0.0.1:0").unwrap();
     let addr = coord.local_addr().unwrap();
     let client = std::thread::spawn(move || ahead_of_round_client(addr, worker));
 
-    let history = coord.run(core, 1, seed, &mut scratch).unwrap();
+    let history = coord
+        .run(core, machine, deployment.resume_window, seed, &mut scratch)
+        .unwrap();
     let finished = client.join().unwrap().unwrap();
 
     assert!(
@@ -375,13 +378,14 @@ fn a_fresh_worker_joins_mid_run_over_tcp() {
     let late = workers.pop().unwrap();
     let early = workers.pop().unwrap();
 
-    let cfg = CoordinatorConfig {
-        min_workers: 1,
-        quorum: 1,
-        join_timeout: Duration::from_millis(300),
-        ..CoordinatorConfig::default()
+    let deployment = Deployment {
+        min_workers: Some(1),
+        quorum: Some(1),
+        join_timeout_ms: 300,
+        ..Deployment::default()
     };
-    let coord = TcpCoordinator::bind("127.0.0.1:0", cfg).unwrap();
+    let machine = deployment.resolve("tcp", &exp.config, false).unwrap();
+    let coord = TcpCoordinator::bind("127.0.0.1:0").unwrap();
     let addr = coord.local_addr().unwrap();
 
     let early_handle = std::thread::spawn(move || {
@@ -392,7 +396,9 @@ fn a_fresh_worker_joins_mid_run_over_tcp() {
         fresh_join_client(addr, late, tx_sent)
     });
 
-    let history = coord.run(core, 2, seed, &mut scratch).unwrap();
+    let history = coord
+        .run(core, machine, deployment.resume_window, seed, &mut scratch)
+        .unwrap();
     let early_steps = early_handle.join().unwrap().unwrap();
     let late_steps = late_handle.join().unwrap().unwrap();
     assert_eq!(early_steps, 8);

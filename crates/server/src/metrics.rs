@@ -15,11 +15,6 @@ use serde::{Deserialize, Serialize};
 /// the sequential reference never detaches anyone).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChurnStats {
-    /// Why the run aborted, if the machine gave up before finishing.
-    /// `None` on every successfully finished run (an aborted drive
-    /// returns an error, so a populated reason is only observable through
-    /// transports that surface partial histories).
-    pub abort_reason: Option<String>,
     /// Workers that disconnected mid-run (connection deaths).
     pub detached: u32,
     /// Successful `REJOIN` resumptions of previously-joined workers.
@@ -362,7 +357,6 @@ mod tests {
         let mut b = a.clone();
         b.churn.detached = 3;
         b.churn.joined_fresh = 1;
-        b.churn.abort_reason = Some("quorum lost".into());
         b.churn.late_admits = vec![0, 2];
         assert_eq!(a, b);
         assert_eq!(a.digest(), b.digest());

@@ -252,12 +252,10 @@ impl ServerCore {
         self.train_loss.push(loss);
 
         // Byzantine submissions: every colluder sends the same forged
-        // vector (the attack model of §5.1).
-        let active_byzantine = if self.attack.is_some() {
-            self.config.n_byzantine
-        } else {
-            0
-        };
+        // vector (the attack model of §5.1). Colluders are the workers
+        // that do not compute honestly: none unless an attack is armed.
+        let active_byzantine =
+            self.config.n_workers - self.config.honest_workers(self.attack.is_some());
         self.buffers.ensure_slots(n_honest, active_byzantine);
         for (i, output) in outputs.iter_mut().enumerate() {
             std::mem::swap(&mut self.buffers.pre_noise[i], &mut output.pre_noise);

@@ -292,7 +292,7 @@ fn threaded_parallel_median_cell_is_allocation_free_at_steady_state() {
 /// one worker-session thread per honest worker. The counting allocator
 /// is process-global, so the snapshots include the worker sessions too.
 fn per_step_allocation_counts_tcp(gar: Arc<dyn Gar>) -> Vec<u64> {
-    use dpbyz::net::{run_worker, CoordinatorConfig, TcpCoordinator, WorkerConfig};
+    use dpbyz::net::{run_worker, Deployment, TcpCoordinator, WorkerConfig};
     use dpbyz::RunScratch;
 
     let n = 5;
@@ -300,21 +300,24 @@ fn per_step_allocation_counts_tcp(gar: Arc<dyn Gar>) -> Vec<u64> {
 
     let mut scratch = RunScratch::new();
     let (core, workers) = trainer.into_distributed_parts(1, &mut scratch);
-    let coordinator = TcpCoordinator::bind(
-        "127.0.0.1:0",
-        CoordinatorConfig {
-            min_workers: n,
-            quorum: n,
-            ..CoordinatorConfig::default()
-        },
-    )
-    .unwrap();
+    // An 8-frame replay ring fills within the measured window, so its
+    // steady state recycles: at the default 32 it would still be growing.
+    let deployment = Deployment {
+        min_workers: Some(n),
+        quorum: Some(n),
+        resume_window: 8,
+        ..Deployment::default()
+    };
+    let machine = deployment.resolve("tcp", core.config(), false).unwrap();
+    let coordinator = TcpCoordinator::bind("127.0.0.1:0").unwrap();
     let addr = coordinator.local_addr().unwrap();
     let handles: Vec<_> = workers
         .into_iter()
         .map(|w| std::thread::spawn(move || run_worker(addr, w, WorkerConfig::default())))
         .collect();
-    coordinator.run(core, n, 1, &mut scratch).unwrap();
+    coordinator
+        .run(core, machine, deployment.resume_window, 1, &mut scratch)
+        .unwrap();
     for handle in handles {
         handle.join().unwrap().unwrap();
     }
