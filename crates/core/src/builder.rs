@@ -203,6 +203,22 @@ impl ExperimentBuilder {
         self
     }
 
+    /// Sets the bounded-staleness window `k`: a report up to `k` rounds
+    /// late is admitted (0, the default, admits only the current round).
+    #[must_use]
+    pub fn staleness_window(mut self, k: u32) -> Self {
+        self.config.staleness_window = k;
+        self
+    }
+
+    /// Sets the damping `λ ∈ (0, 1]` a report `j` rounds late is scaled
+    /// by (`λ^j`); [`build`](Self::build) rejects values outside.
+    #[must_use]
+    pub fn staleness_damping(mut self, lambda: f64) -> Self {
+        self.config.staleness_damping = lambda;
+        self
+    }
+
     /// Sets the aggregation rule by registry id or full spec.
     /// Unset, the rule follows the paper's protocol: plain averaging, or
     /// MDA once an attack is armed.

@@ -76,8 +76,12 @@ fn main() {
     // Bounded staleness: k > 0 admits a report up to k rounds old, damped
     // by λ^age server-side before the GAR sees it. k = 0 (the default)
     // keeps the strict digest-pinned semantics.
-    let staleness_window = args.parsed("--staleness-window");
-    let staleness_damping = args.parsed("--staleness-damping");
+    if let Some(k) = args.parsed("--staleness-window") {
+        builder = builder.staleness_window(k);
+    }
+    if let Some(lambda) = args.parsed("--staleness-damping") {
+        builder = builder.staleness_damping(lambda);
+    }
     let mut spec = ComponentSpec::new("coordinator");
     for (flag, key) in DEPLOYMENT_FLAGS {
         if let Some(value) = args.parsed::<u64>(flag) {
@@ -86,11 +90,9 @@ fn main() {
     }
     args.finish();
 
-    let mut exp = builder
+    let exp = builder
         .build()
         .unwrap_or_else(|e| args.exit(2, format_args!("invalid experiment: {e}")));
-    exp.config.staleness_window = staleness_window.unwrap_or(exp.config.staleness_window);
-    exp.config.staleness_damping = staleness_damping.unwrap_or(exp.config.staleness_damping);
     let deployment = Deployment::from_spec(&spec, &[]).unwrap_or_else(|e| args.exit(2, e));
     let machine = deployment
         .resolve("coordinator", &exp.config, exp.attack.is_some())

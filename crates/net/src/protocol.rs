@@ -15,9 +15,15 @@
 //! ```
 //!
 //! with `(a, b) = (step, batch_size)` in a `STEP` broadcast and
-//! `(worker_id, step)` in a `GRAD` report. `tag` is an FNV-1a checksum
-//! over everything before it: the paper's channels guarantee only
-//! integrity and authentication (Remark 1), not secrecy.
+//! `(worker_id, step)` in a `GRAD` report. `tag` is a checksum over
+//! everything before it: FNV-1a's xor-then-multiply run over 8-byte
+//! little-endian words (the `len mod 8` byte tail bytewise), each
+//! multiply followed by an xor-shift fold of the high half into the low
+//! half. Every step is a bijection of the 64-bit state, so any change
+//! confined to one 8-byte word is detected with certainty, and the fold
+//! keeps every two-bit flip detected too (the tests flip every bit and
+//! every pair of bits of a small frame). The paper's channels guarantee
+//! only integrity and authentication (Remark 1), not secrecy.
 //!
 //! Both endpoints read through [`FrameReader`]: it owns one recycled
 //! `Vec<u8>`, fills it from the socket (the coordinator's nonblocking
@@ -135,11 +141,31 @@ impl std::error::Error for MessageError {}
 const VEC_HEADER: usize = 4 + 4 + 4;
 const VEC_TAG: usize = 8;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+const TAG_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const TAG_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// The vector-frame integrity tag: FNV-1a's xor-then-multiply over
+/// 8-byte little-endian words, each multiply followed by the fold
+/// `h ^= h >> 32`, with the byte tail (`len mod 8` bytes) absorbed
+/// bytewise as plain FNV-1a.
+///
+/// Every step — xor of a word, multiply by the odd prime, the fold — is
+/// a bijection of the 64-bit state, so a change confined to one word
+/// always changes the tag. The fold is what keeps two-word changes
+/// detected: without it a difference in bit 63 passes through every
+/// multiply unchanged, so flipping bit 63 of any two words (or of one
+/// word and of the tag) cancels out.
+fn frame_tag(bytes: &[u8]) -> u64 {
+    let mut h = TAG_OFFSET;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(word);
+        h = (h ^ u64::from_le_bytes(w)).wrapping_mul(TAG_PRIME);
+        h ^= h >> 32;
+    }
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(TAG_PRIME);
     }
     h
 }
@@ -174,16 +200,16 @@ pub fn encode_vec_frame(a: u32, b: u32, v: &Vector, buf: &mut BytesMut) {
     for &x in v.iter() {
         buf.put_f64_le(x);
     }
-    let tag = fnv1a(buf);
+    let tag = frame_tag(buf);
     buf.put_u64_le(tag);
     // lint:end(zero-copy)
 }
 
 /// Decodes and verifies a vector frame into `v`, returning its two header
 /// words. `v` is resized in place (a no-op at steady state) and refilled
-/// coordinate by coordinate; the tag covers header and payload and is
-/// checked after parsing. On error `v` is left in an unspecified but
-/// valid state.
+/// from the length-checked coordinate bytes, 8 at a time; the tag covers
+/// header and payload and is checked after parsing. On error `v` is left
+/// in an unspecified but valid state.
 ///
 /// # Errors
 ///
@@ -199,8 +225,6 @@ pub fn decode_vec_frame(frame: &[u8], v: &mut Vector) -> Result<(u32, u32), Mess
             got: frame.len(),
         });
     }
-    let body_len = frame.len() - VEC_TAG;
-    let expected = fnv1a(frame.get(..body_len).unwrap_or(frame));
     let a = u32::from_le_bytes(read_array(frame, 0)?);
     let b = u32::from_le_bytes(read_array(frame, 4)?);
     let dim = u32::from_le_bytes(read_array(frame, 8)?) as usize;
@@ -217,23 +241,34 @@ pub fn decode_vec_frame(frame: &[u8], v: &mut Vector) -> Result<(u32, u32), Mess
             got: frame.len(),
         });
     }
+    // The length check above makes both splits exact: `dim` coordinates
+    // of 8 bytes between the header and the tag.
+    let (body, tag) = frame.split_at_checked(needed - VEC_TAG).unwrap_or_default();
+    let coords = body.get(VEC_HEADER..).unwrap_or_default();
     v.resize(dim, 0.0);
-    for (j, coord) in v.as_mut_slice().iter_mut().enumerate() {
-        *coord = f64::from_le_bytes(read_array(frame, VEC_HEADER + j * 8)?);
+    for (coord, bytes) in v.as_mut_slice().iter_mut().zip(coords.chunks_exact(8)) {
+        let mut x = [0u8; 8];
+        x.copy_from_slice(bytes);
+        *coord = f64::from_le_bytes(x);
     }
-    let tag = u64::from_le_bytes(read_array(frame, body_len)?);
-    if tag != expected {
+    if u64::from_le_bytes(read_array(tag, 0)?) != frame_tag(body) {
         return Err(MessageError::BadChecksum);
     }
     // lint:end(zero-copy)
     Ok((a, b))
 }
 
+/// Wire size of a [`KIND_GRAD`] frame at dimension `dim`, length word
+/// included: the largest frame a run at that dimension sends (a `STEP`
+/// carries one vector frame, a `GRAD` two plus the loss/length prelude).
+pub const fn grad_frame_len(dim: usize) -> usize {
+    4 + 1 + 8 + 4 + 2 * (VEC_HEADER + dim * 8 + VEC_TAG)
+}
+
 /// Largest acceptable frame `len`: the `GRAD` layout at [`MAX_WIRE_DIM`]
-/// coordinates — two vector frames plus the loss/length prelude. A
-/// corrupted or hostile length prefix above this is rejected before any
-/// buffering happens.
-pub const MAX_FRAME_LEN: usize = 2 * (VEC_HEADER + MAX_WIRE_DIM * 8 + VEC_TAG) + 13;
+/// coordinates, less the length word itself. A corrupted or hostile
+/// length prefix above this is rejected before any buffering happens.
+pub const MAX_FRAME_LEN: usize = grad_frame_len(MAX_WIRE_DIM) - 4;
 
 /// Incremental frame reassembly over one recycled buffer.
 ///
@@ -803,6 +838,11 @@ mod tests {
         assert_eq!(out.batch_loss, 0.125);
         assert_eq!(out.submitted, Vector::from(vec![1.0, -2.0]));
         assert_eq!(out.pre_noise, Vector::from(vec![0.5, 0.25]));
+        // The encoder's frame for the same report has the documented size.
+        let (mut frame, mut scratch) = (BytesMut::default(), BytesMut::default());
+        encode_grad(&mut frame, &mut scratch, 3, 7, &out);
+        assert_eq!(frame.len(), grad_frame_len(2));
+        assert_eq!(&frame[5..], &payload[..]);
     }
 
     #[test]
@@ -1097,9 +1137,91 @@ mod tests {
             for x in [0.5f64, -0.5] {
                 expected.extend(x.to_le_bytes());
             }
-            let tag = fnv1a(&expected);
-            expected.extend(tag.to_le_bytes());
+            // The tag of these 28 bytes, computed outside this crate.
+            expected.extend(0x6664_5ac0_ceea_2251u64.to_le_bytes());
             assert_eq!(&encoded(9, 17, &v)[..], &expected[..]);
+        }
+
+        /// The tag as its documentation states it, written independently
+        /// of [`frame_tag`]: words assembled byte by byte, the tail
+        /// indexed from the end of the last whole word.
+        fn reference_tag(bytes: &[u8]) -> u64 {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let whole = bytes.len() / 8 * 8;
+            for at in (0..whole).step_by(8) {
+                let w = (0..8).fold(0u64, |w, k| w | u64::from(bytes[at + k]) << (8 * k));
+                h = (h ^ w).wrapping_mul(0x100_0000_01b3);
+                h ^= h >> 32;
+            }
+            for &b in &bytes[whole..] {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+            h
+        }
+
+        #[test]
+        fn tag_matches_its_reference_and_known_answers() {
+            // Known answers: FNV's offset basis for no input, and one
+            // 38-byte input (four words and a 6-byte tail), computed
+            // outside this crate.
+            assert_eq!(frame_tag(b""), 0xcbf2_9ce4_8422_2325);
+            let text = b"Remark 1: integrity and authentication";
+            assert_eq!(frame_tag(text), 0xb68e_506e_cdb4_6190);
+            assert_eq!(reference_tag(text), 0xb68e_506e_cdb4_6190);
+            // Every length from empty to five words plus a full tail.
+            let bytes: Vec<u8> = (0..47u32).map(|i| (i * 37 + 11) as u8).collect();
+            for len in 0..=bytes.len() {
+                assert_eq!(
+                    frame_tag(&bytes[..len]),
+                    reference_tag(&bytes[..len]),
+                    "length {len}"
+                );
+            }
+        }
+
+        #[test]
+        fn every_single_bit_flip_is_rejected() {
+            // Header, coordinates and tag of a two-coordinate frame: a flip
+            // in the `dim` word is a typed length error, any other flip a
+            // bad checksum. Nothing flipped ever decodes.
+            let clean = encoded(5, 11, &Vector::from(vec![1.0, -2.0]));
+            let mut decoded = Vector::default();
+            for bit in 0..clean.len() * 8 {
+                let mut frame = clean.to_vec();
+                frame[bit / 8] ^= 1 << (bit % 8);
+                let err = decode_vec_frame(&frame, &mut decoded).unwrap_err();
+                if (8..12).contains(&(bit / 8)) {
+                    assert!(
+                        matches!(
+                            err,
+                            MessageError::ShortRead { .. } | MessageError::LengthOverflow { .. }
+                        ),
+                        "bit {bit}: {err:?}"
+                    );
+                } else {
+                    assert_eq!(err, MessageError::BadChecksum, "bit {bit}");
+                }
+            }
+        }
+
+        #[test]
+        fn every_two_bit_flip_is_rejected() {
+            // Without the fold, bit 63 of two words (or of a word and of
+            // the tag) cancels; this frame has a 4-byte tail too.
+            let clean = encoded(5, 11, &Vector::from(vec![1.0, -2.0]));
+            let bits = clean.len() * 8;
+            let mut decoded = Vector::default();
+            for i in 0..bits {
+                for j in i + 1..bits {
+                    let mut frame = clean.to_vec();
+                    frame[i / 8] ^= 1 << (i % 8);
+                    frame[j / 8] ^= 1 << (j % 8);
+                    assert!(
+                        decode_vec_frame(&frame, &mut decoded).is_err(),
+                        "bits {i} and {j} flipped, frame accepted"
+                    );
+                }
+            }
         }
 
         #[test]

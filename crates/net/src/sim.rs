@@ -39,7 +39,7 @@
 
 use crate::backend::Deployment;
 use crate::machine::{Event, Phase};
-use crate::protocol::session_token;
+use crate::protocol::{grad_frame_len, session_token};
 use crate::session::{Broadcast, Session, Verdict, WorkerSession};
 use crate::transport::{drive, Transport};
 use crate::worker::WorkerError;
@@ -47,7 +47,8 @@ use dpbyz_core::pipeline::{Experiment, PipelineError};
 use dpbyz_core::{ComponentSpec, EngineBackend, RegistryError};
 use dpbyz_server::{HonestWorker, RunHistory, RunObserver, RunScratch, WorkerOutput};
 use dpbyz_tensor::{Prng, Vector};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::io;
 
 /// Extra one-way latency charged per simulated "drop": the frame is not
@@ -309,18 +310,75 @@ enum Delivery {
     Detach { worker: u32 },
 }
 
+/// A [`Delivery`] on the queue, ordered by its key `(at, seq)` —
+/// delivery time, then send order — reversed, so the max-heap
+/// [`BinaryHeap`] pops the earliest first. `seq` is unique, so the order
+/// is total and a pure function of the send schedule.
+#[derive(Debug)]
+struct Queued {
+    at: u64,
+    seq: u64,
+    delivery: Delivery,
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl Eq for Queued {}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+/// Frames per worker the queue and the spare pool are sized for up
+/// front; both grow only past that high-water mark. The crash-free
+/// chaos plan `FaultPlan::from_seed(11, 6)` peaks at 2 queued frames per
+/// worker; a rejoin replay can briefly queue up to `resume_window`.
+const FRAMES_PER_WORKER: usize = 4;
+
 /// The simulated network: the virtual clock, the deterministic delivery
-/// queue (keyed by delivery time, then send order), and one chaos link
-/// per worker and direction.
+/// queue (earliest delivery time first, then send order), one chaos link
+/// per worker and direction, and the spare frame buffers every queued
+/// frame is copied into — each sized for the run's largest frame, leased
+/// on send and returned on delivery, so a warm wire allocates nothing.
 struct Wire {
     now: u64,
     seq: u64,
-    queue: BTreeMap<(u64, u64), Delivery>,
+    queue: BinaryHeap<Queued>,
+    spare: Vec<Vec<u8>>,
+    /// Capacity of every frame buffer: a `GRAD` at the run's dimension.
+    frame_cap: usize,
     to_worker: Vec<ChaosLink>,
     to_coord: Vec<ChaosLink>,
 }
 
 impl Wire {
+    /// A wire at `t = 0` whose queue and spare pool are sized for
+    /// [`FRAMES_PER_WORKER`] frames of `frame_cap` bytes per worker.
+    fn new(to_worker: Vec<ChaosLink>, to_coord: Vec<ChaosLink>, frame_cap: usize) -> Self {
+        let slots = FRAMES_PER_WORKER * to_worker.len();
+        Wire {
+            now: 0,
+            seq: 0,
+            queue: BinaryHeap::with_capacity(slots),
+            spare: (0..slots).map(|_| Vec::with_capacity(frame_cap)).collect(),
+            frame_cap,
+            to_worker,
+            to_coord,
+        }
+    }
+
     /// Sends a frame from worker `from`, `extra_ms` from now.
     fn send_to_coord(&mut self, from: u32, extra_ms: u64, frame: &[u8]) {
         let times = self.to_coord[from as usize].times(self.now, extra_ms);
@@ -340,15 +398,47 @@ impl Wire {
         frame: &[u8],
         build: impl Fn(Vec<u8>) -> Delivery,
     ) {
-        self.push(at, build(frame.to_vec()));
+        let copy = self.lease(frame);
+        self.push(at, build(copy));
         if let Some(at) = dup_at {
-            self.push(at, build(frame.to_vec()));
+            let copy = self.lease(frame);
+            self.push(at, build(copy));
         }
     }
 
     fn push(&mut self, at: u64, delivery: Delivery) {
-        self.queue.insert((at, self.seq), delivery);
+        let seq = self.seq;
+        self.queue.push(Queued { at, seq, delivery });
         self.seq += 1;
+    }
+
+    /// A spare buffer holding a copy of `frame`.
+    fn lease(&mut self, frame: &[u8]) -> Vec<u8> {
+        let mut buf = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(self.frame_cap));
+        buf.extend_from_slice(frame);
+        buf
+    }
+
+    /// Takes a delivered frame's buffer back.
+    fn recycle(&mut self, mut frame: Vec<u8>) {
+        frame.clear();
+        self.spare.push(frame);
+    }
+
+    /// Delivery time of the earliest queued event.
+    fn next_at(&self) -> Option<u64> {
+        self.queue.peek().map(|q| q.at)
+    }
+
+    /// Pops the earliest queued event if it is due by now.
+    fn pop_due(&mut self) -> Option<Delivery> {
+        if self.next_at()? > self.now {
+            return None;
+        }
+        self.queue.pop().map(|q| q.delivery)
     }
 }
 
@@ -416,13 +506,16 @@ impl SimNet {
                 })
                 .collect()
         };
-        let wire = Wire {
-            now: 0,
-            seq: 0,
-            queue: BTreeMap::new(),
-            to_worker: links(&plan.to_worker, 1),
-            to_coord: links(&plan.to_coord, 2),
-        };
+        let frame_cap = workers
+            .iter()
+            .map(|w| grad_frame_len(w.dim()))
+            .max()
+            .unwrap_or(0);
+        let wire = Wire::new(
+            links(&plan.to_worker, 1),
+            links(&plan.to_coord, 2),
+            frame_cap,
+        );
         let reorder = u32::try_from(resume_window).unwrap_or(u32::MAX);
         let workers = workers
             .into_iter()
@@ -557,30 +650,30 @@ impl Transport for SimNet {
     ) -> io::Result<bool> {
         self.session.admit_ahead(phase, outputs, events);
         let mut progressed = false;
-        while let Some(entry) = self.wire.queue.first_entry() {
-            if entry.key().0 > self.wire.now {
-                break;
-            }
+        while let Some(delivery) = self.wire.pop_due() {
             progressed = true;
-            match entry.remove() {
+            match delivery {
                 Delivery::ToCoord { from, frame } => {
-                    let (Some(&kind), Some(payload)) = (frame.get(4), frame.get(5..)) else {
-                        continue;
-                    };
-                    // A violation has no connection to close here: the
-                    // frame is simply dropped.
-                    let verdict =
-                        self.session
-                            .handle(Some(from), kind, payload, phase, outputs, events);
-                    if let Verdict::Attach(_, Some(replay)) = verdict {
-                        // The replay crosses the faulty link; the worker's
-                        // reorder buffer restores order.
-                        for frame in replay {
-                            self.wire.send_to_worker(from, frame);
+                    if let (Some(&kind), Some(payload)) = (frame.get(4), frame.get(5..)) {
+                        // A violation has no connection to close here:
+                        // the frame is simply dropped.
+                        let verdict =
+                            self.session
+                                .handle(Some(from), kind, payload, phase, outputs, events);
+                        if let Verdict::Attach(_, Some(replay)) = verdict {
+                            // The replay crosses the faulty link; the
+                            // worker's reorder buffer restores order.
+                            for frame in replay {
+                                self.wire.send_to_worker(from, frame);
+                            }
                         }
                     }
+                    self.wire.recycle(frame);
                 }
-                Delivery::ToWorker { to, frame } => self.worker_deliver(to as usize, &frame),
+                Delivery::ToWorker { to, frame } => {
+                    self.worker_deliver(to as usize, &frame);
+                    self.wire.recycle(frame);
+                }
                 Delivery::Detach { worker } => self.session.detach(worker, events),
             }
         }
@@ -609,8 +702,7 @@ impl Transport for SimNet {
 
     fn idle(&mut self, next_deadline_ms: Option<u64>) {
         let now = self.wire.now;
-        let next_event = self.wire.queue.keys().next().map(|&(at, _)| at);
-        let target = match (next_event, next_deadline_ms) {
+        let target = match (self.wire.next_at(), next_deadline_ms) {
             (Some(event), Some(deadline)) => event.min(deadline),
             (Some(event), None) => event,
             (None, Some(deadline)) => deadline,
@@ -841,6 +933,35 @@ mod tests {
                 "send {send} diverged"
             );
         }
+    }
+
+    #[test]
+    fn the_queue_delivers_by_time_then_send_order_and_recycles_frames() {
+        let plan = FaultPlan::clean(1);
+        let link = || ChaosLink {
+            plan: plan.to_coord[0].clone(),
+            rng: Prng::seed_from_u64(0),
+        };
+        let mut wire = Wire::new(vec![link()], vec![link()], 16);
+        // (at, first frame byte), pushed in send order 0..6.
+        let sends = [(5, 0u8), (3, 1), (5, 2), (1, 3), (3, 4), (9, 5)];
+        for &(at, byte) in &sends {
+            let frame = wire.lease(&[byte; 8]);
+            wire.push(at, Delivery::ToWorker { to: 0, frame });
+        }
+        wire.now = 5;
+        let mut delivered = Vec::new();
+        while let Some(Delivery::ToWorker { frame, .. }) = wire.pop_due() {
+            delivered.push(frame[0]);
+            wire.recycle(frame);
+        }
+        assert_eq!(delivered, [3, 1, 4, 0, 2], "time first, ties in send order");
+        assert_eq!(wire.next_at(), Some(9), "the later frame waits");
+        assert_eq!(wire.spare.len(), 5);
+        assert!(wire
+            .spare
+            .iter()
+            .all(|b| b.is_empty() && b.capacity() >= 16));
     }
 
     #[test]

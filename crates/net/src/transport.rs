@@ -239,13 +239,18 @@ pub fn drive<T: Transport>(
 /// not computed and receives every stored frame from there, byte-for-byte
 /// what the original broadcast carried.
 ///
-/// Buffers recycle once the ring is full (the evicted frame's storage
-/// takes the new frame), so a steady-state round allocates nothing — the
-/// TCP allocation-bound test covers this path too.
+/// The first frame larger than any before it (the first `STEP`) sizes
+/// all `W` buffers for itself at once, and buffers recycle once the ring
+/// is full (the evicted frame's storage takes the new frame), so no
+/// round after the first allocates — not even while the ring fills.
 #[derive(Debug)]
 pub struct ResumeRing {
     cap: usize,
     frames: VecDeque<(u32, BytesMut)>,
+    /// Buffers sized for the ring but not yet holding a frame.
+    spare: Vec<BytesMut>,
+    /// Capacity of every buffer: the largest frame pushed so far.
+    frame_cap: usize,
 }
 
 impl ResumeRing {
@@ -255,6 +260,8 @@ impl ResumeRing {
         ResumeRing {
             cap: cap.max(1),
             frames: VecDeque::with_capacity(cap.max(1)),
+            spare: Vec::with_capacity(cap.max(1)),
+            frame_cap: 0,
         }
     }
 
@@ -262,14 +269,21 @@ impl ResumeRing {
     /// recycling) the oldest once full. Slots must be pushed in
     /// ascending order — the broadcast schedule guarantees this.
     pub fn push(&mut self, slot: u32, frame: &[u8]) {
+        if frame.len() > self.frame_cap {
+            self.frame_cap = frame.len();
+            let missing = self.cap - self.frames.len() - self.spare.len();
+            self.spare.extend((0..missing).map(|_| BytesMut::default()));
+            let held = self.frames.iter_mut().map(|(_, buf)| buf);
+            for buf in self.spare.iter_mut().chain(held) {
+                buf.reserve(self.frame_cap - buf.len());
+            }
+        }
         let mut buf = if self.frames.len() == self.cap {
-            self.frames
-                .pop_front()
-                .map(|(_, buf)| buf)
-                .unwrap_or_default()
+            self.frames.pop_front().map(|(_, buf)| buf)
         } else {
-            BytesMut::default()
-        };
+            self.spare.pop()
+        }
+        .unwrap_or_default();
         buf.clear();
         buf.put_slice(frame);
         self.frames.push_back((slot, buf));
@@ -351,5 +365,26 @@ mod tests {
                 "slot {slot} allocated fresh storage"
             );
         }
+    }
+
+    #[test]
+    fn a_larger_frame_sizes_every_buffer_at_once() {
+        // A WARMUP-sized frame, then STEP-sized ones: the first STEP sizes
+        // all four buffers, so filling the ring reuses them.
+        let mut ring = ResumeRing::new(4);
+        ring.push(0, &[0; 5]);
+        ring.push(1, &[1; 64]);
+        let sized: Vec<*const u8> = ring
+            .spare
+            .iter()
+            .chain(ring.frames.iter().map(|(_, b)| b))
+            .map(|b| b.as_ptr())
+            .collect();
+        for slot in 2..12u32 {
+            ring.push(slot, &[slot as u8; 64]);
+            let ptr = ring.frames.back().map(|(_, b)| b.as_ptr()).unwrap();
+            assert!(sized.contains(&ptr), "slot {slot} allocated fresh storage");
+        }
+        assert_eq!(replayed(&ring, 11), Some(vec![vec![11; 64]]));
     }
 }

@@ -59,6 +59,35 @@ fn coordinator_binary_rejects_an_out_of_range_deployment() {
     }
 }
 
+#[test]
+fn coordinator_binary_validates_the_staleness_flags() {
+    // The damping must lie in (0, 1]: 7.5 is refused with exit 2 before
+    // binding, like any other invalid experiment knob.
+    let out = Command::new(env!("CARGO_BIN_EXE_coordinator"))
+        .args(["--spawn", "--workers", "4", "--steps", "4"])
+        .args(["--staleness-window", "1", "--staleness-damping", "7.5"])
+        .arg("--verify")
+        .output()
+        .expect("coordinator binary runs");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "stdout:\n{stdout}\nstderr:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("staleness damping") && stderr.contains("7.5"),
+        "{stderr}"
+    );
+    assert!(
+        !stdout.contains("listening"),
+        "bound before validating: {stdout}"
+    );
+}
+
 /// A job spec with n = 11, f = 5 under attack: honest slots `0..6`.
 const SPEC: &str = r#"{"workload":{"PhishingLike":{"data_seed":1,"size":100}},"config":{"n_workers":11,"n_byzantine":5,"batch_size":10,"steps":2,"lr":{"Constant":2.0},"momentum":0.99,"momentum_mode":"Worker","clip":0.01,"eval_every":0,"attack_visibility":"Submitted","drop_rate":0.0,"gradient_ema":null,"batch_growth":null,"agg_threads":1,"staleness_window":0,"staleness_damping":0.5},"gar":{"id":"mda","params":{}},"attack":{"id":"alie","params":{}},"budget":null,"mechanism":{"id":"gaussian","params":{}},"dp_reference_g_max":null,"seed":1}"#;
 

@@ -101,6 +101,11 @@ impl HonestWorker {
         self.id
     }
 
+    /// Dimension of the model this worker computes gradients for.
+    pub fn dim(&self) -> usize {
+        self.model.dim()
+    }
+
     /// Runs one step against the broadcast parameters.
     pub fn compute(&mut self, params: &Vector, batch_size: usize) -> WorkerOutput {
         let mut out = WorkerOutput::default();

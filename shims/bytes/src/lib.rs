@@ -187,6 +187,11 @@ impl BytesMut {
         Bytes::from(self.data)
     }
 
+    /// Reserves room for at least `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.data.reserve(additional);
+    }
+
     /// Clears the buffer, keeping its allocation — the frame-arena
     /// recycling primitive: a cleared `BytesMut` re-encodes the next
     /// frame into the same storage.

@@ -2,10 +2,11 @@
 //! training round performs **zero** heap allocations for the `average`,
 //! `krum`, and `median` cells with the Gaussian mechanism, and for the
 //! paper's §5.1 cell (MDA + Gaussian + ALIE + worker momentum) — on
-//! **both** engines. The threaded cases cover the thread hop too:
-//! leasing each worker's packet to its pool thread, reclaiming it, and
-//! swapping its output into the server's output slots all stay
-//! allocation-free once warm.
+//! **both** in-process engines and over the simulated network. The
+//! threaded cases cover the thread hop too: leasing each worker's packet
+//! to its pool thread, reclaiming it, and swapping its output into the
+//! server's output slots all stay allocation-free once warm. Over TCP
+//! the bound is a small constant per round instead.
 //!
 //! A counting global allocator snapshots the cumulative allocation count
 //! at every step (via a passive observer); the per-round deltas over the
@@ -283,6 +284,53 @@ fn threaded_parallel_median_cell_is_allocation_free_at_steady_state() {
     let counts =
         per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), Cell::Honest, true, 4);
     assert_steady_state_allocation_free("threaded/median/gaussian/agg_threads=4", &counts);
+}
+
+// ---- the sim deployment -------------------------------------------------
+
+/// [`per_step_allocation_counts`] over the in-memory chaos transport:
+/// `SimNet` carries every round as real wire frames through its delivery
+/// queue, and its simulated workers run the same worker sessions TCP
+/// does, all on this thread.
+fn per_step_allocation_counts_sim(gar: Arc<dyn Gar>, cell: Cell, chaos: Option<u64>) -> Vec<u64> {
+    use dpbyz::net::{drive, Deployment, FaultPlan, SimNet};
+    use dpbyz::RunScratch;
+
+    let (trainer, snapshots) = counting_trainer(gar, cell, 1);
+    let mut scratch = RunScratch::new();
+    let (core, workers) = trainer.into_distributed_parts(1, &mut scratch);
+    let n = workers.len();
+    let plan = chaos.map_or_else(|| FaultPlan::clean(n), |seed| FaultPlan::from_seed(seed, n));
+    // The default 32-frame replay ring is still filling in the measured
+    // window: its buffers are sized once, by the first STEP.
+    let deployment = Deployment::default();
+    let attack_armed = matches!(cell, Cell::Paper);
+    let machine = deployment
+        .resolve("sim", core.config(), attack_armed)
+        .unwrap();
+    let staleness = core.config().staleness_window;
+    let mut net = SimNet::new(workers, &plan, 1, 2, deployment.resume_window, staleness);
+    drive(&mut net, core, machine, 1, &mut scratch).unwrap();
+    Arc::try_unwrap(snapshots).unwrap().into_inner().unwrap()
+}
+
+// The wire frames, their tags, the delivery queue and the worker
+// sessions recycle their buffers, so a simulated deployment reaches the
+// in-process engines' zero — on clean links and under the benchmark's
+// chaos plan (delays, drops as retransmissions, duplicates, partitions).
+
+#[test]
+fn sim_average_cell_is_allocation_free_at_steady_state() {
+    let _serial = serial();
+    let counts = per_step_allocation_counts_sim(Arc::new(Average::new()), Cell::Honest, None);
+    assert_steady_state_allocation_free("sim/average/gaussian", &counts);
+}
+
+#[test]
+fn sim_paper_mda_alie_cell_under_chaos_is_allocation_free_at_steady_state() {
+    let _serial = serial();
+    let counts = per_step_allocation_counts_sim(Arc::new(Mda::new()), Cell::Paper, Some(11));
+    assert_steady_state_allocation_free("sim/mda/gaussian/alie/chaos-11", &counts);
 }
 
 // ---- the TCP deployment -------------------------------------------------
