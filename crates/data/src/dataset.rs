@@ -1,8 +1,10 @@
-//! In-memory labelled datasets and batch views.
+//! In-memory labelled datasets, and batches as selections of their rows.
 
 use crate::DataError;
-use dpbyz_tensor::{Matrix, Prng, Vector};
+use dpbyz_tensor::{Matrix, Prng};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::Arc;
 
 /// A labelled dataset: one feature row per example plus a scalar label.
 ///
@@ -41,6 +43,14 @@ impl Dataset {
             });
         }
         Ok(Dataset { features, labels })
+    }
+
+    /// A dataset with no examples and no features.
+    fn empty() -> Self {
+        Dataset {
+            features: Matrix::zeros(0, 0),
+            labels: Vec::new(),
+        }
     }
 
     /// Number of examples.
@@ -85,37 +95,19 @@ impl Dataset {
         self.labels.iter().filter(|&&y| y == 1.0).count() as f64 / self.len() as f64
     }
 
-    /// Materializes the batch selected by `indices` (duplicates allowed).
+    /// A batch holding a copy of the rows selected by `indices`
+    /// (duplicates allowed).
     ///
     /// # Panics
     ///
     /// Panics if an index is out of bounds.
     pub fn batch(&self, indices: &[usize]) -> Batch {
-        Batch {
-            features: self.features.select_rows(indices),
-            labels: indices.iter().map(|&i| self.labels[i]).collect(),
-        }
+        Batch::owning(self.subset(indices))
     }
 
-    /// Writes the batch at `indices` into `out`, reusing `out`'s buffers —
-    /// the zero-copy counterpart of [`Dataset::batch`] used by the
-    /// batch-recycling samplers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of bounds.
-    pub fn batch_into(&self, indices: &[usize], out: &mut Batch) {
-        self.features.select_rows_into(indices, &mut out.features);
-        out.labels.clear();
-        out.labels.extend(indices.iter().map(|&i| self.labels[i]));
-    }
-
-    /// The whole dataset as one batch.
+    /// The whole dataset as one batch (a copy).
     pub fn full_batch(&self) -> Batch {
-        Batch {
-            features: self.features.clone(),
-            labels: self.labels.clone(),
-        }
+        Batch::owning(self.clone())
     }
 
     /// Splits into `(train, test)` with `train_fraction` of the examples in
@@ -205,64 +197,88 @@ impl Dataset {
     }
 }
 
-/// A materialized mini-batch: the unit a worker computes one stochastic
-/// gradient on.
-#[derive(Debug, Clone, PartialEq)]
+/// A mini-batch: the unit a worker computes one stochastic gradient on.
+///
+/// A batch is a selection of rows, not a copy of them: it holds a shared
+/// [`Dataset`] and the index of each selected row, duplicates allowed, so
+/// sampling a batch from an in-memory dataset writes only the indices and
+/// the model reads every row in place. Generators that synthesize fresh
+/// rows (mean estimation) write them into a dataset of the batch's own.
+///
+/// Equality and `Debug` see the selected rows in order, not which dataset
+/// backs them.
+#[derive(Clone)]
 pub struct Batch {
-    features: Matrix,
-    labels: Vec<f64>,
+    dataset: Arc<Dataset>,
+    index: Vec<usize>,
 }
 
 impl Batch {
-    /// Creates a batch directly (used by tests and generators).
+    /// Creates a batch holding its own rows (used by tests and generators).
     ///
     /// # Errors
     ///
     /// Returns [`DataError::LengthMismatch`] on inconsistent lengths.
     pub fn new(features: Matrix, labels: Vec<f64>) -> Result<Self, DataError> {
-        if features.rows() != labels.len() {
-            return Err(DataError::LengthMismatch {
-                features: features.rows(),
-                labels: labels.len(),
-            });
+        Ok(Batch::owning(Dataset::new(features, labels)?))
+    }
+
+    /// A batch selecting every row of `dataset`, in order.
+    fn owning(dataset: Dataset) -> Self {
+        Batch {
+            index: (0..dataset.len()).collect(),
+            dataset: Arc::new(dataset),
         }
-        Ok(Batch { features, labels })
     }
 
     /// An empty batch — the starting buffer for
     /// [`BatchSource::next_batch_into`](crate::sampler::BatchSource::next_batch_into)
     /// recycling loops.
     pub fn empty() -> Self {
-        Batch {
-            features: Matrix::zeros(0, 0),
-            labels: Vec::new(),
-        }
+        Batch::owning(Dataset::empty())
     }
 
-    /// Mutable access to the feature matrix and label buffer, for in-crate
-    /// batch-refilling generators.
-    pub(crate) fn parts_mut(&mut self) -> (&mut Matrix, &mut Vec<f64>) {
-        (&mut self.features, &mut self.labels)
+    /// Points the batch at `dataset`, keeping its `Arc` when it already
+    /// does, and returns the cleared row selection for the caller to fill.
+    pub(crate) fn select_from(&mut self, dataset: &Arc<Dataset>) -> &mut Vec<usize> {
+        if !Arc::ptr_eq(&self.dataset, dataset) {
+            self.dataset = Arc::clone(dataset);
+        }
+        self.index.clear();
+        &mut self.index
+    }
+
+    /// Makes the batch `rows` fresh rows of `cols` features, all labelled
+    /// `0.0`, in a dataset of its own, and returns the feature table for
+    /// the caller to fill. A dataset shared with anything else is replaced
+    /// by a new one, never cloned; an owned one is reused in place.
+    pub(crate) fn own_rows(&mut self, rows: usize, cols: usize) -> &mut Matrix {
+        if Arc::get_mut(&mut self.dataset).is_none() {
+            self.dataset = Arc::new(Dataset::empty());
+        }
+        self.index.clear();
+        self.index.extend(0..rows);
+        // Uniquely owned by now, so this never clones.
+        let dataset = Arc::make_mut(&mut self.dataset);
+        dataset.labels.clear();
+        dataset.labels.resize(rows, 0.0);
+        dataset.features.resize(rows, cols, 0.0);
+        &mut dataset.features
     }
 
     /// Number of examples in the batch.
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.index.len()
     }
 
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.index.is_empty()
     }
 
-    /// Features of the batch.
-    pub fn features(&self) -> &Matrix {
-        &self.features
-    }
-
-    /// Labels of the batch.
-    pub fn labels(&self) -> &[f64] {
-        &self.labels
+    /// Number of features per example.
+    pub fn num_features(&self) -> usize {
+        self.dataset.num_features()
     }
 
     /// The `i`-th example as `(features, label)`.
@@ -271,16 +287,26 @@ impl Batch {
     ///
     /// Panics if `i >= len()`.
     pub fn example(&self, i: usize) -> (&[f64], f64) {
-        (self.features.row(i), self.labels[i])
+        self.dataset.example(self.index[i])
     }
 
-    /// The `i`-th feature row as a `Vector`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn feature_vector(&self, i: usize) -> Vector {
-        Vector::from(self.features.row(i))
+    /// The examples in order, as `(features, label)`.
+    pub fn iter(&self) -> impl Iterator<Item = (&[f64], f64)> + '_ {
+        self.index.iter().map(|&r| self.dataset.example(r))
+    }
+}
+
+impl fmt::Debug for Batch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for Batch {
+    fn eq(&self, other: &Batch) -> bool {
+        self.len() == other.len()
+            && self.num_features() == other.num_features()
+            && self.iter().eq(other.iter())
     }
 }
 
@@ -318,14 +344,68 @@ mod tests {
         assert_eq!(ds.positive_fraction(), 0.5);
     }
 
+    fn labels(b: &Batch) -> Vec<f64> {
+        b.iter().map(|(_, y)| y).collect()
+    }
+
     #[test]
     fn batch_selection_with_duplicates() {
         let ds = tiny();
         let b = ds.batch(&[0, 0, 3]);
         assert_eq!(b.len(), 3);
-        assert_eq!(b.labels(), &[1.0, 1.0, 0.0]);
+        assert_eq!(labels(&b), [1.0, 1.0, 0.0]);
         assert_eq!(b.example(2), (&[0.0, 0.0][..], 0.0));
-        assert_eq!(b.feature_vector(0).as_slice(), &[0.0, 1.0]);
+        assert_eq!(b.example(0).0, &[0.0, 1.0]);
+    }
+
+    #[test]
+    fn a_selection_reads_duplicate_rows_in_place() {
+        let ds = Arc::new(tiny());
+        let mut b = Batch::empty();
+        b.select_from(&ds).extend([2, 0, 2, 2]);
+        assert_eq!(b.len(), 4);
+        assert_eq!(b.num_features(), 2);
+        assert_eq!(labels(&b), [1.0, 1.0, 1.0, 1.0]);
+        // The rows are the dataset's own, not copies.
+        assert!(std::ptr::eq(b.example(0).0, ds.example(2).0));
+        assert!(std::ptr::eq(b.example(3).0, ds.example(2).0));
+        assert_eq!(b, ds.batch(&[2, 0, 2, 2]));
+    }
+
+    #[test]
+    fn batch_new_holds_its_own_rows() {
+        let mut x = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        let b = Batch::new(x.clone(), vec![0.0, 1.0]).unwrap();
+        x.set(0, 0, 9.0);
+        assert_eq!(b.example(0), (&[1.0, 2.0][..], 0.0));
+        assert_eq!(b.example(1), (&[3.0, 4.0][..], 1.0));
+        // A clone shares the rows; rewriting one batch's rows leaves the
+        // other's alone, because a shared dataset is replaced, not edited.
+        let mut c = b.clone();
+        c.own_rows(1, 2).row_mut(0).copy_from_slice(&[5.0, 6.0]);
+        assert_eq!(c.example(0), (&[5.0, 6.0][..], 0.0));
+        assert_eq!(b.example(0), (&[1.0, 2.0][..], 0.0));
+        assert_eq!(b.len(), 2);
+    }
+
+    #[test]
+    fn batch_equality_compares_rows_not_the_backing_dataset() {
+        let ds = Arc::new(tiny());
+        let mut selected = Batch::empty();
+        selected.select_from(&ds).extend([3, 1]);
+        let x = Matrix::from_rows(&[vec![0.0, 0.0], vec![1.0, 0.0]]).unwrap();
+        let owned = Batch::new(x, vec![0.0, 0.0]).unwrap();
+        assert_eq!(selected, owned);
+        // Same dataset, different rows: unequal.
+        let mut other = Batch::empty();
+        other.select_from(&ds).extend([3, 2]);
+        assert_ne!(selected, other);
+        // Same rows, different labels or lengths: unequal.
+        let x = Matrix::from_rows(&[vec![0.0, 0.0], vec![1.0, 0.0]]).unwrap();
+        assert_ne!(selected, Batch::new(x, vec![0.0, 1.0]).unwrap());
+        other.select_from(&ds).extend([3]);
+        assert_ne!(selected, other);
+        assert_eq!(Batch::empty(), Batch::empty());
     }
 
     #[test]
@@ -333,7 +413,7 @@ mod tests {
         let ds = tiny();
         let b = ds.full_batch();
         assert_eq!(b.len(), ds.len());
-        assert_eq!(b.labels(), ds.labels());
+        assert_eq!(labels(&b), ds.labels());
     }
 
     #[test]

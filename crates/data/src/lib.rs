@@ -5,6 +5,9 @@
 //!
 //! * [`Dataset`] — an in-memory feature table + label vector with train/test
 //!   splitting and feature scaling;
+//! * [`Batch`] — a mini-batch as a selection of rows: a shared dataset plus
+//!   one index per selected row (duplicates allowed). Sampling a batch
+//!   writes only the indices, and models read the rows in place;
 //! * [`libsvm`] — a parser/serializer for the LIBSVM sparse text format, so
 //!   the *real* `phishing` file can be dropped in unchanged;
 //! * [`synthetic`] — seeded generators, notably [`synthetic::phishing_like`]
@@ -14,7 +17,7 @@
 //!   used in Theorem 1's lower-bound construction);
 //! * [`sampler`] — seeded with/without-replacement batch samplers giving
 //!   each simulated worker an independent i.i.d. stream, as the paper's
-//!   model requires.
+//!   model requires. Each refills a recycled [`Batch`] in place.
 //!
 //! # Example
 //!

@@ -7,6 +7,11 @@
 //! ([`DatasetSource`]), a finite dataset visited in reshuffled epochs, or an
 //! infinite analytic distribution (see
 //! [`synthetic::MeanEstimationSource`](crate::synthetic::MeanEstimationSource)).
+//!
+//! A [`Batch`] is a selection of rows. A dataset source writes only the
+//! row indices into it and points it at its shared dataset; the
+//! mean-estimation source synthesizes fresh rows into a dataset the batch
+//! owns.
 
 use crate::{Batch, Dataset};
 use dpbyz_tensor::Prng;
@@ -68,8 +73,6 @@ pub struct DatasetSource {
     /// Epoch state (only used by `EpochShuffle`).
     perm: Vec<usize>,
     pos: usize,
-    /// Reusable index buffer: the next batch's row selection.
-    indices: Vec<usize>,
 }
 
 impl DatasetSource {
@@ -85,7 +88,6 @@ impl DatasetSource {
             mode,
             perm: Vec::new(),
             pos: 0,
-            indices: Vec::new(),
         }
     }
 
@@ -94,28 +96,26 @@ impl DatasetSource {
         &self.dataset
     }
 
-    /// Fills `self.indices` with the next batch's row selection, drawing
-    /// from the RNG exactly as the historical allocating path did.
-    fn fill_indices(&mut self, batch_size: usize, rng: &mut Prng) {
+    /// Appends the next batch's row selection to the empty `indices`,
+    /// drawing from the RNG exactly as the historical allocating path did.
+    fn fill_indices(&mut self, batch_size: usize, rng: &mut Prng, indices: &mut Vec<usize>) {
         let n = self.dataset.len();
-        self.indices.clear();
         match self.mode {
             SamplingMode::WithReplacement => {
                 for _ in 0..batch_size {
-                    self.indices.push(rng.index(n));
+                    indices.push(rng.index(n));
                 }
             }
             SamplingMode::EpochShuffle => {
-                while self.indices.len() < batch_size {
+                while indices.len() < batch_size {
                     if self.pos >= self.perm.len() {
                         self.perm.clear();
                         self.perm.extend(0..n);
                         rng.shuffle(&mut self.perm);
                         self.pos = 0;
                     }
-                    let take = (batch_size - self.indices.len()).min(self.perm.len() - self.pos);
-                    self.indices
-                        .extend_from_slice(&self.perm[self.pos..self.pos + take]);
+                    let take = (batch_size - indices.len()).min(self.perm.len() - self.pos);
+                    indices.extend_from_slice(&self.perm[self.pos..self.pos + take]);
                     self.pos += take;
                 }
             }
@@ -130,8 +130,10 @@ impl BatchSource for DatasetSource {
 
     fn next_batch_into(&mut self, batch_size: usize, rng: &mut Prng, out: &mut Batch) {
         assert!(batch_size > 0, "batch size must be positive");
-        self.fill_indices(batch_size, rng);
-        self.dataset.batch_into(&self.indices, out);
+        // Only the row indices are written: the batch reads the rows in
+        // place from the shared dataset.
+        let indices = out.select_from(&self.dataset);
+        self.fill_indices(batch_size, rng, indices);
     }
 }
 
@@ -152,7 +154,7 @@ mod tests {
         let mut rng = Prng::seed_from_u64(1);
         let b = src.next_batch(7, &mut rng);
         assert_eq!(b.len(), 7);
-        assert_eq!(b.features().cols(), 3);
+        assert_eq!(b.num_features(), 3);
         assert_eq!(src.num_features(), 3);
     }
 
@@ -174,7 +176,7 @@ mod tests {
         // Two batches of 5 = one epoch: every example seen exactly once.
         let b1 = src.next_batch(5, &mut rng);
         let b2 = src.next_batch(5, &mut rng);
-        let mut seen: Vec<f64> = b1.labels().iter().chain(b2.labels()).cloned().collect();
+        let mut seen: Vec<f64> = b1.iter().chain(b2.iter()).map(|(_, y)| y).collect();
         let mut expected: Vec<f64> = ds.labels().to_vec();
         seen.sort_by(|a, b| a.partial_cmp(b).unwrap());
         expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -188,6 +190,50 @@ mod tests {
         let mut rng = Prng::seed_from_u64(5);
         let b = src.next_batch(10, &mut rng); // 2.5 epochs
         assert_eq!(b.len(), 10);
+    }
+
+    #[test]
+    fn a_reused_batch_does_not_depend_on_what_it_held() {
+        use crate::synthetic::{MeanEstimation, MeanEstimationSource};
+
+        let mean = |m: Vec<f64>, sigma| MeanEstimationSource(MeanEstimation::new(m.into(), sigma));
+        let sources = || -> Vec<Box<dyn BatchSource>> {
+            vec![
+                Box::new(DatasetSource::new(
+                    dataset(20),
+                    SamplingMode::WithReplacement,
+                )),
+                Box::new(mean(vec![1.0, -1.0, 0.5], 1.0)),
+                Box::new(DatasetSource::new(dataset(9), SamplingMode::EpochShuffle)),
+                Box::new(mean(vec![2.0; 3], 0.5)),
+                Box::new(DatasetSource::new(dataset(20), SamplingMode::EpochShuffle)),
+            ]
+        };
+        // One recycled buffer is refilled by every source in turn, with
+        // growing and shrinking batch sizes, so it switches between
+        // synthesized batches and selections of different datasets. Twin
+        // sources on a twin stream draw each batch into a fresh buffer.
+        let (mut recycling, mut fresh) = (sources(), sources());
+        let mut rng = Prng::seed_from_u64(17);
+        let mut fresh_rng = Prng::seed_from_u64(17);
+        let mut reused = Batch::empty();
+        for size in [5, 2, 7, 1, 6, 3, 4, 8] {
+            for (source, twin) in recycling.iter_mut().zip(fresh.iter_mut()) {
+                source.next_batch_into(size, &mut rng, &mut reused);
+                let expected = twin.next_batch(size, &mut fresh_rng);
+                assert_eq!(reused.len(), size);
+                assert_eq!(reused, expected);
+            }
+        }
+        // A synthesized batch whose rows are still shared is replaced,
+        // not rewritten: the earlier holder keeps its rows.
+        let mut src = mean(vec![0.0], 1.0);
+        src.next_batch_into(3, &mut rng, &mut reused);
+        let kept = reused.clone();
+        let snapshot: Vec<f64> = kept.iter().map(|(x, _)| x[0]).collect();
+        src.next_batch_into(3, &mut rng, &mut reused);
+        assert_eq!(kept.iter().map(|(x, _)| x[0]).collect::<Vec<_>>(), snapshot);
+        assert_ne!(kept, reused);
     }
 
     #[test]

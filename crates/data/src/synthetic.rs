@@ -48,15 +48,12 @@ pub const PHISHING_TRAIN: usize = 8_400;
 /// ```
 pub fn phishing_like(rng: &mut Prng, n: usize) -> Dataset {
     // Per-feature loading on the latent score and bias, fixed per dataset.
-    let loadings: Vec<f64> = (0..PHISHING_FEATURES)
-        .map(|_| rng.normal(0.0, 1.0))
-        .collect();
-    let biases: Vec<f64> = (0..PHISHING_FEATURES)
-        .map(|_| rng.normal(0.0, 0.5))
-        .collect();
+    let loadings = rng.normal_vector(PHISHING_FEATURES, 1.0);
+    let biases = rng.normal_vector(PHISHING_FEATURES, 0.5);
 
     let mut features = Matrix::zeros(n, PHISHING_FEATURES);
     let mut labels = Vec::with_capacity(n);
+    let mut noise = [0.0; PHISHING_FEATURES];
     for i in 0..n {
         // Latent "phishiness" of the example.
         let z = rng.normal(0.0, 1.0);
@@ -67,8 +64,9 @@ pub fn phishing_like(rng: &mut Prng, n: usize) -> Dataset {
             0.0
         };
         labels.push(y);
+        rng.fill_normal_into(&mut noise, 0.0, 0.8);
         for j in 0..PHISHING_FEATURES {
-            let u = loadings[j] * z + biases[j] + rng.normal(0.0, 0.8);
+            let u = loadings[j] * z + biases[j] + noise[j];
             // Ternary quantization at the ±0.43 tertile boundaries of a
             // standard normal, then scaled to {0, 0.5, 1}.
             let q = if u < -0.43 {
@@ -118,11 +116,11 @@ pub fn gaussian_blobs(rng: &mut Prng, n: usize, dim: usize, separation: f64) -> 
 /// Returns the dataset and the ground-truth weights `w*`.
 pub fn linear_regression(rng: &mut Prng, n: usize, dim: usize, noise: f64) -> (Dataset, Vector) {
     assert!(dim > 0, "dim must be positive");
-    let w_star: Vector = (0..dim).map(|_| rng.normal(0.0, 1.0)).collect();
+    let w_star = rng.normal_vector(dim, 1.0);
     let mut features = Matrix::zeros(n, dim);
     let mut labels = Vec::with_capacity(n);
     for i in 0..n {
-        let x: Vector = (0..dim).map(|_| rng.normal(0.0, 1.0)).collect();
+        let x = rng.normal_vector(dim, 1.0);
         labels.push(w_star.dot(&x) + rng.normal(0.0, noise));
         for j in 0..dim {
             features.set(i, j, x[j]);
@@ -161,8 +159,7 @@ impl MeanEstimation {
     /// A standard instance: `x̄` has unit-scale coordinates drawn from the
     /// RNG, total variance `sigma²` spread over `dim` coordinates.
     pub fn random_instance(rng: &mut Prng, dim: usize, sigma: f64) -> Self {
-        let mean: Vector = (0..dim).map(|_| rng.normal(0.0, 1.0)).collect();
-        Self::new(mean, sigma)
+        Self::new(rng.normal_vector(dim, 1.0), sigma)
     }
 
     /// Dimension `d`.
@@ -195,22 +192,22 @@ impl MeanEstimation {
         out
     }
 
-    /// Draws a batch of `b` points into `out`, reusing its buffers and
-    /// consuming the RNG exactly as [`MeanEstimation::sample_batch`] does
-    /// (one row of `dim` normals per example, in row order).
+    /// Draws a batch of `b` points into `out`, consuming the RNG exactly
+    /// as [`MeanEstimation::sample_batch`] does (one row of `dim` normals
+    /// per example, in row order). The points are written into the
+    /// batch's own rows, reused when no one else holds them.
     pub fn sample_batch_into(&self, b: usize, rng: &mut Prng, out: &mut Batch) {
         let dim = self.dim();
         let per_coord = self.sigma / (dim as f64).sqrt();
-        let (features, labels) = out.parts_mut();
-        features.resize(b, dim, 0.0);
+        let features = out.own_rows(b, dim);
         for i in 0..b {
             let row = features.row_mut(i);
-            for (j, x) in row.iter_mut().enumerate() {
-                *x = self.mean[j] + rng.normal(0.0, per_coord);
+            rng.fill_normal_into(row, 0.0, per_coord);
+            // IEEE addition commutes, so this is `mean + noise` bit for bit.
+            for (x, &m) in row.iter_mut().zip(self.mean.as_slice()) {
+                *x += m;
             }
         }
-        labels.clear();
-        labels.resize(b, 0.0);
     }
 }
 
@@ -343,7 +340,7 @@ mod tests {
         let dist = MeanEstimation::new(Vector::from(vec![1.0, -1.0]), 1.0);
         let b = dist.sample_batch(5, &mut rng);
         assert_eq!(b.len(), 5);
-        assert_eq!(b.labels(), &[0.0; 5]);
+        assert!(b.iter().all(|(x, y)| x.len() == 2 && y == 0.0));
 
         let mut src = MeanEstimationSource(dist);
         assert_eq!(src.num_features(), 2);

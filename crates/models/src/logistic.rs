@@ -15,6 +15,9 @@ pub fn sigmoid(z: f64) -> f64 {
     }
 }
 
+/// Rows per block of the margin pass shared by the loss and gradient.
+const MARGIN_BLOCK: usize = 8;
+
 /// Training loss used on top of the sigmoid output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LossKind {
@@ -77,9 +80,11 @@ impl LogisticRegression {
 
     /// Calls `visit(z, x, y)` for every row of `batch` in order, where `z`
     /// is the row's margin `raw(params, x)`, bit for bit. Margins are
-    /// computed four rows at a time with one accumulator per row: each row
-    /// still sums bias first, then features left to right, but the four
-    /// dependent add chains overlap instead of running back to back.
+    /// computed [`MARGIN_BLOCK`] rows at a time with one accumulator per
+    /// row: each row still sums bias first, then features left to right,
+    /// but the block's dependent add chains overlap instead of running
+    /// back to back. The rows left over after the last block go one at a
+    /// time.
     fn for_each_margin(
         &self,
         params: &Vector,
@@ -88,24 +93,21 @@ impl LogisticRegression {
     ) {
         let w = params.as_slice();
         let (w, bias) = (&w[..self.num_features], w[self.num_features]);
-        let blocked = batch.len() - batch.len() % 4;
-        for i in (0..blocked).step_by(4) {
-            let (x0, y0) = batch.example(i);
-            let (x1, y1) = batch.example(i + 1);
-            let (x2, y2) = batch.example(i + 2);
-            let (x3, y3) = batch.example(i + 3);
-            debug_assert_eq!(x0.len(), self.num_features);
-            let (mut z0, mut z1, mut z2, mut z3) = (bias, bias, bias, bias);
-            for ((((wj, a), b), c), d) in w.iter().zip(x0).zip(x1).zip(x2).zip(x3) {
-                z0 += wj * a;
-                z1 += wj * b;
-                z2 += wj * c;
-                z3 += wj * d;
+        let blocked = batch.len() - batch.len() % MARGIN_BLOCK;
+        for start in (0..blocked).step_by(MARGIN_BLOCK) {
+            let rows: [(&[f64], f64); MARGIN_BLOCK] = std::array::from_fn(|r| {
+                let (x, y) = batch.example(start + r);
+                (&x[..w.len()], y)
+            });
+            let mut z = [bias; MARGIN_BLOCK];
+            for (j, &wj) in w.iter().enumerate() {
+                for (zr, (x, _)) in z.iter_mut().zip(&rows) {
+                    *zr += wj * x[j];
+                }
             }
-            visit(z0, x0, y0);
-            visit(z1, x1, y1);
-            visit(z2, x2, y2);
-            visit(z3, x3, y3);
+            for (zr, (x, y)) in z.into_iter().zip(rows) {
+                visit(zr, x, y);
+            }
         }
         for i in blocked..batch.len() {
             let (x, y) = batch.example(i);
@@ -283,23 +285,61 @@ mod tests {
         (total / batch.len() as f64, g)
     }
 
+    /// Batches of every length in `0..=17` (zero to two 8-row blocks plus
+    /// every remainder): copied selections of distinct rows, copied
+    /// selections that repeat rows, and in-place selections drawn with
+    /// replacement from a 5-row dataset, which repeat rows too.
+    fn batches_of_every_length(rng: &mut Prng) -> Vec<Batch> {
+        use dpbyz_data::sampler::{BatchSource, DatasetSource, SamplingMode};
+        use std::sync::Arc;
+
+        let ds = synthetic::phishing_like(rng, 40);
+        let mut small = DatasetSource::new(
+            Arc::new(synthetic::phishing_like(rng, 5)),
+            SamplingMode::WithReplacement,
+        );
+        let mut batches = Vec::new();
+        for len in 0..=17 {
+            let distinct: Vec<usize> = (0..len).map(|i| (7 * i + len) % ds.len()).collect();
+            let repeating: Vec<usize> = (0..len).map(|i| (i * i) % 3).collect();
+            batches.push(ds.batch(&distinct));
+            batches.push(ds.batch(&repeating));
+            if len > 0 {
+                batches.push(small.next_batch(len, rng));
+            }
+        }
+        batches
+    }
+
     #[test]
     fn fused_and_blocked_paths_match_row_reference_bitwise() {
         let mut rng = Prng::seed_from_u64(5);
-        let ds = synthetic::phishing_like(&mut rng, 40);
+        let batches = batches_of_every_length(&mut rng);
         for kind in [LossKind::SigmoidMse, LossKind::CrossEntropy] {
-            let m = LogisticRegression::new(ds.num_features(), kind);
+            let m = LogisticRegression::new(synthetic::PHISHING_FEATURES, kind);
             let params = rng.normal_vector(m.dim(), 0.5);
-            // 1..=9 rows: zero to two four-row blocks plus 0–3 leftovers.
-            for len in 1..=9 {
-                let indices: Vec<usize> = (0..len).map(|i| (7 * i + len) % ds.len()).collect();
-                let batch = ds.batch(&indices);
-                let (ref_loss, ref_grad) = reference(&m, &params, &batch);
-                let loss = m.loss(&params, &batch);
-                let mut grad = Vector::default();
-                m.gradient_into(&params, &batch, &mut grad);
+            for batch in &batches {
+                let len = batch.len();
+                // The blocked margins, visited in row order, are the
+                // row-at-a-time margins bit for bit.
+                let mut margins = Vec::new();
+                m.for_each_margin(&params, batch, |z, x, y| {
+                    margins.push((z.to_bits(), x.to_vec(), y));
+                });
+                let expected: Vec<_> = batch
+                    .iter()
+                    .map(|(x, y)| (m.raw(&params, x).to_bits(), x.to_vec(), y))
+                    .collect();
+                assert_eq!(margins, expected, "{kind:?}, {len} rows");
+                if len == 0 {
+                    continue;
+                }
+                let (ref_loss, ref_grad) = reference(&m, &params, batch);
+                let loss = m.loss(&params, batch);
+                let mut grad = Vector::filled(5, -1.0);
+                m.gradient_into(&params, batch, &mut grad);
                 let mut fused_grad = Vector::filled(3, 9.0);
-                let fused_loss = m.loss_and_gradient_into(&params, &batch, &mut fused_grad);
+                let fused_loss = m.loss_and_gradient_into(&params, batch, &mut fused_grad);
                 assert_eq!(loss.to_bits(), ref_loss.to_bits(), "{kind:?}, {len} rows");
                 assert_eq!(
                     fused_loss.to_bits(),

@@ -8,7 +8,7 @@
 
 use crate::Model;
 use dpbyz_data::Batch;
-use dpbyz_tensor::Vector;
+use dpbyz_tensor::{kernels, Vector};
 use serde::{Deserialize, Serialize};
 
 /// Mean-estimation model: parameters are the current estimate `w`, each
@@ -69,9 +69,10 @@ impl Model for QuadraticMean {
     fn loss(&self, params: &Vector, batch: &Batch) -> f64 {
         assert!(!batch.is_empty(), "loss over an empty batch is undefined");
         let mut total = 0.0;
-        for i in 0..batch.len() {
-            let x = batch.feature_vector(i);
-            total += 0.5 * params.l2_distance_squared(&x);
+        for (x, _) in batch.iter() {
+            // The kernel behind `Vector::l2_distance_squared`, on the
+            // row in place.
+            total += 0.5 * kernels::squared_distance(params.as_slice(), x);
         }
         total / batch.len() as f64
     }
@@ -100,7 +101,7 @@ impl Model for QuadraticMean {
     fn predict(&self, params: &Vector, features: &[f64]) -> f64 {
         // "Prediction" is the (negated) distance to the sample — not
         // meaningful for classification; provided for trait completeness.
-        -params.l2_distance(&Vector::from(features))
+        -kernels::squared_distance(params.as_slice(), features).sqrt()
     }
 }
 
@@ -131,8 +132,8 @@ mod tests {
         let w = Vector::from(vec![1.0, 2.0, 3.0]);
         let g = m.gradient(&w, &batch);
         let mut mean = Vector::zeros(3);
-        for i in 0..batch.len() {
-            mean += &batch.feature_vector(i);
+        for (x, _) in batch.iter() {
+            mean += &Vector::from(x);
         }
         mean.scale(1.0 / 9.0);
         assert!(g.approx_eq(&(&w - &mean), 1e-12));

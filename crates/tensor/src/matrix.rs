@@ -200,7 +200,7 @@ impl Matrix {
     }
 
     /// Returns a new matrix containing the rows selected by `indices`
-    /// (duplicates allowed — used for with-replacement batch sampling).
+    /// (duplicates allowed).
     ///
     /// # Panics
     ///
@@ -224,22 +224,6 @@ impl Matrix {
         self.cols = cols;
         self.data.clear();
         self.data.resize(rows * cols, value);
-    }
-
-    /// Writes the rows selected by `indices` into `out`, reusing `out`'s
-    /// allocation — the zero-copy counterpart of [`Matrix::select_rows`]
-    /// used by the batch-recycling samplers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of bounds.
-    pub fn select_rows_into(&self, indices: &[usize], out: &mut Matrix) {
-        out.data.clear();
-        for &i in indices {
-            out.data.extend_from_slice(self.row(i));
-        }
-        out.rows = indices.len();
-        out.cols = self.cols;
     }
 
     /// Iterator over rows as slices.
@@ -320,14 +304,6 @@ mod tests {
         assert_eq!(s.rows(), 3);
         assert_eq!(s.row(0), &[3.0, 4.0]);
         assert_eq!(s.row(2), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn select_rows_into_matches_select_rows() {
-        let m = m22();
-        let mut out = Matrix::zeros(5, 7); // dirty, wrong shape
-        m.select_rows_into(&[1, 1, 0], &mut out);
-        assert_eq!(out, m.select_rows(&[1, 1, 0]));
     }
 
     #[test]

@@ -10,6 +10,10 @@ use crate::Vector;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+/// Deviates [`Prng::fill_normal_into`] draws per stack-held chunk before
+/// transforming them.
+const NORMAL_CHUNK: usize = 64;
+
 /// A deterministic pseudo-random number generator with derivation support.
 ///
 /// Wraps [`StdRng`] and adds:
@@ -105,6 +109,40 @@ impl Prng {
         mean + std * self.standard_normal()
     }
 
+    /// Fills `out` with i.i.d. `N(mean, std²)` samples, bit for bit the
+    /// values of calling [`Prng::normal`] once per element in order, and
+    /// leaving the generator at the same point of its stream.
+    ///
+    /// Each chunk of up to 64 elements is drawn in two passes over stack
+    /// arrays. The first runs the polar method's rejection loop, keeping
+    /// every `(u, s)` pair and advancing its slot only on acceptance, so
+    /// the loop has no data-dependent branch. The second applies
+    /// `u·√(−2 ln s / s)` to the accepted pairs in one straight pass, so
+    /// the `ln` calls no longer stall the generator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `std` is negative.
+    pub fn fill_normal_into(&mut self, out: &mut [f64], mean: f64, std: f64) {
+        assert!(std >= 0.0, "normal std must be non-negative");
+        let mut us = [0.0; NORMAL_CHUNK];
+        let mut ss = [0.0; NORMAL_CHUNK];
+        for chunk in out.chunks_mut(NORMAL_CHUNK) {
+            let mut k = 0;
+            while k < chunk.len() {
+                let u = 2.0 * self.uniform() - 1.0;
+                let v = 2.0 * self.uniform() - 1.0;
+                let s = u * u + v * v;
+                us[k] = u;
+                ss[k] = s;
+                k += usize::from(s > 0.0 && s < 1.0);
+            }
+            for ((x, &u), &s) in chunk.iter_mut().zip(&us).zip(&ss) {
+                *x = mean + std * (u * (-2.0 * s.ln() / s).sqrt());
+            }
+        }
+    }
+
     /// Laplace(0, scale) sample via inverse CDF.
     ///
     /// # Panics
@@ -130,7 +168,9 @@ impl Prng {
     /// Vector of i.i.d. `N(0, std²)` coordinates — the DP Gaussian noise
     /// vector `y ~ N(0, I_d · s²)` of Eq. (6).
     pub fn normal_vector(&mut self, dim: usize, std: f64) -> Vector {
-        (0..dim).map(|_| self.normal(0.0, std)).collect()
+        let mut v = Vector::zeros(dim);
+        self.fill_normal_into(v.as_mut_slice(), 0.0, std);
+        v
     }
 
     /// Vector of i.i.d. Laplace(0, scale) coordinates.
@@ -282,6 +322,54 @@ mod tests {
         // E‖v‖² = d·s².
         let expected = 10_000.0 * 0.25;
         assert!((v.l2_norm_squared() - expected).abs() / expected < 0.1);
+    }
+
+    #[test]
+    fn fill_normal_into_matches_the_scalar_loop_bitwise() {
+        let chunk = NORMAL_CHUNK;
+        for len in [0, 1, chunk - 1, chunk, chunk + 1, 69, 10_000] {
+            for (mean, std) in [(0.0, 1.0), (-1.5, 0.3), (2.0, 0.0)] {
+                let seed = len as u64 ^ 0x5EED;
+                let mut scalar = Prng::seed_from_u64(seed);
+                let expected: Vec<u64> = (0..len)
+                    .map(|_| scalar.normal(mean, std).to_bits())
+                    .collect();
+                let mut vector = Prng::seed_from_u64(seed);
+                // A dirty buffer: every element must be overwritten.
+                let mut out = vec![f64::NAN; len];
+                vector.fill_normal_into(&mut out, mean, std);
+                let got: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, expected, "len {len}, N({mean}, {std}²)");
+                // Both generators stand at the same point of the stream.
+                assert_eq!(
+                    vector.uniform().to_bits(),
+                    scalar.uniform().to_bits(),
+                    "len {len}: stream position diverged"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn normal_vector_is_the_scalar_loop() {
+        let mut scalar = Prng::seed_from_u64(21);
+        let expected: Vec<u64> = (0..100)
+            .map(|_| scalar.normal(0.0, 0.7).to_bits())
+            .collect();
+        let mut vector = Prng::seed_from_u64(21);
+        let got: Vec<u64> = vector
+            .normal_vector(100, 0.7)
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        assert_eq!(got, expected);
+        assert_eq!(vector.uniform().to_bits(), scalar.uniform().to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "normal std must be non-negative")]
+    fn fill_normal_into_rejects_negative_std() {
+        Prng::seed_from_u64(0).fill_normal_into(&mut [0.0; 3], 0.0, -1.0);
     }
 
     #[test]

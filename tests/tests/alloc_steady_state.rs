@@ -2,10 +2,12 @@
 //! training round performs **zero** heap allocations for the `average`,
 //! `krum`, and `median` cells with the Gaussian mechanism, and for the
 //! paper's §5.1 cell (MDA + Gaussian + ALIE + worker momentum) — on
-//! **both** in-process engines and over the simulated network. The
-//! threaded cases cover the thread hop too: leasing each worker's packet
-//! to its pool thread, reclaiming it, and swapping its output into the
-//! server's output slots all stay allocation-free once warm. Over TCP
+//! **both** in-process engines and over the simulated network — and for
+//! Theorem 1's mean-estimation cell at d = 1000, whose workers synthesize
+//! fresh rows every step. The threaded cases cover the thread hop too:
+//! leasing each worker's packet to its pool thread, reclaiming it, and
+//! swapping its output into the server's output slots all stay
+//! allocation-free once warm. Over TCP
 //! the bound is a small constant per round instead.
 //!
 //! A counting global allocator snapshots the cumulative allocation count
@@ -20,10 +22,10 @@
 
 use dpbyz::attacks::{Attack, LittleIsEnough};
 use dpbyz::data::sampler::{BatchSource, DatasetSource, SamplingMode};
-use dpbyz::data::synthetic;
+use dpbyz::data::synthetic::{self, MeanEstimation, MeanEstimationSource};
 use dpbyz::dp::{GaussianMechanism, Mechanism};
 use dpbyz::gars::{Average, CoordinateMedian, Gar, Krum, Mda};
-use dpbyz::models::{LogisticRegression, LossKind};
+use dpbyz::models::{LogisticRegression, LossKind, Model, QuadraticMean};
 use dpbyz::server::{FnObserver, MomentumMode, ThreadedTrainer, Trainer, TrainingConfig};
 use dpbyz::tensor::Prng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -98,6 +100,10 @@ enum Cell {
     /// The paper's §5.1 cell: n = 11 with f = 5 ALIE workers, and
     /// momentum 0.99 applied by each honest worker.
     Paper,
+    /// Theorem 1's workload: five honest workers estimating the mean of
+    /// `N(x̄, I/d)` at d = 1000 with the quadratic loss, each sampling
+    /// fresh rows into its recycled batch.
+    MeanEstimation,
 }
 
 /// A trainer for `cell` whose observer records the cumulative allocation
@@ -109,12 +115,35 @@ fn counting_trainer(
     agg_threads: usize,
 ) -> (Trainer, Arc<Mutex<Vec<u64>>>) {
     let (n, f) = match cell {
-        Cell::Honest => (5, 0),
+        Cell::Honest | Cell::MeanEstimation => (5, 0),
         Cell::Paper => (11, 5),
     };
     let mut rng = Prng::seed_from_u64(11);
-    let ds = Arc::new(synthetic::phishing_like(&mut rng, 400));
-    let model = Arc::new(LogisticRegression::new(68, LossKind::SigmoidMse));
+    let (model, sources): (Arc<dyn Model>, Vec<Box<dyn BatchSource>>) = match cell {
+        Cell::MeanEstimation => {
+            let dim = 1000;
+            let dist = MeanEstimation::random_instance(&mut rng, dim, 1.0);
+            let sources = (0..n)
+                .map(|_| Box::new(MeanEstimationSource(dist.clone())) as Box<dyn BatchSource>)
+                .collect();
+            (Arc::new(QuadraticMean::new(dim)), sources)
+        }
+        Cell::Honest | Cell::Paper => {
+            let ds = Arc::new(synthetic::phishing_like(&mut rng, 400));
+            let sources = (0..n)
+                .map(|_| {
+                    Box::new(DatasetSource::new(
+                        ds.clone(),
+                        SamplingMode::WithReplacement,
+                    )) as Box<dyn BatchSource>
+                })
+                .collect();
+            (
+                Arc::new(LogisticRegression::new(68, LossKind::SigmoidMse)),
+                sources,
+            )
+        }
+    };
     let mut config = TrainingConfig::builder()
         .workers(n, f)
         .batch_size(10)
@@ -124,14 +153,6 @@ fn counting_trainer(
     if let Cell::Paper = cell {
         config = config.momentum(0.99).momentum_mode(MomentumMode::Worker);
     }
-    let sources: Vec<Box<dyn BatchSource>> = (0..n)
-        .map(|_| {
-            Box::new(DatasetSource::new(
-                ds.clone(),
-                SamplingMode::WithReplacement,
-            )) as Box<dyn BatchSource>
-        })
-        .collect();
     let snapshots: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::with_capacity(STEPS as usize)));
     let sink = snapshots.clone();
     let mut trainer = Trainer::new(config.build().unwrap(), model, sources, None)
@@ -284,6 +305,22 @@ fn threaded_parallel_median_cell_is_allocation_free_at_steady_state() {
     let counts =
         per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), Cell::Honest, true, 4);
     assert_steady_state_allocation_free("threaded/median/gaussian/agg_threads=4", &counts);
+}
+
+// Mean estimation synthesizes its rows instead of selecting them: each
+// worker's batch owns its dataset and is rewritten in place, and the
+// quadratic loss reads every row in place.
+
+#[test]
+fn mean_estimation_median_cell_is_allocation_free_at_steady_state() {
+    let _serial = serial();
+    let counts = per_step_allocation_counts_on(
+        Arc::new(CoordinateMedian::new()),
+        Cell::MeanEstimation,
+        false,
+        1,
+    );
+    assert_steady_state_allocation_free("mean-estimation/d=1000/median/gaussian", &counts);
 }
 
 // ---- the sim deployment -------------------------------------------------
