@@ -1,19 +1,21 @@
 //! Execution-engine backends behind one registry of string ids.
 //!
-//! Every way of *running* an [`Experiment`] — the sequential zero-copy
-//! engine, the threaded engine, and out-of-process deployments like the
-//! TCP coordinator — implements [`EngineBackend`] and registers under a
+//! Every way of *running* an [`Experiment`] — the in-process zero-copy
+//! engine and out-of-process deployments like the TCP coordinator —
+//! implements [`EngineBackend`] and registers under a
 //! string id, exactly the registry idiom GARs, attacks, and mechanisms
 //! use. The experiment stores a backend [`ComponentSpec`]; `run` resolves
 //! it at execution time, so backends registered by downstream crates
 //! (the `dpbyz-net` crate's `"tcp"`) participate with no changes here.
 //!
-//! Built-ins:
-//!
-//! * `"sequential"` — [`Trainer`](dpbyz_server::Trainer), the golden
-//!   zero-copy reference engine;
-//! * `"threaded"` — [`ThreadedTrainer`], the same round loop with each
-//!   honest worker's local step on its own pooled OS thread.
+//! The one built-in is `"sequential"`: [`Trainer`](dpbyz_server::Trainer),
+//! the golden zero-copy reference engine. "Sequential" names its round
+//! order, not its threading: from the run's shape and the cores other
+//! in-process runs leave free, the trainer decides each round whether
+//! the honest workers compute inline or on its worker pool (one
+//! persistent OS thread per worker, owned by the run's [`RunScratch`]),
+//! with bit-identical results either way. The GAR's
+//! own pool (`agg_threads`) is a separate knob owned by the GAR scratch.
 //!
 //! Every backend must reproduce the reference engine's histories **bit
 //! for bit** on a clean run — that contract is what lets the pipeline
@@ -22,7 +24,7 @@
 
 use crate::pipeline::{Experiment, PipelineError};
 use crate::registry::{ComponentSpec, Registry, RegistryError};
-use dpbyz_server::{RunHistory, RunObserver, RunScratch, ThreadedTrainer};
+use dpbyz_server::{RunHistory, RunObserver, RunScratch};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// An execution engine: turns an [`Experiment`] plus a seed into a
@@ -79,36 +81,10 @@ impl EngineBackend for SequentialBackend {
     }
 }
 
-/// The threaded in-process engine (`"threaded"`).
-struct ThreadedBackend;
-
-impl EngineBackend for ThreadedBackend {
-    fn name(&self) -> &str {
-        "threaded"
-    }
-
-    fn run(
-        &self,
-        exp: &Experiment,
-        seed: u64,
-        observer: Option<Box<dyn RunObserver>>,
-        scratch: &mut RunScratch,
-    ) -> Result<RunHistory, PipelineError> {
-        let mut trainer = exp.build_trainer()?;
-        if let Some(observer) = observer {
-            trainer = trainer.observer(observer);
-        }
-        Ok(ThreadedTrainer::from(trainer).run_with_scratch(seed, scratch)?)
-    }
-}
-
 fn built_in_backends() -> Registry<dyn EngineBackend> {
     let mut r = Registry::new();
     r.seed("sequential", |_| {
         Ok(Arc::new(SequentialBackend) as Arc<dyn EngineBackend>)
-    });
-    r.seed("threaded", |_| {
-        Ok(Arc::new(ThreadedBackend) as Arc<dyn EngineBackend>)
     });
     r
 }
@@ -169,7 +145,6 @@ mod tests {
     fn built_ins_present() {
         let ids = backend_ids();
         assert!(ids.contains(&"sequential".to_string()));
-        assert!(ids.contains(&"threaded".to_string()));
     }
 
     #[test]
@@ -189,9 +164,7 @@ mod tests {
 
     #[test]
     fn backends_are_buildable_and_named() {
-        for id in ["sequential", "threaded"] {
-            let backend = build_backend(&ComponentSpec::new(id)).unwrap();
-            assert_eq!(backend.name(), id);
-        }
+        let backend = build_backend(&ComponentSpec::new("sequential")).unwrap();
+        assert_eq!(backend.name(), "sequential");
     }
 }

@@ -129,8 +129,8 @@ pub struct Experiment {
     /// all other registered ids are always resolved as specified.
     pub mechanism: ComponentSpec,
     /// Execution backend, resolved through the engine-backend registry at
-    /// run time (`"sequential"`, `"threaded"`, or any registered id —
-    /// e.g. `"tcp"` once `dpbyz-net`'s `install()` has run). Resolution
+    /// run time (`"sequential"`, or any registered id — e.g. `"tcp"` or
+    /// `"sim"` once `dpbyz-net`'s `install()` has run). Resolution
     /// is deliberately deferred to `run`: backends registered after this
     /// experiment was built still resolve, and an unknown id surfaces as
     /// a [`PipelineError::Spec`] naming the available backends instead of
@@ -570,25 +570,22 @@ mod tests {
     }
 
     #[test]
-    fn threaded_backend_matches_sequential() {
-        let mut exp = quick_fig(10, Some(0.2), Some("foe"), 8);
-        let seq = exp.run(2).unwrap();
-        exp.backend = "threaded".into();
-        let thr = exp.run(2).unwrap();
-        assert_eq!(seq, thr);
-    }
-
-    #[test]
     fn unknown_backend_is_a_spec_error_naming_available_ids() {
-        let mut exp = quick_fig(10, None, None, 3);
-        exp.backend = "smoke-signals".into();
-        match exp.run(1) {
-            Err(PipelineError::Spec(msg)) => {
-                assert!(msg.contains("smoke-signals"), "{msg}");
-                assert!(msg.contains("sequential"), "{msg}");
-                assert!(msg.contains("threaded"), "{msg}");
+        // `threaded` was a backend once; a spec naming it must fail
+        // loudly, not run on some other engine.
+        for id in ["smoke-signals", "threaded"] {
+            let mut exp = quick_fig(10, None, None, 3);
+            exp.backend = id.into();
+            match exp.run(1) {
+                Err(PipelineError::Spec(msg)) => {
+                    assert!(
+                        msg.contains(&format!("unknown engine backend `{id}`")),
+                        "{msg}"
+                    );
+                    assert!(msg.contains("sequential"), "{msg}");
+                }
+                other => panic!("{id}: expected Spec error, got {other:?}"),
             }
-            other => panic!("expected Spec error, got {other:?}"),
         }
     }
 

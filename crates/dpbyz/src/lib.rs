@@ -158,7 +158,7 @@ pub mod scenarios {}
 // ---- engines and telemetry ----------------------------------------------
 pub use dpbyz_server::{
     AttackVisibility, BatchGrowth, ConfigError, FnObserver, LrSchedule, MomentumMode, RunHistory,
-    RunObserver, RunScratch, SeedSummary, StepMetrics, ThreadedTrainer, Trainer, TrainingConfig,
+    RunObserver, RunScratch, SeedSummary, StepMetrics, Trainer, TrainingConfig,
     TrainingConfigBuilder,
 };
 
@@ -243,20 +243,29 @@ mod tests {
     }
 
     #[test]
-    fn observed_threaded_run_matches_sequential() {
-        let mut exp = Experiment::builder()
+    fn observed_leased_run_matches_plain() {
+        // Mean estimation at d = 10⁴, b = 1 is large enough that the
+        // engine leases its workers to threads while a core is free of
+        // other runs; the observer still sees every step and leaves the
+        // history untouched.
+        let exp = Experiment::builder()
+            .workload(Workload::MeanEstimation {
+                dim: 10_000,
+                sigma: 1.0,
+                data_seed: 1,
+            })
+            .batch_size(1)
             .steps(5)
-            .dataset_size(250)
+            .eval_every(0)
             .gar("mda")
             .attack("foe")
             .epsilon(0.2)
             .build()
             .unwrap();
-        let seq = exp.run(2).unwrap();
-        exp.backend = "threaded".into();
+        let plain = exp.run(2).unwrap();
         let steps = Arc::new(Mutex::new(0u32));
         let counter = steps.clone();
-        let thr = exp
+        let observed = exp
             .run_with_observer(
                 2,
                 Box::new(FnObserver::new(move |_m: &StepMetrics<'_>| {
@@ -264,7 +273,7 @@ mod tests {
                 })),
             )
             .unwrap();
-        assert_eq!(seq, thr);
+        assert_eq!(plain, observed);
         assert_eq!(*steps.lock().unwrap(), 5);
     }
 }

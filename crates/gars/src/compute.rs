@@ -19,8 +19,10 @@
 //! **Allocation-freedom.** The crate forbids `unsafe`, so persistent
 //! threads cannot borrow the round's gradients; instead each shard's
 //! inputs are packed into an owned [`ShardTask`] leased to a thread of a
-//! [`LeasePool`] — the one pool the threaded training engine runs its
-//! workers on too. After the first parallel round every buffer (task
+//! [`LeasePool`]. This pool belongs to the GAR: a
+//! [`GarScratch`](crate::GarScratch) owns it and `agg_threads` sizes it.
+//! The training engine's worker pool is a second `LeasePool`, owned by
+//! the run's scratch. After the first parallel round every buffer (task
 //! values, outputs, per-thread sort scratch) has warmed to the
 //! topology's shape and steady-state rounds allocate nothing, pinned by
 //! `tests/tests/alloc_steady_state.rs`.

@@ -12,8 +12,6 @@
 //!   combination §5.1 specifies), d = features + 1; cross-entropy is also
 //!   available.
 //! * [`LinearRegression`] — ½-MSE linear model.
-//! * [`Mlp`] — one-hidden-layer perceptron to exercise the `d ≈ 10⁴…10⁵`
-//!   regime where the paper's dimensionality argument bites.
 //! * [`QuadraticMean`] — `Q(w) = ½·E‖w − x‖²`, the strongly convex
 //!   (λ = μ = 1) cost of Theorem 1's lower-bound construction.
 //!
@@ -38,12 +36,10 @@
 mod linear;
 mod logistic;
 pub mod metrics;
-mod mlp;
 mod quadratic;
 mod traits;
 
 pub use linear::LinearRegression;
 pub use logistic::{sigmoid, LogisticRegression, LossKind};
-pub use mlp::{Activation, Mlp};
 pub use quadratic::QuadraticMean;
 pub use traits::{finite_difference_gap, Model};

@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn default_fused_call_equals_the_two_separate_calls() {
-        use crate::{Activation, LinearRegression, Mlp, QuadraticMean};
+        use crate::{LinearRegression, QuadraticMean};
         use dpbyz_data::synthetic;
 
         let mut rng = Prng::seed_from_u64(6);
@@ -118,7 +118,6 @@ mod tests {
         let batch = ds.full_batch();
         let k = ds.num_features();
         let models: Vec<Box<dyn Model>> = vec![
-            Box::new(Mlp::new(k, 4, Activation::Tanh)),
             Box::new(LinearRegression::new(k)),
             Box::new(QuadraticMean::new(k)),
         ];

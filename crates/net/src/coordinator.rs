@@ -128,7 +128,13 @@ impl TcpCoordinator {
             start: Instant::now(),
             conns: (0..n).map(|_| None).collect(),
             pending: Vec::new(),
-            session: Session::new(n, seed, resume_window, machine.staleness_window),
+            session: Session::new(
+                n,
+                seed,
+                resume_window,
+                machine.staleness_window,
+                core.params().dim(),
+            ),
             dead_pending: Vec::new(),
         };
         drive(&mut transport, core, machine, seed, scratch)

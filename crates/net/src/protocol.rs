@@ -114,6 +114,20 @@ pub enum MessageError {
     },
     /// The integrity tag did not match.
     BadChecksum,
+    /// A gradient vector's coordinate count is not the run's dimension.
+    DimMismatch {
+        /// The run's dimension.
+        expected: usize,
+        /// The count the frame declared.
+        got: usize,
+    },
+    /// A gradient coordinate is NaN or infinite. The robust rules assume
+    /// finite input, so such a report is a protocol violation even from an
+    /// honest worker whose run diverged.
+    NonFinite {
+        /// Index of the first non-finite coordinate.
+        index: usize,
+    },
 }
 
 impl fmt::Display for MessageError {
@@ -132,6 +146,12 @@ impl fmt::Display for MessageError {
                 )
             }
             MessageError::BadChecksum => write!(f, "integrity check failed"),
+            MessageError::DimMismatch { expected, got } => {
+                write!(f, "vector of dimension {got}, the run's is {expected}")
+            }
+            MessageError::NonFinite { index } => {
+                write!(f, "coordinate {index} is not finite")
+            }
         }
     }
 }
@@ -560,7 +580,14 @@ pub fn peek_grad(payload: &[u8]) -> Result<(u32, u32), MessageError> {
 /// Decodes a GRAD payload into the worker's output slot, returning the
 /// reported step. Every field read is bounds-checked: a peer that
 /// truncates the loss/length prelude or either embedded vector frame gets
-/// a typed [`MessageError::ShortRead`], never a panic.
+/// a typed [`MessageError::ShortRead`], never a panic. Both vectors must
+/// have the run's dimension `dim` ([`MessageError::DimMismatch`]) and
+/// finite coordinates ([`MessageError::NonFinite`]), so what reaches the
+/// GAR is what the aggregation rules accept. This holds for honest
+/// reports too: on a diverging run the session drops them, the round
+/// misses its quorum, and the run ends with a typed error, where the
+/// in-process engine would aggregate the non-finite values. On error the
+/// slot's vectors are left in an unspecified but valid state.
 ///
 /// Call [`peek_grad`] + [`GradGuard::admit`] first: only
 /// [`Admission::Fresh`] frames should reach the decode, so a duplicated
@@ -573,6 +600,7 @@ pub fn peek_grad(payload: &[u8]) -> Result<(u32, u32), MessageError> {
 pub fn decode_grad(
     payload: &[u8],
     expect_id: u32,
+    dim: usize,
     out: &mut WorkerOutput,
 ) -> Result<u32, GradDecodeError> {
     let batch_loss = f64::from_le_bytes(read_array(payload, 0)?);
@@ -584,13 +612,39 @@ pub fn decode_grad(
             needed: 12usize.saturating_add(sub_len),
             got: payload.len(),
         })?;
-    let (wid, step) = decode_vec_frame(sub, &mut out.submitted)?;
-    let (wid2, step2) = decode_vec_frame(pre, &mut out.pre_noise)?;
+    let (wid, step) = decode_gradient_frame(sub, dim, &mut out.submitted)?;
+    let (wid2, step2) = decode_gradient_frame(pre, dim, &mut out.pre_noise)?;
     if wid != expect_id || wid2 != expect_id || step != step2 {
         return Err(GradDecodeError::Misattributed);
     }
     out.batch_loss = batch_loss;
     Ok(step)
+}
+
+/// [`decode_vec_frame`] for one of a report's gradients: the declared
+/// coordinate count must be `dim` (checked before `v` is resized), and
+/// every coordinate must be finite (checked after the tag).
+fn decode_gradient_frame(
+    frame: &[u8],
+    dim: usize,
+    v: &mut Vector,
+) -> Result<(u32, u32), MessageError> {
+    let declared = u32::from_le_bytes(read_array(frame, 8)?) as usize;
+    if declared != dim {
+        return Err(MessageError::DimMismatch {
+            expected: dim,
+            got: declared,
+        });
+    }
+    let header = decode_vec_frame(frame, v)?;
+    // A branch-free pass over every report; the index only on rejection.
+    if v.as_slice().iter().fold(true, |ok, x| ok & x.is_finite()) {
+        return Ok(header);
+    }
+    let index = v.as_slice().iter().position(|x| !x.is_finite());
+    Err(MessageError::NonFinite {
+        index: index.unwrap_or_default(),
+    })
 }
 
 /// Opens a frame in a recycled buffer: clears it, reserves the length
@@ -815,13 +869,17 @@ mod tests {
     /// `[batch_loss: f64][sub_len: u32]` + submitted frame + pre-noise
     /// frame.
     fn grad_payload(id: u32, step: u32, pre_id: u32, pre_step: u32) -> Vec<u8> {
+        report_payload((id, step, &[1.0, -2.0]), (pre_id, pre_step, &[0.5, 0.25]))
+    }
+
+    /// A GRAD payload from `(worker_id, step, coordinates)` of the
+    /// submitted and the pre-noise vector, each frame correctly tagged.
+    fn report_payload(sub: (u32, u32, &[f64]), pre: (u32, u32, &[f64])) -> Vec<u8> {
         use bytes::BufMut;
-        let sub = Vector::from(vec![1.0, -2.0]);
-        let pre = Vector::from(vec![0.5, 0.25]);
         let mut sub_frame = bytes::BytesMut::default();
         let mut pre_frame = bytes::BytesMut::default();
-        encode_vec_frame(id, step, &sub, &mut sub_frame);
-        encode_vec_frame(pre_id, pre_step, &pre, &mut pre_frame);
+        encode_vec_frame(sub.0, sub.1, &Vector::from(sub.2.to_vec()), &mut sub_frame);
+        encode_vec_frame(pre.0, pre.1, &Vector::from(pre.2.to_vec()), &mut pre_frame);
         let mut payload = bytes::BytesMut::default();
         payload.put_f64_le(0.125);
         payload.put_u32_le(sub_frame.len() as u32);
@@ -834,7 +892,7 @@ mod tests {
     fn well_formed_grad_payload_decodes() {
         let payload = grad_payload(3, 7, 3, 7);
         let mut out = WorkerOutput::default();
-        assert_eq!(decode_grad(&payload, 3, &mut out), Ok(7));
+        assert_eq!(decode_grad(&payload, 3, 2, &mut out), Ok(7));
         assert_eq!(out.batch_loss, 0.125);
         assert_eq!(out.submitted, Vector::from(vec![1.0, -2.0]));
         assert_eq!(out.pre_noise, Vector::from(vec![0.5, 0.25]));
@@ -855,7 +913,7 @@ mod tests {
             let needed = if cut < 8 { 8 } else { 12 };
             let mut out = WorkerOutput::default();
             assert_eq!(
-                decode_grad(&payload[..cut], 3, &mut out),
+                decode_grad(&payload[..cut], 3, 2, &mut out),
                 Err(GradDecodeError::Frame(MessageError::ShortRead {
                     needed,
                     got: cut
@@ -872,21 +930,21 @@ mod tests {
         // Truncating the trailing pre-noise frame: the embedded decoder
         // reports the shortfall.
         assert!(matches!(
-            decode_grad(&payload[..payload.len() - 3], 3, &mut out),
+            decode_grad(&payload[..payload.len() - 3], 3, 2, &mut out),
             Err(GradDecodeError::Frame(MessageError::ShortRead { .. }))
         ));
         // A sub_len word claiming more bytes than the payload carries.
         let mut lying = payload.clone();
         lying[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            decode_grad(&lying, 3, &mut out),
+            decode_grad(&lying, 3, 2, &mut out),
             Err(GradDecodeError::Frame(MessageError::ShortRead { .. }))
         ));
         // A sub_len word splitting the submitted frame mid-layout.
         let mut split = payload.clone();
         split[8..12].copy_from_slice(&5u32.to_le_bytes());
         assert!(matches!(
-            decode_grad(&split, 3, &mut out),
+            decode_grad(&split, 3, 2, &mut out),
             Err(GradDecodeError::Frame(MessageError::ShortRead { .. }))
         ));
     }
@@ -898,9 +956,56 @@ mod tests {
         payload[at] ^= 0xFF;
         let mut out = WorkerOutput::default();
         assert_eq!(
-            decode_grad(&payload, 3, &mut out),
+            decode_grad(&payload, 3, 2, &mut out),
             Err(GradDecodeError::Frame(MessageError::BadChecksum))
         );
+    }
+
+    #[test]
+    fn non_finite_or_misshaped_gradients_are_typed_errors() {
+        // Each frame is correctly tagged: only the values are hostile.
+        let cases: [(&[f64], &[f64], MessageError); 5] = [
+            (
+                &[f64::NAN, -2.0],
+                &[0.5, 0.25],
+                MessageError::NonFinite { index: 0 },
+            ),
+            (
+                &[1.0, f64::INFINITY],
+                &[0.5, 0.25],
+                MessageError::NonFinite { index: 1 },
+            ),
+            (
+                &[1.0, -2.0],
+                &[f64::NEG_INFINITY, 0.25],
+                MessageError::NonFinite { index: 0 },
+            ),
+            (
+                &[1.0, -2.0, 3.0],
+                &[0.5, 0.25, 0.0],
+                MessageError::DimMismatch {
+                    expected: 2,
+                    got: 3,
+                },
+            ),
+            (
+                &[1.0, -2.0],
+                &[0.5],
+                MessageError::DimMismatch {
+                    expected: 2,
+                    got: 1,
+                },
+            ),
+        ];
+        for (sub, pre, expected) in cases {
+            let payload = report_payload((3, 7, sub), (3, 7, pre));
+            let mut out = WorkerOutput::default();
+            assert_eq!(
+                decode_grad(&payload, 3, 2, &mut out),
+                Err(GradDecodeError::Frame(expected.clone())),
+                "{sub:?} / {pre:?}"
+            );
+        }
     }
 
     #[test]
@@ -909,19 +1014,19 @@ mod tests {
         // Frames carrying another worker's id.
         let payload = grad_payload(4, 7, 4, 7);
         assert_eq!(
-            decode_grad(&payload, 3, &mut out),
+            decode_grad(&payload, 3, 2, &mut out),
             Err(GradDecodeError::Misattributed)
         );
         // Pre-noise frame naming a different worker than the submission.
         let payload = grad_payload(3, 7, 4, 7);
         assert_eq!(
-            decode_grad(&payload, 3, &mut out),
+            decode_grad(&payload, 3, 2, &mut out),
             Err(GradDecodeError::Misattributed)
         );
         // Frames disagreeing on the step.
         let payload = grad_payload(3, 7, 3, 8);
         assert_eq!(
-            decode_grad(&payload, 3, &mut out),
+            decode_grad(&payload, 3, 2, &mut out),
             Err(GradDecodeError::Misattributed)
         );
     }
@@ -930,7 +1035,7 @@ mod tests {
     fn empty_payload_is_a_typed_error() {
         let mut out = WorkerOutput::default();
         assert_eq!(
-            decode_grad(&[], 0, &mut out),
+            decode_grad(&[], 0, 2, &mut out),
             Err(GradDecodeError::Frame(MessageError::ShortRead {
                 needed: 8,
                 got: 0

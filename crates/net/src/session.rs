@@ -123,6 +123,8 @@ impl Hello {
 /// The coordinator-side session state of one run. See the module docs.
 pub(crate) struct Session {
     run_seed: u64,
+    /// The run's model dimension: every reported vector must have it.
+    dim: usize,
     /// Slots with a live link.
     attached: Vec<bool>,
     /// Slots that joined at least once — the set `REJOIN` may resume.
@@ -139,16 +141,18 @@ pub(crate) struct Session {
 impl Session {
     /// A session for `n_workers` slots under training seed `run_seed`
     /// (session tokens derive from it), retaining `resume_window`
-    /// broadcasts for replay and admitting reports up to
-    /// `staleness_window` rounds late.
+    /// broadcasts for replay, admitting reports up to `staleness_window`
+    /// rounds late, and only of finite vectors of dimension `dim`.
     pub(crate) fn new(
         n_workers: usize,
         run_seed: u64,
         resume_window: usize,
         staleness_window: u32,
+        dim: usize,
     ) -> Self {
         Session {
             run_seed,
+            dim,
             attached: vec![false; n_workers],
             ever_joined: vec![false; n_workers],
             guard: GradGuard::with_window(n_workers, staleness_window),
@@ -278,7 +282,8 @@ impl Session {
         }
         match self.guard.admit(id, step, current) {
             Admission::Fresh => {
-                let step = decode_grad(payload, id, outputs.get_mut(id as usize)?).ok()?;
+                let out = outputs.get_mut(id as usize)?;
+                let step = decode_grad(payload, id, self.dim, out).ok()?;
                 events.push(Event::Gradient { id, step });
             }
             Admission::Stale => events.push(Event::StaleGradient(id)),
@@ -624,9 +629,14 @@ mod tests {
     }
 
     fn grad(id: u32, step: u32) -> Frame {
+        report(id, step, &[1.0, 2.0], &[3.0, 4.0])
+    }
+
+    /// A correctly tagged `GRAD` carrying the given vectors.
+    fn report(id: u32, step: u32, submitted: &[f64], pre_noise: &[f64]) -> Frame {
         let out = WorkerOutput {
-            submitted: Vector::from(vec![1.0, 2.0]),
-            pre_noise: Vector::from(vec![3.0, 4.0]),
+            submitted: Vector::from(submitted.to_vec()),
+            pre_noise: Vector::from(pre_noise.to_vec()),
             batch_loss: 0.5,
         };
         let (mut buf, mut scratch) = (BytesMut::default(), BytesMut::default());
@@ -649,7 +659,7 @@ mod tests {
     /// 3 in flight; the two-frame ring holds slots 2 and 3 only. Worker 2
     /// never joined.
     fn mid_run() -> Session {
-        let mut session = Session::new(N, SEED, 2, 0);
+        let mut session = Session::new(N, SEED, 2, 0, 2);
         let (mut outputs, mut events) = (sentinel_outputs(), Vec::new());
         for id in [0, 1] {
             let (kind, payload) = join(id, false);
@@ -779,6 +789,34 @@ mod tests {
         assert_eq!(handle(None, ready.clone()), Outcome::Violation);
         assert_eq!(handle(Some(0), ready), Outcome::Continue);
         assert_eq!(events, vec![Event::Ready(0)]);
+    }
+
+    #[test]
+    fn non_finite_or_misshaped_reports_yield_no_gradient() {
+        // Tagged, attributed and in-round: only the values are hostile.
+        // A GAR would panic on NaN (median, Krum), pass it into the model
+        // (MDA), or fail the run on a dimension mismatch.
+        let cases: [(&str, &[f64], &[f64]); 3] = [
+            ("NaN coordinate", &[f64::NAN, 2.0], &[3.0, 4.0]),
+            ("+inf coordinate", &[1.0, 2.0], &[3.0, f64::INFINITY]),
+            ("wrong dimension", &[1.0, 2.0, 5.0], &[3.0, 4.0, 6.0]),
+        ];
+        for (case, submitted, pre_noise) in cases {
+            let mut session = mid_run();
+            let (mut outputs, mut events) = (sentinel_outputs(), Vec::new());
+            let (kind, payload) = report(0, 3, submitted, pre_noise);
+            let verdict = session.handle(Some(0), kind, &payload, TRAIN, &mut outputs, &mut events);
+            assert_eq!(outcome(verdict), Outcome::Violation, "{case}");
+            assert_eq!(events, vec![], "{case}: no gradient admitted");
+        }
+        // The same report with finite values of the run's dimension is
+        // admitted.
+        let mut session = mid_run();
+        let (mut outputs, mut events) = (sentinel_outputs(), Vec::new());
+        let (kind, payload) = grad(0, 3);
+        let verdict = session.handle(Some(0), kind, &payload, TRAIN, &mut outputs, &mut events);
+        assert_eq!(outcome(verdict), Outcome::Continue);
+        assert_eq!(events, vec![Event::Gradient { id: 0, step: 3 }]);
     }
 
     #[test]

@@ -506,11 +506,9 @@ impl SimNet {
                 })
                 .collect()
         };
-        let frame_cap = workers
-            .iter()
-            .map(|w| grad_frame_len(w.dim()))
-            .max()
-            .unwrap_or(0);
+        // Every worker trains the run's one model.
+        let dim = workers.first().map_or(0, HonestWorker::dim);
+        let frame_cap = grad_frame_len(dim);
         let wire = Wire::new(
             links(&plan.to_worker, 1),
             links(&plan.to_coord, 2),
@@ -539,7 +537,7 @@ impl SimNet {
             detect_crash: plan.detect_crash,
             grad_delays: plan.grad_delays.clone(),
             compute_ms,
-            session: Session::new(n, run_seed, resume_window, staleness_window),
+            session: Session::new(n, run_seed, resume_window, staleness_window, dim),
         };
         // Late joiners sit out the join phase entirely; their JOIN_FRESH
         // fires on the scheduled broadcast instead.

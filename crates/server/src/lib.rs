@@ -7,22 +7,22 @@
 //! stochastic gradients and pass them through a local DP randomizer before
 //! submission (Eq. 7).
 //!
-//! Two execution engines produce **bit-identical** histories given the same
-//! [`TrainingConfig`] and seed:
+//! One in-process engine, [`Trainer`], runs the round loop. It is
+//! zero-copy: the round hot path (worker batch/gradient buffers, the
+//! server's submission set, GAR scratch) is recycled across rounds, so
+//! steady-state rounds perform **no** heap allocation. Each round it
+//! decides whether the honest workers compute inline or each on a
+//! persistent OS thread of a [`LeasePool`](dpbyz_tensor::LeasePool):
+//! only runs whose per-worker round work is large lease, and only while
+//! a core is free of other in-process runs. Histories are
+//! **bit-identical** either way, and the leased path allocates nothing
+//! at steady state either.
 //!
-//! * [`Trainer`] — sequential, zero-copy: the round hot path (worker
-//!   batch/gradient buffers, the server's submission set, GAR scratch)
-//!   is recycled across rounds, so steady-state rounds perform **no**
-//!   heap allocation;
-//! * [`ThreadedTrainer`] — the same round loop with each worker computing
-//!   on its own persistent OS thread of a
-//!   [`LeasePool`](dpbyz_tensor::LeasePool); steady-state rounds allocate
-//!   nothing on this engine either.
-//!
-//! Both engines additionally accept a [`RunScratch`]
-//! (`run_with_scratch`), recycling the whole working set across
+//! [`Trainer::run_with_scratch`] additionally takes a [`RunScratch`],
+//! recycling the whole working set, worker threads included, across
 //! *consecutive runs* — how the sweep executor's pool workers process
-//! their (cell × seed) jobs.
+//! their (cell × seed) jobs. Distributed engines drive the same
+//! [`ServerCore`] through [`Trainer::into_distributed_parts`].
 //!
 //! # Example
 //!
@@ -67,7 +67,6 @@ mod config;
 mod metrics;
 mod observer;
 mod schedule;
-mod threaded;
 mod trainer;
 mod worker;
 
@@ -77,6 +76,5 @@ pub use config::{
 pub use metrics::{ChurnStats, RunHistory, SeedSummary};
 pub use observer::{FnObserver, RunObserver, StepMetrics};
 pub use schedule::LrSchedule;
-pub use threaded::ThreadedTrainer;
 pub use trainer::{derive_streams, RunScratch, ServerCore, Trainer};
 pub use worker::{HonestWorker, WorkerOutput};

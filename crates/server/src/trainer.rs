@@ -1,9 +1,8 @@
-//! The sequential training engine and the shared server-side round logic.
+//! The in-process training engine and the shared server-side round logic.
 
 use crate::config::{AttackVisibility, MomentumMode, TrainingConfig};
 use crate::metrics::{ChurnStats, RunHistory};
 use crate::observer::{RunObserver, StepMetrics};
-use crate::threaded::WorkerLease;
 use crate::worker::{HonestWorker, WorkerOutput};
 use dpbyz_attacks::{Attack, AttackContext};
 use dpbyz_data::sampler::BatchSource;
@@ -11,8 +10,84 @@ use dpbyz_data::Dataset;
 use dpbyz_dp::{Mechanism, NoNoise};
 use dpbyz_gars::{vn, Average, Gar, GarError, GarScratch};
 use dpbyz_models::{metrics::accuracy, Model};
-use dpbyz_tensor::{LeasePool, Prng, Vector};
-use std::sync::Arc;
+use dpbyz_tensor::{Lease, LeasePool, Prng, Vector};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread;
+
+/// Smallest per-worker round work, `batch_size × dim`, at which
+/// [`Trainer::run_with_scratch`] leases the honest workers to the
+/// scratch's thread pool. Below it the thread hop can cost more than the
+/// parallel compute saves, so the workers run inline. Measured on a
+/// 2-vCPU Xeon with 6 honest workers: logistic regression (d = 69)
+/// loses by leasing at b·d = 3 450 and 6 900 and wins from 10 350 up;
+/// mean estimation (b = 1) wins from d = 1 000 up.
+const LEASE_MIN_WORK: usize = 10_000;
+
+/// Whether a round computes its honest workers on the pool: only with
+/// two or more of them, each doing at least [`LEASE_MIN_WORK`], and only
+/// while the `busy` threads that hold a live [`RunScratch`] (this run's
+/// included) leave a core free. A parallel sweep keeps one scratch per
+/// pool thread and one thread per core, so its jobs stay inline: leasing
+/// there only adds thread hand-offs. Both paths give bit-identical
+/// histories, so this is a speed choice.
+fn leases_workers(
+    n_honest: usize,
+    batch_size: usize,
+    dim: usize,
+    busy: usize,
+    cores: usize,
+) -> bool {
+    n_honest >= 2 && batch_size.saturating_mul(dim) >= LEASE_MIN_WORK && busy < cores
+}
+
+/// [`RunScratch`]es alive now, on any thread. Each stands for a thread
+/// that runs in-process jobs: a lone run makes one for its duration, and
+/// a sweep-pool thread keeps one for its life, so the count also covers
+/// the time a sweep thread spends building its next job.
+static LIVE_SCRATCHES: AtomicUsize = AtomicUsize::new(0);
+
+/// Holds one count in [`LIVE_SCRATCHES`] for as long as its scratch lives.
+struct Counted;
+
+impl Default for Counted {
+    fn default() -> Self {
+        LIVE_SCRATCHES.fetch_add(1, Ordering::Relaxed);
+        Counted
+    }
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        LIVE_SCRATCHES.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The cores this process may use, read once.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// One worker's round on a pool thread: the worker, the round's shared
+/// broadcast parameters and batch size, and the output slot it fills.
+/// All four are lent for one round and taken back at reclaim.
+#[derive(Default)]
+pub(crate) struct WorkerLease {
+    worker: Option<HonestWorker>,
+    params: Option<Arc<Vector>>,
+    batch_size: usize,
+    out: WorkerOutput,
+}
+
+impl Lease for WorkerLease {
+    fn run(&mut self) {
+        if let (Some(worker), Some(params)) = (&mut self.worker, &self.params) {
+            worker.compute_into(params, self.batch_size, &mut self.out);
+        }
+    }
+}
 
 /// Per-round buffers the server keeps alive for the entire run — the heart
 /// of the zero-copy hot path. Every round refills these in place instead
@@ -50,9 +125,8 @@ impl RoundBuffers {
 }
 
 /// Server-side state and round logic shared by every engine — the
-/// sequential and threaded in-process engines and the TCP coordinator all
-/// drive this same object, which is what guarantees they produce
-/// identical histories.
+/// in-process engine and the distributed transports all drive this same
+/// object, which is what guarantees they produce identical histories.
 ///
 /// External engines obtain one via [`Trainer::into_distributed_parts`]
 /// and drive the round loop themselves: broadcast
@@ -88,16 +162,19 @@ pub struct ServerCore {
     observer: Option<Box<dyn RunObserver>>,
 }
 
-/// Reusable cross-run scratch: every long-lived buffer either engine
-/// keeps for the duration of one run, extracted so *consecutive* runs —
+/// Reusable cross-run scratch: every long-lived buffer an engine keeps
+/// for the duration of one run, extracted so *consecutive* runs —
 /// e.g. the (cell × seed) jobs a sweep-executor pool worker processes
 /// back to back, or the seeds of a serial `run_seeds` loop — recycle one
 /// working set instead of rebuilding it per job.
 ///
 /// Holds the server's round buffers (submission set, forged/mean/
 /// aggregated vectors, GAR scratch), the per-worker output slots, the
-/// broadcast-parameter buffer, and — for the threaded engine — the
-/// persistent thread pool with one worker packet per thread.
+/// broadcast-parameter buffer, and the persistent worker thread pool
+/// with one worker packet per thread (spawned only by runs large enough
+/// to lease their workers). A live scratch counts as one thread busy with
+/// in-process runs: rounds lease only while fewer scratches live than the
+/// process has cores.
 /// Buffer shapes adapt in place when the next run has a different
 /// topology or dimension; reuse is **bit-invisible** — a run with a
 /// dirty scratch produces exactly the history a fresh one does (every
@@ -106,9 +183,12 @@ pub struct ServerCore {
 pub struct RunScratch {
     pub(crate) round: RoundBuffers,
     pub(crate) outputs: Vec<WorkerOutput>,
-    pub(crate) params: Vector,
-    /// Threaded engine only: worker threads that outlive the run.
+    /// The round's broadcast parameters, shared with leased workers.
+    pub(crate) params: Arc<Vector>,
+    /// Worker threads that outlive the run; empty until a round leases.
     pub(crate) pool: LeasePool<WorkerLease>,
+    /// Counts this scratch as a busy thread for [`leases_workers`].
+    _counted: Counted,
 }
 
 impl RunScratch {
@@ -121,7 +201,7 @@ impl RunScratch {
     /// Takes the per-worker output slots out of the scratch (restored
     /// with [`RunScratch::restore_outputs`]) — how an external engine
     /// recycles the output set across runs, exactly as the in-process
-    /// engines do internally.
+    /// engine does internally.
     pub fn take_outputs(&mut self) -> Vec<WorkerOutput> {
         std::mem::take(&mut self.outputs)
     }
@@ -148,8 +228,8 @@ impl ServerCore {
     ) -> Self {
         let dim = params.dim();
         buffers.dim = dim;
-        // All three engines build their core here, so this single call
-        // plumbs the intra-round aggregation parallelism everywhere. 1 (the
+        // Every engine builds its core here, so this single call plumbs
+        // the intra-round aggregation parallelism everywhere. 1 (the
         // default) is the serial path; any count is bit-identical to it.
         buffers.gar_scratch.set_parallelism(config.agg_threads);
         let steps = config.steps as usize;
@@ -442,7 +522,7 @@ pub fn derive_streams(seed: u64, n_workers: usize) -> (Prng, Vec<Prng>, Prng, Pr
     (init_rng, worker_rngs, attack_rng, fault_rng)
 }
 
-/// The sequential training engine.
+/// The in-process training engine.
 ///
 /// Construct with [`Trainer::new`], configure with the fluent setters, and
 /// call [`Trainer::run`]. The trainer is consumed by `run` because batch
@@ -514,8 +594,7 @@ impl Trainer {
 
     /// Attaches a streaming [`RunObserver`] receiving per-step metrics.
     /// Observation is passive — it never touches the RNG streams — so the
-    /// produced [`RunHistory`] is bit-identical with or without one, on
-    /// both the sequential and threaded engines.
+    /// produced [`RunHistory`] is bit-identical with or without one.
     pub fn observer(mut self, observer: Box<dyn RunObserver>) -> Self {
         self.observer = Some(observer);
         self
@@ -538,68 +617,85 @@ impl Trainer {
     /// history is bit-identical to [`Trainer::run`]'s regardless of what
     /// a previous run left in the scratch.
     ///
+    /// Each round, the run's shape and the live scratches of other
+    /// threads decide where the honest workers compute: inline on this
+    /// thread, or, when each does enough work and a core is free of other
+    /// runs, on the scratch's persistent threads. Consecutive runs on one scratch reuse those threads. The
+    /// history is the same either way.
+    ///
     /// # Errors
     ///
     /// As [`Trainer::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker's computation panics on its thread.
     pub fn run_with_scratch(
         self,
         seed: u64,
         scratch: &mut RunScratch,
     ) -> Result<RunHistory, GarError> {
-        self.run_rounds(seed, scratch, false)
+        let n_honest = self.config.honest_workers(self.attack.is_some());
+        let (batch_size, dim) = (self.config.batch_size, self.model.dim());
+        self.run_rounds(seed, scratch, || {
+            let busy = LIVE_SCRATCHES.load(Ordering::Relaxed);
+            leases_workers(n_honest, batch_size, dim, busy, cores())
+        })
     }
 
-    /// The in-process round loop of both engines. They differ only in how
-    /// a round's honest outputs get computed: inline on this thread, or
-    /// (`leased`) on the scratch's thread pool, one [`WorkerLease`] per
-    /// worker. The arithmetic and RNG streams are the same either way.
+    /// The in-process round loop. Its two paths differ only in how a
+    /// round's honest outputs get computed: inline on this thread, or
+    /// (when `lease()` says so for that round) on the scratch's thread
+    /// pool, one [`WorkerLease`] per worker, reclaimed in worker-id order.
+    /// The arithmetic and RNG streams are the same either way, so a run
+    /// may switch paths between rounds. Tests force a path through here.
     pub(crate) fn run_rounds(
         self,
         seed: u64,
         scratch: &mut RunScratch,
-        leased: bool,
+        lease: impl Fn() -> bool,
     ) -> Result<RunHistory, GarError> {
-        let (mut core, mut workers) = self.into_distributed_parts(seed, scratch);
+        let (mut core, workers) = self.into_distributed_parts(seed, scratch);
+        let mut workers: Vec<Option<HonestWorker>> = workers.into_iter().map(Some).collect();
         let n_honest = workers.len();
         // Round state comes from the scratch, so consecutive runs reuse it.
         let mut outputs = std::mem::take(&mut scratch.outputs);
         outputs.resize_with(n_honest, WorkerOutput::default);
         let pool = &mut scratch.pool;
-        if leased {
-            // Spawns threads only past any earlier run's worker count.
-            pool.resize(pool.len().max(n_honest));
-            for (i, worker) in workers.drain(..).enumerate() {
-                pool.packet_mut(i).worker = Some(worker);
-            }
-        }
         let result = (1..=core.config().steps).try_for_each(|t| {
             let batch_size = core.config().batch_at(t);
-            if leased {
-                for i in 0..n_honest {
-                    let lease = pool.packet_mut(i);
-                    lease.params.copy_from(core.params());
-                    lease.batch_size = batch_size;
+            // No packet keeps the Arc past a round: this writes in place.
+            Arc::make_mut(&mut scratch.params).copy_from(core.params());
+            let slots = workers.iter_mut().zip(outputs.iter_mut());
+            if lease() {
+                // Spawns threads only past any earlier run's worker count.
+                pool.resize(pool.len().max(n_honest));
+                // Lend each worker, the shared parameters and its output
+                // slot; take them back in worker-id order.
+                for (i, (worker, out)) in slots.enumerate() {
+                    let packet = pool.packet_mut(i);
+                    packet.worker = worker.take();
+                    packet.params = Some(Arc::clone(&scratch.params));
+                    packet.batch_size = batch_size;
+                    std::mem::swap(&mut packet.out, out);
                     pool.lease(i);
                 }
-                // Collect in worker-id order; the swap hands the slot's
-                // recycled buffers back to the packet.
-                for (i, out) in outputs.iter_mut().enumerate() {
-                    std::mem::swap(&mut pool.reclaim(i).out, out);
+                let slots = workers.iter_mut().zip(outputs.iter_mut());
+                for (i, (worker, out)) in slots.enumerate() {
+                    let packet = pool.reclaim(i);
+                    *worker = packet.worker.take();
+                    packet.params = None;
+                    std::mem::swap(&mut packet.out, out);
                 }
             } else {
-                scratch.params.copy_from(core.params());
-                for (w, out) in workers.iter_mut().zip(outputs.iter_mut()) {
-                    w.compute_into(&scratch.params, batch_size, out);
+                for (worker, out) in slots {
+                    if let Some(worker) = worker {
+                        worker.compute_into(&scratch.params, batch_size, out);
+                    }
                 }
             }
             core.process_round(t, &mut outputs)
         });
-        if leased {
-            // The packets give up the run's workers; threads stay parked.
-            for i in 0..n_honest {
-                pool.packet_mut(i).worker = None;
-            }
-        }
         scratch.outputs = outputs;
         core.reclaim_scratch(scratch);
         result.map(|()| core.finish(seed))
@@ -615,8 +711,8 @@ impl Trainer {
     ///
     /// The returned workers are honest only: with an attack armed, the
     /// `n_byzantine` colluders have no worker-side computation — the core
-    /// forges their submissions server-side, as in both in-process
-    /// engines.
+    /// forges their submissions server-side, as the in-process engine
+    /// does.
     pub fn into_distributed_parts(
         self,
         seed: u64,
@@ -687,9 +783,10 @@ impl Trainer {
 mod tests {
     use super::*;
     use crate::config::TrainingConfig;
-    use dpbyz_attacks::LittleIsEnough;
+    use dpbyz_attacks::{FallOfEmpires, LittleIsEnough};
     use dpbyz_data::sampler::{DatasetSource, SamplingMode};
     use dpbyz_data::synthetic;
+    use dpbyz_dp::GaussianMechanism;
     use dpbyz_gars::Mda;
     use dpbyz_models::{LogisticRegression, LossKind};
 
@@ -1033,6 +1130,152 @@ mod tests {
             fresh.train_loss[2].to_bits(),
             damped.train_loss[2].to_bits()
         );
+    }
+
+    /// Runs `trainer` on the path `leased` selects.
+    fn run_path(trainer: Trainer, seed: u64, leased: bool) -> RunHistory {
+        trainer
+            .run_rounds(seed, &mut RunScratch::new(), || leased)
+            .unwrap()
+    }
+
+    /// The paper's attacked MDA cell at b = 20 with DP noise.
+    fn attacked(trainer: Trainer) -> Trainer {
+        trainer
+            .gar(Arc::new(Mda::new()))
+            .mechanism(Arc::new(GaussianMechanism::with_sigma(0.01).unwrap()))
+            .attack(Arc::new(FallOfEmpires::default()))
+    }
+
+    #[test]
+    fn selection_is_inline_at_the_paper_shape_and_leased_at_the_stress_shape() {
+        // One run on a 2-core machine. §5.1: 6 honest workers of b = 50
+        // at d = 69.
+        assert!(!leases_workers(6, 50, 69, 1, 2));
+        // perfbench's stress cell: 6 honest workers of b = 1 at d = 10⁵.
+        assert!(leases_workers(6, 1, 100_000, 1, 2));
+        // One honest worker never leases, whatever its work.
+        assert!(!leases_workers(1, 1, 100_000, 1, 2));
+        assert!(leases_workers(2, 1, LEASE_MIN_WORK, 1, 2));
+        assert!(!leases_workers(2, 1, LEASE_MIN_WORK - 1, 1, 2));
+        assert!(leases_workers(2, usize::MAX, usize::MAX, 1, 2));
+        // A parallel sweep on 2 cores keeps 2 scratches live: the stress
+        // shape stays inline, and leases again once one pool thread is
+        // left. A single core never leases.
+        assert!(!leases_workers(6, 1, 100_000, 2, 2));
+        assert!(leases_workers(6, 1, 100_000, 7, 8));
+        assert!(!leases_workers(6, 1, 100_000, 1, 1));
+    }
+
+    #[test]
+    fn concurrent_runs_stay_inline_while_every_core_is_busy() {
+        // One run per core at a leasing shape (2 workers of b·d = 10 350),
+        // as a parallel sweep runs them: every scratch is live before any
+        // run starts and until every run is done, so no round may lease.
+        let n = cores();
+        let barrier = Arc::new(std::sync::Barrier::new(n));
+        let config = TrainingConfig::builder()
+            .workers(2, 0)
+            .batch_size(150)
+            .steps(3)
+            .build()
+            .unwrap();
+        let runs: Vec<_> = (0..n)
+            .map(|_| {
+                let (barrier, config) = (barrier.clone(), config.clone());
+                thread::spawn(move || {
+                    let mut scratch = RunScratch::new();
+                    barrier.wait();
+                    let trainer = make_trainer_with(config, 11);
+                    trainer.run_with_scratch(1, &mut scratch).unwrap();
+                    barrier.wait();
+                    scratch.pool.len()
+                })
+            })
+            .collect();
+        for run in runs {
+            assert_eq!(run.join().unwrap(), 0, "a run leased with no core free");
+        }
+    }
+
+    #[test]
+    fn leased_matches_inline_honest() {
+        let (a, _) = make_trainer(4, 0, 25, 11);
+        let (b, _) = make_trainer(4, 0, 25, 11);
+        assert_eq!(run_path(a, 3, false), run_path(b, 3, true));
+    }
+
+    #[test]
+    fn leased_matches_inline_under_attack_noise_and_every_extension() {
+        // DP + attack + drops + EMA + batch growth: every RNG stream and
+        // every server-side extension in one cell, several seeds.
+        let config = TrainingConfig::builder()
+            .workers(11, 5)
+            .batch_size(20)
+            .steps(15)
+            .drop_rate(0.25)
+            .gradient_ema(0.9)
+            .batch_growth(1.05, 100)
+            .eval_every(5)
+            .build()
+            .unwrap();
+        let trainer = || attacked(make_trainer_with(config.clone(), 11));
+        for seed in [5, 13] {
+            let inline = run_path(trainer(), seed, false);
+            assert_eq!(inline, run_path(trainer(), seed, true), "seed {seed}");
+            // A run may also switch paths between rounds.
+            let round = std::cell::Cell::new(0u32);
+            let mixed = trainer().run_rounds(seed, &mut RunScratch::new(), || {
+                round.set(round.get() + 1);
+                !round.get().is_multiple_of(3)
+            });
+            assert_eq!(inline, mixed.unwrap(), "seed {seed}, mixed paths");
+        }
+    }
+
+    #[test]
+    fn leased_path_surfaces_aggregation_errors() {
+        let (trainer, _) = make_trainer(5, 1, 10, 4);
+        let res = trainer
+            .attack(Arc::new(FallOfEmpires::default()))
+            .run_rounds(1, &mut RunScratch::new(), || true);
+        assert!(matches!(res, Err(GarError::TooManyByzantine { .. })));
+    }
+
+    #[test]
+    fn pool_threads_persist_across_runs() {
+        // Two consecutive leased runs on one scratch must not respawn
+        // threads: the pool's size is the high-water mark of worker
+        // counts, and histories stay bit-identical to fresh-pool runs.
+        let mut scratch = RunScratch::new();
+        let (a, _) = make_trainer(4, 0, 10, 11);
+        let first = a.run_rounds(3, &mut scratch, || true).unwrap();
+        assert_eq!(scratch.pool.len(), 4);
+        let spawned: Vec<_> = scratch.pool.threads().map(|t| t.id()).collect();
+        let (b, _) = make_trainer(4, 0, 10, 11);
+        let second = b.run_rounds(3, &mut scratch, || true).unwrap();
+        assert_eq!(first, second);
+        let reused: Vec<_> = scratch.pool.threads().map(|t| t.id()).collect();
+        assert_eq!(spawned, reused, "threads were respawned between runs");
+    }
+
+    #[test]
+    fn dirty_scratch_reuse_is_bit_invisible_across_topologies() {
+        // One scratch reused across a 4-worker honest run, an 11-worker
+        // attacked run, and back, alternating paths — the sweep-executor
+        // usage pattern. Every history must equal its fresh-scratch
+        // inline counterpart exactly.
+        let honest = || make_trainer(4, 0, 12, 11).0;
+        let armed = || attacked(make_trainer(11, 5, 8, 11).0);
+        let fresh_a = run_path(honest(), 3, false);
+        let fresh_b = run_path(armed(), 4, false);
+        let mut scratch = RunScratch::new();
+        for leased in [true, false, true] {
+            let a = honest().run_rounds(3, &mut scratch, || leased).unwrap();
+            assert_eq!(a, fresh_a, "honest, leased = {leased}");
+            let b = armed().run_rounds(4, &mut scratch, || !leased).unwrap();
+            assert_eq!(b, fresh_b, "attacked, leased = {}", !leased);
+        }
     }
 
     #[test]

@@ -1,6 +1,9 @@
-//! The one thread pool behind both multi-threaded hot paths: the threaded
-//! training engine (a packet per honest worker) and intra-round GAR
-//! sharding (a packet per shard). Without `unsafe` a persistent thread
+//! The thread pool type behind both multi-threaded hot paths, as two
+//! pools with their own owners: the training engine's worker pool (a
+//! packet per honest worker, owned by the run's scratch and used only by
+//! runs whose per-worker work is large) and the GAR's shard pool (a
+//! packet per shard, owned by the GAR scratch and sized by
+//! `agg_threads`). Without `unsafe` a persistent thread
 //! cannot borrow the caller's buffers, so each packet owns its inputs and
 //! outputs and travels to its thread and back through a one-slot
 //! `Mutex` + `Condvar` mailbox. Packets stay with the pool between

@@ -2,13 +2,15 @@
 //! training round performs **zero** heap allocations for the `average`,
 //! `krum`, and `median` cells with the Gaussian mechanism, and for the
 //! paper's §5.1 cell (MDA + Gaussian + ALIE + worker momentum) — on
-//! **both** in-process engines and over the simulated network — and for
-//! Theorem 1's mean-estimation cell at d = 1000, whose workers synthesize
-//! fresh rows every step. The threaded cases cover the thread hop too:
-//! leasing each worker's packet to its pool thread, reclaiming it, and
-//! swapping its output into the server's output slots all stay
-//! allocation-free once warm. Over TCP
-//! the bound is a small constant per round instead.
+//! **both** paths of the in-process engine and over the simulated
+//! network — and for Theorem 1's mean-estimation cell at d = 1000, whose
+//! workers synthesize fresh rows every step. The `threaded_` cases run at
+//! a batch size large enough that the engine leases each worker to its
+//! own pool thread, so they cover the thread hop too: leasing each
+//! worker's packet, reclaiming it, and swapping its output into the
+//! server's output slots all stay allocation-free once warm. Every case
+//! checks which path it took. Over TCP the bound is a small constant per
+//! round instead.
 //!
 //! A counting global allocator snapshots the cumulative allocation count
 //! at every step (via a passive observer); the per-round deltas over the
@@ -23,14 +25,16 @@
 use dpbyz::attacks::{Attack, LittleIsEnough};
 use dpbyz::data::sampler::{BatchSource, DatasetSource, SamplingMode};
 use dpbyz::data::synthetic::{self, MeanEstimation, MeanEstimationSource};
+use dpbyz::data::Batch;
 use dpbyz::dp::{GaussianMechanism, Mechanism};
 use dpbyz::gars::{Average, CoordinateMedian, Gar, Krum, Mda};
 use dpbyz::models::{LogisticRegression, LossKind, Model, QuadraticMean};
-use dpbyz::server::{FnObserver, MomentumMode, ThreadedTrainer, Trainer, TrainingConfig};
+use dpbyz::server::{FnObserver, MomentumMode, Trainer, TrainingConfig};
 use dpbyz::tensor::Prng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// Counts every allocation event (alloc, alloc_zeroed, realloc) while
@@ -106,14 +110,65 @@ enum Cell {
     MeanEstimation,
 }
 
+/// Per-worker batch size of a cell. The engine leases its workers to
+/// threads once `batch_size × dim` reaches its cutoff: these sit well
+/// below it (inline) or well above it (leased) for both models.
+fn batch_size(cell: Cell, leased: bool) -> usize {
+    match (cell, leased) {
+        (Cell::MeanEstimation, false) => 5,
+        (Cell::MeanEstimation, true) => 50,
+        (_, false) => 10,
+        (_, true) => 500,
+    }
+}
+
+/// A batch source that counts the batches drawn off the thread that
+/// built it: nonzero exactly when the engine leased its workers.
+struct CountingOffThread {
+    inner: Box<dyn BatchSource>,
+    home: ThreadId,
+    off_thread: Arc<AtomicU64>,
+}
+
+impl BatchSource for CountingOffThread {
+    fn num_features(&self) -> usize {
+        self.inner.num_features()
+    }
+
+    fn next_batch_into(&mut self, batch_size: usize, rng: &mut Prng, out: &mut Batch) {
+        if std::thread::current().id() != self.home {
+            self.off_thread.fetch_add(1, Ordering::Relaxed);
+        }
+        self.inner.next_batch_into(batch_size, rng, out);
+    }
+}
+
+/// What a counting run leaves behind: the cumulative allocation count at
+/// the end of every step, and how many batches were drawn off the
+/// driving thread.
+struct Record {
+    snapshots: Arc<Mutex<Vec<u64>>>,
+    off_thread: Arc<AtomicU64>,
+}
+
+impl Record {
+    fn counts(self) -> Vec<u64> {
+        Arc::try_unwrap(self.snapshots)
+            .unwrap()
+            .into_inner()
+            .unwrap()
+    }
+}
+
 /// A trainer for `cell` whose observer records the cumulative allocation
 /// count at the end of every step, plus the shared record. The record is
 /// pre-reserved so the observer itself never allocates on the hot path.
 fn counting_trainer(
     gar: Arc<dyn Gar>,
     cell: Cell,
+    leased: bool,
     agg_threads: usize,
-) -> (Trainer, Arc<Mutex<Vec<u64>>>) {
+) -> (Trainer, Record) {
     let (n, f) = match cell {
         Cell::Honest | Cell::MeanEstimation => (5, 0),
         Cell::Paper => (11, 5),
@@ -144,9 +199,21 @@ fn counting_trainer(
             )
         }
     };
+    let off_thread = Arc::new(AtomicU64::new(0));
+    let home = std::thread::current().id();
+    let sources = sources
+        .into_iter()
+        .map(|inner| {
+            Box::new(CountingOffThread {
+                inner,
+                home,
+                off_thread: off_thread.clone(),
+            }) as Box<dyn BatchSource>
+        })
+        .collect();
     let mut config = TrainingConfig::builder()
         .workers(n, f)
-        .batch_size(10)
+        .batch_size(batch_size(cell, leased))
         .steps(STEPS)
         .eval_every(0)
         .agg_threads(agg_threads);
@@ -164,7 +231,13 @@ fn counting_trainer(
     if let Cell::Paper = cell {
         trainer = trainer.attack(Arc::new(LittleIsEnough::new(1.5)) as Arc<dyn Attack>);
     }
-    (trainer, snapshots)
+    (
+        trainer,
+        Record {
+            snapshots,
+            off_thread,
+        },
+    )
 }
 
 /// Runs one honest cell on the sequential engine and returns the
@@ -173,25 +246,33 @@ fn per_step_allocation_counts(gar: Arc<dyn Gar>) -> Vec<u64> {
     per_step_allocation_counts_on(gar, Cell::Honest, false, 1)
 }
 
-/// [`per_step_allocation_counts`] with cell, engine selection and
-/// intra-round aggregation parallelism: `threaded` exercises the leased
-/// worker packets (lease → pool thread → reclaim) under the counting
-/// allocator; `agg_threads > 1` shards the GAR's coordinate/candidate
-/// loops over the compute pool, whose task packets must also recycle
-/// allocation-free once warm (worker threads land in round 1).
+/// [`per_step_allocation_counts`] with cell, shape and intra-round
+/// aggregation parallelism: `leased` picks a batch size at which the
+/// engine runs its worker packets on pool threads (lease → pool thread →
+/// reclaim) under the counting allocator, and checks that it did;
+/// `agg_threads > 1` shards the GAR's coordinate/candidate loops over the
+/// compute pool, whose task packets must also recycle allocation-free
+/// once warm (worker threads land in round 1).
 fn per_step_allocation_counts_on(
     gar: Arc<dyn Gar>,
     cell: Cell,
-    threaded: bool,
+    leased: bool,
     agg_threads: usize,
 ) -> Vec<u64> {
-    let (trainer, snapshots) = counting_trainer(gar, cell, agg_threads);
-    if threaded {
-        ThreadedTrainer::from(trainer).run(1).unwrap();
-    } else {
-        trainer.run(1).unwrap();
-    }
-    Arc::try_unwrap(snapshots).unwrap().into_inner().unwrap()
+    let (trainer, record) = counting_trainer(gar, cell, leased, agg_threads);
+    trainer.run(1).unwrap();
+    let off_thread = record.off_thread.load(Ordering::Relaxed);
+    // The run executes alone (`serial`), so it leases whenever the
+    // machine has a second core.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let leased = leased && cores > 1;
+    assert_eq!(
+        off_thread > 0,
+        leased,
+        "expected the {} path, {off_thread} batches drawn off the driving thread",
+        if leased { "leased" } else { "inline" }
+    );
+    record.counts()
 }
 
 fn assert_steady_state_allocation_free(name: &str, counts: &[u64]) {
@@ -232,8 +313,8 @@ fn median_cell_is_allocation_free_at_steady_state() {
     assert_steady_state_allocation_free("median/gaussian", &counts);
 }
 
-// The threaded engine reaches the same zero-allocations-per-round steady
-// state as the serial one: each worker's packet (broadcast-parameter
+// The leased path reaches the same zero-allocations-per-round steady
+// state as the inline one: each worker's packet (broadcast-parameter
 // copy, output vectors) stays with its pool thread, and the output swap
 // hands the server's recycled vectors back to the packet every round.
 
@@ -241,14 +322,14 @@ fn median_cell_is_allocation_free_at_steady_state() {
 fn threaded_average_cell_is_allocation_free_at_steady_state() {
     let _serial = serial();
     let counts = per_step_allocation_counts_on(Arc::new(Average::new()), Cell::Honest, true, 1);
-    assert_steady_state_allocation_free("threaded/average/gaussian", &counts);
+    assert_steady_state_allocation_free("leased/average/gaussian", &counts);
 }
 
 #[test]
 fn threaded_krum_cell_is_allocation_free_at_steady_state() {
     let _serial = serial();
     let counts = per_step_allocation_counts_on(Arc::new(Krum::new()), Cell::Honest, true, 1);
-    assert_steady_state_allocation_free("threaded/krum/gaussian", &counts);
+    assert_steady_state_allocation_free("leased/krum/gaussian", &counts);
 }
 
 #[test]
@@ -256,7 +337,7 @@ fn threaded_median_cell_is_allocation_free_at_steady_state() {
     let _serial = serial();
     let counts =
         per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), Cell::Honest, true, 1);
-    assert_steady_state_allocation_free("threaded/median/gaussian", &counts);
+    assert_steady_state_allocation_free("leased/median/gaussian", &counts);
 }
 
 // The paper's §5.1 cell — the one the benchmark runs — stays
@@ -275,7 +356,7 @@ fn paper_mda_alie_cell_is_allocation_free_at_steady_state() {
 fn threaded_paper_mda_alie_cell_is_allocation_free_at_steady_state() {
     let _serial = serial();
     let counts = per_step_allocation_counts_on(Arc::new(Mda::new()), Cell::Paper, true, 1);
-    assert_steady_state_allocation_free("threaded/mda/gaussian/alie/worker-momentum", &counts);
+    assert_steady_state_allocation_free("leased/mda/gaussian/alie/worker-momentum", &counts);
 }
 
 // The intra-round parallel aggregation path (`agg_threads > 1`) reaches
@@ -304,7 +385,7 @@ fn threaded_parallel_median_cell_is_allocation_free_at_steady_state() {
     let _serial = serial();
     let counts =
         per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), Cell::Honest, true, 4);
-    assert_steady_state_allocation_free("threaded/median/gaussian/agg_threads=4", &counts);
+    assert_steady_state_allocation_free("leased/median/gaussian/agg_threads=4", &counts);
 }
 
 // Mean estimation synthesizes its rows instead of selecting them: each
@@ -333,7 +414,7 @@ fn per_step_allocation_counts_sim(gar: Arc<dyn Gar>, cell: Cell, chaos: Option<u
     use dpbyz::net::{drive, Deployment, FaultPlan, SimNet};
     use dpbyz::RunScratch;
 
-    let (trainer, snapshots) = counting_trainer(gar, cell, 1);
+    let (trainer, record) = counting_trainer(gar, cell, false, 1);
     let mut scratch = RunScratch::new();
     let (core, workers) = trainer.into_distributed_parts(1, &mut scratch);
     let n = workers.len();
@@ -348,7 +429,7 @@ fn per_step_allocation_counts_sim(gar: Arc<dyn Gar>, cell: Cell, chaos: Option<u
     let staleness = core.config().staleness_window;
     let mut net = SimNet::new(workers, &plan, 1, 2, deployment.resume_window, staleness);
     drive(&mut net, core, machine, 1, &mut scratch).unwrap();
-    Arc::try_unwrap(snapshots).unwrap().into_inner().unwrap()
+    record.counts()
 }
 
 // The wire frames, their tags, the delivery queue and the worker
@@ -381,7 +462,7 @@ fn per_step_allocation_counts_tcp(gar: Arc<dyn Gar>) -> Vec<u64> {
     use dpbyz::RunScratch;
 
     let n = 5;
-    let (trainer, snapshots) = counting_trainer(gar, Cell::Honest, 1);
+    let (trainer, record) = counting_trainer(gar, Cell::Honest, false, 1);
 
     let mut scratch = RunScratch::new();
     let (core, workers) = trainer.into_distributed_parts(1, &mut scratch);
@@ -406,7 +487,7 @@ fn per_step_allocation_counts_tcp(gar: Arc<dyn Gar>) -> Vec<u64> {
     for handle in handles {
         handle.join().unwrap().unwrap();
     }
-    Arc::try_unwrap(snapshots).unwrap().into_inner().unwrap()
+    record.counts()
 }
 
 /// The socket engine keeps per-round allocations bounded once warm: both

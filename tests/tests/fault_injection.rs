@@ -1,8 +1,7 @@
 //! Fault injection (§2.1: non-received gradients become zero vectors) and
-//! the §7 extensions, exercised end-to-end across both engines.
+//! the §7 extensions, exercised end-to-end.
 
 use dpbyz_core::pipeline::{Experiment, FigureConfig};
-use dpbyz_server::BatchGrowth;
 
 fn base(steps: u32) -> Experiment {
     Experiment::paper_figure(FigureConfig {
@@ -34,28 +33,6 @@ fn training_survives_moderate_drops() {
         "training failed under 20% drops"
     );
     assert!(h.final_accuracy().unwrap() > 0.75);
-}
-
-#[test]
-fn threaded_equals_sequential_with_all_extensions() {
-    // Drops + EMA + batch growth + DP + attack, both engines: the
-    // strongest determinism contract in the workspace.
-    let configure = |threaded: bool| {
-        let mut exp = base(15);
-        exp.config.drop_rate = 0.25;
-        exp.config.gradient_ema = Some(0.9);
-        exp.config.batch_growth = Some(BatchGrowth {
-            factor: 1.05,
-            max: 100,
-        });
-        exp.backend = if threaded { "threaded" } else { "sequential" }.into();
-        exp
-    };
-    for seed in [1u64, 13] {
-        let seq = configure(false).run(seed).expect("sequential runs");
-        let thr = configure(true).run(seed).expect("threaded runs");
-        assert_eq!(seq, thr, "engines diverged at seed {seed}");
-    }
 }
 
 #[test]

@@ -6,9 +6,7 @@ use dpbyz_core::registry::ComponentSpec;
 use dpbyz_server::TrainingConfig;
 
 /// One matrix cell over registry specs, with the pinned protocol config
-/// written out. Returns the sequential
-/// run's tail loss after asserting the threaded engine reproduces it
-/// bit-for-bit.
+/// written out. Returns the run's tail loss.
 fn run_spec_attack(gar: ComponentSpec, attack: ComponentSpec, f: usize) -> f64 {
     let config = TrainingConfig::builder()
         .workers(11, f)
@@ -21,7 +19,7 @@ fn run_spec_attack(gar: ComponentSpec, attack: ComponentSpec, f: usize) -> f64 {
         .eval_every(0)
         .build()
         .expect("valid");
-    let mut exp = Experiment {
+    let exp = Experiment {
         workload: Workload::PhishingLike {
             data_seed: 0xD1B2_2021,
             size: 1500,
@@ -34,17 +32,7 @@ fn run_spec_attack(gar: ComponentSpec, attack: ComponentSpec, f: usize) -> f64 {
         backend: "sequential".into(),
         dp_reference_g_max: None,
     };
-    let sequential = exp.run(1).expect("runs");
-    exp.backend = "threaded".into();
-    let threaded = exp.run(1).expect("threaded runs");
-    assert_eq!(
-        sequential,
-        threaded,
-        "{}/{} diverged across engines",
-        exp.gar.id,
-        exp.attack.as_ref().unwrap().id
-    );
-    sequential.tail_loss(10)
+    exp.run(1).expect("runs").tail_loss(10)
 }
 
 fn run_gar_attack(gar: &str, attack: ComponentSpec, f: usize) -> f64 {
@@ -151,7 +139,7 @@ fn zero_attack_slows_but_does_not_poison() {
 
 /// The scenario-pack components crossed: centered clipping and bucketing
 /// against IPM and the norm-rescaling probe (plus the table-stakes
-/// large-norm), each cell also asserting sequential ≡ threaded.
+/// large-norm).
 #[test]
 fn centered_clipping_survives_the_new_attack_matrix() {
     let clean = clean_reference();

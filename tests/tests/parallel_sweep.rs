@@ -1,7 +1,8 @@
 //! Determinism suite for the parallel sweep executor: histories produced
 //! by `SweepBuilder` / `Experiment::run_seeds_parallel` must be
-//! **bit-identical** to the serial `run_seeds` loop — across both engines
-//! (`Trainer` and `ThreadedTrainer`) and across pool sizes 1, 2, and 8.
+//! **bit-identical** to the serial `run_seeds` loop — on both paths of
+//! the in-process engine (workers inline, or leased to the engine's own
+//! threads at large per-worker work) and across pool sizes 1, 2, and 8.
 //!
 //! `RunHistory`'s `PartialEq` compares float *bit patterns* (see
 //! `dpbyz-server`), so equality here is the strongest claim available:
@@ -15,21 +16,27 @@ const SEEDS: [u64; 4] = [1, 2, 3, 4];
 
 /// A DP + attacked cell: exercises the attack and noise RNG streams, the
 /// parts most sensitive to ordering bugs.
-fn attacked_experiment(threaded: bool) -> Experiment {
+fn attacked_experiment() -> Experiment {
+    attacked_builder().build().unwrap()
+}
+
+fn attacked_builder() -> ExperimentBuilder {
     Experiment::builder()
         .steps(6)
         .dataset_size(250)
         .gar("mda")
         .attack("alie")
         .epsilon(0.2)
-        .threaded(threaded)
-        .build()
-        .unwrap()
 }
+
+/// A batch size at which the engine leases each honest worker to its own
+/// pool thread while a core is free (b·d = 200 × 69 is well above the
+/// cutoff).
+const LEASED_BATCH: usize = 200;
 
 #[test]
 fn run_seeds_parallel_matches_serial_on_sequential_engine() {
-    let exp = attacked_experiment(false);
+    let exp = attacked_experiment();
     let serial = exp.run_seeds(&SEEDS).unwrap();
     for pool in POOL_SIZES {
         let parallel = exp.run_seeds_parallel(&SEEDS, Some(pool)).unwrap();
@@ -40,16 +47,15 @@ fn run_seeds_parallel_matches_serial_on_sequential_engine() {
 }
 
 #[test]
-fn run_seeds_parallel_matches_serial_on_threaded_engine() {
-    let exp = attacked_experiment(true);
+fn run_seeds_parallel_matches_serial_with_leased_workers() {
+    // The serial loop leases; the parallel jobs lease only in rounds
+    // where fewer jobs run than there are cores.
+    let exp = attacked_builder().batch_size(LEASED_BATCH).build().unwrap();
     let serial = exp.run_seeds(&SEEDS).unwrap();
     for pool in POOL_SIZES {
         let parallel = exp.run_seeds_parallel(&SEEDS, Some(pool)).unwrap();
-        assert_eq!(serial, parallel, "pool size {pool} (threaded engine)");
+        assert_eq!(serial, parallel, "pool size {pool} (leased workers)");
     }
-    // And the threaded engine agrees with the sequential one end-to-end.
-    let sequential = attacked_experiment(false).run_seeds(&SEEDS).unwrap();
-    assert_eq!(serial, sequential);
 }
 
 #[test]
@@ -87,40 +93,12 @@ fn sweep_grid_is_bit_identical_to_serial_loops_at_every_pool_size() {
 }
 
 #[test]
-fn sweep_covers_both_engines_identically() {
-    // The same grid run on the threaded engine must produce the same
-    // bits as on the sequential engine, through the executor.
-    let run_with = |threaded: bool| {
-        SweepBuilder::over(
-            Experiment::builder()
-                .steps(4)
-                .dataset_size(250)
-                .gar("median")
-                .attack("sign-flip")
-                .byzantine(2)
-                .threaded(threaded),
-        )
-        .with_no_dp()
-        .epsilons(&[0.2])
-        .seeds(&[1, 2])
-        .pool_size(4)
-        .run()
-        .unwrap()
-    };
-    let sequential = run_with(false);
-    let threaded = run_with(true);
-    for (a, b) in sequential.cells.iter().zip(&threaded.cells) {
-        assert_eq!(a.histories, b.histories, "cell {}", a.label);
-    }
-}
-
-#[test]
 fn zero_copy_engine_is_bit_identical_across_gars_engines_and_pool_sizes() {
     // Determinism gate for the buffer-reusing round engine: cells chosen
     // to exercise every scratch path (mean_into, the shared Krum distance
     // matrix, Bulyan's index-based selection, MDA's subset search, the
     // coordinate statistics) plus the in-place Gaussian mechanism and
-    // forged-vector reuse, on both engines, serial and pools 1/2/8.
+    // forged-vector reuse, serial and pools 1/2/8.
     let cells: [(&str, &str, usize); 5] = [
         ("average", "", 0),
         ("krum", "alie", 2),
@@ -129,61 +107,39 @@ fn zero_copy_engine_is_bit_identical_across_gars_engines_and_pool_sizes() {
         ("bulyan", "foe", 2),
     ];
     for (gar, attack, f) in cells {
-        for threaded in [false, true] {
-            let mut builder = Experiment::builder()
-                .steps(5)
-                .dataset_size(250)
-                .gar(gar)
-                .byzantine(f)
-                .epsilon(0.3)
-                .threaded(threaded);
-            if !attack.is_empty() {
-                builder = builder.attack(attack);
-            }
-            let exp = builder.build().unwrap();
-            let serial = exp.run_seeds(&SEEDS).unwrap();
-            for pool in POOL_SIZES {
-                let parallel = exp.run_seeds_parallel(&SEEDS, Some(pool)).unwrap();
-                assert_eq!(
-                    serial, parallel,
-                    "{gar}/{attack}: pool {pool}, threaded {threaded}"
-                );
-            }
-        }
-        // Sequential and threaded engines agree on the same cell.
-        let mut seq_builder = Experiment::builder()
+        let mut builder = Experiment::builder()
             .steps(5)
             .dataset_size(250)
             .gar(gar)
             .byzantine(f)
             .epsilon(0.3);
-        let mut thr_builder = seq_builder.clone().threaded(true);
         if !attack.is_empty() {
-            seq_builder = seq_builder.attack(attack);
-            thr_builder = thr_builder.attack(attack);
+            builder = builder.attack(attack);
         }
-        assert_eq!(
-            seq_builder.build().unwrap().run_seeds(&SEEDS).unwrap(),
-            thr_builder.build().unwrap().run_seeds(&SEEDS).unwrap(),
-            "{gar}/{attack}: engines disagree"
-        );
+        let exp = builder.build().unwrap();
+        let serial = exp.run_seeds(&SEEDS).unwrap();
+        for pool in POOL_SIZES {
+            let parallel = exp.run_seeds_parallel(&SEEDS, Some(pool)).unwrap();
+            assert_eq!(serial, parallel, "{gar}/{attack}: pool {pool}");
+        }
     }
 }
 
 #[test]
-fn agg_threads_keeps_histories_bit_identical_on_both_engines() {
+fn agg_threads_keeps_histories_bit_identical_on_both_paths() {
     // The intra-round aggregation pool (`agg_threads`) is the orthogonal
     // parallel axis: it shards the GAR's coordinate/candidate loops
     // *inside* a round. Any thread count must reproduce the serial
-    // history bit for bit, on both engines — cells pick rules from the
-    // sharded coordinate family and the Krum family.
+    // history bit for bit, with the workers inline (b = 25) or leased
+    // (b = LEASED_BATCH) — cells pick rules from the sharded coordinate
+    // family and the Krum family.
     let cells: [(&str, &str, usize); 3] = [
         ("median", "sign-flip", 3),
         ("krum", "alie", 2),
         ("phocas", "foe", 3),
     ];
     for (gar, attack, f) in cells {
-        for threaded in [false, true] {
+        for batch in [25, LEASED_BATCH] {
             let build = |threads: usize| {
                 Experiment::builder()
                     .steps(5)
@@ -192,7 +148,7 @@ fn agg_threads_keeps_histories_bit_identical_on_both_engines() {
                     .attack(attack)
                     .byzantine(f)
                     .epsilon(0.3)
-                    .threaded(threaded)
+                    .batch_size(batch)
                     .agg_threads(threads)
                     .build()
                     .unwrap()
@@ -202,7 +158,7 @@ fn agg_threads_keeps_histories_bit_identical_on_both_engines() {
                 let parallel = build(threads).run_seeds(&SEEDS).unwrap();
                 assert_eq!(
                     serial, parallel,
-                    "{gar}/{attack}: agg_threads {threads}, threaded {threaded}"
+                    "{gar}/{attack}: agg_threads {threads}, batch {batch}"
                 );
             }
         }
@@ -211,7 +167,7 @@ fn agg_threads_keeps_histories_bit_identical_on_both_engines() {
 
 #[test]
 fn observers_stream_without_perturbing_parallel_results() {
-    let exp = attacked_experiment(false);
+    let exp = attacked_experiment();
     let serial = exp.run_seeds(&SEEDS).unwrap();
     let streamed = Arc::new(Mutex::new(0usize));
     let counter = streamed.clone();
@@ -234,7 +190,7 @@ fn observers_stream_without_perturbing_parallel_results() {
 
 #[test]
 fn empty_seed_lists_error_instead_of_returning_empty() {
-    let exp = attacked_experiment(false);
+    let exp = attacked_experiment();
     assert!(matches!(exp.run_seeds(&[]), Err(PipelineError::Spec(_))));
     assert!(matches!(
         exp.run_seeds_parallel(&[], Some(2)),

@@ -15,7 +15,7 @@ fn quick_base() -> ExperimentBuilder {
 
 /// The acceptance gate: `with_pack("attack-zoo")` — every registered GAR
 /// × every registered attack — runs end-to-end and produces bit-identical
-/// histories at pool sizes 1 and 8, on both engines.
+/// histories at pool sizes 1 and 8.
 ///
 /// The pack is expanded ONCE and replayed as explicit cells for the two
 /// pool sizes: other tests in this binary may register components
@@ -23,40 +23,38 @@ fn quick_base() -> ExperimentBuilder {
 /// so expanding twice could legitimately see different zoos.
 #[test]
 fn attack_zoo_is_bit_identical_at_pool_sizes_1_and_8() {
-    for threaded in [false, true] {
-        let cells: Vec<SweepCell> = SweepBuilder::over(quick_base().threaded(threaded))
-            .with_pack("attack-zoo")
-            .cells()
-            .expect("attack-zoo expands");
-        assert!(cells.len() >= 9 * 9, "zoo too small: {} cells", cells.len());
-        // The four new components are in the zoo.
-        for label in [
-            "attack-zoo/centered-clipping/alie",
-            "attack-zoo/bucketing/alie",
-            "attack-zoo/mda/ipm",
-            "attack-zoo/mda/rescaling",
-        ] {
-            assert!(cells.iter().any(|c| c.label == label), "missing {label}");
-        }
+    let cells: Vec<SweepCell> = SweepBuilder::over(quick_base())
+        .with_pack("attack-zoo")
+        .cells()
+        .expect("attack-zoo expands");
+    assert!(cells.len() >= 9 * 9, "zoo too small: {} cells", cells.len());
+    // The four new components are in the zoo.
+    for label in [
+        "attack-zoo/centered-clipping/alie",
+        "attack-zoo/bucketing/alie",
+        "attack-zoo/mda/ipm",
+        "attack-zoo/mda/rescaling",
+    ] {
+        assert!(cells.iter().any(|c| c.label == label), "missing {label}");
+    }
 
-        let run = |pool: usize| {
-            let mut sweep = SweepBuilder::new().seeds(&[1]).pool_size(pool);
-            for cell in &cells {
-                sweep = sweep.cell(cell.label.clone(), cell.experiment.clone());
-            }
-            sweep.run().expect("attack-zoo runs")
-        };
-        let serial = run(1);
-        let parallel = run(8);
-        assert_eq!(serial.cells.len(), cells.len());
-        for (a, b) in serial.cells.iter().zip(&parallel.cells) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(
-                a.histories, b.histories,
-                "cell {} diverged across pool sizes (threaded = {threaded})",
-                a.label
-            );
+    let run = |pool: usize| {
+        let mut sweep = SweepBuilder::new().seeds(&[1]).pool_size(pool);
+        for cell in &cells {
+            sweep = sweep.cell(cell.label.clone(), cell.experiment.clone());
         }
+        sweep.run().expect("attack-zoo runs")
+    };
+    let serial = run(1);
+    let parallel = run(8);
+    assert_eq!(serial.cells.len(), cells.len());
+    for (a, b) in serial.cells.iter().zip(&parallel.cells) {
+        assert_eq!(a.label, b.label);
+        assert_eq!(
+            a.histories, b.histories,
+            "cell {} diverged across pool sizes",
+            a.label
+        );
     }
 }
 
