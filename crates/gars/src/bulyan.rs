@@ -105,7 +105,7 @@ impl Gar for Bulyan {
                 }
             },
             out.as_mut_slice(),
-        );
+        )?;
         Ok(())
         // lint:end(zero-copy)
     }

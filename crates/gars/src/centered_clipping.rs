@@ -119,7 +119,7 @@ impl Gar for CenteredClipping {
                 for (i, g) in gradients.iter().enumerate() {
                     col[i] = g[j];
                 }
-                out[j] = stats::median_with(col, sort_buf).expect("n >= 1"); // lint:allow(panic-unwrap, reason = "check_input validated a non-empty cohort above")
+                out[j] = stats::median_with(col, sort_buf)?;
             }
         }
 

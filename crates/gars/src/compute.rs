@@ -27,6 +27,7 @@
 //! topology's shape and steady-state rounds allocate nothing, pinned by
 //! `tests/tests/alloc_steady_state.rs`.
 
+use crate::GarError;
 use dpbyz_tensor::{stats, Lease, LeasePool};
 use std::fmt;
 use std::ops::Range;
@@ -68,24 +69,25 @@ pub(crate) enum ShardOp {
 /// Evaluates `op` over one item's packed values — the **single**
 /// implementation both the serial and the sharded path run, which is what
 /// makes pool-size bit-identity structural. Each arm performs exactly the
-/// statistics calls the pre-parallel GAR bodies performed.
-pub(crate) fn eval_item(op: ShardOp, values: &[f64], sort_buf: &mut Vec<f64>) -> f64 {
-    match op {
-        ShardOp::Median => stats::median_with(values, sort_buf).expect("non-empty column"), // lint:allow(panic-unwrap, reason = "callers validate a non-empty cohort before sharding")
-        ShardOp::TrimmedMean { trim } => {
-            stats::trimmed_mean_with(values, trim, sort_buf).expect("2f < n") // lint:allow(panic-unwrap, reason = "2f < n is enforced by the caller's tolerance check")
-        }
+/// statistics calls the pre-parallel GAR bodies performed. Callers
+/// validate the cohort first, so the only error left is NaN input.
+pub(crate) fn eval_item(
+    op: ShardOp,
+    values: &[f64],
+    sort_buf: &mut Vec<f64>,
+) -> Result<f64, GarError> {
+    Ok(match op {
+        ShardOp::Median => stats::median_with(values, sort_buf)?,
+        ShardOp::TrimmedMean { trim } => stats::trimmed_mean_with(values, trim, sort_buf)?,
         ShardOp::MeanAroundMedian { keep } => {
-            let med = stats::median_with(values, sort_buf).expect("non-empty column"); // lint:allow(panic-unwrap, reason = "callers validate a non-empty cohort before sharding")
-                                                                                       // lint:allow(panic-unwrap, reason = "keep <= n by construction from the caller's tolerance check")
-            stats::mean_around_with(values, med, keep, sort_buf).expect("keep <= n")
+            let med = stats::median_with(values, sort_buf)?;
+            stats::mean_around_with(values, med, keep, sort_buf)?
         }
         ShardOp::MeanAroundTrimmedMean { trim, keep } => {
-            let tm = stats::trimmed_mean_with(values, trim, sort_buf).expect("2f < n"); // lint:allow(panic-unwrap, reason = "2f < n is enforced by the caller's tolerance check")
-                                                                                        // lint:allow(panic-unwrap, reason = "keep <= n by construction from the caller's tolerance check")
-            stats::mean_around_with(values, tm, keep, sort_buf).expect("keep <= n")
+            let tm = stats::trimmed_mean_with(values, trim, sort_buf)?;
+            stats::mean_around_with(values, tm, keep, sort_buf)?
         }
-    }
+    })
 }
 
 /// One shard's owned work packet: `items` consecutive items starting at
@@ -101,17 +103,26 @@ pub(crate) struct ShardTask {
     values: Vec<f64>,
     out: Vec<f64>,
     sort_buf: Vec<f64>,
+    /// Why evaluation stopped short of `items`, if it did; taken when
+    /// the task is reclaimed.
+    failed: Option<GarError>,
 }
 
-/// Evaluates every item of the task into its `out` buffer.
+/// Evaluates every item of the task into its `out` buffer, stopping at
+/// the first that fails.
 impl Lease for ShardTask {
     fn run(&mut self) {
         // lint:begin(zero-copy)
         self.out.clear();
         for i in 0..self.items {
             let values = &self.values[i * self.rows..(i + 1) * self.rows];
-            self.out
-                .push(eval_item(self.op, values, &mut self.sort_buf));
+            match eval_item(self.op, values, &mut self.sort_buf) {
+                Ok(x) => self.out.push(x),
+                Err(e) => {
+                    self.failed = Some(e);
+                    break;
+                }
+            }
         }
         // lint:end(zero-copy)
     }
@@ -182,6 +193,11 @@ impl ComputePool {
 /// regardless of which thread runs it. At pool size 1 this is exactly the
 /// historical serial loop (pack one column, evaluate, store) with no
 /// thread, channel, or extra buffer touched.
+///
+/// # Errors
+///
+/// An item's error ([`GarError::NaN`] on NaN input), returned once every
+/// leased task is reclaimed; `out` is then unspecified.
 #[allow(clippy::too_many_arguments)] // flat borrow list: every buffer comes from one GarScratch
 pub(crate) fn run_sharded(
     pool: &mut ComputePool,
@@ -192,21 +208,22 @@ pub(crate) fn run_sharded(
     rows: usize,
     pack: &dyn Fn(Range<usize>, &mut Vec<f64>),
     out: &mut [f64],
-) {
+) -> Result<(), GarError> {
     debug_assert_eq!(out.len(), items, "output slice must cover every item");
     // lint:begin(zero-copy)
     if pool.size() <= 1 {
         for (j, slot) in out.iter_mut().enumerate() {
             pack(j..j + 1, col);
-            *slot = eval_item(op, col, sort_buf);
+            *slot = eval_item(op, col, sort_buf)?;
         }
-        return;
+        return Ok(());
     }
     let size = pool.size();
     pool.ensure_threads();
     let chunk = items.div_ceil(size).clamp(1, MAX_TASK_ITEMS);
     let mut start = 0;
-    while start < items {
+    let mut failed = None;
+    while start < items && failed.is_none() {
         // One wave: hand a task to each worker thread, compute the last
         // shard inline on this thread, then collect in send order. Result
         // placement depends only on each task's `base`, so completion
@@ -228,16 +245,26 @@ pub(crate) fn run_sharded(
             let end = (start + chunk).min(items);
             pack(start..end, col);
             for (i, j) in (start..end).enumerate() {
-                out[j] = eval_item(op, &col[i * rows..(i + 1) * rows], sort_buf);
+                match eval_item(op, &col[i * rows..(i + 1) * rows], sort_buf) {
+                    Ok(x) => out[j] = x,
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
+                    }
+                }
             }
             start = end;
         }
         for lane in 0..sent {
             let task = pool.lanes.reclaim(lane);
-            out[task.base..task.base + task.items].copy_from_slice(&task.out);
+            match task.failed.take() {
+                Some(e) => failed = Some(e),
+                None => out[task.base..task.base + task.items].copy_from_slice(&task.out),
+            }
         }
     }
     // lint:end(zero-copy)
+    failed.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -271,7 +298,8 @@ mod tests {
             rows,
             &ramp_pack(rows),
             &mut out,
-        );
+        )
+        .unwrap();
         out
     }
 
@@ -291,6 +319,48 @@ mod tests {
                     assert_eq!(a.to_bits(), b.to_bits(), "{op:?} at pool size {size}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn nan_is_an_error_at_every_pool_size_and_the_pool_stays_usable() {
+        // Item 100 holds a NaN; every other item is the ramp.
+        let pack = |range: Range<usize>, values: &mut Vec<f64>| {
+            values.clear();
+            for j in range {
+                values.extend((0..9).map(|r| if j == 100 { f64::NAN } else { (j + r) as f64 }));
+            }
+        };
+        for size in [1, 2, 3, 8] {
+            let mut pool = ComputePool::default();
+            pool.set_size(size);
+            let (mut col, mut sort_buf, mut out) = (Vec::new(), Vec::new(), vec![0.0; 257]);
+            for op in [ShardOp::Median, ShardOp::TrimmedMean { trim: 2 }] {
+                let got = run_sharded(
+                    &mut pool,
+                    &mut col,
+                    &mut sort_buf,
+                    op,
+                    257,
+                    9,
+                    &pack,
+                    &mut out,
+                );
+                assert_eq!(got, Err(GarError::NaN), "{op:?} at pool size {size}");
+            }
+            // Every leased task came back: the next call runs as usual.
+            run_sharded(
+                &mut pool,
+                &mut col,
+                &mut sort_buf,
+                ShardOp::Median,
+                257,
+                9,
+                &ramp_pack(9),
+                &mut out,
+            )
+            .unwrap();
+            assert_eq!(out, run_at(1, ShardOp::Median, 257, 9), "pool size {size}");
         }
     }
 
@@ -334,7 +404,8 @@ mod tests {
                 7,
                 &ramp_pack(7),
                 &mut out,
-            );
+            )
+            .unwrap();
         }
         // Every slot's buffers warmed to the shard shape and stayed.
         for lane in 0..pool.lanes.len() {

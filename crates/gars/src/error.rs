@@ -1,5 +1,6 @@
 //! Error type for aggregation.
 
+use dpbyz_tensor::TensorError;
 use std::fmt;
 
 /// Errors produced by gradient aggregation rules.
@@ -23,6 +24,26 @@ pub enum GarError {
         /// Maximum tolerated by this rule at this `n`.
         max: usize,
     },
+    /// A coordinate statistic met a NaN among the gradients — what a
+    /// diverged run submits. The order statistics have no answer for it.
+    NaN,
+}
+
+/// The errors of the coordinate statistics a rule calls, once the rule
+/// has validated its cohort: only NaN input is left to report, and the
+/// shape errors map to their aggregation counterparts.
+impl From<TensorError> for GarError {
+    fn from(e: TensorError) -> Self {
+        match e {
+            TensorError::NaN => GarError::NaN,
+            TensorError::DimensionMismatch { expected, actual } => {
+                GarError::DimensionMismatch { expected, actual }
+            }
+            TensorError::Empty
+            | TensorError::ShapeMismatch { .. }
+            | TensorError::IndexOutOfBounds { .. } => GarError::Empty,
+        }
+    }
 }
 
 impl fmt::Display for GarError {
@@ -36,6 +57,7 @@ impl fmt::Display for GarError {
                 f,
                 "f = {fa} Byzantine workers among n = {n} exceeds this rule's tolerance ({max})"
             ),
+            GarError::NaN => write!(f, "NaN among the gradients' coordinates"),
         }
     }
 }
@@ -62,5 +84,7 @@ mod tests {
         };
         assert!(e.to_string().contains("f = 6"));
         assert!(e.to_string().contains("tolerance (5)"));
+        assert!(GarError::NaN.to_string().contains("NaN"));
+        assert_eq!(GarError::from(TensorError::NaN), GarError::NaN);
     }
 }

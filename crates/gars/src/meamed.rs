@@ -72,7 +72,7 @@ impl Gar for Meamed {
                 }
             },
             out.as_mut_slice(),
-        );
+        )?;
         Ok(())
         // lint:end(zero-copy)
     }

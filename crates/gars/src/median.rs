@@ -70,7 +70,7 @@ impl Gar for CoordinateMedian {
                 }
             },
             out.as_mut_slice(),
-        );
+        )?;
         Ok(())
         // lint:end(zero-copy)
     }

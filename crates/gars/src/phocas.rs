@@ -73,7 +73,7 @@ impl Gar for Phocas {
                 }
             },
             out.as_mut_slice(),
-        );
+        )?;
         Ok(())
         // lint:end(zero-copy)
     }

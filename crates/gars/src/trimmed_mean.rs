@@ -71,7 +71,7 @@ impl Gar for TrimmedMean {
                 }
             },
             out.as_mut_slice(),
-        );
+        )?;
         Ok(())
         // lint:end(zero-copy)
     }

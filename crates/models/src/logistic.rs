@@ -1,7 +1,7 @@
 //! Logistic regression — the paper's evaluation model (§5.1).
 
 use crate::Model;
-use dpbyz_data::Batch;
+use dpbyz_data::{Batch, Dataset};
 use dpbyz_tensor::Vector;
 use serde::{Deserialize, Serialize};
 
@@ -78,41 +78,78 @@ impl LogisticRegression {
         z
     }
 
-    /// Calls `visit(z, x, y)` for every row of `batch` in order, where `z`
-    /// is the row's margin `raw(params, x)`, bit for bit. Margins are
-    /// computed [`MARGIN_BLOCK`] rows at a time with one accumulator per
-    /// row: each row still sums bias first, then features left to right,
-    /// but the block's dependent add chains overlap instead of running
-    /// back to back. The rows left over after the last block go one at a
-    /// time.
-    fn for_each_margin(
+    /// Walks rows `0..len` of `row` in [`MARGIN_BLOCK`]-row blocks, then
+    /// the rows left over after the last block as blocks of one, handing
+    /// each block's margins and rows to `visit` in row order. Each margin
+    /// is `raw(params, x)` bit for bit: one accumulator per row, bias
+    /// first, then features left to right, but a block's dependent add
+    /// chains overlap instead of running back to back.
+    fn walk<'a, V: BlockVisitor>(
         &self,
         params: &Vector,
-        batch: &Batch,
-        mut visit: impl FnMut(f64, &[f64], f64),
+        len: usize,
+        row: impl Fn(usize) -> (&'a [f64], f64),
+        visit: &mut V,
+    ) {
+        let blocked = len - len % MARGIN_BLOCK;
+        for start in (0..blocked).step_by(MARGIN_BLOCK) {
+            self.margin_block::<MARGIN_BLOCK, V>(params, start, &row, visit);
+        }
+        for i in blocked..len {
+            self.margin_block::<1, V>(params, i, &row, visit);
+        }
+    }
+
+    /// The margins of the `R` rows from `start`, handed to `visit`.
+    fn margin_block<'a, const R: usize, V: BlockVisitor>(
+        &self,
+        params: &Vector,
+        start: usize,
+        row: &impl Fn(usize) -> (&'a [f64], f64),
+        visit: &mut V,
     ) {
         let w = params.as_slice();
         let (w, bias) = (&w[..self.num_features], w[self.num_features]);
-        let blocked = batch.len() - batch.len() % MARGIN_BLOCK;
-        for start in (0..blocked).step_by(MARGIN_BLOCK) {
-            let rows: [(&[f64], f64); MARGIN_BLOCK] = std::array::from_fn(|r| {
-                let (x, y) = batch.example(start + r);
-                (&x[..w.len()], y)
-            });
-            let mut z = [bias; MARGIN_BLOCK];
-            for (j, &wj) in w.iter().enumerate() {
-                for (zr, (x, _)) in z.iter_mut().zip(&rows) {
-                    *zr += wj * x[j];
-                }
-            }
-            for (zr, (x, y)) in z.into_iter().zip(rows) {
-                visit(zr, x, y);
+        let rows: [(&[f64], f64); R] = std::array::from_fn(|r| row(start + r));
+        // Rows cut to the weights' length, so the loop below runs without
+        // bounds checks (and vectorizes across the block's rows).
+        let xs: [&[f64]; R] = std::array::from_fn(|r| &rows[r].0[..w.len()]);
+        let mut z = [bias; R];
+        for j in 0..w.len() {
+            let wj = w[j];
+            for r in 0..R {
+                z[r] += wj * xs[r][j];
             }
         }
-        for i in blocked..batch.len() {
-            let (x, y) = batch.example(i);
-            visit(self.raw(params, x), x, y);
-        }
+        visit.block(&z, &rows);
+    }
+
+    /// [`LogisticRegression::walk`] over the rows of `batch`.
+    fn walk_batch<V: BlockVisitor>(&self, params: &Vector, batch: &Batch, visit: &mut V) {
+        self.walk(params, batch.len(), |i| batch.example(i), visit);
+    }
+
+    /// Writes the average gradient over `batch` into `out` and returns
+    /// the summed loss (`0.0` unless `with_loss`).
+    fn gradient_sum(
+        &self,
+        params: &Vector,
+        batch: &Batch,
+        out: &mut Vector,
+        with_loss: bool,
+    ) -> f64 {
+        out.resize(self.dim(), 0.0);
+        out.fill(0.0);
+        let mut sum = GradientSum {
+            model: self,
+            g: out.as_mut_slice(),
+            with_loss,
+            total: 0.0,
+        };
+        self.walk_batch(params, batch, &mut sum);
+        let total = sum.total;
+        out.scale(1.0 / batch.len() as f64);
+        total
     }
 
     /// One row's loss at prediction `p` and label `y`.
@@ -134,13 +171,80 @@ impl LogisticRegression {
             LossKind::CrossEntropy => p - y,
         }
     }
+}
 
-    /// Adds `dz · [x, 1]` into the gradient accumulator `g`.
-    fn accumulate(&self, g: &mut [f64], dz: f64, x: &[f64]) {
-        for (gj, &xj) in g.iter_mut().zip(x) {
-            *gj += dz * xj;
+/// What one [`LogisticRegression::walk`] does with each block of rows.
+trait BlockVisitor {
+    /// Visits `R` consecutive rows as `(x, y)` with their margins `z`.
+    fn block<const R: usize>(&mut self, z: &[f64; R], rows: &[(&[f64], f64); R]);
+}
+
+/// Sums the rows' losses.
+struct LossSum<'m> {
+    model: &'m LogisticRegression,
+    total: f64,
+}
+
+impl BlockVisitor for LossSum<'_> {
+    fn block<const R: usize>(&mut self, z: &[f64; R], rows: &[(&[f64], f64); R]) {
+        for (&zr, &(_, y)) in z.iter().zip(rows) {
+            self.total += self.model.row_loss(sigmoid(zr), y);
         }
-        g[self.num_features] += dz;
+    }
+}
+
+/// Adds every row's `dz · [x, 1]` into `g` (summing the rows' losses too
+/// when `with_loss`). A block is accumulated with one load and one store
+/// of each coordinate: `acc = g[j]`, then `acc += dz_r · x_r[j]` in row
+/// order, then `g[j] = acc` — the row-at-a-time sums, bit for bit.
+struct GradientSum<'m, 'g> {
+    model: &'m LogisticRegression,
+    g: &'g mut [f64],
+    with_loss: bool,
+    total: f64,
+}
+
+impl BlockVisitor for GradientSum<'_, '_> {
+    fn block<const R: usize>(&mut self, z: &[f64; R], rows: &[(&[f64], f64); R]) {
+        let mut dz = [0.0; R];
+        for ((dzr, &zr), &(_, y)) in dz.iter_mut().zip(z).zip(rows) {
+            let p = sigmoid(zr);
+            if self.with_loss {
+                self.total += self.model.row_loss(p, y);
+            }
+            *dzr = self.model.row_dz(p, y);
+        }
+        let (g, bias) = self.g.split_at_mut(self.model.num_features);
+        // Rows cut to the gradient's length, so the coordinate loop runs
+        // without bounds checks and vectorizes across coordinates (each
+        // lane still adds its own coordinate's terms in row order).
+        let xs: [&[f64]; R] = std::array::from_fn(|r| &rows[r].0[..g.len()]);
+        for j in 0..g.len() {
+            let mut acc = g[j];
+            for r in 0..R {
+                acc += dz[r] * xs[r][j];
+            }
+            g[j] = acc;
+        }
+        if let Some(gb) = bias.first_mut() {
+            let mut acc = *gb;
+            for &dzr in &dz {
+                acc += dzr;
+            }
+            *gb = acc;
+        }
+    }
+}
+
+/// Counts the rows whose prediction `sigmoid(z) >= 0.5` matches the label
+/// `y == 1.0`.
+struct CorrectCount(usize);
+
+impl BlockVisitor for CorrectCount {
+    fn block<const R: usize>(&mut self, z: &[f64; R], rows: &[(&[f64], f64); R]) {
+        for (&zr, &(_, y)) in z.iter().zip(rows) {
+            self.0 += usize::from((sigmoid(zr) >= 0.5) == (y == 1.0));
+        }
     }
 }
 
@@ -151,11 +255,12 @@ impl Model for LogisticRegression {
 
     fn loss(&self, params: &Vector, batch: &Batch) -> f64 {
         assert!(!batch.is_empty(), "loss over an empty batch is undefined");
-        let mut total = 0.0;
-        self.for_each_margin(params, batch, |z, _, y| {
-            total += self.row_loss(sigmoid(z), y);
-        });
-        total / batch.len() as f64
+        let mut sum = LossSum {
+            model: self,
+            total: 0.0,
+        };
+        self.walk_batch(params, batch, &mut sum);
+        sum.total / batch.len() as f64
     }
 
     fn gradient_into(&self, params: &Vector, batch: &Batch, out: &mut Vector) {
@@ -163,32 +268,22 @@ impl Model for LogisticRegression {
             !batch.is_empty(),
             "gradient over an empty batch is undefined"
         );
-        out.resize(self.dim(), 0.0);
-        out.fill(0.0);
-        let g = out.as_mut_slice();
-        self.for_each_margin(params, batch, |z, x, y| {
-            self.accumulate(g, self.row_dz(sigmoid(z), y), x);
-        });
-        out.scale(1.0 / batch.len() as f64);
+        self.gradient_sum(params, batch, out, false);
     }
 
     fn loss_and_gradient_into(&self, params: &Vector, batch: &Batch, out: &mut Vector) -> f64 {
         assert!(!batch.is_empty(), "loss over an empty batch is undefined");
-        out.resize(self.dim(), 0.0);
-        out.fill(0.0);
-        let g = out.as_mut_slice();
-        let mut total = 0.0;
-        self.for_each_margin(params, batch, |z, x, y| {
-            let p = sigmoid(z);
-            total += self.row_loss(p, y);
-            self.accumulate(g, self.row_dz(p, y), x);
-        });
-        out.scale(1.0 / batch.len() as f64);
-        total / batch.len() as f64
+        self.gradient_sum(params, batch, out, true) / batch.len() as f64
     }
 
     fn predict(&self, params: &Vector, features: &[f64]) -> f64 {
         sigmoid(self.raw(params, features))
+    }
+
+    fn count_correct(&self, params: &Vector, dataset: &Dataset) -> usize {
+        let mut count = CorrectCount(0);
+        self.walk(params, dataset.len(), |i| dataset.example(i), &mut count);
+        count.0
     }
 }
 
@@ -311,6 +406,52 @@ mod tests {
         batches
     }
 
+    /// Every row a walk visits, as `(margin bits, x, y)`, and the size of
+    /// every block it came in.
+    #[derive(Default)]
+    struct Recorder {
+        rows: Vec<(u64, Vec<f64>, f64)>,
+        blocks: Vec<usize>,
+    }
+
+    impl BlockVisitor for Recorder {
+        fn block<const R: usize>(&mut self, z: &[f64; R], rows: &[(&[f64], f64); R]) {
+            self.blocks.push(R);
+            for (&zr, &(x, y)) in z.iter().zip(rows) {
+                self.rows.push((zr.to_bits(), x.to_vec(), y));
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_count_correct_matches_per_row_predict() {
+        let mut rng = Prng::seed_from_u64(7);
+        let ds = synthetic::phishing_like(&mut rng, 40);
+        let m = LogisticRegression::new(synthetic::PHISHING_FEATURES, LossKind::SigmoidMse);
+        // A margin of -1e-20 is negative, yet its sigmoid rounds to
+        // exactly 0.5, so the row is predicted positive: the threshold is
+        // `sigmoid(z) >= 0.5`, not `z >= 0`.
+        assert_eq!(sigmoid(-1e-20), 0.5);
+        let mut tiny = Vector::zeros(m.dim());
+        tiny[m.dim() - 1] = -1e-20;
+        let params = [rng.normal_vector(m.dim(), 0.5), tiny.clone()];
+        for len in 0..=17 {
+            let rows: Vec<usize> = (0..len).map(|i| (5 * i + len) % ds.len()).collect();
+            let subset = ds.subset(&rows);
+            for p in &params {
+                let per_row = subset
+                    .labels()
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, &y)| (m.predict(p, subset.example(i).0) >= 0.5) == (y == 1.0))
+                    .count();
+                assert_eq!(m.count_correct(p, &subset), per_row, "{len} rows");
+            }
+            let positives = subset.labels().iter().filter(|&&y| y == 1.0).count();
+            assert_eq!(m.count_correct(&tiny, &subset), positives, "{len} rows");
+        }
+    }
+
     #[test]
     fn fused_and_blocked_paths_match_row_reference_bitwise() {
         let mut rng = Prng::seed_from_u64(5);
@@ -321,16 +462,18 @@ mod tests {
             for batch in &batches {
                 let len = batch.len();
                 // The blocked margins, visited in row order, are the
-                // row-at-a-time margins bit for bit.
-                let mut margins = Vec::new();
-                m.for_each_margin(&params, batch, |z, x, y| {
-                    margins.push((z.to_bits(), x.to_vec(), y));
-                });
+                // row-at-a-time margins bit for bit: whole 8-row blocks
+                // first, then the leftover rows one at a time.
+                let mut seen = Recorder::default();
+                m.walk_batch(&params, batch, &mut seen);
                 let expected: Vec<_> = batch
                     .iter()
                     .map(|(x, y)| (m.raw(&params, x).to_bits(), x.to_vec(), y))
                     .collect();
-                assert_eq!(margins, expected, "{kind:?}, {len} rows");
+                assert_eq!(seen.rows, expected, "{kind:?}, {len} rows");
+                let mut sizes = vec![MARGIN_BLOCK; len / MARGIN_BLOCK];
+                sizes.resize(sizes.len() + len % MARGIN_BLOCK, 1);
+                assert_eq!(seen.blocks, sizes, "{kind:?}, {len} rows");
                 if len == 0 {
                     continue;
                 }

@@ -5,7 +5,7 @@ use dpbyz_data::Dataset;
 use dpbyz_tensor::Vector;
 
 /// Binary classification accuracy of `model(params)` on `dataset`,
-/// thresholding the predicted probability at 0.5.
+/// thresholding the predicted probability at 0.5 ([`Model::count_correct`]).
 ///
 /// This is the paper's "cross-accuracy over the entire testing set".
 ///
@@ -14,13 +14,7 @@ use dpbyz_tensor::Vector;
 /// Panics if the dataset is empty.
 pub fn accuracy(model: &dyn Model, params: &Vector, dataset: &Dataset) -> f64 {
     assert!(!dataset.is_empty(), "accuracy over an empty dataset");
-    let correct = (0..dataset.len())
-        .filter(|&i| {
-            let (x, y) = dataset.example(i);
-            (model.predict(params, x) >= 0.5) == (y == 1.0)
-        })
-        .count();
-    correct as f64 / dataset.len() as f64
+    model.count_correct(params, dataset) as f64 / dataset.len() as f64
 }
 
 /// Average loss of `model(params)` over the full dataset.

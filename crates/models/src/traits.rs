@@ -1,6 +1,6 @@
 //! The [`Model`] trait.
 
-use dpbyz_data::Batch;
+use dpbyz_data::{Batch, Dataset};
 use dpbyz_tensor::{Prng, Vector};
 
 /// A differentiable model with externally owned parameters.
@@ -44,6 +44,19 @@ pub trait Model: Send + Sync {
     /// Raw model output for a single feature row (for classifiers: the
     /// probability of class 1).
     fn predict(&self, params: &Vector, features: &[f64]) -> f64;
+
+    /// How many rows of `dataset` the model classifies correctly: rows
+    /// whose prediction, thresholded at 0.5 (`predict(params, x) >= 0.5`),
+    /// agrees with `y == 1.0`. The default predicts row by row; models
+    /// that batch their forward pass override it, with the same count.
+    fn count_correct(&self, params: &Vector, dataset: &Dataset) -> usize {
+        (0..dataset.len())
+            .filter(|&i| {
+                let (x, y) = dataset.example(i);
+                (self.predict(params, x) >= 0.5) == (y == 1.0)
+            })
+            .count()
+    }
 
     /// A fresh parameter vector to start training from. The default is all
     /// zeros (what the paper's convex experiments use); models with

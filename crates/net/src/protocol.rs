@@ -91,7 +91,7 @@ pub const MAX_WIRE_DIM: usize = 1 << 24;
 /// differently: a short read may mean "wait for more bytes", a length
 /// overflow or bad checksum means the frame (and probably the peer) is
 /// garbage.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessageError {
     /// The frame's byte count does not match what its layout requires —
     /// either below the layout's minimum (a zero-length frame lacks even
@@ -212,17 +212,36 @@ pub fn read_array<const N: usize>(frame: &[u8], at: usize) -> Result<[u8; N], Me
 /// clearing it first. The buffer's allocation is reused, so at steady
 /// state (same dimension every round) encoding allocates nothing.
 pub fn encode_vec_frame(a: u32, b: u32, v: &Vector, buf: &mut BytesMut) {
-    // lint:begin(zero-copy)
     buf.clear();
+    append_vec_frame(a, b, v.as_slice(), buf);
+}
+
+/// Appends the vector frame `[a][b][dim][coords][tag]` to `buf`, after
+/// whatever it already holds: the header, then one zero fill of the
+/// coordinate range that is overwritten 8 bytes at a time in place, then
+/// the tag over the appended frame alone. Byte for byte what
+/// [`encode_vec_frame`] writes into an empty buffer; at steady state it
+/// allocates nothing.
+pub fn append_vec_frame(a: u32, b: u32, v: &[f64], buf: &mut BytesMut) {
+    // lint:begin(zero-copy)
+    let start = buf.len();
     buf.put_u32_le(a);
     buf.put_u32_le(b);
-    buf.put_u32_le(v.dim() as u32);
-    for &x in v.iter() {
-        buf.put_f64_le(x);
+    buf.put_u32_le(v.len() as u32);
+    let coords = buf.len();
+    buf.put_bytes(0, v.len() * 8);
+    let range = buf.get_mut(coords..).unwrap_or_default();
+    for (bytes, x) in range.chunks_exact_mut(8).zip(v) {
+        bytes.copy_from_slice(&x.to_le_bytes());
     }
-    let tag = frame_tag(buf);
+    let tag = frame_tag(buf.get(start..).unwrap_or_default());
     buf.put_u64_le(tag);
     // lint:end(zero-copy)
+}
+
+/// Wire size of one vector frame of `dim` coordinates.
+const fn vec_frame_len(dim: usize) -> usize {
+    VEC_HEADER + dim * 8 + VEC_TAG
 }
 
 /// Decodes and verifies a vector frame into `v`, returning its two header
@@ -254,7 +273,7 @@ pub fn decode_vec_frame(frame: &[u8], v: &mut Vector) -> Result<(u32, u32), Mess
             limit: MAX_WIRE_DIM,
         });
     }
-    let needed = VEC_HEADER + dim * 8 + VEC_TAG;
+    let needed = vec_frame_len(dim);
     if frame.len() != needed {
         return Err(MessageError::ShortRead {
             needed,
@@ -282,7 +301,7 @@ pub fn decode_vec_frame(frame: &[u8], v: &mut Vector) -> Result<(u32, u32), Mess
 /// included: the largest frame a run at that dimension sends (a `STEP`
 /// carries one vector frame, a `GRAD` two plus the loss/length prelude).
 pub const fn grad_frame_len(dim: usize) -> usize {
-    4 + 1 + 8 + 4 + 2 * (VEC_HEADER + dim * 8 + VEC_TAG)
+    4 + 1 + 8 + 4 + 2 * vec_frame_len(dim)
 }
 
 /// Largest acceptable frame `len`: the `GRAD` layout at [`MAX_WIRE_DIM`]
@@ -531,7 +550,7 @@ impl GradGuard {
 /// Why a GRAD payload was rejected. Either way the connection is
 /// dropped; the typed split keeps hostile-frame handling testable field
 /// by field.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GradDecodeError {
     /// The prelude or an embedded vector frame was short, oversized, or
     /// failed integrity.
@@ -670,23 +689,15 @@ pub fn end_frame(buf: &mut BytesMut) {
     }
 }
 
-/// Encodes worker `id`'s [`KIND_GRAD`] report for `step` from `out`.
-/// `scratch` holds each embedded vector frame in turn; both buffers
-/// recycle, so a steady-state report allocates nothing.
-pub(crate) fn encode_grad(
-    buf: &mut BytesMut,
-    scratch: &mut BytesMut,
-    id: u32,
-    step: u32,
-    out: &WorkerOutput,
-) {
+/// Encodes worker `id`'s [`KIND_GRAD`] report for `step` from `out`,
+/// both embedded vector frames written straight into `buf`. The buffer
+/// recycles, so a steady-state report allocates nothing.
+pub(crate) fn encode_grad(buf: &mut BytesMut, id: u32, step: u32, out: &WorkerOutput) {
     begin_frame(buf, KIND_GRAD);
     buf.put_f64_le(out.batch_loss);
-    encode_vec_frame(id, step, &out.submitted, scratch);
-    buf.put_u32_le(scratch.len() as u32);
-    buf.put_slice(scratch);
-    encode_vec_frame(id, step, &out.pre_noise, scratch);
-    buf.put_slice(scratch);
+    buf.put_u32_le(vec_frame_len(out.submitted.dim()) as u32);
+    append_vec_frame(id, step, out.submitted.as_slice(), buf);
+    append_vec_frame(id, step, out.pre_noise.as_slice(), buf);
     end_frame(buf);
 }
 
@@ -897,8 +908,8 @@ mod tests {
         assert_eq!(out.submitted, Vector::from(vec![1.0, -2.0]));
         assert_eq!(out.pre_noise, Vector::from(vec![0.5, 0.25]));
         // The encoder's frame for the same report has the documented size.
-        let (mut frame, mut scratch) = (BytesMut::default(), BytesMut::default());
-        encode_grad(&mut frame, &mut scratch, 3, 7, &out);
+        let mut frame = BytesMut::default();
+        encode_grad(&mut frame, 3, 7, &out);
         assert_eq!(frame.len(), grad_frame_len(2));
         assert_eq!(&frame[5..], &payload[..]);
     }
@@ -1002,7 +1013,7 @@ mod tests {
             let mut out = WorkerOutput::default();
             assert_eq!(
                 decode_grad(&payload, 3, 2, &mut out),
-                Err(GradDecodeError::Frame(expected.clone())),
+                Err(GradDecodeError::Frame(expected)),
                 "{sub:?} / {pre:?}"
             );
         }
@@ -1245,6 +1256,62 @@ mod tests {
             // The tag of these 28 bytes, computed outside this crate.
             expected.extend(0x6664_5ac0_ceea_2251u64.to_le_bytes());
             assert_eq!(&encoded(9, 17, &v)[..], &expected[..]);
+        }
+
+        /// The per-coordinate encoder the codec ran before it encoded in
+        /// place, kept as the reference the in-place encoder must match
+        /// byte for byte.
+        fn reference_encode(a: u32, b: u32, v: &[f64], buf: &mut BytesMut) {
+            buf.clear();
+            buf.put_u32_le(a);
+            buf.put_u32_le(b);
+            buf.put_u32_le(v.len() as u32);
+            for &x in v {
+                buf.put_f64_le(x);
+            }
+            let tag = frame_tag(buf);
+            buf.put_u64_le(tag);
+        }
+
+        #[test]
+        fn in_place_encoder_matches_the_per_coordinate_reference() {
+            let specials = [
+                -0.0,
+                0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::from_bits(0x7ff8_0000_0000_0001), // quiet NaN, payload 1
+                f64::from_bits(0x7ff0_0000_dead_beef), // signalling NaN payload
+                f64::from_bits(0xfff8_0000_0000_0000), // negative NaN
+                f64::from_bits(1),                     // smallest subnormal
+                -f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal
+                f64::MIN_POSITIVE,
+                f64::MAX,
+            ];
+            let (mut expected, mut frame, mut appended) = (
+                BytesMut::default(),
+                BytesMut::default(),
+                BytesMut::default(),
+            );
+            for d in 0..=70usize {
+                let v: Vec<f64> = (0..d)
+                    .map(|i| match i % 3 {
+                        0 => specials[(i / 3) % specials.len()],
+                        _ => (i as f64 - 35.0) * 0.37,
+                    })
+                    .collect();
+                reference_encode(d as u32, 9, &v, &mut expected);
+                frame.put_u32_le(0xDEAD_BEEF); // dirty: encoding must clear
+                encode_vec_frame(d as u32, 9, &Vector::from(v.clone()), &mut frame);
+                assert_eq!(&frame[..], &expected[..], "d = {d}");
+                // Appended after other bytes: they are kept, and the tag
+                // covers the appended frame alone.
+                appended.clear();
+                appended.put_slice(b"prelude");
+                append_vec_frame(d as u32, 9, &v, &mut appended);
+                assert_eq!(&appended[..7], b"prelude", "d = {d}");
+                assert_eq!(&appended[7..], &expected[..], "d = {d}");
+            }
         }
 
         /// The tag as its documentation states it, written independently

@@ -43,10 +43,10 @@
 
 use crate::machine::{Event, Phase};
 use crate::protocol::{
-    begin_frame, decode_grad, decode_vec_frame, encode_grad, encode_vec_frame, end_frame,
-    peek_grad, read_array, session_token, Admission, GradGuard, MessageError, KIND_ABORT,
-    KIND_DONE, KIND_GRAD, KIND_JOIN, KIND_JOIN_FRESH, KIND_READY, KIND_REJOIN, KIND_STEP,
-    KIND_WARMUP,
+    append_vec_frame, begin_frame, decode_grad, decode_vec_frame, encode_grad, end_frame,
+    peek_grad, read_array, session_token, Admission, GradDecodeError, GradGuard, MessageError,
+    KIND_ABORT, KIND_DONE, KIND_GRAD, KIND_JOIN, KIND_JOIN_FRESH, KIND_READY, KIND_REJOIN,
+    KIND_STEP, KIND_WARMUP,
 };
 use crate::transport::{current_step, Replay, ResumeRing};
 use crate::worker::WorkerError;
@@ -135,7 +135,9 @@ pub(crate) struct Session {
     /// none), recycled across uses.
     ahead: Vec<BytesMut>,
     frame: BytesMut,
-    step_msg: BytesMut,
+    /// How many `GRAD` reports were rejected since the last `STEP`
+    /// broadcast, and why the last of them was.
+    rejected: Option<(u32, GradDecodeError)>,
 }
 
 impl Session {
@@ -159,8 +161,15 @@ impl Session {
             ring: ResumeRing::new(resume_window),
             ahead: (0..n_workers).map(|_| BytesMut::default()).collect(),
             frame: BytesMut::with_capacity(4096),
-            step_msg: BytesMut::with_capacity(4096),
+            rejected: None,
         }
+    }
+
+    /// How many `GRAD` reports the session rejected since the last `STEP`
+    /// broadcast, and why the last of them was; `None` when it rejected
+    /// none.
+    pub(crate) fn rejected_reports(&self) -> Option<(u32, GradDecodeError)> {
+        self.rejected
     }
 
     /// Handles one inbound frame from `link` while the machine is in
@@ -264,7 +273,8 @@ impl Session {
     }
 
     /// Classifies a `GRAD` from attached slot `id` and decodes it when
-    /// fresh. `None` when the frame is malformed or names another worker.
+    /// fresh. `None` when the frame is malformed or names another worker;
+    /// the session then counts the rejection and keeps its cause.
     fn admit_grad(
         &mut self,
         id: u32,
@@ -273,29 +283,52 @@ impl Session {
         outputs: &mut [WorkerOutput],
         events: &mut Vec<Event>,
     ) -> Option<()> {
+        let admitted = self.classify_grad(id, payload, current, outputs, events);
+        if let Err(why) = admitted {
+            let count = self.rejected.map_or(0, |(count, _)| count);
+            self.rejected = Some((count.saturating_add(1), why));
+        }
+        admitted.ok()
+    }
+
+    /// [`Session::admit_grad`] before the bookkeeping: `Err` says why
+    /// the report was rejected.
+    fn classify_grad(
+        &mut self,
+        id: u32,
+        payload: &[u8],
+        current: u32,
+        outputs: &mut [WorkerOutput],
+        events: &mut Vec<Event>,
+    ) -> Result<(), GradDecodeError> {
         // lint:begin(zero-copy)
         // Every report of every round passes here: peeked, admitted, and
         // decoded straight into the recycled output slot.
-        let (wid, step) = peek_grad(payload).ok()?;
+        let (wid, step) = peek_grad(payload)?;
         if wid != id {
-            return None;
+            return Err(GradDecodeError::Misattributed);
         }
         match self.guard.admit(id, step, current) {
             Admission::Fresh => {
-                let out = outputs.get_mut(id as usize)?;
-                let step = decode_grad(payload, id, self.dim, out).ok()?;
+                let out = outputs
+                    .get_mut(id as usize)
+                    .ok_or(GradDecodeError::Misattributed)?;
+                let step = decode_grad(payload, id, self.dim, out)?;
                 events.push(Event::Gradient { id, step });
             }
             Admission::Stale => events.push(Event::StaleGradient(id)),
             Admission::Duplicate => {}
             Admission::Future => {
-                let buf = self.ahead.get_mut(id as usize)?;
+                let buf = self
+                    .ahead
+                    .get_mut(id as usize)
+                    .ok_or(GradDecodeError::Misattributed)?;
                 buf.clear();
                 buf.put_slice(payload);
             }
         }
         // lint:end(zero-copy)
-        Some(())
+        Ok(())
     }
 
     /// Admits every buffered ahead-of-round `GRAD` whose step the round
@@ -339,9 +372,9 @@ impl Session {
                 batch,
                 params,
             } => {
-                encode_vec_frame(step, batch, params, &mut self.step_msg);
                 begin_frame(&mut self.frame, KIND_STEP);
-                self.frame.put_slice(&self.step_msg);
+                append_vec_frame(step, batch, params.as_slice(), &mut self.frame);
+                self.rejected = None;
                 Some(step)
             }
             Broadcast::Done => {
@@ -405,7 +438,7 @@ pub struct WorkerSession {
     steps_served: u32,
     params: Vector,
     out: WorkerOutput,
-    /// Handshakes, and each embedded vector frame of a report.
+    /// Handshakes and `READY`.
     scratch: BytesMut,
     /// The newest report's wire frame, resent after `REJOIN`.
     report: BytesMut,
@@ -522,7 +555,7 @@ impl WorkerSession {
                 .compute_into(&self.params, batch as usize, &mut self.out);
             self.next_slot = step.saturating_add(1);
             self.steps_served += 1;
-            encode_grad(&mut self.report, &mut self.scratch, id, step, &self.out);
+            encode_grad(&mut self.report, id, step, &self.out);
             send(&self.report, Some(step))?;
         }
     }
@@ -582,6 +615,7 @@ fn reorder_slot(ahead: &mut [BytesMut], step: u32) -> Option<&mut BytesMut> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::encode_vec_frame;
     use dpbyz_core::pipeline::Experiment;
     use dpbyz_server::RunScratch;
 
@@ -639,8 +673,8 @@ mod tests {
             pre_noise: Vector::from(pre_noise.to_vec()),
             batch_loss: 0.5,
         };
-        let (mut buf, mut scratch) = (BytesMut::default(), BytesMut::default());
-        encode_grad(&mut buf, &mut scratch, id, step, &out);
+        let mut buf = BytesMut::default();
+        encode_grad(&mut buf, id, step, &out);
         split(&buf)
     }
 
@@ -796,18 +830,54 @@ mod tests {
         // Tagged, attributed and in-round: only the values are hostile.
         // A GAR would panic on NaN (median, Krum), pass it into the model
         // (MDA), or fail the run on a dimension mismatch.
-        let cases: [(&str, &[f64], &[f64]); 3] = [
-            ("NaN coordinate", &[f64::NAN, 2.0], &[3.0, 4.0]),
-            ("+inf coordinate", &[1.0, 2.0], &[3.0, f64::INFINITY]),
-            ("wrong dimension", &[1.0, 2.0, 5.0], &[3.0, 4.0, 6.0]),
+        let cases: [(&str, &[f64], &[f64], MessageError); 3] = [
+            (
+                "NaN coordinate",
+                &[f64::NAN, 2.0],
+                &[3.0, 4.0],
+                MessageError::NonFinite { index: 0 },
+            ),
+            (
+                "+inf coordinate",
+                &[1.0, 2.0],
+                &[3.0, f64::INFINITY],
+                MessageError::NonFinite { index: 1 },
+            ),
+            (
+                "wrong dimension",
+                &[1.0, 2.0, 5.0],
+                &[3.0, 4.0, 6.0],
+                MessageError::DimMismatch {
+                    expected: 2,
+                    got: 3,
+                },
+            ),
         ];
-        for (case, submitted, pre_noise) in cases {
+        for (case, submitted, pre_noise, why) in cases {
             let mut session = mid_run();
             let (mut outputs, mut events) = (sentinel_outputs(), Vec::new());
-            let (kind, payload) = report(0, 3, submitted, pre_noise);
-            let verdict = session.handle(Some(0), kind, &payload, TRAIN, &mut outputs, &mut events);
-            assert_eq!(outcome(verdict), Outcome::Violation, "{case}");
-            assert_eq!(events, vec![], "{case}: no gradient admitted");
+            for id in [0, 1] {
+                let (kind, payload) = report(id, 3, submitted, pre_noise);
+                let verdict =
+                    session.handle(Some(id), kind, &payload, TRAIN, &mut outputs, &mut events);
+                assert_eq!(outcome(verdict), Outcome::Violation, "{case}");
+                assert_eq!(events, vec![], "{case}: no gradient admitted");
+                // The session counts the rejections and keeps the cause.
+                assert_eq!(
+                    session.rejected_reports(),
+                    Some((id + 1, GradDecodeError::Frame(why))),
+                    "{case}"
+                );
+            }
+            // The next round's broadcast starts a fresh count.
+            let params = Vector::from(vec![0.0, 0.0]);
+            let msg = Broadcast::Step {
+                step: 4,
+                batch: 4,
+                params: &params,
+            };
+            session.broadcast(msg, |_, _| {});
+            assert_eq!(session.rejected_reports(), None, "{case}");
         }
         // The same report with finite values of the run's dimension is
         // admitted.
@@ -817,6 +887,7 @@ mod tests {
         let verdict = session.handle(Some(0), kind, &payload, TRAIN, &mut outputs, &mut events);
         assert_eq!(outcome(verdict), Outcome::Continue);
         assert_eq!(events, vec![Event::Gradient { id: 0, step: 3 }]);
+        assert_eq!(session.rejected_reports(), None);
     }
 
     #[test]

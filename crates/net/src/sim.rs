@@ -39,7 +39,7 @@
 
 use crate::backend::Deployment;
 use crate::machine::{Event, Phase};
-use crate::protocol::{grad_frame_len, session_token};
+use crate::protocol::{grad_frame_len, session_token, GradDecodeError};
 use crate::session::{Broadcast, Session, Verdict, WorkerSession};
 use crate::transport::{drive, Transport};
 use crate::worker::WorkerError;
@@ -696,6 +696,10 @@ impl Transport for SimNet {
 
     fn abort(&mut self, reason: &str) {
         self.broadcast(Broadcast::Abort(reason));
+    }
+
+    fn rejected_reports(&self) -> Option<(u32, GradDecodeError)> {
+        self.session.rejected_reports()
     }
 
     fn idle(&mut self, next_deadline_ms: Option<u64>) {

@@ -145,7 +145,8 @@ fn unknown_backend_error_names_tcp_among_available_ids() {
 /// A diverging run: honest gradients overflow and their reports become
 /// non-finite. The wire treats such a report as a protocol violation (the
 /// sim drops the frame; TCP closes the link), so the round misses its
-/// quorum and the run ends with a typed error. The in-process engine has
+/// quorum and the run ends with a typed error whose reason names the
+/// rejected reports, on the sim and over TCP. The in-process engine has
 /// no wire and aggregates the non-finite values.
 #[test]
 fn non_finite_honest_reports_end_a_sim_run_with_a_typed_error() {
@@ -180,6 +181,27 @@ fn non_finite_honest_reports_end_a_sim_run_with_a_typed_error() {
         Err(PipelineError::Spec(msg)) => {
             assert!(msg.contains("below quorum at step 2"), "{msg}");
             assert!(msg.contains("0 of 5 reported"), "{msg}");
+            // The reason names what the session dropped: every honest
+            // report of the round, each for a non-finite coordinate.
+            assert!(
+                msg.contains("5 reports rejected: gradient frame: coordinate 2 is not finite"),
+                "{msg}"
+            );
+        }
+        Ok(history) => panic!("non-finite reports were admitted: {history:?}"),
+        Err(other) => panic!("expected Spec error, got {other}"),
+    }
+
+    // Over TCP each rejected report also closes its link, and a worker
+    // that rejoins resends it, so only the cause is fixed, not the count.
+    exp.backend = ComponentSpec::new("tcp").with("step_timeout_ms", 1500u64);
+    match exp.run(1) {
+        Err(PipelineError::Spec(msg)) => {
+            assert!(msg.contains("below quorum at step 2"), "{msg}");
+            assert!(
+                msg.contains("reports rejected: gradient frame: coordinate 2 is not finite"),
+                "{msg}"
+            );
         }
         Ok(history) => panic!("non-finite reports were admitted: {history:?}"),
         Err(other) => panic!("expected Spec error, got {other}"),

@@ -30,6 +30,9 @@ pub enum TensorError {
         /// Valid length.
         len: usize,
     },
+    /// An order statistic (median, quantile, trimmed mean, mean around a
+    /// centre) compared a NaN: NaN has no place in the order.
+    NaN,
 }
 
 impl fmt::Display for TensorError {
@@ -47,6 +50,7 @@ impl fmt::Display for TensorError {
             TensorError::IndexOutOfBounds { index, len } => {
                 write!(f, "index {index} out of bounds for length {len}")
             }
+            TensorError::NaN => write!(f, "NaN in the input of an order statistic"),
         }
     }
 }
@@ -81,6 +85,7 @@ mod tests {
         assert!(TensorError::Empty.to_string().contains("at least one"));
         let e = TensorError::IndexOutOfBounds { index: 9, len: 4 };
         assert!(e.to_string().contains("index 9"));
+        assert!(TensorError::NaN.to_string().contains("NaN"));
     }
 
     #[test]

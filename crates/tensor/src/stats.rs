@@ -6,6 +6,7 @@
 //! condition, Eq. 2 / Eq. 8 of the paper).
 
 use crate::{kernels, TensorError, Vector};
+use std::cmp::Ordering;
 
 /// Arithmetic mean of a slice.
 ///
@@ -46,12 +47,26 @@ pub fn population_variance(xs: &[f64]) -> Result<f64, TensorError> {
     Ok(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
 }
 
+/// `a.partial_cmp(&b)`, with every NaN ordered above every number and
+/// equal to every other NaN, recording in `nan` that one was compared.
+/// On NaN-free input it answers exactly as `partial_cmp`; with NaN it is
+/// still a total order, so the sort it drives finishes and its caller
+/// reports [`TensorError::NaN`]. Any NaN among two or more values is
+/// compared at least once, so it is always reported.
+fn cmp_flagging_nan(a: f64, b: f64, nan: &mut bool) -> Ordering {
+    a.partial_cmp(&b).unwrap_or_else(|| {
+        *nan = true;
+        a.is_nan().cmp(&b.is_nan())
+    })
+}
+
 /// Median via partial selection; averages the two middle elements for even
 /// lengths.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::Empty`] for an empty slice.
+/// Returns [`TensorError::Empty`] for an empty slice and
+/// [`TensorError::NaN`] if it holds a NaN among two or more values.
 pub fn median(xs: &[f64]) -> Result<f64, TensorError> {
     median_with(xs, &mut Vec::new())
 }
@@ -62,7 +77,7 @@ pub fn median(xs: &[f64]) -> Result<f64, TensorError> {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::Empty`] for an empty slice.
+/// As [`median`].
 pub fn median_with(xs: &[f64], scratch: &mut Vec<f64>) -> Result<f64, TensorError> {
     if xs.is_empty() {
         return Err(TensorError::Empty);
@@ -71,7 +86,11 @@ pub fn median_with(xs: &[f64], scratch: &mut Vec<f64>) -> Result<f64, TensorErro
     scratch.extend_from_slice(xs);
     let n = scratch.len();
     let mid = n / 2;
-    scratch.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("NaN in median input")); // lint:allow(panic-unwrap, reason = "documented panic: NaN violates the finite-input contract; failing loudly beats silently ordering NaN")
+    let mut nan = false;
+    scratch.select_nth_unstable_by(mid, |&a, &b| cmp_flagging_nan(a, b, &mut nan));
+    if nan {
+        return Err(TensorError::NaN);
+    }
     let hi = scratch[mid];
     if n % 2 == 1 {
         Ok(hi)
@@ -89,7 +108,8 @@ pub fn median_with(xs: &[f64], scratch: &mut Vec<f64>) -> Result<f64, TensorErro
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::Empty`] for an empty slice.
+/// Returns [`TensorError::Empty`] for an empty slice and
+/// [`TensorError::NaN`] if it holds a NaN among two or more values.
 ///
 /// # Panics
 ///
@@ -100,7 +120,11 @@ pub fn quantile(xs: &[f64], q: f64) -> Result<f64, TensorError> {
         return Err(TensorError::Empty);
     }
     let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input")); // lint:allow(panic-unwrap, reason = "documented panic: NaN violates the finite-input contract; failing loudly beats silently ordering NaN")
+    let mut nan = false;
+    v.sort_by(|&a, &b| cmp_flagging_nan(a, b, &mut nan));
+    if nan {
+        return Err(TensorError::NaN);
+    }
     let pos = q * (v.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
@@ -113,7 +137,9 @@ pub fn quantile(xs: &[f64], q: f64) -> Result<f64, TensorError> {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::Empty`] if fewer than `2*trim + 1` elements remain.
+/// Returns [`TensorError::Empty`] if fewer than `2*trim + 1` elements remain
+/// and [`TensorError::NaN`] if the slice holds a NaN among two or more
+/// values.
 pub fn trimmed_mean(xs: &[f64], trim: usize) -> Result<f64, TensorError> {
     trimmed_mean_with(xs, trim, &mut Vec::new())
 }
@@ -134,7 +160,11 @@ pub fn trimmed_mean_with(
     }
     scratch.clear();
     scratch.extend_from_slice(xs);
-    scratch.sort_by(|a, b| a.partial_cmp(b).expect("NaN in trimmed_mean input")); // lint:allow(panic-unwrap, reason = "documented panic: NaN violates the finite-input contract; failing loudly beats silently ordering NaN")
+    let mut nan = false;
+    scratch.sort_by(|&a, &b| cmp_flagging_nan(a, b, &mut nan));
+    if nan {
+        return Err(TensorError::NaN);
+    }
     mean(&scratch[trim..xs.len() - trim])
 }
 
@@ -143,7 +173,9 @@ pub fn trimmed_mean_with(
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::Empty`] if `k == 0` or `k > xs.len()`.
+/// Returns [`TensorError::Empty`] if `k == 0` or `k > xs.len()`, and
+/// [`TensorError::NaN`] if a distance to `center` among two or more is NaN
+/// (a NaN value or centre, or an infinite value at an infinite centre).
 pub fn mean_around(xs: &[f64], center: f64, k: usize) -> Result<f64, TensorError> {
     mean_around_with(xs, center, k, &mut Vec::new())
 }
@@ -167,12 +199,11 @@ pub fn mean_around_with(
     }
     scratch.clear();
     scratch.extend_from_slice(xs);
-    scratch.sort_by(|a, b| {
-        (a - center)
-            .abs()
-            .partial_cmp(&(b - center).abs())
-            .expect("NaN in mean_around input") // lint:allow(panic-unwrap, reason = "documented panic: NaN violates the finite-input contract; failing loudly beats silently ordering NaN")
-    });
+    let mut nan = false;
+    scratch.sort_by(|a, b| cmp_flagging_nan((a - center).abs(), (b - center).abs(), &mut nan));
+    if nan {
+        return Err(TensorError::NaN);
+    }
     mean(&scratch[..k])
 }
 
@@ -386,6 +417,65 @@ mod tests {
         assert_eq!(mean_around(&xs, 0.5, 2).unwrap(), 0.5);
         assert!(mean_around(&xs, 0.0, 0).is_err());
         assert!(mean_around(&xs, 0.0, 5).is_err());
+    }
+
+    #[test]
+    fn nan_is_a_typed_error_not_a_panic() {
+        let mut scratch = Vec::new();
+        for xs in [
+            &[f64::NAN, 1.0][..],
+            &[1.0, 2.0, f64::NAN, 3.0, 4.0],
+            &[f64::NAN, f64::NAN, f64::NAN],
+        ] {
+            assert_eq!(median_with(xs, &mut scratch), Err(TensorError::NaN));
+            assert_eq!(quantile(xs, 0.5), Err(TensorError::NaN));
+            assert_eq!(
+                trimmed_mean_with(xs, 0, &mut scratch),
+                Err(TensorError::NaN)
+            );
+            assert_eq!(mean_around(xs, 1.0, 1), Err(TensorError::NaN));
+        }
+        // A NaN centre makes every distance NaN; so does an infinite value
+        // at an infinite centre.
+        assert_eq!(mean_around(&[1.0, 2.0], f64::NAN, 1), Err(TensorError::NaN));
+        assert_eq!(
+            mean_around(&[f64::INFINITY, 2.0], f64::INFINITY, 1),
+            Err(TensorError::NaN)
+        );
+    }
+
+    #[test]
+    fn flagging_comparator_answers_as_partial_cmp_without_nan() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            2.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let mut nan = false;
+        for &a in &values {
+            for &b in &values {
+                assert_eq!(Some(cmp_flagging_nan(a, b, &mut nan)), a.partial_cmp(&b));
+            }
+        }
+        assert!(!nan);
+        // With NaN it is a total order: NaN above every number.
+        assert_eq!(
+            cmp_flagging_nan(f64::NAN, f64::INFINITY, &mut nan),
+            Ordering::Greater
+        );
+        assert_eq!(cmp_flagging_nan(-1.0, f64::NAN, &mut nan), Ordering::Less);
+        assert_eq!(
+            cmp_flagging_nan(f64::NAN, f64::NAN, &mut nan),
+            Ordering::Equal
+        );
+        assert!(nan);
     }
 
     #[test]

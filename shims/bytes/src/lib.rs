@@ -69,6 +69,9 @@ pub trait BufMut {
     fn put_f64_le(&mut self, v: f64) {
         self.put_u64_le(v.to_bits());
     }
+
+    /// Appends `cnt` copies of the byte `val`.
+    fn put_bytes(&mut self, val: u8, cnt: usize);
 }
 
 /// A cheaply cloneable, shared, immutable byte buffer with a read cursor.
@@ -218,6 +221,10 @@ impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }
+
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        self.data.resize(self.data.len() + cnt, val);
+    }
 }
 
 #[cfg(test)]
@@ -236,6 +243,15 @@ mod tests {
         assert_eq!(frozen.get_f64_le(), -2.5);
         assert_eq!(frozen.get_u64_le(), u64::MAX);
         assert!(frozen.is_empty());
+    }
+
+    #[test]
+    fn put_bytes_appends_a_fill() {
+        let mut buf = BytesMut::default();
+        buf.put_slice(&[9]);
+        buf.put_bytes(0xab, 3);
+        buf.put_bytes(0, 0);
+        assert_eq!(&buf[..], &[9, 0xab, 0xab, 0xab]);
     }
 
     #[test]

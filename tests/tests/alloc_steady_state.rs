@@ -4,7 +4,9 @@
 //! paper's §5.1 cell (MDA + Gaussian + ALIE + worker momentum) — on
 //! **both** paths of the in-process engine and over the simulated
 //! network — and for Theorem 1's mean-estimation cell at d = 1000, whose
-//! workers synthesize fresh rows every step. The `threaded_` cases run at
+//! workers synthesize fresh rows every step. The `evaluating_` cases run
+//! the paper cell with a test set classified every few rounds, in process
+//! and over the simulated network. The `threaded_` cases run at
 //! a batch size large enough that the engine leases each worker to its
 //! own pool thread, so they cover the thread hop too: leasing each
 //! worker's packet, reclaiming it, and swapping its output into the
@@ -108,7 +110,14 @@ enum Cell {
     /// `N(x̄, I/d)` at d = 1000 with the quadratic loss, each sampling
     /// fresh rows into its recycled batch.
     MeanEstimation,
+    /// The paper cell, classifying a held-out test set every
+    /// [`EVAL_EVERY`] rounds as the paper's runs do.
+    Evaluating,
 }
+
+/// The evaluation period of [`Cell::Evaluating`]: several evaluating
+/// rounds fall in the counted back half of the run.
+const EVAL_EVERY: u32 = 5;
 
 /// Per-worker batch size of a cell. The engine leases its workers to
 /// threads once `batch_size × dim` reaches its cutoff: these sit well
@@ -171,8 +180,9 @@ fn counting_trainer(
 ) -> (Trainer, Record) {
     let (n, f) = match cell {
         Cell::Honest | Cell::MeanEstimation => (5, 0),
-        Cell::Paper => (11, 5),
+        Cell::Paper | Cell::Evaluating => (11, 5),
     };
+    let paper = matches!(cell, Cell::Paper | Cell::Evaluating);
     let mut rng = Prng::seed_from_u64(11);
     let (model, sources): (Arc<dyn Model>, Vec<Box<dyn BatchSource>>) = match cell {
         Cell::MeanEstimation => {
@@ -183,7 +193,7 @@ fn counting_trainer(
                 .collect();
             (Arc::new(QuadraticMean::new(dim)), sources)
         }
-        Cell::Honest | Cell::Paper => {
+        Cell::Honest | Cell::Paper | Cell::Evaluating => {
             let ds = Arc::new(synthetic::phishing_like(&mut rng, 400));
             let sources = (0..n)
                 .map(|_| {
@@ -211,24 +221,31 @@ fn counting_trainer(
             }) as Box<dyn BatchSource>
         })
         .collect();
+    let (eval_every, test) = match cell {
+        Cell::Evaluating => (
+            EVAL_EVERY,
+            Some(Arc::new(synthetic::phishing_like(&mut rng, 300))),
+        ),
+        _ => (0, None),
+    };
     let mut config = TrainingConfig::builder()
         .workers(n, f)
         .batch_size(batch_size(cell, leased))
         .steps(STEPS)
-        .eval_every(0)
+        .eval_every(eval_every)
         .agg_threads(agg_threads);
-    if let Cell::Paper = cell {
+    if paper {
         config = config.momentum(0.99).momentum_mode(MomentumMode::Worker);
     }
     let snapshots: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::with_capacity(STEPS as usize)));
     let sink = snapshots.clone();
-    let mut trainer = Trainer::new(config.build().unwrap(), model, sources, None)
+    let mut trainer = Trainer::new(config.build().unwrap(), model, sources, test)
         .gar(gar)
         .mechanism(Arc::new(GaussianMechanism::with_sigma(0.01).unwrap()) as Arc<dyn Mechanism>)
         .observer(Box::new(FnObserver::new(move |_m| {
             sink.lock().unwrap().push(allocation_count());
         })));
-    if let Cell::Paper = cell {
+    if paper {
         trainer = trainer.attack(Arc::new(LittleIsEnough::new(1.5)) as Arc<dyn Attack>);
     }
     (
@@ -404,6 +421,16 @@ fn mean_estimation_median_cell_is_allocation_free_at_steady_state() {
     assert_steady_state_allocation_free("mean-estimation/d=1000/median/gaussian", &counts);
 }
 
+// Evaluation classifies the test set in place, 8 rows at a time, so an
+// evaluating round allocates nothing either.
+
+#[test]
+fn evaluating_paper_cell_is_allocation_free_at_steady_state() {
+    let _serial = serial();
+    let counts = per_step_allocation_counts_on(Arc::new(Mda::new()), Cell::Evaluating, false, 1);
+    assert_steady_state_allocation_free("mda/gaussian/alie/worker-momentum/eval", &counts);
+}
+
 // ---- the sim deployment -------------------------------------------------
 
 /// [`per_step_allocation_counts`] over the in-memory chaos transport:
@@ -422,7 +449,7 @@ fn per_step_allocation_counts_sim(gar: Arc<dyn Gar>, cell: Cell, chaos: Option<u
     // The default 32-frame replay ring is still filling in the measured
     // window: its buffers are sized once, by the first STEP.
     let deployment = Deployment::default();
-    let attack_armed = matches!(cell, Cell::Paper);
+    let attack_armed = matches!(cell, Cell::Paper | Cell::Evaluating);
     let machine = deployment
         .resolve("sim", core.config(), attack_armed)
         .unwrap();
@@ -442,6 +469,13 @@ fn sim_average_cell_is_allocation_free_at_steady_state() {
     let _serial = serial();
     let counts = per_step_allocation_counts_sim(Arc::new(Average::new()), Cell::Honest, None);
     assert_steady_state_allocation_free("sim/average/gaussian", &counts);
+}
+
+#[test]
+fn sim_evaluating_paper_cell_under_chaos_is_allocation_free_at_steady_state() {
+    let _serial = serial();
+    let counts = per_step_allocation_counts_sim(Arc::new(Mda::new()), Cell::Evaluating, Some(11));
+    assert_steady_state_allocation_free("sim/mda/gaussian/alie/chaos-11/eval", &counts);
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! Fault injection (§2.1: non-received gradients become zero vectors) and
 //! the §7 extensions, exercised end-to-end.
 
-use dpbyz_core::pipeline::{Experiment, FigureConfig};
+use dpbyz_core::pipeline::{Experiment, FigureConfig, PipelineError, Workload};
+use dpbyz_gars::GarError;
+use dpbyz_server::LrSchedule;
 
 fn base(steps: u32) -> Experiment {
     Experiment::paper_figure(FigureConfig {
@@ -64,4 +66,35 @@ fn heavy_drops_degrade_attacked_dp_training_further() {
         dropped > clean - 0.05,
         "drops implausibly improved training: {clean} -> {dropped}"
     );
+}
+
+/// A diverged in-process run under an order-statistic rule: step 1
+/// overflows the parameters, step 2's gradients are NaN, and the median
+/// has no answer for NaN. The run ends with a typed error instead of a
+/// panic, on every order-statistic rule.
+#[test]
+fn a_diverged_run_under_an_order_statistic_rule_returns_a_typed_error() {
+    for gar in ["median", "trimmed-mean", "meamed", "phocas"] {
+        let exp = Experiment::builder()
+            .workload(Workload::MeanEstimation {
+                dim: 4,
+                sigma: 10.0,
+                data_seed: 5,
+            })
+            .workers(5, 0)
+            .batch_size(1)
+            .steps(6)
+            .lr(LrSchedule::Constant(1e308))
+            .momentum(0.0)
+            .clip(1e9)
+            .eval_every(0)
+            .gar(gar)
+            .build()
+            .unwrap();
+        assert_eq!(exp.backend.id, "sequential");
+        match exp.run(1) {
+            Err(PipelineError::Gar(GarError::NaN)) => {}
+            other => panic!("{gar}: expected a NaN aggregation error, got {other:?}"),
+        }
+    }
 }
