@@ -3,22 +3,26 @@
 //! extremes of Figs. 3 and 4.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dpbyz_bench::{cell_experiment, Cell};
+use dpbyz_core::Experiment;
 use dpbyz_dp::{GaussianMechanism, Mechanism};
 use dpbyz_gars::{Gar, GarScratch, Mda};
 use dpbyz_tensor::{Prng, Vector};
 use std::hint::black_box;
 
-/// One protocol cell via the same construction path the figure harness
-/// uses, so the bench always measures the configuration the figures run.
+/// One protocol cell as a builder chain: the builder's §5.1 defaults
+/// aggregate with MDA once an attack is armed, as the figures' cells do.
 fn run_steps(batch: usize, eps: Option<f64>, attack: Option<&'static str>, steps: u32) {
-    let cell = Cell {
-        label: "bench",
-        epsilon: eps,
-        attack,
-    };
-    let exp = cell_experiment(cell, batch, steps, 1200).unwrap();
-    black_box(exp.run(1).unwrap());
+    let mut builder = Experiment::builder()
+        .batch_size(batch)
+        .steps(steps)
+        .dataset_size(1200);
+    if let Some(attack) = attack {
+        builder = builder.attack(attack);
+    }
+    if let Some(epsilon) = eps {
+        builder = builder.epsilon(epsilon);
+    }
+    black_box(builder.build().unwrap().run(1).unwrap());
 }
 
 fn bench_configurations(c: &mut Criterion) {

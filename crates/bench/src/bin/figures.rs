@@ -4,7 +4,9 @@
 //! n = 11 workers (f = 5 under attack, MDA; averaging otherwise), lr = 2,
 //! momentum 0.99, G_max = 10⁻², δ = 10⁻⁶, ε = 0.2 in the DP panels,
 //! T = 1000 steps, seeds 1–5. Fig. 2: b = 50, Fig. 3: b = 10,
-//! Fig. 4: b = 500.
+//! Fig. 4: b = 500. Each figure is the `paper-core` scenario pack
+//! (clean/ALIE/FoE × {no DP, ε = 0.2}) swept over a builder base at the
+//! figure's batch size.
 //!
 //! Usage:
 //!   cargo run --release -p dpbyz-bench --bin figures            # all three
@@ -14,7 +16,48 @@
 use dpbyz::data::synthetic::PHISHING_SIZE;
 use dpbyz::prelude::*;
 use dpbyz::report::{ascii_plot, csv, Series};
-use dpbyz_bench::{arg_present, arg_value, run_cells, write_csv, CellResult, FIGURE_CELLS};
+use dpbyz_bench::{arg_present, arg_value, write_csv};
+
+/// Mean ± std of the tail training loss (last 5% of steps).
+fn tail_loss(histories: &[RunHistory]) -> SeedSummary {
+    let k = (histories[0].train_loss.len() / 20).max(1);
+    SeedSummary::from_metric(histories, |h| h.tail_loss(k))
+}
+
+/// Mean ± std of the final test accuracy (NaN if never evaluated).
+fn final_accuracy(histories: &[RunHistory]) -> SeedSummary {
+    SeedSummary::from_metric(histories, |h| h.final_accuracy().unwrap_or(f64::NAN))
+}
+
+/// Sweeps the `paper-core` pack over the §5.1 builder at one batch size.
+/// Returns each cell's label (without the pack prefix) and its per-seed
+/// histories, in the pack's cell order.
+fn run_figure(
+    batch_size: usize,
+    steps: u32,
+    dataset_size: usize,
+    seeds: &[u64],
+) -> Result<Vec<(String, Vec<RunHistory>)>, PipelineError> {
+    // All six cells × seeds fan out over the parallel sweep executor.
+    let base = Experiment::builder()
+        .batch_size(batch_size)
+        .steps(steps)
+        .dataset_size(dataset_size);
+    let results = SweepBuilder::over(base)
+        .with_pack("paper-core")
+        .seeds(seeds)
+        .run()?;
+    Ok(results
+        .cells
+        .into_iter()
+        .map(|run| {
+            (
+                run.label.trim_start_matches("paper-core/").to_string(),
+                run.histories,
+            )
+        })
+        .collect())
+}
 
 struct FigureSpec {
     number: u32,
@@ -58,17 +101,14 @@ fn main() {
             "\n=== Figure {} (b = {}) — {}",
             spec.number, spec.batch_size, spec.paper_note
         );
-        // All six cells × seeds fan out over the parallel sweep executor;
-        // results come back in FIGURE_CELLS order.
-        let results: Vec<CellResult> =
-            run_cells(&FIGURE_CELLS, spec.batch_size, steps, dataset_size, seeds)
-                .expect("figure cells run");
-        for res in &results {
-            let tail = res.tail_loss();
-            let acc = res.final_accuracy();
+        let cells =
+            run_figure(spec.batch_size, steps, dataset_size, seeds).expect("figure cells run");
+        for (label, histories) in &cells {
+            let tail = tail_loss(histories);
+            let acc = final_accuracy(histories);
             println!(
-                "  {:<8} tail loss {:.5} ± {:.5}, accuracy {:.1}% ± {:.1}%",
-                res.cell.label,
+                "  {:<13} tail loss {:.5} ± {:.5}, accuracy {:.1}% ± {:.1}%",
+                label,
                 tail.mean,
                 tail.std,
                 acc.mean * 100.0,
@@ -78,9 +118,12 @@ fn main() {
 
         // CSV: per-step mean loss for each cell.
         let mut rows = Vec::new();
-        let curves: Vec<(String, Vec<f64>)> = results
+        let curves: Vec<(String, Vec<f64>)> = cells
             .iter()
-            .map(|r| (r.cell.label.to_string(), r.mean_loss_curve()))
+            .map(|(label, histories)| {
+                let curve = SeedSummary::loss_curve(histories);
+                (label.clone(), curve.into_iter().map(|s| s.mean).collect())
+            })
             .collect();
         for t in 0..steps as usize {
             let mut row = vec![(t + 1).to_string()];
@@ -100,20 +143,21 @@ fn main() {
         );
 
         // CSV: summary per cell.
-        let summary_rows: Vec<Vec<String>> = results
+        let summary_rows: Vec<Vec<String>> = cells
             .iter()
-            .map(|r| {
-                let tail = r.tail_loss();
-                let min = r.min_loss();
-                let acc = r.final_accuracy();
+            .map(|(label, histories)| {
+                let tail = tail_loss(histories);
+                let min = SeedSummary::from_metric(histories, |h| h.min_loss());
+                let acc = final_accuracy(histories);
+                let vn: f64 = histories.iter().map(|h| h.mean_vn_submitted()).sum();
                 vec![
-                    r.cell.label.to_string(),
+                    label.clone(),
                     format!("{:.6}", min.mean),
                     format!("{:.6}", tail.mean),
                     format!("{:.6}", tail.std),
                     format!("{:.4}", acc.mean),
                     format!("{:.4}", acc.std),
-                    format!("{:.4}", r.mean_vn_submitted()),
+                    format!("{:.4}", vn / histories.len() as f64),
                 ]
             })
             .collect();
@@ -134,7 +178,7 @@ fn main() {
         );
 
         // ASCII rendering of the loss curves (log10), one glyph per cell.
-        const GLYPHS: [char; 6] = ['c', 'a', 'f', 'd', 'A', 'F'];
+        const GLYPHS: [char; 6] = ['c', 'd', 'a', 'A', 'f', 'F'];
         let logged: Vec<(String, Vec<f64>)> = curves
             .iter()
             .map(|(l, c)| (l.clone(), c.iter().map(|x| x.max(1e-9).log10()).collect()))
@@ -149,7 +193,36 @@ fn main() {
     }
 
     println!("\nShape check against the paper:");
-    println!("  Fig 2 (b=50): 'dp+alie'/'dp+foe' tail losses well above the other four;");
-    println!("  Fig 3 (b=10): 'dp' already fails (high tail loss) even unattacked;");
+    println!("  Fig 2 (b=50): 'mda/alie/dp'/'mda/foe/dp' tail losses well above the other four;");
+    println!("  Fig 3 (b=10): 'clean/dp' already fails (high tail loss) even unattacked;");
     println!("  Fig 4 (b=500): all six configurations reach a similar low loss.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn figure_cells_produce_summaries() {
+        let cells = run_figure(10, 8, 200, &[1, 2]).unwrap();
+        let labels: Vec<&str> = cells.iter().map(|(label, _)| label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "clean/nodp",
+                "clean/dp",
+                "mda/alie/nodp",
+                "mda/alie/dp",
+                "mda/foe/nodp",
+                "mda/foe/dp"
+            ]
+        );
+        for (label, histories) in &cells {
+            let tail = tail_loss(histories);
+            assert_eq!(tail.runs, 2, "{label}");
+            assert!(tail.mean.is_finite(), "{label}");
+            assert_eq!(final_accuracy(histories).runs, 2, "{label}");
+            assert_eq!(SeedSummary::loss_curve(histories).len(), 8, "{label}");
+        }
+    }
 }

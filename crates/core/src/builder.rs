@@ -32,8 +32,8 @@ use dpbyz_server::{LrSchedule, MomentumMode, TrainingConfig};
 #[derive(Debug, Clone)]
 pub struct ExperimentBuilder {
     workload: Option<Workload>,
-    pub(crate) dataset_size: usize,
-    pub(crate) data_seed: u64,
+    dataset_size: usize,
+    data_seed: u64,
     /// The only copy of the training knobs; every knob setter edits it.
     config: TrainingConfig,
     gar: Option<ComponentSpec>,
@@ -397,6 +397,20 @@ mod tests {
     use super::*;
     use crate::registry::RegistryError;
 
+    /// A validated `TrainingConfig` with the given topology, batch and
+    /// step count, every other knob at its default.
+    fn small_config(n: usize, f: usize, batch_size: usize, steps: u32) -> TrainingConfig {
+        TrainingConfig {
+            n_workers: n,
+            n_byzantine: f,
+            batch_size,
+            steps,
+            ..TrainingConfig::default()
+        }
+        .validate()
+        .unwrap()
+    }
+
     #[test]
     fn defaults_mirror_paper_protocol() {
         let exp = Experiment::builder().build().unwrap();
@@ -517,12 +531,7 @@ mod tests {
 
     #[test]
     fn explicit_config_overrides_knobs() {
-        let config = TrainingConfig::builder()
-            .workers(3, 0)
-            .batch_size(4)
-            .steps(7)
-            .build()
-            .unwrap();
+        let config = small_config(3, 0, 4, 7);
         let exp = Experiment::builder()
             .workers(20, 9)
             .steps(999)
@@ -537,12 +546,7 @@ mod tests {
         // Scenario-pack cells pin workers/byzantine/batch over arbitrary
         // bases, including ones assembled from a full TrainingConfig:
         // knobs set AFTER config() must win.
-        let config = TrainingConfig::builder()
-            .workers(7, 3)
-            .batch_size(4)
-            .steps(9)
-            .build()
-            .unwrap();
+        let config = small_config(7, 3, 4, 9);
         let exp = Experiment::builder()
             .config(config)
             .attack("alie")
@@ -563,12 +567,7 @@ mod tests {
         // to explicit configs too: otherwise a clean cell over a
         // config-carrying base keeps f > 0 and averaging rejects (or a
         // robust rule trims) honest submissions on step 1.
-        let config = TrainingConfig::builder()
-            .workers(11, 5)
-            .batch_size(8)
-            .steps(2)
-            .build()
-            .unwrap();
+        let config = small_config(11, 5, 8, 2);
         let clean = Experiment::builder()
             .dataset_size(200)
             .config(config.clone())
@@ -588,12 +587,7 @@ mod tests {
 
     #[test]
     fn knobs_after_explicit_config_apply() {
-        let config = TrainingConfig::builder()
-            .workers(3, 0)
-            .batch_size(4)
-            .steps(7)
-            .build()
-            .unwrap();
+        let config = small_config(3, 0, 4, 7);
         let exp = Experiment::builder()
             .config(config)
             .steps(5)
@@ -607,7 +601,7 @@ mod tests {
 
     #[test]
     fn explicit_config_is_validated() {
-        let config = TrainingConfig::builder().build().unwrap();
+        let config = TrainingConfig::default().validate().unwrap();
         let err = Experiment::builder()
             .config(config)
             .batch_size(0)
@@ -618,49 +612,19 @@ mod tests {
 
     #[test]
     fn paper_constructors_keep_their_training_configs() {
-        use crate::pipeline::FigureConfig;
-        // Each constructor's config, written out as a
-        // `TrainingConfig::builder()` literal.
-        let figure = |n_byz: usize| {
-            TrainingConfig::builder()
-                .workers(11, n_byz)
-                .batch_size(10)
-                .steps(30)
-                .lr(LrSchedule::Constant(2.0))
-                .momentum(0.99)
-                .momentum_mode(MomentumMode::Worker)
-                .clip(1e-2)
-                .eval_every(50)
-                .build()
-                .unwrap()
-        };
-        let fig = FigureConfig {
-            batch_size: 10,
-            steps: 30,
-            dataset_size: 400,
-            ..FigureConfig::default()
-        };
-        let clean = Experiment::paper_figure(fig.clone()).unwrap();
-        assert_eq!(clean.config, figure(0));
-        let dp_alie = Experiment::paper_figure(FigureConfig {
-            epsilon: Some(0.2),
-            attack: Some("alie".into()),
-            ..fig
-        })
-        .unwrap();
-        assert_eq!(dp_alie.config, figure(5));
-
+        // `theorem1`'s config, written out as a literal.
         let theorem1 = Experiment::theorem1(8, 1.0, None, 50, 4, 3).unwrap();
-        let expected = TrainingConfig::builder()
-            .workers(3, 0)
-            .batch_size(4)
-            .steps(50)
-            .lr(LrSchedule::InvT { gamma0: 1.0 })
-            .momentum(0.0)
-            .clip(1e9)
-            .eval_every(0)
-            .build()
-            .unwrap();
+        let expected = TrainingConfig {
+            n_workers: 3,
+            n_byzantine: 0,
+            batch_size: 4,
+            steps: 50,
+            lr: LrSchedule::InvT { gamma0: 1.0 },
+            momentum: 0.0,
+            clip: 1e9,
+            eval_every: 0,
+            ..TrainingConfig::default()
+        };
         assert_eq!(theorem1.config, expected);
         assert_eq!(theorem1.config.momentum_mode, MomentumMode::Server);
     }

@@ -16,9 +16,9 @@
 //!   Theorem 1's upper/lower error bounds;
 //! * [`pipeline`] — the experimental apparatus: a declarative
 //!   [`pipeline::Experiment`] that assembles dataset, model, mechanism,
-//!   GAR, attack, and topology into seeded, reproducible runs (the
-//!   configurations of Figs. 2–4 are one-liners, see
-//!   [`pipeline::Experiment::paper_figure`]);
+//!   GAR, attack, and topology into seeded, reproducible runs, described
+//!   by one [`ExperimentBuilder`] (the grid of Figs. 2–4 is the
+//!   `paper-core` [`pack`] swept over a builder base);
 //! * [`analysis`] — feasibility frontiers (minimum batch size, maximum
 //!   Byzantine fraction) and the ResNet-50 worked example;
 //! * [`pack`] — scenario packs: named, registry-resolvable bundles of
@@ -28,18 +28,17 @@
 //! # Quickstart
 //!
 //! ```
-//! use dpbyz_core::pipeline::{Experiment, FigureConfig};
+//! use dpbyz_core::Experiment;
 //!
 //! // Fig. 2's "DP + ALIE attack" cell, shrunk for a doctest.
-//! let exp = Experiment::paper_figure(FigureConfig {
-//!     batch_size: 50,
-//!     epsilon: Some(0.2),
-//!     attack: Some("alie".into()), // the registry default is the paper's ν = 1.5
-//!     steps: 30,
-//!     dataset_size: 300,
-//!     ..FigureConfig::default()
-//! })
-//! .unwrap();
+//! let exp = Experiment::builder()
+//!     .batch_size(50)
+//!     .steps(30)
+//!     .dataset_size(300)
+//!     .attack("alie") // the registry default is the paper's ν = 1.5
+//!     .epsilon(0.2)
+//!     .build()
+//!     .unwrap();
 //! let history = exp.run(1).unwrap();
 //! assert_eq!(history.train_loss.len(), 30);
 //! ```
@@ -69,12 +68,11 @@ pub use sweep::{CellRun, SweepBuilder, SweepResults};
 /// ```
 /// use dpbyz_core::prelude::*;
 ///
-/// let exp = Experiment::paper_figure(FigureConfig {
-///     steps: 3,
-///     dataset_size: 200,
-///     ..FigureConfig::default()
-/// })
-/// .unwrap();
+/// let exp = Experiment::builder()
+///     .steps(3)
+///     .dataset_size(200)
+///     .build()
+///     .unwrap();
 /// assert_eq!(exp.gar, ComponentSpec::new("average"));
 /// ```
 pub mod prelude {
@@ -83,7 +81,7 @@ pub mod prelude {
         register_scenario_pack, register_scenario_pack_with, scenario_pack, scenario_pack_ids,
         PackCell, ScenarioPack,
     };
-    pub use crate::pipeline::{Experiment, FigureConfig, PipelineError, Workload};
+    pub use crate::pipeline::{Experiment, PipelineError, Workload};
     pub use crate::registry::{
         register_attack, register_gar, register_mechanism, register_mechanism_with, ComponentSpec,
         MechanismCapabilities,

@@ -705,12 +705,15 @@ mod tests {
         // A base assembled from a full TrainingConfig (f = 5 among 7
         // workers) must still honour the cells' topology pins: the zoo's
         // per-rule f-clamping cannot be silently discarded.
-        let config = dpbyz_server::TrainingConfig::builder()
-            .workers(7, 5)
-            .batch_size(8)
-            .steps(2)
-            .build()
-            .unwrap();
+        let config = TrainingConfig {
+            n_workers: 7,
+            n_byzantine: 5,
+            batch_size: 8,
+            steps: 2,
+            ..TrainingConfig::default()
+        }
+        .validate()
+        .unwrap();
         let base = crate::Experiment::builder()
             .dataset_size(200)
             .config(config);

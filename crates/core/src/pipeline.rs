@@ -146,75 +146,7 @@ pub struct Experiment {
     pub dp_reference_g_max: Option<f64>,
 }
 
-/// Knobs of the paper's §5 figure experiments, with §5.1 defaults.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FigureConfig {
-    /// Batch size `b` (Fig. 2: 50, Fig. 3: 10, Fig. 4: 500).
-    pub batch_size: usize,
-    /// Privacy `ε` (`None` = no DP; the paper's DP panels use 0.2).
-    pub epsilon: Option<f64>,
-    /// Privacy `δ` (paper: 10⁻⁶).
-    pub delta: f64,
-    /// The attack, if any. Unattacked runs aggregate with plain averaging
-    /// over all `n` honest workers; attacked runs use MDA with `f = 5`
-    /// (exactly the paper's protocol). A bare id takes the registry's
-    /// defaults, which are the paper's settings (`alie` ν = 1.5, `foe`
-    /// ν = 1.1).
-    pub attack: Option<ComponentSpec>,
-    /// Steps `T` (paper: 1000).
-    pub steps: u32,
-    /// Synthetic dataset size (paper: 11 055; shrink for quick runs).
-    pub dataset_size: usize,
-    /// Dataset generator seed.
-    pub data_seed: u64,
-}
-
-impl Default for FigureConfig {
-    /// The §5.1 protocol as [`Experiment::builder`] and
-    /// [`TrainingConfig::default`] state it: no DP, no attack.
-    fn default() -> Self {
-        let protocol = Experiment::builder();
-        let config = TrainingConfig::default();
-        FigureConfig {
-            batch_size: config.batch_size,
-            epsilon: None,
-            delta: protocol.delta,
-            attack: None,
-            steps: config.steps,
-            dataset_size: protocol.dataset_size,
-            data_seed: protocol.data_seed,
-        }
-    }
-}
-
 impl Experiment {
-    /// Builds one cell of the paper's Figs. 2–4 grid: the
-    /// [`builder`](Experiment::builder)'s §5.1 protocol (n = 11 workers,
-    /// f = 5, lr = 2, momentum 0.99 at the workers, `G_max = 10⁻²`,
-    /// accuracy every 50 steps; unattacked ⇒ averaging over 11 honest
-    /// workers, attacked ⇒ MDA) with the figure's knobs on top.
-    ///
-    /// # Errors
-    ///
-    /// As [`ExperimentBuilder::build`](crate::ExperimentBuilder::build):
-    /// [`PipelineError::Dp`] for an invalid `(ε, δ)`,
-    /// [`PipelineError::Config`] for an invalid knob (e.g. zero steps).
-    pub fn paper_figure(fig: FigureConfig) -> Result<Self, PipelineError> {
-        let mut builder = Experiment::builder()
-            .batch_size(fig.batch_size)
-            .steps(fig.steps)
-            .dataset_size(fig.dataset_size)
-            .data_seed(fig.data_seed)
-            .delta(fig.delta);
-        if let Some(attack) = fig.attack {
-            builder = builder.attack(attack);
-        }
-        if let Some(epsilon) = fig.epsilon {
-            builder = builder.epsilon(epsilon);
-        }
-        builder.build()
-    }
-
     /// Builds the Theorem 1 validation workload: mean estimation in
     /// dimension `dim` with a hypothetical ideal GAR stand-in (averaging
     /// over honest workers — the theorem's statement is GAR-agnostic, and
@@ -256,28 +188,6 @@ impl Experiment {
             builder = builder.budget(budget);
         }
         builder.build()
-    }
-
-    /// A paper-protocol figure cell with a *different* aggregation rule
-    /// and Byzantine count — the grid the GAR-robustness matrix sweeps
-    /// over. `f` is clamped to the rule's tolerance at the protocol's
-    /// `n` (at n = 11, Krum: 4, Bulyan: 2).
-    ///
-    /// # Errors
-    ///
-    /// As [`Experiment::paper_figure`], plus [`PipelineError::Registry`]
-    /// when `gar` does not resolve through the GAR registry.
-    pub fn paper_figure_with_gar(
-        fig: FigureConfig,
-        gar: impl Into<ComponentSpec>,
-        f: usize,
-    ) -> Result<Self, PipelineError> {
-        let mut exp = Self::paper_figure(fig)?;
-        let gar = gar.into();
-        let f = f.min(registry::build_gar(&gar)?.max_byzantine(exp.config.n_workers));
-        exp.gar = gar;
-        exp.config.n_byzantine = if exp.attack.is_some() { f } else { 0 };
-        Ok(exp)
     }
 
     /// For [`Workload::MeanEstimation`]: reconstructs the exact sampling
@@ -528,41 +438,67 @@ fn make_mean_estimation(dim: usize, sigma: f64, data_seed: u64) -> MeanEstimatio
 mod tests {
     use super::*;
 
-    fn quick_fig(batch: usize, eps: Option<f64>, attack: Option<&str>, steps: u32) -> Experiment {
-        Experiment::paper_figure(FigureConfig {
-            batch_size: batch,
-            epsilon: eps,
-            attack: attack.map(ComponentSpec::new),
-            steps,
-            dataset_size: 400,
-            ..FigureConfig::default()
-        })
-        .unwrap()
+    fn quick(steps: u32) -> Experiment {
+        Experiment::builder()
+            .batch_size(10)
+            .steps(steps)
+            .dataset_size(400)
+            .build()
+            .unwrap()
     }
 
     #[test]
     fn default_figure_is_the_builder_default() {
-        let figure = Experiment::paper_figure(FigureConfig::default()).unwrap();
+        // The figure grid's unattacked, noise-free cell over the default
+        // builder changes nothing: the builder default is that figure.
+        let pack = crate::pack::scenario_pack("paper-core").unwrap();
+        let clean = pack.cells.iter().find(|c| c.label == "clean/nodp").unwrap();
+        let figure = clean.apply(Experiment::builder()).build().unwrap();
         let builder = Experiment::builder().build().unwrap();
         assert_eq!(format!("{figure:?}"), format!("{builder:?}"));
     }
 
     #[test]
     fn paper_figure_wires_protocol() {
-        let unattacked = quick_fig(50, None, None, 10);
-        assert_eq!(unattacked.gar, ComponentSpec::new("average"));
-        assert_eq!(unattacked.config.n_byzantine, 0);
-        assert_eq!(unattacked.config.momentum, 0.99);
-
-        let attacked = quick_fig(50, Some(0.2), Some("alie"), 10);
-        assert_eq!(attacked.gar, ComponentSpec::new("mda"));
-        assert_eq!(attacked.config.n_byzantine, 5);
-        assert!(attacked.budget.is_some());
+        // Each paper-core cell over a small builder base, against its
+        // config written out as a literal: the §5.1 protocol, momentum at
+        // the workers, f = 5 once an attack is armed.
+        let figure = |n_byzantine: usize| TrainingConfig {
+            n_workers: 11,
+            n_byzantine,
+            batch_size: 10,
+            steps: 30,
+            lr: LrSchedule::Constant(2.0),
+            momentum: 0.99,
+            momentum_mode: MomentumMode::Worker,
+            clip: 1e-2,
+            eval_every: 50,
+            ..TrainingConfig::default()
+        };
+        let base = Experiment::builder()
+            .batch_size(10)
+            .steps(30)
+            .dataset_size(400);
+        let pack = crate::pack::scenario_pack("paper-core").unwrap();
+        assert_eq!(pack.cells.len(), 6);
+        for cell in &pack.cells {
+            let exp = cell.apply(base.clone()).build().unwrap();
+            let label = &cell.label;
+            let armed = !label.starts_with("clean/");
+            assert_eq!(exp.config, figure(if armed { 5 } else { 0 }), "{label}");
+            assert_eq!(exp.attack.is_some(), armed, "{label}");
+            let gar = if armed { "mda" } else { "average" };
+            assert_eq!(exp.gar, ComponentSpec::new(gar), "{label}");
+            let budget = exp.budget.map(|b| (b.epsilon(), b.delta()));
+            let expected = label.ends_with("/dp").then_some((0.2, 1e-6));
+            assert_eq!(budget, expected, "{label}");
+            assert_eq!(exp.backend.id, "sequential", "{label}");
+        }
     }
 
     #[test]
     fn run_is_reproducible() {
-        let exp = quick_fig(10, None, None, 15);
+        let exp = quick(15);
         let a = exp.run(3).unwrap();
         let b = exp.run(3).unwrap();
         assert_eq!(a, b);
@@ -574,7 +510,7 @@ mod tests {
         // `threaded` was a backend once; a spec naming it must fail
         // loudly, not run on some other engine.
         for id in ["smoke-signals", "threaded"] {
-            let mut exp = quick_fig(10, None, None, 3);
+            let mut exp = quick(3);
             exp.backend = id.into();
             match exp.run(1) {
                 Err(PipelineError::Spec(msg)) => {
@@ -591,30 +527,11 @@ mod tests {
 
     #[test]
     fn run_seeds_produces_one_history_per_seed() {
-        let exp = quick_fig(10, None, None, 5);
+        let exp = quick(5);
         let hs = exp.run_seeds(&Experiment::PAPER_SEEDS).unwrap();
         assert_eq!(hs.len(), 5);
         // Different seeds, different trajectories.
         assert_ne!(hs[0], hs[1]);
-    }
-
-    #[test]
-    fn paper_figure_with_gar_swaps_rule_and_clamps_f() {
-        let fig = FigureConfig {
-            steps: 5,
-            dataset_size: 300,
-            attack: Some("alie".into()),
-            ..FigureConfig::default()
-        };
-        let krum = Experiment::paper_figure_with_gar(fig.clone(), "krum", 5).unwrap();
-        assert_eq!(krum.gar, ComponentSpec::new("krum"));
-        assert_eq!(krum.config.n_byzantine, 4); // clamped to Krum's max at n = 11
-        let bulyan = Experiment::paper_figure_with_gar(fig.clone(), "bulyan", 5).unwrap();
-        assert_eq!(bulyan.config.n_byzantine, 2);
-        let err = Experiment::paper_figure_with_gar(fig, "no-such-gar", 5).unwrap_err();
-        assert!(matches!(err, PipelineError::Registry(_)), "{err}");
-        // Runs end-to-end.
-        assert!(krum.run(1).is_ok());
     }
 
     #[test]
@@ -632,11 +549,7 @@ mod tests {
 
     #[test]
     fn invalid_epsilon_is_rejected() {
-        let err = Experiment::paper_figure(FigureConfig {
-            epsilon: Some(-1.0),
-            ..FigureConfig::default()
-        })
-        .unwrap_err();
+        let err = Experiment::builder().epsilon(-1.0).build().unwrap_err();
         assert!(matches!(err, PipelineError::Dp(_)));
     }
 
@@ -650,16 +563,19 @@ mod tests {
                 train: Arc::new(train),
                 test: Arc::new(test),
             },
-            config: TrainingConfig::builder()
-                .workers(3, 0)
-                .batch_size(16)
-                .steps(60)
-                .lr(LrSchedule::Constant(2.0))
-                .momentum(0.9)
-                .clip(0.5)
-                .eval_every(20)
-                .build()
-                .unwrap(),
+            config: TrainingConfig {
+                n_workers: 3,
+                n_byzantine: 0,
+                batch_size: 16,
+                steps: 60,
+                lr: LrSchedule::Constant(2.0),
+                momentum: 0.9,
+                clip: 0.5,
+                eval_every: 20,
+                ..TrainingConfig::default()
+            }
+            .validate()
+            .unwrap(),
             gar: ComponentSpec::new("average"),
             attack: None,
             budget: None,

@@ -143,11 +143,6 @@ impl ComponentSpec {
         }
     }
 
-    /// Reads a parameter as `f64` with a default.
-    pub fn f64_or(&self, key: &str, default: f64) -> f64 {
-        self.f64(key).unwrap_or(default)
-    }
-
     /// Reads a parameter as `u64` (floats must be integral).
     pub fn u64(&self, key: &str) -> Option<u64> {
         match self.params.get(key) {
@@ -157,22 +152,12 @@ impl ComponentSpec {
         }
     }
 
-    /// Reads a parameter as `u64` with a default.
-    pub fn u64_or(&self, key: &str, default: u64) -> u64 {
-        self.u64(key).unwrap_or(default)
-    }
-
     /// Reads a string parameter.
     pub fn str(&self, key: &str) -> Option<&str> {
         match self.params.get(key) {
             Some(ParamValue::Str(s)) => Some(s),
             _ => None,
         }
-    }
-
-    /// Reads a string parameter with a default.
-    pub fn str_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.str(key).unwrap_or(default)
     }
 
     fn wrong_type(&self, key: &str, expected: &str) -> RegistryError {
@@ -185,12 +170,11 @@ impl ComponentSpec {
         }
     }
 
-    /// Like [`ComponentSpec::f64_or`], but a *present* value of the wrong
-    /// type (e.g. a string under a numeric key) is a
-    /// [`RegistryError::Build`] instead of a silent fall-back to the
-    /// default — the contract built-in factories use, so a mistyped
-    /// parameter fails the build rather than quietly running with an
-    /// untuned component.
+    /// Reads a parameter as `f64`, or `default` when it is absent. A
+    /// *present* value of the wrong type (e.g. a string under a numeric
+    /// key) is a [`RegistryError::Build`], never a silent fall-back to the
+    /// default, so a mistyped parameter fails the build rather than
+    /// quietly running with an untuned component.
     ///
     /// # Errors
     ///
@@ -204,8 +188,9 @@ impl ComponentSpec {
         }
     }
 
-    /// [`ComponentSpec::u64_or`] with the same present-but-wrong-type
-    /// rejection as [`ComponentSpec::f64_or_reject`].
+    /// Reads a parameter as `u64`, or `default` when it is absent, with the
+    /// same present-but-wrong-type rejection as
+    /// [`ComponentSpec::f64_or_reject`].
     ///
     /// # Errors
     ///
@@ -231,8 +216,9 @@ impl ComponentSpec {
         }
     }
 
-    /// [`ComponentSpec::str_or`] with the same present-but-wrong-type
-    /// rejection as [`ComponentSpec::f64_or_reject`].
+    /// Reads a string parameter, or `default` when it is absent, with the
+    /// same present-but-wrong-type rejection as
+    /// [`ComponentSpec::f64_or_reject`].
     ///
     /// # Errors
     ///
@@ -1074,15 +1060,16 @@ mod tests {
         assert_eq!(spec.f64("b"), Some(7.0));
         assert_eq!(spec.u64("b"), Some(7));
         assert_eq!(spec.u64("a"), None); // 1.5 is not integral
-        assert_eq!(spec.f64_or("missing", 9.0), 9.0);
         assert_eq!(spec.str("c"), Some("krum"));
         assert_eq!(spec.str("a"), None); // numbers don't read as strings
         assert_eq!(spec.f64("c"), None); // strings don't read as numbers
-        assert_eq!(spec.str_or("missing", "mda"), "mda");
+
         // The strict accessors: absent falls back, wrong type rejects.
         assert_eq!(spec.f64_or_reject("missing", 2.5).unwrap(), 2.5);
         assert_eq!(spec.f64_or_reject("a", 0.0).unwrap(), 1.5);
         assert_eq!(spec.str_or_reject("c", "mda").unwrap(), "krum");
+        assert_eq!(spec.str_or_reject("missing", "mda").unwrap(), "mda");
+        assert_eq!(spec.u64_or_reject("missing", 3).unwrap(), 3);
         for err in [
             spec.f64_or_reject("c", 0.0).unwrap_err(),
             spec.u64_or_reject("c", 0).unwrap_err(),

@@ -126,7 +126,7 @@ pub use dpbyz_core::pack::{
     register_scenario_pack, register_scenario_pack_with, scenario_pack, scenario_pack_ids,
     PackCell, ScenarioPack,
 };
-pub use dpbyz_core::pipeline::{FigureConfig, PipelineError, Workload};
+pub use dpbyz_core::pipeline::{PipelineError, Workload};
 pub use dpbyz_core::registry::{
     self, attack_ids, build_attack, build_gar, build_mechanism, gar_ids, mechanism_capabilities,
     mechanism_ids, register_attack, register_gar, register_mechanism, register_mechanism_with,
@@ -159,7 +159,6 @@ pub mod scenarios {}
 pub use dpbyz_server::{
     AttackVisibility, BatchGrowth, ConfigError, FnObserver, LrSchedule, MomentumMode, RunHistory,
     RunObserver, RunScratch, SeedSummary, StepMetrics, Trainer, TrainingConfig,
-    TrainingConfigBuilder,
 };
 
 // ---- privacy ------------------------------------------------------------
@@ -195,7 +194,7 @@ pub mod prelude {
     pub use crate::{
         register_attack, register_gar, register_mechanism, register_mechanism_with,
         register_scenario_pack, register_scenario_pack_with, scenario_pack, scenario_pack_ids,
-        ComponentSpec, Experiment, ExperimentBuilder, FigureConfig, FnObserver, LrSchedule,
+        ComponentSpec, Experiment, ExperimentBuilder, FnObserver, LrSchedule,
         MechanismCapabilities, MomentumMode, PackCell, PipelineError, PrivacyBudget, RunHistory,
         RunObserver, ScenarioPack, SeedSummary, StepMetrics, TrainingConfig, Workload,
     };

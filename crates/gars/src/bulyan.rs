@@ -67,11 +67,11 @@ impl Gar for Bulyan {
         for _ in 0..theta {
             // Krum scoring needs a pool of ≥ f + 3 to have ≥1 neighbour;
             // n ≥ 4f + 3 guarantees it throughout the θ rounds.
-            scratch.compute_krum_scores_prefilled(n, f);
+            scratch.compute_krum_scores_prefilled(n, f)?;
             // Canonical tie-breaking keeps the selection independent of
             // submission order even at k = 1 neighbour, where mutual
             // nearest neighbours share a score by construction.
-            let best = canonical_argmin_indexed(&scratch.scores, gradients, &scratch.active);
+            let best = canonical_argmin_indexed(&scratch.scores, gradients, &scratch.active)?;
             let picked = scratch.active.swap_remove(best);
             scratch.selected.push(picked);
         }

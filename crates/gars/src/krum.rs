@@ -2,7 +2,8 @@
 
 use crate::scratch::mean_indexed_into;
 use crate::{check_input, Gar, GarError, GarScratch};
-use dpbyz_tensor::Vector;
+use dpbyz_tensor::{stats, Vector};
+use std::cmp::Ordering;
 
 /// The Krum score of every gradient: the sum of squared distances to its
 /// `n − f − 2` nearest neighbours (excluding itself). Allocating
@@ -12,7 +13,7 @@ use dpbyz_tensor::Vector;
 pub(crate) fn krum_scores(gradients: &[Vector], f: usize) -> Vec<f64> {
     let mut scratch = GarScratch::new();
     scratch.set_active_full(gradients.len());
-    scratch.compute_krum_scores(gradients, f);
+    scratch.compute_krum_scores(gradients, f).unwrap();
     std::mem::take(&mut scratch.scores)
 }
 
@@ -21,22 +22,30 @@ pub(crate) fn krum_scores(gradients: &[Vector], f: usize) -> Vec<f64> {
 /// independent of submission order. Ties are structural, not exotic: with
 /// `k = 1` neighbour (the smallest tolerated pool), two mutually-nearest
 /// gradients share the same score — their mutual distance.
+///
+/// # Errors
+///
+/// [`GarError::NaN`] if a score is NaN.
 pub(crate) fn canonical_argmin_indexed(
     scores: &[f64],
     gradients: &[Vector],
     members: &[usize],
-) -> usize {
+) -> Result<usize, GarError> {
     let mut best = 0;
+    let mut nan = false;
     for i in 1..scores.len() {
-        let ord = scores[i].partial_cmp(&scores[best]).expect("finite scores"); // lint:allow(panic-unwrap, reason = "scores are sums of squared distances of finite gradients; NaN is excluded by the kernel contract")
-        if ord == std::cmp::Ordering::Less
-            || (ord == std::cmp::Ordering::Equal
+        let ord = stats::cmp_flagging_nan(scores[i], scores[best], &mut nan);
+        if ord == Ordering::Less
+            || (ord == Ordering::Equal
                 && lex_less(&gradients[members[i]], &gradients[members[best]]))
         {
             best = i;
         }
     }
-    best
+    if nan {
+        return Err(GarError::NaN);
+    }
+    Ok(best)
 }
 
 /// Lexicographic strict order on coordinates.
@@ -112,8 +121,8 @@ impl Gar for Krum {
         check_input(gradients)?;
         check_tolerance(gradients.len(), f)?;
         scratch.set_active_full(gradients.len());
-        scratch.compute_krum_scores(gradients, f);
-        let best = canonical_argmin_indexed(&scratch.scores, gradients, &scratch.active);
+        scratch.compute_krum_scores(gradients, f)?;
+        let best = canonical_argmin_indexed(&scratch.scores, gradients, &scratch.active)?;
         out.copy_from(&gradients[scratch.active[best]]);
         Ok(())
         // lint:end(zero-copy)
@@ -161,7 +170,7 @@ impl Gar for MultiKrum {
         let n = gradients.len();
         let m = n - f;
         scratch.set_active_full(n);
-        scratch.compute_krum_scores(gradients, f);
+        scratch.compute_krum_scores(gradients, f)?;
         let GarScratch {
             ref scores,
             ref mut order,
@@ -169,20 +178,21 @@ impl Gar for MultiKrum {
         } = *scratch;
         order.clear();
         order.extend(0..n);
+        let mut nan = false;
         order.sort_by(|&a, &b| {
-            scores[a]
-                .partial_cmp(&scores[b])
-                .expect("finite scores") // lint:allow(panic-unwrap, reason = "scores are sums of squared distances of finite gradients; NaN is excluded by the kernel contract")
-                .then_with(|| {
-                    if lex_less(&gradients[a], &gradients[b]) {
-                        std::cmp::Ordering::Less
-                    } else if lex_less(&gradients[b], &gradients[a]) {
-                        std::cmp::Ordering::Greater
-                    } else {
-                        std::cmp::Ordering::Equal
-                    }
-                })
+            stats::cmp_flagging_nan(scores[a], scores[b], &mut nan).then_with(|| {
+                if lex_less(&gradients[a], &gradients[b]) {
+                    Ordering::Less
+                } else if lex_less(&gradients[b], &gradients[a]) {
+                    Ordering::Greater
+                } else {
+                    Ordering::Equal
+                }
+            })
         });
+        if nan {
+            return Err(GarError::NaN);
+        }
         mean_indexed_into(gradients, &order[..m], out);
         Ok(())
         // lint:end(zero-copy)

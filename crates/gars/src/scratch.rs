@@ -10,7 +10,8 @@
 //! storage instead of a fresh `Vec<Vec<f64>>` per round.
 
 use crate::compute::ComputePool;
-use dpbyz_tensor::{kernels, Vector};
+use crate::GarError;
+use dpbyz_tensor::{kernels, stats, Vector};
 
 /// Dimension at which the distance-matrix fill switches to the cache-tiled
 /// kernel ([`kernels::pairwise_squared_distances_tiled`]). The tiled fill
@@ -124,7 +125,11 @@ impl GarScratch {
     /// calling thread: each member's neighbour distances are packed in
     /// co-member order and reduced by the sorted-prefix sum of
     /// [`krum_score`].
-    pub(crate) fn compute_krum_scores(&mut self, gradients: &[Vector], f: usize) {
+    pub(crate) fn compute_krum_scores(
+        &mut self,
+        gradients: &[Vector],
+        f: usize,
+    ) -> Result<(), GarError> {
         self.fill_dist2_active(gradients);
         let m = self.active.len();
         let k = m - f - 2;
@@ -138,8 +143,9 @@ impl GarScratch {
                     .filter(|&(b, _)| b != a)
                     .map(|(_, &d)| d),
             );
-            self.scores.push(krum_score(&mut self.sort_buf, k));
+            self.scores.push(krum_score(&mut self.sort_buf, k)?);
         }
+        Ok(())
     }
 
     /// Krum scores for a *shrinking* pool over a pre-filled matrix: the
@@ -150,7 +156,11 @@ impl GarScratch {
     /// O(n²·d) fill instead of recomputing it every round — bitwise the
     /// same scores as re-filling per round: the same distance values feed
     /// the same sorted prefix sums.
-    pub(crate) fn compute_krum_scores_prefilled(&mut self, n: usize, f: usize) {
+    pub(crate) fn compute_krum_scores_prefilled(
+        &mut self,
+        n: usize,
+        f: usize,
+    ) -> Result<(), GarError> {
         let m = self.active.len();
         let k = m - f - 2;
         self.scores.clear();
@@ -164,16 +174,25 @@ impl GarScratch {
                     .filter(|&(pos_b, _)| pos_b != pos_a)
                     .map(|(_, &member_b)| row[member_b]),
             );
-            self.scores.push(krum_score(&mut self.sort_buf, k));
+            self.scores.push(krum_score(&mut self.sort_buf, k)?);
         }
+        Ok(())
     }
 }
 
 /// One member's Krum score: the sum of the `k` smallest of its neighbour
 /// distances (sorted in place).
-fn krum_score(neighbours: &mut [f64], k: usize) -> f64 {
-    neighbours.sort_unstable_by(|x, y| x.partial_cmp(y).expect("finite distances")); // lint:allow(panic-unwrap, reason = "distances between finite gradients; NaN is excluded by the kernel contract")
-    neighbours[..k].iter().sum()
+///
+/// # Errors
+///
+/// [`GarError::NaN`] if a distance is NaN (a diverged gradient).
+fn krum_score(neighbours: &mut [f64], k: usize) -> Result<f64, GarError> {
+    let mut nan = false;
+    neighbours.sort_unstable_by(|&x, &y| stats::cmp_flagging_nan(x, y, &mut nan));
+    if nan {
+        return Err(GarError::NaN);
+    }
+    Ok(neighbours[..k].iter().sum())
 }
 
 /// Writes the mean of `gradients[indices]` into `out` without cloning any
@@ -217,7 +236,7 @@ mod tests {
         grads.push(Vector::from(vec![100.0]));
         let mut s = GarScratch::new();
         s.set_active_full(grads.len());
-        s.compute_krum_scores(&grads, 2);
+        s.compute_krum_scores(&grads, 2).unwrap();
         let outlier = *s.scores.last().unwrap();
         assert!(s.scores[..6].iter().all(|&x| x < outlier));
     }

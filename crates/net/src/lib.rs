@@ -30,15 +30,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use dpbyz_core::pipeline::{Experiment, FigureConfig};
+//! use dpbyz_core::pipeline::Experiment;
 //!
 //! dpbyz_net::install(); // register the "tcp" backend
-//! let mut exp = Experiment::paper_figure(FigureConfig {
-//!     steps: 3,
-//!     dataset_size: 300,
-//!     ..FigureConfig::default()
-//! })
-//! .unwrap();
+//! let mut exp = Experiment::builder()
+//!     .steps(3)
+//!     .dataset_size(300)
+//!     .build()
+//!     .unwrap();
 //! let in_process = exp.run(1).unwrap();
 //! exp.backend = "tcp".into();
 //! let over_tcp = exp.run(1).unwrap();

@@ -844,11 +844,14 @@ mod tests {
     #[test]
     fn tcp_and_sim_specs_resolve_to_one_deployment() {
         // n = 11, f = 2 under attack: 9 honest workers connect.
-        let config = dpbyz_server::TrainingConfig::builder()
-            .workers(11, 2)
-            .steps(5)
-            .build()
-            .unwrap();
+        let config = dpbyz_server::TrainingConfig {
+            n_workers: 11,
+            n_byzantine: 2,
+            steps: 5,
+            ..dpbyz_server::TrainingConfig::default()
+        }
+        .validate()
+        .unwrap();
         let resolved = |d: Deployment| {
             let m = d.resolve("test", &config, true).unwrap();
             let deadlines = (m.join_deadline_ms, m.warmup_deadline_ms, m.step_deadline_ms);

@@ -181,18 +181,16 @@ impl JobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpbyz_core::pipeline::FigureConfig;
 
     fn experiment() -> Experiment {
-        Experiment::paper_figure(FigureConfig {
-            batch_size: 10,
-            epsilon: Some(0.2),
-            attack: Some("alie".into()),
-            steps: 5,
-            dataset_size: 300,
-            ..FigureConfig::default()
-        })
-        .unwrap()
+        Experiment::builder()
+            .batch_size(10)
+            .epsilon(0.2)
+            .attack("alie")
+            .steps(5)
+            .dataset_size(300)
+            .build()
+            .unwrap()
     }
 
     #[test]

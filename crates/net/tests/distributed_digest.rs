@@ -3,20 +3,19 @@
 //! mistakes and rejected reports must surface as [`PipelineError::Spec`]
 //! — not hangs.
 
-use dpbyz_core::pipeline::{Experiment, FigureConfig, PipelineError, Workload};
+use dpbyz_core::pipeline::{Experiment, PipelineError, Workload};
 use dpbyz_core::{ComponentSpec, RegistryError};
 use dpbyz_server::LrSchedule;
 
 fn attacked_experiment() -> Experiment {
-    Experiment::paper_figure(FigureConfig {
-        batch_size: 10,
-        epsilon: Some(0.2),
-        attack: Some("alie".into()),
-        steps: 8,
-        dataset_size: 300,
-        ..FigureConfig::default()
-    })
-    .unwrap()
+    Experiment::builder()
+        .batch_size(10)
+        .epsilon(0.2)
+        .attack("alie")
+        .steps(8)
+        .dataset_size(300)
+        .build()
+        .unwrap()
 }
 
 /// The tentpole acceptance property: same seed, two engines, one
@@ -49,13 +48,12 @@ fn tcp_engine_is_bit_identical_to_sequential() {
 #[test]
 fn tcp_engine_matches_without_an_attack() {
     dpbyz_net::install();
-    let mut exp = Experiment::paper_figure(FigureConfig {
-        batch_size: 10,
-        steps: 6,
-        dataset_size: 300,
-        ..FigureConfig::default()
-    })
-    .unwrap();
+    let mut exp = Experiment::builder()
+        .batch_size(10)
+        .steps(6)
+        .dataset_size(300)
+        .build()
+        .unwrap();
     let seed = 3;
     let reference = exp.run(seed).unwrap();
 

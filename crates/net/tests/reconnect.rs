@@ -10,7 +10,7 @@
 //! worker is indistinguishable from an omitted one, round by round)
 //! instead of inventing a new failure mode.
 
-use dpbyz_core::pipeline::{Experiment, FigureConfig};
+use dpbyz_core::pipeline::Experiment;
 use dpbyz_core::ComponentSpec;
 use dpbyz_net::{FaultPlan, SimBackend};
 use dpbyz_server::RunScratch;
@@ -21,13 +21,12 @@ const STEPS: u32 = 8;
 const PAST_DEADLINE_MS: u64 = 20_000;
 
 fn experiment() -> Experiment {
-    Experiment::paper_figure(FigureConfig {
-        batch_size: 10,
-        steps: STEPS,
-        dataset_size: 300,
-        ..FigureConfig::default()
-    })
-    .unwrap()
+    Experiment::builder()
+        .batch_size(10)
+        .steps(STEPS)
+        .dataset_size(300)
+        .build()
+        .unwrap()
 }
 
 fn sim_backend(quorum: usize) -> SimBackend {

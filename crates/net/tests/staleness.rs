@@ -12,7 +12,7 @@
 //! bounded staleness introduces no third behaviour.
 
 use bytes::{BufMut, BytesMut};
-use dpbyz_core::pipeline::{Experiment, FigureConfig};
+use dpbyz_core::pipeline::Experiment;
 use dpbyz_core::ComponentSpec;
 use dpbyz_net::protocol::{
     begin_frame, decode_vec_frame, encode_vec_frame, end_frame, write_all_frame, KIND_ABORT,
@@ -32,13 +32,12 @@ const STEPS: u32 = 6;
 /// A clean (no-attack, average-GAR) figure run with the staleness knobs
 /// set; `window = 0` is today's strict semantics.
 fn experiment(window: u32) -> Experiment {
-    let mut exp = Experiment::paper_figure(FigureConfig {
-        batch_size: 10,
-        steps: STEPS,
-        dataset_size: 300,
-        ..FigureConfig::default()
-    })
-    .unwrap();
+    let mut exp = Experiment::builder()
+        .batch_size(10)
+        .steps(STEPS)
+        .dataset_size(300)
+        .build()
+        .unwrap();
     exp.config.staleness_window = window;
     exp.config.staleness_damping = 0.5;
     exp

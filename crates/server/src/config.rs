@@ -172,13 +172,9 @@ pub struct TrainingConfig {
 }
 
 impl TrainingConfig {
-    /// Starts a builder pre-loaded with the defaults (see the type docs).
-    pub fn builder() -> TrainingConfigBuilder {
-        TrainingConfigBuilder::default()
-    }
-
-    /// Checks every knob and returns the configuration unchanged (what
-    /// [`TrainingConfigBuilder::build`] runs).
+    /// Checks every knob and returns the configuration unchanged. Write a
+    /// configuration as a literal over the defaults and validate it:
+    /// `TrainingConfig { batch_size: 10, ..TrainingConfig::default() }.validate()`.
     ///
     /// # Errors
     ///
@@ -282,123 +278,17 @@ impl Default for TrainingConfig {
     }
 }
 
-/// Builder for [`TrainingConfig`].
-#[derive(Debug, Clone, Default)]
-pub struct TrainingConfigBuilder {
-    config: TrainingConfig,
-}
-
-impl TrainingConfigBuilder {
-    /// Sets `n` total and `f` Byzantine workers.
-    pub fn workers(mut self, n: usize, f: usize) -> Self {
-        self.config.n_workers = n;
-        self.config.n_byzantine = f;
-        self
-    }
-
-    /// Sets the per-worker batch size `b`.
-    pub fn batch_size(mut self, b: usize) -> Self {
-        self.config.batch_size = b;
-        self
-    }
-
-    /// Sets the number of steps `T`.
-    pub fn steps(mut self, t: u32) -> Self {
-        self.config.steps = t;
-        self
-    }
-
-    /// Sets the learning-rate schedule.
-    pub fn lr(mut self, lr: LrSchedule) -> Self {
-        self.config.lr = lr;
-        self
-    }
-
-    /// Sets the momentum coefficient.
-    pub fn momentum(mut self, m: f64) -> Self {
-        self.config.momentum = m;
-        self
-    }
-
-    /// Sets the momentum placement.
-    pub fn momentum_mode(mut self, mode: MomentumMode) -> Self {
-        self.config.momentum_mode = mode;
-        self
-    }
-
-    /// Sets the clipping threshold `G_max`.
-    pub fn clip(mut self, g_max: f64) -> Self {
-        self.config.clip = g_max;
-        self
-    }
-
-    /// Sets the accuracy evaluation period (0 disables evaluation).
-    pub fn eval_every(mut self, period: u32) -> Self {
-        self.config.eval_every = period;
-        self
-    }
-
-    /// Sets the attacker's observation model.
-    pub fn attack_visibility(mut self, v: AttackVisibility) -> Self {
-        self.config.attack_visibility = v;
-        self
-    }
-
-    /// Sets the per-step submission drop probability (fault injection).
-    pub fn drop_rate(mut self, rate: f64) -> Self {
-        self.config.drop_rate = rate;
-        self
-    }
-
-    /// Enables server-side gradient EMA with coefficient `beta`.
-    pub fn gradient_ema(mut self, beta: f64) -> Self {
-        self.config.gradient_ema = Some(beta);
-        self
-    }
-
-    /// Enables dynamic batch growth.
-    pub fn batch_growth(mut self, factor: f64, max: usize) -> Self {
-        self.config.batch_growth = Some(BatchGrowth { factor, max });
-        self
-    }
-
-    /// Sets the intra-round aggregation thread count (1 = serial).
-    pub fn agg_threads(mut self, threads: usize) -> Self {
-        self.config.agg_threads = threads;
-        self
-    }
-
-    /// Sets the bounded-staleness window `k` (0 = strict synchronous
-    /// rounds, the paper's semantics).
-    pub fn staleness_window(mut self, k: u32) -> Self {
-        self.config.staleness_window = k;
-        self
-    }
-
-    /// Sets the age damping factor `λ ∈ (0, 1]` applied as `λ^j` to a
-    /// gradient admitted `j` rounds late.
-    pub fn staleness_damping(mut self, lambda: f64) -> Self {
-        self.config.staleness_damping = lambda;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// See [`ConfigError`].
-    pub fn build(self) -> Result<TrainingConfig, ConfigError> {
-        self.config.validate()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn growth(factor: f64, max: usize) -> Option<BatchGrowth> {
+        Some(BatchGrowth { factor, max })
+    }
+
     #[test]
     fn defaults_match_paper() {
-        let c = TrainingConfig::builder().build().unwrap();
+        let c = TrainingConfig::default().validate().unwrap();
         assert_eq!(c.n_workers, 11);
         assert_eq!(c.n_byzantine, 5);
         assert_eq!(c.batch_size, 50);
@@ -416,37 +306,18 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides() {
-        let c = TrainingConfig::builder()
-            .workers(7, 2)
-            .batch_size(10)
-            .steps(100)
-            .momentum(0.0)
-            .momentum_mode(MomentumMode::Worker)
-            .clip(1.0)
-            .eval_every(0)
-            .lr(LrSchedule::InvT { gamma0: 1.0 })
-            .attack_visibility(AttackVisibility::PreNoise)
-            .agg_threads(4)
-            .build()
-            .unwrap();
-        assert_eq!(c.n_workers, 7);
-        assert_eq!(c.momentum_mode, MomentumMode::Worker);
-        assert_eq!(c.attack_visibility, AttackVisibility::PreNoise);
-        assert_eq!(c.agg_threads, 4);
-    }
-
-    #[test]
     fn batch_at_schedule() {
-        let constant = TrainingConfig::builder().build().unwrap();
+        let constant = TrainingConfig::default().validate().unwrap();
         assert_eq!(constant.batch_at(1), 50);
         assert_eq!(constant.batch_at(1000), 50);
 
-        let growing = TrainingConfig::builder()
-            .batch_size(10)
-            .batch_growth(1.1, 100)
-            .build()
-            .unwrap();
+        let growing = TrainingConfig {
+            batch_size: 10,
+            batch_growth: growth(1.1, 100),
+            ..TrainingConfig::default()
+        }
+        .validate()
+        .unwrap();
         assert_eq!(growing.batch_at(1), 10);
         assert_eq!(growing.batch_at(2), 11);
         assert!(growing.batch_at(20) > growing.batch_at(10));
@@ -455,78 +326,121 @@ mod tests {
 
     #[test]
     fn extension_validation() {
+        let default = TrainingConfig::default;
+        for valid in [
+            TrainingConfig {
+                drop_rate: 0.3,
+                ..default()
+            },
+            TrainingConfig {
+                gradient_ema: Some(0.9),
+                ..default()
+            },
+        ] {
+            assert!(valid.validate().is_ok());
+        }
         assert!(matches!(
-            TrainingConfig::builder().drop_rate(1.0).build(),
+            TrainingConfig {
+                drop_rate: 1.0,
+                ..default()
+            }
+            .validate(),
             Err(ConfigError::BadDropRate(_))
         ));
-        assert!(TrainingConfig::builder().drop_rate(0.3).build().is_ok());
         assert!(matches!(
-            TrainingConfig::builder().gradient_ema(1.0).build(),
+            TrainingConfig {
+                gradient_ema: Some(1.0),
+                ..default()
+            }
+            .validate(),
             Err(ConfigError::BadEma(_))
         ));
-        assert!(TrainingConfig::builder().gradient_ema(0.9).build().is_ok());
-        assert!(matches!(
-            TrainingConfig::builder().batch_growth(0.5, 100).build(),
-            Err(ConfigError::BadBatchGrowth { .. })
-        ));
-        assert!(matches!(
-            TrainingConfig::builder()
-                .batch_size(50)
-                .batch_growth(1.1, 10)
-                .build(),
-            Err(ConfigError::BadBatchGrowth { .. })
-        ));
+        for (batch_size, batch_growth) in [(50, growth(0.5, 100)), (50, growth(1.1, 10))] {
+            assert!(matches!(
+                TrainingConfig {
+                    batch_size,
+                    batch_growth,
+                    ..default()
+                }
+                .validate(),
+                Err(ConfigError::BadBatchGrowth { .. })
+            ));
+        }
     }
 
     #[test]
     fn validation_rejects_bad_configs() {
+        let default = TrainingConfig::default;
+        let topology = |n_workers, n_byzantine| TrainingConfig {
+            n_workers,
+            n_byzantine,
+            ..default()
+        };
         assert!(matches!(
-            TrainingConfig::builder().workers(5, 5).build(),
+            topology(5, 5).validate(),
             Err(ConfigError::BadTopology { .. })
         ));
         assert!(matches!(
-            TrainingConfig::builder().workers(0, 0).build(),
+            topology(0, 0).validate(),
             Err(ConfigError::BadTopology { .. })
         ));
-        assert!(matches!(
-            TrainingConfig::builder().batch_size(0).build(),
-            Err(ConfigError::ZeroBatch)
-        ));
-        assert!(matches!(
-            TrainingConfig::builder().steps(0).build(),
-            Err(ConfigError::ZeroSteps)
-        ));
-        assert!(matches!(
-            TrainingConfig::builder().momentum(1.0).build(),
-            Err(ConfigError::BadMomentum(_))
-        ));
-        assert!(matches!(
-            TrainingConfig::builder().clip(0.0).build(),
-            Err(ConfigError::BadClip(_))
-        ));
-        assert!(matches!(
-            TrainingConfig::builder().agg_threads(0).build(),
-            Err(ConfigError::ZeroAggThreads)
-        ));
+        let cases = [
+            (
+                TrainingConfig {
+                    batch_size: 0,
+                    ..default()
+                },
+                ConfigError::ZeroBatch,
+            ),
+            (
+                TrainingConfig {
+                    steps: 0,
+                    ..default()
+                },
+                ConfigError::ZeroSteps,
+            ),
+            (
+                TrainingConfig {
+                    momentum: 1.0,
+                    ..default()
+                },
+                ConfigError::BadMomentum(1.0),
+            ),
+            (
+                TrainingConfig {
+                    clip: 0.0,
+                    ..default()
+                },
+                ConfigError::BadClip(0.0),
+            ),
+            (
+                TrainingConfig {
+                    agg_threads: 0,
+                    ..default()
+                },
+                ConfigError::ZeroAggThreads,
+            ),
+        ];
+        for (config, expected) in cases {
+            assert_eq!(config.validate(), Err(expected));
+        }
     }
 
     #[test]
     fn staleness_validation() {
-        let c = TrainingConfig::builder()
-            .staleness_window(3)
-            .staleness_damping(0.9)
-            .build()
-            .unwrap();
+        let damped = |staleness_damping| TrainingConfig {
+            staleness_window: 3,
+            staleness_damping,
+            ..TrainingConfig::default()
+        };
+        let c = damped(0.9).validate().unwrap();
         assert_eq!(c.staleness_window, 3);
         assert_eq!(c.staleness_damping, 0.9);
         // λ = 1 (no damping) is allowed; 0, amplifying, and NaN are not.
-        assert!(TrainingConfig::builder()
-            .staleness_damping(1.0)
-            .build()
-            .is_ok());
+        assert!(damped(1.0).validate().is_ok());
         for bad in [0.0, -0.5, 1.5, f64::NAN] {
             assert!(matches!(
-                TrainingConfig::builder().staleness_damping(bad).build(),
+                damped(bad).validate(),
                 Err(ConfigError::BadStalenessDamping(_))
             ));
         }

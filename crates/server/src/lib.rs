@@ -41,12 +41,15 @@
 //! let train = Arc::new(train);
 //! let model = Arc::new(LogisticRegression::new(68, LossKind::SigmoidMse));
 //!
-//! let config = TrainingConfig::builder()
-//!     .workers(5, 0)
-//!     .batch_size(25)
-//!     .steps(50)
-//!     .build()
-//!     .unwrap();
+//! let config = TrainingConfig {
+//!     n_workers: 5,
+//!     n_byzantine: 0,
+//!     batch_size: 25,
+//!     steps: 50,
+//!     ..TrainingConfig::default()
+//! }
+//! .validate()
+//! .unwrap();
 //! let sources = (0..5)
 //!     .map(|_| {
 //!         Box::new(DatasetSource::new(train.clone(), SamplingMode::WithReplacement))
@@ -70,9 +73,7 @@ mod schedule;
 mod trainer;
 mod worker;
 
-pub use config::{
-    AttackVisibility, BatchGrowth, ConfigError, MomentumMode, TrainingConfig, TrainingConfigBuilder,
-};
+pub use config::{AttackVisibility, BatchGrowth, ConfigError, MomentumMode, TrainingConfig};
 pub use metrics::{ChurnStats, RunHistory, SeedSummary};
 pub use observer::{FnObserver, RunObserver, StepMetrics};
 pub use schedule::LrSchedule;

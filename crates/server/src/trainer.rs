@@ -782,7 +782,7 @@ impl Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TrainingConfig;
+    use crate::config::{BatchGrowth, TrainingConfig};
     use dpbyz_attacks::{FallOfEmpires, LittleIsEnough};
     use dpbyz_data::sampler::{DatasetSource, SamplingMode};
     use dpbyz_data::synthetic;
@@ -797,13 +797,16 @@ mod tests {
         let train = Arc::new(train);
         let test = Arc::new(test);
         let model = Arc::new(LogisticRegression::new(68, LossKind::SigmoidMse));
-        let config = TrainingConfig::builder()
-            .workers(n, f)
-            .batch_size(20)
-            .steps(steps)
-            .eval_every(10)
-            .build()
-            .unwrap();
+        let config = TrainingConfig {
+            n_workers: n,
+            n_byzantine: f,
+            batch_size: 20,
+            steps,
+            eval_every: 10,
+            ..TrainingConfig::default()
+        }
+        .validate()
+        .unwrap();
         let sources: Vec<Box<dyn BatchSource>> = (0..n)
             .map(|_| {
                 Box::new(DatasetSource::new(
@@ -912,14 +915,17 @@ mod tests {
     fn vn_submitted_reflects_fault_injection_drops() {
         // Zeroed (dropped) submissions are part of what the GAR sees, so
         // the submitted series must diverge from the clean one.
-        let config = TrainingConfig::builder()
-            .workers(5, 0)
-            .batch_size(20)
-            .steps(40)
-            .drop_rate(0.4)
-            .eval_every(0)
-            .build()
-            .unwrap();
+        let config = TrainingConfig {
+            n_workers: 5,
+            n_byzantine: 0,
+            batch_size: 20,
+            steps: 40,
+            drop_rate: 0.4,
+            eval_every: 0,
+            ..TrainingConfig::default()
+        }
+        .validate()
+        .unwrap();
         let h = make_trainer_with(config, 9).run(1).unwrap();
         let diverged = h
             .vn_clean
@@ -934,37 +940,46 @@ mod tests {
         // Regression: with steps = 7 and eval_every = 3 the old schedule
         // evaluated at t = 3, 6 only, so the final model never appeared in
         // the accuracy curve.
-        let config = TrainingConfig::builder()
-            .workers(3, 0)
-            .batch_size(10)
-            .steps(7)
-            .eval_every(3)
-            .build()
-            .unwrap();
+        let config = TrainingConfig {
+            n_workers: 3,
+            n_byzantine: 0,
+            batch_size: 10,
+            steps: 7,
+            eval_every: 3,
+            ..TrainingConfig::default()
+        }
+        .validate()
+        .unwrap();
         let h = make_trainer_with(config, 4).run(1).unwrap();
         let steps: Vec<u32> = h.test_accuracy.iter().map(|&(t, _)| t).collect();
         assert_eq!(steps, vec![3, 6, 7]);
 
         // When steps is a multiple of the period there is no duplicate.
-        let config = TrainingConfig::builder()
-            .workers(3, 0)
-            .batch_size(10)
-            .steps(6)
-            .eval_every(3)
-            .build()
-            .unwrap();
+        let config = TrainingConfig {
+            n_workers: 3,
+            n_byzantine: 0,
+            batch_size: 10,
+            steps: 6,
+            eval_every: 3,
+            ..TrainingConfig::default()
+        }
+        .validate()
+        .unwrap();
         let h = make_trainer_with(config, 4).run(1).unwrap();
         let steps: Vec<u32> = h.test_accuracy.iter().map(|&(t, _)| t).collect();
         assert_eq!(steps, vec![3, 6]);
 
         // eval_every = 0 still disables evaluation entirely.
-        let config = TrainingConfig::builder()
-            .workers(3, 0)
-            .batch_size(10)
-            .steps(7)
-            .eval_every(0)
-            .build()
-            .unwrap();
+        let config = TrainingConfig {
+            n_workers: 3,
+            n_byzantine: 0,
+            batch_size: 10,
+            steps: 7,
+            eval_every: 0,
+            ..TrainingConfig::default()
+        }
+        .validate()
+        .unwrap();
         let h = make_trainer_with(config, 4).run(1).unwrap();
         assert!(h.test_accuracy.is_empty());
     }
@@ -988,14 +1003,17 @@ mod tests {
 
     #[test]
     fn drop_rate_still_trains_and_is_deterministic() {
-        let config = TrainingConfig::builder()
-            .workers(5, 0)
-            .batch_size(20)
-            .steps(80)
-            .drop_rate(0.3)
-            .eval_every(0)
-            .build()
-            .unwrap();
+        let config = TrainingConfig {
+            n_workers: 5,
+            n_byzantine: 0,
+            batch_size: 20,
+            steps: 80,
+            drop_rate: 0.3,
+            eval_every: 0,
+            ..TrainingConfig::default()
+        }
+        .validate()
+        .unwrap();
         let h1 = make_trainer_with(config.clone(), 9).run(1).unwrap();
         let h2 = make_trainer_with(config, 9).run(1).unwrap();
         assert_eq!(h1, h2);
@@ -1010,14 +1028,17 @@ mod tests {
     #[test]
     fn drop_rate_changes_trajectory() {
         let mk = |rate: f64| {
-            let config = TrainingConfig::builder()
-                .workers(5, 0)
-                .batch_size(20)
-                .steps(20)
-                .drop_rate(rate)
-                .eval_every(0)
-                .build()
-                .unwrap();
+            let config = TrainingConfig {
+                n_workers: 5,
+                n_byzantine: 0,
+                batch_size: 20,
+                steps: 20,
+                drop_rate: rate,
+                eval_every: 0,
+                ..TrainingConfig::default()
+            }
+            .validate()
+            .unwrap();
             make_trainer_with(config, 9).run(1).unwrap()
         };
         assert_ne!(mk(0.0), mk(0.5));
@@ -1026,18 +1047,19 @@ mod tests {
     #[test]
     fn gradient_ema_smooths_updates() {
         let mk = |ema: Option<f64>| {
-            let mut builder = TrainingConfig::builder()
-                .workers(5, 0)
-                .batch_size(20)
-                .steps(30)
-                .momentum(0.0)
-                .eval_every(0);
-            if let Some(beta) = ema {
-                builder = builder.gradient_ema(beta);
+            let config = TrainingConfig {
+                n_workers: 5,
+                n_byzantine: 0,
+                batch_size: 20,
+                steps: 30,
+                momentum: 0.0,
+                eval_every: 0,
+                gradient_ema: ema,
+                ..TrainingConfig::default()
             }
-            make_trainer_with(builder.build().unwrap(), 9)
-                .run(1)
-                .unwrap()
+            .validate()
+            .unwrap();
+            make_trainer_with(config, 9).run(1).unwrap()
         };
         let plain = mk(None);
         let smoothed = mk(Some(0.9));
@@ -1048,14 +1070,20 @@ mod tests {
 
     #[test]
     fn batch_growth_runs_and_improves_late_variance() {
-        let config = TrainingConfig::builder()
-            .workers(5, 0)
-            .batch_size(5)
-            .steps(60)
-            .batch_growth(1.1, 200)
-            .eval_every(0)
-            .build()
-            .unwrap();
+        let config = TrainingConfig {
+            n_workers: 5,
+            n_byzantine: 0,
+            batch_size: 5,
+            steps: 60,
+            batch_growth: Some(BatchGrowth {
+                factor: 1.1,
+                max: 200,
+            }),
+            eval_every: 0,
+            ..TrainingConfig::default()
+        }
+        .validate()
+        .unwrap();
         let grown = make_trainer_with(config.clone(), 9).run(1).unwrap();
         assert!(grown.tail_loss(5) < grown.train_loss[0]);
 
@@ -1063,13 +1091,16 @@ mod tests {
         // constant-batch control (the σ_G ∝ 1/√b effect itself is verified
         // at a fixed parameter point in `worker` tests — trajectories
         // confound it with convergence state).
-        let constant = TrainingConfig::builder()
-            .workers(5, 0)
-            .batch_size(5)
-            .steps(60)
-            .eval_every(0)
-            .build()
-            .unwrap();
+        let constant = TrainingConfig {
+            n_workers: 5,
+            n_byzantine: 0,
+            batch_size: 5,
+            steps: 60,
+            eval_every: 0,
+            ..TrainingConfig::default()
+        }
+        .validate()
+        .unwrap();
         let flat = make_trainer_with(constant, 9).run(1).unwrap();
         assert_ne!(grown, flat);
         // Determinism is preserved under growth.
@@ -1079,15 +1110,18 @@ mod tests {
 
     #[test]
     fn late_submission_age_damps_the_marked_round_only() {
-        let config = TrainingConfig::builder()
-            .workers(3, 0)
-            .batch_size(10)
-            .steps(4)
-            .eval_every(0)
-            .staleness_window(2)
-            .staleness_damping(0.5)
-            .build()
-            .unwrap();
+        let config = TrainingConfig {
+            n_workers: 3,
+            n_byzantine: 0,
+            batch_size: 10,
+            steps: 4,
+            eval_every: 0,
+            staleness_window: 2,
+            staleness_damping: 0.5,
+            ..TrainingConfig::default()
+        }
+        .validate()
+        .unwrap();
         // Hand-driven engine so we can flag a late submission mid-run.
         let run = |late_age: u32| {
             let mut scratch = RunScratch::new();
@@ -1174,12 +1208,15 @@ mod tests {
         // run starts and until every run is done, so no round may lease.
         let n = cores();
         let barrier = Arc::new(std::sync::Barrier::new(n));
-        let config = TrainingConfig::builder()
-            .workers(2, 0)
-            .batch_size(150)
-            .steps(3)
-            .build()
-            .unwrap();
+        let config = TrainingConfig {
+            n_workers: 2,
+            n_byzantine: 0,
+            batch_size: 150,
+            steps: 3,
+            ..TrainingConfig::default()
+        }
+        .validate()
+        .unwrap();
         let runs: Vec<_> = (0..n)
             .map(|_| {
                 let (barrier, config) = (barrier.clone(), config.clone());
@@ -1209,16 +1246,22 @@ mod tests {
     fn leased_matches_inline_under_attack_noise_and_every_extension() {
         // DP + attack + drops + EMA + batch growth: every RNG stream and
         // every server-side extension in one cell, several seeds.
-        let config = TrainingConfig::builder()
-            .workers(11, 5)
-            .batch_size(20)
-            .steps(15)
-            .drop_rate(0.25)
-            .gradient_ema(0.9)
-            .batch_growth(1.05, 100)
-            .eval_every(5)
-            .build()
-            .unwrap();
+        let config = TrainingConfig {
+            n_workers: 11,
+            n_byzantine: 5,
+            batch_size: 20,
+            steps: 15,
+            drop_rate: 0.25,
+            gradient_ema: Some(0.9),
+            batch_growth: Some(BatchGrowth {
+                factor: 1.05,
+                max: 100,
+            }),
+            eval_every: 5,
+            ..TrainingConfig::default()
+        }
+        .validate()
+        .unwrap();
         let trainer = || attacked(make_trainer_with(config.clone(), 11));
         for seed in [5, 13] {
             let inline = run_path(trainer(), seed, false);

@@ -53,7 +53,7 @@ pub fn population_variance(xs: &[f64]) -> Result<f64, TensorError> {
 /// still a total order, so the sort it drives finishes and its caller
 /// reports [`TensorError::NaN`]. Any NaN among two or more values is
 /// compared at least once, so it is always reported.
-fn cmp_flagging_nan(a: f64, b: f64, nan: &mut bool) -> Ordering {
+pub fn cmp_flagging_nan(a: f64, b: f64, nan: &mut bool) -> Ordering {
     a.partial_cmp(&b).unwrap_or_else(|| {
         *nan = true;
         a.is_nan().cmp(&b.is_nan())

@@ -228,18 +228,22 @@ fn counting_trainer(
         ),
         _ => (0, None),
     };
-    let mut config = TrainingConfig::builder()
-        .workers(n, f)
-        .batch_size(batch_size(cell, leased))
-        .steps(STEPS)
-        .eval_every(eval_every)
-        .agg_threads(agg_threads);
+    let mut config = TrainingConfig {
+        n_workers: n,
+        n_byzantine: f,
+        batch_size: batch_size(cell, leased),
+        steps: STEPS,
+        eval_every,
+        agg_threads,
+        ..TrainingConfig::default()
+    };
     if paper {
-        config = config.momentum(0.99).momentum_mode(MomentumMode::Worker);
+        config.momentum = 0.99;
+        config.momentum_mode = MomentumMode::Worker;
     }
     let snapshots: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::with_capacity(STEPS as usize)));
     let sink = snapshots.clone();
-    let mut trainer = Trainer::new(config.build().unwrap(), model, sources, test)
+    let mut trainer = Trainer::new(config.validate().unwrap(), model, sources, test)
         .gar(gar)
         .mechanism(Arc::new(GaussianMechanism::with_sigma(0.01).unwrap()) as Arc<dyn Mechanism>)
         .observer(Box::new(FnObserver::new(move |_m| {

@@ -6,7 +6,7 @@
 //! sequential engine's history **bit for bit**. And the chaos itself is
 //! deterministic: the same chaos seed replays the same run.
 
-use dpbyz_core::pipeline::{Experiment, FigureConfig};
+use dpbyz_core::pipeline::Experiment;
 use dpbyz_core::ComponentSpec;
 use dpbyz_net::{FaultPlan, SimBackend};
 use dpbyz_server::RunScratch;
@@ -16,15 +16,14 @@ use dpbyz_server::RunScratch;
 const CHAOS_SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 0xDEAD_BEEF, u64::MAX];
 
 fn experiment() -> Experiment {
-    Experiment::paper_figure(FigureConfig {
-        batch_size: 10,
-        epsilon: Some(0.2),
-        attack: Some("alie".into()),
-        steps: 6,
-        dataset_size: 300,
-        ..FigureConfig::default()
-    })
-    .unwrap()
+    Experiment::builder()
+        .batch_size(10)
+        .epsilon(0.2)
+        .attack("alie")
+        .steps(6)
+        .dataset_size(300)
+        .build()
+        .unwrap()
 }
 
 /// The tentpole acceptance matrix: 8 fixed-seed fault plans × {sim,
@@ -191,13 +190,12 @@ fn staleness_churn_matrix_completes_and_replays_in_every_quadrant() {
 #[test]
 fn chaos_holds_without_an_attack() {
     dpbyz_net::install();
-    let mut exp = Experiment::paper_figure(FigureConfig {
-        batch_size: 10,
-        steps: 5,
-        dataset_size: 300,
-        ..FigureConfig::default()
-    })
-    .unwrap();
+    let mut exp = Experiment::builder()
+        .batch_size(10)
+        .steps(5)
+        .dataset_size(300)
+        .build()
+        .unwrap();
     let reference = exp.run(9).unwrap();
     exp.backend = ComponentSpec::new("sim").with("chaos", 42u64);
     let sim = exp.run(9).unwrap();

@@ -1,17 +1,16 @@
 //! Reproducibility contracts: seeded determinism and engine equivalence.
 
-use dpbyz_core::pipeline::{Experiment, FigureConfig};
+use dpbyz_core::pipeline::Experiment;
 
 fn experiment_at(batch_size: usize) -> Experiment {
-    Experiment::paper_figure(FigureConfig {
-        batch_size,
-        epsilon: Some(0.2),
-        attack: Some("alie".into()),
-        steps: 25,
-        dataset_size: 600,
-        ..FigureConfig::default()
-    })
-    .expect("valid configuration")
+    Experiment::builder()
+        .batch_size(batch_size)
+        .epsilon(0.2)
+        .attack("alie")
+        .steps(25)
+        .dataset_size(600)
+        .build()
+        .expect("valid configuration")
 }
 
 fn experiment() -> Experiment {

@@ -1,18 +1,20 @@
 //! End-to-end reproduction of the paper's headline phenomena at reduced
 //! scale (Figs. 2–4's qualitative shape).
 
-use dpbyz_core::pipeline::{Experiment, FigureConfig};
+use dpbyz_core::pipeline::Experiment;
 
 fn cell(batch: usize, eps: Option<f64>, attack: Option<&str>) -> Experiment {
-    Experiment::paper_figure(FigureConfig {
-        batch_size: batch,
-        epsilon: eps,
-        attack: attack.map(Into::into),
-        steps: 200,
-        dataset_size: 2500,
-        ..FigureConfig::default()
-    })
-    .expect("valid configuration")
+    let mut builder = Experiment::builder()
+        .batch_size(batch)
+        .steps(200)
+        .dataset_size(2500);
+    if let Some(eps) = eps {
+        builder = builder.epsilon(eps);
+    }
+    if let Some(attack) = attack {
+        builder = builder.attack(attack);
+    }
+    builder.build().expect("valid configuration")
 }
 
 fn tail(batch: usize, eps: Option<f64>, attack: Option<&str>, seed: u64) -> f64 {

@@ -2,7 +2,7 @@
 //! pipeline, amplification arithmetic against mechanism calibration, and
 //! per-run CSV export.
 
-use dpbyz_core::pipeline::{Experiment, FigureConfig};
+use dpbyz_core::pipeline::Experiment;
 use dpbyz_core::ComponentSpec;
 use dpbyz_dp::amplification;
 use dpbyz_dp::{GaussianMechanism, PrivacyBudget};
@@ -13,25 +13,18 @@ fn mimic_is_harmless_on_iid_data() {
     // worker's gradient biases nothing in expectation — the attack's bite
     // requires heterogeneity. MDA under Mimic must train like the clean
     // run.
-    let fig = FigureConfig {
-        batch_size: 50,
-        epsilon: None,
-        attack: Some(ComponentSpec::new("mimic").with("target", 0usize)),
-        steps: 150,
-        dataset_size: 2000,
-        ..FigureConfig::default()
-    };
-    let mimic = Experiment::paper_figure(fig.clone())
+    let base = Experiment::builder()
+        .batch_size(50)
+        .steps(150)
+        .dataset_size(2000);
+    let mimic = base
+        .clone()
+        .attack(ComponentSpec::new("mimic").with("target", 0usize))
+        .build()
         .unwrap()
         .run(1)
         .unwrap();
-    let clean = Experiment::paper_figure(FigureConfig {
-        attack: None,
-        ..fig
-    })
-    .unwrap()
-    .run(1)
-    .unwrap();
+    let clean = base.build().unwrap().run(1).unwrap();
     assert!(
         mimic.tail_loss(10) < clean.tail_loss(10) + 0.1,
         "mimic unexpectedly harmful on iid data: {} vs {}",
@@ -42,20 +35,17 @@ fn mimic_is_harmless_on_iid_data() {
 
 #[test]
 fn mimic_with_other_gars_also_trains() {
-    for gar in ["krum", "median"] {
-        let exp = Experiment::paper_figure_with_gar(
-            FigureConfig {
-                batch_size: 50,
-                epsilon: None,
-                attack: Some(ComponentSpec::new("mimic").with("target", 2usize)),
-                steps: 100,
-                dataset_size: 1200,
-                ..FigureConfig::default()
-            },
-            gar,
-            5,
-        )
-        .unwrap();
+    // f = 5 clamped to each rule's tolerance at n = 11.
+    for (gar, f) in [("krum", 4), ("median", 5)] {
+        let exp = Experiment::builder()
+            .batch_size(50)
+            .steps(100)
+            .dataset_size(1200)
+            .gar(gar)
+            .attack(ComponentSpec::new("mimic").with("target", 2usize))
+            .byzantine(f)
+            .build()
+            .unwrap();
         let h = exp.run(1).unwrap();
         assert!(
             h.tail_loss(10) < h.train_loss[0],
@@ -98,15 +88,13 @@ fn shuffle_amplification_buys_back_noise_in_mechanism_terms() {
 
 #[test]
 fn run_history_csv_roundtrips_key_columns() {
-    let exp = Experiment::paper_figure(FigureConfig {
-        batch_size: 20,
-        epsilon: Some(0.2),
-        attack: None,
-        steps: 12,
-        dataset_size: 400,
-        ..FigureConfig::default()
-    })
-    .unwrap();
+    let exp = Experiment::builder()
+        .batch_size(20)
+        .epsilon(0.2)
+        .steps(12)
+        .dataset_size(400)
+        .build()
+        .unwrap();
     let h = exp.run(1).unwrap();
     let csv = h.to_csv();
     let lines: Vec<&str> = csv.lines().collect();

@@ -1,33 +1,29 @@
 //! Fault injection (§2.1: non-received gradients become zero vectors) and
 //! the §7 extensions, exercised end-to-end.
 
-use dpbyz_core::pipeline::{Experiment, FigureConfig, PipelineError, Workload};
+use dpbyz_core::pipeline::{Experiment, PipelineError, Workload};
 use dpbyz_gars::GarError;
 use dpbyz_server::LrSchedule;
 
 fn base(steps: u32) -> Experiment {
-    Experiment::paper_figure(FigureConfig {
-        batch_size: 20,
-        epsilon: Some(0.2),
-        attack: Some("alie".into()),
-        steps,
-        dataset_size: 800,
-        ..FigureConfig::default()
-    })
-    .expect("valid configuration")
+    Experiment::builder()
+        .batch_size(20)
+        .epsilon(0.2)
+        .attack("alie")
+        .steps(steps)
+        .dataset_size(800)
+        .build()
+        .expect("valid configuration")
 }
 
 #[test]
 fn training_survives_moderate_drops() {
-    let mut exp = Experiment::paper_figure(FigureConfig {
-        batch_size: 50,
-        epsilon: None,
-        attack: None,
-        steps: 150,
-        dataset_size: 2000,
-        ..FigureConfig::default()
-    })
-    .expect("valid");
+    let mut exp = Experiment::builder()
+        .batch_size(50)
+        .steps(150)
+        .dataset_size(2000)
+        .build()
+        .expect("valid");
     exp.config.drop_rate = 0.2;
     let h = exp.run(1).expect("runs");
     assert!(
@@ -70,27 +66,40 @@ fn heavy_drops_degrade_attacked_dp_training_further() {
 
 /// A diverged in-process run under an order-statistic rule: step 1
 /// overflows the parameters, step 2's gradients are NaN, and the median
-/// has no answer for NaN. The run ends with a typed error instead of a
-/// panic, on every order-statistic rule.
+/// has no answer for NaN, nor has a Krum score a nearest neighbour. The
+/// run ends with a typed error instead of a panic, on every
+/// order-statistic rule. Bulyan scores only with f > 0, which needs an
+/// armed attack (an unarmed run zeroes f).
 #[test]
 fn a_diverged_run_under_an_order_statistic_rule_returns_a_typed_error() {
-    for gar in ["median", "trimmed-mean", "meamed", "phocas"] {
-        let exp = Experiment::builder()
+    let cases = [
+        ("median", 5, None),
+        ("trimmed-mean", 5, None),
+        ("meamed", 5, None),
+        ("phocas", 5, None),
+        ("krum", 5, None),
+        ("multi-krum", 5, None),
+        ("bulyan", 7, Some(1)),
+    ];
+    for (gar, n, byzantine) in cases {
+        let mut builder = Experiment::builder()
             .workload(Workload::MeanEstimation {
                 dim: 4,
                 sigma: 10.0,
                 data_seed: 5,
             })
-            .workers(5, 0)
+            .workers(n, 0)
             .batch_size(1)
             .steps(6)
             .lr(LrSchedule::Constant(1e308))
             .momentum(0.0)
             .clip(1e9)
             .eval_every(0)
-            .gar(gar)
-            .build()
-            .unwrap();
+            .gar(gar);
+        if let Some(f) = byzantine {
+            builder = builder.attack("alie").byzantine(f);
+        }
+        let exp = builder.build().unwrap();
         assert_eq!(exp.backend.id, "sequential");
         match exp.run(1) {
             Err(PipelineError::Gar(GarError::NaN)) => {}

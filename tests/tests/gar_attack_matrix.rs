@@ -1,24 +1,27 @@
 //! Robustness matrix: every robust GAR against every attack, no DP.
 //! Averaging is the control that must fail.
 
-use dpbyz_core::pipeline::{Experiment, FigureConfig, Workload};
+use dpbyz_core::pipeline::{Experiment, Workload};
 use dpbyz_core::registry::ComponentSpec;
 use dpbyz_server::TrainingConfig;
 
 /// One matrix cell over registry specs, with the pinned protocol config
 /// written out. Returns the run's tail loss.
 fn run_spec_attack(gar: ComponentSpec, attack: ComponentSpec, f: usize) -> f64 {
-    let config = TrainingConfig::builder()
-        .workers(11, f)
-        .batch_size(25)
-        .steps(120)
-        .lr(dpbyz_server::LrSchedule::Constant(2.0))
-        .momentum(0.99)
-        .momentum_mode(dpbyz_server::MomentumMode::Worker)
-        .clip(1e-2)
-        .eval_every(0)
-        .build()
-        .expect("valid");
+    let config = TrainingConfig {
+        n_workers: 11,
+        n_byzantine: f,
+        batch_size: 25,
+        steps: 120,
+        lr: dpbyz_server::LrSchedule::Constant(2.0),
+        momentum: 0.99,
+        momentum_mode: dpbyz_server::MomentumMode::Worker,
+        clip: 1e-2,
+        eval_every: 0,
+        ..TrainingConfig::default()
+    }
+    .validate()
+    .expect("valid");
     let exp = Experiment {
         workload: Workload::PhishingLike {
             data_seed: 0xD1B2_2021,
@@ -36,25 +39,17 @@ fn run_spec_attack(gar: ComponentSpec, attack: ComponentSpec, f: usize) -> f64 {
 }
 
 fn run_gar_attack(gar: &str, attack: ComponentSpec, f: usize) -> f64 {
-    let base = Experiment::paper_figure(FigureConfig {
+    // The §5.1 learning rate, momentum and clip of the defaults.
+    let config = TrainingConfig {
+        n_workers: 11,
+        n_byzantine: f,
         batch_size: 25,
-        epsilon: None,
-        attack: Some(attack.clone()),
         steps: 120,
-        dataset_size: 1500,
-        ..FigureConfig::default()
-    })
+        eval_every: 0,
+        ..TrainingConfig::default()
+    }
+    .validate()
     .expect("valid");
-    let config = TrainingConfig::builder()
-        .workers(11, f)
-        .batch_size(25)
-        .steps(120)
-        .lr(base.config.lr)
-        .momentum(base.config.momentum)
-        .clip(base.config.clip)
-        .eval_every(0)
-        .build()
-        .expect("valid");
     let exp = Experiment {
         workload: Workload::PhishingLike {
             data_seed: 0xD1B2_2021,
@@ -72,18 +67,15 @@ fn run_gar_attack(gar: &str, attack: ComponentSpec, f: usize) -> f64 {
 }
 
 fn clean_reference() -> f64 {
-    Experiment::paper_figure(FigureConfig {
-        batch_size: 25,
-        epsilon: None,
-        attack: None,
-        steps: 120,
-        dataset_size: 1500,
-        ..FigureConfig::default()
-    })
-    .expect("valid")
-    .run(1)
-    .expect("runs")
-    .tail_loss(10)
+    Experiment::builder()
+        .batch_size(25)
+        .steps(120)
+        .dataset_size(1500)
+        .build()
+        .expect("valid")
+        .run(1)
+        .expect("runs")
+        .tail_loss(10)
 }
 
 #[test]

@@ -15,7 +15,7 @@ use dpbyz_gars::{
     Bucketing, Bulyan, CenteredClipping, CoordinateMedian, Gar, Krum, Mda, MultiKrum,
 };
 use dpbyz_models::{LogisticRegression, LossKind};
-use dpbyz_server::{MomentumMode, Trainer, TrainingConfig, TrainingConfigBuilder};
+use dpbyz_server::{BatchGrowth, MomentumMode, Trainer, TrainingConfig};
 use dpbyz_tensor::Prng;
 use std::sync::Arc;
 
@@ -23,7 +23,7 @@ struct CellSpec {
     name: &'static str,
     n: usize,
     f: usize,
-    config: fn(TrainingConfigBuilder) -> TrainingConfigBuilder,
+    config: fn(TrainingConfig) -> TrainingConfig,
     gar: fn() -> Arc<dyn Gar>,
     mechanism: fn() -> Arc<dyn Mechanism>,
     attack: Option<fn() -> Arc<dyn Attack>>,
@@ -35,7 +35,7 @@ fn cells() -> Vec<CellSpec> {
             name: "average/gaussian/clean",
             n: 5,
             f: 0,
-            config: |b| b,
+            config: |c| c,
             gar: || Arc::new(dpbyz_gars::Average::new()),
             mechanism: || Arc::new(GaussianMechanism::with_sigma(0.05).unwrap()),
             attack: None,
@@ -44,7 +44,7 @@ fn cells() -> Vec<CellSpec> {
             name: "krum/none/alie",
             n: 9,
             f: 2,
-            config: |b| b,
+            config: |c| c,
             gar: || Arc::new(Krum::new()),
             mechanism: || Arc::new(NoNoise),
             attack: Some(|| Arc::new(LittleIsEnough::default())),
@@ -53,7 +53,7 @@ fn cells() -> Vec<CellSpec> {
             name: "multi-krum/gaussian/alie",
             n: 9,
             f: 2,
-            config: |b| b,
+            config: |c| c,
             gar: || Arc::new(MultiKrum::new()),
             mechanism: || Arc::new(GaussianMechanism::with_sigma(0.02).unwrap()),
             attack: Some(|| Arc::new(LittleIsEnough::default())),
@@ -62,7 +62,7 @@ fn cells() -> Vec<CellSpec> {
             name: "median/gaussian/foe",
             n: 7,
             f: 3,
-            config: |b| b,
+            config: |c| c,
             gar: || Arc::new(CoordinateMedian::new()),
             mechanism: || Arc::new(GaussianMechanism::with_sigma(0.03).unwrap()),
             attack: Some(|| Arc::new(FallOfEmpires::default())),
@@ -71,7 +71,10 @@ fn cells() -> Vec<CellSpec> {
             name: "mda/gaussian/alie/worker-momentum",
             n: 11,
             f: 5,
-            config: |b| b.momentum_mode(MomentumMode::Worker),
+            config: |c| TrainingConfig {
+                momentum_mode: MomentumMode::Worker,
+                ..c
+            },
             gar: || Arc::new(Mda::new()),
             mechanism: || Arc::new(GaussianMechanism::with_sigma(0.01).unwrap()),
             attack: Some(|| Arc::new(LittleIsEnough::default())),
@@ -80,7 +83,7 @@ fn cells() -> Vec<CellSpec> {
             name: "bulyan/laplace/foe",
             n: 11,
             f: 2,
-            config: |b| b,
+            config: |c| c,
             gar: || Arc::new(Bulyan::new()),
             mechanism: || Arc::new(LaplaceMechanism::calibrate(5.0, 0.01).unwrap()),
             attack: Some(|| Arc::new(FallOfEmpires::default())),
@@ -89,7 +92,11 @@ fn cells() -> Vec<CellSpec> {
             name: "average/none/drops+ema",
             n: 5,
             f: 0,
-            config: |b| b.drop_rate(0.3).gradient_ema(0.9),
+            config: |c| TrainingConfig {
+                drop_rate: 0.3,
+                gradient_ema: Some(0.9),
+                ..c
+            },
             gar: || Arc::new(dpbyz_gars::Average::new()),
             mechanism: || Arc::new(NoNoise),
             attack: None,
@@ -98,7 +105,13 @@ fn cells() -> Vec<CellSpec> {
             name: "trimmed-mean/gaussian/batch-growth",
             n: 7,
             f: 2,
-            config: |b| b.batch_growth(1.1, 40),
+            config: |c| TrainingConfig {
+                batch_growth: Some(BatchGrowth {
+                    factor: 1.1,
+                    max: 40,
+                }),
+                ..c
+            },
             gar: || Arc::new(dpbyz_gars::TrimmedMean::new()),
             mechanism: || Arc::new(GaussianMechanism::with_sigma(0.02).unwrap()),
             attack: Some(|| Arc::new(FallOfEmpires::default())),
@@ -110,7 +123,7 @@ fn cells() -> Vec<CellSpec> {
             name: "centered-clipping/gaussian/ipm",
             n: 11,
             f: 5,
-            config: |b| b,
+            config: |c| c,
             gar: || Arc::new(CenteredClipping::new(0.05, 3)),
             mechanism: || Arc::new(GaussianMechanism::with_sigma(0.02).unwrap()),
             attack: Some(|| Arc::new(InnerProductManipulation::default())),
@@ -119,7 +132,7 @@ fn cells() -> Vec<CellSpec> {
             name: "centered-clipping/laplace/rescaling",
             n: 7,
             f: 3,
-            config: |b| b,
+            config: |c| c,
             gar: || Arc::new(CenteredClipping::new(0.1, 4)),
             mechanism: || Arc::new(LaplaceMechanism::calibrate(5.0, 0.01).unwrap()),
             attack: Some(|| Arc::new(Rescaling::new(-0.1))),
@@ -128,7 +141,7 @@ fn cells() -> Vec<CellSpec> {
             name: "bucketing-median/none/rescaling",
             n: 11,
             f: 2,
-            config: |b| b,
+            config: |c| c,
             gar: || Arc::new(Bucketing::new(Arc::new(CoordinateMedian::new()), 2)),
             mechanism: || Arc::new(NoNoise),
             attack: Some(|| Arc::new(Rescaling::new(-0.05))),
@@ -137,7 +150,7 @@ fn cells() -> Vec<CellSpec> {
             name: "bucketing-krum/gaussian/alie",
             n: 11,
             f: 1,
-            config: |b| b,
+            config: |c| c,
             gar: || Arc::new(Bucketing::new(Arc::new(Krum::new()), 2)),
             mechanism: || Arc::new(GaussianMechanism::with_sigma(0.01).unwrap()),
             attack: Some(|| Arc::new(LittleIsEnough::default())),
@@ -151,12 +164,15 @@ fn build_trainer(spec: &CellSpec) -> Trainer {
     let (train, test) = ds.split(0.8, &mut rng).unwrap();
     let (train, test) = (Arc::new(train), Arc::new(test));
     let model = Arc::new(LogisticRegression::new(68, LossKind::SigmoidMse));
-    let builder = TrainingConfig::builder()
-        .workers(spec.n, spec.f)
-        .batch_size(10)
-        .steps(20)
-        .eval_every(7);
-    let config = (spec.config)(builder).build().unwrap();
+    let base = TrainingConfig {
+        n_workers: spec.n,
+        n_byzantine: spec.f,
+        batch_size: 10,
+        steps: 20,
+        eval_every: 7,
+        ..TrainingConfig::default()
+    };
+    let config = (spec.config)(base).validate().unwrap();
     let sources: Vec<Box<dyn BatchSource>> = (0..spec.n)
         .map(|_| {
             Box::new(DatasetSource::new(

@@ -2,7 +2,7 @@
 //! (the format of the paper's `phishing` file), parse it back, and train
 //! through the full distributed pipeline via `Workload::Provided`.
 
-use dpbyz_core::pipeline::{Experiment, FigureConfig, Workload};
+use dpbyz_core::pipeline::{Experiment, Workload};
 use dpbyz_data::{libsvm, synthetic};
 use dpbyz_server::TrainingConfig;
 use dpbyz_tensor::Prng;
@@ -21,17 +21,17 @@ fn libsvm_roundtrip_preserves_training_behaviour() {
     let mut split_rng = Prng::seed_from_u64(1);
     let (train, test) = parsed.split(0.8, &mut split_rng).expect("split");
 
-    let base = Experiment::paper_figure(FigureConfig::default()).expect("valid");
-    let config = TrainingConfig::builder()
-        .workers(5, 0)
-        .batch_size(25)
-        .steps(120)
-        .lr(base.config.lr)
-        .momentum(base.config.momentum)
-        .clip(base.config.clip)
-        .eval_every(30)
-        .build()
-        .expect("valid");
+    // The §5.1 learning rate, momentum and clip of the defaults.
+    let config = TrainingConfig {
+        n_workers: 5,
+        n_byzantine: 0,
+        batch_size: 25,
+        steps: 120,
+        eval_every: 30,
+        ..TrainingConfig::default()
+    }
+    .validate()
+    .expect("valid");
     let exp = Experiment {
         workload: Workload::Provided {
             train: Arc::new(train),

@@ -59,7 +59,7 @@ impl Gar for MidrangeMix {
 fn custom_gar_registers_and_runs_through_builder() {
     register_gar("midrange-mix", |spec| {
         Ok(Arc::new(MidrangeMix {
-            blend: spec.f64_or("blend", 0.5),
+            blend: spec.f64_or_reject("blend", 0.5)?,
         }))
     })
     .expect("fresh id registers");
@@ -189,7 +189,7 @@ fn custom_attack_and_mechanism_register_end_to_end() {
         }
     }
     register_mechanism("fixed-sigma", |spec| {
-        Ok(Arc::new(FixedSigma(spec.f64_or("sigma", 0.01))))
+        Ok(Arc::new(FixedSigma(spec.f64_or_reject("sigma", 0.01)?)))
     })
     .expect("registers");
 

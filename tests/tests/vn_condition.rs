@@ -7,7 +7,7 @@
 //! (the certificate is about the productive phase of training, which is
 //! also where the paper's experiments live).
 
-use dpbyz_core::pipeline::{Experiment, FigureConfig};
+use dpbyz_core::pipeline::Experiment;
 use dpbyz_core::registry::build_gar;
 use dpbyz_core::theory::vn as theory_vn;
 use dpbyz_dp::PrivacyBudget;
@@ -18,16 +18,15 @@ fn run(batch: usize, eps: Option<f64>) -> RunHistory {
     // (noisy) per-step gradients of Eq. 7; the paper-protocol *worker
     // momentum* accumulates noise across steps, which is a different
     // (larger) quantity, measured by the figure experiments instead.
-    let mut exp = Experiment::paper_figure(FigureConfig {
-        batch_size: batch,
-        epsilon: eps,
-        attack: None,
-        steps: 40,
-        dataset_size: 2000,
-        ..FigureConfig::default()
-    })
-    .expect("valid configuration");
-    exp.config.momentum = 0.0;
+    let mut builder = Experiment::builder()
+        .batch_size(batch)
+        .steps(40)
+        .dataset_size(2000)
+        .momentum(0.0);
+    if let Some(eps) = eps {
+        builder = builder.epsilon(eps);
+    }
+    let exp = builder.build().expect("valid configuration");
     exp.run(1).expect("runs")
 }
 
