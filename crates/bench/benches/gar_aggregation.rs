@@ -3,9 +3,20 @@
 //! documents where the greedy fallback takes over.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dpbyz_gars::{all_gars, Gar, GarScratch, Mda};
+use dpbyz_core::registry::{build_gar, gar_ids};
+use dpbyz_core::ComponentSpec;
+use dpbyz_gars::{Gar, GarScratch, Mda};
 use dpbyz_tensor::{Prng, Vector};
 use std::hint::black_box;
+use std::sync::Arc;
+
+/// Every registered rule at its registry defaults, in id order.
+fn all_gars() -> Vec<Arc<dyn Gar>> {
+    gar_ids()
+        .iter()
+        .map(|id| build_gar(&ComponentSpec::new(id.as_str())).unwrap())
+        .collect()
+}
 
 fn gradients(n: usize, dim: usize, seed: u64) -> Vec<Vector> {
     let mut rng = Prng::seed_from_u64(seed);

@@ -139,28 +139,6 @@ pub(crate) fn check_input(gradients: &[Vector]) -> Result<usize, GarError> {
     Ok(dim)
 }
 
-/// Every GAR in this crate, boxed — convenient for sweeps over rules.
-/// Parameterized rules carry neutral defaults (centered clipping at τ = 1,
-/// bucketing over the coordinate median with s = 2).
-pub fn all_gars() -> Vec<Box<dyn Gar>> {
-    vec![
-        Box::new(Average::new()),
-        Box::new(Krum::new()),
-        Box::new(Mda::new()),
-        Box::new(CoordinateMedian::new()),
-        Box::new(TrimmedMean::new()),
-        Box::new(Meamed::new()),
-        Box::new(Phocas::new()),
-        Box::new(Bulyan::new()),
-        Box::new(GeometricMedian::new()),
-        Box::new(CenteredClipping::default()),
-        Box::new(Bucketing::new(
-            std::sync::Arc::new(CoordinateMedian::new()),
-            2,
-        )),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,11 +156,6 @@ mod tests {
             (Box::new(Phocas::new()), 11, 5),
             (Box::new(Bulyan::new()), 11, 2),
         ]
-    }
-
-    #[test]
-    fn all_gars_lists_eleven() {
-        assert_eq!(all_gars().len(), 11);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::scratch::mean_indexed_into;
 use crate::{check_input, Gar, GarError, GarScratch};
-use dpbyz_tensor::Vector;
+use dpbyz_tensor::{stats, Vector};
 
 /// Exhaustive search is used while `C(n, n−f)` stays below this bound;
 /// beyond it MDA falls back to a 2-approximate heuristic.
@@ -244,7 +244,8 @@ fn subset_diameter(dist2: &[f64], n: usize, subset: &[usize]) -> f64 {
 /// The optimal subset's diameter `D*` bounds each member's distance to the
 /// anchor it contains, so the best anchored subset has diameter ≤ 2·D*.
 /// Diameter ties are broken by the lexicographically smallest subset mean,
-/// as in the exact search.
+/// as in the exact search. Each anchor's sort compares every distance in
+/// its row, so a NaN distance is always flagged: [`GarError::NaN`].
 fn greedy_min_diameter_mean(
     gradients: &[Vector],
     dist2: &[f64],
@@ -253,15 +254,14 @@ fn greedy_min_diameter_mean(
     order: &mut Vec<usize>,
     candidate: &mut Vector,
     out: &mut Vector,
-) {
+) -> Result<(), GarError> {
     let mut best_diam: Option<f64> = None;
+    let mut nan = false;
     for anchor in 0..n {
         order.clear();
         order.extend(0..n);
         order.sort_by(|&a, &b| {
-            dist2[anchor * n + a]
-                .partial_cmp(&dist2[anchor * n + b])
-                .expect("finite distances") // lint:allow(panic-unwrap, reason = "pairwise distances of finite gradients; NaN is excluded by the kernel contract")
+            stats::cmp_flagging_nan(dist2[anchor * n + a], dist2[anchor * n + b], &mut nan)
                 .then_with(|| {
                     if lex_less(&gradients[a], &gradients[b]) {
                         std::cmp::Ordering::Less
@@ -272,6 +272,9 @@ fn greedy_min_diameter_mean(
                     }
                 })
         });
+        if nan {
+            return Err(GarError::NaN);
+        }
         let subset = &order[..m];
         let diam = subset_diameter(dist2, n, subset);
         match best_diam {
@@ -292,6 +295,7 @@ fn greedy_min_diameter_mean(
             Some(_) => {}
         }
     }
+    Ok(())
 }
 
 impl Gar for Mda {
@@ -324,11 +328,15 @@ impl Gar for Mda {
             ref mut vec_a,
             ..
         } = *scratch;
-        if Self::is_exact(n, f) {
-            exact_min_diameter_mean(gradients, dist2, n, m, combo, scores, vec_a, out);
-        } else {
-            greedy_min_diameter_mean(gradients, dist2, n, m, order, vec_a, out);
+        if !Self::is_exact(n, f) {
+            return greedy_min_diameter_mean(gradients, dist2, n, m, order, vec_a, out);
         }
+        // The pruned search skips pairs it can rule out, so a NaN
+        // distance is flagged before it starts.
+        if dist2.iter().any(|d| d.is_nan()) {
+            return Err(GarError::NaN);
+        }
+        exact_min_diameter_mean(gradients, dist2, n, m, combo, scores, vec_a, out);
         Ok(())
         // lint:end(zero-copy)
     }
@@ -426,11 +434,33 @@ mod tests {
             &mut scratch,
             &mut exact,
         );
-        greedy_min_diameter_mean(&grads, &dist2, n, m, &mut order, &mut scratch, &mut greedy);
+        greedy_min_diameter_mean(&grads, &dist2, n, m, &mut order, &mut scratch, &mut greedy)
+            .unwrap();
         assert!(exact.approx_eq(&greedy, 1e-12));
         // And the chosen subset is the honest cluster.
         let honest_mean = Vector::mean(&grads[..8]).unwrap();
         assert!(exact.approx_eq(&honest_mean, 1e-12));
+    }
+
+    #[test]
+    fn nan_distances_are_flagged_on_both_paths() {
+        // Two infinite gradients are a NaN apart, and a NaN coordinate
+        // makes every distance of its gradient NaN. Both sit at the end,
+        // where the exact search's pruning could skip their pair.
+        let mut rng = Prng::seed_from_u64(5);
+        for (n, f) in [(7, 2), (25, 12)] {
+            assert_eq!(Mda::is_exact(n, f), n == 7);
+            let mut grads: Vec<Vector> = (0..n).map(|_| rng.normal_vector(3, 1.0)).collect();
+            for poison in [f64::INFINITY, f64::NAN] {
+                grads[n - 2] = Vector::filled(3, poison);
+                grads[n - 1] = Vector::filled(3, poison);
+                assert_eq!(
+                    Mda::new().aggregate(&grads, f),
+                    Err(GarError::NaN),
+                    "n = {n}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -443,7 +473,8 @@ mod tests {
             let grads: Vec<Vector> = (0..10).map(|_| rng.normal_vector(2, 1.0)).collect();
             let dist2 = distance_table(&grads);
             let mut mean = Vector::default();
-            greedy_min_diameter_mean(&grads, &dist2, 10, 6, &mut order, &mut scratch, &mut mean);
+            greedy_min_diameter_mean(&grads, &dist2, 10, 6, &mut order, &mut scratch, &mut mean)
+                .unwrap();
             for j in 0..2 {
                 let lo = grads.iter().map(|g| g[j]).fold(f64::INFINITY, f64::min);
                 let hi = grads.iter().map(|g| g[j]).fold(f64::NEG_INFINITY, f64::max);

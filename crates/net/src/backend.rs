@@ -32,7 +32,7 @@
 use crate::coordinator::TcpCoordinator;
 use crate::machine::MachineConfig;
 use crate::transport::CoordinatorError;
-use crate::worker::{run_worker, WorkerConfig};
+use crate::worker::run_worker;
 use dpbyz_core::pipeline::{Experiment, PipelineError};
 use dpbyz_core::{ComponentSpec, EngineBackend, RegistryError};
 use dpbyz_server::{HonestWorker, RunHistory, RunObserver, RunScratch, ServerCore, TrainingConfig};
@@ -229,15 +229,12 @@ impl EngineBackend for TcpBackend {
             |core, workers, cfg, scratch| {
                 let coordinator = TcpCoordinator::bind("127.0.0.1:0")?;
                 let addr = coordinator.local_addr()?;
-                // One session thread per honest worker — same wire protocol
-                // and config the standalone `worker` binary uses, so a lost
+                // One session thread per honest worker — the same session
+                // loop the standalone `worker` binary runs, so a lost
                 // socket resumes via REJOIN instead of failing the run.
                 let handles: Vec<_> = workers
                     .into_iter()
-                    .map(|w| {
-                        let cfg = WorkerConfig::for_run(seed, w.id());
-                        std::thread::spawn(move || run_worker(addr, w, cfg))
-                    })
+                    .map(|w| std::thread::spawn(move || run_worker(addr, w, seed, false)))
                     .collect();
                 let result = coordinator.run(core, cfg, d.resume_window, seed, scratch);
                 for handle in handles {

@@ -25,7 +25,7 @@
 mod args;
 
 use args::Args;
-use dpbyz_net::{run_worker, JobSpec, WorkerConfig};
+use dpbyz_net::{run_worker, JobSpec};
 use std::net::SocketAddr;
 
 fn main() {
@@ -48,11 +48,7 @@ fn main() {
     let spec = JobSpec::from_json(&spec_text).unwrap_or_else(|e| args.exit(2, e));
     let worker = spec.worker(index).unwrap_or_else(|e| args.exit(2, e));
 
-    let cfg = WorkerConfig {
-        fresh_join,
-        ..WorkerConfig::for_run(spec.seed, worker.id())
-    };
-    let steps = run_worker(addr, worker, cfg)
+    let steps = run_worker(addr, worker, spec.seed, fresh_join)
         .unwrap_or_else(|e| args.exit(1, format_args!("slot {index}: {e}")));
     println!("worker {index}: served {steps} steps");
 }

@@ -31,7 +31,7 @@
 //! [`RunScratch`]: dpbyz_server::RunScratch
 
 use crate::machine::{Event, MachineConfig, Phase};
-use crate::protocol::{elapsed_ms, write_all_frame, FrameReader, GradDecodeError};
+use crate::protocol::{elapsed_ms, write_all_frame, FrameReader};
 use crate::session::{Broadcast, Session, Verdict};
 use crate::transport::{drive, CoordinatorError, Replay, Transport};
 use dpbyz_server::{RunHistory, RunScratch, ServerCore, WorkerOutput};
@@ -283,10 +283,6 @@ impl Transport for TcpTransport {
 
     fn abort(&mut self, reason: &str) {
         self.broadcast(Broadcast::Abort(reason));
-    }
-
-    fn rejected_reports(&self) -> Option<(u32, GradDecodeError)> {
-        self.session.rejected_reports()
     }
 
     fn idle(&mut self, _next_deadline_ms: Option<u64>) {

@@ -76,7 +76,7 @@ pub use session::{WorkerFlow, WorkerSession};
 pub use sim::{FaultPlan, LateJoinPlan, SimBackend, SimNet};
 pub use spec::{JobSpec, WorkloadSpec};
 pub use transport::{drive, CoordinatorError, ResumeRing, Transport};
-pub use worker::{run_worker, WorkerConfig, WorkerError};
+pub use worker::{run_worker, WorkerError};
 
 use dpbyz_core::engine::register_backend;
 use dpbyz_core::{EngineBackend, RegistryError};

@@ -62,6 +62,7 @@
 //! detach/reattach/fresh-join totals), which the driver moves into
 //! `RunHistory::churn`.
 
+use crate::protocol::MessageError;
 use dpbyz_server::ChurnStats;
 
 /// Where the coordinator is in the protocol.
@@ -125,6 +126,19 @@ pub enum Event {
     /// staleness window (counter only — the machine's round state is
     /// untouched; the report was already inadmissible).
     StaleGradient(u32),
+    /// Worker `id`'s report for the in-flight round arrived but was
+    /// refused (a payload that does not decode, a vector of the wrong
+    /// dimension, a non-finite coordinate). The session admits one report
+    /// per worker per round, so none can follow: the machine stops
+    /// waiting for the worker this round, and the round aborts at once
+    /// when no joined worker can still bring the reports up to `quorum`.
+    /// An abort reason names the round's rejections and the last cause.
+    Rejected {
+        /// The worker whose report was refused.
+        id: u32,
+        /// Why it was.
+        why: MessageError,
+    },
 }
 
 /// What the transport must do next. Data-free by design (the machine
@@ -189,6 +203,11 @@ pub struct RoundStateMachine {
     n_ready: usize,
     reported: Vec<bool>,
     n_reported: usize,
+    /// Workers whose report for the in-flight step was refused
+    /// ([`Event::Rejected`]), and the last cause; reset at every
+    /// broadcast.
+    refused: Vec<bool>,
+    last_refusal: Option<MessageError>,
     /// Joined workers whose connection is currently gone. They still
     /// count as joined (their rounds are zeroed, preserving the
     /// straggler accounting) but are excluded from the
@@ -231,6 +250,8 @@ impl RoundStateMachine {
             n_ready: 0,
             reported: vec![false; cfg.n_workers],
             n_reported: 0,
+            refused: vec![false; cfg.n_workers],
+            last_refusal: None,
             detached: vec![false; cfg.n_workers],
             n_detached: 0,
             dropped: Vec::with_capacity(cfg.n_workers),
@@ -323,12 +344,23 @@ impl RoundStateMachine {
         Some(self.phase_start_ms.saturating_add(deadline))
     }
 
-    /// Attached joined workers that have not reported the in-flight
-    /// step: the set opportunistic advancement waits on.
+    /// Attached joined workers that have neither reported the in-flight
+    /// step nor had their report refused: the set opportunistic
+    /// advancement waits on.
     fn train_pending(&self) -> usize {
         (0..self.cfg.n_workers)
-            .filter(|&i| self.joined[i] && !self.detached[i] && !self.reported[i])
+            .filter(|&i| {
+                self.joined[i] && !self.detached[i] && !self.reported[i] && !self.refused[i]
+            })
             .count()
+    }
+
+    /// The in-flight round cannot reach `quorum`: every joined worker has
+    /// reported or had its report refused, and the reports fall short.
+    fn quorum_out_of_reach(&self) -> bool {
+        self.n_reported < self.cfg.quorum.max(1)
+            && (0..self.cfg.n_workers)
+                .all(|i| !self.joined[i] || self.reported[i] || self.refused[i])
     }
 
     /// Attached joined workers that have not sent `READY`.
@@ -394,6 +426,18 @@ impl RoundStateMachine {
                     self.churn.late_admits[slot] += 1;
                 }
                 self.try_advance_train(step, now_ms, out);
+            }
+            (Phase::Train { step }, Event::Rejected { id, why }) => {
+                let slot = id as usize;
+                if slot >= self.cfg.n_workers || !self.joined[slot] || self.reported[slot] {
+                    return;
+                }
+                self.refused[slot] = true;
+                self.last_refusal = Some(why);
+                self.try_advance_train(step, now_ms, out);
+                if self.phase == (Phase::Train { step }) && self.quorum_out_of_reach() {
+                    self.abort_below_quorum(step, "with no report left to wait for", out);
+                }
             }
             (Phase::Done | Phase::Aborted, _) => {}
             (_, Event::StaleGradient(id)) => {
@@ -513,13 +557,7 @@ impl RoundStateMachine {
                     if self.n_reported >= self.cfg.quorum && self.n_reported > 0 {
                         self.start_aggregate(step, now_ms, out);
                     } else {
-                        self.abort(
-                            format!(
-                                "below quorum at step {step} deadline: {} of {} reported, need {}",
-                                self.n_reported, self.n_joined, self.cfg.quorum
-                            ),
-                            out,
-                        );
+                        self.abort_below_quorum(step, "deadline", out);
                     }
                 }
             }
@@ -551,6 +589,8 @@ impl RoundStateMachine {
         self.phase = Phase::Train { step };
         self.phase_start_ms = now_ms;
         self.reported.iter_mut().for_each(|r| *r = false);
+        self.refused.iter_mut().for_each(|r| *r = false);
+        self.last_refusal = None;
         self.n_reported = 0;
         self.ages.iter_mut().for_each(|a| *a = 0);
         out.push(Action::BroadcastStep(step));
@@ -567,6 +607,18 @@ impl RoundStateMachine {
             }
         }
         out.push(Action::Aggregate(step));
+    }
+
+    fn abort_below_quorum(&mut self, step: u32, when: &str, out: &mut Vec<Action>) {
+        let mut reason = format!(
+            "below quorum at step {step} {when}: {} of {} reported, need {}",
+            self.n_reported, self.n_joined, self.cfg.quorum
+        );
+        if let Some(why) = self.last_refusal {
+            let count = self.refused.iter().filter(|&&r| r).count();
+            reason = format!("{reason}; {count} reports rejected: gradient frame: {why}");
+        }
+        self.abort(reason, out);
     }
 
     fn abort(&mut self, reason: String, out: &mut Vec<Action>) {
@@ -868,6 +920,70 @@ mod tests {
         );
         assert!(m.dropped().is_empty());
         assert_eq!(m.phase(), Phase::Done);
+    }
+
+    fn rejected(id: u32) -> Event {
+        let why = MessageError::NonFinite { index: 0 };
+        Event::Rejected { id, why }
+    }
+
+    #[test]
+    fn rejected_reports_end_the_wait_and_an_unreachable_quorum_aborts_at_once() {
+        // Worker 3's report is refused: the round advances once 0..=2
+        // reported (t = 22), not at the deadline, dropping worker 3.
+        let mut m = RoundStateMachine::new(cfg(4, 4, 3, 2), 0);
+        let script: Vec<(u64, Event)> = (0..4)
+            .map(|i| (1 + i as u64, Event::Joined(i)))
+            .chain((0..4).map(|i| (10 + i as u64, Event::Ready(i))))
+            .chain([(15, rejected(3))])
+            .chain((0..3).map(|i| (20 + i as u64, Event::Gradient { id: i, step: 1 })))
+            // Step 2: two reports refused, one more can still come…
+            .chain([(30, rejected(0)), (31, rejected(1))])
+            .chain([(32, Event::Gradient { id: 2, step: 2 })])
+            // …and once the last joined worker is refused too, quorum 3
+            // is out of reach.
+            .chain([(40, rejected(3))])
+            .collect();
+        let fired = ScriptedTransport::new(script).drive(&mut m, 2000);
+        assert_eq!(
+            fired,
+            vec![
+                (4, Action::StartWarmup),
+                (13, Action::BroadcastStep(1)),
+                (22, Action::Aggregate(1)),
+                (22, Action::BroadcastStep(2)),
+                (40, Action::Abort),
+            ]
+        );
+        assert_eq!(m.churn().dropped_rounds, [0, 0, 0, 1]);
+        let reason = m.abort_reason().unwrap();
+        assert_eq!(
+            reason,
+            "below quorum at step 2 with no report left to wait for: 1 of 4 reported, need 3; \
+             3 reports rejected: gradient frame: coordinate 0 is not finite"
+        );
+    }
+
+    #[test]
+    fn a_detached_worker_that_may_still_report_keeps_the_round_open() {
+        // Every attached worker is refused, but worker 1 is detached, not
+        // refused: it may rejoin and report, so only the deadline aborts.
+        let mut m = RoundStateMachine::new(cfg(2, 2, 1, 1), 0);
+        let mut out = Vec::new();
+        for i in 0..2 {
+            m.on_event(Event::Joined(i), 1, &mut out);
+        }
+        for i in 0..2 {
+            m.on_event(Event::Ready(i), 2, &mut out);
+        }
+        out.clear();
+        m.on_event(Event::Detached(1), 3, &mut out);
+        m.on_event(rejected(0), 4, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        m.on_event(Event::Reattached(1), 5, &mut out);
+        m.on_event(Event::Gradient { id: 1, step: 1 }, 6, &mut out);
+        assert_eq!(out, vec![Action::Aggregate(1)]);
+        assert_eq!(m.dropped(), &[0]);
     }
 
     #[test]

@@ -1,36 +1,48 @@
-//! The TCP session layer: length-prefixed frames over `std::net`.
+//! The wire protocol: length-prefixed frames, each carrying one
+//! integrity tag.
 //!
 //! Every message between coordinator and worker is one frame:
 //!
 //! ```text
-//! [len: u32 LE][kind: u8][payload: len − 1 bytes]
+//! [len: u32 LE][kind: u8][payload: len − 9 bytes][tag: u64 LE]
 //! ```
 //!
 //! where `len` counts everything after the length word (so a payload-free
-//! frame has `len = 1`). Every vector travels as one *vector frame*
-//! ([`encode_vec_frame`] / [`decode_vec_frame`]),
+//! frame has `len = 9`) and `tag` is a checksum over the kind byte and the
+//! payload: FNV-1a's xor-then-multiply run over 8-byte little-endian
+//! words (the byte tail bytewise), each multiply followed by an xor-shift
+//! fold of the high half into the low half. Every step is a bijection of
+//! the 64-bit state, so any change confined to one 8-byte word is
+//! detected with certainty, and the fold keeps every two-bit flip
+//! detected too (the tests flip every bit and every pair of bits of a
+//! small frame of every kind). The paper's channels guarantee only
+//! integrity and authentication (Remark 1), not secrecy.
+//!
+//! One function accepts or refuses a frame: [`open_frame`] checks the
+//! length word against [`MAX_FRAME_LEN`] and the frame's size, reads the
+//! kind and verifies the tag. Both TCP endpoints read through
+//! [`FrameReader`], which checks the cap before buffering and opens each
+//! complete frame with it; the simulator opens every delivered frame with
+//! it in both directions. The session handlers only ever see verified
+//! payloads.
+//!
+//! Payloads are flat records of little-endian fields:
 //!
 //! ```text
-//! [a: u32 LE][b: u32 LE][dim: u32 LE][coords: dim × f64 LE][tag: u64 LE]
+//! JOIN, JOIN_FRESH, READY  [id: u32]
+//! REJOIN                   [id: u32][token: u64][next_step: u32]
+//! WARMUP, DONE             (empty)
+//! STEP                     [step: u32][batch: u32][dim: u32][params: dim × f64]
+//! GRAD                     [id: u32][step: u32][loss: f64][dim: u32]
+//!                          [submitted: dim × f64][pre_noise: dim × f64]
+//! ABORT                    UTF-8 reason
 //! ```
 //!
-//! with `(a, b) = (step, batch_size)` in a `STEP` broadcast and
-//! `(worker_id, step)` in a `GRAD` report. `tag` is a checksum over
-//! everything before it: FNV-1a's xor-then-multiply run over 8-byte
-//! little-endian words (the `len mod 8` byte tail bytewise), each
-//! multiply followed by an xor-shift fold of the high half into the low
-//! half. Every step is a bijection of the 64-bit state, so any change
-//! confined to one 8-byte word is detected with certainty, and the fold
-//! keeps every two-bit flip detected too (the tests flip every bit and
-//! every pair of bits of a small frame). The paper's channels guarantee
-//! only integrity and authentication (Remark 1), not secrecy.
-//!
-//! Both endpoints read through [`FrameReader`]: it owns one recycled
-//! `Vec<u8>`, fills it from the socket (the coordinator's nonblocking
-//! ones, or the worker's blocking one with a read timeout), and pops
-//! complete frames as index ranges into that buffer — steady-state
-//! reception allocates nothing once the buffer has grown to the session's
-//! frame size.
+//! [`FrameReader`] owns one recycled `Vec<u8>`, fills it from the socket
+//! (the coordinator's nonblocking ones, or the worker's blocking one with
+//! a read timeout), and pops complete frames as ranges of that buffer —
+//! steady-state reception allocates nothing once the buffer has grown to
+//! the session's frame size.
 
 use bytes::{BufMut, BytesMut};
 use dpbyz_server::WorkerOutput;
@@ -46,15 +58,14 @@ pub const KIND_JOIN: u8 = 1;
 pub const KIND_WARMUP: u8 = 2;
 /// Worker → coordinator: "warmed up". Payload: `[id: u32 LE]`.
 pub const KIND_READY: u8 = 3;
-/// Coordinator → workers: the round broadcast. Payload: one vector frame
-/// carrying `(step, batch_size, params)`.
+/// Coordinator → workers: the round broadcast. Payload:
+/// `[step: u32][batch_size: u32][dim: u32][params: dim × f64]`.
 pub const KIND_STEP: u8 = 4;
 /// Worker → coordinator: the round report. Payload:
-/// `[batch_loss: f64 LE][sub_len: u32 LE]` followed by the *submitted*
-/// gradient's vector frame (`sub_len` bytes, carrying
-/// `(worker_id, step)`) and the *pre-noise* gradient's vector frame (the
-/// remainder — the simulator-only VN diagnostic channel; a
-/// real deployment would omit it, see `docs/DEPLOYMENT.md`).
+/// `[worker_id: u32][step: u32][batch_loss: f64][dim: u32]`, then the
+/// *submitted* gradient's `dim` coordinates and the *pre-noise*
+/// gradient's (the simulator-only VN diagnostic channel; a real
+/// deployment would omit it, see `docs/DEPLOYMENT.md`).
 pub const KIND_GRAD: u8 = 5;
 /// Coordinator → workers: "all steps aggregated; exit cleanly".
 /// Payload: empty.
@@ -81,10 +92,10 @@ pub const KIND_REJOIN: u8 = 8;
 /// equivalent to a plain [`KIND_JOIN`].
 pub const KIND_JOIN_FRESH: u8 = 9;
 
-/// Largest coordinate count a vector-frame decoder accepts. Caps what a
-/// corrupted or hostile length prefix can make [`decode_vec_frame`]
-/// allocate (2²⁴ × 8 B = 128 MiB) — far above any model this repo
-/// trains, far below a `u32`'s worth of `f64`s.
+/// Largest coordinate count a `STEP` decoder accepts. Caps what a
+/// hostile coordinate count can make [`decode_step`] allocate
+/// (2²⁴ × 8 B = 128 MiB) — far above any model this repo trains, far
+/// below a `u32`'s worth of `f64`s.
 pub const MAX_WIRE_DIM: usize = 1 << 24;
 
 /// Frame decode failures, typed by cause so transports can react
@@ -93,18 +104,19 @@ pub const MAX_WIRE_DIM: usize = 1 << 24;
 /// garbage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessageError {
-    /// The frame's byte count does not match what its layout requires —
-    /// either below the layout's minimum (a zero-length frame lacks even
-    /// its kind byte), or inconsistent with the declared coordinate count.
+    /// The byte count does not match what the layout requires — either
+    /// below the layout's minimum (a frame needs at least its kind byte
+    /// and its tag), or inconsistent with a declared length or
+    /// coordinate count.
     ShortRead {
         /// Bytes the layout requires.
         needed: usize,
         /// Bytes actually presented.
         got: usize,
     },
-    /// A declared size exceeds its cap — a vector frame's coordinate
-    /// count above [`MAX_WIRE_DIM`], or a frame's length word above
-    /// [`MAX_FRAME_LEN`] — treated as corruption before any allocation or
+    /// A declared size exceeds its cap — a frame's length word above
+    /// [`MAX_FRAME_LEN`], or a `STEP`'s coordinate count above
+    /// [`MAX_WIRE_DIM`] — treated as corruption before any allocation or
     /// buffering happens.
     LengthOverflow {
         /// The size the frame declared.
@@ -114,6 +126,8 @@ pub enum MessageError {
     },
     /// The integrity tag did not match.
     BadChecksum,
+    /// A `GRAD` names another worker than the one whose link carried it.
+    Misattributed,
     /// A gradient vector's coordinate count is not the run's dimension.
     DimMismatch {
         /// The run's dimension.
@@ -146,6 +160,9 @@ impl fmt::Display for MessageError {
                 )
             }
             MessageError::BadChecksum => write!(f, "integrity check failed"),
+            MessageError::Misattributed => {
+                write!(f, "report names another worker than its link's")
+            }
             MessageError::DimMismatch { expected, got } => {
                 write!(f, "vector of dimension {got}, the run's is {expected}")
             }
@@ -158,14 +175,20 @@ impl fmt::Display for MessageError {
 
 impl std::error::Error for MessageError {}
 
-const VEC_HEADER: usize = 4 + 4 + 4;
-const VEC_TAG: usize = 8;
+/// Bytes of the integrity tag.
+const TAG_LEN: usize = 8;
+/// Smallest acceptable length word: a kind byte and a tag.
+const MIN_FRAME_LEN: usize = 1 + TAG_LEN;
+/// `STEP` payload bytes before the coordinates: step, batch, dim.
+const STEP_HEADER: usize = 4 + 4 + 4;
+/// `GRAD` payload bytes before the coordinates: id, step, loss, dim.
+const GRAD_HEADER: usize = 4 + 4 + 8 + 4;
 
 const TAG_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const TAG_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// The vector-frame integrity tag: FNV-1a's xor-then-multiply over
-/// 8-byte little-endian words, each multiply followed by the fold
+/// The frame integrity tag: FNV-1a's xor-then-multiply over 8-byte
+/// little-endian words, each multiply followed by the fold
 /// `h ^= h >> 32`, with the byte tail (`len mod 8` bytes) absorbed
 /// bytewise as plain FNV-1a.
 ///
@@ -208,106 +231,66 @@ pub fn read_array<const N: usize>(frame: &[u8], at: usize) -> Result<[u8; N], Me
         })
 }
 
-/// Encodes the vector frame `[a][b][dim][coords][tag]` into `buf`,
-/// clearing it first. The buffer's allocation is reused, so at steady
-/// state (same dimension every round) encoding allocates nothing.
-pub fn encode_vec_frame(a: u32, b: u32, v: &Vector, buf: &mut BytesMut) {
-    buf.clear();
-    append_vec_frame(a, b, v.as_slice(), buf);
-}
-
-/// Appends the vector frame `[a][b][dim][coords][tag]` to `buf`, after
-/// whatever it already holds: the header, then one zero fill of the
-/// coordinate range that is overwritten 8 bytes at a time in place, then
-/// the tag over the appended frame alone. Byte for byte what
-/// [`encode_vec_frame`] writes into an empty buffer; at steady state it
-/// allocates nothing.
-pub fn append_vec_frame(a: u32, b: u32, v: &[f64], buf: &mut BytesMut) {
-    // lint:begin(zero-copy)
-    let start = buf.len();
-    buf.put_u32_le(a);
-    buf.put_u32_le(b);
-    buf.put_u32_le(v.len() as u32);
-    let coords = buf.len();
-    buf.put_bytes(0, v.len() * 8);
-    let range = buf.get_mut(coords..).unwrap_or_default();
-    for (bytes, x) in range.chunks_exact_mut(8).zip(v) {
-        bytes.copy_from_slice(&x.to_le_bytes());
-    }
-    let tag = frame_tag(buf.get(start..).unwrap_or_default());
-    buf.put_u64_le(tag);
-    // lint:end(zero-copy)
-}
-
-/// Wire size of one vector frame of `dim` coordinates.
-const fn vec_frame_len(dim: usize) -> usize {
-    VEC_HEADER + dim * 8 + VEC_TAG
-}
-
-/// Decodes and verifies a vector frame into `v`, returning its two header
-/// words. `v` is resized in place (a no-op at steady state) and refilled
-/// from the length-checked coordinate bytes, 8 at a time; the tag covers
-/// header and payload and is checked after parsing. On error `v` is left
-/// in an unspecified but valid state.
-///
-/// # Errors
-///
-/// [`MessageError::ShortRead`] on length-inconsistent frames,
-/// [`MessageError::LengthOverflow`] if the declared coordinate count
-/// exceeds [`MAX_WIRE_DIM`] (checked before `v` is resized),
-/// [`MessageError::BadChecksum`] if the integrity tag mismatches.
-pub fn decode_vec_frame(frame: &[u8], v: &mut Vector) -> Result<(u32, u32), MessageError> {
-    // lint:begin(zero-copy)
-    if frame.len() < VEC_HEADER + VEC_TAG {
-        return Err(MessageError::ShortRead {
-            needed: VEC_HEADER + VEC_TAG,
-            got: frame.len(),
-        });
-    }
-    let a = u32::from_le_bytes(read_array(frame, 0)?);
-    let b = u32::from_le_bytes(read_array(frame, 4)?);
-    let dim = u32::from_le_bytes(read_array(frame, 8)?) as usize;
-    if dim > MAX_WIRE_DIM {
-        return Err(MessageError::LengthOverflow {
-            declared: dim,
-            limit: MAX_WIRE_DIM,
-        });
-    }
-    let needed = vec_frame_len(dim);
-    if frame.len() != needed {
-        return Err(MessageError::ShortRead {
-            needed,
-            got: frame.len(),
-        });
-    }
-    // The length check above makes both splits exact: `dim` coordinates
-    // of 8 bytes between the header and the tag.
-    let (body, tag) = frame.split_at_checked(needed - VEC_TAG).unwrap_or_default();
-    let coords = body.get(VEC_HEADER..).unwrap_or_default();
-    v.resize(dim, 0.0);
-    for (coord, bytes) in v.as_mut_slice().iter_mut().zip(coords.chunks_exact(8)) {
-        let mut x = [0u8; 8];
-        x.copy_from_slice(bytes);
-        *coord = f64::from_le_bytes(x);
-    }
-    if u64::from_le_bytes(read_array(tag, 0)?) != frame_tag(body) {
-        return Err(MessageError::BadChecksum);
-    }
-    // lint:end(zero-copy)
-    Ok((a, b))
-}
-
 /// Wire size of a [`KIND_GRAD`] frame at dimension `dim`, length word
 /// included: the largest frame a run at that dimension sends (a `STEP`
-/// carries one vector frame, a `GRAD` two plus the loss/length prelude).
+/// carries one vector, a `GRAD` two).
 pub const fn grad_frame_len(dim: usize) -> usize {
-    4 + 1 + 8 + 4 + 2 * vec_frame_len(dim)
+    4 + MIN_FRAME_LEN + GRAD_HEADER + 2 * 8 * dim
 }
 
 /// Largest acceptable frame `len`: the `GRAD` layout at [`MAX_WIRE_DIM`]
 /// coordinates, less the length word itself. A corrupted or hostile
-/// length prefix above this is rejected before any buffering happens.
+/// length word above this is rejected before any buffering happens.
 pub const MAX_FRAME_LEN: usize = grad_frame_len(MAX_WIRE_DIM) - 4;
+
+/// The frame length a length word declares, checked against the layout's
+/// minimum and [`MAX_FRAME_LEN`].
+fn declared_len(word: [u8; 4]) -> Result<usize, MessageError> {
+    let len = u32::from_le_bytes(word) as usize;
+    if len < MIN_FRAME_LEN {
+        return Err(MessageError::ShortRead {
+            needed: MIN_FRAME_LEN,
+            got: len,
+        });
+    }
+    if len > MAX_FRAME_LEN {
+        return Err(MessageError::LengthOverflow {
+            declared: len,
+            limit: MAX_FRAME_LEN,
+        });
+    }
+    Ok(len)
+}
+
+/// Opens one whole frame, length word included: the one place a frame is
+/// accepted or refused. Checks the length word against the layout's
+/// minimum and [`MAX_FRAME_LEN`] and against the bytes presented (exactly
+/// one frame), then verifies the tag over the kind byte and the payload,
+/// and returns `(kind, payload)`.
+///
+/// # Errors
+///
+/// [`MessageError::ShortRead`] when the length word is below the minimum
+/// or does not match the bytes, [`MessageError::LengthOverflow`] above
+/// the cap, [`MessageError::BadChecksum`] when the tag mismatches.
+pub fn open_frame(frame: &[u8]) -> Result<(u8, &[u8]), MessageError> {
+    let len = declared_len(read_array(frame, 0)?)?;
+    if frame.len() != 4 + len {
+        return Err(MessageError::ShortRead {
+            needed: 4 + len,
+            got: frame.len(),
+        });
+    }
+    // The checks above make every range exact: the kind, the payload,
+    // then the tag.
+    let body = frame.get(4..4 + len - TAG_LEN).unwrap_or_default();
+    let tag = u64::from_le_bytes(read_array(frame, 4 + len - TAG_LEN)?);
+    if tag != frame_tag(body) {
+        return Err(MessageError::BadChecksum);
+    }
+    let [kind] = read_array(frame, 4)?;
+    Ok((kind, body.get(1..).unwrap_or_default()))
+}
 
 /// Incremental frame reassembly over one recycled buffer.
 ///
@@ -387,56 +370,32 @@ impl FrameReader {
         }
     }
 
-    /// Pops the next complete frame, if one has fully arrived, as
-    /// `(kind, payload)`. The payload borrows the reader's buffer — copy
-    /// or decode it before the next `fill`/`next_frame` call.
+    /// Pops the next complete frame, if one has fully arrived, opened by
+    /// [`open_frame`] as `(kind, payload)`. The length word is checked
+    /// against [`MAX_FRAME_LEN`] before the frame is buffered. The payload
+    /// borrows the reader's buffer — copy or decode it before the next
+    /// `fill`/`next_frame` call.
     ///
     /// # Errors
     ///
-    /// [`MessageError`] when the length word is zero or above
-    /// [`MAX_FRAME_LEN`]; the connection should be dropped
+    /// As [`open_frame`]. The connection should be dropped
     /// (resynchronization is impossible).
     pub fn next_frame(&mut self) -> Result<Option<(u8, &[u8])>, MessageError> {
-        let avail = self.filled.saturating_sub(self.start);
-        if avail < 4 {
-            return Ok(None);
-        }
-        let Some(header) = self
-            .buf
-            .get(self.start..self.start + 4)
-            .and_then(|bytes| <[u8; 4]>::try_from(bytes).ok())
-        else {
+        let pending = self.buf.get(self.start..self.filled).unwrap_or_default();
+        let Ok(word) = read_array(pending, 0) else {
             return Ok(None);
         };
-        let len = u32::from_le_bytes(header) as usize;
-        if len == 0 {
-            return Err(MessageError::ShortRead { needed: 1, got: 0 });
-        }
-        if len > MAX_FRAME_LEN {
-            return Err(MessageError::LengthOverflow {
-                declared: len,
-                limit: MAX_FRAME_LEN,
-            });
-        }
-        if avail < 4 + len {
+        let end = self.start + 4 + declared_len(word)?;
+        if end > self.filled {
             return Ok(None);
         }
-        let payload_start = self.start + 5;
-        let payload_end = self.start + 4 + len;
-        let (Some(&kind), Some(payload)) = (
-            self.buf.get(self.start + 4),
-            self.buf.get(payload_start..payload_end),
-        ) else {
-            // Unreachable while `filled <= buf.len()` holds, but a
-            // hostile-input path never indexes on faith.
-            return Ok(None);
-        };
-        self.start = payload_end;
+        let frame = self.buf.get(self.start..end).unwrap_or_default();
+        self.start = end;
         if self.start == self.filled {
             self.start = 0;
             self.filled = 0;
         }
-        Ok(Some((kind, payload)))
+        open_frame(frame).map(Some)
     }
 }
 
@@ -547,66 +506,36 @@ impl GradGuard {
     }
 }
 
-/// Why a GRAD payload was rejected. Either way the connection is
-/// dropped; the typed split keeps hostile-frame handling testable field
-/// by field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GradDecodeError {
-    /// The prelude or an embedded vector frame was short, oversized, or
-    /// failed integrity.
-    Frame(MessageError),
-    /// Both embedded frames decoded but named another worker's id, or
-    /// disagreed on the step.
-    Misattributed,
-}
-
-impl From<MessageError> for GradDecodeError {
-    fn from(e: MessageError) -> Self {
-        GradDecodeError::Frame(e)
-    }
-}
-
-impl fmt::Display for GradDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GradDecodeError::Frame(e) => write!(f, "gradient frame: {e}"),
-            GradDecodeError::Misattributed => {
-                write!(f, "gradient frame attributed to the wrong worker or step")
-            }
-        }
-    }
-}
-
-impl std::error::Error for GradDecodeError {}
-
-/// Reads the `(worker_id, step)` tag of a GRAD payload without decoding
-/// the vectors — what the receive path hands [`GradGuard::admit`] so a
-/// stale or duplicated frame is classified *before* anything touches the
-/// output slot.
+/// Reads the step of a `GRAD` payload without decoding its vectors,
+/// after checking that the report names `link`, the worker whose link
+/// carried it. This is what the receive path hands
+/// [`GradGuard::admit`], so a stale or duplicated frame is classified
+/// *before* anything touches the output slot.
 ///
 /// # Errors
 ///
 /// [`MessageError::ShortRead`] when the payload is too short to carry
-/// the embedded submitted-gradient header.
-pub fn peek_grad(payload: &[u8]) -> Result<(u32, u32), MessageError> {
-    // GRAD layout: [loss: f64][sub_len: u32][submitted frame …] and the
-    // embedded vector frame leads with [worker_id: u32][step: u32].
-    let wid = u32::from_le_bytes(read_array(payload, 12)?);
-    let step = u32::from_le_bytes(read_array(payload, 16)?);
-    Ok((wid, step))
+/// the id and step, [`MessageError::Misattributed`] when the id is not
+/// `link`.
+pub fn peek_grad(payload: &[u8], link: u32) -> Result<u32, MessageError> {
+    let id = u32::from_le_bytes(read_array(payload, 0)?);
+    let step = u32::from_le_bytes(read_array(payload, 4)?);
+    if id != link {
+        return Err(MessageError::Misattributed);
+    }
+    Ok(step)
 }
 
-/// Decodes a GRAD payload into the worker's output slot, returning the
-/// reported step. Every field read is bounds-checked: a peer that
-/// truncates the loss/length prelude or either embedded vector frame gets
-/// a typed [`MessageError::ShortRead`], never a panic. Both vectors must
-/// have the run's dimension `dim` ([`MessageError::DimMismatch`]) and
-/// finite coordinates ([`MessageError::NonFinite`]), so what reaches the
-/// GAR is what the aggregation rules accept. This holds for honest
-/// reports too: on a diverging run the session drops them, the round
-/// misses its quorum, and the run ends with a typed error, where the
-/// in-process engine would aggregate the non-finite values. On error the
-/// slot's vectors are left in an unspecified but valid state.
+/// Decodes a `GRAD` payload into the worker's output slot. Every field
+/// read is bounds-checked, and the payload must hold exactly two vectors
+/// of the run's dimension `dim` ([`MessageError::DimMismatch`] when it
+/// declares another, checked before the slot is resized) with finite
+/// coordinates ([`MessageError::NonFinite`]), so what reaches the GAR is
+/// what the aggregation rules accept. This holds for honest reports too:
+/// on a diverging run the session drops them, the round misses its
+/// quorum, and the run ends with a typed error, where the in-process
+/// engine would aggregate the non-finite values. On error the slot's
+/// vectors are left in an unspecified but valid state.
 ///
 /// Call [`peek_grad`] + [`GradGuard::admit`] first: only
 /// [`Admission::Fresh`] frames should reach the decode, so a duplicated
@@ -615,50 +544,87 @@ pub fn peek_grad(payload: &[u8]) -> Result<(u32, u32), MessageError> {
 ///
 /// # Errors
 ///
-/// See [`GradDecodeError`].
-pub fn decode_grad(
-    payload: &[u8],
-    expect_id: u32,
-    dim: usize,
-    out: &mut WorkerOutput,
-) -> Result<u32, GradDecodeError> {
-    let batch_loss = f64::from_le_bytes(read_array(payload, 0)?);
-    let sub_len = u32::from_le_bytes(read_array(payload, 8)?) as usize;
-    let rest = payload.get(12..).unwrap_or_default();
-    let (sub, pre) = rest
-        .split_at_checked(sub_len)
-        .ok_or(MessageError::ShortRead {
-            needed: 12usize.saturating_add(sub_len),
-            got: payload.len(),
-        })?;
-    let (wid, step) = decode_gradient_frame(sub, dim, &mut out.submitted)?;
-    let (wid2, step2) = decode_gradient_frame(pre, dim, &mut out.pre_noise)?;
-    if wid != expect_id || wid2 != expect_id || step != step2 {
-        return Err(GradDecodeError::Misattributed);
-    }
-    out.batch_loss = batch_loss;
-    Ok(step)
-}
-
-/// [`decode_vec_frame`] for one of a report's gradients: the declared
-/// coordinate count must be `dim` (checked before `v` is resized), and
-/// every coordinate must be finite (checked after the tag).
-fn decode_gradient_frame(
-    frame: &[u8],
-    dim: usize,
-    v: &mut Vector,
-) -> Result<(u32, u32), MessageError> {
-    let declared = u32::from_le_bytes(read_array(frame, 8)?) as usize;
+/// [`MessageError::ShortRead`] on a truncated or overlong payload, and
+/// the two value errors above.
+pub fn decode_grad(payload: &[u8], dim: usize, out: &mut WorkerOutput) -> Result<(), MessageError> {
+    // lint:begin(zero-copy)
+    // Every fresh report of every round is decoded here, straight into
+    // the recycled output slot.
+    let batch_loss = f64::from_le_bytes(read_array(payload, 8)?);
+    let declared = u32::from_le_bytes(read_array(payload, 16)?) as usize;
     if declared != dim {
         return Err(MessageError::DimMismatch {
             expected: dim,
             got: declared,
         });
     }
-    let header = decode_vec_frame(frame, v)?;
+    exact_len(payload, GRAD_HEADER + 16 * dim)?;
+    let coords = payload.get(GRAD_HEADER..).unwrap_or_default();
+    let (submitted, pre_noise) = coords.split_at_checked(8 * dim).unwrap_or_default();
+    read_coords(submitted, dim, &mut out.submitted);
+    read_coords(pre_noise, dim, &mut out.pre_noise);
+    check_finite(&out.submitted)?;
+    check_finite(&out.pre_noise)?;
+    out.batch_loss = batch_loss;
+    // lint:end(zero-copy)
+    Ok(())
+}
+
+/// Decodes a `STEP` payload into `params`, returning `(step, batch)`.
+/// `params` is resized in place (a no-op at steady state) and refilled
+/// 8 bytes at a time. On error `params` is left in an unspecified but
+/// valid state.
+///
+/// # Errors
+///
+/// [`MessageError::LengthOverflow`] if the coordinate count exceeds
+/// [`MAX_WIRE_DIM`] (checked before `params` is resized),
+/// [`MessageError::ShortRead`] if the payload does not hold exactly that
+/// many coordinates.
+pub fn decode_step(payload: &[u8], params: &mut Vector) -> Result<(u32, u32), MessageError> {
+    // lint:begin(zero-copy)
+    let step = u32::from_le_bytes(read_array(payload, 0)?);
+    let batch = u32::from_le_bytes(read_array(payload, 4)?);
+    let dim = u32::from_le_bytes(read_array(payload, 8)?) as usize;
+    if dim > MAX_WIRE_DIM {
+        return Err(MessageError::LengthOverflow {
+            declared: dim,
+            limit: MAX_WIRE_DIM,
+        });
+    }
+    exact_len(payload, STEP_HEADER + 8 * dim)?;
+    read_coords(payload.get(STEP_HEADER..).unwrap_or_default(), dim, params);
+    // lint:end(zero-copy)
+    Ok((step, batch))
+}
+
+/// Refuses a payload that is not exactly `needed` bytes long.
+fn exact_len(payload: &[u8], needed: usize) -> Result<(), MessageError> {
+    if payload.len() == needed {
+        return Ok(());
+    }
+    Err(MessageError::ShortRead {
+        needed,
+        got: payload.len(),
+    })
+}
+
+/// Refills `v` with the `dim` little-endian coordinates `bytes` starts
+/// with, 8 bytes at a time.
+fn read_coords(bytes: &[u8], dim: usize, v: &mut Vector) {
+    v.resize(dim, 0.0);
+    for (coord, x) in v.as_mut_slice().iter_mut().zip(bytes.chunks_exact(8)) {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(x);
+        *coord = f64::from_le_bytes(word);
+    }
+}
+
+/// Refuses a vector holding a NaN or an infinity.
+fn check_finite(v: &Vector) -> Result<(), MessageError> {
     // A branch-free pass over every report; the index only on rejection.
     if v.as_slice().iter().fold(true, |ok, x| ok & x.is_finite()) {
-        return Ok(header);
+        return Ok(());
     }
     let index = v.as_slice().iter().position(|x| !x.is_finite());
     Err(MessageError::NonFinite {
@@ -675,13 +641,16 @@ pub fn begin_frame(buf: &mut BytesMut, kind: u8) {
     buf.put_slice(&[kind]);
 }
 
-/// Seals a frame begun with [`begin_frame`]: patches the length word to
-/// cover everything after it.
+/// Seals a frame begun with [`begin_frame`]: appends the tag over the
+/// kind byte and the payload, and patches the length word to cover
+/// everything after it.
 ///
 /// # Panics
 ///
-/// Panics if the frame (kind + payload) exceeds `u32::MAX` bytes.
+/// Panics if the frame (kind + payload + tag) exceeds `u32::MAX` bytes.
 pub fn end_frame(buf: &mut BytesMut) {
+    let tag = frame_tag(buf.get(4..).unwrap_or_default());
+    buf.put_u64_le(tag);
     // lint:allow(panic-unwrap, reason = "documented panic: locally built frames are capped by MAX_FRAME_LEN, far below u32::MAX")
     let len = u32::try_from(buf.len() - 4).expect("frame fits u32");
     if let Some(slot) = buf.get_mut(0..4) {
@@ -689,16 +658,45 @@ pub fn end_frame(buf: &mut BytesMut) {
     }
 }
 
-/// Encodes worker `id`'s [`KIND_GRAD`] report for `step` from `out`,
-/// both embedded vector frames written straight into `buf`. The buffer
-/// recycles, so a steady-state report allocates nothing.
-pub(crate) fn encode_grad(buf: &mut BytesMut, id: u32, step: u32, out: &WorkerOutput) {
-    begin_frame(buf, KIND_GRAD);
-    buf.put_f64_le(out.batch_loss);
-    buf.put_u32_le(vec_frame_len(out.submitted.dim()) as u32);
-    append_vec_frame(id, step, out.submitted.as_slice(), buf);
-    append_vec_frame(id, step, out.pre_noise.as_slice(), buf);
+/// Appends `v`'s coordinates as little-endian `f64`s: one zero fill of
+/// the range, overwritten 8 bytes at a time in place.
+fn put_coords(buf: &mut BytesMut, v: &[f64]) {
+    let start = buf.len();
+    buf.put_bytes(0, v.len() * 8);
+    let range = buf.get_mut(start..).unwrap_or_default();
+    for (bytes, x) in range.chunks_exact_mut(8).zip(v) {
+        bytes.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// Encodes the [`KIND_STEP`] frame for `step` into `buf`, the parameters
+/// written in place. The buffer recycles, so a steady-state broadcast
+/// allocates nothing.
+pub fn encode_step(buf: &mut BytesMut, step: u32, batch: u32, params: &[f64]) {
+    // lint:begin(zero-copy)
+    begin_frame(buf, KIND_STEP);
+    buf.put_u32_le(step);
+    buf.put_u32_le(batch);
+    buf.put_u32_le(params.len() as u32);
+    put_coords(buf, params);
     end_frame(buf);
+    // lint:end(zero-copy)
+}
+
+/// Encodes worker `id`'s [`KIND_GRAD`] report for `step` from `out` into
+/// `buf`, both vectors written in place. The buffer recycles, so a
+/// steady-state report allocates nothing.
+pub fn encode_grad(buf: &mut BytesMut, id: u32, step: u32, out: &WorkerOutput) {
+    // lint:begin(zero-copy)
+    begin_frame(buf, KIND_GRAD);
+    buf.put_u32_le(id);
+    buf.put_u32_le(step);
+    buf.put_f64_le(out.batch_loss);
+    buf.put_u32_le(out.submitted.dim() as u32);
+    put_coords(buf, out.submitted.as_slice());
+    put_coords(buf, out.pre_noise.as_slice());
+    end_frame(buf);
+    // lint:end(zero-copy)
 }
 
 /// Writes `data` fully to a possibly-nonblocking stream, napping through
@@ -765,11 +763,38 @@ mod tests {
     }
 
     fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
-        let mut buf = bytes::BytesMut::with_capacity(5 + payload.len());
+        let mut buf = BytesMut::default();
         begin_frame(&mut buf, kind);
-        bytes::BufMut::put_slice(&mut buf, payload);
+        buf.put_slice(payload);
         end_frame(&mut buf);
         buf.to_vec()
+    }
+
+    /// Every frame `reader` yields from `wire`, fed in `chunk`-byte reads.
+    fn read_all(wire: &[u8], chunk: usize) -> Vec<Result<(u8, Vec<u8>), MessageError>> {
+        let mut stream = ChunkedStream {
+            data: wire.to_vec(),
+            pos: 0,
+            chunk,
+        };
+        let mut reader = FrameReader::new();
+        let mut seen = Vec::new();
+        loop {
+            let n = reader.fill(&mut stream).unwrap();
+            loop {
+                match reader.next_frame() {
+                    Ok(Some((kind, payload))) => seen.push(Ok((kind, payload.to_vec()))),
+                    Ok(None) => break,
+                    Err(e) => {
+                        seen.push(Err(e));
+                        return seen;
+                    }
+                }
+            }
+            if n == 0 && stream.pos == stream.data.len() {
+                return seen;
+            }
+        }
     }
 
     #[test]
@@ -779,28 +804,12 @@ mod tests {
         wire.extend(frame(KIND_WARMUP, &[]));
         wire.extend(frame(KIND_GRAD, &[9; 100]));
         for chunk in [1, 2, 3, 7, 64, 4096] {
-            let mut stream = ChunkedStream {
-                data: wire.clone(),
-                pos: 0,
-                chunk,
-            };
-            let mut reader = FrameReader::new();
-            let mut seen = Vec::new();
-            loop {
-                let n = reader.fill(&mut stream).unwrap();
-                while let Some((kind, payload)) = reader.next_frame().unwrap() {
-                    seen.push((kind, payload.to_vec()));
-                }
-                if n == 0 && stream.pos == stream.data.len() {
-                    break;
-                }
-            }
             assert_eq!(
-                seen,
+                read_all(&wire, chunk),
                 vec![
-                    (KIND_JOIN, 7u32.to_le_bytes().to_vec()),
-                    (KIND_WARMUP, Vec::new()),
-                    (KIND_GRAD, vec![9; 100]),
+                    Ok((KIND_JOIN, 7u32.to_le_bytes().to_vec())),
+                    Ok((KIND_WARMUP, Vec::new())),
+                    Ok((KIND_GRAD, vec![9; 100])),
                 ],
                 "chunk size {chunk}"
             );
@@ -829,17 +838,23 @@ mod tests {
 
     #[test]
     fn zero_length_frame_is_rejected() {
-        let mut reader = FrameReader::new();
-        let mut stream = ChunkedStream {
-            data: 0u32.to_le_bytes().to_vec(),
-            pos: 0,
-            chunk: 4,
-        };
-        reader.fill(&mut stream).unwrap();
-        assert_eq!(
-            reader.next_frame(),
-            Err(MessageError::ShortRead { needed: 1, got: 0 })
-        );
+        // A frame needs at least its kind byte and its tag.
+        for len in [0u32, 1, 8] {
+            let mut reader = FrameReader::new();
+            let mut stream = ChunkedStream {
+                data: len.to_le_bytes().to_vec(),
+                pos: 0,
+                chunk: 4,
+            };
+            reader.fill(&mut stream).unwrap();
+            assert_eq!(
+                reader.next_frame(),
+                Err(MessageError::ShortRead {
+                    needed: 9,
+                    got: len as usize
+                })
+            );
+        }
     }
 
     #[test]
@@ -856,11 +871,11 @@ mod tests {
 
     #[test]
     fn truncated_header_then_eof_is_a_typed_io_error() {
-        // The peer dies mid-header: every prefix of a header is held as
-        // an incomplete frame, and the close then surfaces as a typed
-        // UnexpectedEof, never a panic or a bogus frame.
+        // The peer dies mid-frame: every prefix is held as an incomplete
+        // frame, and the close then surfaces as a typed UnexpectedEof,
+        // never a panic or a bogus frame.
         let full = frame(KIND_STEP, &[0; 9]);
-        for cut in 0..5 {
+        for cut in 0..full.len() {
             let mut stream = io::Cursor::new(full[..cut].to_vec());
             let mut reader = FrameReader::new();
             loop {
@@ -876,59 +891,68 @@ mod tests {
         }
     }
 
-    /// A well-formed GRAD payload exactly as `run_worker` builds one:
-    /// `[batch_loss: f64][sub_len: u32]` + submitted frame + pre-noise
-    /// frame.
-    fn grad_payload(id: u32, step: u32, pre_id: u32, pre_step: u32) -> Vec<u8> {
-        report_payload((id, step, &[1.0, -2.0]), (pre_id, pre_step, &[0.5, 0.25]))
+    /// A GRAD frame exactly as a worker session builds one.
+    fn grad_frame(id: u32, step: u32, submitted: &[f64], pre_noise: &[f64]) -> Vec<u8> {
+        let out = WorkerOutput {
+            submitted: Vector::from(submitted.to_vec()),
+            pre_noise: Vector::from(pre_noise.to_vec()),
+            batch_loss: 0.125,
+        };
+        let mut buf = BytesMut::default();
+        encode_grad(&mut buf, id, step, &out);
+        buf.to_vec()
     }
 
-    /// A GRAD payload from `(worker_id, step, coordinates)` of the
-    /// submitted and the pre-noise vector, each frame correctly tagged.
-    fn report_payload(sub: (u32, u32, &[f64]), pre: (u32, u32, &[f64])) -> Vec<u8> {
-        use bytes::BufMut;
-        let mut sub_frame = bytes::BytesMut::default();
-        let mut pre_frame = bytes::BytesMut::default();
-        encode_vec_frame(sub.0, sub.1, &Vector::from(sub.2.to_vec()), &mut sub_frame);
-        encode_vec_frame(pre.0, pre.1, &Vector::from(pre.2.to_vec()), &mut pre_frame);
-        let mut payload = bytes::BytesMut::default();
-        payload.put_f64_le(0.125);
-        payload.put_u32_le(sub_frame.len() as u32);
-        payload.put_slice(&sub_frame);
-        payload.put_slice(&pre_frame);
+    /// The verified payload of [`grad_frame`].
+    fn report_payload(id: u32, step: u32, submitted: &[f64], pre_noise: &[f64]) -> Vec<u8> {
+        let frame = grad_frame(id, step, submitted, pre_noise);
+        let (kind, payload) = open_frame(&frame).unwrap();
+        assert_eq!(kind, KIND_GRAD);
         payload.to_vec()
+    }
+
+    fn grad_payload(id: u32, step: u32) -> Vec<u8> {
+        report_payload(id, step, &[1.0, -2.0], &[0.5, 0.25])
     }
 
     #[test]
     fn well_formed_grad_payload_decodes() {
-        let payload = grad_payload(3, 7, 3, 7);
+        let payload = grad_payload(3, 7);
+        assert_eq!(peek_grad(&payload, 3), Ok(7));
         let mut out = WorkerOutput::default();
-        assert_eq!(decode_grad(&payload, 3, 2, &mut out), Ok(7));
+        assert_eq!(decode_grad(&payload, 2, &mut out), Ok(()));
         assert_eq!(out.batch_loss, 0.125);
         assert_eq!(out.submitted, Vector::from(vec![1.0, -2.0]));
         assert_eq!(out.pre_noise, Vector::from(vec![0.5, 0.25]));
-        // The encoder's frame for the same report has the documented size.
-        let mut frame = BytesMut::default();
-        encode_grad(&mut frame, 3, 7, &out);
-        assert_eq!(frame.len(), grad_frame_len(2));
-        assert_eq!(&frame[5..], &payload[..]);
+        // The payload is the documented flat record, and the frame has
+        // the documented size.
+        let mut expected = Vec::new();
+        expected.extend(3u32.to_le_bytes());
+        expected.extend(7u32.to_le_bytes());
+        expected.extend(0.125f64.to_le_bytes());
+        expected.extend(2u32.to_le_bytes());
+        for x in [1.0f64, -2.0, 0.5, 0.25] {
+            expected.extend(x.to_le_bytes());
+        }
+        assert_eq!(payload, expected);
+        assert_eq!(
+            grad_frame(3, 7, &[1.0, -2.0], &[0.5, 0.25]).len(),
+            grad_frame_len(2)
+        );
     }
 
     #[test]
     fn short_prelude_is_a_typed_error_for_every_cut() {
-        // Cut the payload inside the loss (bytes 0..8) and inside the
-        // sub-length word (bytes 8..12): each prefix must surface
-        // ShortRead, never a panic.
-        let payload = grad_payload(3, 7, 3, 7);
-        for cut in 0..12 {
-            let needed = if cut < 8 { 8 } else { 12 };
+        // Cut the payload inside the id/step/loss words (bytes 0..16) and
+        // inside the dimension word (bytes 16..20): each prefix must
+        // surface ShortRead, never a panic.
+        let payload = grad_payload(3, 7);
+        for cut in 0..20 {
+            let needed = if cut < 16 { 16 } else { 20 };
             let mut out = WorkerOutput::default();
             assert_eq!(
-                decode_grad(&payload[..cut], 3, 2, &mut out),
-                Err(GradDecodeError::Frame(MessageError::ShortRead {
-                    needed,
-                    got: cut
-                })),
+                decode_grad(&payload[..cut], 2, &mut out),
+                Err(MessageError::ShortRead { needed, got: cut }),
                 "cut at {cut}"
             );
         }
@@ -936,40 +960,62 @@ mod tests {
 
     #[test]
     fn truncated_inner_frames_are_typed_errors() {
-        let payload = grad_payload(3, 7, 3, 7);
+        let payload = grad_payload(3, 7);
         let mut out = WorkerOutput::default();
-        // Truncating the trailing pre-noise frame: the embedded decoder
-        // reports the shortfall.
-        assert!(matches!(
-            decode_grad(&payload[..payload.len() - 3], 3, 2, &mut out),
-            Err(GradDecodeError::Frame(MessageError::ShortRead { .. }))
-        ));
-        // A sub_len word claiming more bytes than the payload carries.
-        let mut lying = payload.clone();
-        lying[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            decode_grad(&lying, 3, 2, &mut out),
-            Err(GradDecodeError::Frame(MessageError::ShortRead { .. }))
-        ));
-        // A sub_len word splitting the submitted frame mid-layout.
-        let mut split = payload.clone();
-        split[8..12].copy_from_slice(&5u32.to_le_bytes());
-        assert!(matches!(
-            decode_grad(&split, 3, 2, &mut out),
-            Err(GradDecodeError::Frame(MessageError::ShortRead { .. }))
-        ));
+        // Truncating the trailing pre-noise vector, or cutting inside the
+        // submitted one.
+        for cut in [payload.len() - 3, payload.len() - 8, 20 + 5] {
+            assert_eq!(
+                decode_grad(&payload[..cut], 2, &mut out),
+                Err(MessageError::ShortRead {
+                    needed: payload.len(),
+                    got: cut
+                }),
+                "cut at {cut}"
+            );
+        }
+        // Bytes beyond the two vectors.
+        let mut long = payload.clone();
+        long.extend([0; 8]);
+        assert_eq!(
+            decode_grad(&long, 2, &mut out),
+            Err(MessageError::ShortRead {
+                needed: payload.len(),
+                got: long.len()
+            })
+        );
     }
 
     #[test]
     fn corrupted_inner_frame_fails_integrity() {
-        let mut payload = grad_payload(3, 7, 3, 7);
-        let at = payload.len() - 10; // inside the pre-noise frame
-        payload[at] ^= 0xFF;
-        let mut out = WorkerOutput::default();
-        assert_eq!(
-            decode_grad(&payload, 3, 2, &mut out),
-            Err(GradDecodeError::Frame(MessageError::BadChecksum))
-        );
+        // A byte inside the pre-noise vector of a GRAD frame.
+        let mut frame = grad_frame(3, 7, &[1.0, -2.0], &[0.5, 0.25]);
+        let at = frame.len() - 10;
+        frame[at] ^= 0xFF;
+        assert_eq!(open_frame(&frame), Err(MessageError::BadChecksum));
+    }
+
+    #[test]
+    fn a_corrupted_loss_byte_is_refused() {
+        // The loss feeds the digest-pinned training loss: it is under the
+        // frame's tag like every other field.
+        let clean = grad_frame(3, 7, &[1.0, -2.0], &[0.5, 0.25]);
+        for at in 13..21 {
+            let mut frame = clean.clone();
+            frame[at] ^= 0x01;
+            assert_eq!(
+                open_frame(&frame),
+                Err(MessageError::BadChecksum),
+                "byte {at}"
+            );
+            assert!(
+                matches!(
+                    read_all(&frame, 7).as_slice(),
+                    [Err(MessageError::BadChecksum)]
+                ),
+                "byte {at}"
+            );
+        }
     }
 
     #[test]
@@ -999,21 +1045,23 @@ mod tests {
                     got: 3,
                 },
             ),
+            // One dimension word covers both vectors: a short pre-noise
+            // vector is a length error.
             (
                 &[1.0, -2.0],
                 &[0.5],
-                MessageError::DimMismatch {
-                    expected: 2,
-                    got: 1,
+                MessageError::ShortRead {
+                    needed: 20 + 32,
+                    got: 20 + 24,
                 },
             ),
         ];
         for (sub, pre, expected) in cases {
-            let payload = report_payload((3, 7, sub), (3, 7, pre));
+            let payload = report_payload(3, 7, sub, pre);
             let mut out = WorkerOutput::default();
             assert_eq!(
-                decode_grad(&payload, 3, 2, &mut out),
-                Err(GradDecodeError::Frame(expected)),
+                decode_grad(&payload, 2, &mut out),
+                Err(expected),
                 "{sub:?} / {pre:?}"
             );
         }
@@ -1021,48 +1069,35 @@ mod tests {
 
     #[test]
     fn misattributed_reports_are_rejected() {
-        let mut out = WorkerOutput::default();
-        // Frames carrying another worker's id.
-        let payload = grad_payload(4, 7, 4, 7);
-        assert_eq!(
-            decode_grad(&payload, 3, 2, &mut out),
-            Err(GradDecodeError::Misattributed)
-        );
-        // Pre-noise frame naming a different worker than the submission.
-        let payload = grad_payload(3, 7, 4, 7);
-        assert_eq!(
-            decode_grad(&payload, 3, 2, &mut out),
-            Err(GradDecodeError::Misattributed)
-        );
-        // Frames disagreeing on the step.
-        let payload = grad_payload(3, 7, 3, 8);
-        assert_eq!(
-            decode_grad(&payload, 3, 2, &mut out),
-            Err(GradDecodeError::Misattributed)
-        );
+        // A report naming another worker than the link it arrived on.
+        let payload = grad_payload(4, 7);
+        assert_eq!(peek_grad(&payload, 3), Err(MessageError::Misattributed));
+        assert_eq!(peek_grad(&payload, 4), Ok(7));
     }
 
     #[test]
     fn empty_payload_is_a_typed_error() {
         let mut out = WorkerOutput::default();
         assert_eq!(
-            decode_grad(&[], 0, 2, &mut out),
-            Err(GradDecodeError::Frame(MessageError::ShortRead {
-                needed: 8,
-                got: 0
-            }))
+            decode_grad(&[], 2, &mut out),
+            Err(MessageError::ShortRead { needed: 16, got: 0 })
+        );
+        assert_eq!(
+            peek_grad(&[], 0),
+            Err(MessageError::ShortRead { needed: 4, got: 0 })
         );
     }
 
     #[test]
     fn peek_reads_the_round_tag_without_decoding() {
-        let payload = grad_payload(3, 7, 3, 7);
-        assert_eq!(peek_grad(&payload), Ok((3, 7)));
-        // Every prefix too short to carry the tag is a typed ShortRead.
-        for cut in 0..20 {
+        let payload = grad_payload(3, 7);
+        assert_eq!(peek_grad(&payload, 3), Ok(7));
+        // Every prefix too short to carry the id and step is a typed
+        // ShortRead.
+        for cut in 0..8 {
             assert!(
                 matches!(
-                    peek_grad(&payload[..cut]),
+                    peek_grad(&payload[..cut], 3),
                     Err(MessageError::ShortRead { .. })
                 ),
                 "cut at {cut}"
@@ -1076,22 +1111,16 @@ mod tests {
         // a byte-identical duplicate of a gradient frame without
         // complaint, so the receive path must classify the second one as
         // a duplicate instead of decoding it over the slot.
-        let payload = grad_payload(2, 5, 2, 5);
-        let mut reader = FrameReader::new();
-        let mut wire = frame(KIND_GRAD, &payload);
-        wire.extend(frame(KIND_GRAD, &payload)); // duplicated on the link
-        let mut stream = ChunkedStream {
-            data: wire,
-            pos: 0,
-            chunk: 64,
-        };
-        while reader.fill(&mut stream).unwrap() > 0 {}
+        let one = grad_frame(2, 5, &[1.0, -2.0], &[0.5, 0.25]);
+        let mut wire = one.clone();
+        wire.extend(&one); // duplicated on the link
         let mut guard = GradGuard::new(4);
         let mut admissions = Vec::new();
-        while let Some((kind, frame_payload)) = reader.next_frame().unwrap() {
+        for opened in read_all(&wire, 64) {
+            let (kind, payload) = opened.unwrap();
             assert_eq!(kind, KIND_GRAD);
-            let (wid, step) = peek_grad(frame_payload).unwrap();
-            admissions.push(guard.admit(wid, step, 5));
+            let step = peek_grad(&payload, 2).unwrap();
+            admissions.push(guard.admit(2, step, 5));
         }
         assert_eq!(admissions, vec![Admission::Fresh, Admission::Duplicate]);
     }
@@ -1187,28 +1216,49 @@ mod tests {
         }
     }
 
-    /// The vector-frame codec: round trips, buffer reuse, and typed
-    /// rejection of every malformed frame.
+    /// Frames that carry vectors (`STEP` and `GRAD`): round trips, buffer
+    /// reuse, the tag, and typed rejection of every malformed or
+    /// corrupted frame.
     mod vec_frame {
         use super::*;
         use proptest::prelude::*;
 
-        fn encoded(a: u32, b: u32, v: &Vector) -> BytesMut {
+        fn encoded(step: u32, batch: u32, v: &Vector) -> BytesMut {
             let mut frame = BytesMut::default();
-            encode_vec_frame(a, b, v, &mut frame);
+            encode_step(&mut frame, step, batch, v.as_slice());
             frame
+        }
+
+        /// Opens a STEP frame and decodes it into `params`.
+        fn decoded(frame: &[u8], params: &mut Vector) -> Result<(u32, u32), MessageError> {
+            let (kind, payload) = open_frame(frame)?;
+            assert_eq!(kind, KIND_STEP);
+            decode_step(payload, params)
+        }
+
+        /// A small frame of every kind that carries a payload.
+        fn small_frames() -> Vec<(&'static str, Vec<u8>)> {
+            let mut rejoin = 3u32.to_le_bytes().to_vec();
+            rejoin.extend(session_token(1, 3).to_le_bytes());
+            rejoin.extend(4u32.to_le_bytes());
+            vec![
+                (
+                    "STEP",
+                    encoded(5, 11, &Vector::from(vec![1.0, -2.0])).to_vec(),
+                ),
+                ("GRAD", super::grad_frame(3, 7, &[1.0, -2.0], &[0.5, 0.25])),
+                ("JOIN", super::frame(KIND_JOIN, &3u32.to_le_bytes())),
+                ("REJOIN", super::frame(KIND_REJOIN, &rejoin)),
+                ("ABORT", super::frame(KIND_ABORT, b"below quorum")),
+            ]
         }
 
         #[test]
         fn roundtrip() {
-            // A gradient's header: (worker_id, step).
             let v = Vector::from(vec![1.5, -2.25, 0.0]);
-            let mut decoded = Vector::default();
-            assert_eq!(
-                decode_vec_frame(&encoded(3, 42, &v), &mut decoded),
-                Ok((3, 42))
-            );
-            assert_eq!(decoded, v);
+            let mut params = Vector::default();
+            assert_eq!(decoded(&encoded(3, 42, &v), &mut params), Ok((3, 42)));
+            assert_eq!(params, v);
         }
 
         #[test]
@@ -1217,10 +1267,7 @@ mod tests {
             // dirty parameter vector of the wrong dimension.
             let v = Vector::from(vec![1.0, -0.125, 3.5]);
             let mut params = Vector::from(vec![0.0; 9]);
-            assert_eq!(
-                decode_vec_frame(&encoded(7, 25, &v), &mut params),
-                Ok((7, 25))
-            );
+            assert_eq!(decoded(&encoded(7, 25, &v), &mut params), Ok((7, 25)));
             assert_eq!(params, v);
         }
 
@@ -1232,45 +1279,52 @@ mod tests {
             let v = Vector::from(vec![1.5, -2.25, 0.0]);
             let mut frame = BytesMut::with_capacity(4);
             frame.put_u32_le(0xDEAD_BEEF); // dirty: encoding must clear
-            encode_vec_frame(3, 42, &v, &mut frame);
+            encode_step(&mut frame, 3, 42, v.as_slice());
             assert_eq!(&frame[..], &encoded(3, 42, &v)[..]);
-            let mut decoded = Vector::from(vec![9.0; 7]); // dirty, wrong dim
-            assert_eq!(decode_vec_frame(&frame, &mut decoded), Ok((3, 42)));
-            assert_eq!(decoded, v);
+            let mut params = Vector::from(vec![9.0; 7]); // dirty, wrong dim
+            assert_eq!(decoded(&frame, &mut params), Ok((3, 42)));
+            assert_eq!(params, v);
             let v2 = Vector::from(vec![0.25, 7.0, -1.0]);
-            encode_vec_frame(4, 43, &v2, &mut frame);
-            assert_eq!(decode_vec_frame(&frame, &mut decoded), Ok((4, 43)));
-            assert_eq!(decoded, v2);
+            encode_step(&mut frame, 4, 43, v2.as_slice());
+            assert_eq!(decoded(&frame, &mut params), Ok((4, 43)));
+            assert_eq!(params, v2);
         }
 
         #[test]
         fn frame_bytes_follow_the_documented_layout() {
             let v = Vector::from(vec![0.5, -0.5]);
             let mut expected = Vec::new();
+            expected.extend(37u32.to_le_bytes()); // kind + 28 payload bytes + tag
+            expected.push(KIND_STEP);
             for word in [9u32, 17, 2] {
                 expected.extend(word.to_le_bytes());
             }
             for x in [0.5f64, -0.5] {
                 expected.extend(x.to_le_bytes());
             }
-            // The tag of these 28 bytes, computed outside this crate.
-            expected.extend(0x6664_5ac0_ceea_2251u64.to_le_bytes());
+            // The tag of the kind byte and the payload (29 bytes),
+            // computed outside this crate.
+            expected.extend(0x2903_b50e_d58e_989fu64.to_le_bytes());
             assert_eq!(&encoded(9, 17, &v)[..], &expected[..]);
         }
 
-        /// The per-coordinate encoder the codec ran before it encoded in
-        /// place, kept as the reference the in-place encoder must match
+        /// The per-coordinate encoder: the header fields, then every
+        /// coordinate appended one at a time, the tag and length word
+        /// written last. The reference the in-place encoders must match
         /// byte for byte.
-        fn reference_encode(a: u32, b: u32, v: &[f64], buf: &mut BytesMut) {
-            buf.clear();
-            buf.put_u32_le(a);
-            buf.put_u32_le(b);
-            buf.put_u32_le(v.len() as u32);
-            for &x in v {
-                buf.put_f64_le(x);
+        fn reference_frame(kind: u8, header: &[&[u8]], vectors: &[&[f64]]) -> Vec<u8> {
+            let mut body = vec![kind];
+            for field in header {
+                body.extend(*field);
             }
-            let tag = frame_tag(buf);
-            buf.put_u64_le(tag);
+            for x in vectors.iter().flat_map(|v| v.iter()) {
+                body.extend(x.to_le_bytes());
+            }
+            let mut frame = ((body.len() + 8) as u32).to_le_bytes().to_vec();
+            let tag = reference_tag(&body);
+            frame.extend(body);
+            frame.extend(tag.to_le_bytes());
+            frame
         }
 
         #[test]
@@ -1288,11 +1342,7 @@ mod tests {
                 f64::MIN_POSITIVE,
                 f64::MAX,
             ];
-            let (mut expected, mut frame, mut appended) = (
-                BytesMut::default(),
-                BytesMut::default(),
-                BytesMut::default(),
-            );
+            let mut frame = BytesMut::default();
             for d in 0..=70usize {
                 let v: Vec<f64> = (0..d)
                     .map(|i| match i % 3 {
@@ -1300,17 +1350,24 @@ mod tests {
                         _ => (i as f64 - 35.0) * 0.37,
                     })
                     .collect();
-                reference_encode(d as u32, 9, &v, &mut expected);
+                let w: Vec<f64> = v.iter().rev().map(|x| -x).collect();
+                let dim = (d as u32).to_le_bytes();
                 frame.put_u32_le(0xDEAD_BEEF); // dirty: encoding must clear
-                encode_vec_frame(d as u32, 9, &Vector::from(v.clone()), &mut frame);
-                assert_eq!(&frame[..], &expected[..], "d = {d}");
-                // Appended after other bytes: they are kept, and the tag
-                // covers the appended frame alone.
-                appended.clear();
-                appended.put_slice(b"prelude");
-                append_vec_frame(d as u32, 9, &v, &mut appended);
-                assert_eq!(&appended[..7], b"prelude", "d = {d}");
-                assert_eq!(&appended[7..], &expected[..], "d = {d}");
+                encode_step(&mut frame, d as u32, 9, &v);
+                let header: [&[u8]; 3] = [&dim, &9u32.to_le_bytes(), &dim];
+                let expected = reference_frame(KIND_STEP, &header, &[&v]);
+                assert_eq!(&frame[..], &expected[..], "STEP, d = {d}");
+                // A GRAD appends its second vector after the first.
+                let out = WorkerOutput {
+                    submitted: Vector::from(v.clone()),
+                    pre_noise: Vector::from(w.clone()),
+                    batch_loss: specials[d % specials.len()],
+                };
+                encode_grad(&mut frame, 4, d as u32, &out);
+                let loss = out.batch_loss.to_le_bytes();
+                let header: [&[u8]; 4] = [&4u32.to_le_bytes(), &dim, &loss, &dim];
+                let expected = reference_frame(KIND_GRAD, &header, &[&v, &w]);
+                assert_eq!(&frame[..], &expected[..], "GRAD, d = {d}");
             }
         }
 
@@ -1353,25 +1410,32 @@ mod tests {
 
         #[test]
         fn every_single_bit_flip_is_rejected() {
-            // Header, coordinates and tag of a two-coordinate frame: a flip
-            // in the `dim` word is a typed length error, any other flip a
-            // bad checksum. Nothing flipped ever decodes.
-            let clean = encoded(5, 11, &Vector::from(vec![1.0, -2.0]));
-            let mut decoded = Vector::default();
-            for bit in 0..clean.len() * 8 {
-                let mut frame = clean.to_vec();
-                frame[bit / 8] ^= 1 << (bit % 8);
-                let err = decode_vec_frame(&frame, &mut decoded).unwrap_err();
-                if (8..12).contains(&(bit / 8)) {
+            // Length word, kind, payload and tag of a small frame of every
+            // kind: a flip in the length word is a typed length error, any
+            // other flip a bad checksum. Nothing flipped ever opens, and a
+            // reader never hands one to a session.
+            for (kind, clean) in small_frames() {
+                assert!(open_frame(&clean).is_ok(), "{kind}");
+                for bit in 0..clean.len() * 8 {
+                    let mut frame = clean.clone();
+                    frame[bit / 8] ^= 1 << (bit % 8);
+                    let err = open_frame(&frame).unwrap_err();
+                    if bit < 32 {
+                        assert!(
+                            matches!(
+                                err,
+                                MessageError::ShortRead { .. }
+                                    | MessageError::LengthOverflow { .. }
+                            ),
+                            "{kind}, bit {bit}: {err:?}"
+                        );
+                    } else {
+                        assert_eq!(err, MessageError::BadChecksum, "{kind}, bit {bit}");
+                    }
                     assert!(
-                        matches!(
-                            err,
-                            MessageError::ShortRead { .. } | MessageError::LengthOverflow { .. }
-                        ),
-                        "bit {bit}: {err:?}"
+                        read_all(&frame, 16).iter().all(Result::is_err),
+                        "{kind}, bit {bit}: a reader yielded the frame"
                     );
-                } else {
-                    assert_eq!(err, MessageError::BadChecksum, "bit {bit}");
                 }
             }
         }
@@ -1379,19 +1443,19 @@ mod tests {
         #[test]
         fn every_two_bit_flip_is_rejected() {
             // Without the fold, bit 63 of two words (or of a word and of
-            // the tag) cancels; this frame has a 4-byte tail too.
-            let clean = encoded(5, 11, &Vector::from(vec![1.0, -2.0]));
-            let bits = clean.len() * 8;
-            let mut decoded = Vector::default();
-            for i in 0..bits {
-                for j in i + 1..bits {
-                    let mut frame = clean.to_vec();
-                    frame[i / 8] ^= 1 << (i % 8);
-                    frame[j / 8] ^= 1 << (j % 8);
-                    assert!(
-                        decode_vec_frame(&frame, &mut decoded).is_err(),
-                        "bits {i} and {j} flipped, frame accepted"
-                    );
+            // the tag) cancels; these frames have byte tails too.
+            for (kind, clean) in small_frames() {
+                let bits = clean.len() * 8;
+                for i in 0..bits {
+                    for j in i + 1..bits {
+                        let mut frame = clean.clone();
+                        frame[i / 8] ^= 1 << (i % 8);
+                        frame[j / 8] ^= 1 << (j % 8);
+                        assert!(
+                            open_frame(&frame).is_err(),
+                            "{kind}: bits {i} and {j} flipped, frame accepted"
+                        );
+                    }
                 }
             }
         }
@@ -1399,84 +1463,99 @@ mod tests {
         #[test]
         fn empty_vector_roundtrip() {
             let frame = encoded(0, 0, &Vector::zeros(0));
-            let mut decoded = Vector::from(vec![1.0]);
-            assert_eq!(decode_vec_frame(&frame, &mut decoded), Ok((0, 0)));
-            assert!(decoded.is_empty());
+            let mut params = Vector::from(vec![1.0]);
+            assert_eq!(decoded(&frame, &mut params), Ok((0, 0)));
+            assert!(params.is_empty());
         }
 
         #[test]
         fn detects_truncation() {
             let frame = encoded(1, 2, &Vector::from(vec![1.0, 2.0]));
-            let mut decoded = Vector::default();
-            // Cut inside the payload: the declared dim no longer fits.
+            // Cut inside the frame: the length word no longer fits.
             assert_eq!(
-                decode_vec_frame(&frame[..frame.len() - 9], &mut decoded),
+                open_frame(&frame[..frame.len() - 9]),
                 Err(MessageError::ShortRead {
                     needed: frame.len(),
                     got: frame.len() - 9
                 })
             );
-            // Below even the fixed header+tag minimum.
+            // A payload cut inside the coordinates.
+            let (_, payload) = open_frame(&frame).unwrap();
+            let mut params = Vector::default();
             assert_eq!(
-                decode_vec_frame(b"xy", &mut decoded),
-                Err(MessageError::ShortRead { needed: 20, got: 2 })
+                decode_step(&payload[..payload.len() - 3], &mut params),
+                Err(MessageError::ShortRead {
+                    needed: payload.len(),
+                    got: payload.len() - 3
+                })
+            );
+            // Below even the length word.
+            assert_eq!(
+                open_frame(b"xy"),
+                Err(MessageError::ShortRead { needed: 4, got: 2 })
             );
         }
 
         #[test]
         fn detects_length_overflow() {
-            // A corrupted length prefix claiming a huge payload must be
-            // rejected before the decoder allocates for it: the dim field
-            // is absurd but the total length passes the header+tag
-            // minimum.
-            let mut frame = encoded(1, 2, &Vector::from(vec![1.0, 2.0]));
-            frame[8..12].copy_from_slice(&(u32::MAX).to_le_bytes());
-            let mut decoded = Vector::default();
+            // A hostile coordinate count must be rejected before the
+            // decoder allocates for it, even in a correctly tagged frame.
+            let mut payload = Vec::new();
+            for word in [1u32, 2, u32::MAX] {
+                payload.extend(word.to_le_bytes());
+            }
+            payload.extend([0; 16]);
+            let frame = super::frame(KIND_STEP, &payload);
+            let mut params = Vector::default();
             assert_eq!(
-                decode_vec_frame(&frame, &mut decoded),
+                decoded(&frame, &mut params),
                 Err(MessageError::LengthOverflow {
                     declared: u32::MAX as usize,
                     limit: MAX_WIRE_DIM,
                 })
             );
             // The target buffer was never resized toward the bogus dim.
-            assert!(decoded.is_empty());
+            assert!(params.is_empty());
         }
 
         #[test]
         fn corrupting_each_field_is_detected() {
             // Corrupt every field in isolation and check the typed
-            // rejection. Length-affecting corruption surfaces as
-            // ShortRead/LengthOverflow (caught before the checksum);
-            // value corruption surfaces as BadChecksum.
+            // rejection. A changed length word surfaces as ShortRead or
+            // LengthOverflow (caught before the checksum); every other
+            // field, the coordinate count included, is under the tag.
             let clean = encoded(5, 11, &Vector::from(vec![1.0, -2.0]));
-            let mut decoded = Vector::default();
-            let mut corrupt = |at: usize, bit: u8| {
+            let corrupt = |at: usize, bit: u8| {
                 let mut frame = clean.to_vec();
                 frame[at] ^= bit;
-                decode_vec_frame(&frame, &mut decoded).unwrap_err()
+                open_frame(&frame).unwrap_err()
             };
-            // Header words a (byte 0) and b (byte 4): covered by the tag.
-            assert_eq!(corrupt(0, 0x01), MessageError::BadChecksum);
-            assert_eq!(corrupt(4, 0x01), MessageError::BadChecksum);
-            // dim low byte (byte 8): the frame length no longer matches.
+            // Length word low byte (byte 0, 37 → 36): the frame no longer
+            // matches.
             assert_eq!(
-                corrupt(8, 0x01),
+                corrupt(0, 0x01),
                 MessageError::ShortRead {
-                    needed: VEC_HEADER + 3 * 8 + VEC_TAG,
+                    needed: clean.len() - 1,
                     got: clean.len(),
                 }
             );
-            // dim high byte (byte 11): the declared count blows past the cap.
+            // Length word high byte (byte 3): above the cap.
             assert_eq!(
-                corrupt(11, 0x80),
+                corrupt(3, 0x80),
                 MessageError::LengthOverflow {
-                    declared: 2 + (0x80 << 24),
-                    limit: MAX_WIRE_DIM,
+                    declared: clean.len() - 4 + (0x80 << 24),
+                    limit: MAX_FRAME_LEN,
                 }
             );
-            // A payload coordinate (first byte of coord 1).
-            assert_eq!(corrupt(VEC_HEADER + 8, 0xFF), MessageError::BadChecksum);
+            // The kind (byte 4), step (5), batch (9) and dim (13) words.
+            for at in [4, 5, 9, 13] {
+                assert_eq!(corrupt(at, 0x01), MessageError::BadChecksum, "byte {at}");
+            }
+            // A coordinate (first byte of coord 1).
+            assert_eq!(
+                corrupt(5 + STEP_HEADER + 8, 0xFF),
+                MessageError::BadChecksum
+            );
             // The tag itself (last byte).
             assert_eq!(corrupt(clean.len() - 1, 0x01), MessageError::BadChecksum);
         }
@@ -1484,25 +1563,17 @@ mod tests {
         #[test]
         fn detects_corruption() {
             let mut frame = encoded(1, 2, &Vector::from(vec![1.0, 2.0]));
-            frame[VEC_HEADER + 3] ^= 0xFF; // flip a payload bit in place
-            let mut decoded = Vector::default();
-            assert_eq!(
-                decode_vec_frame(&frame, &mut decoded),
-                Err(MessageError::BadChecksum)
-            );
+            frame[5 + STEP_HEADER + 3] ^= 0xFF; // flip a coordinate byte in place
+            assert_eq!(open_frame(&frame), Err(MessageError::BadChecksum));
         }
 
         #[test]
         fn detects_header_tampering() {
-            // Flipping the first header word must break the tag: integrity
-            // covers the whole frame.
+            // Flipping the kind byte must break the tag: integrity covers
+            // the whole frame after the length word.
             let mut frame = encoded(1, 2, &Vector::from(vec![1.0]));
-            frame[0] ^= 0x01;
-            let mut decoded = Vector::default();
-            assert_eq!(
-                decode_vec_frame(&frame, &mut decoded),
-                Err(MessageError::BadChecksum)
-            );
+            frame[4] = KIND_DONE;
+            assert_eq!(open_frame(&frame), Err(MessageError::BadChecksum));
         }
 
         #[test]
@@ -1534,20 +1605,23 @@ mod tests {
             .to_string()
             .contains("cap"));
             assert!(MessageError::BadChecksum.to_string().contains("integrity"));
+            assert!(MessageError::Misattributed
+                .to_string()
+                .contains("another worker"));
         }
 
         proptest! {
             #[test]
             fn prop_roundtrip(
-                a in 0u32..1000,
-                b in 0u32..100_000,
+                step in 0u32..1000,
+                batch in 0u32..100_000,
                 coords in proptest::collection::vec(-1e9..1e9f64, 0..64),
             ) {
                 let v = Vector::from(coords);
-                let mut decoded = Vector::from(vec![5.0; 3]);
-                let header = decode_vec_frame(&encoded(a, b, &v), &mut decoded).unwrap();
-                prop_assert_eq!(header, (a, b));
-                prop_assert_eq!(decoded, v);
+                let mut params = Vector::from(vec![5.0; 3]);
+                let header = decoded(&encoded(step, batch, &v), &mut params).unwrap();
+                prop_assert_eq!(header, (step, batch));
+                prop_assert_eq!(params, v);
             }
         }
     }

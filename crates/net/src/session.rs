@@ -3,7 +3,9 @@
 //! [`WorkerSession`].
 //!
 //! Both are sans-IO: they never touch a socket or a queue. A transport
-//! hands the coordinator's [`Session`] each inbound frame as
+//! opens each inbound frame with
+//! [`open_frame`](crate::protocol::open_frame), so the sessions only see
+//! verified payloads. It hands the coordinator's [`Session`] each one as
 //! `(link, kind, payload)` and acts on the returned [`Verdict`] — attach
 //! the link (writing any replayed frames down it first), close it, or
 //! carry on. Every decision about who may speak lives here:
@@ -17,10 +19,12 @@
 //! * **rejoins** — `REJOIN` from a slot that joined before, with the
 //!   right [`session_token`], is answered with every missed broadcast so
 //!   the worker's state catches up exactly as if it had straggled;
-//! * **gradient admission** — each `GRAD` passes the [`GradGuard`] before
-//!   it touches an output slot, and a frame one broadcast ahead of the
-//!   round waits in a per-worker buffer (latest wins) until its step
-//!   arrives.
+//! * **gradient admission** — each `GRAD` must name its link's slot and
+//!   passes the [`GradGuard`] before it touches an output slot, and a
+//!   frame one broadcast ahead of the round waits in a per-worker buffer
+//!   (latest wins) until its step arrives. A fresh report that fails to
+//!   decode is an [`Event::Rejected`]: the guard has spent the worker's
+//!   one report of the round, so the machine stops waiting for it.
 //!
 //! A *link* is how the transport attributes a frame: `None` for a
 //! connection that has not yet completed a handshake (a fresh TCP
@@ -43,10 +47,9 @@
 
 use crate::machine::{Event, Phase};
 use crate::protocol::{
-    append_vec_frame, begin_frame, decode_grad, decode_vec_frame, encode_grad, end_frame,
-    peek_grad, read_array, session_token, Admission, GradDecodeError, GradGuard, MessageError,
-    KIND_ABORT, KIND_DONE, KIND_GRAD, KIND_JOIN, KIND_JOIN_FRESH, KIND_READY, KIND_REJOIN,
-    KIND_STEP, KIND_WARMUP,
+    begin_frame, decode_grad, decode_step, encode_grad, encode_step, end_frame, peek_grad,
+    read_array, session_token, Admission, GradGuard, MessageError, KIND_ABORT, KIND_DONE,
+    KIND_GRAD, KIND_JOIN, KIND_JOIN_FRESH, KIND_READY, KIND_REJOIN, KIND_STEP, KIND_WARMUP,
 };
 use crate::transport::{current_step, Replay, ResumeRing};
 use crate::worker::WorkerError;
@@ -135,9 +138,6 @@ pub(crate) struct Session {
     /// none), recycled across uses.
     ahead: Vec<BytesMut>,
     frame: BytesMut,
-    /// How many `GRAD` reports were rejected since the last `STEP`
-    /// broadcast, and why the last of them was.
-    rejected: Option<(u32, GradDecodeError)>,
 }
 
 impl Session {
@@ -161,15 +161,7 @@ impl Session {
             ring: ResumeRing::new(resume_window),
             ahead: (0..n_workers).map(|_| BytesMut::default()).collect(),
             frame: BytesMut::with_capacity(4096),
-            rejected: None,
         }
-    }
-
-    /// How many `GRAD` reports the session rejected since the last `STEP`
-    /// broadcast, and why the last of them was; `None` when it rejected
-    /// none.
-    pub(crate) fn rejected_reports(&self) -> Option<(u32, GradDecodeError)> {
-        self.rejected
     }
 
     /// Handles one inbound frame from `link` while the machine is in
@@ -202,8 +194,8 @@ impl Session {
                 Verdict::Continue
             }
             KIND_GRAD => match self.admit_grad(id, payload, current_step(phase), outputs, events) {
-                Some(()) => Verdict::Continue,
-                None => Verdict::Violation,
+                Ok(()) => Verdict::Continue,
+                Err(_) => Verdict::Violation,
             },
             _ => Verdict::Violation,
         }
@@ -273,8 +265,9 @@ impl Session {
     }
 
     /// Classifies a `GRAD` from attached slot `id` and decodes it when
-    /// fresh. `None` when the frame is malformed or names another worker;
-    /// the session then counts the rejection and keeps its cause.
+    /// fresh. `Err` when the payload is malformed or names another
+    /// worker; a fresh report that fails to decode is also an
+    /// [`Event::Rejected`] carrying the cause.
     fn admit_grad(
         &mut self,
         id: u32,
@@ -282,38 +275,20 @@ impl Session {
         current: u32,
         outputs: &mut [WorkerOutput],
         events: &mut Vec<Event>,
-    ) -> Option<()> {
-        let admitted = self.classify_grad(id, payload, current, outputs, events);
-        if let Err(why) = admitted {
-            let count = self.rejected.map_or(0, |(count, _)| count);
-            self.rejected = Some((count.saturating_add(1), why));
-        }
-        admitted.ok()
-    }
-
-    /// [`Session::admit_grad`] before the bookkeeping: `Err` says why
-    /// the report was rejected.
-    fn classify_grad(
-        &mut self,
-        id: u32,
-        payload: &[u8],
-        current: u32,
-        outputs: &mut [WorkerOutput],
-        events: &mut Vec<Event>,
-    ) -> Result<(), GradDecodeError> {
+    ) -> Result<(), MessageError> {
         // lint:begin(zero-copy)
         // Every report of every round passes here: peeked, admitted, and
         // decoded straight into the recycled output slot.
-        let (wid, step) = peek_grad(payload)?;
-        if wid != id {
-            return Err(GradDecodeError::Misattributed);
-        }
+        let step = peek_grad(payload, id)?;
         match self.guard.admit(id, step, current) {
             Admission::Fresh => {
                 let out = outputs
                     .get_mut(id as usize)
-                    .ok_or(GradDecodeError::Misattributed)?;
-                let step = decode_grad(payload, id, self.dim, out)?;
+                    .ok_or(MessageError::Misattributed)?;
+                if let Err(why) = decode_grad(payload, self.dim, out) {
+                    events.push(Event::Rejected { id, why });
+                    return Err(why);
+                }
                 events.push(Event::Gradient { id, step });
             }
             Admission::Stale => events.push(Event::StaleGradient(id)),
@@ -322,7 +297,7 @@ impl Session {
                 let buf = self
                     .ahead
                     .get_mut(id as usize)
-                    .ok_or(GradDecodeError::Misattributed)?;
+                    .ok_or(MessageError::Misattributed)?;
                 buf.clear();
                 buf.put_slice(payload);
             }
@@ -346,7 +321,7 @@ impl Session {
             let Some(slot) = self.ahead.get_mut(id) else {
                 break;
             };
-            if !peek_grad(slot).is_ok_and(|(_, step)| step <= current) {
+            if !peek_grad(slot, id as u32).is_ok_and(|step| step <= current) {
                 continue; // empty, or still ahead
             }
             let mut buf = std::mem::take(slot);
@@ -362,9 +337,11 @@ impl Session {
     /// ring, and hands the frame to `send` once per attached slot, in
     /// slot order.
     pub(crate) fn broadcast(&mut self, msg: Broadcast<'_>, mut send: impl FnMut(u32, &[u8])) {
+        let frame = &mut self.frame;
         let ring_slot = match msg {
             Broadcast::Warmup => {
-                begin_frame(&mut self.frame, KIND_WARMUP);
+                begin_frame(frame, KIND_WARMUP);
+                end_frame(frame);
                 Some(0)
             }
             Broadcast::Step {
@@ -372,22 +349,21 @@ impl Session {
                 batch,
                 params,
             } => {
-                begin_frame(&mut self.frame, KIND_STEP);
-                append_vec_frame(step, batch, params.as_slice(), &mut self.frame);
-                self.rejected = None;
+                encode_step(frame, step, batch, params.as_slice());
                 Some(step)
             }
             Broadcast::Done => {
-                begin_frame(&mut self.frame, KIND_DONE);
+                begin_frame(frame, KIND_DONE);
+                end_frame(frame);
                 None
             }
             Broadcast::Abort(reason) => {
-                begin_frame(&mut self.frame, KIND_ABORT);
-                self.frame.put_slice(reason.as_bytes());
+                begin_frame(frame, KIND_ABORT);
+                frame.put_slice(reason.as_bytes());
+                end_frame(frame);
                 None
             }
         };
-        end_frame(&mut self.frame);
         if let Some(slot) = ring_slot {
             self.ring.push(slot, &self.frame);
         }
@@ -579,7 +555,7 @@ impl WorkerSession {
                 "step {step} broadcast while {cursor} was the next expected slot"
             )));
         }
-        let (_, batch) = decode_vec_frame(payload, &mut self.params)?;
+        let (_, batch) = decode_step(payload, &mut self.params)?;
         self.next_slot = cursor;
         if step == cursor {
             return Ok(Some((step, batch)));
@@ -600,7 +576,7 @@ impl WorkerSession {
         if read_array(slot, 0) != Ok(self.next_slot.to_le_bytes()) {
             return Ok(None);
         }
-        let decoded = decode_vec_frame(slot, &mut self.params);
+        let decoded = decode_step(slot, &mut self.params);
         slot.clear();
         decoded.map(Some)
     }
@@ -615,7 +591,7 @@ fn reorder_slot(ahead: &mut [BytesMut], step: u32) -> Option<&mut BytesMut> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::encode_vec_frame;
+    use crate::protocol::open_frame;
     use dpbyz_core::pipeline::Experiment;
     use dpbyz_server::RunScratch;
 
@@ -645,9 +621,10 @@ mod tests {
         }
     }
 
-    /// Splits an encoded wire frame into `(kind, payload)`.
+    /// Opens an encoded wire frame into `(kind, payload)`.
     fn split(buf: &BytesMut) -> Frame {
-        (buf[4], buf[5..].to_vec())
+        let (kind, payload) = open_frame(buf).unwrap();
+        (kind, payload.to_vec())
     }
 
     fn join(id: u32, fresh: bool) -> Frame {
@@ -828,8 +805,10 @@ mod tests {
     #[test]
     fn non_finite_or_misshaped_reports_yield_no_gradient() {
         // Tagged, attributed and in-round: only the values are hostile.
-        // A GAR would panic on NaN (median, Krum), pass it into the model
-        // (MDA), or fail the run on a dimension mismatch.
+        // A GAR would return an error on NaN (median, Krum, MDA), pass it
+        // into the model (average), or fail the run on a dimension
+        // mismatch. Each rejection spends the worker's report of the
+        // round, and the machine hears of it.
         let cases: [(&str, &[f64], &[f64], MessageError); 3] = [
             (
                 "NaN coordinate",
@@ -861,23 +840,10 @@ mod tests {
                 let verdict =
                     session.handle(Some(id), kind, &payload, TRAIN, &mut outputs, &mut events);
                 assert_eq!(outcome(verdict), Outcome::Violation, "{case}");
-                assert_eq!(events, vec![], "{case}: no gradient admitted");
-                // The session counts the rejections and keeps the cause.
-                assert_eq!(
-                    session.rejected_reports(),
-                    Some((id + 1, GradDecodeError::Frame(why))),
-                    "{case}"
-                );
+                // The machine hears of each rejection, with its cause.
+                let rejected: Vec<_> = (0..=id).map(|id| Event::Rejected { id, why }).collect();
+                assert_eq!(events, rejected, "{case}: no gradient admitted");
             }
-            // The next round's broadcast starts a fresh count.
-            let params = Vector::from(vec![0.0, 0.0]);
-            let msg = Broadcast::Step {
-                step: 4,
-                batch: 4,
-                params: &params,
-            };
-            session.broadcast(msg, |_, _| {});
-            assert_eq!(session.rejected_reports(), None, "{case}");
         }
         // The same report with finite values of the run's dimension is
         // admitted.
@@ -887,7 +853,6 @@ mod tests {
         let verdict = session.handle(Some(0), kind, &payload, TRAIN, &mut outputs, &mut events);
         assert_eq!(outcome(verdict), Outcome::Continue);
         assert_eq!(events, vec![Event::Gradient { id: 0, step: 3 }]);
-        assert_eq!(session.rejected_reports(), None);
     }
 
     #[test]
@@ -950,9 +915,8 @@ mod tests {
 
     fn step(step: u32) -> Frame {
         let mut buf = BytesMut::default();
-        let params = Vector::from(vec![0.25 * f64::from(step); 4]);
-        encode_vec_frame(step, 5, &params, &mut buf);
-        (KIND_STEP, buf.to_vec())
+        encode_step(&mut buf, step, 5, &[0.25 * f64::from(step); 4]);
+        split(&buf)
     }
 
     /// Hands `frames` to `session` in order, returning every frame sent.
@@ -972,9 +936,9 @@ mod tests {
     fn hostile_coordinator_frames_are_violations_that_touch_nothing() {
         let mut truncated = step(2);
         truncated.1.pop();
-        let corrupt = |at| {
+        let misshapen = |at| {
             let (kind, mut payload) = step(at);
-            payload[12] ^= 0x01; // the first coordinate
+            payload[8] += 1; // one coordinate more than it carries
             (kind, payload)
         };
         let in_order = [warmup(), step(1), step(2), step(3)];
@@ -982,15 +946,27 @@ mod tests {
         // hostile one)
         let cases: [(&str, u32, bool, usize, Frame); 7] = [
             ("a truncated STEP", 0, false, 2, truncated),
-            ("a STEP with a bad checksum", 0, false, 2, corrupt(2)),
             (
-                "a corrupt STEP ahead of the cursor",
+                "a STEP with a wrong coordinate count",
+                0,
+                false,
+                2,
+                misshapen(2),
+            ),
+            (
+                "a misshapen STEP ahead of the cursor",
                 2,
                 false,
                 2,
-                corrupt(3),
+                misshapen(3),
             ),
-            ("a corrupt STEP to a fresh joiner", 0, true, 0, corrupt(3)),
+            (
+                "a misshapen STEP to a fresh joiner",
+                0,
+                true,
+                0,
+                misshapen(3),
+            ),
             ("an unknown kind", 0, false, 2, (42, vec![1, 2, 3])),
             ("a STEP beyond the reorder bound", 2, false, 2, step(5)),
             ("a STEP before WARMUP at reorder 0", 0, false, 0, step(1)),

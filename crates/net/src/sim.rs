@@ -11,8 +11,9 @@
 //! what lets CI *pin* chaos runs instead of hoping on real sockets.
 //!
 //! Fidelity over mocking: frames on simulated links are the real wire
-//! bytes, and both ends run the code TCP runs. Every inbound frame goes
-//! to the coordinator's session handler (`session.rs`: join gate,
+//! bytes, and both ends run the code TCP runs. Every delivered frame is
+//! opened by [`open_frame`], as a TCP reader opens it; every inbound one
+//! then goes to the coordinator's session handler (`session.rs`: join gate,
 //! token-checked rejoin with ring replay, gradient admission), and every
 //! simulated worker is a [`WorkerSession`] hosting a real
 //! [`HonestWorker`], so its RNG stream and momentum are bit-identical to
@@ -39,7 +40,7 @@
 
 use crate::backend::Deployment;
 use crate::machine::{Event, Phase};
-use crate::protocol::{grad_frame_len, session_token, GradDecodeError};
+use crate::protocol::{grad_frame_len, open_frame, session_token};
 use crate::session::{Broadcast, Session, Verdict, WorkerSession};
 use crate::transport::{drive, Transport};
 use crate::worker::WorkerError;
@@ -586,16 +587,17 @@ impl SimNet {
         let _ = self.uplink(idx, |session, send| session.hello(send));
     }
 
-    /// Hands one delivered frame to worker `idx`'s session. Any error but
-    /// the crash is a violation: a simulated link has no connection to
-    /// close, so the frame is simply dropped.
+    /// Opens one delivered frame and hands it to worker `idx`'s session.
+    /// A refused frame, and any session error but the crash, is a
+    /// violation: a simulated link has no connection to close, so the
+    /// frame is simply dropped.
     fn worker_deliver(&mut self, idx: usize, frame: &[u8]) {
-        let (Some(&kind), Some(payload)) = (frame.get(4), frame.get(5..)) else {
-            return;
-        };
         if !self.workers[idx].alive {
             return; // the wire it was on is dead
         }
+        let Ok((kind, payload)) = open_frame(frame) else {
+            return;
+        };
         let sent = self.uplink(idx, |session, send| session.handle(kind, payload, send));
         if let Err(WorkerError::Io(_)) = sent {
             self.workers[idx].alive = false;
@@ -652,9 +654,10 @@ impl Transport for SimNet {
             progressed = true;
             match delivery {
                 Delivery::ToCoord { from, frame } => {
-                    if let (Some(&kind), Some(payload)) = (frame.get(4), frame.get(5..)) {
+                    if let Ok((kind, payload)) = open_frame(&frame) {
                         // A violation has no connection to close here:
-                        // the frame is simply dropped.
+                        // the frame is simply dropped, as is a refused
+                        // one.
                         let verdict =
                             self.session
                                 .handle(Some(from), kind, payload, phase, outputs, events);
@@ -696,10 +699,6 @@ impl Transport for SimNet {
 
     fn abort(&mut self, reason: &str) {
         self.broadcast(Broadcast::Abort(reason));
-    }
-
-    fn rejected_reports(&self) -> Option<(u32, GradDecodeError)> {
-        self.session.rejected_reports()
     }
 
     fn idle(&mut self, next_deadline_ms: Option<u64>) {

@@ -21,7 +21,6 @@
 //! reconnect-vs-straggler bit-identity the regression suite pins.
 
 use crate::machine::{Action, Event, MachineConfig, Phase, RoundStateMachine};
-use crate::protocol::GradDecodeError;
 use bytes::{BufMut, BytesMut};
 use dpbyz_gars::GarError;
 use dpbyz_server::{RunHistory, RunScratch, ServerCore, WorkerOutput};
@@ -108,14 +107,6 @@ pub trait Transport {
 
     /// Broadcasts `ABORT` with a reason.
     fn abort(&mut self, reason: &str);
-
-    /// How many `GRAD` reports were rejected since the last `STEP`
-    /// broadcast, and why the last of them was — what an abort reason
-    /// names beside the quorum it missed. Transports that run the session
-    /// handler answer from it; the default knows of none.
-    fn rejected_reports(&self) -> Option<(u32, GradDecodeError)> {
-        None
-    }
 
     /// Nothing moved this iteration: park until more bytes can exist.
     /// `next_deadline_ms` is the latest wake-up that cannot delay a
@@ -210,13 +201,10 @@ pub fn drive<T: Transport>(
                     finished = true;
                 }
                 Action::Abort => {
-                    let mut reason = machine
+                    let reason = machine
                         .abort_reason()
                         .unwrap_or("state machine aborted")
                         .to_string();
-                    if let Some((count, why)) = transport.rejected_reports() {
-                        reason = format!("{reason}; {count} reports rejected: {why}");
-                    }
                     transport.abort(&reason);
                     break 'run Err(CoordinatorError::Aborted(reason));
                 }

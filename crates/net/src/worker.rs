@@ -11,12 +11,12 @@
 //! [`Trainer::into_worker`](dpbyz_server::Trainer::into_worker), so its
 //! submissions are bit-identical to its in-process twin's.
 //!
-//! A lost socket is survivable when [`WorkerConfig::session_token`] is
-//! set: the worker keeps its session, reconnects, and says hello again —
-//! `REJOIN` naming the first step it has not computed. The coordinator
-//! replays every missed broadcast from its resume ring, so the worker
-//! computes the missed steps in order, the same parameter bytes and the
-//! same RNG draws, exactly as if it had merely straggled.
+//! A lost socket is survivable: the worker keeps its session, reconnects,
+//! and says hello again — `REJOIN` naming the first step it has not
+//! computed. The coordinator replays every missed broadcast from its
+//! resume ring, so the worker computes the missed steps in order, the
+//! same parameter bytes and the same RNG draws, exactly as if it had
+//! merely straggled. The timeouts and the rejoin budget are constants.
 //!
 //! The session's buffers are recycled across rounds and reconnects, and
 //! the [`FrameReader`] across the rounds of its socket: a steady-state
@@ -69,61 +69,29 @@ impl From<MessageError> for WorkerError {
     }
 }
 
-/// Worker-side knobs. Defaults suit both in-process deployment threads
-/// and localhost child processes.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkerConfig {
-    /// Keep retrying the initial connect for this long (the coordinator
-    /// may not be listening yet when a process fleet launches).
-    pub connect_timeout: Duration,
-    /// Per-frame receive timeout. An orphaned worker (coordinator died
-    /// without `ABORT`) exits with an error instead of lingering forever.
-    pub read_timeout: Duration,
-    /// The `REJOIN` credential, equal to
-    /// [`session_token`]`(seed, id)`.
-    /// `None` (the default) disables reconnection: a lost socket is a
-    /// fatal [`WorkerError::Io`], the pre-churn behaviour.
-    pub session_token: Option<u64>,
-    /// Socket losses survived before giving up. Irrelevant while
-    /// `session_token` is `None`.
-    pub max_rejoins: u32,
-    /// Attach mid-run as a never-joined worker: the first frame sent is
-    /// `JOIN_FRESH` instead of `JOIN`, and the coordinator replies with
-    /// its resume-ring tail (the current model snapshot) so the worker
-    /// starts computing at the in-flight step. Requires a run configured
-    /// with `staleness_window` churn tolerance, or a join phase that is
-    /// still open.
-    pub fresh_join: bool,
-}
+/// How long the first connect keeps retrying: worker processes may
+/// launch before the coordinator's listener.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+/// Per-frame receive timeout: an orphaned worker (the coordinator died
+/// without `ABORT`) exits with an error instead of lingering forever.
+const READ_TIMEOUT: Duration = Duration::from_secs(60);
+/// Lost sockets survived before the session gives up.
+const MAX_REJOINS: u32 = 3;
 
-impl Default for WorkerConfig {
-    fn default() -> Self {
-        WorkerConfig {
-            connect_timeout: Duration::from_secs(10),
-            read_timeout: Duration::from_secs(60),
-            session_token: None,
-            max_rejoins: 0,
-            fresh_join: false,
-        }
-    }
-}
-
-impl WorkerConfig {
-    /// The config of worker `id` in a run seeded `seed`: it reconnects
-    /// through `REJOIN` with [`session_token`]`(seed, id)`, surviving up
-    /// to three lost sockets.
-    pub fn for_run(seed: u64, id: u32) -> Self {
-        WorkerConfig {
-            session_token: Some(session_token(seed, id)),
-            max_rejoins: 3,
-            ..WorkerConfig::default()
-        }
-    }
-}
-
-/// Runs one worker session to completion, reconnecting through
-/// [`KIND_REJOIN`](crate::protocol::KIND_REJOIN) after socket loss when the config allows it. Returns
-/// `Ok(steps_computed)` on a clean `DONE`.
+/// Runs worker `worker`'s session of the run seeded `seed` to
+/// completion, returning `Ok(steps_computed)` on a clean `DONE`. With
+/// `fresh_join` the worker attaches mid-run as a never-joined worker: its
+/// first frame is `JOIN_FRESH` instead of `JOIN`, and the coordinator
+/// replies with its resume-ring tail (the current model snapshot) so the
+/// worker starts computing at the in-flight step; this needs a join
+/// phase that is still open, or a run with `staleness_window` churn
+/// tolerance.
+///
+/// A lost socket is survived up to three times: the worker reconnects
+/// and resumes through
+/// [`KIND_REJOIN`](crate::protocol::KIND_REJOIN), naming
+/// [`session_token`]`(seed, id)`. A reconnect is one attempt: a
+/// coordinator that no longer listens has ended the run.
 ///
 /// # Errors
 ///
@@ -131,16 +99,31 @@ impl WorkerConfig {
 pub fn run_worker(
     addr: SocketAddr,
     worker: HonestWorker,
-    cfg: WorkerConfig,
+    seed: u64,
+    fresh_join: bool,
 ) -> Result<u32, WorkerError> {
-    let token = cfg.session_token.unwrap_or_default();
-    let mut session = WorkerSession::new(worker, token, cfg.fresh_join, 0);
-    let mut rejoins_left = cfg.max_rejoins;
+    let token = session_token(seed, worker.id());
+    let mut session = WorkerSession::new(worker, token, fresh_join, 0);
+    run_session(addr, &mut session, token, READ_TIMEOUT, MAX_REJOINS)
+}
+
+/// [`run_worker`]'s loop: serve connections until one ends the session,
+/// reconnecting at most `max_rejoins` times.
+fn run_session(
+    addr: SocketAddr,
+    session: &mut WorkerSession,
+    token: u64,
+    read_timeout: Duration,
+    max_rejoins: u32,
+) -> Result<u32, WorkerError> {
+    let mut connect_timeout = CONNECT_TIMEOUT;
+    let mut rejoins_left = max_rejoins;
     loop {
-        match serve(addr, &cfg, &mut session) {
+        match serve(addr, session, token, connect_timeout, read_timeout) {
             // The socket died but the session is intact: resume.
-            Err(WorkerError::Io(_)) if cfg.session_token.is_some() && rejoins_left > 0 => {
+            Err(WorkerError::Io(_)) if rejoins_left > 0 => {
                 rejoins_left -= 1;
+                connect_timeout = Duration::ZERO;
             }
             result => return result,
         }
@@ -151,16 +134,18 @@ pub fn run_worker(
 /// and its answers back, until `DONE` or an error.
 fn serve(
     addr: SocketAddr,
-    cfg: &WorkerConfig,
     session: &mut WorkerSession,
+    token: u64,
+    connect_timeout: Duration,
+    read_timeout: Duration,
 ) -> Result<u32, WorkerError> {
-    // Retry jitter must be deterministic per worker: seed from the
-    // session credential (or the id when reconnection is disabled).
+    // Retry jitter must be deterministic per worker: seed it from the
+    // session credential.
     let id = session.id();
-    let retry_seed = cfg.session_token.unwrap_or(0) ^ (u64::from(id) << 32) ^ u64::from(id);
-    let mut stream = connect_with_retry(addr, cfg.connect_timeout, retry_seed)?;
+    let retry_seed = token ^ (u64::from(id) << 32) ^ u64::from(id);
+    let mut stream = connect_with_retry(addr, connect_timeout, retry_seed)?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(cfg.read_timeout))?;
+    stream.set_read_timeout(Some(read_timeout))?;
     session.hello(|frame, _| write_all_frame(&mut stream, frame))?;
     let mut reader = FrameReader::new();
     loop {
@@ -231,13 +216,12 @@ mod tests {
             .unwrap()
             .into_distributed_parts(1, &mut RunScratch::new());
         let read_timeout = Duration::from_millis(200);
-        let cfg = WorkerConfig {
-            read_timeout,
-            ..WorkerConfig::default()
-        };
         let worker = workers.remove(0);
         let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || tx.send(run_worker(addr, worker, cfg)));
+        std::thread::spawn(move || {
+            let mut session = WorkerSession::new(worker, 0, false, 0);
+            tx.send(run_session(addr, &mut session, 0, read_timeout, 0))
+        });
         let got = rx
             .recv_timeout(2 * read_timeout)
             .expect("the worker exits within twice its read timeout");

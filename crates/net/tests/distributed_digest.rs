@@ -6,6 +6,7 @@
 use dpbyz_core::pipeline::{Experiment, PipelineError, Workload};
 use dpbyz_core::{ComponentSpec, RegistryError};
 use dpbyz_server::LrSchedule;
+use std::time::{Duration, Instant};
 
 fn attacked_experiment() -> Experiment {
     Experiment::builder()
@@ -192,8 +193,18 @@ fn non_finite_honest_reports_end_a_sim_run_with_a_typed_error() {
 
     // Over TCP each rejected report also closes its link, and a worker
     // that rejoins resends it, so only the cause is fixed, not the count.
+    // The machine hears of each rejection, so the run ends once every
+    // report is refused, not at the step deadline.
+    let step_timeout = Duration::from_millis(1500);
     exp.backend = ComponentSpec::new("tcp").with("step_timeout_ms", 1500u64);
-    match exp.run(1) {
+    let start = Instant::now();
+    let outcome = exp.run(1);
+    let took = start.elapsed();
+    assert!(
+        took < step_timeout / 3,
+        "the TCP run took {took:?}, its step deadline is {step_timeout:?}"
+    );
+    match outcome {
         Err(PipelineError::Spec(msg)) => {
             assert!(msg.contains("below quorum at step 2"), "{msg}");
             assert!(

@@ -15,8 +15,8 @@ use bytes::{BufMut, BytesMut};
 use dpbyz_core::pipeline::Experiment;
 use dpbyz_core::ComponentSpec;
 use dpbyz_net::protocol::{
-    begin_frame, decode_vec_frame, encode_vec_frame, end_frame, write_all_frame, KIND_ABORT,
-    KIND_DONE, KIND_GRAD, KIND_JOIN, KIND_JOIN_FRESH, KIND_READY, KIND_STEP, KIND_WARMUP,
+    begin_frame, decode_step, encode_grad, end_frame, open_frame, write_all_frame, KIND_ABORT,
+    KIND_DONE, KIND_JOIN, KIND_JOIN_FRESH, KIND_READY, KIND_STEP, KIND_WARMUP,
 };
 use dpbyz_net::{Deployment, FaultPlan, SimBackend, TcpCoordinator};
 use dpbyz_server::{FnObserver, HonestWorker, RunHistory, RunScratch, WorkerOutput};
@@ -201,12 +201,17 @@ fn zero_window_treats_the_same_schedule_as_pure_stragglers() {
 // ---------------------------------------------------------------------
 
 fn read_frame(stream: &mut TcpStream) -> io::Result<(u8, Vec<u8>)> {
-    let mut header = [0u8; 5];
-    stream.read_exact(&mut header)?;
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    let mut payload = vec![0u8; len.saturating_sub(1)];
-    stream.read_exact(&mut payload)?;
-    Ok((header[4], payload))
+    let mut frame = vec![0u8; 4];
+    stream.read_exact(&mut frame)?;
+    let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
+    frame.resize(4 + len, 0);
+    stream.read_exact(&mut frame[4..])?;
+    let (kind, payload) = open_frame(&frame).map_err(invalid)?;
+    Ok((kind, payload.to_vec()))
+}
+
+fn invalid(e: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("{e}"))
 }
 
 fn send_id_frame(stream: &mut TcpStream, kind: u8, id: u32) -> io::Result<()> {
@@ -218,17 +223,8 @@ fn send_id_frame(stream: &mut TcpStream, kind: u8, id: u32) -> io::Result<()> {
 }
 
 fn send_grad(stream: &mut TcpStream, id: u32, step: u32, out: &WorkerOutput) -> io::Result<()> {
-    let mut sub = BytesMut::default();
-    let mut pre = BytesMut::default();
-    encode_vec_frame(id, step, &out.submitted, &mut sub);
-    encode_vec_frame(id, step, &out.pre_noise, &mut pre);
     let mut frame = BytesMut::default();
-    begin_frame(&mut frame, KIND_GRAD);
-    frame.put_f64_le(out.batch_loss);
-    frame.put_u32_le(sub.len() as u32);
-    frame.put_slice(&sub);
-    frame.put_slice(&pre);
-    end_frame(&mut frame);
+    encode_grad(&mut frame, id, step, out);
     write_all_frame(stream, &frame)
 }
 
@@ -247,8 +243,7 @@ fn ahead_of_round_client(addr: SocketAddr, mut worker: HonestWorker) -> io::Resu
         match kind {
             KIND_WARMUP => send_id_frame(&mut stream, KIND_READY, id)?,
             KIND_STEP => {
-                let (step, batch) = decode_vec_frame(&payload, &mut params)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e}")))?;
+                let (step, batch) = decode_step(&payload, &mut params).map_err(invalid)?;
                 if step == 1 {
                     worker.compute_into(&params, batch as usize, &mut out);
                     // The ahead-of-round frame: wire-valid, tagged for a
@@ -328,8 +323,7 @@ fn fresh_join_client(
         let (kind, payload) = read_frame(&mut stream)?;
         match kind {
             KIND_STEP => {
-                let (step, batch) = decode_vec_frame(&payload, &mut params)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e}")))?;
+                let (step, batch) = decode_step(&payload, &mut params).map_err(invalid)?;
                 if next_slot == 0 {
                     next_slot = step.max(1); // the replayed STEP anchors the cursor
                 }
@@ -387,9 +381,7 @@ fn a_fresh_worker_joins_mid_run_over_tcp() {
     let coord = TcpCoordinator::bind("127.0.0.1:0").unwrap();
     let addr = coord.local_addr().unwrap();
 
-    let early_handle = std::thread::spawn(move || {
-        dpbyz_net::run_worker(addr, early, dpbyz_net::WorkerConfig::default())
-    });
+    let early_handle = std::thread::spawn(move || dpbyz_net::run_worker(addr, early, seed, false));
     let late_handle = std::thread::spawn(move || {
         rx_go.recv().expect("observer signals the join point");
         fresh_join_client(addr, late, tx_sent)

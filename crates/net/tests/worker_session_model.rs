@@ -18,12 +18,11 @@
 use bytes::BytesMut;
 use dpbyz_core::pipeline::Experiment;
 use dpbyz_net::protocol::{
-    encode_vec_frame, peek_grad, read_array, session_token, KIND_DONE, KIND_GRAD, KIND_JOIN,
-    KIND_REJOIN, KIND_STEP, KIND_WARMUP,
+    encode_step, open_frame, peek_grad, read_array, session_token, KIND_DONE, KIND_GRAD, KIND_JOIN,
+    KIND_REJOIN, KIND_WARMUP,
 };
 use dpbyz_net::{WorkerError, WorkerFlow, WorkerSession};
 use dpbyz_server::RunScratch;
-use dpbyz_tensor::Vector;
 use proptest::prelude::*;
 use std::io;
 
@@ -47,10 +46,15 @@ fn broadcast(slot: u32) -> (u8, Vec<u8>) {
     if slot == 0 {
         return (KIND_WARMUP, Vec::new());
     }
-    let mut payload = BytesMut::default();
-    let params = Vector::from(vec![0.25 * f64::from(slot), -0.5, 1.0, 0.125]);
-    encode_vec_frame(slot, 5, &params, &mut payload);
-    (KIND_STEP, payload.to_vec())
+    let mut frame = BytesMut::default();
+    encode_step(
+        &mut frame,
+        slot,
+        5,
+        &[0.25 * f64::from(slot), -0.5, 1.0, 0.125],
+    );
+    let (kind, payload) = open_frame(&frame).unwrap();
+    (kind, payload.to_vec())
 }
 
 /// The twin's reports: every broadcast once, in order. Entry `s − 1`
@@ -109,7 +113,7 @@ struct Link {
 
 impl Link {
     fn send(&mut self, frame: &[u8], computed: Option<u32>) -> io::Result<()> {
-        let (kind, payload) = (frame[4], &frame[5..]);
+        let (kind, payload) = open_frame(frame).unwrap();
         if self.writes == 0 {
             assert_eq!(kind, KIND_JOIN, "the first frame is the JOIN");
         }
@@ -123,13 +127,13 @@ impl Link {
         }
         match (kind, computed) {
             (KIND_GRAD, Some(step)) => {
-                assert_eq!(peek_grad(payload).unwrap().1, step);
+                assert_eq!(peek_grad(payload, 0).unwrap(), step);
                 assert_eq!(step, last + 1, "steps are computed once each, in order");
                 assert_eq!(frame, self.reference[step as usize - 1], "step {step}");
                 self.computed.push(step);
             }
             (KIND_GRAD, None) => {
-                let step = peek_grad(payload).unwrap().1;
+                let step = peek_grad(payload, 0).unwrap();
                 let cursor = self.rejoin_cursor.expect("a resend follows a REJOIN");
                 assert!(step < cursor, "resent step {step} at cursor {cursor}");
                 assert_eq!(step, last, "the resend is the newest report");

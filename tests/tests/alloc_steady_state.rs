@@ -496,7 +496,7 @@ fn sim_paper_mda_alie_cell_under_chaos_is_allocation_free_at_steady_state() {
 /// one worker-session thread per honest worker. The counting allocator
 /// is process-global, so the snapshots include the worker sessions too.
 fn per_step_allocation_counts_tcp(gar: Arc<dyn Gar>) -> Vec<u64> {
-    use dpbyz::net::{run_worker, Deployment, TcpCoordinator, WorkerConfig};
+    use dpbyz::net::{run_worker, Deployment, TcpCoordinator};
     use dpbyz::RunScratch;
 
     let n = 5;
@@ -517,7 +517,7 @@ fn per_step_allocation_counts_tcp(gar: Arc<dyn Gar>) -> Vec<u64> {
     let addr = coordinator.local_addr().unwrap();
     let handles: Vec<_> = workers
         .into_iter()
-        .map(|w| std::thread::spawn(move || run_worker(addr, w, WorkerConfig::default())))
+        .map(|w| std::thread::spawn(move || run_worker(addr, w, 1, false)))
         .collect();
     coordinator
         .run(core, machine, deployment.resume_window, 1, &mut scratch)

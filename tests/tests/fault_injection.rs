@@ -66,10 +66,11 @@ fn heavy_drops_degrade_attacked_dp_training_further() {
 
 /// A diverged in-process run under an order-statistic rule: step 1
 /// overflows the parameters, step 2's gradients are NaN, and the median
-/// has no answer for NaN, nor has a Krum score a nearest neighbour. The
-/// run ends with a typed error instead of a panic, on every
-/// order-statistic rule. Bulyan scores only with f > 0, which needs an
-/// armed attack (an unarmed run zeroes f).
+/// has no answer for NaN, nor has a Krum score a nearest neighbour, nor
+/// an MDA subset a diameter. The run ends with a typed error instead of a
+/// panic, on every order-statistic rule. Bulyan and MDA look at distances
+/// only with f > 0, which needs an armed attack (an unarmed run zeroes
+/// f).
 #[test]
 fn a_diverged_run_under_an_order_statistic_rule_returns_a_typed_error() {
     let cases = [
@@ -80,6 +81,10 @@ fn a_diverged_run_under_an_order_statistic_rule_returns_a_typed_error() {
         ("krum", 5, None),
         ("multi-krum", 5, None),
         ("bulyan", 7, Some(1)),
+        // MDA's exact subset search, and its greedy fallback (C(25, 13)
+        // subsets are past the enumeration limit).
+        ("mda", 11, Some(5)),
+        ("mda", 25, Some(12)),
     ];
     for (gar, n, byzantine) in cases {
         let mut builder = Experiment::builder()

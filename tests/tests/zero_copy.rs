@@ -8,15 +8,25 @@ use dpbyz::attacks::{
     Mimic, RandomNoise, Rescaling, SignFlip, Zero,
 };
 use dpbyz::dp::{GaussianMechanism, LaplaceMechanism, Mechanism, NoNoise};
-use dpbyz::gars::{all_gars, Gar, GarScratch};
+use dpbyz::gars::{Gar, GarScratch};
 use dpbyz::tensor::{Prng, Vector};
+use dpbyz::{build_gar, gar_ids, ComponentSpec};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn bits_equal(a: &Vector, b: &Vector) -> bool {
     a.dim() == b.dim()
         && a.iter()
             .zip(b.iter())
             .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Every registered rule at its registry defaults, in id order.
+fn all_gars() -> Vec<Arc<dyn Gar>> {
+    gar_ids()
+        .iter()
+        .map(|id| build_gar(&ComponentSpec::new(id.as_str())).unwrap())
+        .collect()
 }
 
 fn random_gradients(seed: u64, n: usize, dim: usize) -> Vec<Vector> {
