@@ -41,7 +41,6 @@ pub struct ExperimentBuilder {
     mechanism: ComponentSpec,
     epsilon: Option<f64>,
     pub(crate) delta: f64,
-    backend: ComponentSpec,
     dp_reference_g_max: Option<f64>,
 }
 
@@ -81,7 +80,6 @@ impl Default for ExperimentBuilder {
             mechanism: ComponentSpec::new("gaussian"),
             epsilon: None,
             delta: 1e-6,
-            backend: ComponentSpec::new("sequential"),
             dp_reference_g_max: None,
         }
     }
@@ -290,19 +288,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Selects the execution backend by registry id (`"sequential"`,
-    /// `"tcp"`, `"sim"`, or any registered id, optionally with
-    /// parameters via a full [`ComponentSpec`]). All backends are
-    /// bit-identical on clean runs. The id is resolved at *run* time, not
-    /// here: backends registered after `build()` (e.g. `dpbyz-net`'s
-    /// `install()`) still work, and an unknown id surfaces from `run` as
-    /// a spec error naming the available backends.
-    #[must_use]
-    pub fn backend(mut self, backend: impl Into<ComponentSpec>) -> Self {
-        self.backend = backend.into();
-        self
-    }
-
     /// Calibrates DP noise at a reference `G_max` different from the clip
     /// threshold (the Theorem 1 workload's unclipped-noise protocol).
     #[must_use]
@@ -386,7 +371,6 @@ impl ExperimentBuilder {
             attack: self.attack,
             budget,
             mechanism: self.mechanism,
-            backend: self.backend,
             dp_reference_g_max: self.dp_reference_g_max,
         })
     }
@@ -419,7 +403,6 @@ mod tests {
         assert_eq!(exp.config.n_byzantine, 0); // no attack armed
         assert_eq!(exp.config.batch_size, 50);
         assert!(exp.budget.is_none());
-        assert_eq!(exp.backend.id, "sequential");
     }
 
     #[test]
@@ -437,7 +420,8 @@ mod tests {
         assert_eq!(by_id.gar, by_spec.gar);
         // The bare id carries no ν parameter; the spec pins the paper's.
         assert_eq!(by_id.attack.as_ref().unwrap().id, "alie");
-        assert_eq!(by_spec.attack.as_ref().unwrap().f64("nu"), Some(1.5));
+        let nu = by_spec.attack.unwrap().f64_if_present("nu");
+        assert_eq!(nu, Ok(Some(1.5)));
     }
 
     #[test]

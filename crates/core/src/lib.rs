@@ -48,7 +48,6 @@
 
 pub mod analysis;
 mod builder;
-pub mod engine;
 pub mod pack;
 pub mod pipeline;
 pub mod registry;
@@ -57,7 +56,6 @@ pub mod sweep;
 pub mod theory;
 
 pub use builder::ExperimentBuilder;
-pub use engine::EngineBackend;
 pub use pack::{PackCell, ScenarioPack};
 pub use pipeline::Experiment;
 pub use registry::{ComponentSpec, ParamValue, Registry, RegistryError};
@@ -76,7 +74,6 @@ pub use sweep::{CellRun, SweepBuilder, SweepResults};
 /// assert_eq!(exp.gar, ComponentSpec::new("average"));
 /// ```
 pub mod prelude {
-    pub use crate::engine::{backend_ids, register_backend, EngineBackend};
     pub use crate::pack::{
         register_scenario_pack, register_scenario_pack_with, scenario_pack, scenario_pack_ids,
         PackCell, ScenarioPack,

@@ -519,8 +519,9 @@ mod tests {
             ]
         );
         // The attacked cells pin the paper's ν parameters.
-        assert_eq!(pack.cells[2].attack.as_ref().unwrap().f64("nu"), Some(1.5));
-        assert_eq!(pack.cells[4].attack.as_ref().unwrap().f64("nu"), Some(1.1));
+        let attack = |cell: usize| pack.cells[cell].attack.clone().unwrap();
+        assert_eq!(attack(2).f64_if_present("nu"), Ok(Some(1.5)));
+        assert_eq!(attack(4).f64_if_present("nu"), Ok(Some(1.1)));
         assert_eq!(pack.cells[1].epsilon, Some(0.2));
         assert_eq!(pack.cells[0].epsilon, None);
     }
@@ -580,8 +581,8 @@ mod tests {
             .find(|c| c.label.starts_with("bucket-median/"))
             .unwrap();
         assert_eq!(
-            bucket_cell.gar.as_ref().unwrap().str("inner"),
-            Some("median")
+            bucket_cell.gar.as_ref().unwrap().str_or_reject("inner", ""),
+            Ok("median")
         );
     }
 

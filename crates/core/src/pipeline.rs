@@ -128,14 +128,6 @@ pub struct Experiment {
     /// degrade to the identity mechanism (the paper's no-DP baselines);
     /// all other registered ids are always resolved as specified.
     pub mechanism: ComponentSpec,
-    /// Execution backend, resolved through the engine-backend registry at
-    /// run time (`"sequential"`, or any registered id — e.g. `"tcp"` or
-    /// `"sim"` once `dpbyz-net`'s `install()` has run). Resolution
-    /// is deliberately deferred to `run`: backends registered after this
-    /// experiment was built still resolve, and an unknown id surfaces as
-    /// a [`PipelineError::Spec`] naming the available backends instead of
-    /// a panic.
-    pub backend: ComponentSpec,
     /// `G_max` reference used to *calibrate* the DP noise, when different
     /// from the actual clip threshold (`None` ⇒ use `config.clip`, the
     /// faithful clip-then-noise protocol). The Theorem 1 workload sets
@@ -252,16 +244,11 @@ impl Experiment {
         observer: Option<Box<dyn RunObserver>>,
         scratch: &mut RunScratch,
     ) -> Result<RunHistory, PipelineError> {
-        let backend = crate::engine::build_backend(&self.backend).map_err(|e| match e {
-            RegistryError::UnknownId { id, available } => PipelineError::Spec(format!(
-                "unknown engine backend `{id}`; available backends: [{}] \
-                 (in-process engines are built in; out-of-process backends \
-                 register at startup, e.g. dpbyz-net's install() for `tcp`)",
-                available.join(", ")
-            )),
-            other => other.into(),
-        })?;
-        backend.run(self, seed, observer, scratch)
+        let mut trainer = self.build_trainer()?;
+        if let Some(observer) = observer {
+            trainer = trainer.observer(observer);
+        }
+        Ok(trainer.run_with_scratch(seed, scratch)?)
     }
 
     /// Materializes the experiment into a ready-to-run [`Trainer`]: the
@@ -492,7 +479,6 @@ mod tests {
             let budget = exp.budget.map(|b| (b.epsilon(), b.delta()));
             let expected = label.ends_with("/dp").then_some((0.2, 1e-6));
             assert_eq!(budget, expected, "{label}");
-            assert_eq!(exp.backend.id, "sequential", "{label}");
         }
     }
 
@@ -503,26 +489,6 @@ mod tests {
         let b = exp.run(3).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.train_loss.len(), 15);
-    }
-
-    #[test]
-    fn unknown_backend_is_a_spec_error_naming_available_ids() {
-        // `threaded` was a backend once; a spec naming it must fail
-        // loudly, not run on some other engine.
-        for id in ["smoke-signals", "threaded"] {
-            let mut exp = quick(3);
-            exp.backend = id.into();
-            match exp.run(1) {
-                Err(PipelineError::Spec(msg)) => {
-                    assert!(
-                        msg.contains(&format!("unknown engine backend `{id}`")),
-                        "{msg}"
-                    );
-                    assert!(msg.contains("sequential"), "{msg}");
-                }
-                other => panic!("{id}: expected Spec error, got {other:?}"),
-            }
-        }
     }
 
     #[test]
@@ -580,7 +546,6 @@ mod tests {
             attack: None,
             budget: None,
             mechanism: ComponentSpec::new("gaussian"),
-            backend: ComponentSpec::new("sequential"),
             dp_reference_g_max: None,
         };
         let h = exp.run(1).unwrap();

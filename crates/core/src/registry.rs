@@ -135,7 +135,7 @@ impl ComponentSpec {
     }
 
     /// Reads a parameter as `f64` (integers widen; strings don't).
-    pub fn f64(&self, key: &str) -> Option<f64> {
+    fn f64(&self, key: &str) -> Option<f64> {
         match self.params.get(key) {
             Some(ParamValue::F64(v)) => Some(*v),
             Some(ParamValue::U64(v)) => Some(*v as f64),
@@ -144,18 +144,10 @@ impl ComponentSpec {
     }
 
     /// Reads a parameter as `u64` (floats must be integral).
-    pub fn u64(&self, key: &str) -> Option<u64> {
+    fn u64(&self, key: &str) -> Option<u64> {
         match self.params.get(key) {
             Some(ParamValue::U64(v)) => Some(*v),
             Some(ParamValue::F64(v)) if v.fract() == 0.0 && *v >= 0.0 => Some(*v as u64),
-            _ => None,
-        }
-    }
-
-    /// Reads a string parameter.
-    pub fn str(&self, key: &str) -> Option<&str> {
-        match self.params.get(key) {
-            Some(ParamValue::Str(s)) => Some(s),
             _ => None,
         }
     }
@@ -180,10 +172,21 @@ impl ComponentSpec {
     ///
     /// [`RegistryError::Build`] when the key is present but not numeric.
     pub fn f64_or_reject(&self, key: &str, default: f64) -> Result<f64, RegistryError> {
+        Ok(self.f64_if_present(key)?.unwrap_or(default))
+    }
+
+    /// Reads a parameter as `f64` without a default (integers widen):
+    /// `None` when absent, an error when present but not a number.
+    ///
+    /// # Errors
+    ///
+    /// As [`ComponentSpec::f64_or_reject`].
+    pub fn f64_if_present(&self, key: &str) -> Result<Option<f64>, RegistryError> {
         match self.params.get(key) {
-            None => Ok(default),
+            None => Ok(None),
             Some(_) => self
                 .f64(key)
+                .map(Some)
                 .ok_or_else(|| self.wrong_type(key, "a number")),
         }
     }
@@ -200,8 +203,9 @@ impl ComponentSpec {
         Ok(self.u64_if_present(key)?.unwrap_or(default))
     }
 
-    /// [`ComponentSpec::u64`] for a parameter without a default: `None`
-    /// when absent, an error when present but not an unsigned integer.
+    /// Reads a parameter as `u64` without a default (floats must be
+    /// integral): `None` when absent, an error when present but not an
+    /// unsigned integer.
     ///
     /// # Errors
     ///
@@ -592,13 +596,18 @@ fn built_in_mechanisms() -> Registry<dyn Mechanism> {
             message: e.to_string(),
         }
     }
+    fn missing(id: &str, key: &str) -> RegistryError {
+        build_err(
+            id,
+            format!("missing required parameter `{key}` (injected by the pipeline)"),
+        )
+    }
     fn required(spec: &ComponentSpec, id: &str, key: &str) -> Result<f64, RegistryError> {
-        spec.f64(key).ok_or_else(|| {
-            build_err(
-                id,
-                format!("missing required parameter `{key}` (injected by the pipeline)"),
-            )
-        })
+        spec.f64_if_present(key)?.ok_or_else(|| missing(id, key))
+    }
+    fn required_count(spec: &ComponentSpec, id: &str, key: &str) -> Result<usize, RegistryError> {
+        let count = spec.u64_if_present(key)?.ok_or_else(|| missing(id, key))?;
+        Ok(count as usize)
     }
 
     let mut r = Registry::new();
@@ -609,10 +618,8 @@ fn built_in_mechanisms() -> Registry<dyn Mechanism> {
             PrivacyBudget::new(required(spec, id, "epsilon")?, required(spec, id, "delta")?)
                 .map_err(|e| build_err(id, e))?;
         let g_max = required(spec, id, "g_max")?;
-        let batch = spec
-            .u64("batch_size")
-            .ok_or_else(|| build_err(id, "missing required parameter `batch_size`"))?;
-        let mech = GaussianMechanism::for_clipped_gradients(budget, g_max, batch as usize)
+        let batch = required_count(spec, id, "batch_size")?;
+        let mech = GaussianMechanism::for_clipped_gradients(budget, g_max, batch)
             .map_err(|e| build_err(id, e))?;
         Ok(Arc::new(mech) as Arc<dyn Mechanism>)
     });
@@ -620,15 +627,10 @@ fn built_in_mechanisms() -> Registry<dyn Mechanism> {
         let id = "laplace";
         let epsilon = required(spec, id, "epsilon")?;
         let g_max = required(spec, id, "g_max")?;
-        let batch = spec
-            .u64("batch_size")
-            .ok_or_else(|| build_err(id, "missing required parameter `batch_size`"))?;
-        let dim = spec
-            .u64("dim")
-            .ok_or_else(|| build_err(id, "missing required parameter `dim`"))?;
-        let mech =
-            LaplaceMechanism::for_clipped_gradients(epsilon, g_max, batch as usize, dim as usize)
-                .map_err(|e| build_err(id, e))?;
+        let batch = required_count(spec, id, "batch_size")?;
+        let dim = required_count(spec, id, "dim")?;
+        let mech = LaplaceMechanism::for_clipped_gradients(epsilon, g_max, batch, dim)
+            .map_err(|e| build_err(id, e))?;
         Ok(Arc::new(mech) as Arc<dyn Mechanism>)
     });
     r
@@ -965,6 +967,23 @@ mod tests {
     }
 
     #[test]
+    fn mistyped_calibration_context_is_rejected_by_name() {
+        // A string ε is a type error, not a missing parameter.
+        let spec = ComponentSpec::new("gaussian")
+            .with("epsilon", "0.2")
+            .with("delta", 1e-6)
+            .with("g_max", 0.01)
+            .with("batch_size", 50u64);
+        let err = build_mechanism(&spec).err().unwrap();
+        assert!(matches!(err, RegistryError::Build { .. }), "{err}");
+        let message = err.to_string();
+        assert!(
+            message.contains("parameter `epsilon` must be a number"),
+            "{message}"
+        );
+    }
+
+    #[test]
     fn mechanism_calibration_errors_surface_as_build_errors() {
         // ε ≥ 1 is outside the classical Gaussian mechanism's validity.
         let err = calibrated("gaussian", 2.0).err().unwrap();
@@ -1056,15 +1075,13 @@ mod tests {
             .with("a", 1.5)
             .with("b", 7u64)
             .with("c", "krum");
-        assert_eq!(spec.f64("a"), Some(1.5));
-        assert_eq!(spec.f64("b"), Some(7.0));
-        assert_eq!(spec.u64("b"), Some(7));
-        assert_eq!(spec.u64("a"), None); // 1.5 is not integral
-        assert_eq!(spec.str("c"), Some("krum"));
-        assert_eq!(spec.str("a"), None); // numbers don't read as strings
-        assert_eq!(spec.f64("c"), None); // strings don't read as numbers
+        assert_eq!(spec.f64_if_present("a").unwrap(), Some(1.5));
+        assert_eq!(spec.f64_if_present("b").unwrap(), Some(7.0)); // integers widen
+        assert_eq!(spec.u64_if_present("b").unwrap(), Some(7));
+        assert_eq!(spec.f64_if_present("missing").unwrap(), None);
+        assert_eq!(spec.u64_if_present("missing").unwrap(), None);
 
-        // The strict accessors: absent falls back, wrong type rejects.
+        // Absent falls back, wrong type rejects.
         assert_eq!(spec.f64_or_reject("missing", 2.5).unwrap(), 2.5);
         assert_eq!(spec.f64_or_reject("a", 0.0).unwrap(), 1.5);
         assert_eq!(spec.str_or_reject("c", "mda").unwrap(), "krum");
@@ -1072,14 +1089,16 @@ mod tests {
         assert_eq!(spec.u64_or_reject("missing", 3).unwrap(), 3);
         for err in [
             spec.f64_or_reject("c", 0.0).unwrap_err(),
+            spec.f64_if_present("c").unwrap_err(), // strings don't read as numbers
             spec.u64_or_reject("c", 0).unwrap_err(),
-            spec.str_or_reject("a", "mda").unwrap_err(),
+            spec.u64_if_present("a").unwrap_err(), // 1.5 is not integral
+            spec.str_or_reject("a", "mda").unwrap_err(), // numbers don't read as strings
         ] {
             assert!(matches!(err, RegistryError::Build { .. }), "{err}");
             assert!(err.to_string().contains("must be"), "{err}");
         }
         let mut spec = spec;
         spec.default_param("a", 99.0);
-        assert_eq!(spec.f64("a"), Some(1.5)); // not clobbered
+        assert_eq!(spec.f64_if_present("a").unwrap(), Some(1.5)); // not clobbered
     }
 }

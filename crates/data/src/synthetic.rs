@@ -29,9 +29,6 @@ pub const PHISHING_FEATURES: usize = 68;
 /// Number of examples in the LIBSVM `phishing` dataset.
 pub const PHISHING_SIZE: usize = 11_055;
 
-/// Train-set size used by the paper (leaving 2 655 test examples).
-pub const PHISHING_TRAIN: usize = 8_400;
-
 /// Generates a `phishing`-like binary classification dataset (see the
 /// module docs for the substitution rationale).
 ///
@@ -80,14 +77,6 @@ pub fn phishing_like(rng: &mut Prng, n: usize) -> Dataset {
         }
     }
     Dataset::new(features, labels).expect("lengths match by construction") // lint:allow(panic-unwrap, reason = "the generator builds feature and label arrays of identical length")
-}
-
-/// The full-size phishing stand-in (11 055 examples), pre-split into the
-/// paper's 8 400-example train set and 2 655-example test set.
-pub fn phishing_like_split(rng: &mut Prng) -> (Dataset, Dataset) {
-    let ds = phishing_like(rng, PHISHING_SIZE);
-    ds.split_at(PHISHING_TRAIN)
-        .expect("PHISHING_TRAIN < PHISHING_SIZE") // lint:allow(panic-unwrap, reason = "PHISHING_TRAIN < PHISHING_SIZE is a constant relationship checked by the dataset tests")
 }
 
 /// Two isotropic Gaussian blobs at `±(separation/2, 0, …, 0)`, labelled
@@ -284,14 +273,6 @@ mod tests {
             informative >= PHISHING_FEATURES / 4,
             "only {informative} informative features"
         );
-    }
-
-    #[test]
-    fn phishing_split_matches_paper_counts() {
-        let mut rng = Prng::seed_from_u64(2);
-        let (train, test) = phishing_like_split(&mut rng);
-        assert_eq!(train.len(), 8_400);
-        assert_eq!(test.len(), 2_655);
     }
 
     #[test]

@@ -178,9 +178,9 @@ pub use dpbyz_dp as dp;
 pub use dpbyz_gars as gars;
 /// Differentiable models and losses.
 pub use dpbyz_models as models;
-/// The multi-process distributed engine: TCP coordinator/worker
-/// deployment behind the `"tcp"` backend id (call
-/// [`net::install`] once to register it).
+/// The multi-process distributed engine: the TCP coordinator/worker
+/// deployment ([`net::TcpBackend`]) and its seeded chaos simulation
+/// ([`net::SimBackend`]).
 pub use dpbyz_net as net;
 /// The parameter-server simulator crate.
 pub use dpbyz_server as server;

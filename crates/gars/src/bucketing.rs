@@ -61,11 +61,6 @@ impl Bucketing {
         &self.inner
     }
 
-    /// The bucket size.
-    pub fn bucket_size(&self) -> usize {
-        self.s
-    }
-
     /// Number of buckets for `n` submissions.
     fn n_buckets(&self, n: usize) -> usize {
         n.div_ceil(self.s)

@@ -159,7 +159,6 @@ const REGISTER_FNS: &[&str] = &[
     "register_attack",
     "register_mechanism",
     "register_mechanism_with",
-    "register_backend",
     "register_scenario_pack_with",
 ];
 

@@ -1,44 +1,29 @@
-//! The [`Deployment`] every distributed run shares, and the `"tcp"`
+//! The [`Deployment`] every distributed run shares, and the TCP
 //! execution backend.
 //!
 //! A deployment is the shape of one coordinated run: the join gate, the
 //! per-round quorum, the phase deadlines and the rejoin replay window.
-//! The `"tcp"` and `"sim"` backends and the `coordinator` binary all
-//! read it with [`Deployment::from_spec`] and turn it into the round
-//! machine's [`MachineConfig`] with [`Deployment::resolve`].
+//! [`TcpBackend`], [`SimBackend`](crate::sim::SimBackend) and the
+//! `coordinator` binary each hold one and turn it into the round
+//! machine's [`MachineConfig`] with [`Deployment::resolve`], which
+//! refuses a join gate or quorum that no run could reach.
 //!
-//! Spec parameters (all optional unsigned integers; a key not listed
-//! here is refused):
-//!
-//! * `min_workers` — joins required at the join deadline (default: all
-//!   honest workers);
-//! * `quorum` — reports required at a step deadline before stragglers
-//!   are dropped (default: `max(min_workers, n_honest − f)`, the
-//!   witness-style `n − f` budget);
-//! * `join_timeout_ms` / `warmup_timeout_ms` / `step_timeout_ms` —
-//!   phase deadlines, in virtual ms on the sim (default 10 000 each);
-//! * `resume_window` — broadcast frames retained for rejoin replay
-//!   (default 32).
-//!
-//! The `"sim"` backend also reads `chaos` and `compute_ms` (see
-//! [`SimBackend`](crate::sim::SimBackend)).
-//!
-//! [`install`](crate::install) registers the `"tcp"` backend; afterwards
-//! `exp.backend = "tcp".into()` routes [`Experiment::run`] through real
-//! sockets. Worker sessions run as in-process threads here (each
-//! speaking the full wire protocol); the `coordinator`/`worker` binaries
-//! deploy the same loops as separate OS processes.
+//! `TcpBackend::default().run(&exp, seed, None, &mut scratch)` routes
+//! an [`Experiment`] through real localhost sockets. Worker sessions run
+//! as in-process threads here (each speaking the full wire protocol);
+//! the `coordinator`/`worker` binaries deploy the same loops as separate
+//! OS processes.
 
 use crate::coordinator::TcpCoordinator;
 use crate::machine::MachineConfig;
 use crate::transport::CoordinatorError;
 use crate::worker::run_worker;
 use dpbyz_core::pipeline::{Experiment, PipelineError};
-use dpbyz_core::{ComponentSpec, EngineBackend, RegistryError};
 use dpbyz_server::{HonestWorker, RunHistory, RunObserver, RunScratch, ServerCore, TrainingConfig};
 
-/// The shape of one distributed run (spec keys in the module docs).
-/// `Default` holds the one default of every knob.
+/// The shape of one distributed run. `Default` holds the one default of
+/// every knob: every honest worker joins and reports, 10 s deadlines
+/// (virtual ms on the sim) and a 32-frame replay window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deployment {
     /// Joins required at the join deadline (and readies at the warmup
@@ -75,45 +60,6 @@ impl Default for Deployment {
 }
 
 impl Deployment {
-    /// Reads a deployment from a backend spec; an absent key takes its
-    /// [`Default`]. `extra` names the keys the calling backend reads
-    /// itself.
-    ///
-    /// # Errors
-    ///
-    /// [`RegistryError::Build`] when a key is present but not an
-    /// unsigned integer, or is neither a deployment key nor in `extra`.
-    pub fn from_spec(spec: &ComponentSpec, extra: &[&str]) -> Result<Self, RegistryError> {
-        let mut known = extra.to_vec();
-        let mut read = |key| {
-            known.push(key);
-            spec.u64_if_present(key)
-        };
-        let d = Deployment::default();
-        let deployment = Deployment {
-            min_workers: read("min_workers")?.map(|v| v as usize),
-            quorum: read("quorum")?.map(|v| v as usize),
-            join_timeout_ms: read("join_timeout_ms")?.unwrap_or(d.join_timeout_ms),
-            warmup_timeout_ms: read("warmup_timeout_ms")?.unwrap_or(d.warmup_timeout_ms),
-            step_timeout_ms: read("step_timeout_ms")?.unwrap_or(d.step_timeout_ms),
-            resume_window: read("resume_window")?.map_or(d.resume_window, |v| v as usize),
-        };
-        let unknown = spec
-            .params
-            .keys()
-            .find(|key| !known.contains(&key.as_str()));
-        match unknown {
-            None => Ok(deployment),
-            Some(key) => Err(RegistryError::Build {
-                id: spec.id.clone(),
-                message: format!(
-                    "unknown parameter `{key}`; expected one of {}",
-                    known.join(", ")
-                ),
-            }),
-        }
-    }
-
     /// Resolves this deployment for a run of `config` into the round
     /// machine's configuration: the honest workers that connect
     /// ([`TrainingConfig::honest_workers`]), the join gate (default: all
@@ -202,17 +148,24 @@ impl Deployment {
 }
 
 /// The TCP deployment backend: its [`Deployment`] over localhost
-/// sockets. Build via the registry (`"tcp"` after
-/// [`install`](crate::install)).
+/// sockets.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TcpBackend(pub Deployment);
 
-impl EngineBackend for TcpBackend {
-    fn name(&self) -> &str {
-        "tcp"
-    }
-
-    fn run(
+impl TcpBackend {
+    /// Runs one experiment over localhost TCP: a coordinator and one
+    /// worker session thread per honest worker. On a clean run the
+    /// history equals [`Experiment::run`]'s bit for bit. `observer`
+    /// streams per-step metrics; `scratch` recycles the server's buffers
+    /// across runs.
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::Spec`] for a deployment [`Deployment::resolve`]
+    /// refuses or a failed run (socket errors, an aborted round);
+    /// [`PipelineError::Gar`] when aggregation fails; component errors as
+    /// [`Experiment::build_trainer`].
+    pub fn run(
         &self,
         exp: &Experiment,
         seed: u64,

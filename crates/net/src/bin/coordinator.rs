@@ -18,12 +18,13 @@
 //!             [--resume-window 32] [--spawn] [--verify]
 //! ```
 //!
-//! The five deployment flags set the `tcp` backend's spec keys
-//! (`--join-timeout-ms` bounds both the join and the warmup phase) and
-//! go through the same [`Deployment`] parser and resolver, so the
-//! honest-worker count and every default match that backend. An unknown
-//! flag, a flag without its value, or an out-of-range deployment exits
-//! with code 2.
+//! The five deployment flags set the fields of a [`Deployment`]
+//! (`--join-timeout-ms` bounds both the join and the warmup phase); an
+//! absent flag keeps the field's default, and [`Deployment::resolve`]
+//! checks the result, so the honest-worker count and every default match
+//! the in-process TCP backend. An unknown flag, a flag without its value
+//! or with an unparsable one, or an out-of-range deployment exits with
+//! code 2.
 //!
 //! Without `--spawn`, the process prints the listen address and the job
 //! spec JSON, then waits for externally launched workers (see the
@@ -33,20 +34,9 @@ mod args;
 
 use args::Args;
 use dpbyz_core::pipeline::Experiment;
-use dpbyz_core::ComponentSpec;
 use dpbyz_net::{Deployment, JobSpec, TcpCoordinator};
 use dpbyz_server::RunScratch;
 use std::process::{Child, Command, Stdio};
-
-/// Each deployment flag and the [`Deployment`] spec key it sets.
-const DEPLOYMENT_FLAGS: [(&str, &str); 6] = [
-    ("--min-workers", "min_workers"),
-    ("--quorum", "quorum"),
-    ("--join-timeout-ms", "join_timeout_ms"),
-    ("--join-timeout-ms", "warmup_timeout_ms"),
-    ("--step-timeout-ms", "step_timeout_ms"),
-    ("--resume-window", "resume_window"),
-];
 
 fn main() {
     let mut args = Args::new("coordinator");
@@ -82,18 +72,23 @@ fn main() {
     if let Some(lambda) = args.parsed("--staleness-damping") {
         builder = builder.staleness_damping(lambda);
     }
-    let mut spec = ComponentSpec::new("coordinator");
-    for (flag, key) in DEPLOYMENT_FLAGS {
-        if let Some(value) = args.parsed::<u64>(flag) {
-            spec = spec.with(key, value);
-        }
-    }
+    let d = Deployment::default();
+    let join_timeout_ms = args.parsed("--join-timeout-ms");
+    let deployment = Deployment {
+        min_workers: args.parsed("--min-workers"),
+        quorum: args.parsed("--quorum"),
+        join_timeout_ms: join_timeout_ms.unwrap_or(d.join_timeout_ms),
+        warmup_timeout_ms: join_timeout_ms.unwrap_or(d.warmup_timeout_ms),
+        step_timeout_ms: args
+            .parsed("--step-timeout-ms")
+            .unwrap_or(d.step_timeout_ms),
+        resume_window: args.parsed("--resume-window").unwrap_or(d.resume_window),
+    };
     args.finish();
 
     let exp = builder
         .build()
         .unwrap_or_else(|e| args.exit(2, format_args!("invalid experiment: {e}")));
-    let deployment = Deployment::from_spec(&spec, &[]).unwrap_or_else(|e| args.exit(2, e));
     let machine = deployment
         .resolve("coordinator", &exp.config, exp.attack.is_some())
         .unwrap_or_else(|e| args.exit(2, e));

@@ -1,6 +1,7 @@
 //! `dpbyz-net` — the multi-process distributed engine: a TCP
-//! coordinator/worker deployment behind the same [`EngineBackend`]
-//! trait as the in-process engines.
+//! coordinator/worker deployment ([`TcpBackend`]) and a seeded chaos
+//! simulation of it ([`SimBackend`]), each run with the same
+//! `run(&experiment, seed, observer, scratch)` call.
 //!
 //! The parameter-server topology of the paper's §2 becomes real
 //! processes: a **coordinator** hosts the
@@ -31,16 +32,18 @@
 //!
 //! ```
 //! use dpbyz_core::pipeline::Experiment;
+//! use dpbyz_net::TcpBackend;
+//! use dpbyz_server::RunScratch;
 //!
-//! dpbyz_net::install(); // register the "tcp" backend
-//! let mut exp = Experiment::builder()
+//! let exp = Experiment::builder()
 //!     .steps(3)
 //!     .dataset_size(300)
 //!     .build()
 //!     .unwrap();
 //! let in_process = exp.run(1).unwrap();
-//! exp.backend = "tcp".into();
-//! let over_tcp = exp.run(1).unwrap();
+//! let over_tcp = TcpBackend::default()
+//!     .run(&exp, 1, None, &mut RunScratch::new())
+//!     .unwrap();
 //! assert_eq!(in_process, over_tcp);
 //! ```
 //!
@@ -53,8 +56,8 @@
 //! [`transport::Transport`] whose per-link fault plan (drop, duplicate,
 //! reorder, delay, partition — plus explicit crash-and-rejoin schedules)
 //! derives purely from a `u64` seed: same seed, same byte-level event
-//! order, same digest. Register it as the `"sim"` backend via
-//! [`install`] and select it with `exp.backend = "sim".into()`.
+//! order, same digest. [`SimBackend`] runs an experiment over it, e.g.
+//! `SimBackend { chaos: Some(7), ..Default::default() }.run(..)`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -77,25 +80,3 @@ pub use sim::{FaultPlan, LateJoinPlan, SimBackend, SimNet};
 pub use spec::{JobSpec, WorkloadSpec};
 pub use transport::{drive, CoordinatorError, ResumeRing, Transport};
 pub use worker::{run_worker, WorkerError};
-
-use dpbyz_core::engine::register_backend;
-use dpbyz_core::{EngineBackend, RegistryError};
-use std::sync::Arc;
-
-/// Registers every deployment backend this crate provides — `"tcp"`
-/// ([`TcpBackend`]) and `"sim"` ([`SimBackend`]). Idempotent, so every
-/// binary and test may call it without coordination.
-pub fn install() {
-    let tcp = register_backend("tcp", |spec| {
-        Ok(Arc::new(TcpBackend(Deployment::from_spec(spec, &[])?)) as Arc<dyn EngineBackend>)
-    });
-    let sim = register_backend("sim", |spec| {
-        Ok(Arc::new(SimBackend::from_spec(spec)?) as Arc<dyn EngineBackend>)
-    });
-    for registered in [tcp, sim] {
-        match registered {
-            Ok(()) | Err(RegistryError::DuplicateId(_)) => {}
-            Err(e) => unreachable!("backend registration failed: {e}"),
-        }
-    }
-}

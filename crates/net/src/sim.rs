@@ -1,5 +1,5 @@
-//! `SimNet` — the seeded in-memory chaos transport, and the `"sim"`
-//! backend that runs training over it.
+//! `SimNet` — the seeded in-memory chaos transport, and the
+//! [`SimBackend`] that runs training over it.
 //!
 //! The simulator plays the reference adversary of the self-stabilizing
 //! communication literature (Dolev–Dubois–Potop-Butucaru–Tixeuil):
@@ -45,7 +45,6 @@ use crate::session::{Broadcast, Session, Verdict, WorkerSession};
 use crate::transport::{drive, Transport};
 use crate::worker::WorkerError;
 use dpbyz_core::pipeline::{Experiment, PipelineError};
-use dpbyz_core::{ComponentSpec, EngineBackend, RegistryError};
 use dpbyz_server::{HonestWorker, RunHistory, RunObserver, RunScratch, WorkerOutput};
 use dpbyz_tensor::{Prng, Vector};
 use std::cmp::Ordering;
@@ -715,41 +714,67 @@ impl Transport for SimNet {
     }
 }
 
-/// The `"sim"` deployment backend: the full round protocol over
-/// [`SimNet`]. Its spec takes every [`Deployment`] key (listed in
-/// [`crate::backend`]; deadlines are in *virtual* ms) plus:
-///
-/// * `chaos` — fault-plan seed ([`FaultPlan::from_seed`]); absent means
-///   clean links;
-/// * `compute_ms` — virtual cost of one gradient computation (default
-///   2).
+/// The sim deployment backend: the full round protocol over
+/// [`SimNet`]. Its [`Deployment`]'s deadlines are in *virtual* ms.
+#[derive(Debug, Clone, Copy)]
 pub struct SimBackend {
-    deployment: Deployment,
-    chaos: Option<u64>,
-    compute_ms: u64,
+    /// Join gate, quorum, phase deadlines and replay window.
+    pub deployment: Deployment,
+    /// Fault-plan seed ([`FaultPlan::from_seed`]); `None` runs on clean
+    /// links.
+    pub chaos: Option<u64>,
+    /// Virtual cost of one gradient computation, ms.
+    pub compute_ms: u64,
+}
+
+impl Default for SimBackend {
+    /// The default deployment on clean links, 2 ms per gradient.
+    fn default() -> Self {
+        SimBackend {
+            deployment: Deployment::default(),
+            chaos: None,
+            compute_ms: 2,
+        }
+    }
 }
 
 impl SimBackend {
-    /// Reads the backend's knobs from a spec (see the type docs).
+    /// Runs one experiment over [`SimNet`], on the links
+    /// [`chaos`](Self::chaos) derives. A crash-free plan is invisible to
+    /// the result: the history equals [`Experiment::run`]'s bit for bit.
+    /// `observer` streams per-step metrics; `scratch` recycles the
+    /// server's buffers across runs.
     ///
     /// # Errors
     ///
-    /// As [`Deployment::from_spec`].
-    pub fn from_spec(spec: &ComponentSpec) -> Result<Self, RegistryError> {
-        Ok(SimBackend {
-            deployment: Deployment::from_spec(spec, &["chaos", "compute_ms"])?,
-            chaos: spec.u64_if_present("chaos")?,
-            compute_ms: spec.u64_or_reject("compute_ms", 2)?,
-        })
+    /// [`PipelineError::Spec`] for a deployment
+    /// [`Deployment::resolve`] refuses or an aborted run;
+    /// [`PipelineError::Gar`] when aggregation fails; component errors as
+    /// [`Experiment::build_trainer`].
+    pub fn run(
+        &self,
+        exp: &Experiment,
+        seed: u64,
+        observer: Option<Box<dyn RunObserver>>,
+        scratch: &mut RunScratch,
+    ) -> Result<RunHistory, PipelineError> {
+        let n_honest = exp.config.honest_workers(exp.attack.is_some());
+        let plan = match self.chaos {
+            Some(chaos_seed) => FaultPlan::from_seed(chaos_seed, n_honest),
+            None => FaultPlan::clean(n_honest),
+        };
+        self.run_with_plan(exp, seed, &plan, observer, scratch)
     }
 
     /// Runs one experiment over an explicit [`FaultPlan`] — the entry
-    /// point the chaos and reconnect suites use for plans that spec
-    /// parameters cannot express (crash and straggler schedules).
+    /// point the chaos and reconnect suites use for plans a `chaos` seed
+    /// cannot express (crash and straggler schedules); `chaos` is
+    /// ignored.
     ///
     /// # Errors
     ///
-    /// As [`EngineBackend::run`].
+    /// As [`SimBackend::run`], and [`PipelineError::Spec`] when `plan`
+    /// does not cover exactly the run's honest workers.
     pub fn run_with_plan(
         &self,
         exp: &Experiment,
@@ -787,27 +812,6 @@ impl SimBackend {
     }
 }
 
-impl EngineBackend for SimBackend {
-    fn name(&self) -> &str {
-        "sim"
-    }
-
-    fn run(
-        &self,
-        exp: &Experiment,
-        seed: u64,
-        observer: Option<Box<dyn RunObserver>>,
-        scratch: &mut RunScratch,
-    ) -> Result<RunHistory, PipelineError> {
-        let n_honest = exp.config.honest_workers(exp.attack.is_some());
-        let plan = match self.chaos {
-            Some(chaos_seed) => FaultPlan::from_seed(chaos_seed, n_honest),
-            None => FaultPlan::clean(n_honest),
-        };
-        self.run_with_plan(exp, seed, &plan, observer, scratch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -823,24 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn wrong_typed_knobs_are_rejected() {
-        // `chaos: 1.5` must not quietly run on clean links, nor a
-        // misspelt `qourum` with the default quorum.
-        for (key, spec) in [
-            ("chaos", ComponentSpec::new("sim").with("chaos", 1.5)),
-            ("quorum", ComponentSpec::new("sim").with("quorum", "3")),
-            ("qourum", ComponentSpec::new("sim").with("qourum", 3u64)),
-        ] {
-            match SimBackend::from_spec(&spec) {
-                Err(RegistryError::Build { message, .. }) => {
-                    assert!(message.contains(key), "{message}")
-                }
-                _ => panic!("`{key}` of the wrong type was accepted"),
-            }
-        }
-    }
-
-    #[test]
     fn tcp_and_sim_specs_resolve_to_one_deployment() {
         // n = 11, f = 2 under attack: 9 honest workers connect.
         let config = dpbyz_server::TrainingConfig {
@@ -851,47 +837,26 @@ mod tests {
         }
         .validate()
         .unwrap();
-        let resolved = |d: Deployment| {
-            let m = d.resolve("test", &config, true).unwrap();
-            let deadlines = (m.join_deadline_ms, m.warmup_deadline_ms, m.step_deadline_ms);
-            (
-                m.n_workers,
-                m.min_workers,
-                m.quorum,
-                deadlines,
-                d.resume_window,
-            )
-        };
-        let shared = |id: &str| {
-            ComponentSpec::new(id)
-                .with("min_workers", 6u64)
-                .with("quorum", 5u64)
-                .with("join_timeout_ms", 100u64)
-                .with("warmup_timeout_ms", 200u64)
-                .with("step_timeout_ms", 300u64)
-                .with("resume_window", 4u64)
-        };
-        let tcp = Deployment::from_spec(&shared("tcp"), &[]).unwrap();
-        let sim =
-            SimBackend::from_spec(&shared("sim").with("chaos", 7u64).with("compute_ms", 5u64))
-                .unwrap()
-                .deployment;
-        assert_eq!(
-            tcp.resolve("test", &config, true),
-            sim.resolve("test", &config, true)
-        );
-        assert_eq!(resolved(tcp), (9, 6, 5, (100, 200, 300), 4));
-        assert_eq!(resolved(sim), resolved(tcp));
+        let (tcp, sim) = (crate::TcpBackend::default().0, SimBackend::default());
+        let machine = tcp.resolve("test", &config, true).unwrap();
+        assert_eq!(sim.deployment.resolve("test", &config, true), Ok(machine));
+        assert_eq!(sim.deployment.resume_window, tcp.resume_window);
 
         // The documented defaults: every honest worker joins and
-        // reports, 10 s deadlines, a 32-frame replay window.
-        let tcp = Deployment::from_spec(&ComponentSpec::new("tcp"), &[]).unwrap();
-        let sim = SimBackend::from_spec(&ComponentSpec::new("sim"))
-            .unwrap()
-            .deployment;
-        let defaults = (9, 9, 9, (10_000, 10_000, 10_000), 32);
-        assert_eq!(resolved(tcp), defaults);
-        assert_eq!(resolved(sim), defaults);
+        // reports, 10 s deadlines, a 32-frame replay window; the sim runs
+        // clean links at 2 virtual ms per gradient.
+        let deadlines = (
+            machine.join_deadline_ms,
+            machine.warmup_deadline_ms,
+            machine.step_deadline_ms,
+        );
+        assert_eq!(
+            (machine.n_workers, machine.min_workers, machine.quorum),
+            (9, 9, 9)
+        );
+        assert_eq!(deadlines, (10_000, 10_000, 10_000));
+        assert_eq!(tcp.resume_window, 32);
+        assert_eq!((sim.chaos, sim.compute_ms), (None, 2));
     }
 
     #[test]

@@ -111,9 +111,8 @@ impl JobSpec {
         })
     }
 
-    /// Rebuilds the experiment (backend pinned to `"sequential"`, which
-    /// worker processes never run — they only materialize components
-    /// through [`Experiment::build_trainer`]).
+    /// Rebuilds the experiment; worker processes only materialize its
+    /// components through [`Experiment::build_trainer`].
     pub fn to_experiment(&self) -> Experiment {
         let workload = match &self.workload {
             WorkloadSpec::PhishingLike { data_seed, size } => Workload::PhishingLike {
@@ -137,7 +136,6 @@ impl JobSpec {
             attack: self.attack.clone(),
             budget: self.budget,
             mechanism: self.mechanism.clone(),
-            backend: ComponentSpec::new("sequential"),
             dp_reference_g_max: self.dp_reference_g_max,
         }
     }

@@ -4,8 +4,8 @@
 //! — not hangs.
 
 use dpbyz_core::pipeline::{Experiment, PipelineError, Workload};
-use dpbyz_core::{ComponentSpec, RegistryError};
-use dpbyz_server::LrSchedule;
+use dpbyz_net::{Deployment, SimBackend, TcpBackend};
+use dpbyz_server::{LrSchedule, RunHistory, RunScratch};
 use std::time::{Duration, Instant};
 
 fn attacked_experiment() -> Experiment {
@@ -19,20 +19,24 @@ fn attacked_experiment() -> Experiment {
         .unwrap()
 }
 
+fn over_tcp(
+    exp: &Experiment,
+    seed: u64,
+    deployment: Deployment,
+) -> Result<RunHistory, PipelineError> {
+    TcpBackend(deployment).run(exp, seed, None, &mut RunScratch::new())
+}
+
 /// The tentpole acceptance property: same seed, two engines, one
 /// history. The digest is additionally pinned so a silent cross-engine
 /// drift (both moving together) still fails loudly.
 #[test]
 fn tcp_engine_is_bit_identical_to_sequential() {
-    dpbyz_net::install();
     let seed = 17;
 
-    let mut exp = attacked_experiment();
-    exp.backend = ComponentSpec::new("sequential");
+    let exp = attacked_experiment();
     let sequential = exp.run(seed).unwrap();
-
-    exp.backend = ComponentSpec::new("tcp");
-    let tcp = exp.run(seed).unwrap();
+    let tcp = over_tcp(&exp, seed, Deployment::default()).unwrap();
 
     assert_eq!(sequential, tcp);
     assert_eq!(tcp.digest(), sequential.digest());
@@ -48,8 +52,7 @@ fn tcp_engine_is_bit_identical_to_sequential() {
 /// and still reproduces the sequential history exactly.
 #[test]
 fn tcp_engine_matches_without_an_attack() {
-    dpbyz_net::install();
-    let mut exp = Experiment::builder()
+    let exp = Experiment::builder()
         .batch_size(10)
         .steps(6)
         .dataset_size(300)
@@ -57,9 +60,7 @@ fn tcp_engine_matches_without_an_attack() {
         .unwrap();
     let seed = 3;
     let reference = exp.run(seed).unwrap();
-
-    exp.backend = ComponentSpec::new("tcp");
-    let tcp = exp.run(seed).unwrap();
+    let tcp = over_tcp(&exp, seed, Deployment::default()).unwrap();
     assert_eq!(reference, tcp);
 }
 
@@ -68,10 +69,11 @@ fn tcp_engine_matches_without_an_attack() {
 /// deadline.
 #[test]
 fn impossible_min_workers_is_a_spec_error() {
-    dpbyz_net::install();
-    let mut exp = attacked_experiment();
-    exp.backend = ComponentSpec::new("tcp").with("min_workers", 99u64);
-    match exp.run(5) {
+    let deployment = Deployment {
+        min_workers: Some(99),
+        ..Deployment::default()
+    };
+    match over_tcp(&attacked_experiment(), 5, deployment) {
         Err(PipelineError::Spec(msg)) => {
             assert!(msg.contains("min_workers 99"), "{msg}");
             assert!(msg.contains("n_workers"), "{msg}");
@@ -86,57 +88,17 @@ fn impossible_min_workers_is_a_spec_error() {
 /// explain that only honest workers ever connect.
 #[test]
 fn min_workers_beyond_honest_names_the_server_side_simulation() {
-    dpbyz_net::install();
-    let mut exp = attacked_experiment();
     // n = 11, f = 5 ⇒ 6 honest sessions; 8 ≤ 11 but 8 > 6.
-    exp.backend = ComponentSpec::new("tcp").with("min_workers", 8u64);
-    match exp.run(5) {
+    let deployment = Deployment {
+        min_workers: Some(8),
+        ..Deployment::default()
+    };
+    match over_tcp(&attacked_experiment(), 5, deployment) {
         Err(PipelineError::Spec(msg)) => {
             assert!(msg.contains("honest"), "{msg}");
             assert!(msg.contains("server-side"), "{msg}");
         }
         Ok(_) => panic!("min_workers 8 > n_honest 6 must not run"),
-        Err(other) => panic!("expected Spec error, got {other}"),
-    }
-}
-
-/// A deployment knob of the wrong type, or an unknown one, is refused,
-/// not read as absent: neither `quorum: "3"` nor a misspelt `qourum`
-/// may quietly run with the default quorum.
-#[test]
-fn wrong_typed_tcp_knob_is_rejected() {
-    dpbyz_net::install();
-    let mut exp = attacked_experiment();
-    for (key, spec) in [
-        ("quorum", ComponentSpec::new("tcp").with("quorum", "3")),
-        ("qourum", ComponentSpec::new("tcp").with("qourum", 3u64)),
-    ] {
-        exp.backend = spec;
-        match exp.run(5) {
-            Err(PipelineError::Registry(RegistryError::Build { id, message })) => {
-                assert_eq!(id, "tcp");
-                assert!(message.contains(key), "{message}");
-            }
-            Ok(_) => panic!("`{key}` must not run"),
-            Err(other) => panic!("`{key}`: expected a build error, got {other}"),
-        }
-    }
-}
-
-/// Unknown backend ids list what IS registered — including `"tcp"` once
-/// installed — so the fix is in the error message.
-#[test]
-fn unknown_backend_error_names_tcp_among_available_ids() {
-    dpbyz_net::install();
-    let mut exp = attacked_experiment();
-    exp.backend = ComponentSpec::new("carrier-pigeon");
-    match exp.run(1) {
-        Err(PipelineError::Spec(msg)) => {
-            assert!(msg.contains("carrier-pigeon"), "{msg}");
-            assert!(msg.contains("tcp"), "{msg}");
-            assert!(msg.contains("sequential"), "{msg}");
-        }
-        Ok(_) => panic!("unknown backend id must not run"),
         Err(other) => panic!("expected Spec error, got {other}"),
     }
 }
@@ -149,8 +111,7 @@ fn unknown_backend_error_names_tcp_among_available_ids() {
 /// no wire and aggregates the non-finite values.
 #[test]
 fn non_finite_honest_reports_end_a_sim_run_with_a_typed_error() {
-    dpbyz_net::install();
-    let mut exp = Experiment::builder()
+    let exp = Experiment::builder()
         .workload(Workload::MeanEstimation {
             dim: 4,
             sigma: 10.0,
@@ -175,8 +136,7 @@ fn non_finite_honest_reports_end_a_sim_run_with_a_typed_error() {
         in_process.grad_norm
     );
 
-    exp.backend = ComponentSpec::new("sim");
-    match exp.run(1) {
+    match SimBackend::default().run(&exp, 1, None, &mut RunScratch::new()) {
         Err(PipelineError::Spec(msg)) => {
             assert!(msg.contains("below quorum at step 2"), "{msg}");
             assert!(msg.contains("0 of 5 reported"), "{msg}");
@@ -196,9 +156,12 @@ fn non_finite_honest_reports_end_a_sim_run_with_a_typed_error() {
     // The machine hears of each rejection, so the run ends once every
     // report is refused, not at the step deadline.
     let step_timeout = Duration::from_millis(1500);
-    exp.backend = ComponentSpec::new("tcp").with("step_timeout_ms", 1500u64);
+    let deployment = Deployment {
+        step_timeout_ms: 1500,
+        ..Deployment::default()
+    };
     let start = Instant::now();
-    let outcome = exp.run(1);
+    let outcome = over_tcp(&exp, 1, deployment);
     let took = start.elapsed();
     assert!(
         took < step_timeout / 3,

@@ -11,8 +11,7 @@
 //! instead of inventing a new failure mode.
 
 use dpbyz_core::pipeline::Experiment;
-use dpbyz_core::ComponentSpec;
-use dpbyz_net::{FaultPlan, SimBackend};
+use dpbyz_net::{Deployment, FaultPlan, SimBackend};
 use dpbyz_server::RunScratch;
 
 const STEPS: u32 = 8;
@@ -30,7 +29,13 @@ fn experiment() -> Experiment {
 }
 
 fn sim_backend(quorum: usize) -> SimBackend {
-    SimBackend::from_spec(&ComponentSpec::new("sim").with("quorum", quorum as u64)).unwrap()
+    SimBackend {
+        deployment: Deployment {
+            quorum: Some(quorum),
+            ..Deployment::default()
+        },
+        ..SimBackend::default()
+    }
 }
 
 /// Silent crash (no TCP-reset analogue: the coordinator waits out each

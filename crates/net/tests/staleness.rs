@@ -13,7 +13,6 @@
 
 use bytes::{BufMut, BytesMut};
 use dpbyz_core::pipeline::Experiment;
-use dpbyz_core::ComponentSpec;
 use dpbyz_net::protocol::{
     begin_frame, decode_step, encode_grad, end_frame, open_frame, write_all_frame, KIND_ABORT,
     KIND_DONE, KIND_JOIN, KIND_JOIN_FRESH, KIND_READY, KIND_STEP, KIND_WARMUP,
@@ -44,7 +43,13 @@ fn experiment(window: u32) -> Experiment {
 }
 
 fn sim_backend(quorum: usize) -> SimBackend {
-    SimBackend::from_spec(&ComponentSpec::new("sim").with("quorum", quorum as u64)).unwrap()
+    SimBackend {
+        deployment: Deployment {
+            quorum: Some(quorum),
+            ..Deployment::default()
+        },
+        ..SimBackend::default()
+    }
 }
 
 /// Worker `w` straggles on a fixed schedule (virtual step deadline is

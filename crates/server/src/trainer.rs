@@ -375,11 +375,9 @@ impl ServerCore {
                 Err(_) => f64::NAN,
             }
         }
-        self.vn_clean.push(ratio_vs_clean_norm(
-            &self.buffers.pre_noise,
-            grad_norm,
-            &mut self.buffers.mean,
-        ));
+        let vn_clean =
+            ratio_vs_clean_norm(&self.buffers.pre_noise, grad_norm, &mut self.buffers.mean);
+        self.vn_clean.push(vn_clean);
         self.grad_norm.push(grad_norm);
 
         if let Some(attack) = &self.attack {
@@ -413,11 +411,9 @@ impl ServerCore {
         // drops — i.e. over exactly the vectors the GAR aggregates. (It
         // was previously computed before forgeries/drops, which made the
         // "submitted" series blind to everything the attack added.)
-        self.vn_submitted.push(ratio_vs_clean_norm(
-            &self.buffers.submissions,
-            grad_norm,
-            &mut self.buffers.mean,
-        ));
+        let vn_submitted =
+            ratio_vs_clean_norm(&self.buffers.submissions, grad_norm, &mut self.buffers.mean);
+        self.vn_submitted.push(vn_submitted);
 
         self.gar.aggregate_into(
             &self.buffers.submissions,
@@ -466,8 +462,8 @@ impl ServerCore {
             observer.on_step(&StepMetrics {
                 step: t,
                 train_loss: loss,
-                vn_clean: *self.vn_clean.last().expect("pushed above"), // lint:allow(panic-unwrap, reason = "pushed above in the same round")
-                vn_submitted: *self.vn_submitted.last().expect("pushed above"), // lint:allow(panic-unwrap, reason = "pushed above in the same round")
+                vn_clean,
+                vn_submitted,
                 grad_norm,
                 test_accuracy: eval_accuracy,
                 params: &self.params,

@@ -178,11 +178,6 @@ impl Prng {
         (0..dim).map(|_| self.laplace(scale)).collect()
     }
 
-    /// Vector of i.i.d. uniform `[lo, hi)` coordinates.
-    pub fn uniform_vector(&mut self, dim: usize, lo: f64, hi: f64) -> Vector {
-        (0..dim).map(|_| self.uniform_range(lo, hi)).collect()
-    }
-
     /// Samples `k` indices from `[0, n)` without replacement
     /// (partial Fisher–Yates).
     ///
@@ -198,15 +193,6 @@ impl Prng {
         }
         idx.truncate(k);
         idx
-    }
-
-    /// Samples `k` indices from `[0, n)` with replacement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` and `k > 0`.
-    pub fn sample_with_replacement(&mut self, n: usize, k: usize) -> Vec<usize> {
-        (0..k).map(|_| self.index(n)).collect()
     }
 
     /// Shuffles a slice in place (Fisher–Yates).
@@ -391,14 +377,6 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), 30);
         assert!(s.iter().all(|&i| i < 100));
-    }
-
-    #[test]
-    fn sample_with_replacement_in_range() {
-        let mut rng = Prng::seed_from_u64(11);
-        let s = rng.sample_with_replacement(5, 64);
-        assert_eq!(s.len(), 64);
-        assert!(s.iter().all(|&i| i < 5));
     }
 
     #[test]

@@ -277,15 +277,6 @@ impl Welford {
     }
 }
 
-/// Per-coordinate mean of a non-empty slice of equal-dimension vectors.
-///
-/// # Errors
-///
-/// See [`Vector::mean`].
-pub fn coordinate_mean(vectors: &[Vector]) -> Result<Vector, TensorError> {
-    Vector::mean(vectors)
-}
-
 /// Per-coordinate unbiased standard deviation across vectors.
 ///
 /// This is exactly the `σ_t` used by the "A Little Is Enough" attack.
@@ -317,16 +308,6 @@ pub fn coordinate_std(vectors: &[Vector]) -> Result<Vector, TensorError> {
 /// [`TensorError::DimensionMismatch`] for ragged input.
 pub fn coordinate_median(vectors: &[Vector]) -> Result<Vector, TensorError> {
     coordinate_apply(vectors, median)
-}
-
-/// Per-coordinate trimmed mean across vectors (removes `trim` extremes on
-/// each side, per coordinate).
-///
-/// # Errors
-///
-/// Propagates [`trimmed_mean`] errors; rejects ragged input.
-pub fn coordinate_trimmed_mean(vectors: &[Vector], trim: usize) -> Result<Vector, TensorError> {
-    coordinate_apply(vectors, |col| trimmed_mean(col, trim))
 }
 
 /// Applies a scalar reducer to every coordinate column.
@@ -538,17 +519,6 @@ mod tests {
         ];
         let m = coordinate_median(&vs).unwrap();
         assert_eq!(m.as_slice(), &[2.0, 0.0]);
-    }
-
-    #[test]
-    fn coordinate_trimmed_mean_works() {
-        let vs = vec![
-            Vector::from(vec![1.0]),
-            Vector::from(vec![2.0]),
-            Vector::from(vec![1000.0]),
-        ];
-        let m = coordinate_trimmed_mean(&vs, 1).unwrap();
-        assert_eq!(m.as_slice(), &[2.0]);
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //! jitter, duplication, "drops" (delayed retransmissions), partition
 //! windows, all derived from a `u64` seed — may scramble the byte-level
 //! event order however it likes, but every report still lands inside the
-//! virtual deadlines, so the `"sim"` backend must reproduce the
+//! virtual deadlines, so [`SimBackend`] must reproduce the
 //! sequential engine's history **bit for bit**. And the chaos itself is
 //! deterministic: the same chaos seed replays the same run.
 
 use dpbyz_core::pipeline::Experiment;
-use dpbyz_core::ComponentSpec;
-use dpbyz_net::{FaultPlan, SimBackend};
-use dpbyz_server::RunScratch;
+use dpbyz_net::{Deployment, FaultPlan, SimBackend};
+use dpbyz_server::{RunHistory, RunScratch};
 
 /// Eight pinned fault plans — regenerating them must never be a silent
 /// test change.
@@ -26,21 +25,41 @@ fn experiment() -> Experiment {
         .unwrap()
 }
 
+/// One run over the sim on the links `chaos` derives.
+fn over_sim(exp: &Experiment, seed: u64, chaos: Option<u64>) -> RunHistory {
+    SimBackend {
+        chaos,
+        ..SimBackend::default()
+    }
+    .run(exp, seed, None, &mut RunScratch::new())
+    .unwrap()
+}
+
+/// A sim whose join gate and quorum tolerate one absent honest worker.
+fn one_short(n_honest: usize) -> SimBackend {
+    let deployment = Deployment {
+        min_workers: Some(n_honest - 1),
+        quorum: Some(n_honest - 1),
+        ..Deployment::default()
+    };
+    SimBackend {
+        deployment,
+        ..SimBackend::default()
+    }
+}
+
 /// The tentpole acceptance matrix: 8 fixed-seed fault plans × {sim,
 /// sequential}, digest-equal — and each sim run replayed byte-identical.
 #[test]
 fn chaos_runs_are_digest_equal_to_sequential_across_eight_seeds() {
-    dpbyz_net::install();
     let run_seed = 17;
 
-    let mut exp = experiment();
-    exp.backend = ComponentSpec::new("sequential");
+    let exp = experiment();
     let reference = exp.run(run_seed).unwrap();
 
     for chaos in CHAOS_SEEDS {
-        exp.backend = ComponentSpec::new("sim").with("chaos", chaos);
-        let first = exp.run(run_seed).unwrap();
-        let second = exp.run(run_seed).unwrap();
+        let first = over_sim(&exp, run_seed, Some(chaos));
+        let second = over_sim(&exp, run_seed, Some(chaos));
         assert_eq!(
             first, second,
             "chaos seed {chaos:#x}: same seed must replay the same run"
@@ -57,17 +76,14 @@ fn chaos_runs_are_digest_equal_to_sequential_across_eight_seeds() {
     }
 }
 
-/// Fault-free sim (no `chaos` parameter) is the degenerate case: clean
+/// Fault-free sim (`chaos: None`) is the degenerate case: clean
 /// virtual links, still bit-identical to sequential — pinning the
 /// transport extraction itself, independent of any fault plan.
 #[test]
 fn clean_sim_backend_matches_sequential() {
-    dpbyz_net::install();
-    let mut exp = experiment();
-    exp.backend = ComponentSpec::new("sequential");
+    let exp = experiment();
     let reference = exp.run(3).unwrap();
-    exp.backend = ComponentSpec::new("sim");
-    let sim = exp.run(3).unwrap();
+    let sim = over_sim(&exp, 3, None);
     assert_eq!(reference, sim);
 }
 
@@ -84,12 +100,7 @@ fn late_joiners_attach_mid_chaos_and_replay_bit_identically() {
     let exp = experiment();
     let n_honest = exp.config.honest_workers(exp.attack.is_some());
     let w = (n_honest - 1) as u32;
-    let backend = SimBackend::from_spec(
-        &ComponentSpec::new("sim")
-            .with("min_workers", (n_honest - 1) as u64)
-            .with("quorum", (n_honest - 1) as u64),
-    )
-    .unwrap();
+    let backend = one_short(n_honest);
     let run_seed = 17;
     let mut scratch = RunScratch::new();
 
@@ -147,12 +158,7 @@ fn staleness_churn_matrix_completes_and_replays_in_every_quadrant() {
     let base = experiment();
     let n_honest = base.config.honest_workers(base.attack.is_some());
     let w = (n_honest - 1) as u32;
-    let backend = SimBackend::from_spec(
-        &ComponentSpec::new("sim")
-            .with("min_workers", (n_honest - 1) as u64)
-            .with("quorum", (n_honest - 1) as u64),
-    )
-    .unwrap();
+    let backend = one_short(n_honest);
     let run_seed = 21;
     let mut scratch = RunScratch::new();
 
@@ -189,15 +195,13 @@ fn staleness_churn_matrix_completes_and_replays_in_every_quadrant() {
 /// server-side forgeries) holds under chaos too.
 #[test]
 fn chaos_holds_without_an_attack() {
-    dpbyz_net::install();
-    let mut exp = Experiment::builder()
+    let exp = Experiment::builder()
         .batch_size(10)
         .steps(5)
         .dataset_size(300)
         .build()
         .unwrap();
     let reference = exp.run(9).unwrap();
-    exp.backend = ComponentSpec::new("sim").with("chaos", 42u64);
-    let sim = exp.run(9).unwrap();
+    let sim = over_sim(&exp, 9, Some(42));
     assert_eq!(reference, sim);
 }

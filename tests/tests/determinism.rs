@@ -1,6 +1,8 @@
 //! Reproducibility contracts: seeded determinism and engine equivalence.
 
 use dpbyz_core::pipeline::Experiment;
+use dpbyz_net::SimBackend;
+use dpbyz_server::RunScratch;
 
 fn experiment_at(batch_size: usize) -> Experiment {
     Experiment::builder()
@@ -38,13 +40,12 @@ fn leased_workers_bit_identical_to_the_sim_engine() {
     // tests of this binary run, some rounds go inline); the sim backend
     // computes every worker inline on one thread and moves the gradients
     // as wire frames.
-    dpbyz_net::install();
-    let mut exp = experiment_at(200);
+    let exp = experiment_at(200);
     for seed in [1u64, 7, 99] {
-        exp.backend = "sequential".into();
         let leased = exp.run(seed).unwrap();
-        exp.backend = "sim".into();
-        let sim = exp.run(seed).unwrap();
+        let sim = SimBackend::default()
+            .run(&exp, seed, None, &mut RunScratch::new())
+            .unwrap();
         assert_eq!(leased, sim, "engines diverged at seed {seed}");
     }
 }

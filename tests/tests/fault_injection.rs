@@ -105,7 +105,6 @@ fn a_diverged_run_under_an_order_statistic_rule_returns_a_typed_error() {
             builder = builder.attack("alie").byzantine(f);
         }
         let exp = builder.build().unwrap();
-        assert_eq!(exp.backend.id, "sequential");
         match exp.run(1) {
             Err(PipelineError::Gar(GarError::NaN)) => {}
             other => panic!("{gar}: expected a NaN aggregation error, got {other:?}"),

@@ -32,7 +32,6 @@ fn run_spec_attack(gar: ComponentSpec, attack: ComponentSpec, f: usize) -> f64 {
         attack: Some(attack),
         budget: None,
         mechanism: "gaussian".into(),
-        backend: "sequential".into(),
         dp_reference_g_max: None,
     };
     exp.run(1).expect("runs").tail_loss(10)
@@ -60,7 +59,6 @@ fn run_gar_attack(gar: &str, attack: ComponentSpec, f: usize) -> f64 {
         attack: Some(attack),
         budget: None,
         mechanism: "gaussian".into(),
-        backend: "sequential".into(),
         dp_reference_g_max: None,
     };
     exp.run(1).expect("runs").tail_loss(10)

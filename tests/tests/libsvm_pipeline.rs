@@ -42,7 +42,6 @@ fn libsvm_roundtrip_preserves_training_behaviour() {
         attack: None,
         budget: None,
         mechanism: "gaussian".into(),
-        backend: "sequential".into(),
         dp_reference_g_max: None,
     };
     let h = exp.run(1).expect("runs");

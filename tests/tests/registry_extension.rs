@@ -141,8 +141,8 @@ fn component_specs_round_trip_through_json() {
     let json = serde_json::to_string(&spec).unwrap();
     let back: ComponentSpec = serde_json::from_str(&json).unwrap();
     assert_eq!(back, spec);
-    assert_eq!(back.f64("nu"), Some(2.5));
-    assert_eq!(back.u64("rounds"), Some(7));
+    assert_eq!(back.f64_if_present("nu"), Ok(Some(2.5)));
+    assert_eq!(back.u64_if_present("rounds"), Ok(Some(7)));
 
     // The paper's FoE setting compares equal after the trip too.
     let foe = ComponentSpec::new("foe").with("nu", 1.1);
@@ -235,10 +235,12 @@ fn third_party_budget_calibrated_mechanism_degrades_without_budget() {
         "budget-noise",
         MechanismCapabilities::budget_calibrated(),
         |spec| {
-            let epsilon = spec.f64("epsilon").ok_or_else(|| RegistryError::Build {
-                id: "budget-noise".into(),
-                message: "missing required parameter `epsilon`".into(),
-            })?;
+            let epsilon = spec
+                .f64_if_present("epsilon")?
+                .ok_or_else(|| RegistryError::Build {
+                    id: "budget-noise".into(),
+                    message: "missing required parameter `epsilon`".into(),
+                })?;
             Ok(Arc::new(BudgetNoise(0.01 / epsilon)))
         },
     )
