@@ -6,8 +6,15 @@
 //! (`kernels::reference`) are the historical sequential folds. This group
 //! is the scalar-vs-vectorized measurement behind the kernel layer's
 //! dispatch choices (e.g. `kernels::SCALAR_CUTOFF`).
+//!
+//! `count_correct` times the evaluation kernel of logistic regression on
+//! a paper-sized test split, over `f32` panels (the phishing-like data's
+//! ternary features) and `f64` panels (Gaussian features), against the
+//! per-row `predict` it replaces.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dpbyz::data::{synthetic, Dataset};
+use dpbyz::models::{LogisticRegression, LossKind, Model};
 use dpbyz_tensor::{kernels, Prng, Vector};
 use std::hint::black_box;
 
@@ -112,10 +119,60 @@ fn bench_distance_matrix(c: &mut Criterion) {
     }
 }
 
+/// The test split of a `PHISHING_SIZE`-row dataset, at the train
+/// fraction the paper workload uses.
+fn test_split(data: &Dataset) -> Dataset {
+    let n_train = (data.len() as f64 * 0.76).round() as usize;
+    data.split_at(n_train).unwrap().1
+}
+
+/// `count_correct` over the paper's test split (`f32` panels) and a
+/// Gaussian split of the same shape (`f64` panels), and the trait's
+/// per-row threshold of `predict` over the paper split.
+fn bench_count_correct(c: &mut Criterion) {
+    let mut rng = Prng::seed_from_u64(4);
+    let k = synthetic::PHISHING_FEATURES;
+    let paper = test_split(&synthetic::phishing_like(
+        &mut rng,
+        synthetic::PHISHING_SIZE,
+    ));
+    let blobs = test_split(&synthetic::gaussian_blobs(
+        &mut rng,
+        synthetic::PHISHING_SIZE,
+        k,
+        2.0,
+    ));
+    let model = LogisticRegression::new(k, LossKind::SigmoidMse);
+    let params = rng.normal_vector(model.dim(), 0.5);
+    let mut group = c.benchmark_group(format!("count_correct_rows{}", paper.len()));
+    for (name, test) in [("f32_panels", &paper), ("f64_panels", &blobs)] {
+        // Laid out once, as every evaluation after a run's first finds them.
+        test.row_panels();
+        group.bench_function(name, |bench| {
+            bench.iter(|| model.count_correct(black_box(&params), black_box(test)))
+        });
+    }
+    group.bench_function("per_row_predict", |bench| {
+        bench.iter(|| {
+            paper
+                .labels()
+                .iter()
+                .enumerate()
+                .filter(|&(i, &y)| {
+                    let x = paper.example(i).0;
+                    (model.predict(black_box(&params), x) >= 0.5) == (y == 1.0)
+                })
+                .count()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_reductions,
     bench_elementwise,
-    bench_distance_matrix
+    bench_distance_matrix,
+    bench_count_correct
 );
 criterion_main!(benches);

@@ -1,15 +1,22 @@
 //! In-memory labelled datasets, and batches as selections of their rows.
 
-use crate::DataError;
+use crate::{DataError, RowPanels};
 use dpbyz_tensor::{Matrix, Prng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A labelled dataset: one feature row per example plus a scalar label.
 ///
 /// Labels are `f64`; binary classification uses `0.0`/`1.0` (the convention
 /// of the logistic model in `dpbyz-models`).
+///
+/// A dataset also caches its rows laid out as [`RowPanels`], built on
+/// the first call to [`Dataset::row_panels`] and shared by everything that
+/// holds the same dataset (every run and sweep thread over one
+/// `Arc<Dataset>` test set). The cache costs one more copy of the
+/// features, at half their size when they are exact in `f32`; a dataset
+/// that is never evaluated never builds it. Clones, splits and subsets
+/// start without it, and equality and `Debug` ignore it.
 ///
 /// # Example
 ///
@@ -22,10 +29,10 @@ use std::sync::Arc;
 /// assert_eq!(ds.len(), 2);
 /// assert_eq!(ds.num_features(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dataset {
     features: Matrix,
     labels: Vec<f64>,
+    panels: OnceLock<RowPanels>,
 }
 
 impl Dataset {
@@ -42,15 +49,23 @@ impl Dataset {
                 labels: labels.len(),
             });
         }
-        Ok(Dataset { features, labels })
+        Ok(Dataset::from_parts(features, labels))
+    }
+
+    /// A dataset from a feature matrix and labels of matching length, for
+    /// the crate's generators, which build both to the same length.
+    pub(crate) fn from_parts(features: Matrix, labels: Vec<f64>) -> Self {
+        debug_assert_eq!(features.rows(), labels.len());
+        Dataset {
+            features,
+            labels,
+            panels: OnceLock::new(),
+        }
     }
 
     /// A dataset with no examples and no features.
     fn empty() -> Self {
-        Dataset {
-            features: Matrix::zeros(0, 0),
-            labels: Vec::new(),
-        }
+        Dataset::from_parts(Matrix::zeros(0, 0), Vec::new())
     }
 
     /// Number of examples.
@@ -85,6 +100,13 @@ impl Dataset {
     /// Panics if `i >= len()`.
     pub fn example(&self, i: usize) -> (&[f64], f64) {
         (self.features.row(i), self.labels[i])
+    }
+
+    /// The feature rows laid out as [`RowPanels`], built on the first call
+    /// (one allocation of exact size) and cached: concurrent first calls
+    /// build once, and every later call returns the same panels.
+    pub fn row_panels(&self) -> &RowPanels {
+        self.panels.get_or_init(|| RowPanels::new(&self.features))
     }
 
     /// Fraction of examples with label `1.0` (class balance diagnostic).
@@ -158,10 +180,10 @@ impl Dataset {
     ///
     /// Panics if an index is out of bounds.
     pub fn subset(&self, indices: &[usize]) -> Dataset {
-        Dataset {
-            features: self.features.select_rows(indices),
-            labels: indices.iter().map(|&i| self.labels[i]).collect(),
-        }
+        Dataset::from_parts(
+            self.features.select_rows(indices),
+            indices.iter().map(|&i| self.labels[i]).collect(),
+        )
     }
 
     /// Returns a copy with every feature column min-max scaled to `[0, 1]`.
@@ -190,10 +212,29 @@ impl Dataset {
                 out.set(i, j, v);
             }
         }
-        Dataset {
-            features: out,
-            labels: self.labels.clone(),
-        }
+        Dataset::from_parts(out, self.labels.clone())
+    }
+}
+
+impl Clone for Dataset {
+    /// Copies the rows; the copy builds its own panels when evaluated.
+    fn clone(&self) -> Self {
+        Dataset::from_parts(self.features.clone(), self.labels.clone())
+    }
+}
+
+impl PartialEq for Dataset {
+    fn eq(&self, other: &Dataset) -> bool {
+        self.features == other.features && self.labels == other.labels
+    }
+}
+
+impl fmt::Debug for Dataset {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Dataset")
+            .field("features", &self.features)
+            .field("labels", &self.labels)
+            .finish()
     }
 }
 
@@ -260,6 +301,8 @@ impl Batch {
         self.index.extend(0..rows);
         // Uniquely owned by now, so this never clones.
         let dataset = Arc::make_mut(&mut self.dataset);
+        // The rows are rewritten, so panels laid out from the old ones go.
+        dataset.panels.take();
         dataset.labels.clear();
         dataset.labels.resize(rows, 0.0);
         dataset.features.resize(rows, cols, 0.0);
@@ -473,6 +516,55 @@ mod tests {
         let s = ds.min_max_scaled();
         assert_eq!(s.features().row(0), &[0.0, 0.0]);
         assert_eq!(s.features().row(1), &[1.0, 0.0]);
+    }
+
+    #[test]
+    fn copies_of_a_dataset_lay_out_their_own_panels() {
+        let ds = tiny();
+        let panels = ds.row_panels();
+        assert!(std::ptr::eq(panels, ds.row_panels()));
+        let clone = ds.clone();
+        assert!(clone.panels.get().is_none());
+        assert_eq!(clone, ds);
+        assert_eq!(clone.row_panels(), panels);
+        assert!(!std::ptr::eq(clone.row_panels(), panels));
+        let (train, test) = ds.split_at(3).unwrap();
+        let subset = ds.subset(&[3, 0]);
+        for part in [&train, &test, &subset] {
+            assert!(part.panels.get().is_none());
+        }
+        assert_ne!(subset.row_panels(), panels);
+    }
+
+    #[test]
+    fn concurrent_first_calls_lay_out_the_panels_once() {
+        let ds = tiny();
+        let start = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|s| {
+            let call = || {
+                start.wait();
+                std::ptr::from_ref(ds.row_panels()) as usize
+            };
+            let (a, b) = (s.spawn(call), s.spawn(call));
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        assert_eq!(a, b);
+        assert_eq!(a, std::ptr::from_ref(ds.row_panels()) as usize);
+    }
+
+    #[test]
+    fn rewriting_a_batchs_own_rows_drops_their_panels() {
+        let mut b = Batch::new(Matrix::zeros(2, 2), vec![0.0, 1.0]).unwrap();
+        assert_eq!(
+            b.dataset.row_panels(),
+            &RowPanels::F32(vec![0.0; 16].into())
+        );
+        b.own_rows(1, 2).row_mut(0).copy_from_slice(&[0.1, 0.5]);
+        assert_eq!(
+            b.dataset.row_panels(),
+            &RowPanels::new(b.dataset.features())
+        );
+        assert!(matches!(b.dataset.row_panels(), RowPanels::F64(_)));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! `phishing` dataset (11 055 points, 68 features). This crate provides:
 //!
 //! * [`Dataset`] — an in-memory feature table + label vector with train/test
-//!   splitting and feature scaling;
+//!   splitting and feature scaling, which lays its rows out once as
+//!   [`RowPanels`] for batched evaluation;
 //! * [`Batch`] — a mini-batch as a selection of rows: a shared dataset plus
 //!   one index per selected row (duplicates allowed). Sampling a batch
 //!   writes only the indices, and models read the rows in place;
@@ -38,8 +39,10 @@
 mod dataset;
 mod error;
 pub mod libsvm;
+mod panels;
 pub mod sampler;
 pub mod synthetic;
 
 pub use dataset::{Batch, Dataset};
 pub use error::DataError;
+pub use panels::{RowPanels, PANEL_ROWS};

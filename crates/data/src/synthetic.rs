@@ -76,7 +76,7 @@ pub fn phishing_like(rng: &mut Prng, n: usize) -> Dataset {
             features.set(i, j, q);
         }
     }
-    Dataset::new(features, labels).expect("lengths match by construction") // lint:allow(panic-unwrap, reason = "the generator builds feature and label arrays of identical length")
+    Dataset::from_parts(features, labels)
 }
 
 /// Two isotropic Gaussian blobs at `±(separation/2, 0, …, 0)`, labelled
@@ -98,7 +98,7 @@ pub fn gaussian_blobs(rng: &mut Prng, n: usize, dim: usize, separation: f64) -> 
         }
         labels.push(if y { 1.0 } else { 0.0 });
     }
-    Dataset::new(features, labels).expect("lengths match by construction") // lint:allow(panic-unwrap, reason = "the generator builds feature and label arrays of identical length")
+    Dataset::from_parts(features, labels)
 }
 
 /// Linear regression data `y = <w*, x> + N(0, noise²)` with `x ~ N(0, I)`.
@@ -115,10 +115,7 @@ pub fn linear_regression(rng: &mut Prng, n: usize, dim: usize, noise: f64) -> (D
             features.set(i, j, x[j]);
         }
     }
-    (
-        Dataset::new(features, labels).expect("lengths match by construction"), // lint:allow(panic-unwrap, reason = "the generator builds feature and label arrays of identical length")
-        w_star,
-    )
+    (Dataset::from_parts(features, labels), w_star)
 }
 
 /// The data distribution of Theorem 1's lower-bound construction:

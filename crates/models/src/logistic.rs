@@ -1,7 +1,7 @@
 //! Logistic regression — the paper's evaluation model (§5.1).
 
 use crate::Model;
-use dpbyz_data::{Batch, Dataset};
+use dpbyz_data::{Batch, Dataset, RowPanels, PANEL_ROWS};
 use dpbyz_tensor::Vector;
 use serde::{Deserialize, Serialize};
 
@@ -14,6 +14,40 @@ pub fn sigmoid(z: f64) -> f64 {
         e / (1.0 + e)
     }
 }
+
+/// Whether a row with margin `z` is predicted positive, `sigmoid(z) >=
+/// 0.5`, with the `exp` evaluated only for margins in `[-SIGN_BAND, 0)`
+/// and NaN.
+///
+/// Both shortcuts agree with [`sigmoid`] for any faithfully rounded `exp`
+/// (one whose result is one of the two doubles around the exact value):
+///
+/// * `z >= 0` (including `-0.0` and `+∞`): the exact `e^{-z}` is at
+///   most 1, a double, so `exp(-z) <= 1`; then `1 + exp(-z)` rounds to
+///   at most 2 and the quotient `1 / (1 + exp(-z))` to at least `0.5`.
+/// * `z < -SIGN_BAND` (including `-∞`): the exact `e^z` is below
+///   `e^{-1e-9} < 1 - 9.99e-10`, and a faithful `exp` is off by less than
+///   one ulp (`2.2e-16` near 1), so `e = exp(z) < 1 - 9.9e-10`. The exact
+///   `e / (1 + e)` is then below `0.5 - 2.4e-10`, and the two roundings
+///   of `sigmoid` (the sum and the quotient, each within a relative
+///   `2^-53`) move it by less than `1.2e-16`: it stays below `0.5`.
+///
+/// Between the two, `sigmoid(z)` may round to exactly `0.5` (at `z =
+/// -1e-20` it does), so those margins, and NaN, take the `exp`. The two
+/// shortcut tests are joined without short-circuiting, so a margin
+/// outside the band costs one well-predicted branch whatever its sign.
+fn predicts_positive(z: f64) -> bool {
+    let positive = z >= 0.0;
+    if positive | (z < -SIGN_BAND) {
+        positive
+    } else {
+        sigmoid(z) >= 0.5
+    }
+}
+
+/// Half-width of the band of negative margins [`predicts_positive`]
+/// hands to [`sigmoid`].
+const SIGN_BAND: f64 = 1e-9;
 
 /// Rows per block of the margin pass shared by the loss and gradient.
 const MARGIN_BLOCK: usize = 8;
@@ -78,39 +112,35 @@ impl LogisticRegression {
         z
     }
 
-    /// Walks rows `0..len` of `row` in [`MARGIN_BLOCK`]-row blocks, then
-    /// the rows left over after the last block as blocks of one, handing
-    /// each block's margins and rows to `visit` in row order. Each margin
-    /// is `raw(params, x)` bit for bit: one accumulator per row, bias
-    /// first, then features left to right, but a block's dependent add
-    /// chains overlap instead of running back to back.
-    fn walk<'a, V: BlockVisitor>(
-        &self,
-        params: &Vector,
-        len: usize,
-        row: impl Fn(usize) -> (&'a [f64], f64),
-        visit: &mut V,
-    ) {
+    /// Walks the rows of `batch` in [`MARGIN_BLOCK`]-row blocks, then the
+    /// rows left over after the last block as blocks of one, handing each
+    /// block's margins and rows to `visit` in row order. Each margin is
+    /// `raw(params, x)` bit for bit: one accumulator per row, bias first,
+    /// then features left to right, but a block's dependent add chains
+    /// overlap instead of running back to back.
+    fn walk<V: BlockVisitor>(&self, params: &Vector, batch: &Batch, visit: &mut V) {
+        let len = batch.len();
         let blocked = len - len % MARGIN_BLOCK;
         for start in (0..blocked).step_by(MARGIN_BLOCK) {
-            self.margin_block::<MARGIN_BLOCK, V>(params, start, &row, visit);
+            self.margin_block::<MARGIN_BLOCK, V>(params, batch, start, visit);
         }
         for i in blocked..len {
-            self.margin_block::<1, V>(params, i, &row, visit);
+            self.margin_block::<1, V>(params, batch, i, visit);
         }
     }
 
-    /// The margins of the `R` rows from `start`, handed to `visit`.
-    fn margin_block<'a, const R: usize, V: BlockVisitor>(
+    /// The margins of the `R` rows of `batch` from `start`, handed to
+    /// `visit`.
+    fn margin_block<const R: usize, V: BlockVisitor>(
         &self,
         params: &Vector,
+        batch: &Batch,
         start: usize,
-        row: &impl Fn(usize) -> (&'a [f64], f64),
         visit: &mut V,
     ) {
         let w = params.as_slice();
         let (w, bias) = (&w[..self.num_features], w[self.num_features]);
-        let rows: [(&[f64], f64); R] = std::array::from_fn(|r| row(start + r));
+        let rows: [(&[f64], f64); R] = std::array::from_fn(|r| batch.example(start + r));
         // Rows cut to the weights' length, so the loop below runs without
         // bounds checks (and vectorizes across the block's rows).
         let xs: [&[f64]; R] = std::array::from_fn(|r| &rows[r].0[..w.len()]);
@@ -124,9 +154,34 @@ impl LogisticRegression {
         visit.block(&z, &rows);
     }
 
-    /// [`LogisticRegression::walk`] over the rows of `batch`.
-    fn walk_batch<V: BlockVisitor>(&self, params: &Vector, batch: &Batch, visit: &mut V) {
-        self.walk(params, batch.len(), |i| batch.example(i), visit);
+    /// The rows among `labels` whose prediction matches the label, over
+    /// their [`RowPanels`] values of `cols` features per row. Each lane
+    /// adds bias first, then `w_j · x_j` for the features in order, on the
+    /// same `f64` operands as [`LogisticRegression::raw`]; the panel's
+    /// padding lanes have no label and are not counted.
+    fn count_panels<T: Copy + Into<f64>>(
+        &self,
+        params: &Vector,
+        values: &[T],
+        cols: usize,
+        labels: &[f64],
+    ) -> usize {
+        let w = params.as_slice();
+        let (w, bias) = (&w[..self.num_features], w[self.num_features]);
+        let (lanes, _) = values.as_chunks::<PANEL_ROWS>();
+        let mut correct = 0;
+        for (panel, ys) in lanes.chunks_exact(cols).zip(labels.chunks(PANEL_ROWS)) {
+            let mut z = [bias; PANEL_ROWS];
+            for (&wj, xs) in w.iter().zip(panel) {
+                for (zr, &x) in z.iter_mut().zip(xs) {
+                    *zr += wj * x.into();
+                }
+            }
+            for (&zr, &y) in z.iter().zip(ys) {
+                correct += usize::from(predicts_positive(zr) == (y == 1.0));
+            }
+        }
+        correct
     }
 
     /// Writes the average gradient over `batch` into `out` and returns
@@ -146,7 +201,7 @@ impl LogisticRegression {
             with_loss,
             total: 0.0,
         };
-        self.walk_batch(params, batch, &mut sum);
+        self.walk(params, batch, &mut sum);
         let total = sum.total;
         out.scale(1.0 / batch.len() as f64);
         total
@@ -236,18 +291,6 @@ impl BlockVisitor for GradientSum<'_, '_> {
     }
 }
 
-/// Counts the rows whose prediction `sigmoid(z) >= 0.5` matches the label
-/// `y == 1.0`.
-struct CorrectCount(usize);
-
-impl BlockVisitor for CorrectCount {
-    fn block<const R: usize>(&mut self, z: &[f64; R], rows: &[(&[f64], f64); R]) {
-        for (&zr, &(_, y)) in z.iter().zip(rows) {
-            self.0 += usize::from((sigmoid(zr) >= 0.5) == (y == 1.0));
-        }
-    }
-}
-
 impl Model for LogisticRegression {
     fn dim(&self) -> usize {
         self.num_features + 1
@@ -259,7 +302,7 @@ impl Model for LogisticRegression {
             model: self,
             total: 0.0,
         };
-        self.walk_batch(params, batch, &mut sum);
+        self.walk(params, batch, &mut sum);
         sum.total / batch.len() as f64
     }
 
@@ -280,10 +323,29 @@ impl Model for LogisticRegression {
         sigmoid(self.raw(params, features))
     }
 
+    /// Classifies the rows of `dataset` a panel of [`PANEL_ROWS`] rows at
+    /// a time, over the dataset's cached [`RowPanels`]: each row's margin
+    /// is the one [`Model::predict`] computes, bit for bit, and the
+    /// threshold is `sigmoid(z) >= 0.5` exactly (an exact sign test,
+    /// taking the `exp` only for margins within `1e-9` below zero), so the
+    /// count is the per-row one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-empty `dataset` has fewer features than the model.
     fn count_correct(&self, params: &Vector, dataset: &Dataset) -> usize {
-        let mut count = CorrectCount(0);
-        self.walk(params, dataset.len(), |i| dataset.example(i), &mut count);
-        count.0
+        if dataset.is_empty() {
+            return 0;
+        }
+        assert!(
+            dataset.num_features() >= self.num_features,
+            "the dataset has fewer features than the model"
+        );
+        let (cols, labels) = (dataset.num_features(), dataset.labels());
+        match dataset.row_panels() {
+            RowPanels::F32(values) => self.count_panels(params, values, cols, labels),
+            RowPanels::F64(values) => self.count_panels(params, values, cols, labels),
+        }
     }
 }
 
@@ -423,32 +485,78 @@ mod tests {
         }
     }
 
+    /// The panel count equals the trait's default, `predict` thresholded
+    /// row by row, at every length 0..=17, on `f32` panels (ternary
+    /// features) and `f64` panels (Gaussian ones), for random, huge,
+    /// infinite and NaN parameters.
     #[test]
     fn blocked_count_correct_matches_per_row_predict() {
         let mut rng = Prng::seed_from_u64(7);
-        let ds = synthetic::phishing_like(&mut rng, 40);
-        let m = LogisticRegression::new(synthetic::PHISHING_FEATURES, LossKind::SigmoidMse);
+        let k = synthetic::PHISHING_FEATURES;
+        let datasets = [
+            synthetic::phishing_like(&mut rng, 40),
+            synthetic::gaussian_blobs(&mut rng, 40, k, 1.0),
+        ];
+        assert!(matches!(datasets[0].row_panels(), RowPanels::F32(_)));
+        assert!(matches!(datasets[1].row_panels(), RowPanels::F64(_)));
+        let m = LogisticRegression::new(k, LossKind::SigmoidMse);
+        let d = m.dim();
         // A margin of -1e-20 is negative, yet its sigmoid rounds to
         // exactly 0.5, so the row is predicted positive: the threshold is
         // `sigmoid(z) >= 0.5`, not `z >= 0`.
         assert_eq!(sigmoid(-1e-20), 0.5);
-        let mut tiny = Vector::zeros(m.dim());
-        tiny[m.dim() - 1] = -1e-20;
-        let params = [rng.normal_vector(m.dim(), 0.5), tiny.clone()];
-        for len in 0..=17 {
-            let rows: Vec<usize> = (0..len).map(|i| (5 * i + len) % ds.len()).collect();
-            let subset = ds.subset(&rows);
-            for p in &params {
-                let per_row = subset
-                    .labels()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, &y)| (m.predict(p, subset.example(i).0) >= 0.5) == (y == 1.0))
-                    .count();
-                assert_eq!(m.count_correct(p, &subset), per_row, "{len} rows");
+        let mut tiny = Vector::zeros(d);
+        tiny[d - 1] = -1e-20;
+        let mut mixed = rng.normal_vector(d, 0.5);
+        mixed[0] = f64::INFINITY;
+        mixed[1] = f64::NEG_INFINITY;
+        mixed[2] = f64::NAN;
+        let params = [
+            rng.normal_vector(d, 0.5),
+            tiny.clone(),
+            rng.normal_vector(d, 0.5).scaled(1e300),
+            Vector::filled(d, 1e300),
+            Vector::filled(d, -1e300),
+            Vector::filled(d, f64::INFINITY),
+            Vector::filled(d, f64::NEG_INFINITY),
+            Vector::filled(d, f64::NAN),
+            mixed,
+        ];
+        for ds in &datasets {
+            for len in 0..=17 {
+                let rows: Vec<usize> = (0..len).map(|i| (5 * i + len) % ds.len()).collect();
+                let subset = ds.subset(&rows);
+                for p in &params {
+                    let per_row = subset
+                        .labels()
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, &y)| (m.predict(p, subset.example(i).0) >= 0.5) == (y == 1.0))
+                        .count();
+                    assert_eq!(
+                        m.count_correct(p, &subset),
+                        per_row,
+                        "{len} rows, params {:?}",
+                        &p.as_slice()[..3]
+                    );
+                }
+                let positives = subset.labels().iter().filter(|&&y| y == 1.0).count();
+                assert_eq!(m.count_correct(&tiny, &subset), positives, "{len} rows");
             }
-            let positives = subset.labels().iter().filter(|&&y| y == 1.0).count();
-            assert_eq!(m.count_correct(&tiny, &subset), positives, "{len} rows");
+        }
+    }
+
+    #[test]
+    fn predicts_positive_is_the_sigmoid_threshold() {
+        let mut margins = vec![0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        for k in -1074..=10 {
+            let z = 2f64.powi(k);
+            for z in [z, -z] {
+                margins.extend([z, z.next_up(), z.next_down()]);
+            }
+        }
+        for z in margins {
+            assert_eq!(predicts_positive(z), sigmoid(z) >= 0.5, "z = {z:e}");
         }
     }
 
@@ -465,7 +573,7 @@ mod tests {
                 // row-at-a-time margins bit for bit: whole 8-row blocks
                 // first, then the leftover rows one at a time.
                 let mut seen = Recorder::default();
-                m.walk_batch(&params, batch, &mut seen);
+                m.walk(&params, batch, &mut seen);
                 let expected: Vec<_> = batch
                     .iter()
                     .map(|(x, y)| (m.raw(&params, x).to_bits(), x.to_vec(), y))

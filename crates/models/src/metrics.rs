@@ -7,7 +7,10 @@ use dpbyz_tensor::Vector;
 /// Binary classification accuracy of `model(params)` on `dataset`,
 /// thresholding the predicted probability at 0.5 ([`Model::count_correct`]).
 ///
-/// This is the paper's "cross-accuracy over the entire testing set".
+/// This is the paper's "cross-accuracy over the entire testing set". For
+/// logistic regression the first call on a dataset lays out its
+/// [`Dataset::row_panels`], which later calls on the same dataset (every
+/// evaluation of every run sharing it) reuse.
 ///
 /// # Panics
 ///

@@ -49,6 +49,10 @@ pub trait Model: Send + Sync {
     /// whose prediction, thresholded at 0.5 (`predict(params, x) >= 0.5`),
     /// agrees with `y == 1.0`. The default predicts row by row; models
     /// that batch their forward pass override it, with the same count.
+    /// [`LogisticRegression`](crate::LogisticRegression) reads the
+    /// dataset's cached [`Dataset::row_panels`], laying them out on its
+    /// first evaluation of that dataset (one allocation, about the size of
+    /// the features or half of it), and never allocates after that.
     fn count_correct(&self, params: &Vector, dataset: &Dataset) -> usize {
         (0..dataset.len())
             .filter(|&i| {

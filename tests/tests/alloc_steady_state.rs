@@ -6,7 +6,9 @@
 //! network — and for Theorem 1's mean-estimation cell at d = 1000, whose
 //! workers synthesize fresh rows every step. The `evaluating_` cases run
 //! the paper cell with a test set classified every few rounds, in process
-//! and over the simulated network. The `threaded_` cases run at
+//! and over the simulated network; a second run over the same test set
+//! on the same scratch evaluates from the panels the first run laid out,
+//! so even its first evaluation allocates nothing. The `threaded_` cases run at
 //! a batch size large enough that the engine leases each worker to its
 //! own pool thread, so they cover the thread hop too: leasing each
 //! worker's packet, reclaiming it, and swapping its output into the
@@ -27,12 +29,13 @@
 use dpbyz::attacks::{Attack, LittleIsEnough};
 use dpbyz::data::sampler::{BatchSource, DatasetSource, SamplingMode};
 use dpbyz::data::synthetic::{self, MeanEstimation, MeanEstimationSource};
-use dpbyz::data::Batch;
+use dpbyz::data::{Batch, Dataset};
 use dpbyz::dp::{GaussianMechanism, Mechanism};
 use dpbyz::gars::{Average, CoordinateMedian, Gar, Krum, Mda};
 use dpbyz::models::{LogisticRegression, LossKind, Model, QuadraticMean};
 use dpbyz::server::{FnObserver, MomentumMode, Trainer, TrainingConfig};
 use dpbyz::tensor::Prng;
+use dpbyz::RunScratch;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -172,11 +175,13 @@ impl Record {
 /// A trainer for `cell` whose observer records the cumulative allocation
 /// count at the end of every step, plus the shared record. The record is
 /// pre-reserved so the observer itself never allocates on the hot path.
+/// [`Cell::Evaluating`] classifies `test`, or a fresh test set if `None`.
 fn counting_trainer(
     gar: Arc<dyn Gar>,
     cell: Cell,
     leased: bool,
     agg_threads: usize,
+    test: Option<Arc<Dataset>>,
 ) -> (Trainer, Record) {
     let (n, f) = match cell {
         Cell::Honest | Cell::MeanEstimation => (5, 0),
@@ -224,7 +229,7 @@ fn counting_trainer(
     let (eval_every, test) = match cell {
         Cell::Evaluating => (
             EVAL_EVERY,
-            Some(Arc::new(synthetic::phishing_like(&mut rng, 300))),
+            Some(test.unwrap_or_else(|| Arc::new(synthetic::phishing_like(&mut rng, 300)))),
         ),
         _ => (0, None),
     };
@@ -280,7 +285,7 @@ fn per_step_allocation_counts_on(
     leased: bool,
     agg_threads: usize,
 ) -> Vec<u64> {
-    let (trainer, record) = counting_trainer(gar, cell, leased, agg_threads);
+    let (trainer, record) = counting_trainer(gar, cell, leased, agg_threads, None);
     trainer.run(1).unwrap();
     let off_thread = record.off_thread.load(Ordering::Relaxed);
     // The run executes alone (`serial`), so it leases whenever the
@@ -435,6 +440,52 @@ fn evaluating_paper_cell_is_allocation_free_at_steady_state() {
     assert_steady_state_allocation_free("mda/gaussian/alie/worker-momentum/eval", &counts);
 }
 
+// A test set lays out its evaluation panels once, on its first
+// evaluation, and keeps them: a second run over the same test set on the
+// same scratch builds none, so its first evaluating round allocates
+// nothing, as every later one does in both runs.
+
+#[test]
+fn evaluating_runs_over_one_test_set_lay_out_its_panels_once() {
+    let _serial = serial();
+    let test = Arc::new(synthetic::phishing_like(&mut Prng::seed_from_u64(12), 300));
+    let mut scratch = RunScratch::new();
+    let runs: Vec<Vec<u64>> = (0..2)
+        .map(|_| {
+            let (trainer, record) = counting_trainer(
+                Arc::new(Mda::new()),
+                Cell::Evaluating,
+                false,
+                1,
+                Some(test.clone()),
+            );
+            trainer.run_with_scratch(1, &mut scratch).unwrap();
+            record.counts()
+        })
+        .collect();
+    for (run, counts) in runs.iter().enumerate() {
+        assert_steady_state_allocation_free(&format!("run {run}/mda/eval"), counts);
+    }
+    // The allocations of the round that evaluates first, at step
+    // EVAL_EVERY, stored at index EVAL_EVERY - 1.
+    let first_eval = |counts: &[u64]| {
+        let t = EVAL_EVERY as usize;
+        counts[t - 1] - counts[t - 2]
+    };
+    assert_eq!(
+        first_eval(&runs[0]),
+        1,
+        "the first run's first evaluation lays the panels out in one allocation (counts: {:?})",
+        runs[0]
+    );
+    assert_eq!(
+        first_eval(&runs[1]),
+        0,
+        "the second run's first evaluation allocated (counts: {:?})",
+        runs[1]
+    );
+}
+
 // ---- the sim deployment -------------------------------------------------
 
 /// [`per_step_allocation_counts`] over the in-memory chaos transport:
@@ -443,9 +494,8 @@ fn evaluating_paper_cell_is_allocation_free_at_steady_state() {
 /// does, all on this thread.
 fn per_step_allocation_counts_sim(gar: Arc<dyn Gar>, cell: Cell, chaos: Option<u64>) -> Vec<u64> {
     use dpbyz::net::{drive, Deployment, FaultPlan, SimNet};
-    use dpbyz::RunScratch;
 
-    let (trainer, record) = counting_trainer(gar, cell, false, 1);
+    let (trainer, record) = counting_trainer(gar, cell, false, 1, None);
     let mut scratch = RunScratch::new();
     let (core, workers) = trainer.into_distributed_parts(1, &mut scratch);
     let n = workers.len();
@@ -497,10 +547,9 @@ fn sim_paper_mda_alie_cell_under_chaos_is_allocation_free_at_steady_state() {
 /// is process-global, so the snapshots include the worker sessions too.
 fn per_step_allocation_counts_tcp(gar: Arc<dyn Gar>) -> Vec<u64> {
     use dpbyz::net::{run_worker, Deployment, TcpCoordinator};
-    use dpbyz::RunScratch;
 
     let n = 5;
-    let (trainer, record) = counting_trainer(gar, Cell::Honest, false, 1);
+    let (trainer, record) = counting_trainer(gar, Cell::Honest, false, 1, None);
 
     let mut scratch = RunScratch::new();
     let (core, workers) = trainer.into_distributed_parts(1, &mut scratch);
