@@ -29,31 +29,6 @@ pub fn full_loss(model: &dyn Model, params: &Vector, dataset: &Dataset) -> f64 {
     model.loss(params, &dataset.full_batch())
 }
 
-/// Confusion counts `(true_pos, true_neg, false_pos, false_neg)`.
-///
-/// # Panics
-///
-/// Panics if the dataset is empty.
-pub fn confusion(
-    model: &dyn Model,
-    params: &Vector,
-    dataset: &Dataset,
-) -> (usize, usize, usize, usize) {
-    assert!(!dataset.is_empty(), "confusion over an empty dataset");
-    let (mut tp, mut tn, mut fp, mut fne) = (0, 0, 0, 0);
-    for i in 0..dataset.len() {
-        let (x, y) = dataset.example(i);
-        let pred = model.predict(params, x) >= 0.5;
-        match (pred, y == 1.0) {
-            (true, true) => tp += 1,
-            (false, false) => tn += 1,
-            (true, false) => fp += 1,
-            (false, true) => fne += 1,
-        }
-    }
-    (tp, tn, fp, fne)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,8 +47,6 @@ mod tests {
         // w = 10, b = 0 separates perfectly.
         let params = Vector::from(vec![10.0, 0.0]);
         assert_eq!(accuracy(&m, &params, &ds()), 1.0);
-        let (tp, tn, fp, fne) = confusion(&m, &params, &ds());
-        assert_eq!((tp, tn, fp, fne), (2, 2, 0, 0));
     }
 
     #[test]

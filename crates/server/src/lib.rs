@@ -11,12 +11,14 @@
 //! zero-copy: the round hot path (worker batch/gradient buffers, the
 //! server's submission set, GAR scratch) is recycled across rounds, so
 //! steady-state rounds perform **no** heap allocation. Each round it
-//! decides whether the honest workers compute inline or each on a
-//! persistent OS thread of a [`LeasePool`](dpbyz_tensor::LeasePool):
-//! only runs whose per-worker round work is large lease, and only while
-//! a core is free of other in-process runs. Histories are
-//! **bit-identical** either way, and the leased path allocates nothing
-//! at steady state either.
+//! decides whether the honest workers compute inline, or are shared
+//! between the driving thread and persistent OS threads of a
+//! [`LeasePool`](dpbyz_tensor::LeasePool), each claiming the next
+//! uncomputed worker from one cursor: only runs whose per-worker round
+//! work reaches a measured cutoff (the paper's §5.1 cell does) share
+//! their rounds, and only with the cores that other in-process runs
+//! leave free. Histories are **bit-identical** at every thread count, and
+//! a shared round allocates nothing at steady state either.
 //!
 //! [`Trainer::run_with_scratch`] additionally takes a [`RunScratch`],
 //! recycling the whole working set, worker threads included, across

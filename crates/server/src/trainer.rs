@@ -12,34 +12,42 @@ use dpbyz_gars::{vn, Average, Gar, GarError, GarScratch};
 use dpbyz_models::{metrics::accuracy, Model};
 use dpbyz_tensor::{Lease, LeasePool, Prng, Vector};
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::thread;
 
 /// Smallest per-worker round work, `batch_size × dim`, at which
-/// [`Trainer::run_with_scratch`] leases the honest workers to the
-/// scratch's thread pool. Below it the thread hop can cost more than the
-/// parallel compute saves, so the workers run inline. Measured on a
-/// 2-vCPU Xeon with 6 honest workers: logistic regression (d = 69)
-/// loses by leasing at b·d = 3 450 and 6 900 and wins from 10 350 up;
-/// mean estimation (b = 1) wins from d = 1 000 up.
-const LEASE_MIN_WORK: usize = 10_000;
+/// [`Trainer::run_with_scratch`] lets pool threads claim honest workers
+/// beside the driving thread. Below it the hand-off costs about what the
+/// second core saves, so the workers run inline. Measured on a 2-vCPU
+/// Xeon, one helper against none, as the ratio of the median µs per
+/// round of 7 alternating 2 000-step runs each (leased / inline), with
+/// MDA, Gaussian noise and the fall-of-empires attack:
+///
+/// | logistic, d = 69  | b·d = 345 | 690  | 1 035 | 1 380 | 3 450 | 10 350 |
+/// |-------------------|-----------|------|-------|-------|-------|--------|
+/// | 2 honest (n = 3)  | 1.25      | 0.98 | 0.86  | 0.91  | 0.71  | 0.68   |
+/// | 3 honest (n = 5)  | 1.00      | 1.00 | 0.96  | 0.92  | 0.85  | 0.75   |
+/// | 6 honest (n = 11) | 0.97      | 0.98 | 0.95  | 0.95  | 0.93  | 0.76   |
+///
+/// Mean estimation at b = 1 with 2, 3 and 6 honest workers: 1.04, 0.82
+/// and 0.72 at d = 250; 0.92, 0.76 and 0.70 at d = 1 000. The cutoff
+/// sits where no measured cell loses.
+const LEASE_MIN_WORK: usize = 1_000;
 
-/// Whether a round computes its honest workers on the pool: only with
-/// two or more of them, each doing at least [`LEASE_MIN_WORK`], and only
-/// while the `busy` threads that hold a live [`RunScratch`] (this run's
-/// included) leave a core free. A parallel sweep keeps one scratch per
-/// pool thread and one thread per core, so its jobs stay inline: leasing
-/// there only adds thread hand-offs. Both paths give bit-identical
+/// How many pool threads claim honest workers beside the driving thread
+/// in a round: none unless each worker does at least [`LEASE_MIN_WORK`],
+/// one fewer than the workers at most, and no more than the cores the
+/// `busy` threads that hold a live [`RunScratch`] (this run's included)
+/// leave free. A parallel sweep keeps one scratch per pool thread and
+/// one thread per core, so its jobs stay inline: helpers there would
+/// only take cores from other jobs. Every count gives bit-identical
 /// histories, so this is a speed choice.
-fn leases_workers(
-    n_honest: usize,
-    batch_size: usize,
-    dim: usize,
-    busy: usize,
-    cores: usize,
-) -> bool {
-    n_honest >= 2 && batch_size.saturating_mul(dim) >= LEASE_MIN_WORK && busy < cores
+fn helpers(n_honest: usize, batch_size: usize, dim: usize, busy: usize, cores: usize) -> usize {
+    if batch_size.saturating_mul(dim) < LEASE_MIN_WORK {
+        return 0;
+    }
+    cores.saturating_sub(busy).min(n_honest.saturating_sub(1))
 }
 
 /// [`RunScratch`]es alive now, on any thread. Each stands for a thread
@@ -70,21 +78,112 @@ fn cores() -> usize {
     *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
-/// One worker's round on a pool thread: the worker, the round's shared
-/// broadcast parameters and batch size, and the output slot it fills.
-/// All four are lent for one round and taken back at reclaim.
+/// One run's honest workers as a round that several threads work on at
+/// once: the driving thread and every pool thread it leases a
+/// [`WorkerLease`] to claim the next uncomputed worker from one cursor
+/// until none is left. Which thread computes which worker does not
+/// matter: a worker's output depends only on its own state and the
+/// round's parameters.
+pub(crate) struct SharedRound {
+    /// `generation << 32 | next unclaimed worker`. A claim names the
+    /// round it was made for, so it can never take a later round's
+    /// worker. The Release store in [`SharedRound::open`] pairs with the
+    /// Acquire loads of [`SharedRound::claim`]: a claimant that sees a
+    /// generation sees the round opened for it.
+    cursor: AtomicU64,
+    /// The round's broadcast parameters and batch size: written by the
+    /// driving thread between rounds, read by every claimant during one.
+    input: RwLock<(Vector, usize)>,
+    /// Each honest worker with the output slot it fills, locked by the
+    /// one thread that claimed it. A panicking worker poisons its lock;
+    /// the panic ends the run before anything reads the slot again.
+    slots: Vec<Mutex<(HonestWorker, WorkerOutput)>>,
+}
+
+impl SharedRound {
+    fn new(workers: Vec<HonestWorker>, dim: usize) -> Self {
+        let slots = workers
+            .into_iter()
+            .map(|w| Mutex::new((w, WorkerOutput::default())));
+        SharedRound {
+            cursor: AtomicU64::new(0),
+            input: RwLock::new((Vector::zeros(dim), 0)),
+            slots: slots.collect(),
+        }
+    }
+
+    /// Opens round `generation`: publishes its parameters and batch size,
+    /// moves the output buffers into the slots, and sets the cursor to
+    /// the round's first worker. Only the driving thread calls this, with
+    /// no lease out.
+    fn open(
+        &self,
+        generation: u32,
+        params: &Vector,
+        batch_size: usize,
+        outputs: &mut [WorkerOutput],
+    ) {
+        let mut input = self.input.write().unwrap_or_else(PoisonError::into_inner);
+        input.0.copy_from(params);
+        input.1 = batch_size;
+        drop(input);
+        self.swap_outputs(outputs);
+        self.cursor
+            .store(u64::from(generation) << 32, Ordering::Release);
+    }
+
+    /// Moves the computed outputs back out of the slots, once every
+    /// claimant of the round is done.
+    fn close(&self, outputs: &mut [WorkerOutput]) {
+        self.swap_outputs(outputs);
+    }
+
+    fn swap_outputs(&self, outputs: &mut [WorkerOutput]) {
+        for (slot, out) in self.slots.iter().zip(outputs) {
+            let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+            std::mem::swap(&mut slot.1, out);
+        }
+    }
+
+    /// Claims the next uncomputed worker of round `generation`: `None`
+    /// once every worker is claimed, or if another round is open (the
+    /// cursor is then left as it is).
+    fn claim(&self, generation: u32) -> Option<usize> {
+        let next = |cursor: u64| (cursor & u64::from(u32::MAX)) as usize;
+        self.cursor
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cursor| {
+                let open = cursor >> 32 == u64::from(generation);
+                (open && next(cursor) < self.slots.len()).then_some(cursor + 1)
+            })
+            .ok()
+            .map(next)
+    }
+
+    /// Computes the workers of round `generation` that this thread
+    /// claims, until none is left.
+    fn work(&self, generation: u32) {
+        let input = self.input.read().unwrap_or_else(PoisonError::into_inner);
+        while let Some(i) = self.claim(generation) {
+            let mut slot = self.slots[i].lock().unwrap_or_else(PoisonError::into_inner);
+            let (worker, out) = &mut *slot;
+            worker.compute_into(&input.0, input.1, out);
+        }
+    }
+}
+
+/// A pool thread's part in one round: the round, shared with the driving
+/// thread, and the generation its claims are for. Lent for one round and
+/// taken back at recall.
 #[derive(Default)]
 pub(crate) struct WorkerLease {
-    worker: Option<HonestWorker>,
-    params: Option<Arc<Vector>>,
-    batch_size: usize,
-    out: WorkerOutput,
+    round: Option<Arc<SharedRound>>,
+    generation: u32,
 }
 
 impl Lease for WorkerLease {
     fn run(&mut self) {
-        if let (Some(worker), Some(params)) = (&mut self.worker, &self.params) {
-            worker.compute_into(params, self.batch_size, &mut self.out);
+        if let Some(round) = &self.round {
+            round.work(self.generation);
         }
     }
 }
@@ -169,12 +268,11 @@ pub struct ServerCore {
 /// working set instead of rebuilding it per job.
 ///
 /// Holds the server's round buffers (submission set, forged/mean/
-/// aggregated vectors, GAR scratch), the per-worker output slots, the
-/// broadcast-parameter buffer, and the persistent worker thread pool
-/// with one worker packet per thread (spawned only by runs large enough
-/// to lease their workers). A live scratch counts as one thread busy with
-/// in-process runs: rounds lease only while fewer scratches live than the
-/// process has cores.
+/// aggregated vectors, GAR scratch), the per-worker output slots, and the
+/// persistent pool of helper threads that claim workers beside the
+/// driving thread (spawned only by runs large enough to use them). A live
+/// scratch counts as one thread busy with in-process runs: rounds take
+/// helpers only from the cores that the live scratches leave free.
 /// Buffer shapes adapt in place when the next run has a different
 /// topology or dimension; reuse is **bit-invisible** — a run with a
 /// dirty scratch produces exactly the history a fresh one does (every
@@ -183,11 +281,9 @@ pub struct ServerCore {
 pub struct RunScratch {
     pub(crate) round: RoundBuffers,
     pub(crate) outputs: Vec<WorkerOutput>,
-    /// The round's broadcast parameters, shared with leased workers.
-    pub(crate) params: Arc<Vector>,
-    /// Worker threads that outlive the run; empty until a round leases.
+    /// Helper threads that outlive the run; empty until a round leases.
     pub(crate) pool: LeasePool<WorkerLease>,
-    /// Counts this scratch as a busy thread for [`leases_workers`].
+    /// Counts this scratch as a busy thread for [`helpers`].
     _counted: Counted,
 }
 
@@ -614,9 +710,10 @@ impl Trainer {
     /// a previous run left in the scratch.
     ///
     /// Each round, the run's shape and the live scratches of other
-    /// threads decide where the honest workers compute: inline on this
-    /// thread, or, when each does enough work and a core is free of other
-    /// runs, on the scratch's persistent threads. Consecutive runs on one scratch reuse those threads. The
+    /// threads decide where the honest workers compute: all on this
+    /// thread, or, when each does enough work and cores are free of other
+    /// runs, shared between this thread and the scratch's persistent
+    /// threads. Consecutive runs on one scratch reuse those threads. The
     /// history is the same either way.
     ///
     /// # Errors
@@ -635,61 +732,48 @@ impl Trainer {
         let (batch_size, dim) = (self.config.batch_size, self.model.dim());
         self.run_rounds(seed, scratch, || {
             let busy = LIVE_SCRATCHES.load(Ordering::Relaxed);
-            leases_workers(n_honest, batch_size, dim, busy, cores())
+            helpers(n_honest, batch_size, dim, busy, cores())
         })
     }
 
-    /// The in-process round loop. Its two paths differ only in how a
-    /// round's honest outputs get computed: inline on this thread, or
-    /// (when `lease()` says so for that round) on the scratch's thread
-    /// pool, one [`WorkerLease`] per worker, reclaimed in worker-id order.
-    /// The arithmetic and RNG streams are the same either way, so a run
-    /// may switch paths between rounds. Tests force a path through here.
+    /// The in-process round loop. Each round it opens one
+    /// [`SharedRound`] over the honest workers, leases a [`WorkerLease`]
+    /// to as many pool threads as `helpers()` says (none: every worker
+    /// runs inline), and claims workers itself until none is left. A
+    /// helper still computing a claimed worker is waited for; a packet
+    /// still unpicked is taken back unrun, so the driving thread never
+    /// waits for a helper that has claimed nothing. The arithmetic and
+    /// RNG streams are the same at every helper count, so a run may
+    /// change it between rounds. Tests force a count through here.
     pub(crate) fn run_rounds(
         self,
         seed: u64,
         scratch: &mut RunScratch,
-        lease: impl Fn() -> bool,
+        helpers: impl Fn() -> usize,
     ) -> Result<RunHistory, GarError> {
         let (mut core, workers) = self.into_distributed_parts(seed, scratch);
-        let mut workers: Vec<Option<HonestWorker>> = workers.into_iter().map(Some).collect();
         let n_honest = workers.len();
-        // Round state comes from the scratch, so consecutive runs reuse it.
+        let round = Arc::new(SharedRound::new(workers, core.params().dim()));
+        // Output buffers come from the scratch, so consecutive runs reuse them.
         let mut outputs = std::mem::take(&mut scratch.outputs);
         outputs.resize_with(n_honest, WorkerOutput::default);
         let pool = &mut scratch.pool;
         let result = (1..=core.config().steps).try_for_each(|t| {
-            let batch_size = core.config().batch_at(t);
-            // No packet keeps the Arc past a round: this writes in place.
-            Arc::make_mut(&mut scratch.params).copy_from(core.params());
-            let slots = workers.iter_mut().zip(outputs.iter_mut());
-            if lease() {
-                // Spawns threads only past any earlier run's worker count.
-                pool.resize(pool.len().max(n_honest));
-                // Lend each worker, the shared parameters and its output
-                // slot; take them back in worker-id order.
-                for (i, (worker, out)) in slots.enumerate() {
-                    let packet = pool.packet_mut(i);
-                    packet.worker = worker.take();
-                    packet.params = Some(Arc::clone(&scratch.params));
-                    packet.batch_size = batch_size;
-                    std::mem::swap(&mut packet.out, out);
-                    pool.lease(i);
-                }
-                let slots = workers.iter_mut().zip(outputs.iter_mut());
-                for (i, (worker, out)) in slots.enumerate() {
-                    let packet = pool.reclaim(i);
-                    *worker = packet.worker.take();
-                    packet.params = None;
-                    std::mem::swap(&mut packet.out, out);
-                }
-            } else {
-                for (worker, out) in slots {
-                    if let Some(worker) = worker {
-                        worker.compute_into(&scratch.params, batch_size, out);
-                    }
-                }
+            let helpers = helpers();
+            round.open(t, core.params(), core.config().batch_at(t), &mut outputs);
+            // Spawns threads only past any earlier run's helper count.
+            pool.resize(pool.len().max(helpers));
+            for i in 0..helpers {
+                let packet = pool.packet_mut(i);
+                packet.round = Some(Arc::clone(&round));
+                packet.generation = t;
+                pool.lease(i);
             }
+            round.work(t);
+            for i in 0..helpers {
+                pool.recall(i).round = None;
+            }
+            round.close(&mut outputs);
             core.process_round(t, &mut outputs)
         });
         scratch.outputs = outputs;
@@ -1162,10 +1246,11 @@ mod tests {
         );
     }
 
-    /// Runs `trainer` on the path `leased` selects.
-    fn run_path(trainer: Trainer, seed: u64, leased: bool) -> RunHistory {
+    /// Runs `trainer` with `helpers` pool threads claiming workers
+    /// beside the driving thread in every round (0: all inline).
+    fn run_path(trainer: Trainer, seed: u64, helpers: usize) -> RunHistory {
         trainer
-            .run_rounds(seed, &mut RunScratch::new(), || leased)
+            .run_rounds(seed, &mut RunScratch::new(), || helpers)
             .unwrap()
     }
 
@@ -1178,23 +1263,29 @@ mod tests {
     }
 
     #[test]
-    fn selection_is_inline_at_the_paper_shape_and_leased_at_the_stress_shape() {
+    fn selection_leases_the_paper_shape_on_a_free_core_and_stays_inline_without_one() {
         // One run on a 2-core machine. §5.1: 6 honest workers of b = 50
-        // at d = 69.
-        assert!(!leases_workers(6, 50, 69, 1, 2));
+        // at d = 69 share the round with one helper.
+        assert_eq!(helpers(6, 50, 69, 1, 2), 1);
         // perfbench's stress cell: 6 honest workers of b = 1 at d = 10⁵.
-        assert!(leases_workers(6, 1, 100_000, 1, 2));
+        assert_eq!(helpers(6, 1, 100_000, 1, 2), 1);
+        // A tiny round stays inline.
+        assert_eq!(helpers(6, 10, 69, 1, 2), 0);
         // One honest worker never leases, whatever its work.
-        assert!(!leases_workers(1, 1, 100_000, 1, 2));
-        assert!(leases_workers(2, 1, LEASE_MIN_WORK, 1, 2));
-        assert!(!leases_workers(2, 1, LEASE_MIN_WORK - 1, 1, 2));
-        assert!(leases_workers(2, usize::MAX, usize::MAX, 1, 2));
-        // A parallel sweep on 2 cores keeps 2 scratches live: the stress
-        // shape stays inline, and leases again once one pool thread is
-        // left. A single core never leases.
-        assert!(!leases_workers(6, 1, 100_000, 2, 2));
-        assert!(leases_workers(6, 1, 100_000, 7, 8));
-        assert!(!leases_workers(6, 1, 100_000, 1, 1));
+        assert_eq!(helpers(1, 1, 100_000, 1, 2), 0);
+        assert_eq!(helpers(2, 1, LEASE_MIN_WORK, 1, 2), 1);
+        assert_eq!(helpers(2, 1, LEASE_MIN_WORK - 1, 1, 2), 0);
+        assert_eq!(helpers(2, usize::MAX, usize::MAX, 1, 2), 1);
+        // One helper per core the live runs leave free, and one fewer
+        // than the workers.
+        assert_eq!(helpers(6, 50, 69, 1, 4), 3);
+        assert_eq!(helpers(3, 50, 69, 1, 8), 2);
+        // A parallel sweep on 2 cores keeps 2 scratches live: the paper
+        // shape stays inline, and leases again once a core is left. A
+        // single core never leases.
+        assert_eq!(helpers(6, 50, 69, 2, 2), 0);
+        assert_eq!(helpers(6, 50, 69, 7, 8), 1);
+        assert_eq!(helpers(6, 50, 69, 1, 1), 0);
     }
 
     #[test]
@@ -1234,8 +1325,42 @@ mod tests {
     #[test]
     fn leased_matches_inline_honest() {
         let (a, _) = make_trainer(4, 0, 25, 11);
-        let (b, _) = make_trainer(4, 0, 25, 11);
-        assert_eq!(run_path(a, 3, false), run_path(b, 3, true));
+        let inline = run_path(a, 3, 0);
+        for helpers in [1, 3] {
+            let (b, _) = make_trainer(4, 0, 25, 11);
+            assert_eq!(inline, run_path(b, 3, helpers), "{helpers} helpers");
+        }
+    }
+
+    #[test]
+    fn leased_matches_inline_at_the_paper_shape() {
+        // §5.1's shape, b = 50 at d = 69, with 6 honest workers (n = 11,
+        // f = 5, attacked) and with 2 (n = 2, honest).
+        for (n, f) in [(11, 5), (2, 0)] {
+            let config = TrainingConfig {
+                n_workers: n,
+                n_byzantine: f,
+                batch_size: 50,
+                steps: 20,
+                eval_every: 10,
+                ..TrainingConfig::default()
+            }
+            .validate()
+            .unwrap();
+            let trainer = || {
+                let trainer = make_trainer_with(config.clone(), 11);
+                if f > 0 {
+                    attacked(trainer)
+                } else {
+                    trainer
+                }
+            };
+            let inline = run_path(trainer(), 7, 0);
+            for helpers in [1, 3] {
+                let leased = run_path(trainer(), 7, helpers);
+                assert_eq!(inline, leased, "n = {n}, f = {f}, {helpers} helpers");
+            }
+        }
     }
 
     #[test]
@@ -1260,13 +1385,13 @@ mod tests {
         .unwrap();
         let trainer = || attacked(make_trainer_with(config.clone(), 11));
         for seed in [5, 13] {
-            let inline = run_path(trainer(), seed, false);
-            assert_eq!(inline, run_path(trainer(), seed, true), "seed {seed}");
-            // A run may also switch paths between rounds.
-            let round = std::cell::Cell::new(0u32);
+            let inline = run_path(trainer(), seed, 0);
+            assert_eq!(inline, run_path(trainer(), seed, 1), "seed {seed}");
+            // A run may also change its helper count between rounds.
+            let round = std::cell::Cell::new(0usize);
             let mixed = trainer().run_rounds(seed, &mut RunScratch::new(), || {
                 round.set(round.get() + 1);
-                !round.get().is_multiple_of(3)
+                round.get() % 3
             });
             assert_eq!(inline, mixed.unwrap(), "seed {seed}, mixed paths");
         }
@@ -1277,22 +1402,159 @@ mod tests {
         let (trainer, _) = make_trainer(5, 1, 10, 4);
         let res = trainer
             .attack(Arc::new(FallOfEmpires::default()))
-            .run_rounds(1, &mut RunScratch::new(), || true);
+            .run_rounds(1, &mut RunScratch::new(), || 1);
         assert!(matches!(res, Err(GarError::TooManyByzantine { .. })));
+    }
+
+    /// The honest workers of a 3-worker run, in a round of their own.
+    fn shared_round() -> (SharedRound, Vector) {
+        let config = TrainingConfig {
+            n_workers: 3,
+            n_byzantine: 0,
+            batch_size: 10,
+            steps: 2,
+            ..TrainingConfig::default()
+        }
+        .validate()
+        .unwrap();
+        let (core, workers) =
+            make_trainer_with(config, 4).into_distributed_parts(1, &mut RunScratch::new());
+        let params = core.params().clone();
+        (SharedRound::new(workers, params.dim()), params)
+    }
+
+    #[test]
+    fn a_claim_for_one_round_cannot_take_a_worker_of_the_next() {
+        let (round, params) = shared_round();
+        let mut outputs = vec![WorkerOutput::default(); 3];
+        round.open(1, &params, 10, &mut outputs);
+        assert_eq!(round.claim(1), Some(0));
+        round.close(&mut outputs);
+        round.open(2, &params, 10, &mut outputs);
+        // A claimant still holding round 1 finds nothing, and leaves
+        // round 2's cursor where it was.
+        assert_eq!(round.claim(1), None);
+        assert_eq!(round.claim(2), Some(0));
+        round.work(1);
+        assert_eq!(round.claim(2), Some(1));
+        assert_eq!(round.claim(2), Some(2));
+        assert_eq!(round.claim(2), None);
+    }
+
+    #[test]
+    fn the_driver_computes_every_worker_a_helper_does_not_claim() {
+        // A helper whose packet names an earlier round claims nothing,
+        // however soon it runs: the driving thread computes the whole
+        // round, exactly as inline.
+        let (round, params) = shared_round();
+        let (inline, _) = shared_round();
+        let round = Arc::new(round);
+        let mut pool = LeasePool::<WorkerLease>::default();
+        pool.resize(1);
+        let (mut leased_out, mut inline_out) = (
+            vec![WorkerOutput::default(); 3],
+            vec![WorkerOutput::default(); 3],
+        );
+        for t in 1..=2 {
+            round.open(t, &params, 10, &mut leased_out);
+            let packet = pool.packet_mut(0);
+            packet.round = Some(Arc::clone(&round));
+            packet.generation = t - 1;
+            pool.lease(0);
+            round.work(t);
+            pool.recall(0).round = None;
+            round.close(&mut leased_out);
+            inline.open(t, &params, 10, &mut inline_out);
+            inline.work(t);
+            inline.close(&mut inline_out);
+            assert_eq!(leased_out, inline_out, "round {t}");
+        }
+        assert_eq!(Arc::strong_count(&round), 1, "a packet kept the round");
+    }
+
+    /// A batch source that panics when called off the thread that built
+    /// it, and on that thread first waits until such a panic happened: a
+    /// round of two workers with one helper then panics on the helper,
+    /// whichever worker it claims.
+    struct PanicsOffThread {
+        inner: DatasetSource,
+        home: thread::ThreadId,
+        panicked: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl BatchSource for PanicsOffThread {
+        fn num_features(&self) -> usize {
+            self.inner.num_features()
+        }
+
+        fn next_batch_into(
+            &mut self,
+            batch_size: usize,
+            rng: &mut Prng,
+            out: &mut dpbyz_data::Batch,
+        ) {
+            if thread::current().id() != self.home {
+                self.panicked.store(true, Ordering::SeqCst);
+                panic!("a worker failed on a pool thread");
+            }
+            while !self.panicked.load(Ordering::SeqCst) {
+                thread::yield_now();
+            }
+            self.inner.next_batch_into(batch_size, rng, out);
+        }
+    }
+
+    #[test]
+    fn a_worker_panicking_on_a_pool_thread_reaches_the_driver_and_the_pool_takes_the_next_run() {
+        let config = TrainingConfig {
+            n_workers: 2,
+            n_byzantine: 0,
+            batch_size: 10,
+            steps: 3,
+            ..TrainingConfig::default()
+        }
+        .validate()
+        .unwrap();
+        let mut rng = Prng::seed_from_u64(4);
+        let train = Arc::new(synthetic::phishing_like(&mut rng, 200));
+        let panicked = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let sources: Vec<Box<dyn BatchSource>> = (0..2)
+            .map(|_| {
+                Box::new(PanicsOffThread {
+                    inner: DatasetSource::new(train.clone(), SamplingMode::WithReplacement),
+                    home: thread::current().id(),
+                    panicked: panicked.clone(),
+                }) as Box<dyn BatchSource>
+            })
+            .collect();
+        let model = Arc::new(LogisticRegression::new(68, LossKind::SigmoidMse));
+        let failing = Trainer::new(config.clone(), model, sources, None);
+        let mut scratch = RunScratch::new();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            failing.run_rounds(1, &mut scratch, || 1)
+        }));
+        let message = run.err().and_then(|e| e.downcast_ref::<String>().cloned());
+        assert_eq!(
+            message.as_deref(),
+            Some("a job leased to pool thread 0 panicked")
+        );
+        // The same scratch and pool thread run the next run's rounds.
+        let next = make_trainer_with(config.clone(), 4).run_rounds(1, &mut scratch, || 1);
+        assert_eq!(next.unwrap(), run_path(make_trainer_with(config, 4), 1, 0));
     }
 
     #[test]
     fn pool_threads_persist_across_runs() {
         // Two consecutive leased runs on one scratch must not respawn
-        // threads: the pool's size is the high-water mark of worker
+        // threads: the pool's size is the high-water mark of helper
         // counts, and histories stay bit-identical to fresh-pool runs.
         let mut scratch = RunScratch::new();
         let (a, _) = make_trainer(4, 0, 10, 11);
-        let first = a.run_rounds(3, &mut scratch, || true).unwrap();
-        assert_eq!(scratch.pool.len(), 4);
+        let first = a.run_rounds(3, &mut scratch, || 3).unwrap();
+        assert_eq!(scratch.pool.len(), 3);
         let spawned: Vec<_> = scratch.pool.threads().map(|t| t.id()).collect();
         let (b, _) = make_trainer(4, 0, 10, 11);
-        let second = b.run_rounds(3, &mut scratch, || true).unwrap();
+        let second = b.run_rounds(3, &mut scratch, || 3).unwrap();
         assert_eq!(first, second);
         let reused: Vec<_> = scratch.pool.threads().map(|t| t.id()).collect();
         assert_eq!(spawned, reused, "threads were respawned between runs");
@@ -1301,19 +1563,19 @@ mod tests {
     #[test]
     fn dirty_scratch_reuse_is_bit_invisible_across_topologies() {
         // One scratch reused across a 4-worker honest run, an 11-worker
-        // attacked run, and back, alternating paths — the sweep-executor
-        // usage pattern. Every history must equal its fresh-scratch
-        // inline counterpart exactly.
+        // attacked run, and back, with changing helper counts — the
+        // sweep-executor usage pattern. Every history must equal its
+        // fresh-scratch inline counterpart exactly.
         let honest = || make_trainer(4, 0, 12, 11).0;
         let armed = || attacked(make_trainer(11, 5, 8, 11).0);
-        let fresh_a = run_path(honest(), 3, false);
-        let fresh_b = run_path(armed(), 4, false);
+        let fresh_a = run_path(honest(), 3, 0);
+        let fresh_b = run_path(armed(), 4, 0);
         let mut scratch = RunScratch::new();
-        for leased in [true, false, true] {
-            let a = honest().run_rounds(3, &mut scratch, || leased).unwrap();
-            assert_eq!(a, fresh_a, "honest, leased = {leased}");
-            let b = armed().run_rounds(4, &mut scratch, || !leased).unwrap();
-            assert_eq!(b, fresh_b, "attacked, leased = {}", !leased);
+        for (a_helpers, b_helpers) in [(2, 0), (0, 3), (1, 1)] {
+            let a = honest().run_rounds(3, &mut scratch, || a_helpers).unwrap();
+            assert_eq!(a, fresh_a, "honest, {a_helpers} helpers");
+            let b = armed().run_rounds(4, &mut scratch, || b_helpers).unwrap();
+            assert_eq!(b, fresh_b, "attacked, {b_helpers} helpers");
         }
     }
 

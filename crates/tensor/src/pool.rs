@@ -1,15 +1,23 @@
 //! The thread pool type behind both multi-threaded hot paths, as two
-//! pools with their own owners: the training engine's worker pool (a
-//! packet per honest worker, owned by the run's scratch and used only by
-//! runs whose per-worker work is large) and the GAR's shard pool (a
-//! packet per shard, owned by the GAR scratch and sized by
-//! `agg_threads`). Without `unsafe` a persistent thread
-//! cannot borrow the caller's buffers, so each packet owns its inputs and
-//! outputs and travels to its thread and back through a one-slot
-//! `Mutex` + `Condvar` mailbox. Packets stay with the pool between
-//! leases, so once their buffers are warm a lease allocates nothing.
+//! pools with their own owners: the training engine's worker pool (owned
+//! by the run's scratch; each pool thread claims honest workers from the
+//! round the driving thread also works on, in runs whose per-worker work
+//! is large enough) and the GAR's shard pool (a packet per shard, owned
+//! by the GAR scratch and sized by `agg_threads`). Without `unsafe` a
+//! persistent thread cannot borrow the caller's buffers, so each packet
+//! owns its inputs and outputs and travels to its thread and back through
+//! a one-slot mailbox. Packets stay with the pool between leases, so once
+//! their buffers are warm a lease allocates nothing.
+//!
+//! A mailbox hand-off is a store on one side and a load on the other: a
+//! waiting side spins on the mailbox's atomic state for [`SPIN_LIMIT`]
+//! reads before it parks on a `Condvar`, and a writer notifies only a side
+//! that has parked. A busy run therefore hands a round over without a
+//! thread wake, and an idle pool thread stops spinning and burns no CPU.
 
+use std::hint;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{JoinHandle, Thread};
 
@@ -20,8 +28,17 @@ pub trait Lease: Send + 'static {
     fn run(&mut self);
 }
 
-/// A thread's mailbox. Owner and thread never wait at the same time, so
-/// `notify_one` always reaches the side that waits.
+/// Reads of a mailbox's state a waiting side makes before it parks. One
+/// read and a spin-loop hint took 15–18 ns on the 2-vCPU Xeon this was
+/// tuned on, so this is a window of about 40–45 µs: longer than the gap
+/// between two leases of a paper-scale run (its server step, about
+/// 10 µs), and a pool left idle spins no longer than that. On that host
+/// a window of 250 reads lost about 15 % of the paper cell's throughput
+/// to thread wakes, while 2 500 to 100 000 reads were level; this is the
+/// shortest window on that plateau.
+const SPIN_LIMIT: u32 = 2_500;
+
+/// A thread's mailbox slot.
 enum Slot<P> {
     Empty,
     Leased(P),
@@ -31,49 +48,120 @@ enum Slot<P> {
     Stop,
 }
 
+const EMPTY: u8 = 0;
+const LEASED: u8 = 1;
+const RUNNING: u8 = 2;
+const DONE: u8 = 3;
+const PANICKED: u8 = 4;
+const STOP: u8 = 5;
+
+impl<P> Slot<P> {
+    fn state(&self) -> u8 {
+        match self {
+            Slot::Empty => EMPTY,
+            Slot::Leased(_) => LEASED,
+            Slot::Running => RUNNING,
+            Slot::Done(_) => DONE,
+            Slot::Panicked => PANICKED,
+            Slot::Stop => STOP,
+        }
+    }
+}
+
+struct Inner<P> {
+    slot: Slot<P>,
+    /// How many sides wait on `Mailbox::wake`. Both can: a parked side
+    /// that was just notified may not have woken yet when the other side
+    /// parks in turn.
+    parked: u8,
+}
+
 struct Mailbox<P> {
-    slot: Mutex<Slot<P>>,
+    /// `inner.slot`'s state, written under the lock and read without it
+    /// by a spinning side. The slot under the lock is what counts: a read
+    /// here only tells a spinner when to take the lock. Release stores
+    /// pair with Acquire loads so a spinner that sees a state also sees
+    /// the writes before it.
+    state: AtomicU8,
+    inner: Mutex<Inner<P>>,
     wake: Condvar,
 }
 
 impl<P> Mailbox<P> {
+    fn new() -> Self {
+        Mailbox {
+            state: AtomicU8::new(EMPTY),
+            inner: Mutex::new(Inner {
+                slot: Slot::Empty,
+                parked: 0,
+            }),
+            wake: Condvar::new(),
+        }
+    }
+
     /// Locks the slot. No panic happens with the slot half-written, so a
     /// poisoned lock is still a valid one.
-    fn lock(&self) -> MutexGuard<'_, Slot<P>> {
-        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, Inner<P>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Waits for the other side's next [`Mailbox::put`].
-    fn wait<'a>(&self, slot: MutexGuard<'a, Slot<P>>) -> MutexGuard<'a, Slot<P>> {
-        self.wake.wait(slot).unwrap_or_else(PoisonError::into_inner)
+    /// Waits until the slot's state is one `ready` accepts and returns
+    /// the locked slot: spins on [`Mailbox::state`] for [`SPIN_LIMIT`]
+    /// reads, then parks until the other side's next [`Mailbox::replace`].
+    fn wait(&self, ready: impl Fn(u8) -> bool) -> MutexGuard<'_, Inner<P>> {
+        for _ in 0..SPIN_LIMIT {
+            if ready(self.state.load(Ordering::Acquire)) {
+                let inner = self.lock();
+                if ready(inner.slot.state()) {
+                    return inner;
+                }
+            }
+            hint::spin_loop();
+        }
+        let mut inner = self.lock();
+        if !ready(inner.slot.state()) {
+            inner.parked += 1;
+            while !ready(inner.slot.state()) {
+                inner = self
+                    .wake
+                    .wait(inner)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            inner.parked -= 1;
+        }
+        inner
     }
 
-    fn put(&self, slot: Slot<P>) {
-        *self.lock() = slot;
-        self.wake.notify_one();
+    /// Puts `slot` in the locked mailbox, wakes every parked side (each
+    /// checks whether the new state is the one it waits for), and
+    /// returns the slot's previous content.
+    fn replace(&self, inner: &mut Inner<P>, slot: Slot<P>) -> Slot<P> {
+        self.state.store(slot.state(), Ordering::Release);
+        if inner.parked > 0 {
+            self.wake.notify_all();
+        }
+        std::mem::replace(&mut inner.slot, slot)
     }
 }
 
 /// A pool thread's loop: take the leased packet, run it, hand it back. A
-/// panicking job is caught here and re-raised by [`LeasePool::reclaim`],
-/// so the owner never waits for a packet that will not come back.
+/// panicking job is caught here and re-raised by [`LeasePool::reclaim`]
+/// or [`LeasePool::recall`], so the owner never waits for a packet that
+/// will not come back.
 fn serve<P: Lease>(mailbox: &Mailbox<P>) {
     loop {
-        let mut slot = mailbox.lock();
-        let mut packet = loop {
-            match std::mem::replace(&mut *slot, Slot::Running) {
-                Slot::Leased(packet) => break packet,
-                Slot::Stop => return,
-                other => *slot = other,
-            }
-            slot = mailbox.wait(slot);
+        let mut inner = mailbox.wait(|s| s == LEASED || s == STOP);
+        let Slot::Leased(mut packet) = mailbox.replace(&mut inner, Slot::Running) else {
+            return;
         };
-        drop(slot);
+        drop(inner);
         let ran = panic::catch_unwind(AssertUnwindSafe(|| packet.run()));
-        let mut slot = mailbox.lock();
-        if !matches!(*slot, Slot::Stop) {
-            *slot = ran.map_or(Slot::Panicked, |()| Slot::Done(packet));
-            mailbox.wake.notify_one();
+        let mut inner = mailbox.lock();
+        if inner.slot.state() == RUNNING {
+            mailbox.replace(
+                &mut inner,
+                ran.map_or(Slot::Panicked, |()| Slot::Done(packet)),
+            );
         }
     }
 }
@@ -88,7 +176,9 @@ struct Worker<P> {
 
 impl<P> Drop for Worker<P> {
     fn drop(&mut self) {
-        self.mailbox.put(Slot::Stop);
+        let mut inner = self.mailbox.lock();
+        self.mailbox.replace(&mut inner, Slot::Stop);
+        drop(inner);
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -98,8 +188,10 @@ impl<P> Drop for Worker<P> {
 /// A pool of persistent threads, one packet slot each:
 /// [`LeasePool::packet_mut`] fills thread `i`'s idle packet,
 /// [`LeasePool::lease`] hands it to the thread, and
-/// [`LeasePool::reclaim`] waits for it and returns it with its results.
-/// Dropping or shrinking the pool stops and joins the threads it removes.
+/// [`LeasePool::reclaim`] waits for it and returns it with its results,
+/// or [`LeasePool::recall`] takes it back unrun if the thread has not
+/// picked it up yet. Dropping or shrinking the pool stops and joins the
+/// threads it removes.
 #[derive(Default)]
 pub struct LeasePool<P> {
     workers: Vec<Worker<P>>,
@@ -121,10 +213,7 @@ impl<P: Lease + Default> LeasePool<P> {
     pub fn resize(&mut self, n: usize) {
         self.workers.truncate(n);
         while self.workers.len() < n {
-            let mailbox = Arc::new(Mailbox {
-                slot: Mutex::new(Slot::Empty),
-                wake: Condvar::new(),
-            });
+            let mailbox = Arc::new(Mailbox::new());
             let theirs = Arc::clone(&mailbox);
             self.workers.push(Worker {
                 mailbox,
@@ -139,30 +228,42 @@ impl<P: Lease + Default> LeasePool<P> {
         &mut self.workers[i].idle
     }
 
-    /// Hands thread `i`'s packet to the thread, which runs it at once.
+    /// Hands thread `i`'s packet to the thread, which runs it at once. A
+    /// packet leased there before and never taken back (its owner
+    /// unwound mid-lease) is waited out and dropped first.
     pub fn lease(&mut self, i: usize) {
         let worker = &mut self.workers[i];
-        worker
-            .mailbox
-            .put(Slot::Leased(std::mem::take(&mut worker.idle)));
+        let mut inner = worker.mailbox.wait(|s| s != RUNNING);
+        let packet = std::mem::take(&mut worker.idle);
+        worker.mailbox.replace(&mut inner, Slot::Leased(packet));
     }
 
     /// Waits for thread `i` to finish its leased packet and returns it.
     /// Panics if nothing is leased there, or if the job panicked (the
     /// thread survives and takes the next lease).
     pub fn reclaim(&mut self, i: usize) -> &mut P {
+        self.take_back(i, false)
+    }
+
+    /// Takes thread `i`'s leased packet back: at once and unrun if the
+    /// thread has not picked it up yet, otherwise as
+    /// [`LeasePool::reclaim`] once it has run.
+    pub fn recall(&mut self, i: usize) -> &mut P {
+        self.take_back(i, true)
+    }
+
+    fn take_back(&mut self, i: usize, unrun: bool) -> &mut P {
         let worker = &mut self.workers[i];
-        let mut slot = worker.mailbox.lock();
-        loop {
-            match std::mem::replace(&mut *slot, Slot::Empty) {
-                Slot::Done(packet) => break worker.idle = packet,
-                Slot::Panicked => panic!("a job leased to pool thread {i} panicked"),
-                Slot::Empty => panic!("reclaim on pool thread {i} without a lease"),
-                other => *slot = other,
-            }
-            slot = worker.mailbox.wait(slot);
+        let mut inner = worker
+            .mailbox
+            .wait(|s| s != RUNNING && (unrun || s != LEASED));
+        let slot = worker.mailbox.replace(&mut inner, Slot::Empty);
+        drop(inner);
+        match slot {
+            Slot::Done(packet) | Slot::Leased(packet) => worker.idle = packet,
+            Slot::Panicked => panic!("a job leased to pool thread {i} panicked"),
+            _ => panic!("reclaim on pool thread {i} without a lease"),
         }
-        drop(slot);
         &mut worker.idle
     }
 
@@ -176,15 +277,18 @@ impl<P: Lease + Default> LeasePool<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
     use std::time::Duration;
 
     /// Doubles every value and panics on a negative one. With `ticks`
-    /// set, it ticks once on start and once more after a nap.
+    /// set, it ticks once on start and once more after a nap; with
+    /// `until` set, it first waits for that condition to hold.
     #[derive(Default)]
     struct Job {
         values: Vec<f64>,
         ticks: Option<Arc<AtomicUsize>>,
+        until: Option<Box<dyn Fn() -> bool + Send>>,
     }
 
     impl Lease for Job {
@@ -193,6 +297,9 @@ mod tests {
                 ticks.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_millis(30));
                 ticks.fetch_add(1, Ordering::SeqCst);
+            }
+            while !self.until.as_ref().is_none_or(|until| until()) {
+                std::thread::yield_now();
             }
             for v in &mut self.values {
                 assert!(*v >= 0.0, "negative input");
@@ -270,6 +377,93 @@ mod tests {
         // let go of its mailbox, i.e. returned.
         assert_eq!(ticks.load(Ordering::SeqCst), 6);
         assert!(mailboxes.iter().all(|m| m.upgrade().is_none()));
+    }
+
+    /// Whether a side of thread `i`'s mailbox has parked.
+    fn parked(pool: &LeasePool<Job>, i: usize) -> bool {
+        pool.workers[i].mailbox.lock().parked > 0
+    }
+
+    /// A one-thread pool whose thread serves its mailbox only once `gate`
+    /// yields, so a lease made before that stays unpicked.
+    fn gated_pool(gate: mpsc::Receiver<()>) -> LeasePool<Job> {
+        let mailbox = Arc::new(Mailbox::new());
+        let theirs = Arc::clone(&mailbox);
+        let handle = std::thread::spawn(move || {
+            if gate.recv().is_ok() {
+                serve(&theirs);
+            }
+        });
+        LeasePool {
+            workers: vec![Worker {
+                mailbox,
+                idle: Job::default(),
+                handle: Some(handle),
+            }],
+        }
+    }
+
+    #[test]
+    fn recall_takes_an_unpicked_packet_back_unrun() {
+        let (open, gate) = mpsc::channel();
+        let mut pool = gated_pool(gate);
+        pool.packet_mut(0).values = vec![1.0];
+        pool.lease(0);
+        assert_eq!(pool.recall(0).values, [1.0], "the packet ran");
+        // The same thread, once serving, runs the next lease.
+        open.send(()).unwrap();
+        pool.lease(0);
+        assert_eq!(pool.reclaim(0).values, [2.0]);
+        // A packet recalled after it was picked up comes back run.
+        pool.lease(0);
+        while pool.workers[0].mailbox.state.load(Ordering::SeqCst) == LEASED {
+            std::thread::yield_now();
+        }
+        assert_eq!(pool.recall(0).values, [4.0]);
+    }
+
+    #[test]
+    fn a_lease_never_taken_back_is_dropped_by_the_next_one() {
+        // An owner that unwinds mid-lease leaves the packet out; the
+        // thread's next lease waits it out instead of racing it.
+        let mut pool = LeasePool::<Job>::default();
+        pool.resize(1);
+        pool.packet_mut(0).values = vec![1.0];
+        pool.lease(0);
+        pool.packet_mut(0).values = vec![3.0];
+        pool.lease(0);
+        assert_eq!(pool.reclaim(0).values, [6.0]);
+    }
+
+    #[test]
+    fn an_idle_thread_parks_after_its_spin_window_and_wakes_on_the_next_lease() {
+        let mut pool = LeasePool::<Job>::default();
+        pool.resize(1);
+        pool.packet_mut(0).values = vec![1.0];
+        pool.lease(0);
+        assert_eq!(pool.reclaim(0).values, [2.0]);
+        // With nothing leased the thread stops spinning and parks.
+        while !parked(&pool, 0) {
+            std::thread::yield_now();
+        }
+        pool.lease(0);
+        assert_eq!(pool.reclaim(0).values, [4.0]);
+    }
+
+    #[test]
+    fn an_owner_waiting_past_its_spin_window_parks_and_the_result_wakes_it() {
+        let mut pool = LeasePool::<Job>::default();
+        pool.resize(1);
+        // The job finishes only once the owner, waiting for it, has
+        // parked: a reclaim that never parked or never woke would hang.
+        let mailbox = Arc::downgrade(&pool.workers[0].mailbox);
+        let job = pool.packet_mut(0);
+        job.values = vec![5.0];
+        job.until = Some(Box::new(move || {
+            mailbox.upgrade().is_none_or(|m| m.lock().parked > 0)
+        }));
+        pool.lease(0);
+        assert_eq!(pool.reclaim(0).values, [10.0]);
     }
 
     #[test]

@@ -3,16 +3,18 @@
 //! `krum`, and `median` cells with the Gaussian mechanism, and for the
 //! paper's §5.1 cell (MDA + Gaussian + ALIE + worker momentum) — on
 //! **both** paths of the in-process engine and over the simulated
-//! network — and for Theorem 1's mean-estimation cell at d = 1000, whose
-//! workers synthesize fresh rows every step. The `evaluating_` cases run
+//! network — and for Theorem 1's mean-estimation cell, whose workers
+//! synthesize fresh rows every step (inline at d = 500, leased at
+//! d = 1000). The `evaluating_` cases run
 //! the paper cell with a test set classified every few rounds, in process
 //! and over the simulated network; a second run over the same test set
 //! on the same scratch evaluates from the panels the first run laid out,
 //! so even its first evaluation allocates nothing. The `threaded_` cases run at
-//! a batch size large enough that the engine leases each worker to its
-//! own pool thread, so they cover the thread hop too: leasing each
-//! worker's packet, reclaiming it, and swapping its output into the
-//! server's output slots all stay allocation-free once warm. Every case
+//! a batch size large enough that a pool thread claims workers beside the
+//! driving thread, so they cover the thread hop too: leasing the shared
+//! round, claiming its workers, recalling the packet, and swapping the
+//! outputs in and out of the round's slots all stay allocation-free once
+//! warm; one of them runs the paper's own shape, b = 50. Every case
 //! checks which path it took. Over TCP the bound is a small constant per
 //! round instead.
 //!
@@ -110,8 +112,8 @@ enum Cell {
     /// momentum 0.99 applied by each honest worker.
     Paper,
     /// Theorem 1's workload: five honest workers estimating the mean of
-    /// `N(x̄, I/d)` at d = 1000 with the quadratic loss, each sampling
-    /// fresh rows into its recycled batch.
+    /// `N(x̄, I/d)` with the quadratic loss, each sampling fresh rows into
+    /// its recycled batch; d = 500 inline and d = 1000 leased.
     MeanEstimation,
     /// The paper cell, classifying a held-out test set every
     /// [`EVAL_EVERY`] rounds as the paper's runs do.
@@ -122,17 +124,21 @@ enum Cell {
 /// rounds fall in the counted back half of the run.
 const EVAL_EVERY: u32 = 5;
 
-/// Per-worker batch size of a cell. The engine leases its workers to
-/// threads once `batch_size × dim` reaches its cutoff: these sit well
-/// below it (inline) or well above it (leased) for both models.
+/// Per-worker batch size of a cell. A pool thread claims workers beside
+/// the driving thread once `batch_size × dim` reaches the engine's cutoff
+/// (1 000): these sit below it (inline: 10 × 69, 1 × 500) or well above
+/// it (leased: 500 × 69, 5 × 1000) for both models.
 fn batch_size(cell: Cell, leased: bool) -> usize {
     match (cell, leased) {
-        (Cell::MeanEstimation, false) => 5,
-        (Cell::MeanEstimation, true) => 50,
+        (Cell::MeanEstimation, false) => 1,
+        (Cell::MeanEstimation, true) => 5,
         (_, false) => 10,
         (_, true) => 500,
     }
 }
+
+/// The paper's §5.1 batch size: b·d = 50 × 69 = 3 450 leases too.
+const PAPER_BATCH: usize = 50;
 
 /// A batch source that counts the batches drawn off the thread that
 /// built it: nonzero exactly when the engine leased its workers.
@@ -180,6 +186,7 @@ fn counting_trainer(
     gar: Arc<dyn Gar>,
     cell: Cell,
     leased: bool,
+    batch: usize,
     agg_threads: usize,
     test: Option<Arc<Dataset>>,
 ) -> (Trainer, Record) {
@@ -191,7 +198,7 @@ fn counting_trainer(
     let mut rng = Prng::seed_from_u64(11);
     let (model, sources): (Arc<dyn Model>, Vec<Box<dyn BatchSource>>) = match cell {
         Cell::MeanEstimation => {
-            let dim = 1000;
+            let dim = if leased { 1000 } else { 500 };
             let dist = MeanEstimation::random_instance(&mut rng, dim, 1.0);
             let sources = (0..n)
                 .map(|_| Box::new(MeanEstimationSource(dist.clone())) as Box<dyn BatchSource>)
@@ -236,7 +243,7 @@ fn counting_trainer(
     let mut config = TrainingConfig {
         n_workers: n,
         n_byzantine: f,
-        batch_size: batch_size(cell, leased),
+        batch_size: batch,
         steps: STEPS,
         eval_every,
         agg_threads,
@@ -273,9 +280,9 @@ fn per_step_allocation_counts(gar: Arc<dyn Gar>) -> Vec<u64> {
 }
 
 /// [`per_step_allocation_counts`] with cell, shape and intra-round
-/// aggregation parallelism: `leased` picks a batch size at which the
-/// engine runs its worker packets on pool threads (lease → pool thread →
-/// reclaim) under the counting allocator, and checks that it did;
+/// aggregation parallelism: `leased` picks a batch size at which a pool
+/// thread claims workers beside the driving thread (lease → claims →
+/// recall) under the counting allocator, and checks that it did;
 /// `agg_threads > 1` shards the GAR's coordinate/candidate loops over the
 /// compute pool, whose task packets must also recycle allocation-free
 /// once warm (worker threads land in round 1).
@@ -285,7 +292,19 @@ fn per_step_allocation_counts_on(
     leased: bool,
     agg_threads: usize,
 ) -> Vec<u64> {
-    let (trainer, record) = counting_trainer(gar, cell, leased, agg_threads, None);
+    per_step_allocation_counts_at(gar, cell, leased, batch_size(cell, leased), agg_threads)
+}
+
+/// [`per_step_allocation_counts_on`] at an explicit batch size, which
+/// must put the run on the path `leased` names.
+fn per_step_allocation_counts_at(
+    gar: Arc<dyn Gar>,
+    cell: Cell,
+    leased: bool,
+    batch: usize,
+    agg_threads: usize,
+) -> Vec<u64> {
+    let (trainer, record) = counting_trainer(gar, cell, leased, batch, agg_threads, None);
     trainer.run(1).unwrap();
     let off_thread = record.off_thread.load(Ordering::Relaxed);
     // The run executes alone (`serial`), so it leases whenever the
@@ -385,6 +404,14 @@ fn threaded_paper_mda_alie_cell_is_allocation_free_at_steady_state() {
     assert_steady_state_allocation_free("leased/mda/gaussian/alie/worker-momentum", &counts);
 }
 
+#[test]
+fn threaded_paper_shape_cell_is_allocation_free_at_steady_state() {
+    let _serial = serial();
+    let counts =
+        per_step_allocation_counts_at(Arc::new(Mda::new()), Cell::Paper, true, PAPER_BATCH, 1);
+    assert_steady_state_allocation_free("leased/b=50/mda/gaussian/alie/worker-momentum", &counts);
+}
+
 // The intra-round parallel aggregation path (`agg_threads > 1`) reaches
 // the same zero-allocations-per-round steady state: the pool's task
 // packets (column transposes, per-shard outputs, sort scratch) round-trip
@@ -427,7 +454,19 @@ fn mean_estimation_median_cell_is_allocation_free_at_steady_state() {
         false,
         1,
     );
-    assert_steady_state_allocation_free("mean-estimation/d=1000/median/gaussian", &counts);
+    assert_steady_state_allocation_free("mean-estimation/d=500/median/gaussian", &counts);
+}
+
+#[test]
+fn threaded_mean_estimation_median_cell_is_allocation_free_at_steady_state() {
+    let _serial = serial();
+    let counts = per_step_allocation_counts_on(
+        Arc::new(CoordinateMedian::new()),
+        Cell::MeanEstimation,
+        true,
+        1,
+    );
+    assert_steady_state_allocation_free("leased/mean-estimation/d=1000/median/gaussian", &counts);
 }
 
 // Evaluation classifies the test set in place, 8 rows at a time, so an
@@ -456,6 +495,7 @@ fn evaluating_runs_over_one_test_set_lay_out_its_panels_once() {
                 Arc::new(Mda::new()),
                 Cell::Evaluating,
                 false,
+                batch_size(Cell::Evaluating, false),
                 1,
                 Some(test.clone()),
             );
@@ -495,7 +535,7 @@ fn evaluating_runs_over_one_test_set_lay_out_its_panels_once() {
 fn per_step_allocation_counts_sim(gar: Arc<dyn Gar>, cell: Cell, chaos: Option<u64>) -> Vec<u64> {
     use dpbyz::net::{drive, Deployment, FaultPlan, SimNet};
 
-    let (trainer, record) = counting_trainer(gar, cell, false, 1, None);
+    let (trainer, record) = counting_trainer(gar, cell, false, batch_size(cell, false), 1, None);
     let mut scratch = RunScratch::new();
     let (core, workers) = trainer.into_distributed_parts(1, &mut scratch);
     let n = workers.len();
@@ -549,7 +589,14 @@ fn per_step_allocation_counts_tcp(gar: Arc<dyn Gar>) -> Vec<u64> {
     use dpbyz::net::{run_worker, Deployment, TcpCoordinator};
 
     let n = 5;
-    let (trainer, record) = counting_trainer(gar, Cell::Honest, false, 1, None);
+    let (trainer, record) = counting_trainer(
+        gar,
+        Cell::Honest,
+        false,
+        batch_size(Cell::Honest, false),
+        1,
+        None,
+    );
 
     let mut scratch = RunScratch::new();
     let (core, workers) = trainer.into_distributed_parts(1, &mut scratch);

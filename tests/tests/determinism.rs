@@ -34,13 +34,13 @@ fn different_seed_different_history() {
 #[test]
 fn leased_workers_bit_identical_to_the_sim_engine() {
     // The strongest cross-engine contract: identical histories for the
-    // full DP + attack configuration, several seeds. At b = 200 (d = 69)
-    // the in-process engine computes each honest worker on its own pool
-    // thread in every round a core is free of other runs (while other
-    // tests of this binary run, some rounds go inline); the sim backend
-    // computes every worker inline on one thread and moves the gradients
-    // as wire frames.
-    let exp = experiment_at(200);
+    // full DP + attack configuration, several seeds. At the paper's
+    // b = 50 (d = 69) a pool thread of the in-process engine claims
+    // honest workers beside the driving thread in every round a core is
+    // free of other runs (while other tests of this binary run, some
+    // rounds go inline); the sim backend computes every worker inline on
+    // one thread and moves the gradients as wire frames.
+    let exp = experiment_at(50);
     for seed in [1u64, 7, 99] {
         let leased = exp.run(seed).unwrap();
         let sim = SimBackend::default()

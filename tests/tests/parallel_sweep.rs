@@ -29,10 +29,14 @@ fn attacked_builder() -> ExperimentBuilder {
         .epsilon(0.2)
 }
 
-/// A batch size at which the engine leases each honest worker to its own
-/// pool thread while a core is free (b·d = 200 × 69 is well above the
-/// cutoff).
-const LEASED_BATCH: usize = 200;
+/// A batch size at which a pool thread claims honest workers beside the
+/// driving thread while a core is free: the paper's b = 50, whose
+/// b·d = 50 × 69 = 3 450 is above the engine's cutoff (1 000).
+const LEASED_BATCH: usize = 50;
+
+/// A batch size at which every worker runs inline: b·d = 10 × 69 = 690
+/// is below the cutoff.
+const INLINE_BATCH: usize = 10;
 
 #[test]
 fn run_seeds_parallel_matches_serial_on_sequential_engine() {
@@ -130,16 +134,16 @@ fn agg_threads_keeps_histories_bit_identical_on_both_paths() {
     // The intra-round aggregation pool (`agg_threads`) is the orthogonal
     // parallel axis: it shards the GAR's coordinate/candidate loops
     // *inside* a round. Any thread count must reproduce the serial
-    // history bit for bit, with the workers inline (b = 25) or leased
-    // (b = LEASED_BATCH) — cells pick rules from the sharded coordinate
-    // family and the Krum family.
+    // history bit for bit, with the workers inline (b = INLINE_BATCH) or
+    // leased (b = LEASED_BATCH) — cells pick rules from the sharded
+    // coordinate family and the Krum family.
     let cells: [(&str, &str, usize); 3] = [
         ("median", "sign-flip", 3),
         ("krum", "alie", 2),
         ("phocas", "foe", 3),
     ];
     for (gar, attack, f) in cells {
-        for batch in [25, LEASED_BATCH] {
+        for batch in [INLINE_BATCH, LEASED_BATCH] {
             let build = |threads: usize| {
                 Experiment::builder()
                     .steps(5)
