@@ -54,7 +54,7 @@ use crate::protocol::{
 use crate::transport::{current_step, Replay, ResumeRing};
 use crate::worker::WorkerError;
 use bytes::{BufMut, BytesMut};
-use dpbyz_server::{HonestWorker, WorkerOutput};
+use dpbyz_server::{HonestWorker, RoundJob, WorkerOutput};
 use dpbyz_tensor::Vector;
 use std::io;
 
@@ -396,31 +396,22 @@ pub enum WorkerFlow {
 /// The worker's half of the session protocol: one [`HonestWorker`] and
 /// everything it must remember across frames and links (module docs).
 ///
+/// It is two halves that TCP and the simulator hold differently. The
+/// protocol half decides which step falls due: its cursor, handshakes and
+/// reorder buffer. The report half computes a due step's gradient and
+/// encodes its `GRAD` frame. This type holds both and computes a report
+/// as soon as its step falls due, as a TCP worker does. A simulated
+/// worker keeps its report half in a shared slot instead, so that a pool
+/// thread can compute it while the simulator carries on.
+///
 /// Its methods answer through `send(frame, computed)`, which writes one
 /// frame down the link; `computed` is `Some(step)` for the report of a
 /// step computed just now. A `send` error means the link died after this
 /// write; the session's state already accounts for it, ready for the
 /// next [`WorkerSession::hello`].
 pub struct WorkerSession {
-    worker: HonestWorker,
-    /// The `REJOIN` credential.
-    token: u64,
-    /// Open with `JOIN_FRESH`; the first `STEP` anchors the cursor.
-    fresh_join: bool,
-    /// A handshake went out before: the next one is `REJOIN`.
-    joined: bool,
-    /// `0` = warmup not yet answered; `t ≥ 1` = first uncomputed step.
-    next_slot: u32,
-    steps_served: u32,
-    params: Vector,
-    out: WorkerOutput,
-    /// Handshakes and `READY`.
-    scratch: BytesMut,
-    /// The newest report's wire frame, resent after `REJOIN`.
-    report: BytesMut,
-    /// The reorder buffer, as long as the `reorder` bound: the `STEP`
-    /// payload of step `s` ahead of the cursor waits in slot `s % len`.
-    ahead: Vec<BytesMut>,
+    protocol: WorkerProtocol,
+    report: Report,
 }
 
 impl WorkerSession {
@@ -429,23 +420,14 @@ impl WorkerSession {
     /// and accepting `STEP`s at most `reorder` steps ahead of the cursor.
     pub fn new(worker: HonestWorker, token: u64, fresh_join: bool, reorder: u32) -> Self {
         WorkerSession {
-            worker,
-            token,
-            fresh_join,
-            joined: false,
-            next_slot: 0,
-            steps_served: 0,
-            params: Vector::default(),
-            out: WorkerOutput::default(),
-            scratch: BytesMut::with_capacity(1024),
-            report: BytesMut::with_capacity(1024),
-            ahead: (0..reorder).map(|_| BytesMut::default()).collect(),
+            protocol: WorkerProtocol::new(worker.id(), token, fresh_join, reorder),
+            report: Report::new(worker),
         }
     }
 
     /// The worker's id.
     pub fn id(&self) -> u32 {
-        self.worker.id()
+        self.protocol.id
     }
 
     /// Opens a link: `JOIN` (or `JOIN_FRESH`) the first time, afterwards
@@ -458,26 +440,9 @@ impl WorkerSession {
     /// Whatever `send` returns.
     pub fn hello(
         &mut self,
-        mut send: impl FnMut(&[u8], Option<u32>) -> io::Result<()>,
+        send: impl FnMut(&[u8], Option<u32>) -> io::Result<()>,
     ) -> io::Result<()> {
-        let kind = match (std::mem::replace(&mut self.joined, true), self.fresh_join) {
-            (false, false) => KIND_JOIN,
-            (false, true) => KIND_JOIN_FRESH,
-            (true, _) => KIND_REJOIN,
-        };
-        let buf = &mut self.scratch;
-        begin_frame(buf, kind);
-        buf.put_u32_le(self.worker.id());
-        if kind == KIND_REJOIN {
-            buf.put_u64_le(self.token);
-            buf.put_u32_le(self.next_slot);
-        }
-        end_frame(buf);
-        send(buf, None)?;
-        if kind == KIND_REJOIN && !self.report.is_empty() {
-            send(&self.report, None)?;
-        }
-        Ok(())
+        self.protocol.hello(&mut self.report, &mut Inline(send))
     }
 
     /// Handles one coordinator frame, then computes every step the cursor
@@ -494,7 +459,171 @@ impl WorkerSession {
         &mut self,
         kind: u8,
         payload: &[u8],
-        mut send: impl FnMut(&[u8], Option<u32>) -> io::Result<()>,
+        send: impl FnMut(&[u8], Option<u32>) -> io::Result<()>,
+    ) -> Result<WorkerFlow, WorkerError> {
+        self.protocol
+            .handle(&mut self.report, kind, payload, &mut Inline(send))
+    }
+}
+
+/// The report half of a worker session: the worker, the parameters of
+/// the newest `STEP` its cursor reached, and the newest report's `GRAD`
+/// frame, plus the step that fell due and is not computed yet.
+pub(crate) struct Report {
+    worker: HonestWorker,
+    params: Vector,
+    out: WorkerOutput,
+    /// The newest computed report's wire frame, resent after `REJOIN`.
+    frame: BytesMut,
+    /// `(step, batch)` of the step that fell due against `params`, until
+    /// [`Report::compute`] computes it.
+    pub(crate) due: Option<(u32, u32)>,
+}
+
+impl Report {
+    pub(crate) fn new(worker: HonestWorker) -> Self {
+        Report {
+            worker,
+            params: Vector::default(),
+            out: WorkerOutput::default(),
+            frame: BytesMut::with_capacity(1024),
+            due: None,
+        }
+    }
+
+    /// Computes the due step's gradient against `params` and encodes its
+    /// `GRAD` frame; nothing when no step is due.
+    pub(crate) fn compute(&mut self) {
+        if let Some((step, batch)) = self.due.take() {
+            self.worker
+                .compute_into(&self.params, batch as usize, &mut self.out);
+            encode_grad(&mut self.frame, self.worker.id(), step, &self.out);
+        }
+    }
+
+    /// The newest computed report's wire frame.
+    pub(crate) fn frame(&self) -> &[u8] {
+        &self.frame
+    }
+}
+
+impl RoundJob for Report {
+    type Input = ();
+
+    fn run(&mut self, (): &()) {
+        self.compute();
+    }
+}
+
+/// Where a [`WorkerProtocol`] writes its frames and how its reports get
+/// computed.
+pub(crate) trait WorkerUplink {
+    /// Writes one frame down the link: a handshake, `READY`, or a resent
+    /// report.
+    fn send(&mut self, frame: &[u8]) -> io::Result<()>;
+
+    /// Step `step` fell due in `report` (`report.due` is set): send its
+    /// report, computing it now or leaving it to be computed before
+    /// anything reads it.
+    fn report_due(&mut self, report: &mut Report, step: u32) -> io::Result<()>;
+
+    /// `report` is about to be read or overwritten: finish a report still
+    /// due, and write it wherever `report_due` left it pending.
+    fn settle(&mut self, report: &mut Report);
+}
+
+/// The uplink of a TCP worker: a report is computed and sent the moment
+/// its step falls due, so nothing is ever pending.
+struct Inline<F>(F);
+
+impl<F: FnMut(&[u8], Option<u32>) -> io::Result<()>> WorkerUplink for Inline<F> {
+    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        (self.0)(frame, None)
+    }
+
+    fn report_due(&mut self, report: &mut Report, step: u32) -> io::Result<()> {
+        report.compute();
+        (self.0)(report.frame(), Some(step))
+    }
+
+    fn settle(&mut self, _: &mut Report) {}
+}
+
+/// The protocol half of a worker session (see [`WorkerSession`]). Every
+/// method takes the session's [`Report`] and settles it through the
+/// uplink before it reads or overwrites it: before it resends the report
+/// and before it decodes the next `STEP` into the parameters, so a report
+/// is always computed against its own step's parameters.
+pub(crate) struct WorkerProtocol {
+    id: u32,
+    /// The `REJOIN` credential.
+    token: u64,
+    /// Open with `JOIN_FRESH`; the first `STEP` anchors the cursor.
+    fresh_join: bool,
+    /// A handshake went out before: the next one is `REJOIN`.
+    joined: bool,
+    /// `0` = warmup not yet answered; `t ≥ 1` = first uncomputed step.
+    next_slot: u32,
+    steps_served: u32,
+    /// Handshakes and `READY`.
+    scratch: BytesMut,
+    /// The reorder buffer, as long as the `reorder` bound: the `STEP`
+    /// payload of step `s` ahead of the cursor waits in slot `s % len`.
+    ahead: Vec<BytesMut>,
+}
+
+impl WorkerProtocol {
+    /// The protocol of worker `id` as [`WorkerSession::new`] describes.
+    pub(crate) fn new(id: u32, token: u64, fresh_join: bool, reorder: u32) -> Self {
+        WorkerProtocol {
+            id,
+            token,
+            fresh_join,
+            joined: false,
+            next_slot: 0,
+            steps_served: 0,
+            scratch: BytesMut::with_capacity(1024),
+            ahead: (0..reorder).map(|_| BytesMut::default()).collect(),
+        }
+    }
+
+    /// [`WorkerSession::hello`] over `up`.
+    pub(crate) fn hello(
+        &mut self,
+        report: &mut Report,
+        up: &mut impl WorkerUplink,
+    ) -> io::Result<()> {
+        let kind = match (std::mem::replace(&mut self.joined, true), self.fresh_join) {
+            (false, false) => KIND_JOIN,
+            (false, true) => KIND_JOIN_FRESH,
+            (true, _) => KIND_REJOIN,
+        };
+        let buf = &mut self.scratch;
+        begin_frame(buf, kind);
+        buf.put_u32_le(self.id);
+        if kind == KIND_REJOIN {
+            buf.put_u64_le(self.token);
+            buf.put_u32_le(self.next_slot);
+        }
+        end_frame(buf);
+        up.send(buf)?;
+        if kind == KIND_REJOIN {
+            up.settle(report);
+            if !report.frame().is_empty() {
+                up.send(report.frame())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// [`WorkerSession::handle`] over `up`: every step the cursor reaches
+    /// falls due through [`WorkerUplink::report_due`], in order.
+    pub(crate) fn handle(
+        &mut self,
+        report: &mut Report,
+        kind: u8,
+        payload: &[u8],
+        up: &mut impl WorkerUplink,
     ) -> Result<WorkerFlow, WorkerError> {
         let mut due = None;
         match kind {
@@ -502,11 +631,11 @@ impl WorkerSession {
                 self.next_slot = self.next_slot.max(1);
                 // A replayed WARMUP re-READYs; the machine dedups.
                 begin_frame(&mut self.scratch, KIND_READY);
-                self.scratch.put_u32_le(self.worker.id());
+                self.scratch.put_u32_le(self.id);
                 end_frame(&mut self.scratch);
-                send(&self.scratch, None)?;
+                up.send(&self.scratch)?;
             }
-            KIND_STEP => due = self.receive_step(payload)?,
+            KIND_STEP => due = self.receive_step(payload, report, up)?,
             KIND_DONE => return Ok(WorkerFlow::Done(self.steps_served)),
             KIND_ABORT => {
                 let reason = String::from_utf8_lossy(payload).into_owned();
@@ -521,25 +650,28 @@ impl WorkerSession {
         loop {
             let next = match due.take() {
                 Some(due) => Some(due),
-                None => self.take_buffered()?,
+                None => self.take_buffered(report, up)?,
             };
             let Some((step, batch)) = next else {
                 return Ok(WorkerFlow::Continue);
             };
-            let id = self.worker.id();
-            self.worker
-                .compute_into(&self.params, batch as usize, &mut self.out);
             self.next_slot = step.saturating_add(1);
             self.steps_served += 1;
-            encode_grad(&mut self.report, id, step, &self.out);
-            send(&self.report, Some(step))?;
+            report.due = Some((step, batch));
+            up.report_due(report, step)?;
         }
     }
 
     /// Classifies a `STEP` by its step alone, then verifies it. Returns
-    /// the cursor's step as `(step, batch)`, decoded into `params`; a
-    /// stale copy is ignored and a step ahead waits in the reorder buffer.
-    fn receive_step(&mut self, payload: &[u8]) -> Result<Option<(u32, u32)>, WorkerError> {
+    /// the cursor's step as `(step, batch)`, decoded into the report's
+    /// parameters; a stale copy is ignored and a step ahead waits in the
+    /// reorder buffer.
+    fn receive_step(
+        &mut self,
+        payload: &[u8],
+        report: &mut Report,
+        up: &mut impl WorkerUplink,
+    ) -> Result<Option<(u32, u32)>, WorkerError> {
         let step = u32::from_le_bytes(read_array(payload, 0)?);
         // A fresh mid-run joiner skips warmup: the first STEP it receives
         // (the replayed in-flight step) anchors its cursor.
@@ -555,7 +687,8 @@ impl WorkerSession {
                 "step {step} broadcast while {cursor} was the next expected slot"
             )));
         }
-        let (_, batch) = decode_step(payload, &mut self.params)?;
+        up.settle(report);
+        let (_, batch) = decode_step(payload, &mut report.params)?;
         self.next_slot = cursor;
         if step == cursor {
             return Ok(Some((step, batch)));
@@ -567,16 +700,21 @@ impl WorkerSession {
         Ok(None)
     }
 
-    /// Takes the cursor's step out of the reorder buffer, decoded into
-    /// `params`.
-    fn take_buffered(&mut self) -> Result<Option<(u32, u32)>, MessageError> {
+    /// Takes the cursor's step out of the reorder buffer, decoded into the
+    /// report's parameters once the report due before it is settled.
+    fn take_buffered(
+        &mut self,
+        report: &mut Report,
+        up: &mut impl WorkerUplink,
+    ) -> Result<Option<(u32, u32)>, MessageError> {
         let Some(slot) = reorder_slot(&mut self.ahead, self.next_slot) else {
             return Ok(None);
         };
         if read_array(slot, 0) != Ok(self.next_slot.to_le_bytes()) {
             return Ok(None);
         }
-        let decoded = decode_step(slot, &mut self.params);
+        up.settle(report);
+        let decoded = decode_step(slot, &mut report.params);
         slot.clear();
         decoded.map(Some)
     }

@@ -15,7 +15,8 @@
 //! opened by [`open_frame`], as a TCP reader opens it; every inbound one
 //! then goes to the coordinator's session handler (`session.rs`: join gate,
 //! token-checked rejoin with ring replay, gradient admission), and every
-//! simulated worker is a [`WorkerSession`] hosting a real
+//! simulated worker runs the two halves of a
+//! [`WorkerSession`](crate::WorkerSession) around a real
 //! [`HonestWorker`], so its RNG stream and momentum are bit-identical to
 //! its in-process and TCP twins. This transport only moves bytes through
 //! its chaos queue and fires the crash and join schedules. Its links
@@ -37,19 +38,35 @@
 //! [`Transport::idle`], jumping to the next queued delivery or the next
 //! machine deadline. No wall clock, no sleeps, no sockets — a chaos run
 //! executes in microseconds.
+//!
+//! Reports are computed on the run's worker pool when [`drive`] lends it
+//! a thread ([`Transport::lend_pool`]). A delivered `STEP` still advances
+//! the worker's cursor at once, and its report's link times and queue
+//! `seq` (primary copy, then any duplicate) are drawn at the same virtual
+//! time and in the same order as when the report is computed inline;
+//! only the frame's bytes are left pending. Pool threads and the driving
+//! thread claim pending reports from one shared round
+//! ([`SharedRound`]) as they fall due. A report's bytes are written into
+//! every queued copy before one of its copies is delivered, before its
+//! worker's session handles another frame or says hello, and before
+//! `drive` returns, so a worker has at most one report pending and every
+//! frame carries the bytes an inline run would send.
 
 use crate::backend::Deployment;
 use crate::machine::{Event, Phase};
 use crate::protocol::{grad_frame_len, open_frame, session_token};
-use crate::session::{Broadcast, Session, Verdict, WorkerSession};
+use crate::session::{Broadcast, Report, Session, Verdict, WorkerProtocol, WorkerUplink};
 use crate::transport::{drive, Transport};
 use crate::worker::WorkerError;
 use dpbyz_core::pipeline::{Experiment, PipelineError};
-use dpbyz_server::{HonestWorker, RunHistory, RunObserver, RunScratch, WorkerOutput};
+use dpbyz_server::{
+    HonestWorker, RunHistory, RunObserver, RunScratch, SharedRound, WorkerOutput, WorkerPool,
+};
 use dpbyz_tensor::{Prng, Vector};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::io;
+use std::sync::{Arc, MutexGuard};
 
 /// Extra one-way latency charged per simulated "drop": the frame is not
 /// lost, it is redelivered later — TCP's retransmission model, which is
@@ -298,13 +315,14 @@ impl ChaosLink {
     }
 }
 
-/// One queued wire event.
+/// One queued wire event. A frame is named by its buffer in
+/// [`Wire::frames`].
 #[derive(Debug)]
 enum Delivery {
     /// A frame travelling worker → coordinator.
-    ToCoord { from: u32, frame: Vec<u8> },
+    ToCoord { from: u32, frame: usize },
     /// A frame travelling coordinator → worker.
-    ToWorker { to: u32, frame: Vec<u8> },
+    ToWorker { to: u32, frame: usize },
     /// The coordinator's side of a detected crash (the TCP reset
     /// analogue). Only scheduled when the plan detects crashes.
     Detach { worker: u32 },
@@ -349,14 +367,19 @@ const FRAMES_PER_WORKER: usize = 4;
 
 /// The simulated network: the virtual clock, the deterministic delivery
 /// queue (earliest delivery time first, then send order), one chaos link
-/// per worker and direction, and the spare frame buffers every queued
-/// frame is copied into — each sized for the run's largest frame, leased
+/// per worker and direction, and the frame buffers every queued frame is
+/// copied into. Each buffer is sized for the run's largest frame, leased
 /// on send and returned on delivery, so a warm wire allocates nothing.
+/// A queued delivery names its buffer by index, so a report queued before
+/// its bytes exist can be written in place later.
 struct Wire {
     now: u64,
     seq: u64,
     queue: BinaryHeap<Queued>,
-    spare: Vec<Vec<u8>>,
+    /// Every frame buffer, queued or free.
+    frames: Vec<Vec<u8>>,
+    /// Indices of the buffers no delivery holds.
+    free: Vec<usize>,
     /// Capacity of every frame buffer: a `GRAD` at the run's dimension.
     frame_cap: usize,
     to_worker: Vec<ChaosLink>,
@@ -364,7 +387,7 @@ struct Wire {
 }
 
 impl Wire {
-    /// A wire at `t = 0` whose queue and spare pool are sized for
+    /// A wire at `t = 0` whose queue and buffers are sized for
     /// [`FRAMES_PER_WORKER`] frames of `frame_cap` bytes per worker.
     fn new(to_worker: Vec<ChaosLink>, to_coord: Vec<ChaosLink>, frame_cap: usize) -> Self {
         let slots = FRAMES_PER_WORKER * to_worker.len();
@@ -372,17 +395,21 @@ impl Wire {
             now: 0,
             seq: 0,
             queue: BinaryHeap::with_capacity(slots),
-            spare: (0..slots).map(|_| Vec::with_capacity(frame_cap)).collect(),
+            frames: (0..slots).map(|_| Vec::with_capacity(frame_cap)).collect(),
+            free: (0..slots).collect(),
             frame_cap,
             to_worker,
             to_coord,
         }
     }
 
-    /// Sends a frame from worker `from`, `extra_ms` from now.
-    fn send_to_coord(&mut self, from: u32, extra_ms: u64, frame: &[u8]) {
+    /// Sends a frame from worker `from`, `extra_ms` from now, and returns
+    /// the buffers of its primary copy and any duplicate. An empty `frame`
+    /// queues empty buffers for [`Wire::write`] to fill before they are
+    /// delivered.
+    fn send_to_coord(&mut self, from: u32, extra_ms: u64, frame: &[u8]) -> Copies {
         let times = self.to_coord[from as usize].times(self.now, extra_ms);
-        self.schedule(times, frame, |frame| Delivery::ToCoord { from, frame });
+        self.schedule(times, frame, |frame| Delivery::ToCoord { from, frame })
     }
 
     /// Sends a frame to worker `to`.
@@ -396,14 +423,16 @@ impl Wire {
         &mut self,
         (at, dup_at): (u64, Option<u64>),
         frame: &[u8],
-        build: impl Fn(Vec<u8>) -> Delivery,
-    ) {
+        build: impl Fn(usize) -> Delivery,
+    ) -> Copies {
         let copy = self.lease(frame);
         self.push(at, build(copy));
-        if let Some(at) = dup_at {
+        let dup = dup_at.map(|at| {
             let copy = self.lease(frame);
             self.push(at, build(copy));
-        }
+            copy
+        });
+        Copies(copy, dup)
     }
 
     fn push(&mut self, at: u64, delivery: Delivery) {
@@ -412,20 +441,34 @@ impl Wire {
         self.seq += 1;
     }
 
-    /// A spare buffer holding a copy of `frame`.
-    fn lease(&mut self, frame: &[u8]) -> Vec<u8> {
-        let mut buf = self
-            .spare
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(self.frame_cap));
-        buf.extend_from_slice(frame);
-        buf
+    /// A free buffer holding a copy of `frame`.
+    fn lease(&mut self, frame: &[u8]) -> usize {
+        let i = self.free.pop().unwrap_or_else(|| {
+            self.frames.push(Vec::with_capacity(self.frame_cap));
+            self.frames.len() - 1
+        });
+        self.frames[i].extend_from_slice(frame);
+        i
     }
 
-    /// Takes a delivered frame's buffer back.
-    fn recycle(&mut self, mut frame: Vec<u8>) {
+    /// Writes `frame` into every buffer of `copies`.
+    fn write(&mut self, Copies(copy, dup): Copies, frame: &[u8]) {
+        for i in std::iter::once(copy).chain(dup) {
+            self.frames[i].extend_from_slice(frame);
+        }
+    }
+
+    /// Takes a delivered frame out of buffer `i`, to be handed back with
+    /// [`Wire::recycle`].
+    fn take(&mut self, i: usize) -> Vec<u8> {
+        std::mem::take(&mut self.frames[i])
+    }
+
+    /// Returns a delivered frame's buffer, emptied, to the free list.
+    fn recycle(&mut self, i: usize, mut frame: Vec<u8>) {
         frame.clear();
-        self.spare.push(frame);
+        self.frames[i] = frame;
+        self.free.push(i);
     }
 
     /// Delivery time of the earliest queued event.
@@ -442,14 +485,37 @@ impl Wire {
     }
 }
 
-/// A simulated worker's `send`: the frame, and the step if it is a report
-/// computed just now.
-type Uplink<'a> = &'a mut dyn FnMut(&[u8], Option<u32>) -> io::Result<()>;
+/// The buffers of one sent frame's queued copies: the primary, and the
+/// duplicate if the link drew one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Copies(usize, Option<usize>);
 
-/// A simulated worker: the same [`WorkerSession`] a TCP worker runs,
-/// plus its crash and join schedule.
+impl Copies {
+    /// Whether buffer `frame` is one of the copies.
+    fn holds(self, frame: usize) -> bool {
+        self.0 == frame || self.1 == Some(frame)
+    }
+}
+
+/// A report whose step fell due while a pool was lent: its copies are
+/// queued with empty buffers until [`SimNet::settle`] writes them.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    copies: Copies,
+    /// Its job in the shared round, once published.
+    job: Option<u32>,
+}
+
+/// The generation a lent [`SharedRound`] of reports opens: one per run.
+const GENERATION: u32 = 1;
+
+/// A simulated worker: the protocol half of the session a TCP worker
+/// runs (its report half sits in [`SimNet::reports`]), plus its pending
+/// report and its crash and join schedule.
 struct SimWorker {
-    session: WorkerSession,
+    protocol: WorkerProtocol,
+    /// The report whose bytes are not written yet; at most one.
+    pending: Option<Pending>,
     /// `false` between a crash and its rejoin: deliveries are discarded
     /// (they were on the dead wire) and nothing is sent.
     alive: bool,
@@ -460,6 +526,74 @@ struct SimWorker {
     join_fresh_on: Option<u32>,
 }
 
+/// A simulated worker's uplink: frames go onto its chaos link. A report
+/// is charged the compute time plus any straggler delay of its step, and
+/// the one the crash plan names is the last frame the link carries. With
+/// a pool lent, a report's link draws and queue slots are taken when its
+/// step falls due and its bytes are left pending; otherwise it is
+/// computed and copied at once.
+struct SimUplink<'a> {
+    wire: &'a mut Wire,
+    id: u32,
+    compute_ms: u64,
+    delays: &'a [GradDelay],
+    crash_after: Option<u32>,
+    pending: &'a mut Option<Pending>,
+    defer: bool,
+}
+
+impl WorkerUplink for SimUplink<'_> {
+    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.wire.send_to_coord(self.id, 0, frame);
+        Ok(())
+    }
+
+    fn report_due(&mut self, report: &mut Report, step: u32) -> io::Result<()> {
+        let late = self
+            .delays
+            .iter()
+            .filter(|d| d.worker == self.id && (d.from_step..=d.to_step).contains(&step));
+        let extra = self.compute_ms + late.map(|d| d.extra_ms).sum::<u64>();
+        if self.defer {
+            let copies = self.wire.send_to_coord(self.id, extra, &[]);
+            *self.pending = Some(Pending { copies, job: None });
+        } else {
+            report.compute();
+            self.wire.send_to_coord(self.id, extra, report.frame());
+        }
+        if self.crash_after == Some(step) {
+            return Err(io::ErrorKind::ConnectionReset.into());
+        }
+        Ok(())
+    }
+
+    fn settle(&mut self, report: &mut Report) {
+        if let Some(pending) = self.pending.take() {
+            report.compute();
+            self.wire.write(pending.copies, report.frame());
+        }
+    }
+}
+
+/// Locks worker `idx`'s report. A poisoned lock means its job panicked
+/// on a pool thread: recalling the pool re-raises that panic here.
+fn lock_report<'a>(
+    reports: &'a SharedRound<Report>,
+    idx: usize,
+    pool: &mut Option<WorkerPool>,
+) -> MutexGuard<'a, Report> {
+    match reports.lock(GENERATION, idx) {
+        Ok(report) => report,
+        Err(_) => {
+            reports.close();
+            if let Some(pool) = pool {
+                pool.recall();
+            }
+            panic!("worker {idx}'s report panicked while it was computed")
+        }
+    }
+}
+
 /// The in-memory chaos [`Transport`]: a virtual clock, a deterministic
 /// delivery queue, and the simulated workers. Every coordinator-side
 /// decision is the shared session handler's, exactly as over TCP. See
@@ -467,6 +601,11 @@ struct SimWorker {
 pub struct SimNet {
     wire: Wire,
     workers: Vec<SimWorker>,
+    /// Each worker's report half, in worker order: the jobs a lent pool
+    /// and the driving thread claim.
+    reports: Arc<SharedRound<Report>>,
+    /// The run's worker pool while [`drive`] lends it.
+    pool: Option<WorkerPool>,
     detect_crash: bool,
     grad_delays: Vec<GradDelay>,
     compute_ms: u64,
@@ -515,15 +654,16 @@ impl SimNet {
             frame_cap,
         );
         let reorder = u32::try_from(resume_window).unwrap_or(u32::MAX);
-        let workers = workers
-            .into_iter()
+        let sim_workers = workers
+            .iter()
             .map(|hw| {
                 let id = hw.id();
                 let crash = plan.crashes.iter().find(|c| c.worker == id);
                 let late = plan.late_joins.iter().find(|j| j.worker == id);
                 let token = session_token(run_seed, id);
                 SimWorker {
-                    session: WorkerSession::new(hw, token, late.is_some(), reorder),
+                    protocol: WorkerProtocol::new(id, token, late.is_some(), reorder),
+                    pending: None,
                     alive: true,
                     crash_after: crash.map(|c| c.after_step),
                     rejoin_on: crash.map(|c| c.rejoin_on_step),
@@ -531,9 +671,12 @@ impl SimNet {
                 }
             })
             .collect();
+        let reports = workers.into_iter().map(Report::new).collect();
         let mut net = SimNet {
             wire,
-            workers,
+            workers: sim_workers,
+            reports: Arc::new(SharedRound::new(reports, ())),
+            pool: None,
             detect_crash: plan.detect_crash,
             grad_delays: plan.grad_delays.clone(),
             compute_ms,
@@ -583,7 +726,7 @@ impl SimNet {
     /// wire. Only a fresh report can fire the crash plan, so it never
     /// fails.
     fn hello(&mut self, idx: usize) {
-        let _ = self.uplink(idx, |session, send| session.hello(send));
+        let _ = self.uplink(idx, |protocol, report, up| protocol.hello(report, up));
     }
 
     /// Opens one delivered frame and hands it to worker `idx`'s session.
@@ -597,7 +740,9 @@ impl SimNet {
         let Ok((kind, payload)) = open_frame(frame) else {
             return;
         };
-        let sent = self.uplink(idx, |session, send| session.handle(kind, payload, send));
+        let sent = self.uplink(idx, |protocol, report, up| {
+            protocol.handle(report, kind, payload, up)
+        });
         if let Err(WorkerError::Io(_)) = sent {
             self.workers[idx].alive = false;
             if self.detect_crash {
@@ -609,30 +754,54 @@ impl SimNet {
         }
     }
 
-    /// Runs `act` on worker `idx`'s session with its uplink as `send`. A
-    /// fresh report is charged the compute time plus any straggler delay,
-    /// and the one the crash plan names is the last frame the link
-    /// carries.
+    /// Runs `act` on worker `idx`'s session halves with its uplink, once
+    /// its last report is settled. A report that `act` leaves pending is
+    /// published to the shared round for the lent pool threads.
     fn uplink<R>(
         &mut self,
         idx: usize,
-        act: impl FnOnce(&mut WorkerSession, Uplink<'_>) -> R,
+        act: impl FnOnce(&mut WorkerProtocol, &mut Report, &mut SimUplink<'_>) -> R,
     ) -> R {
-        let (wire, w, id) = (&mut self.wire, &mut self.workers[idx], idx as u32);
-        let (compute_ms, delays, crash_after) = (self.compute_ms, &self.grad_delays, w.crash_after);
-        act(&mut w.session, &mut |frame, computed| {
-            let extra = computed.map_or(0, |step| {
-                let late = delays
-                    .iter()
-                    .filter(|d| d.worker == id && (d.from_step..=d.to_step).contains(&step));
-                compute_ms + late.map(|d| d.extra_ms).sum::<u64>()
-            });
-            wire.send_to_coord(id, extra, frame);
-            if computed.is_some() && computed == crash_after {
-                return Err(io::ErrorKind::ConnectionReset.into());
+        self.settle(idx);
+        let mut report = lock_report(&self.reports, idx, &mut self.pool);
+        let w = &mut self.workers[idx];
+        let result = act(
+            &mut w.protocol,
+            &mut report,
+            &mut SimUplink {
+                wire: &mut self.wire,
+                id: idx as u32,
+                compute_ms: self.compute_ms,
+                delays: &self.grad_delays,
+                crash_after: w.crash_after,
+                pending: &mut w.pending,
+                defer: self.pool.is_some(),
+            },
+        );
+        drop(report);
+        if let Some(pending) = w.pending.as_mut().filter(|p| p.job.is_none()) {
+            pending.job = Some(self.reports.publish(idx));
+            if let Some(pool) = &mut self.pool {
+                pool.relend();
             }
-            Ok(())
-        })
+        }
+        result
+    }
+
+    /// Writes worker `idx`'s pending report into its queued copies. The
+    /// driving thread first claims the reports due before it, in the
+    /// order they fell due, computing each one no pool thread has
+    /// claimed, then waits out a pool thread still computing this one.
+    fn settle(&mut self, idx: usize) {
+        let Some(pending) = self.workers[idx].pending.take() else {
+            return;
+        };
+        if let Some(job) = pending.job {
+            self.reports.claim_through(GENERATION, job);
+        }
+        let mut report = lock_report(&self.reports, idx, &mut self.pool);
+        report.compute();
+        self.wire.write(pending.copies, report.frame());
     }
 }
 
@@ -653,7 +822,15 @@ impl Transport for SimNet {
             progressed = true;
             match delivery {
                 Delivery::ToCoord { from, frame } => {
-                    if let Ok((kind, payload)) = open_frame(&frame) {
+                    let idx = from as usize;
+                    if self.workers[idx]
+                        .pending
+                        .is_some_and(|p| p.copies.holds(frame))
+                    {
+                        self.settle(idx);
+                    }
+                    let bytes = self.wire.take(frame);
+                    if let Ok((kind, payload)) = open_frame(&bytes) {
                         // A violation has no connection to close here:
                         // the frame is simply dropped, as is a refused
                         // one.
@@ -668,16 +845,48 @@ impl Transport for SimNet {
                             }
                         }
                     }
-                    self.wire.recycle(frame);
+                    self.wire.recycle(frame, bytes);
                 }
                 Delivery::ToWorker { to, frame } => {
-                    self.worker_deliver(to as usize, &frame);
-                    self.wire.recycle(frame);
+                    let bytes = self.wire.take(frame);
+                    self.worker_deliver(to as usize, &bytes);
+                    self.wire.recycle(frame, bytes);
                 }
                 Delivery::Detach { worker } => self.session.detach(worker, events),
             }
         }
         Ok(progressed)
+    }
+
+    /// Takes the pool for the run if it has a thread to spare: from now
+    /// on a report whose step falls due is published to the shared round
+    /// of reports, and `helpers` pool threads compute reports as they
+    /// fall due, beside the driving thread. With none to spare, every
+    /// report is computed the moment its step falls due.
+    fn lend_pool(&mut self, pool: &mut WorkerPool, helpers: usize) {
+        if helpers == 0 {
+            return;
+        }
+        let mut lent = std::mem::take(pool);
+        self.reports.open(GENERATION);
+        lent.lend(&self.reports, GENERATION, helpers);
+        self.pool = Some(lent);
+    }
+
+    /// Writes every pending report, then takes the threads back and
+    /// returns the pool.
+    fn reclaim_pool(&mut self, pool: &mut WorkerPool) {
+        if self.pool.is_none() {
+            return;
+        }
+        for idx in 0..self.workers.len() {
+            self.settle(idx);
+        }
+        self.reports.close();
+        if let Some(mut lent) = self.pool.take() {
+            lent.recall();
+            *pool = lent;
+        }
     }
 
     fn start_warmup(&mut self) {
@@ -815,6 +1024,192 @@ impl SimBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::drive_with;
+    use dpbyz_server::ChurnStats;
+
+    /// Counts the events polls decode, as a benchmark's timing transport
+    /// does, and hands the pool on to the simulator.
+    struct Counted<'a> {
+        net: &'a mut SimNet,
+        events: u64,
+    }
+
+    impl Transport for Counted<'_> {
+        fn now_ms(&mut self) -> u64 {
+            self.net.now_ms()
+        }
+        fn poll(
+            &mut self,
+            phase: Phase,
+            outputs: &mut [WorkerOutput],
+            events: &mut Vec<Event>,
+        ) -> io::Result<bool> {
+            let before = events.len();
+            let moved = self.net.poll(phase, outputs, events);
+            self.events += (events.len() - before) as u64;
+            moved
+        }
+        fn start_warmup(&mut self) {
+            self.net.start_warmup();
+        }
+        fn broadcast_step(&mut self, step: u32, batch: u32, params: &Vector) {
+            self.net.broadcast_step(step, batch, params);
+        }
+        fn finish(&mut self) {
+            self.net.finish();
+        }
+        fn abort(&mut self, reason: &str) {
+            self.net.abort(reason);
+        }
+        fn idle(&mut self, next_deadline_ms: Option<u64>) {
+            self.net.idle(next_deadline_ms);
+        }
+        fn lend_pool(&mut self, pool: &mut WorkerPool, helpers: usize) {
+            self.net.lend_pool(pool, helpers);
+        }
+        fn reclaim_pool(&mut self, pool: &mut WorkerPool) {
+            self.net.reclaim_pool(pool);
+        }
+    }
+
+    /// What a sim run leaves that must not depend on how many pool
+    /// threads computed its reports.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        history: Result<RunHistory, String>,
+        churn: Option<ChurnStats>,
+        events: u64,
+        clock: u64,
+    }
+
+    /// Runs `exp` over `plan` with `helpers` pool threads forced.
+    fn run_at(
+        helpers: usize,
+        backend: &SimBackend,
+        exp: &Experiment,
+        plan: &FaultPlan,
+        scratch: &mut RunScratch,
+    ) -> Outcome {
+        let seed = 23;
+        let (mut events, mut clock) = (0, 0);
+        let d = &backend.deployment;
+        let history = d.run(
+            "sim",
+            exp,
+            seed,
+            None,
+            scratch,
+            |core, workers, cfg, scratch| {
+                let mut net = SimNet::new(
+                    workers,
+                    plan,
+                    seed,
+                    backend.compute_ms,
+                    d.resume_window,
+                    cfg.staleness_window,
+                );
+                let mut counted = Counted {
+                    net: &mut net,
+                    events: 0,
+                };
+                let history = drive_with(&mut counted, core, cfg, seed, scratch, helpers);
+                events = counted.events;
+                clock = net.wire.now;
+                history
+            },
+        );
+        Outcome {
+            churn: history.as_ref().ok().map(|h| h.churn.clone()),
+            history: history.map_err(|e| e.to_string()),
+            events,
+            clock,
+        }
+    }
+
+    /// Every run at 1 and 3 helpers, twice each on one scratch, leaves
+    /// exactly what the inline run (0 helpers) leaves.
+    fn assert_helper_counts_agree(
+        label: &str,
+        backend: &SimBackend,
+        exp: &Experiment,
+        plan: &FaultPlan,
+    ) {
+        let mut scratch = RunScratch::new();
+        let inline = run_at(0, backend, exp, plan, &mut scratch);
+        assert!(inline.history.is_ok(), "{label}: {:?}", inline.history);
+        for helpers in [1, 3, 1, 3] {
+            let leased = run_at(helpers, backend, exp, plan, &mut scratch);
+            assert_eq!(leased, inline, "{label}: {helpers} helpers");
+        }
+    }
+
+    fn paper_like(steps: u32, staleness_window: u32) -> Experiment {
+        let mut exp = Experiment::builder()
+            .batch_size(10)
+            .epsilon(0.2)
+            .attack("alie")
+            .steps(steps)
+            .dataset_size(300)
+            .build()
+            .unwrap();
+        exp.config.staleness_window = staleness_window;
+        exp
+    }
+
+    /// A sim whose join gate and quorum tolerate one absent honest worker.
+    fn one_short(n_honest: usize) -> SimBackend {
+        SimBackend {
+            deployment: Deployment {
+                min_workers: Some(n_honest - 1),
+                quorum: Some(n_honest - 1),
+                ..Deployment::default()
+            },
+            ..SimBackend::default()
+        }
+    }
+
+    #[test]
+    fn reports_computed_on_pool_threads_leave_the_inline_run_at_every_helper_count() {
+        let exp = paper_like(12, 0);
+        let n = exp.config.honest_workers(true);
+        let w = (n - 1) as u32;
+        for chaos in 0..8 {
+            let plan = FaultPlan::from_seed(chaos, n);
+            assert_helper_counts_agree(
+                &format!("chaos {chaos}"),
+                &SimBackend::default(),
+                &exp,
+                &plan,
+            );
+        }
+        let short = one_short(n);
+        for detect in [false, true] {
+            // The crash fires on the report of step 2, which is still
+            // pending when the worker dies and when it rejoins.
+            let plan = FaultPlan::from_seed(3, n)
+                .with_crash(w, 2, 5)
+                .with_detection(detect);
+            assert_helper_counts_agree(&format!("crash, detect {detect}"), &short, &exp, &plan);
+        }
+        let plan = FaultPlan::from_seed(4, n).with_late_join(w, 3);
+        assert_helper_counts_agree("late join", &short, &exp, &plan);
+        let plan = FaultPlan::from_seed(5, n).with_grad_delay(w, 3, 6, 20_000);
+        assert_helper_counts_agree("grad delay", &short, &exp, &plan);
+        let stale = paper_like(12, 2);
+        let plan = FaultPlan::from_seed(6, n).with_grad_delay(w, 2, 8, 9);
+        assert_helper_counts_agree("staleness window 2", &short, &stale, &plan);
+        // A worker whose STEPs overtake each other: its reorder buffer
+        // drains two steps in one `handle` call.
+        let mut plan = FaultPlan::from_seed(7, n);
+        plan.to_worker[w as usize] = LinkPlan {
+            delay_ms: 1,
+            jitter_ms: 40,
+            drop: 0.2,
+            dup: 0.3,
+            partitions: Vec::new(),
+        };
+        assert_helper_counts_agree("reordered steps", &short, &exp, &plan);
+    }
 
     #[test]
     fn fault_plans_are_pure_functions_of_the_seed() {
@@ -921,16 +1316,20 @@ mod tests {
         wire.now = 5;
         let mut delivered = Vec::new();
         while let Some(Delivery::ToWorker { frame, .. }) = wire.pop_due() {
-            delivered.push(frame[0]);
-            wire.recycle(frame);
+            let bytes = wire.take(frame);
+            delivered.push(bytes[0]);
+            wire.recycle(frame, bytes);
         }
         assert_eq!(delivered, [3, 1, 4, 0, 2], "time first, ties in send order");
         assert_eq!(wire.next_at(), Some(9), "the later frame waits");
-        assert_eq!(wire.spare.len(), 5);
+        // Four buffers sized up front, two grown for the six sends; the
+        // five delivered are free again, emptied and still sized.
+        assert_eq!(wire.frames.len(), 6);
+        assert_eq!(wire.free.len(), 5);
         assert!(wire
-            .spare
+            .free
             .iter()
-            .all(|b| b.is_empty() && b.capacity() >= 16));
+            .all(|&i| wire.frames[i].is_empty() && wire.frames[i].capacity() >= 16));
     }
 
     #[test]

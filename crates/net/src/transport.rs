@@ -23,7 +23,7 @@
 use crate::machine::{Action, Event, MachineConfig, Phase, RoundStateMachine};
 use bytes::{BufMut, BytesMut};
 use dpbyz_gars::GarError;
-use dpbyz_server::{RunHistory, RunScratch, ServerCore, WorkerOutput};
+use dpbyz_server::{RunHistory, RunScratch, ServerCore, WorkerOutput, WorkerPool};
 use dpbyz_tensor::Vector;
 use std::collections::VecDeque;
 use std::fmt;
@@ -113,6 +113,20 @@ pub trait Transport {
     /// deadline decision (the simulator jumps its clock there; sockets
     /// nap a few hundred µs).
     fn idle(&mut self, next_deadline_ms: Option<u64>);
+
+    /// Takes the run's worker pool for [`drive`]'s round loop, with
+    /// `helpers` of its threads free to compute beside the driving
+    /// thread. [`drive`] calls it once, before the first poll, and hands
+    /// the pool back through [`Transport::reclaim_pool`]. The default
+    /// leaves the pool where it is and computes nothing off the driving
+    /// thread.
+    fn lend_pool(&mut self, _pool: &mut WorkerPool, _helpers: usize) {}
+
+    /// Ends [`Transport::lend_pool`]'s loan once [`drive`]'s loop has
+    /// ended, on every exit path: a transport that took the pool finishes
+    /// all the work it gave the pool's threads, takes them back and puts
+    /// the pool in `pool`. The default does nothing.
+    fn reclaim_pool(&mut self, _pool: &mut WorkerPool) {}
 }
 
 /// Runs one training run over any [`Transport`]: walks the
@@ -123,17 +137,34 @@ pub trait Transport {
 /// `core` comes from
 /// [`Trainer::into_distributed_parts`](dpbyz_server::Trainer::into_distributed_parts);
 /// buffers recycle through `scratch` exactly as the in-process engines
-/// do, on **every** exit path.
+/// do, on **every** exit path. The scratch's worker pool is lent to the
+/// transport for the run ([`Transport::lend_pool`]) with as many helper
+/// threads as [`WorkerPool::helpers`] allows the run's shape.
 ///
 /// # Errors
 ///
 /// See [`CoordinatorError`].
 pub fn drive<T: Transport>(
     transport: &mut T,
+    core: ServerCore,
+    cfg: MachineConfig,
+    seed: u64,
+    scratch: &mut RunScratch,
+) -> Result<RunHistory, CoordinatorError> {
+    let batch_size = core.config().batch_size;
+    let helpers = WorkerPool::helpers(cfg.n_workers, batch_size, core.params().dim());
+    drive_with(transport, core, cfg, seed, scratch, helpers)
+}
+
+/// [`drive`] with `helpers` pool threads lent to the transport, whatever
+/// the run's shape and the free cores. Tests force a count through here.
+pub(crate) fn drive_with<T: Transport>(
+    transport: &mut T,
     mut core: ServerCore,
     cfg: MachineConfig,
     seed: u64,
     scratch: &mut RunScratch,
+    helpers: usize,
 ) -> Result<RunHistory, CoordinatorError> {
     let mut machine = RoundStateMachine::new(cfg, transport.now_ms());
     let mut outputs = scratch.take_outputs();
@@ -142,6 +173,7 @@ pub fn drive<T: Transport>(
     let mut events: Vec<Event> = Vec::with_capacity(8);
     let dim = core.params().dim();
 
+    transport.lend_pool(scratch.worker_pool(), helpers);
     let result = 'run: loop {
         let now = transport.now_ms();
         let polled = match transport.poll(machine.phase(), &mut outputs, &mut events) {
@@ -222,6 +254,7 @@ pub fn drive<T: Transport>(
         }
     };
 
+    transport.reclaim_pool(scratch.worker_pool());
     scratch.restore_outputs(outputs);
     core.reclaim_scratch(scratch);
     result.map(|()| {

@@ -79,5 +79,7 @@ pub use config::{AttackVisibility, BatchGrowth, ConfigError, MomentumMode, Train
 pub use metrics::{ChurnStats, RunHistory, SeedSummary};
 pub use observer::{FnObserver, RunObserver, StepMetrics};
 pub use schedule::LrSchedule;
-pub use trainer::{derive_streams, RunScratch, ServerCore, Trainer};
+pub use trainer::{
+    derive_streams, RoundJob, RunScratch, ServerCore, SharedRound, Trainer, WorkerPool,
+};
 pub use worker::{HonestWorker, WorkerOutput};

@@ -11,9 +11,10 @@ use dpbyz_dp::{Mechanism, NoNoise};
 use dpbyz_gars::{vn, Average, Gar, GarError, GarScratch};
 use dpbyz_models::{metrics::accuracy, Model};
 use dpbyz_tensor::{Lease, LeasePool, Prng, Vector};
+use std::hint;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, LockResult, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, TryLockError};
 use std::thread;
 
 /// Smallest per-worker round work, `batch_size × dim`, at which
@@ -78,45 +79,260 @@ fn cores() -> usize {
     *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
-/// One run's honest workers as a round that several threads work on at
-/// once: the driving thread and every pool thread it leases a
-/// [`WorkerLease`] to claim the next uncomputed worker from one cursor
-/// until none is left. Which thread computes which worker does not
-/// matter: a worker's output depends only on its own state and the
-/// round's parameters.
-pub(crate) struct SharedRound {
-    /// `generation << 32 | next unclaimed worker`. A claim names the
-    /// round it was made for, so it can never take a later round's
-    /// worker. The Release store in [`SharedRound::open`] pairs with the
-    /// Acquire loads of [`SharedRound::claim`]: a claimant that sees a
-    /// generation sees the round opened for it.
-    cursor: AtomicU64,
-    /// The round's broadcast parameters and batch size: written by the
-    /// driving thread between rounds, read by every claimant during one.
-    input: RwLock<(Vector, usize)>,
-    /// Each honest worker with the output slot it fills, locked by the
-    /// one thread that claimed it. A panicking worker poisons its lock;
-    /// the panic ends the run before anything reads the slot again.
-    slots: Vec<Mutex<(HonestWorker, WorkerOutput)>>,
+/// Reads of a [`SharedRound`]'s cursor that a lent thread with no job
+/// due makes before its claim loop returns, when jobs fall due one at a
+/// time. The same window as the pool mailbox's spin
+/// (`dpbyz_tensor::LeasePool`): about 40 µs on the 2-vCPU Xeon that was
+/// tuned on, longer than the gap between two reports falling due in a
+/// paper-scale sim round. A thread that a run keeps feeding stays in its
+/// loop, and one that runs dry gives its core back soon after.
+const CLAIM_SPIN: u32 = 2_500;
+
+/// One job of a [`SharedRound`]: what the thread that claims it computes
+/// while it holds the job's slot locked.
+pub trait RoundJob: Send + 'static {
+    /// What every job of a round reads: the trainer's workers read the
+    /// round's parameters and batch size; a job that holds its own input
+    /// reads `()`.
+    type Input: Send + Sync + 'static;
+
+    /// Computes the job.
+    fn run(&mut self, input: &Self::Input);
 }
 
-impl SharedRound {
-    fn new(workers: Vec<HonestWorker>, dim: usize) -> Self {
-        let slots = workers
-            .into_iter()
-            .map(|w| Mutex::new((w, WorkerOutput::default())));
+/// Jobs that several threads work on at once: the driving thread and
+/// every pool thread that [`WorkerPool::lend`] hands the round to claim
+/// the next due job from one cursor. Which thread computes a job does not
+/// matter: a job's result depends only on its own slot and the round's
+/// input.
+///
+/// The in-process trainer makes every honest worker due when it opens a
+/// round and claims until none is left. An external engine opens one
+/// generation for a whole run, [`publishes`](SharedRound::publish) a job
+/// whenever one falls due, lets lent threads start it at once, and claims
+/// through a job with [`SharedRound::claim_through`] only when it must
+/// read the result. A slot's job runs while the slot is locked, so
+/// [`SharedRound::lock`] waits out a job another thread is running.
+pub struct SharedRound<J: RoundJob> {
+    /// `generation << 32 | jobs claimed`, the count wrapping. A claim
+    /// names the generation it was made for, so it can never take a job
+    /// of a later one. The Release stores of [`SharedRound::open`] pair
+    /// with the Acquire loads of a claim: a claimant that sees a
+    /// generation sees the jobs due in it.
+    cursor: AtomicU64,
+    /// Jobs due so far in the open generation, wrapping like the count
+    /// in `cursor`.
+    due: AtomicU32,
+    /// Whether jobs fall due one at a time ([`SharedRound::publish`]):
+    /// a lent thread then waits [`CLAIM_SPIN`] reads for the next one
+    /// before its claim loop returns.
+    streaming: bool,
+    /// The slot of due job `k` is `order[k % order.len()]`. The length is
+    /// the slot count rounded up to a power of two, so the job numbers
+    /// stay in ring order across their wrap, and at most one job per slot
+    /// is unclaimed at a time, so the ring never overwrites one.
+    order: Box<[AtomicU32]>,
+    /// What every job reads: written by the driving thread while no
+    /// thread is lent, read by every claimant.
+    input: RwLock<J::Input>,
+    /// Each job, locked by the one thread running it. A panicking job
+    /// poisons its lock; [`SharedRound::lock`] reports that, and the
+    /// pool re-raises the panic when the thread is recalled.
+    slots: Box<[Mutex<J>]>,
+}
+
+/// Whether jobs are due and unclaimed when `due` jobs fell due and
+/// `claimed` were claimed: both counts wrap, and claims never pass the
+/// due count, so the gap is below `2^31`.
+fn unclaimed(due: u32, claimed: u32) -> bool {
+    (1..1 << 31).contains(&due.wrapping_sub(claimed))
+}
+
+impl<J: RoundJob> SharedRound<J> {
+    /// A round over `jobs`, each made due by [`SharedRound::publish`],
+    /// all reading `input`. No generation is open: nothing can be claimed
+    /// before [`SharedRound::open`].
+    pub fn new(jobs: Vec<J>, input: J::Input) -> Self {
+        Self::with(jobs, input, true)
+    }
+
+    fn with(jobs: Vec<J>, input: J::Input, streaming: bool) -> Self {
         SharedRound {
             cursor: AtomicU64::new(0),
-            input: RwLock::new((Vector::zeros(dim), 0)),
-            slots: slots.collect(),
+            due: AtomicU32::new(0),
+            streaming,
+            order: (0..jobs.len().next_power_of_two() as u32)
+                .map(AtomicU32::new)
+                .collect(),
+            input: RwLock::new(input),
+            slots: jobs.into_iter().map(Mutex::new).collect(),
         }
     }
 
+    /// Opens generation `generation` with no job due. A claim made for
+    /// another generation finds nothing from now on. Only the driving
+    /// thread opens a generation, with no thread lent.
+    pub fn open(&self, generation: u32) {
+        self.open_with(generation, 0);
+    }
+
+    fn open_with(&self, generation: u32, due: u32) {
+        self.due.store(due, Ordering::Release);
+        self.cursor
+            .store(u64::from(generation) << 32, Ordering::Release);
+    }
+
+    /// Ends the open generation: claims made for it find nothing from now
+    /// on, and a lent thread waiting for its next job returns.
+    pub fn close(&self) {
+        self.cursor.fetch_add(1 << 32, Ordering::AcqRel);
+    }
+
+    /// Makes slot `slot`'s job due in the open generation and returns its
+    /// job number, for [`SharedRound::claim_through`]. Only the driving
+    /// thread publishes, and only a slot whose last job was claimed.
+    pub fn publish(&self, slot: usize) -> u32 {
+        let job = self.due.load(Ordering::Relaxed);
+        self.order[job as usize % self.order.len()].store(slot as u32, Ordering::Relaxed);
+        self.due.store(job.wrapping_add(1), Ordering::Release);
+        job
+    }
+
+    /// Claims the next due job of generation `generation` if it is no
+    /// later than job `last` (any job for `None`) and returns its slot:
+    /// `None` once every due job is claimed, or if another generation is
+    /// open (the cursor is then left as it is).
+    fn claim(&self, generation: u32, last: Option<u32>) -> Option<usize> {
+        let due = self.due.load(Ordering::Acquire);
+        let cursor = self
+            .cursor
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cursor| {
+                let claimed = cursor as u32;
+                let open = cursor >> 32 == u64::from(generation);
+                let wanted = last.is_none_or(|last| unclaimed(last.wrapping_add(1), claimed));
+                (open && wanted && unclaimed(due, claimed))
+                    .then_some(cursor & !u64::from(u32::MAX) | u64::from(claimed.wrapping_add(1)))
+            })
+            .ok()?;
+        let entry = &self.order[cursor as u32 as usize % self.order.len()];
+        Some(entry.load(Ordering::Relaxed) as usize)
+    }
+
+    /// A lent thread's claim loop: claims and runs the due jobs of
+    /// generation `generation` until none is left. A round whose jobs fall
+    /// due one at a time then waits `CLAIM_SPIN` reads for the next; the
+    /// loop returns once none fell due in that window or the generation
+    /// closed.
+    pub fn work(&self, generation: u32) {
+        loop {
+            while let Some(i) = self.claim(generation, None) {
+                self.run(i);
+            }
+            if !self.streaming || !self.wait_for_job(generation) {
+                return;
+            }
+        }
+    }
+
+    /// The driving thread's claim loop: claims and runs the due jobs of
+    /// generation `generation` in the order they fell due, until job
+    /// `job` is claimed, by this thread or another.
+    pub fn claim_through(&self, generation: u32, job: u32) {
+        while let Some(i) = self.claim(generation, Some(job)) {
+            self.run(i);
+        }
+    }
+
+    /// Runs the job in slot `slot`, which this thread claimed. In a round
+    /// whose jobs fall due one at a time, a slot another thread holds is
+    /// left to it: that thread either runs what is due there or makes a
+    /// new job due, and whoever reads the slot runs anything still due.
+    fn run(&self, slot: usize) {
+        let input = self.input.read().unwrap_or_else(PoisonError::into_inner);
+        let slot = &self.slots[slot];
+        let mut job = match slot.try_lock() {
+            Ok(job) => job,
+            Err(TryLockError::WouldBlock) if self.streaming => return,
+            Err(_) => slot.lock().unwrap_or_else(PoisonError::into_inner),
+        };
+        job.run(&input);
+    }
+
+    /// Whether a job of `generation` falls due within [`CLAIM_SPIN`]
+    /// reads of the cursor.
+    fn wait_for_job(&self, generation: u32) -> bool {
+        for _ in 0..CLAIM_SPIN {
+            let cursor = self.cursor.load(Ordering::Acquire);
+            if cursor >> 32 != u64::from(generation) {
+                return false;
+            }
+            if unclaimed(self.due.load(Ordering::Acquire), cursor as u32) {
+                return true;
+            }
+            hint::spin_loop();
+        }
+        false
+    }
+
+    /// Locks slot `slot` for the driving thread. While another thread
+    /// runs a job in it, this thread claims and runs the next due job of
+    /// generation `generation` rather than wait; with none due it spins
+    /// `CLAIM_SPIN` attempts, then blocks.
+    ///
+    /// # Errors
+    ///
+    /// The poisoned lock, if a job panicked while holding it.
+    pub fn lock(&self, generation: u32, slot: usize) -> LockResult<MutexGuard<'_, J>> {
+        let slot = &self.slots[slot];
+        let mut spins = 0;
+        loop {
+            match slot.try_lock() {
+                Ok(guard) => return Ok(guard),
+                Err(TryLockError::Poisoned(poisoned)) => return Err(poisoned),
+                Err(TryLockError::WouldBlock) => {}
+            }
+            if let Some(i) = self.claim(generation, None) {
+                self.run(i);
+            } else if spins < CLAIM_SPIN {
+                spins += 1;
+                hint::spin_loop();
+            } else {
+                return slot.lock();
+            }
+        }
+    }
+}
+
+/// One honest worker of the in-process trainer with the output slot it
+/// fills.
+struct WorkerSlot {
+    worker: HonestWorker,
+    out: WorkerOutput,
+}
+
+impl RoundJob for WorkerSlot {
+    /// The round's broadcast parameters and batch size.
+    type Input = (Vector, usize);
+
+    fn run(&mut self, (params, batch_size): &(Vector, usize)) {
+        self.worker.compute_into(params, *batch_size, &mut self.out);
+    }
+}
+
+impl SharedRound<WorkerSlot> {
+    /// One run's honest workers as a trainer round.
+    fn workers(workers: Vec<HonestWorker>, dim: usize) -> Self {
+        let slots = workers.into_iter().map(|worker| WorkerSlot {
+            worker,
+            out: WorkerOutput::default(),
+        });
+        Self::with(slots.collect(), (Vector::zeros(dim), 0), false)
+    }
+
     /// Opens round `generation`: publishes its parameters and batch size,
-    /// moves the output buffers into the slots, and sets the cursor to
-    /// the round's first worker. Only the driving thread calls this, with
-    /// no lease out.
-    fn open(
+    /// moves the output buffers into the slots, and makes every worker
+    /// due. Only the driving thread calls this, with no thread lent.
+    fn open_round(
         &self,
         generation: u32,
         params: &Vector,
@@ -128,55 +344,40 @@ impl SharedRound {
         input.1 = batch_size;
         drop(input);
         self.swap_outputs(outputs);
-        self.cursor
-            .store(u64::from(generation) << 32, Ordering::Release);
+        self.open_with(generation, self.slots.len() as u32);
     }
 
     /// Moves the computed outputs back out of the slots, once every
     /// claimant of the round is done.
-    fn close(&self, outputs: &mut [WorkerOutput]) {
+    fn close_round(&self, outputs: &mut [WorkerOutput]) {
         self.swap_outputs(outputs);
     }
 
     fn swap_outputs(&self, outputs: &mut [WorkerOutput]) {
         for (slot, out) in self.slots.iter().zip(outputs) {
             let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            std::mem::swap(&mut slot.1, out);
-        }
-    }
-
-    /// Claims the next uncomputed worker of round `generation`: `None`
-    /// once every worker is claimed, or if another round is open (the
-    /// cursor is then left as it is).
-    fn claim(&self, generation: u32) -> Option<usize> {
-        let next = |cursor: u64| (cursor & u64::from(u32::MAX)) as usize;
-        self.cursor
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cursor| {
-                let open = cursor >> 32 == u64::from(generation);
-                (open && next(cursor) < self.slots.len()).then_some(cursor + 1)
-            })
-            .ok()
-            .map(next)
-    }
-
-    /// Computes the workers of round `generation` that this thread
-    /// claims, until none is left.
-    fn work(&self, generation: u32) {
-        let input = self.input.read().unwrap_or_else(PoisonError::into_inner);
-        while let Some(i) = self.claim(generation) {
-            let mut slot = self.slots[i].lock().unwrap_or_else(PoisonError::into_inner);
-            let (worker, out) = &mut *slot;
-            worker.compute_into(&input.0, input.1, out);
+            std::mem::swap(&mut slot.out, out);
         }
     }
 }
 
-/// A pool thread's part in one round: the round, shared with the driving
-/// thread, and the generation its claims are for. Lent for one round and
-/// taken back at recall.
+/// A lent thread's view of a [`SharedRound`], whatever its job type.
+trait Claims: Send + Sync {
+    fn work(&self, generation: u32);
+}
+
+impl<J: RoundJob> Claims for SharedRound<J> {
+    fn work(&self, generation: u32) {
+        SharedRound::work(self, generation);
+    }
+}
+
+/// A pool thread's part in a [`SharedRound`]: the round, shared with the
+/// driving thread, and the generation its claims are for. Lent by
+/// [`WorkerPool::lend`] and taken back by [`WorkerPool::recall`].
 #[derive(Default)]
 pub(crate) struct WorkerLease {
-    round: Option<Arc<SharedRound>>,
+    round: Option<Arc<dyn Claims>>,
     generation: u32,
 }
 
@@ -184,6 +385,85 @@ impl Lease for WorkerLease {
     fn run(&mut self) {
         if let Some(round) = &self.round {
             round.work(self.generation);
+        }
+    }
+}
+
+/// The persistent pool threads of a [`RunScratch`]
+/// ([`RunScratch::worker_pool`]), which an engine lends to a
+/// [`SharedRound`] to claim jobs beside its driving thread. Threads are
+/// spawned on the first lend that needs them and kept for later runs.
+#[derive(Default)]
+pub struct WorkerPool {
+    threads: LeasePool<WorkerLease>,
+    /// Threads lent now: `0..lent`.
+    lent: usize,
+}
+
+impl WorkerPool {
+    /// How many pool threads may claim jobs beside the driving thread in
+    /// a run of `n_honest` workers that each do `batch_size × dim` work
+    /// per round: the rule [`Trainer::run_with_scratch`] applies to its
+    /// rounds (a measured work cutoff, one fewer than the workers, and no
+    /// more than the cores that the threads holding a live [`RunScratch`]
+    /// leave free).
+    pub fn helpers(n_honest: usize, batch_size: usize, dim: usize) -> usize {
+        let busy = LIVE_SCRATCHES.load(Ordering::Relaxed);
+        helpers(n_honest, batch_size, dim, busy, cores())
+    }
+
+    /// Number of threads in the pool.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.threads.len()
+    }
+
+    /// Lends `helpers` threads to generation `generation` of `round`,
+    /// spawning any the pool lacks: each runs the round's claim loop at
+    /// once. Take them back with [`WorkerPool::recall`].
+    pub fn lend<J: RoundJob>(
+        &mut self,
+        round: &Arc<SharedRound<J>>,
+        generation: u32,
+        helpers: usize,
+    ) {
+        let threads = &mut self.threads;
+        threads.resize(threads.len().max(helpers));
+        for i in 0..helpers {
+            let packet = threads.packet_mut(i);
+            packet.round = Some(Arc::clone(round) as Arc<dyn Claims>);
+            packet.generation = generation;
+            threads.lease(i);
+        }
+        self.lent = helpers;
+    }
+
+    /// Lends again every lent thread whose claim loop returned because
+    /// no job fell due for a while. Call after publishing a job.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job panicked on one of them.
+    pub fn relend(&mut self) {
+        for i in 0..self.lent {
+            if self.threads.returned(i) {
+                self.threads.recall(i);
+                self.threads.lease(i);
+            }
+        }
+    }
+
+    /// Takes every lent thread back: at once if it has not started its
+    /// claim loop, otherwise once the loop returns (close the round's
+    /// generation first, so that it does).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job panicked on one of them (the thread survives and
+    /// takes the next lend).
+    pub fn recall(&mut self) {
+        for i in 0..std::mem::take(&mut self.lent) {
+            self.threads.recall(i).round = None;
         }
     }
 }
@@ -282,7 +562,7 @@ pub struct RunScratch {
     pub(crate) round: RoundBuffers,
     pub(crate) outputs: Vec<WorkerOutput>,
     /// Helper threads that outlive the run; empty until a round leases.
-    pub(crate) pool: LeasePool<WorkerLease>,
+    pub(crate) pool: WorkerPool,
     /// Counts this scratch as a busy thread for [`helpers`].
     _counted: Counted,
 }
@@ -306,6 +586,13 @@ impl RunScratch {
     /// next run reuses their allocations.
     pub fn restore_outputs(&mut self, outputs: Vec<WorkerOutput>) {
         self.outputs = outputs;
+    }
+
+    /// The scratch's pool threads, for an external engine to lend to its
+    /// own [`SharedRound`] for one run, as [`Trainer::run_with_scratch`]
+    /// lends them to its rounds.
+    pub fn worker_pool(&mut self) -> &mut WorkerPool {
+        &mut self.pool
     }
 }
 
@@ -737,14 +1024,15 @@ impl Trainer {
     }
 
     /// The in-process round loop. Each round it opens one
-    /// [`SharedRound`] over the honest workers, leases a [`WorkerLease`]
-    /// to as many pool threads as `helpers()` says (none: every worker
-    /// runs inline), and claims workers itself until none is left. A
-    /// helper still computing a claimed worker is waited for; a packet
-    /// still unpicked is taken back unrun, so the driving thread never
-    /// waits for a helper that has claimed nothing. The arithmetic and
-    /// RNG streams are the same at every helper count, so a run may
-    /// change it between rounds. Tests force a count through here.
+    /// [`SharedRound`] generation over the honest workers, lends it to as
+    /// many pool threads as `helpers()` says (none: every worker runs
+    /// inline), and claims workers itself until none is left. It then
+    /// closes the generation and recalls the threads: one still computing
+    /// a claimed worker is waited for, and a packet still unpicked is
+    /// taken back unrun, so the driving thread never waits for a thread
+    /// that has claimed nothing. The arithmetic and RNG streams are the
+    /// same at every helper count, so a run may change it between rounds.
+    /// Tests force a count through here.
     pub(crate) fn run_rounds(
         self,
         seed: u64,
@@ -753,27 +1041,19 @@ impl Trainer {
     ) -> Result<RunHistory, GarError> {
         let (mut core, workers) = self.into_distributed_parts(seed, scratch);
         let n_honest = workers.len();
-        let round = Arc::new(SharedRound::new(workers, core.params().dim()));
+        let last = (n_honest as u32).wrapping_sub(1);
+        let round = Arc::new(SharedRound::workers(workers, core.params().dim()));
         // Output buffers come from the scratch, so consecutive runs reuse them.
         let mut outputs = std::mem::take(&mut scratch.outputs);
         outputs.resize_with(n_honest, WorkerOutput::default);
         let pool = &mut scratch.pool;
         let result = (1..=core.config().steps).try_for_each(|t| {
-            let helpers = helpers();
-            round.open(t, core.params(), core.config().batch_at(t), &mut outputs);
-            // Spawns threads only past any earlier run's helper count.
-            pool.resize(pool.len().max(helpers));
-            for i in 0..helpers {
-                let packet = pool.packet_mut(i);
-                packet.round = Some(Arc::clone(&round));
-                packet.generation = t;
-                pool.lease(i);
-            }
-            round.work(t);
-            for i in 0..helpers {
-                pool.recall(i).round = None;
-            }
-            round.close(&mut outputs);
+            round.open_round(t, core.params(), core.config().batch_at(t), &mut outputs);
+            pool.lend(&round, t, helpers());
+            round.claim_through(t, last);
+            round.close();
+            pool.recall();
+            round.close_round(&mut outputs);
             core.process_round(t, &mut outputs)
         });
         scratch.outputs = outputs;
@@ -1407,7 +1687,7 @@ mod tests {
     }
 
     /// The honest workers of a 3-worker run, in a round of their own.
-    fn shared_round() -> (SharedRound, Vector) {
+    fn shared_round() -> (SharedRound<WorkerSlot>, Vector) {
         let config = TrainingConfig {
             n_workers: 3,
             n_byzantine: 0,
@@ -1420,25 +1700,25 @@ mod tests {
         let (core, workers) =
             make_trainer_with(config, 4).into_distributed_parts(1, &mut RunScratch::new());
         let params = core.params().clone();
-        (SharedRound::new(workers, params.dim()), params)
+        (SharedRound::workers(workers, params.dim()), params)
     }
 
     #[test]
     fn a_claim_for_one_round_cannot_take_a_worker_of_the_next() {
         let (round, params) = shared_round();
         let mut outputs = vec![WorkerOutput::default(); 3];
-        round.open(1, &params, 10, &mut outputs);
-        assert_eq!(round.claim(1), Some(0));
-        round.close(&mut outputs);
-        round.open(2, &params, 10, &mut outputs);
+        round.open_round(1, &params, 10, &mut outputs);
+        assert_eq!(round.claim(1, None), Some(0));
+        round.close_round(&mut outputs);
+        round.open_round(2, &params, 10, &mut outputs);
         // A claimant still holding round 1 finds nothing, and leaves
         // round 2's cursor where it was.
-        assert_eq!(round.claim(1), None);
-        assert_eq!(round.claim(2), Some(0));
+        assert_eq!(round.claim(1, None), None);
+        assert_eq!(round.claim(2, None), Some(0));
         round.work(1);
-        assert_eq!(round.claim(2), Some(1));
-        assert_eq!(round.claim(2), Some(2));
-        assert_eq!(round.claim(2), None);
+        assert_eq!(round.claim(2, None), Some(1));
+        assert_eq!(round.claim(2, None), Some(2));
+        assert_eq!(round.claim(2, None), None);
     }
 
     #[test]
@@ -1449,27 +1729,71 @@ mod tests {
         let (round, params) = shared_round();
         let (inline, _) = shared_round();
         let round = Arc::new(round);
-        let mut pool = LeasePool::<WorkerLease>::default();
-        pool.resize(1);
+        let mut pool = WorkerPool::default();
         let (mut leased_out, mut inline_out) = (
             vec![WorkerOutput::default(); 3],
             vec![WorkerOutput::default(); 3],
         );
         for t in 1..=2 {
-            round.open(t, &params, 10, &mut leased_out);
-            let packet = pool.packet_mut(0);
-            packet.round = Some(Arc::clone(&round));
-            packet.generation = t - 1;
-            pool.lease(0);
-            round.work(t);
-            pool.recall(0).round = None;
-            round.close(&mut leased_out);
-            inline.open(t, &params, 10, &mut inline_out);
-            inline.work(t);
-            inline.close(&mut inline_out);
+            round.open_round(t, &params, 10, &mut leased_out);
+            pool.lend(&round, t - 1, 1);
+            round.claim_through(t, 2);
+            round.close();
+            pool.recall();
+            round.close_round(&mut leased_out);
+            inline.open_round(t, &params, 10, &mut inline_out);
+            inline.claim_through(t, 2);
+            inline.close_round(&mut inline_out);
             assert_eq!(leased_out, inline_out, "round {t}");
         }
         assert_eq!(Arc::strong_count(&round), 1, "a packet kept the round");
+    }
+
+    /// A job that records how often it ran.
+    #[derive(Default)]
+    struct Tally(u32);
+
+    impl RoundJob for Tally {
+        type Input = ();
+
+        fn run(&mut self, (): &()) {
+            self.0 += 1;
+        }
+    }
+
+    #[test]
+    fn published_jobs_are_claimed_in_the_order_they_fell_due_and_only_through_the_one_asked_for() {
+        let round = SharedRound::new((0..3).map(|_| Tally::default()).collect(), ());
+        round.open(7);
+        assert_eq!(round.claim(7, None), None, "nothing is due yet");
+        let jobs: Vec<u32> = [2, 0, 1].iter().map(|&slot| round.publish(slot)).collect();
+        assert_eq!(jobs, [0, 1, 2]);
+        // Through job 1: slots 2 and 0, in due order, and not slot 1.
+        round.claim_through(7, jobs[1]);
+        let runs = |round: &SharedRound<Tally>| -> Vec<u32> {
+            (0..3).map(|i| round.lock(7, i).unwrap().0).collect()
+        };
+        assert_eq!(runs(&round), [1, 0, 1]);
+        // Claiming through a job already claimed claims nothing more.
+        round.claim_through(7, jobs[0]);
+        assert_eq!(runs(&round), [1, 0, 1]);
+        // A claim for another generation, or after the close, takes
+        // nothing.
+        assert_eq!(round.claim(6, None), None);
+        round.close();
+        assert_eq!(round.claim(7, None), None);
+        // The counts wrap: a generation whose counts are about to wrap
+        // claims and publishes across the wrap in order.
+        round.open(8);
+        round.due.store(u32::MAX, Ordering::Relaxed);
+        round
+            .cursor
+            .store(8 << 32 | u64::from(u32::MAX), Ordering::Relaxed);
+        assert_eq!(round.publish(1), u32::MAX);
+        assert_eq!(round.publish(2), 0);
+        round.claim_through(8, 0);
+        assert_eq!(runs(&round), [1, 1, 2]);
+        assert_eq!(round.claim(8, None), None);
     }
 
     /// A batch source that panics when called off the thread that built
@@ -1552,11 +1876,11 @@ mod tests {
         let (a, _) = make_trainer(4, 0, 10, 11);
         let first = a.run_rounds(3, &mut scratch, || 3).unwrap();
         assert_eq!(scratch.pool.len(), 3);
-        let spawned: Vec<_> = scratch.pool.threads().map(|t| t.id()).collect();
+        let spawned: Vec<_> = scratch.pool.threads.threads().map(|t| t.id()).collect();
         let (b, _) = make_trainer(4, 0, 10, 11);
         let second = b.run_rounds(3, &mut scratch, || 3).unwrap();
         assert_eq!(first, second);
-        let reused: Vec<_> = scratch.pool.threads().map(|t| t.id()).collect();
+        let reused: Vec<_> = scratch.pool.threads.threads().map(|t| t.id()).collect();
         assert_eq!(spawned, reused, "threads were respawned between runs");
     }
 

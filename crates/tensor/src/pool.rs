@@ -252,6 +252,13 @@ impl<P: Lease + Default> LeasePool<P> {
         self.take_back(i, true)
     }
 
+    /// Whether thread `i`'s leased packet has come back, run or with its
+    /// job panicked, so that [`LeasePool::recall`] takes it at once.
+    pub fn returned(&self, i: usize) -> bool {
+        let state = self.workers[i].mailbox.state.load(Ordering::Acquire);
+        state == DONE || state == PANICKED
+    }
+
     fn take_back(&mut self, i: usize, unrun: bool) -> &mut P {
         let worker = &mut self.workers[i];
         let mut inner = worker
@@ -420,6 +427,30 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(pool.recall(0).values, [4.0]);
+    }
+
+    #[test]
+    fn returned_tells_a_run_or_panicked_packet_from_one_still_out() {
+        let (open, gate) = mpsc::channel();
+        let mut pool = gated_pool(gate);
+        assert!(!pool.returned(0), "nothing leased");
+        pool.packet_mut(0).values = vec![1.0];
+        pool.lease(0);
+        assert!(!pool.returned(0), "leased, not picked up");
+        open.send(()).unwrap();
+        while !pool.returned(0) {
+            std::thread::yield_now();
+        }
+        assert_eq!(pool.recall(0).values, [2.0]);
+        pool.packet_mut(0).values = vec![-1.0];
+        pool.lease(0);
+        while !pool.returned(0) {
+            std::thread::yield_now();
+        }
+        let recalled = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.recall(0);
+        }));
+        assert!(recalled.is_err(), "the job's panic must reach the owner");
     }
 
     #[test]
