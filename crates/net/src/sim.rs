@@ -44,13 +44,18 @@
 //! the worker's cursor at once, and its report's link times and queue
 //! `seq` (primary copy, then any duplicate) are drawn at the same virtual
 //! time and in the same order as when the report is computed inline;
-//! only the frame's bytes are left pending. Pool threads and the driving
-//! thread claim pending reports from one shared round
-//! ([`SharedRound`]) as they fall due. A report's bytes are written into
-//! every queued copy before one of its copies is delivered, before its
-//! worker's session handles another frame or says hello, and before
-//! `drive` returns, so a worker has at most one report pending and every
-//! frame carries the bytes an inline run would send.
+//! only the frame's bytes are left pending. The report is published to
+//! one shared round ([`SharedRound`]), where a pool thread claims it as
+//! soon as it is free. A report's bytes are written into every queued
+//! copy before one of its copies is delivered, before its worker's
+//! session handles another frame or says hello, and before `drive`
+//! returns; the driving thread computes the report itself at that point
+//! if no pool thread has claimed it, and waits out one still computing
+//! it. So a worker has at most one report pending, the chaos draws and
+//! the delivery order are those of an inline run, and every frame
+//! carries the bytes an inline run would send. A run whose driving
+//! thread finds `UNHELPED_LIMIT` reports in a row still uncomputed (no
+//! pool thread got a core) stops lending and computes the rest inline.
 
 use crate::backend::Deployment;
 use crate::machine::{Event, Phase};
@@ -497,25 +502,32 @@ impl Copies {
     }
 }
 
-/// A report whose step fell due while a pool was lent: its copies are
-/// queued with empty buffers until [`SimNet::settle`] writes them.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    copies: Copies,
-    /// Its job in the shared round, once published.
-    job: Option<u32>,
-}
-
 /// The generation a lent [`SharedRound`] of reports opens: one per run.
 const GENERATION: u32 = 1;
+
+/// Reports in a row that the driving thread finds still uncomputed when
+/// it reads them, after which a run stops handing reports to its pool
+/// threads and computes each one when its step falls due, as with no
+/// pool lent. That many reports span about ten paper-scale rounds in
+/// which no pool thread got to run, as when other processes keep the
+/// machine's cores busy; a lent thread that spins for jobs it rarely
+/// gets to then only takes CPU time from the driving thread. Measured
+/// with blocks of 1 000-step `paper-sim-chaos` runs on a shared 2-vCPU
+/// Xeon: beside one busy-looping process, runs that kept lending ran
+/// 12.1k steps/s and inline runs 17.5k; with this limit every such run
+/// stopped lending and ran about as fast as inline ones (11.8k against
+/// 12.5k in a later, busier spell). Without the busy loop 2 of 20 runs
+/// stopped, and 6 of 20 at a limit of 32.
+const UNHELPED_LIMIT: u32 = 64;
 
 /// A simulated worker: the protocol half of the session a TCP worker
 /// runs (its report half sits in [`SimNet::reports`]), plus its pending
 /// report and its crash and join schedule.
 struct SimWorker {
     protocol: WorkerProtocol,
-    /// The report whose bytes are not written yet; at most one.
-    pending: Option<Pending>,
+    /// The queued copies of the report whose bytes are not written yet
+    /// (a step that fell due while a pool was lent); at most one.
+    pending: Option<Copies>,
     /// `false` between a crash and its rejoin: deliveries are discarded
     /// (they were on the dead wire) and nothing is sent.
     alive: bool,
@@ -538,8 +550,9 @@ struct SimUplink<'a> {
     compute_ms: u64,
     delays: &'a [GradDelay],
     crash_after: Option<u32>,
-    pending: &'a mut Option<Pending>,
+    pending: &'a mut Option<Copies>,
     defer: bool,
+    unhelped: &'a mut u32,
 }
 
 impl WorkerUplink for SimUplink<'_> {
@@ -555,8 +568,7 @@ impl WorkerUplink for SimUplink<'_> {
             .filter(|d| d.worker == self.id && (d.from_step..=d.to_step).contains(&step));
         let extra = self.compute_ms + late.map(|d| d.extra_ms).sum::<u64>();
         if self.defer {
-            let copies = self.wire.send_to_coord(self.id, extra, &[]);
-            *self.pending = Some(Pending { copies, job: None });
+            *self.pending = Some(self.wire.send_to_coord(self.id, extra, &[]));
         } else {
             report.compute();
             self.wire.send_to_coord(self.id, extra, report.frame());
@@ -567,10 +579,18 @@ impl WorkerUplink for SimUplink<'_> {
         Ok(())
     }
 
+    /// Writes the pending report into its queued copies, computing it
+    /// here unless a pool thread already has (one still computing it
+    /// held `report`'s lock until it was done).
     fn settle(&mut self, report: &mut Report) {
-        if let Some(pending) = self.pending.take() {
+        if let Some(copies) = self.pending.take() {
+            *self.unhelped = if report.due.is_some() {
+                *self.unhelped + 1
+            } else {
+                0
+            };
             report.compute();
-            self.wire.write(pending.copies, report.frame());
+            self.wire.write(copies, report.frame());
         }
     }
 }
@@ -606,10 +626,19 @@ pub struct SimNet {
     reports: Arc<SharedRound<Report>>,
     /// The run's worker pool while [`drive`] lends it.
     pool: Option<WorkerPool>,
+    /// Whether a report whose step falls due is handed to the pool
+    /// threads: from [`Transport::lend_pool`] until the run stops lending.
+    lending: bool,
+    /// Reports in a row the driving thread computed when it read them.
+    unhelped: u32,
     detect_crash: bool,
     grad_delays: Vec<GradDelay>,
     compute_ms: u64,
     session: Session,
+    /// Every frame delivered to the coordinator, with its sender, in
+    /// delivery order.
+    #[cfg(test)]
+    to_coord_log: Vec<(u32, Vec<u8>)>,
 }
 
 impl SimNet {
@@ -677,10 +706,14 @@ impl SimNet {
             workers: sim_workers,
             reports: Arc::new(SharedRound::new(reports, ())),
             pool: None,
+            lending: false,
+            unhelped: 0,
             detect_crash: plan.detect_crash,
             grad_delays: plan.grad_delays.clone(),
             compute_ms,
             session: Session::new(n, run_seed, resume_window, staleness_window, dim),
+            #[cfg(test)]
+            to_coord_log: Vec::new(),
         };
         // Late joiners sit out the join phase entirely; their JOIN_FRESH
         // fires on the scheduled broadcast instead.
@@ -762,25 +795,23 @@ impl SimNet {
         idx: usize,
         act: impl FnOnce(&mut WorkerProtocol, &mut Report, &mut SimUplink<'_>) -> R,
     ) -> R {
-        self.settle(idx);
         let mut report = lock_report(&self.reports, idx, &mut self.pool);
         let w = &mut self.workers[idx];
-        let result = act(
-            &mut w.protocol,
-            &mut report,
-            &mut SimUplink {
-                wire: &mut self.wire,
-                id: idx as u32,
-                compute_ms: self.compute_ms,
-                delays: &self.grad_delays,
-                crash_after: w.crash_after,
-                pending: &mut w.pending,
-                defer: self.pool.is_some(),
-            },
-        );
+        let mut up = SimUplink {
+            wire: &mut self.wire,
+            id: idx as u32,
+            compute_ms: self.compute_ms,
+            delays: &self.grad_delays,
+            crash_after: w.crash_after,
+            pending: &mut w.pending,
+            defer: self.lending,
+            unhelped: &mut self.unhelped,
+        };
+        up.settle(&mut report);
+        let result = act(&mut w.protocol, &mut report, &mut up);
         drop(report);
-        if let Some(pending) = w.pending.as_mut().filter(|p| p.job.is_none()) {
-            pending.job = Some(self.reports.publish(idx));
+        if w.pending.is_some() {
+            self.reports.publish(idx);
             if let Some(pool) = &mut self.pool {
                 pool.relend();
             }
@@ -788,20 +819,24 @@ impl SimNet {
         result
     }
 
-    /// Writes worker `idx`'s pending report into its queued copies. The
-    /// driving thread first claims the reports due before it, in the
-    /// order they fell due, computing each one no pool thread has
-    /// claimed, then waits out a pool thread still computing this one.
+    /// Writes worker `idx`'s pending report into its queued copies
+    /// ([`SimUplink::settle`]).
     fn settle(&mut self, idx: usize) {
-        let Some(pending) = self.workers[idx].pending.take() else {
-            return;
-        };
-        if let Some(job) = pending.job {
-            self.reports.claim_through(GENERATION, job);
+        if self.workers[idx].pending.is_some() {
+            self.uplink(idx, |_, _, _| ());
         }
-        let mut report = lock_report(&self.reports, idx, &mut self.pool);
-        report.compute();
-        self.wire.write(pending.copies, report.frame());
+    }
+
+    /// Stops handing reports to the pool threads for the rest of the
+    /// run: writes every pending report and closes the shared round, so
+    /// a lent thread's claim loop returns. The threads stay lent until
+    /// [`Transport::reclaim_pool`].
+    fn stop_lending(&mut self) {
+        for idx in 0..self.workers.len() {
+            self.settle(idx);
+        }
+        self.reports.close();
+        self.lending = false;
     }
 }
 
@@ -823,13 +858,15 @@ impl Transport for SimNet {
             match delivery {
                 Delivery::ToCoord { from, frame } => {
                     let idx = from as usize;
-                    if self.workers[idx]
-                        .pending
-                        .is_some_and(|p| p.copies.holds(frame))
-                    {
+                    if self.workers[idx].pending.is_some_and(|p| p.holds(frame)) {
                         self.settle(idx);
+                        if self.unhelped >= UNHELPED_LIMIT {
+                            self.stop_lending();
+                        }
                     }
                     let bytes = self.wire.take(frame);
+                    #[cfg(test)]
+                    self.to_coord_log.push((from, bytes.clone()));
                     if let Ok((kind, payload)) = open_frame(&bytes) {
                         // A violation has no connection to close here:
                         // the frame is simply dropped, as is a refused
@@ -871,6 +908,8 @@ impl Transport for SimNet {
         self.reports.open(GENERATION);
         lent.lend(&self.reports, GENERATION, helpers);
         self.pool = Some(lent);
+        self.lending = true;
+        self.unhelped = 0;
     }
 
     /// Writes every pending report, then takes the threads back and
@@ -879,10 +918,7 @@ impl Transport for SimNet {
         if self.pool.is_none() {
             return;
         }
-        for idx in 0..self.workers.len() {
-            self.settle(idx);
-        }
-        self.reports.close();
+        self.stop_lending();
         if let Some(mut lent) = self.pool.take() {
             lent.recall();
             *pool = lent;
@@ -1024,14 +1060,20 @@ impl SimBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::KIND_GRAD;
     use crate::transport::drive_with;
+    use dpbyz_core::registry::register_mechanism;
+    use dpbyz_dp::Mechanism;
     use dpbyz_server::ChurnStats;
 
     /// Counts the events polls decode, as a benchmark's timing transport
-    /// does, and hands the pool on to the simulator.
+    /// does, and hands the pool on to the simulator; stops its lending
+    /// at poll `stop_at`, if given.
     struct Counted<'a> {
         net: &'a mut SimNet,
         events: u64,
+        polls: u64,
+        stop_at: Option<u64>,
     }
 
     impl Transport for Counted<'_> {
@@ -1044,6 +1086,10 @@ mod tests {
             outputs: &mut [WorkerOutput],
             events: &mut Vec<Event>,
         ) -> io::Result<bool> {
+            self.polls += 1;
+            if self.stop_at == Some(self.polls) && self.net.lending {
+                self.net.stop_lending();
+            }
             let before = events.len();
             let moved = self.net.poll(phase, outputs, events);
             self.events += (events.len() - before) as u64;
@@ -1073,13 +1119,14 @@ mod tests {
     }
 
     /// What a sim run leaves that must not depend on how many pool
-    /// threads computed its reports.
+    /// threads computed its reports, down to every frame's bytes.
     #[derive(Debug, PartialEq)]
     struct Outcome {
         history: Result<RunHistory, String>,
         churn: Option<ChurnStats>,
         events: u64,
         clock: u64,
+        to_coord: Vec<(u32, Vec<u8>)>,
     }
 
     /// Runs `exp` over `plan` with `helpers` pool threads forced.
@@ -1090,8 +1137,20 @@ mod tests {
         plan: &FaultPlan,
         scratch: &mut RunScratch,
     ) -> Outcome {
+        run_stopping_at(None, helpers, backend, exp, plan, scratch)
+    }
+
+    /// [`run_at`], stopping the run's lending at poll `stop_at`.
+    fn run_stopping_at(
+        stop_at: Option<u64>,
+        helpers: usize,
+        backend: &SimBackend,
+        exp: &Experiment,
+        plan: &FaultPlan,
+        scratch: &mut RunScratch,
+    ) -> Outcome {
         let seed = 23;
-        let (mut events, mut clock) = (0, 0);
+        let (mut events, mut clock, mut to_coord) = (0, 0, Vec::new());
         let d = &backend.deployment;
         let history = d.run(
             "sim",
@@ -1111,10 +1170,13 @@ mod tests {
                 let mut counted = Counted {
                     net: &mut net,
                     events: 0,
+                    polls: 0,
+                    stop_at,
                 };
                 let history = drive_with(&mut counted, core, cfg, seed, scratch, helpers);
                 events = counted.events;
                 clock = net.wire.now;
+                to_coord = std::mem::take(&mut net.to_coord_log);
                 history
             },
         );
@@ -1123,6 +1185,7 @@ mod tests {
             history: history.map_err(|e| e.to_string()),
             events,
             clock,
+            to_coord,
         }
     }
 
@@ -1209,6 +1272,132 @@ mod tests {
             partitions: Vec::new(),
         };
         assert_helper_counts_agree("reordered steps", &short, &exp, &plan);
+    }
+
+    #[test]
+    fn a_run_that_stops_lending_midway_leaves_the_inline_run() {
+        let exp = paper_like(12, 0);
+        let n = exp.config.honest_workers(true);
+        let backend = one_short(n);
+        let plans = [
+            FaultPlan::from_seed(11, n),
+            FaultPlan::from_seed(3, n)
+                .with_crash((n - 1) as u32, 2, 5)
+                .with_detection(true),
+        ];
+        let mut scratch = RunScratch::new();
+        for plan in &plans {
+            let inline = run_at(0, &backend, &exp, plan, &mut scratch);
+            for stop_at in [1, 5, 20, 60] {
+                let stopped = run_stopping_at(Some(stop_at), 1, &backend, &exp, plan, &mut scratch);
+                assert_eq!(stopped, inline, "stopped at poll {stop_at}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_pending_reports_duplicate_and_rejoin_resend_carry_its_primary_bytes() {
+        let exp = paper_like(8, 0);
+        let n = exp.config.honest_workers(true);
+        let w = (n - 1) as u32;
+        // Every frame worker w sends is duplicated, and it dies right
+        // after its report of step 3, which it resends after REJOIN.
+        let mut plan = FaultPlan::from_seed(2, n).with_crash(w, 3, 5);
+        plan.to_coord[w as usize].dup = 1.0;
+        let backend = one_short(n);
+        let mut scratch = RunScratch::new();
+        let inline = run_at(0, &backend, &exp, &plan, &mut scratch);
+        let leased = run_at(1, &backend, &exp, &plan, &mut scratch);
+        assert_eq!(leased, inline);
+        let mut copies = std::collections::BTreeMap::<u32, Vec<&[u8]>>::new();
+        for (from, frame) in &leased.to_coord {
+            if let (true, Ok((KIND_GRAD, payload))) = (*from == w, open_frame(frame)) {
+                let step = u32::from_le_bytes(payload[4..8].try_into().unwrap());
+                copies.entry(step).or_default().push(frame);
+            }
+        }
+        // Back after REJOIN, it computes the replayed step 4 and on.
+        assert_eq!(
+            copies.keys().copied().collect::<Vec<_>>(),
+            [1, 2, 3, 4, 5, 6, 7, 8]
+        );
+        for (step, frames) in &copies {
+            assert!(frames.len() >= 2, "step {step}: {} copies", frames.len());
+            assert!(
+                frames.iter().all(|f| f == &frames[0]),
+                "step {step}: a copy differs from the primary"
+            );
+        }
+        // Primary and duplicate, then the resend and its duplicate.
+        assert_eq!(copies[&3].len(), 4, "the crash step's report is resent");
+    }
+
+    /// A mechanism that panics when a pool thread runs it, and on the
+    /// thread that built it first waits until that happened (for a
+    /// bounded number of yields), so a run with a helper panics on the
+    /// helper whichever report it claims.
+    struct PanicsOffThread {
+        home: std::thread::ThreadId,
+    }
+
+    static PANICKED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+    impl Mechanism for PanicsOffThread {
+        fn perturb_in_place(&self, _: &mut Vector, _: &mut Prng) {
+            use std::sync::atomic::Ordering::SeqCst;
+            if std::thread::current().id() != self.home {
+                PANICKED.store(true, SeqCst);
+                panic!("a report failed on a pool thread");
+            }
+            for _ in 0..1_000_000 {
+                if PANICKED.load(SeqCst) {
+                    return;
+                }
+                std::thread::yield_now();
+            }
+        }
+        fn per_coordinate_std(&self) -> f64 {
+            0.0
+        }
+        fn total_noise_variance(&self, _: usize) -> f64 {
+            0.0
+        }
+        fn name(&self) -> &'static str {
+            "panics-off-thread"
+        }
+    }
+
+    #[test]
+    fn a_report_panicking_on_a_pool_thread_reaches_the_driver_and_the_scratch_takes_the_next_run() {
+        let id = "sim-test-panics-off-thread";
+        register_mechanism(id, |_| {
+            let home = std::thread::current().id();
+            Ok(Arc::new(PanicsOffThread { home }) as Arc<dyn Mechanism>)
+        })
+        .unwrap();
+        let failing = Experiment::builder()
+            .batch_size(10)
+            .mechanism(id)
+            .steps(6)
+            .dataset_size(300)
+            .build()
+            .unwrap();
+        let n = failing.config.honest_workers(false);
+        let (backend, plan) = (SimBackend::default(), FaultPlan::from_seed(1, n));
+        let mut scratch = RunScratch::new();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_at(1, &backend, &failing, &plan, &mut scratch)
+        }));
+        let message = run.err().and_then(|e| e.downcast_ref::<String>().cloned());
+        assert_eq!(
+            message.as_deref(),
+            Some("a job leased to pool thread 0 panicked")
+        );
+        // The same scratch runs the next run, leased as inline.
+        let exp = paper_like(6, 0);
+        let plan = FaultPlan::from_seed(1, exp.config.honest_workers(true));
+        let leased = run_at(1, &backend, &exp, &plan, &mut scratch);
+        assert_eq!(leased, run_at(0, &backend, &exp, &plan, &mut scratch));
     }
 
     #[test]

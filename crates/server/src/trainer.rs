@@ -96,7 +96,9 @@ pub trait RoundJob: Send + 'static {
     /// reads `()`.
     type Input: Send + Sync + 'static;
 
-    /// Computes the job.
+    /// Computes the job. In a round whose jobs fall due one at a time
+    /// ([`SharedRound::publish`]) it computes whatever its slot has due,
+    /// and nothing if that was computed already.
     fn run(&mut self, input: &Self::Input);
 }
 
@@ -108,11 +110,12 @@ pub trait RoundJob: Send + 'static {
 ///
 /// The in-process trainer makes every honest worker due when it opens a
 /// round and claims until none is left. An external engine opens one
-/// generation for a whole run, [`publishes`](SharedRound::publish) a job
-/// whenever one falls due, lets lent threads start it at once, and claims
-/// through a job with [`SharedRound::claim_through`] only when it must
-/// read the result. A slot's job runs while the slot is locked, so
-/// [`SharedRound::lock`] waits out a job another thread is running.
+/// generation for a whole run, [`publishes`](SharedRound::publish) a slot
+/// whenever its job falls due, lets lent threads start it at once, and
+/// only when it must read a slot's result [`locks`](SharedRound::lock)
+/// it and runs what is still due there itself. A slot's job runs while
+/// the slot is locked, so the lock waits out a job another thread is
+/// running.
 pub struct SharedRound<J: RoundJob> {
     /// `generation << 32 | jobs claimed`, the count wrapping. A claim
     /// names the generation it was made for, so it can never take a job
@@ -129,8 +132,12 @@ pub struct SharedRound<J: RoundJob> {
     streaming: bool,
     /// The slot of due job `k` is `order[k % order.len()]`. The length is
     /// the slot count rounded up to a power of two, so the job numbers
-    /// stay in ring order across their wrap, and at most one job per slot
-    /// is unclaimed at a time, so the ring never overwrites one.
+    /// stay in ring order across their wrap. A claim of a streaming round
+    /// only names a slot to visit: its job may have run already, and a
+    /// job published `order.len()` later may have overwritten the entry,
+    /// sending the claimant to that job's slot instead. Either way the
+    /// claimant runs what is due there, and the driving thread runs
+    /// anything still due when it locks the slot.
     order: Box<[AtomicU32]>,
     /// What every job reads: written by the driving thread while no
     /// thread is lent, read by every claimant.
@@ -188,29 +195,25 @@ impl<J: RoundJob> SharedRound<J> {
         self.cursor.fetch_add(1 << 32, Ordering::AcqRel);
     }
 
-    /// Makes slot `slot`'s job due in the open generation and returns its
-    /// job number, for [`SharedRound::claim_through`]. Only the driving
-    /// thread publishes, and only a slot whose last job was claimed.
-    pub fn publish(&self, slot: usize) -> u32 {
+    /// Makes slot `slot`'s job due in the open generation, after any
+    /// published before it. Only the driving thread publishes.
+    pub fn publish(&self, slot: usize) {
         let job = self.due.load(Ordering::Relaxed);
         self.order[job as usize % self.order.len()].store(slot as u32, Ordering::Relaxed);
         self.due.store(job.wrapping_add(1), Ordering::Release);
-        job
     }
 
-    /// Claims the next due job of generation `generation` if it is no
-    /// later than job `last` (any job for `None`) and returns its slot:
-    /// `None` once every due job is claimed, or if another generation is
-    /// open (the cursor is then left as it is).
-    fn claim(&self, generation: u32, last: Option<u32>) -> Option<usize> {
+    /// Claims the next due job of generation `generation` and returns its
+    /// slot: `None` once every due job is claimed, or if another
+    /// generation is open (the cursor is then left as it is).
+    fn claim(&self, generation: u32) -> Option<usize> {
         let due = self.due.load(Ordering::Acquire);
         let cursor = self
             .cursor
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cursor| {
                 let claimed = cursor as u32;
                 let open = cursor >> 32 == u64::from(generation);
-                let wanted = last.is_none_or(|last| unclaimed(last.wrapping_add(1), claimed));
-                (open && wanted && unclaimed(due, claimed))
+                (open && unclaimed(due, claimed))
                     .then_some(cursor & !u64::from(u32::MAX) | u64::from(claimed.wrapping_add(1)))
             })
             .ok()?;
@@ -218,28 +221,19 @@ impl<J: RoundJob> SharedRound<J> {
         Some(entry.load(Ordering::Relaxed) as usize)
     }
 
-    /// A lent thread's claim loop: claims and runs the due jobs of
-    /// generation `generation` until none is left. A round whose jobs fall
-    /// due one at a time then waits `CLAIM_SPIN` reads for the next; the
-    /// loop returns once none fell due in that window or the generation
-    /// closed.
+    /// A claim loop: claims and runs the due jobs of generation
+    /// `generation` in the order they fell due, until none is left. In a
+    /// round whose jobs fall due one at a time a lent thread then waits
+    /// `CLAIM_SPIN` reads for the next; the loop returns once none fell
+    /// due in that window or the generation closed.
     pub fn work(&self, generation: u32) {
         loop {
-            while let Some(i) = self.claim(generation, None) {
+            while let Some(i) = self.claim(generation) {
                 self.run(i);
             }
             if !self.streaming || !self.wait_for_job(generation) {
                 return;
             }
-        }
-    }
-
-    /// The driving thread's claim loop: claims and runs the due jobs of
-    /// generation `generation` in the order they fell due, until job
-    /// `job` is claimed, by this thread or another.
-    pub fn claim_through(&self, generation: u32, job: u32) {
-        while let Some(i) = self.claim(generation, Some(job)) {
-            self.run(i);
         }
     }
 
@@ -291,7 +285,7 @@ impl<J: RoundJob> SharedRound<J> {
                 Err(TryLockError::Poisoned(poisoned)) => return Err(poisoned),
                 Err(TryLockError::WouldBlock) => {}
             }
-            if let Some(i) = self.claim(generation, None) {
+            if let Some(i) = self.claim(generation) {
                 self.run(i);
             } else if spins < CLAIM_SPIN {
                 spins += 1;
@@ -1041,7 +1035,6 @@ impl Trainer {
     ) -> Result<RunHistory, GarError> {
         let (mut core, workers) = self.into_distributed_parts(seed, scratch);
         let n_honest = workers.len();
-        let last = (n_honest as u32).wrapping_sub(1);
         let round = Arc::new(SharedRound::workers(workers, core.params().dim()));
         // Output buffers come from the scratch, so consecutive runs reuse them.
         let mut outputs = std::mem::take(&mut scratch.outputs);
@@ -1050,7 +1043,7 @@ impl Trainer {
         let result = (1..=core.config().steps).try_for_each(|t| {
             round.open_round(t, core.params(), core.config().batch_at(t), &mut outputs);
             pool.lend(&round, t, helpers());
-            round.claim_through(t, last);
+            round.work(t);
             round.close();
             pool.recall();
             round.close_round(&mut outputs);
@@ -1708,17 +1701,17 @@ mod tests {
         let (round, params) = shared_round();
         let mut outputs = vec![WorkerOutput::default(); 3];
         round.open_round(1, &params, 10, &mut outputs);
-        assert_eq!(round.claim(1, None), Some(0));
+        assert_eq!(round.claim(1), Some(0));
         round.close_round(&mut outputs);
         round.open_round(2, &params, 10, &mut outputs);
         // A claimant still holding round 1 finds nothing, and leaves
         // round 2's cursor where it was.
-        assert_eq!(round.claim(1, None), None);
-        assert_eq!(round.claim(2, None), Some(0));
+        assert_eq!(round.claim(1), None);
+        assert_eq!(round.claim(2), Some(0));
         round.work(1);
-        assert_eq!(round.claim(2, None), Some(1));
-        assert_eq!(round.claim(2, None), Some(2));
-        assert_eq!(round.claim(2, None), None);
+        assert_eq!(round.claim(2), Some(1));
+        assert_eq!(round.claim(2), Some(2));
+        assert_eq!(round.claim(2), None);
     }
 
     #[test]
@@ -1737,63 +1730,79 @@ mod tests {
         for t in 1..=2 {
             round.open_round(t, &params, 10, &mut leased_out);
             pool.lend(&round, t - 1, 1);
-            round.claim_through(t, 2);
+            round.work(t);
             round.close();
             pool.recall();
             round.close_round(&mut leased_out);
             inline.open_round(t, &params, 10, &mut inline_out);
-            inline.claim_through(t, 2);
+            inline.work(t);
             inline.close_round(&mut inline_out);
             assert_eq!(leased_out, inline_out, "round {t}");
         }
         assert_eq!(Arc::strong_count(&round), 1, "a packet kept the round");
     }
 
-    /// A job that records how often it ran.
+    /// A job that counts the runs that found it due.
     #[derive(Default)]
-    struct Tally(u32);
+    struct Tally {
+        due: bool,
+        runs: u32,
+    }
 
     impl RoundJob for Tally {
         type Input = ();
 
         fn run(&mut self, (): &()) {
-            self.0 += 1;
+            self.runs += u32::from(std::mem::take(&mut self.due));
         }
     }
 
     #[test]
-    fn published_jobs_are_claimed_in_the_order_they_fell_due_and_only_through_the_one_asked_for() {
+    fn published_jobs_are_claimed_in_the_order_they_fell_due_and_run_only_what_is_still_due() {
         let round = SharedRound::new((0..3).map(|_| Tally::default()).collect(), ());
-        round.open(7);
-        assert_eq!(round.claim(7, None), None, "nothing is due yet");
-        let jobs: Vec<u32> = [2, 0, 1].iter().map(|&slot| round.publish(slot)).collect();
-        assert_eq!(jobs, [0, 1, 2]);
-        // Through job 1: slots 2 and 0, in due order, and not slot 1.
-        round.claim_through(7, jobs[1]);
-        let runs = |round: &SharedRound<Tally>| -> Vec<u32> {
-            (0..3).map(|i| round.lock(7, i).unwrap().0).collect()
+        let publish = |slot: usize| {
+            round.lock(7, slot).unwrap().due = true;
+            round.publish(slot);
         };
-        assert_eq!(runs(&round), [1, 0, 1]);
-        // Claiming through a job already claimed claims nothing more.
-        round.claim_through(7, jobs[0]);
-        assert_eq!(runs(&round), [1, 0, 1]);
+        let runs = || -> Vec<u32> { (0..3).map(|i| round.lock(7, i).unwrap().runs).collect() };
+        round.open(7);
+        assert_eq!(round.claim(7), None, "nothing is due yet");
+        [2, 0, 1].into_iter().for_each(publish);
+        assert_eq!(round.claim(7), Some(2));
+        assert_eq!(round.claim(7), Some(0));
+        // The driving thread runs slot 1 itself before its claim, and
+        // publishes it again: the first claim of slot 1 runs the new job,
+        // the second finds nothing due.
+        round.lock(7, 1).unwrap().run(&());
+        publish(1);
+        round.work(7);
+        assert_eq!(runs(), [0, 2, 0]);
         // A claim for another generation, or after the close, takes
         // nothing.
-        assert_eq!(round.claim(6, None), None);
+        assert_eq!(round.claim(6), None);
         round.close();
-        assert_eq!(round.claim(7, None), None);
+        assert_eq!(round.claim(7), None);
         // The counts wrap: a generation whose counts are about to wrap
-        // claims and publishes across the wrap in order.
+        // claims across the wrap in order.
         round.open(8);
         round.due.store(u32::MAX, Ordering::Relaxed);
         round
             .cursor
             .store(8 << 32 | u64::from(u32::MAX), Ordering::Relaxed);
-        assert_eq!(round.publish(1), u32::MAX);
-        assert_eq!(round.publish(2), 0);
-        round.claim_through(8, 0);
-        assert_eq!(runs(&round), [1, 1, 2]);
-        assert_eq!(round.claim(8, None), None);
+        round.publish(1);
+        round.publish(2);
+        assert_eq!(
+            (round.claim(8), round.claim(8), round.claim(8)),
+            (Some(1), Some(2), None)
+        );
+        // Five jobs unclaimed in a ring of four: the fifth's entry
+        // overwrites the first's, whose claim visits the fifth's slot.
+        round.open(9);
+        [0, 1, 2, 0, 1]
+            .into_iter()
+            .for_each(|slot| round.publish(slot));
+        let claims: Vec<_> = std::iter::from_fn(|| round.claim(9)).collect();
+        assert_eq!(claims, [1, 1, 2, 0, 1]);
     }
 
     /// A batch source that panics when called off the thread that built

@@ -176,6 +176,23 @@ impl Record {
             .into_inner()
             .unwrap()
     }
+
+    /// The counts of a run that had to take the path `leased` names:
+    /// the run executes alone (`serial`), so it computes workers off the
+    /// driving thread whenever it leases and the machine has a second
+    /// core.
+    fn counts_on(self, leased: bool) -> Vec<u64> {
+        let off_thread = self.off_thread.load(Ordering::Relaxed);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let leased = leased && cores > 1;
+        assert_eq!(
+            off_thread > 0,
+            leased,
+            "expected the {} path, {off_thread} batches drawn off the driving thread",
+            if leased { "leased" } else { "inline" }
+        );
+        self.counts()
+    }
 }
 
 /// A trainer for `cell` whose observer records the cumulative allocation
@@ -306,18 +323,7 @@ fn per_step_allocation_counts_at(
 ) -> Vec<u64> {
     let (trainer, record) = counting_trainer(gar, cell, leased, batch, agg_threads, None);
     trainer.run(1).unwrap();
-    let off_thread = record.off_thread.load(Ordering::Relaxed);
-    // The run executes alone (`serial`), so it leases whenever the
-    // machine has a second core.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let leased = leased && cores > 1;
-    assert_eq!(
-        off_thread > 0,
-        leased,
-        "expected the {} path, {off_thread} batches drawn off the driving thread",
-        if leased { "leased" } else { "inline" }
-    );
-    record.counts()
+    record.counts_on(leased)
 }
 
 fn assert_steady_state_allocation_free(name: &str, counts: &[u64]) {
@@ -533,9 +539,23 @@ fn evaluating_runs_over_one_test_set_lay_out_its_panels_once() {
 /// queue, and its simulated workers run the same worker sessions TCP
 /// does, all on this thread.
 fn per_step_allocation_counts_sim(gar: Arc<dyn Gar>, cell: Cell, chaos: Option<u64>) -> Vec<u64> {
+    per_step_allocation_counts_sim_at(gar, cell, chaos, false, batch_size(cell, false))
+}
+
+/// [`per_step_allocation_counts_sim`] at an explicit batch size, which
+/// must put the run on the path `leased` names: leased, the simulated
+/// workers' reports are computed on the scratch's pool threads beside
+/// this one.
+fn per_step_allocation_counts_sim_at(
+    gar: Arc<dyn Gar>,
+    cell: Cell,
+    chaos: Option<u64>,
+    leased: bool,
+    batch: usize,
+) -> Vec<u64> {
     use dpbyz::net::{drive, Deployment, FaultPlan, SimNet};
 
-    let (trainer, record) = counting_trainer(gar, cell, false, batch_size(cell, false), 1, None);
+    let (trainer, record) = counting_trainer(gar, cell, leased, batch, 1, None);
     let mut scratch = RunScratch::new();
     let (core, workers) = trainer.into_distributed_parts(1, &mut scratch);
     let n = workers.len();
@@ -550,7 +570,7 @@ fn per_step_allocation_counts_sim(gar: Arc<dyn Gar>, cell: Cell, chaos: Option<u
     let staleness = core.config().staleness_window;
     let mut net = SimNet::new(workers, &plan, 1, 2, deployment.resume_window, staleness);
     drive(&mut net, core, machine, 1, &mut scratch).unwrap();
-    record.counts()
+    record.counts_on(leased)
 }
 
 // The wire frames, their tags, the delivery queue and the worker
@@ -577,6 +597,24 @@ fn sim_paper_mda_alie_cell_under_chaos_is_allocation_free_at_steady_state() {
     let _serial = serial();
     let counts = per_step_allocation_counts_sim(Arc::new(Mda::new()), Cell::Paper, Some(11));
     assert_steady_state_allocation_free("sim/mda/gaussian/alie/chaos-11", &counts);
+}
+
+// At the paper's batch size the sim computes its workers' reports on the
+// scratch's pool: the shared round of reports is built once per run, and
+// a report handed to a pool thread is written into its queued frames in
+// place, so a leased round allocates nothing either.
+
+#[test]
+fn threaded_sim_paper_shape_cell_under_chaos_is_allocation_free_at_steady_state() {
+    let _serial = serial();
+    let counts = per_step_allocation_counts_sim_at(
+        Arc::new(Mda::new()),
+        Cell::Paper,
+        Some(11),
+        true,
+        PAPER_BATCH,
+    );
+    assert_steady_state_allocation_free("leased/sim/b=50/mda/gaussian/alie/chaos-11", &counts);
 }
 
 // ---- the TCP deployment -------------------------------------------------
