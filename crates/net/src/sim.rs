@@ -540,10 +540,10 @@ struct SimWorker {
 
 /// A simulated worker's uplink: frames go onto its chaos link. A report
 /// is charged the compute time plus any straggler delay of its step, and
-/// the one the crash plan names is the last frame the link carries. With
-/// a pool lent, a report's link draws and queue slots are taken when its
-/// step falls due and its bytes are left pending; otherwise it is
-/// computed and copied at once.
+/// the one the crash plan names is the last frame the link carries. While
+/// the run hands reports to its pool threads (`defer`), a report's link
+/// draws and queue slots are taken when its step falls due and its bytes
+/// are left pending; otherwise it is computed and copied at once.
 struct SimUplink<'a> {
     wire: &'a mut Wire,
     id: u32,
@@ -552,6 +552,7 @@ struct SimUplink<'a> {
     crash_after: Option<u32>,
     pending: &'a mut Option<Copies>,
     defer: bool,
+    /// [`SimNet`]'s count of reports in a row settled uncomputed.
     unhelped: &'a mut u32,
 }
 
