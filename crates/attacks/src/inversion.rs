@@ -22,7 +22,7 @@
 //! use dpbyz_attacks::inversion;
 //! use dpbyz_models::{LogisticRegression, LossKind, Model};
 //! use dpbyz_data::Batch;
-//! use dpbyz_tensor::{Matrix, Prng, Vector};
+//! use dpbyz_tensor::{Matrix, Vector};
 //!
 //! let model = LogisticRegression::new(3, LossKind::CrossEntropy);
 //! let params = Vector::from(vec![0.1, -0.2, 0.3, 0.0]);
@@ -30,30 +30,18 @@
 //! let batch = Batch::new(Matrix::from_rows(&[x.clone()]).unwrap(), vec![1.0]).unwrap();
 //! let grad = model.gradient(&params, &batch);
 //!
-//! let rec = inversion::invert_glm_gradient(&grad, 3).unwrap();
-//! assert!(rec.features.approx_eq(&Vector::from(x), 1e-9));
+//! assert!(inversion::reconstruction_mse(&grad, &x) < 1e-18);
 //! ```
 
 use dpbyz_tensor::Vector;
 
-/// A reconstructed training example.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Reconstruction {
-    /// Recovered feature vector.
-    pub features: Vector,
-    /// The residual scale `δ = dℓ/dz` the gradient was generated with —
-    /// combined with the model output it pins down the label for both
-    /// losses.
-    pub residual: f64,
-}
-
 /// Inverts a *single-sample* gradient of any generalized linear model with
 /// a trailing bias coordinate (`[∇_w …, ∇_b]`, the layout of
-/// `LinearRegression` and `LogisticRegression`).
+/// `LinearRegression` and `LogisticRegression`) into its feature vector.
 ///
 /// Returns `None` when `|∇_b|` is numerically zero — a saturated or
 /// zero-residual sample genuinely leaks nothing through this channel.
-pub fn invert_glm_gradient(gradient: &Vector, num_features: usize) -> Option<Reconstruction> {
+fn invert_glm_gradient(gradient: &Vector, num_features: usize) -> Option<Vector> {
     assert_eq!(
         gradient.dim(),
         num_features + 1,
@@ -63,11 +51,7 @@ pub fn invert_glm_gradient(gradient: &Vector, num_features: usize) -> Option<Rec
     if delta.abs() < 1e-12 {
         return None;
     }
-    let features: Vector = (0..num_features).map(|j| gradient[j] / delta).collect();
-    Some(Reconstruction {
-        features,
-        residual: delta,
-    })
+    Some((0..num_features).map(|j| gradient[j] / delta).collect())
 }
 
 /// Mean squared reconstruction error of the attack against a known sample,
@@ -76,10 +60,8 @@ pub fn invert_glm_gradient(gradient: &Vector, num_features: usize) -> Option<Rec
 pub fn reconstruction_mse(gradient: &Vector, true_features: &[f64]) -> f64 {
     match invert_glm_gradient(gradient, true_features.len()) {
         None => f64::INFINITY,
-        Some(rec) => {
-            rec.features
-                .l2_distance_squared(&Vector::from(true_features))
-                / true_features.len() as f64
+        Some(features) => {
+            features.l2_distance_squared(&Vector::from(true_features)) / true_features.len() as f64
         }
     }
 }
@@ -103,7 +85,7 @@ mod tests {
         let x = [1.5, -2.0, 0.25, 3.0];
         let grad = model.gradient(&params, &single_sample_batch(&x, 0.9));
         let rec = invert_glm_gradient(&grad, 4).unwrap();
-        assert!(rec.features.approx_eq(&Vector::from(&x[..]), 1e-9));
+        assert!(rec.approx_eq(&Vector::from(&x[..]), 1e-9));
         assert!(reconstruction_mse(&grad, &x) < 1e-18);
     }
 
@@ -116,9 +98,8 @@ mod tests {
             let grad = model.gradient(&params, &single_sample_batch(&x, 1.0));
             let rec = invert_glm_gradient(&grad, 3).expect("residual nonzero");
             assert!(
-                rec.features.approx_eq(&Vector::from(&x[..]), 1e-8),
-                "{loss:?} failed: {:?}",
-                rec.features
+                rec.approx_eq(&Vector::from(&x[..]), 1e-8),
+                "{loss:?} failed: {rec:?}"
             );
         }
     }

@@ -46,7 +46,7 @@
 
 pub mod inversion;
 
-use dpbyz_tensor::{stats, Prng, Vector};
+use dpbyz_tensor::{Prng, Vector};
 
 /// Everything a colluding Byzantine coalition can see in one round.
 #[derive(Debug)]
@@ -96,19 +96,21 @@ impl<'a> AttackContext<'a> {
     /// # Panics
     ///
     /// Panics if no honest gradients are visible.
-    pub fn honest_mean_into(&self, out: &mut Vector) {
+    fn honest_mean_into(&self, out: &mut Vector) {
         // lint:allow(panic-unwrap, reason = "the engine invokes attacks only with a non-empty honest cohort (n > f is validated at configuration)")
         Vector::mean_into(self.observed(), out).expect("attack requires visible honest gradients");
     }
 
     /// Coordinate-wise std `σ_t` of the observed honest gradients
-    /// (zero vector when only one honest gradient is visible).
-    pub fn honest_std(&self) -> Vector {
+    /// (zero vector when only one honest gradient is visible): the
+    /// reference ALIE's fused update is checked against.
+    #[cfg(test)]
+    fn honest_std(&self) -> Vector {
         let obs = self.observed();
         if obs.len() < 2 {
             return Vector::zeros(obs.first().map_or(0, Vector::dim));
         }
-        stats::coordinate_std(obs).expect("validated input") // lint:allow(panic-unwrap, reason = "the engine invokes attacks only with a non-empty honest cohort, so the std is defined")
+        dpbyz_tensor::stats::coordinate_std(obs).expect("validated input")
     }
 }
 

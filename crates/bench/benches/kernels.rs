@@ -5,7 +5,7 @@
 //! loops with fixed, machine-independent summation order; the references
 //! (`kernels::reference`) are the historical sequential folds. This group
 //! is the scalar-vs-vectorized measurement behind the kernel layer's
-//! dispatch choices (e.g. `kernels::SCALAR_CUTOFF`).
+//! dispatch choices (e.g. the scalar cutoff at `d = 16`).
 //!
 //! `count_correct` times the evaluation kernel of logistic regression on
 //! a paper-sized test split, over `f32` panels (the phishing-like data's

@@ -37,40 +37,6 @@ pub fn mda_fraction_frontier(
         .collect()
 }
 
-/// The smallest `ε` (at fixed `δ`) for which a GAR's Table 1 necessary
-/// condition holds at the given deployment — the privacy price of keeping
-/// the certificate. Found by bisection on `ε ∈ (lo, 1)`; returns `None`
-/// when even `ε → 1` cannot satisfy the condition (or the rule has no
-/// condition).
-pub fn min_epsilon_for_certificate(
-    gar: &str,
-    n: usize,
-    f: usize,
-    dim: usize,
-    batch_size: usize,
-    delta: f64,
-) -> Option<f64> {
-    let satisfied = |eps: f64| -> Option<bool> {
-        let budget = PrivacyBudget::new(eps, delta).ok()?;
-        table1::condition_for(gar, n, f, dim, batch_size, budget).map(|row| row.satisfied)
-    };
-    // The conditions are monotone in ε (larger ε ⇒ larger C ⇒ easier).
-    let hi_ok = satisfied(0.999_999)?;
-    if !hi_ok {
-        return None;
-    }
-    let (mut lo, mut hi) = (1e-9, 0.999_999);
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if satisfied(mid) == Some(true) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Some(hi)
-}
-
 /// The §3 worked example: ResNet-50-scale models (`d = 25.6·10⁶`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Resnet50Example {
@@ -121,39 +87,6 @@ mod tests {
         // O(1/√d) tail: 100× the d, 10× smaller cap (asymptotically).
         let r = frontier[1].1 / frontier[2].1;
         assert!((r - 10.0).abs() < 0.5, "ratio {r}");
-    }
-
-    #[test]
-    fn min_epsilon_frontier_behaves() {
-        // At the Fig. 2 point no ε < 1 rescues MDA's certificate.
-        assert!(min_epsilon_for_certificate("mda", 11, 5, 69, 50, 1e-6).is_none());
-        // With a huge batch, a moderate ε suffices — and the boundary is
-        // consistent with the condition itself.
-        let eps = min_epsilon_for_certificate("mda", 11, 5, 69, 5000, 1e-6)
-            .expect("feasible at b = 5000");
-        assert!(eps > 0.0 && eps < 1.0);
-        let at = table1::condition_for(
-            "mda",
-            11,
-            5,
-            69,
-            5000,
-            PrivacyBudget::new(eps, 1e-6).unwrap(),
-        )
-        .unwrap();
-        assert!(at.satisfied);
-        let below = table1::condition_for(
-            "mda",
-            11,
-            5,
-            69,
-            5000,
-            PrivacyBudget::new(eps * 0.9, 1e-6).unwrap(),
-        )
-        .unwrap();
-        assert!(!below.satisfied);
-        // Average has no certificate at all.
-        assert!(min_epsilon_for_certificate("average", 11, 5, 69, 50, 1e-6).is_none());
     }
 
     #[test]

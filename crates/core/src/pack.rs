@@ -121,10 +121,9 @@ impl PackCell {
         self
     }
 
-    /// Pins the cell to run clean, disarming any attack the base carries
-    /// (see [`PackCell::unattacked`]).
+    /// Pins the cell to run clean, disarming any attack the base carries.
     #[must_use]
-    pub fn unattacked(mut self) -> Self {
+    fn unattacked(mut self) -> Self {
         self.unattacked = true;
         self
     }

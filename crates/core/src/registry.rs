@@ -199,7 +199,7 @@ impl ComponentSpec {
     ///
     /// [`RegistryError::Build`] when the key is present but not an
     /// unsigned integer.
-    pub fn u64_or_reject(&self, key: &str, default: u64) -> Result<u64, RegistryError> {
+    fn u64_or_reject(&self, key: &str, default: u64) -> Result<u64, RegistryError> {
         Ok(self.u64_if_present(key)?.unwrap_or(default))
     }
 
@@ -209,7 +209,8 @@ impl ComponentSpec {
     ///
     /// # Errors
     ///
-    /// As [`ComponentSpec::u64_or_reject`].
+    /// [`RegistryError::Build`] when the key is present but not an
+    /// unsigned integer.
     pub fn u64_if_present(&self, key: &str) -> Result<Option<u64>, RegistryError> {
         match self.params.get(key) {
             None => Ok(None),
@@ -333,16 +334,6 @@ impl<T: ?Sized> Registry<T> {
         }
         self.entries.insert(id, Arc::new(factory));
         Ok(())
-    }
-
-    /// Resolves a spec to a component instance.
-    ///
-    /// # Errors
-    ///
-    /// [`RegistryError::UnknownId`] (listing every available id) or the
-    /// factory's own [`RegistryError::Build`].
-    pub fn create(&self, spec: &ComponentSpec) -> Result<Arc<T>, RegistryError> {
-        self.factory(&spec.id)?(spec)
     }
 
     /// The factory registered under `id` (a cheap `Arc` clone). The global
@@ -734,7 +725,8 @@ pub fn mechanism_capabilities(id: &str) -> MechanismCapabilities {
 ///
 /// # Errors
 ///
-/// See [`Registry::create`].
+/// [`RegistryError::UnknownId`] (listing every available id) or the
+/// factory's own [`RegistryError::Build`].
 ///
 /// # Panics
 ///
@@ -750,7 +742,8 @@ pub fn build_gar(spec: &ComponentSpec) -> Result<Arc<dyn Gar>, RegistryError> {
 ///
 /// # Errors
 ///
-/// See [`Registry::create`].
+/// [`RegistryError::UnknownId`] (listing every available id) or the
+/// factory's own [`RegistryError::Build`].
 ///
 /// # Panics
 ///
@@ -764,7 +757,8 @@ pub fn build_attack(spec: &ComponentSpec) -> Result<Arc<dyn Attack>, RegistryErr
 ///
 /// # Errors
 ///
-/// See [`Registry::create`].
+/// [`RegistryError::UnknownId`] (listing every available id) or the
+/// factory's own [`RegistryError::Build`].
 ///
 /// # Panics
 ///

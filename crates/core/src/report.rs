@@ -1,4 +1,4 @@
-//! Plain-text reporting: CSV, Markdown tables, and ASCII line plots.
+//! Plain-text reporting: CSV and ASCII line plots.
 //!
 //! The bench harness uses these to print the same rows and series the
 //! paper's tables and figures report, without a plotting stack.
@@ -32,21 +32,6 @@ fn join_csv(fields: Vec<String>) -> String {
         })
         .collect::<Vec<_>>()
         .join(",")
-}
-
-/// Renders rows as a GitHub-flavoured Markdown table.
-pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "| {} |", header.join(" | "));
-    let _ = writeln!(
-        out,
-        "|{}|",
-        header.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
-    for row in rows {
-        let _ = writeln!(out, "| {} |", row.join(" | "));
-    }
-    out
 }
 
 /// A labelled series for [`ascii_plot`].
@@ -136,16 +121,6 @@ mod tests {
     fn csv_escapes_fields() {
         let out = csv(&["a", "b"], &[vec!["1,5".into(), "say \"hi\"".into()]]);
         assert_eq!(out, "a,b\n\"1,5\",\"say \"\"hi\"\"\"\n");
-    }
-
-    #[test]
-    fn markdown_table_shape() {
-        let out = markdown_table(&["x", "y"], &[vec!["1".into(), "2".into()]]);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("x | y"));
-        assert!(lines[1].contains("---"));
-        assert!(lines[2].contains("1 | 2"));
     }
 
     #[test]

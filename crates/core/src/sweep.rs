@@ -138,11 +138,6 @@ impl SweepResults {
     pub fn get(&self, label: &str) -> Option<&CellRun> {
         self.cells.iter().find(|c| c.label == label)
     }
-
-    /// Total number of runs executed (`cells × seeds`).
-    pub fn total_runs(&self) -> usize {
-        self.cells.len() * self.seeds.len()
-    }
 }
 
 /// Builder for a parallel experiment sweep.
@@ -221,8 +216,6 @@ impl SweepBuilder {
     }
 
     /// Adds armed attacks to the attack axis, each labelled by its id.
-    /// Combine with [`SweepBuilder::with_unattacked`] for a "clean"
-    /// control cell.
     #[must_use]
     pub fn attacks<I>(mut self, attacks: I) -> Self
     where
@@ -233,16 +226,6 @@ impl SweepBuilder {
             .into_iter()
             .map(|a| by_id(a.into(), PackCell::attack));
         self.axes[ATTACKS].extend(cells);
-        self
-    }
-
-    /// Adds an unattacked element to the attack axis (labelled `clean`),
-    /// at the position of this call relative to [`SweepBuilder::attacks`].
-    /// The cell disarms any attack the base carries, so every worker is
-    /// honest (`n_byzantine = 0`).
-    #[must_use]
-    pub fn with_unattacked(mut self) -> Self {
-        self.axes[ATTACKS].push(PackCell::new("clean").unattacked());
         self
     }
 
@@ -714,7 +697,7 @@ mod tests {
             let serial = cell.experiment.run_seeds(&seeds).unwrap();
             assert_eq!(run.histories, serial, "cell {}", run.label);
         }
-        assert_eq!(results.total_runs(), 8);
+        assert_eq!(results.cells.len() * results.seeds.len(), 8);
         assert!(results.get("eps0.2/b20").is_some());
         assert!(results.get("nonexistent").is_none());
     }
@@ -886,10 +869,10 @@ mod tests {
     #[test]
     fn clean_cell_disarms_a_base_attack() {
         let cells = SweepBuilder::over(quick_base().attack("alie"))
-            .with_unattacked()
+            .with_pack("paper-core")
             .cells()
             .unwrap();
-        assert_eq!(cells[0].label, "clean");
+        assert_eq!(cells[0].label, "paper-core/clean/nodp");
         assert!(cells[0].experiment.attack.is_none());
         assert_eq!(cells[0].experiment.config.n_byzantine, 0);
     }

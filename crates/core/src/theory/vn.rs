@@ -16,7 +16,7 @@ use dpbyz_dp::PrivacyBudget;
 
 /// The DP-noise contribution to the VN numerator:
 /// `d·s² = 8·d·G²max·ln(1.25/δ) / (ε²·b²)`.
-pub fn noise_energy(budget: PrivacyBudget, g_max: f64, batch_size: usize, dim: usize) -> f64 {
+fn noise_energy(budget: PrivacyBudget, g_max: f64, batch_size: usize, dim: usize) -> f64 {
     assert!(g_max > 0.0 && batch_size > 0, "invalid calibration inputs");
     8.0 * dim as f64 * g_max * g_max * (1.25 / budget.delta()).ln()
         / (budget.epsilon() * budget.epsilon() * (batch_size * batch_size) as f64)
@@ -53,29 +53,6 @@ pub fn condition_holds(
     kappa: f64,
 ) -> bool {
     noisy_vn_ratio(gradient_variance, grad_norm, budget, g_max, batch_size, dim) <= kappa
-}
-
-/// Steady-state DP-noise energy in a *worker-momentum* submission
-/// (El-Mhamdi et al. 2021, the experimental protocol of §5): the worker
-/// submits `v_t = Σ_k m^k·o_{t−k}`, so the independent per-step noises
-/// accumulate to `d·s² / (1 − m²)` as `t → ∞`.
-///
-/// At the paper's `m = 0.99` the amplification is `1/(1−0.99²) ≈ 50×` —
-/// which is why the Fig. 2 collapse is so much starker than the raw
-/// per-gradient Eq. 8 numbers alone suggest.
-///
-/// # Panics
-///
-/// Panics unless `m ∈ [0, 1)`.
-pub fn momentum_accumulated_noise_energy(
-    budget: PrivacyBudget,
-    g_max: f64,
-    batch_size: usize,
-    dim: usize,
-    momentum: f64,
-) -> f64 {
-    assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-    noise_energy(budget, g_max, batch_size, dim) / (1.0 - momentum * momentum)
 }
 
 /// The smallest batch size for which Eq. 8 *can* hold in the best case
@@ -162,21 +139,5 @@ mod tests {
     fn zero_gradient_norm_is_infeasible() {
         let budget = paper_budget();
         assert!(noisy_vn_ratio(0.0, 0.0, budget, 0.01, 50, 69).is_infinite());
-    }
-
-    #[test]
-    fn momentum_amplifies_noise_energy() {
-        let budget = paper_budget();
-        let raw = noise_energy(budget, 0.01, 50, 69);
-        // m = 0 is the identity.
-        assert_eq!(
-            momentum_accumulated_noise_energy(budget, 0.01, 50, 69, 0.0),
-            raw
-        );
-        // The paper's m = 0.99 amplifies by ≈ 50×.
-        let amplified = momentum_accumulated_noise_energy(budget, 0.01, 50, 69, 0.99);
-        let factor = amplified / raw;
-        assert!((factor - 1.0 / (1.0 - 0.99f64 * 0.99)).abs() < 1e-9);
-        assert!(factor > 50.0 && factor < 51.0, "factor {factor}");
     }
 }

@@ -185,35 +185,6 @@ impl Dataset {
             indices.iter().map(|&i| self.labels[i]).collect(),
         )
     }
-
-    /// Returns a copy with every feature column min-max scaled to `[0, 1]`.
-    /// Constant columns become all-zero.
-    pub fn min_max_scaled(&self) -> Dataset {
-        let rows = self.features.rows();
-        let cols = self.features.cols();
-        let mut lo = vec![f64::INFINITY; cols];
-        let mut hi = vec![f64::NEG_INFINITY; cols];
-        for i in 0..rows {
-            for (j, &x) in self.features.row(i).iter().enumerate() {
-                lo[j] = lo[j].min(x);
-                hi[j] = hi[j].max(x);
-            }
-        }
-        let mut out = Matrix::zeros(rows, cols);
-        for i in 0..rows {
-            let src = self.features.row(i);
-            for j in 0..cols {
-                let range = hi[j] - lo[j];
-                let v = if range > 0.0 {
-                    (src[j] - lo[j]) / range
-                } else {
-                    0.0
-                };
-                out.set(i, j, v);
-            }
-        }
-        Dataset::from_parts(out, self.labels.clone())
-    }
 }
 
 impl Clone for Dataset {
@@ -507,15 +478,6 @@ mod tests {
         assert_eq!(test.len(), 1);
         assert!(ds.split_at(0).is_err());
         assert!(ds.split_at(4).is_err());
-    }
-
-    #[test]
-    fn min_max_scaling() {
-        let x = Matrix::from_rows(&[vec![0.0, 5.0], vec![10.0, 5.0]]).unwrap();
-        let ds = Dataset::new(x, vec![0.0, 1.0]).unwrap();
-        let s = ds.min_max_scaled();
-        assert_eq!(s.features().row(0), &[0.0, 0.0]);
-        assert_eq!(s.features().row(1), &[1.0, 0.0]);
     }
 
     #[test]

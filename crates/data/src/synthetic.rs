@@ -164,12 +164,6 @@ impl MeanEstimation {
         self.sigma
     }
 
-    /// Draws one point `x ~ D`.
-    pub fn sample(&self, rng: &mut Prng) -> Vector {
-        let per_coord = self.sigma / (self.dim() as f64).sqrt();
-        &self.mean + &rng.normal_vector(self.dim(), per_coord)
-    }
-
     /// Draws a batch of `b` points as a [`Batch`] (labels are all zero —
     /// the mean-estimation cost ignores them).
     pub fn sample_batch(&self, b: usize, rng: &mut Prng) -> Batch {
@@ -182,7 +176,7 @@ impl MeanEstimation {
     /// as [`MeanEstimation::sample_batch`] does (one row of `dim` normals
     /// per example, in row order). The points are written into the
     /// batch's own rows, reused when no one else holds them.
-    pub fn sample_batch_into(&self, b: usize, rng: &mut Prng, out: &mut Batch) {
+    fn sample_batch_into(&self, b: usize, rng: &mut Prng, out: &mut Batch) {
         let dim = self.dim();
         let per_coord = self.sigma / (dim as f64).sqrt();
         let features = out.own_rows(b, dim);
@@ -305,9 +299,8 @@ mod tests {
         assert_eq!(dist.dim(), d);
         // E‖x − x̄‖² = σ² = 4.
         let mut w = Welford::new();
-        for _ in 0..4000 {
-            let x = dist.sample(&mut rng);
-            w.push(x.l2_distance_squared(dist.true_mean()));
+        for (x, _) in dist.sample_batch(4000, &mut rng).iter() {
+            w.push(Vector::from(x).l2_distance_squared(dist.true_mean()));
         }
         assert!((w.mean() - 4.0).abs() < 0.2, "E||x-mean||^2 = {}", w.mean());
     }

@@ -123,7 +123,7 @@ impl RdpAccountant {
     }
 
     /// RDP ε at order `α` after the recorded steps.
-    pub fn rdp_epsilon(&self, alpha: f64) -> f64 {
+    fn rdp_epsilon(&self, alpha: f64) -> f64 {
         self.steps as f64 * alpha / (2.0 * self.noise_multiplier * self.noise_multiplier)
     }
 

@@ -26,7 +26,8 @@ use crate::DpError;
 /// validity) or non-positive, [`DpError::InvalidDelta`] for `δ ∉ (0, 1)`
 /// or `n < 1000·ln(1/δ)` (the theorem's population requirement, folded
 /// into the delta error as it is a joint condition).
-pub fn shuffled_central_epsilon(eps_local: f64, n: usize, delta: f64) -> Result<f64, DpError> {
+#[cfg(test)]
+fn shuffled_central_epsilon(eps_local: f64, n: usize, delta: f64) -> Result<f64, DpError> {
     if !(eps_local > 0.0 && eps_local <= 0.5) {
         return Err(DpError::InvalidEpsilon {
             value: eps_local,
@@ -55,7 +56,8 @@ pub fn shuffled_central_epsilon(eps_local: f64, n: usize, delta: f64) -> Result<
 ///
 /// # Errors
 ///
-/// Same domain errors as [`shuffled_central_epsilon`].
+/// [`DpError::InvalidEpsilon`] for a non-positive or infinite target,
+/// [`DpError::InvalidDelta`] for `δ ∉ (0, 1)` or `n < 1000·ln(1/δ)`.
 pub fn local_epsilon_budget(eps_central: f64, n: usize, delta: f64) -> Result<f64, DpError> {
     if !(eps_central > 0.0 && eps_central.is_finite()) {
         return Err(DpError::InvalidEpsilon {
@@ -92,7 +94,8 @@ pub fn local_epsilon_budget(eps_central: f64, n: usize, delta: f64) -> Result<f6
 ///
 /// [`DpError::InvalidEpsilon`] for non-positive `ε`,
 /// [`DpError::InvalidDelta`] for `q ∉ (0, 1]`.
-pub fn subsampled_epsilon(eps: f64, sampling_rate: f64) -> Result<f64, DpError> {
+#[cfg(test)]
+fn subsampled_epsilon(eps: f64, sampling_rate: f64) -> Result<f64, DpError> {
     if !(eps > 0.0 && eps.is_finite()) {
         return Err(DpError::InvalidEpsilon {
             value: eps,
@@ -113,7 +116,8 @@ pub fn subsampled_epsilon(eps: f64, sampling_rate: f64) -> Result<f64, DpError> 
 /// (`s ∝ 1/ε₀`): `relaxation = ε₀(shuffled) / ε₀(local-only)`.
 ///
 /// Returns `None` when amplification does not apply (domain violations).
-pub fn noise_reduction_factor(eps_central: f64, n: usize, delta: f64) -> Option<f64> {
+#[cfg(test)]
+fn noise_reduction_factor(eps_central: f64, n: usize, delta: f64) -> Option<f64> {
     let relaxed = local_epsilon_budget(eps_central, n, delta).ok()?;
     Some(relaxed / eps_central)
 }

@@ -43,7 +43,7 @@ impl Mda {
 
     /// Whether `(n, f)` will be solved exactly (subset enumeration) rather
     /// than by the greedy 2-approximation.
-    pub fn is_exact(n: usize, f: usize) -> bool {
+    fn is_exact(n: usize, f: usize) -> bool {
         binomial(n, n.saturating_sub(f)) <= EXACT_ENUMERATION_LIMIT
     }
 }

@@ -27,11 +27,6 @@ impl VnEstimate {
             self.variance.sqrt() / self.mean_norm
         }
     }
-
-    /// Whether the VN condition holds against a GAR bound `kappa`.
-    pub fn satisfies(&self, kappa: f64) -> bool {
-        self.ratio() <= kappa
-    }
 }
 
 /// Estimates the VN ratio from a sample of honest (possibly noisy)
@@ -82,7 +77,8 @@ pub fn estimate_with(
 /// The *theoretical* VN ratio after DP noise injection (numerator of
 /// Eq. 8): `√(σ_G² + d·s²) / ‖∇Q‖`, where `σ_G²` is the intrinsic gradient
 /// variance and `s` the per-coordinate noise std.
-pub fn ratio_with_noise(gradient_variance: f64, dim: usize, noise_std: f64, grad_norm: f64) -> f64 {
+#[cfg(test)]
+fn ratio_with_noise(gradient_variance: f64, dim: usize, noise_std: f64, grad_norm: f64) -> f64 {
     assert!(gradient_variance >= 0.0 && noise_std >= 0.0 && grad_norm >= 0.0);
     if grad_norm == 0.0 {
         return f64::INFINITY;
@@ -101,7 +97,6 @@ mod tests {
         let est = estimate(&grads).unwrap();
         assert_eq!(est.variance, 0.0);
         assert_eq!(est.ratio(), 0.0);
-        assert!(est.satisfies(0.1));
     }
 
     #[test]
@@ -110,7 +105,6 @@ mod tests {
         let est = estimate(&grads).unwrap();
         assert_eq!(est.mean_norm, 0.0);
         assert!(est.ratio().is_infinite());
-        assert!(!est.satisfies(1e12));
     }
 
     #[test]

@@ -6,10 +6,18 @@
 //! crates, fixtures, or the offline dependency shims (stand-ins for
 //! external crates, not code this repo owns). `docs/SCENARIOS.md` is read
 //! for the registry-hygiene doc check when present.
+//!
+//! The `surface-unreferenced` rule also reads the files that may *use*
+//! that code: every `.rs` file under `crates/` (tests, benches and bins
+//! included), `tests/`, `examples/` and `perfbench/`, and the Rust code
+//! blocks of `docs/SCENARIOS.md`. `target/` directories and
+//! `crates/lint/fixtures/` are skipped.
 
-use crate::rules::{self, Registration};
+use crate::lexer::lex;
+use crate::rules::{self, Registration, SurfaceItem};
 use crate::source::SourceFile;
 use crate::Finding;
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -54,6 +62,8 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
     let mut findings: Vec<Finding> = Vec::new();
     let mut regs: Vec<Registration> = Vec::new();
     let mut waivers: Vec<(String, crate::source::Waiver)> = Vec::new();
+    let mut surface: Vec<SurfaceItem> = Vec::new();
+    let mut uses: Vec<(String, BTreeSet<String>)> = Vec::new();
     let mut files_scanned = 0usize;
 
     for path in &files {
@@ -63,6 +73,8 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
         files_scanned += 1;
         findings.extend(file.directive_errors.iter().cloned());
         rules::check_file(&file, &mut findings, &mut regs);
+        rules::collect_surface(&file, &mut surface);
+        uses.push((rel.clone(), rules::used_names(&file.tokens)));
         for w in &file.waivers {
             waivers.push((rel.clone(), w.clone()));
         }
@@ -74,7 +86,25 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
     if doc.is_file() {
         let text = fs::read_to_string(&doc)?;
         rules::check_doc_ids("docs/SCENARIOS.md", &text, &regs, &mut findings);
+        let code = rules::markdown_rust_code(&text);
+        uses.push((
+            "docs/SCENARIOS.md".to_string(),
+            rules::used_names(&lex(&code)),
+        ));
     }
+
+    let mut users = Vec::new();
+    for dir in ["crates", "tests", "examples", "perfbench"] {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            collect_rs(&dir, &mut users)?;
+        }
+    }
+    for path in users.iter().filter(|p| files.binary_search(p).is_err()) {
+        let text = fs::read_to_string(path)?;
+        uses.push((rel_path(root, path), rules::used_names(&lex(&text))));
+    }
+    rules::check_unreferenced(&surface, &uses, &mut findings);
 
     let mut waived = 0usize;
     findings.retain(|f| {
@@ -133,6 +163,10 @@ fn sorted_dir(dir: &Path) -> io::Result<Vec<PathBuf>> {
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for path in sorted_dir(dir)? {
+        let skipped = path.ends_with("target") || path.ends_with("crates/lint/fixtures");
+        if skipped {
+            continue;
+        }
         if path.is_dir() {
             collect_rs(&path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {

@@ -14,7 +14,9 @@
 //!    `crates/net`'s protocol/coordinator/worker files.
 //!
 //! Plus **registry hygiene**: component id literals must be registered
-//! exactly once, and every id `docs/SCENARIOS.md` documents must exist.
+//! exactly once, and every id `docs/SCENARIOS.md` documents must exist;
+//! and **surface hygiene**: every `pub fn`/`pub const`/`pub static` in
+//! `crates/*/src` is named by some other file of the workspace.
 //!
 //! The analyzer is a hand-rolled tokenizer plus token-pattern rules (the
 //! build is offline, so `syn` is unavailable) — see [`rules`] for the

@@ -37,8 +37,11 @@ fn parse_args() -> Result<Args, String> {
                     "dpbyz-lint: workspace invariant analyzer\n\n\
                      USAGE: dpbyz-lint [--check] [--json] [--root <dir>] [--list-rules]\n\n\
                      Walks crates/*/src and docs/SCENARIOS.md enforcing determinism,\n\
-                     zero-copy, panic-freedom, and registry-hygiene rules. Exit 0 when\n\
-                     clean, 1 on violations, 2 on usage/I/O errors."
+                     zero-copy, panic-freedom, registry-hygiene and surface-hygiene\n\
+                     rules; the surface rule flags a pub fn/const/static that no other\n\
+                     file under crates/, tests/, examples/ or perfbench/ (or a Rust\n\
+                     block of docs/SCENARIOS.md) names. Exit 0 when clean, 1 on\n\
+                     violations, 2 on usage/I/O errors."
                 );
                 std::process::exit(0);
             }

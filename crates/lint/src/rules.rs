@@ -10,7 +10,9 @@
 //! * **by region** — the zero-copy rule only fires between
 //!   `// lint:begin(zero-copy)` and `// lint:end(zero-copy)` markers,
 //!   which the hot paths (GAR `aggregate_into` bodies, the server round
-//!   loop, the wire codecs) carry in-source.
+//!   loop, the wire codecs) carry in-source;
+//! * **across files** — the registry rules and [`RULE_UNREFERENCED`]
+//!   reconcile what each file declares with what the others use.
 //!
 //! Every rule is waivable in place with
 //! `// lint:allow(<rule>, reason = "..")` except [`RULE_MARKER`], which
@@ -20,6 +22,7 @@
 use crate::lexer::{TokKind, Token};
 use crate::source::SourceFile;
 use crate::Finding;
+use std::collections::BTreeSet;
 
 /// Determinism: no wall-clock reads (`Instant::now`, `SystemTime`) in the
 /// pure state machine / aggregation scope.
@@ -44,6 +47,9 @@ pub const RULE_DUPLICATE_ID: &str = "registry-duplicate-id";
 /// Registry hygiene: an id documented in `docs/SCENARIOS.md` that no
 /// crate registers.
 pub const RULE_DOC_ID: &str = "registry-doc-id";
+/// Surface hygiene: a `pub fn`, `pub const` or `pub static` in
+/// `crates/*/src` whose name no other file uses.
+pub const RULE_UNREFERENCED: &str = "surface-unreferenced";
 /// Directive hygiene: malformed waivers, unknown rules/regions,
 /// unbalanced markers. Never waivable.
 pub const RULE_MARKER: &str = "lint-marker";
@@ -59,6 +65,7 @@ pub const ALL_RULES: &[&str] = &[
     RULE_INDEXING,
     RULE_DUPLICATE_ID,
     RULE_DOC_ID,
+    RULE_UNREFERENCED,
     RULE_MARKER,
 ];
 
@@ -77,6 +84,7 @@ pub fn rule_summary(rule: &str) -> &'static str {
         RULE_INDEXING => "no unchecked indexing/slicing on the hostile-input surface",
         RULE_DUPLICATE_ID => "component id string registered at more than one site",
         RULE_DOC_ID => "id documented in docs/SCENARIOS.md but registered nowhere",
+        RULE_UNREFERENCED => "pub fn/const/static that no other file names",
         RULE_MARKER => "malformed lint directive (never waivable)",
         _ => "unknown rule",
     }
@@ -447,7 +455,7 @@ pub fn check_doc_ids(
     regs: &[Registration],
     findings: &mut Vec<Finding>,
 ) {
-    let registered: std::collections::BTreeSet<&str> = regs.iter().map(|r| r.id.as_str()).collect();
+    let registered: BTreeSet<&str> = regs.iter().map(|r| r.id.as_str()).collect();
     let mut waive_next = false;
     for (idx, raw) in doc_text.lines().enumerate() {
         let line_no = idx + 1;
@@ -478,5 +486,181 @@ pub fn check_doc_ids(
                 ),
             });
         }
+    }
+}
+
+/// A `pub fn`, `pub const` or `pub static` item outside test code,
+/// collected per audited file and checked against every other file's
+/// names by the engine.
+#[derive(Debug, Clone)]
+pub struct SurfaceItem {
+    /// The item's name.
+    pub name: String,
+    /// `fn`, `const` or `static`.
+    pub kind: &'static str,
+    /// File of the declaration.
+    pub file: String,
+    /// Line of the name.
+    pub line: usize,
+    /// Column of the name.
+    pub col: usize,
+}
+
+/// Collects the bare-`pub` value items of `file` (`pub(crate)` and
+/// narrower are private to the crate, so they are not surface).
+pub fn collect_surface(file: &SourceFile, items: &mut Vec<SurfaceItem>) {
+    let code: Vec<&Token> = file
+        .tokens
+        .iter()
+        .zip(&file.in_test)
+        .filter(|(t, &test)| !t.is_comment() && !test)
+        .map(|(t, _)| t)
+        .collect();
+    for (k, t) in code.iter().enumerate() {
+        if !t.is_ident("pub") || code.get(k + 1).is_some_and(|n| n.is_punct('(')) {
+            continue;
+        }
+        // Skip the qualifiers a `pub fn` may carry: `const`, `async`,
+        // `unsafe`, `extern "C"`.
+        let mut j = k + 1;
+        while code.get(j).is_some_and(|q| {
+            q.kind == TokKind::Str
+                || q.is_ident("async")
+                || q.is_ident("unsafe")
+                || q.is_ident("extern")
+                || (q.is_ident("const") && code.get(j + 1).is_some_and(|n| n.is_ident("fn")))
+        }) {
+            j += 1;
+        }
+        let kind = match code.get(j) {
+            Some(q) if q.is_ident("fn") => "fn",
+            Some(q) if q.is_ident("const") => "const",
+            Some(q) if q.is_ident("static") => "static",
+            _ => continue,
+        };
+        if kind == "static" && code.get(j + 1).is_some_and(|n| n.is_ident("mut")) {
+            j += 1;
+        }
+        if let Some(name) = code.get(j + 1).filter(|n| n.kind == TokKind::Ident) {
+            items.push(SurfaceItem {
+                name: name.text.clone(),
+                kind,
+                file: file.rel_path.clone(),
+                line: name.line,
+                col: name.col,
+            });
+        }
+    }
+}
+
+/// The names `tokens` uses: identifiers in code, not in comments or
+/// string literals, and not the names a `fn`, `const` or `static`
+/// declares.
+pub fn used_names(tokens: &[Token]) -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    let mut prev: Option<&Token> = None;
+    for t in tokens.iter().filter(|t| !t.is_comment()) {
+        let declared =
+            prev.is_some_and(|p| p.is_ident("fn") || p.is_ident("const") || p.is_ident("static"));
+        if t.kind == TokKind::Ident && !declared {
+            names.insert(t.text.clone());
+        }
+        prev = Some(t);
+    }
+    names
+}
+
+/// The Rust code blocks of a markdown file (rustdoc compiles them as
+/// doctests): fences with no language or a Rust one (`rust`, `no_run`,
+/// `ignore`, `should_panic`, `compile_fail`), joined line by line.
+pub fn markdown_rust_code(text: &str) -> String {
+    let mut code = String::new();
+    let mut in_rust = None;
+    for line in text.lines() {
+        let Some(info) = line.trim_start().strip_prefix("```") else {
+            if in_rust == Some(true) {
+                code.push_str(line);
+                code.push('\n');
+            }
+            continue;
+        };
+        in_rust = match in_rust {
+            Some(_) => None,
+            None => Some(info.split(',').all(|tag| {
+                matches!(
+                    tag.trim(),
+                    "" | "rust" | "no_run" | "ignore" | "should_panic" | "compile_fail"
+                )
+            })),
+        };
+    }
+    code
+}
+
+/// Reports every surface item whose name no other file uses. `uses`
+/// holds each searched file with the names it uses.
+pub fn check_unreferenced(
+    items: &[SurfaceItem],
+    uses: &[(String, BTreeSet<String>)],
+    findings: &mut Vec<Finding>,
+) {
+    for item in items {
+        let used = uses
+            .iter()
+            .any(|(file, names)| *file != item.file && names.contains(&item.name));
+        if !used {
+            findings.push(Finding {
+                rule: RULE_UNREFERENCED.to_string(),
+                file: item.file.clone(),
+                line: item.line,
+                col: item.col,
+                message: format!(
+                    "`pub {} {}` is named by no other file — delete it, or narrow \
+                     it to the file or crate that uses it",
+                    item.kind, item.name
+                ),
+            });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn surface(src: &str) -> Vec<(String, &'static str)> {
+        let file = SourceFile::parse("crates/x/src/lib.rs", src, ALL_RULES, ALL_REGIONS);
+        let mut items = Vec::new();
+        collect_surface(&file, &mut items);
+        items.into_iter().map(|i| (i.name, i.kind)).collect()
+    }
+
+    #[test]
+    fn surface_items_are_bare_pub_values_outside_tests() {
+        let src = "pub const fn a() {}\npub unsafe extern \"C\" fn b() {}\n\
+                   pub static mut C: u8 = 0;\npub const D: u8 = 0;\n\
+                   pub(crate) fn e() {}\npub struct F;\npub use g::h;\n\
+                   #[cfg(test)]\npub fn i() {}\n";
+        let found = surface(src);
+        let expected = [("a", "fn"), ("b", "fn"), ("C", "static"), ("D", "const")];
+        let expected: Vec<(String, &str)> =
+            expected.iter().map(|&(n, k)| (n.to_string(), k)).collect();
+        assert_eq!(found, expected);
+    }
+
+    #[test]
+    fn declared_names_comments_and_strings_are_not_uses() {
+        let names = used_names(&crate::lexer::lex(
+            "fn a() { b(\"c\"); } // d\nconst E: u8 = F;",
+        ));
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        // Keywords lex as identifiers; no item can be named by one.
+        assert_eq!(names, ["F", "b", "const", "fn", "u8"]);
+    }
+
+    #[test]
+    fn only_rust_fences_of_markdown_are_code() {
+        let md = "a()\n```rust,no_run\nb();\n```\n```text\nc()\n```\n```\nd();\n```\n";
+        assert_eq!(markdown_rust_code(md), "b();\nd();\n");
     }
 }

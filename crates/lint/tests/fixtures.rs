@@ -107,6 +107,24 @@ fn documented_but_unregistered_ids_are_detected() {
 }
 
 #[test]
+fn unreferenced_surface_is_detected() {
+    let a = fixture("violations");
+    let file = "crates/tensor/src/surface.rs";
+    assert_at(&a, rules::RULE_UNREFERENCED, file, 5); // only its own tests call it
+    assert_at(&a, rules::RULE_UNREFERENCED, file, 10); // only comments, strings, prose
+
+    // Uses from another crate's src, a tests/ file and a SCENARIOS.md
+    // Rust block count; a type and a pub(crate) fn are out of scope.
+    let flagged: Vec<(&str, usize)> = a
+        .findings
+        .iter()
+        .filter(|f| f.rule == rules::RULE_UNREFERENCED)
+        .map(|f| (f.file.as_str(), f.line))
+        .collect();
+    assert_eq!(flagged, [(file, 5), (file, 10)]);
+}
+
+#[test]
 fn reasoned_waivers_suppress_and_are_counted() {
     let a = fixture("waived");
     assert!(

@@ -97,11 +97,6 @@ impl LogisticRegression {
         LogisticRegression { num_features, loss }
     }
 
-    /// The configured loss.
-    pub fn loss_kind(&self) -> LossKind {
-        self.loss
-    }
-
     fn raw(&self, params: &Vector, features: &[f64]) -> f64 {
         debug_assert_eq!(features.len(), self.num_features);
         let w = params.as_slice();
@@ -373,7 +368,6 @@ mod tests {
     fn dim_includes_bias() {
         let m = LogisticRegression::new(68, LossKind::SigmoidMse);
         assert_eq!(m.dim(), 69);
-        assert_eq!(m.loss_kind(), LossKind::SigmoidMse);
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub fn accuracy(model: &dyn Model, params: &Vector, dataset: &Dataset) -> f64 {
 /// # Panics
 ///
 /// Panics if the dataset is empty.
-pub fn full_loss(model: &dyn Model, params: &Vector, dataset: &Dataset) -> f64 {
+#[cfg(test)]
+fn full_loss(model: &dyn Model, params: &Vector, dataset: &Dataset) -> f64 {
     model.loss(params, &dataset.full_batch())
 }
 

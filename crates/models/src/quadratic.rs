@@ -45,16 +45,6 @@ impl QuadraticMean {
         QuadraticMean { dim }
     }
 
-    /// Strong-convexity modulus λ (= 1 for this cost).
-    pub fn strong_convexity(&self) -> f64 {
-        1.0
-    }
-
-    /// Gradient-Lipschitz modulus μ (= 1 for this cost).
-    pub fn lipschitz(&self) -> f64 {
-        1.0
-    }
-
     /// Suboptimality `Q(w) − Q* = ½‖w − x̄‖²` given the true mean.
     pub fn suboptimality(&self, params: &Vector, true_mean: &Vector) -> f64 {
         0.5 * params.l2_distance_squared(true_mean)
@@ -157,8 +147,14 @@ mod tests {
 
     #[test]
     fn moduli_are_one() {
+        // ∇Q(w) − ∇Q(v) = w − v on any batch: the strong-convexity and
+        // gradient-Lipschitz moduli λ = μ = 1 that Theorem 1 assumes.
+        let mut rng = Prng::seed_from_u64(4);
+        let dist = MeanEstimation::random_instance(&mut rng, 4, 1.0);
+        let batch = dist.sample_batch(6, &mut rng);
         let m = QuadraticMean::new(4);
-        assert_eq!(m.strong_convexity(), 1.0);
-        assert_eq!(m.lipschitz(), 1.0);
+        let (w, v) = (rng.normal_vector(4, 1.0), rng.normal_vector(4, 1.0));
+        let diff = &m.gradient(&w, &batch) - &m.gradient(&v, &batch);
+        assert!(diff.approx_eq(&(&w - &v), 1e-12));
     }
 }

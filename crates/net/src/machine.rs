@@ -288,31 +288,15 @@ impl RoundStateMachine {
         self.joined.get(id as usize).copied().unwrap_or(false)
     }
 
-    /// Whether worker `id` is currently detached (joined, connection
-    /// gone, no [`Event::Reattached`] yet).
-    pub fn is_detached(&self, id: u32) -> bool {
-        self.detached.get(id as usize).copied().unwrap_or(false)
-    }
-
     /// Workers that have joined.
     pub fn n_joined(&self) -> usize {
         self.n_joined
-    }
-
-    /// Workers that answered `WARMUP` with `READY`.
-    pub fn n_ready(&self) -> usize {
-        self.n_ready
     }
 
     /// Unique reporters of the in-flight step (resets at every
     /// broadcast).
     pub fn n_reported(&self) -> usize {
         self.n_reported
-    }
-
-    /// Joined workers currently detached.
-    pub fn n_detached(&self) -> usize {
-        self.n_detached
     }
 
     /// Per-worker staleness age (rounds late) of the in-flight round's
@@ -1009,11 +993,11 @@ mod tests {
         let mut out = Vec::new();
         m.on_event(Event::Joined(0), 1, &mut out);
         m.on_event(Event::Detached(0), 2, &mut out);
-        assert!(m.is_detached(0));
-        assert_eq!(m.n_detached(), 1);
+        assert!(m.detached[0]);
+        assert_eq!(m.n_detached, 1);
         m.on_event(Event::Joined(0), 3, &mut out); // rejoined pre-warmup
-        assert!(!m.is_detached(0));
-        assert_eq!(m.n_detached(), 0);
+        assert!(!m.detached[0]);
+        assert_eq!(m.n_detached, 0);
         assert!(out.is_empty());
     }
 
@@ -1022,16 +1006,16 @@ mod tests {
         let mut m = RoundStateMachine::new(cfg(2, 2, 2, 1), 0);
         let mut out = Vec::new();
         m.on_event(Event::Detached(0), 1, &mut out); // not joined yet
-        assert_eq!(m.n_detached(), 0);
+        assert_eq!(m.n_detached, 0);
         m.on_event(Event::Reattached(0), 1, &mut out); // not detached
         m.on_event(Event::Detached(9), 1, &mut out); // out of range
         m.on_event(Event::Joined(0), 2, &mut out);
         m.on_event(Event::Detached(0), 3, &mut out);
         m.on_event(Event::Detached(0), 4, &mut out); // duplicate
-        assert_eq!(m.n_detached(), 1);
+        assert_eq!(m.n_detached, 1);
         m.on_event(Event::Reattached(0), 5, &mut out);
         m.on_event(Event::Reattached(0), 6, &mut out); // duplicate
-        assert_eq!(m.n_detached(), 0);
+        assert_eq!(m.n_detached, 0);
     }
 
     #[test]
@@ -1125,7 +1109,7 @@ mod tests {
         m.on_event(Event::JoinedFresh(2), 105, &mut out);
         assert!(m.is_joined(2));
         assert_eq!(m.n_joined(), 3);
-        assert_eq!(m.n_ready(), 3, "fresh joiner skips warmup");
+        assert_eq!(m.n_ready, 3, "fresh joiner skips warmup");
         assert_eq!(m.churn().joined_fresh, 1);
         // Both original workers report: the round must still wait for the
         // fresh joiner (it is attached and unreported).

@@ -19,7 +19,7 @@
 //! integrity and authentication (Remark 1), not secrecy.
 //!
 //! One function accepts or refuses a frame: [`open_frame`] checks the
-//! length word against [`MAX_FRAME_LEN`] and the frame's size, reads the
+//! length word against the frame-length cap and the frame's size, reads the
 //! kind and verifies the tag. Both TCP endpoints read through
 //! [`FrameReader`], which checks the cap before buffering and opens each
 //! complete frame with it; the simulator opens every delivered frame with
@@ -96,7 +96,7 @@ pub const KIND_JOIN_FRESH: u8 = 9;
 /// hostile coordinate count can make [`decode_step`] allocate
 /// (2²⁴ × 8 B = 128 MiB) — far above any model this repo trains, far
 /// below a `u32`'s worth of `f64`s.
-pub const MAX_WIRE_DIM: usize = 1 << 24;
+const MAX_WIRE_DIM: usize = 1 << 24;
 
 /// Frame decode failures, typed by cause so transports can react
 /// differently: a short read may mean "wait for more bytes", a length
@@ -114,9 +114,9 @@ pub enum MessageError {
         /// Bytes actually presented.
         got: usize,
     },
-    /// A declared size exceeds its cap — a frame's length word above
-    /// [`MAX_FRAME_LEN`], or a `STEP`'s coordinate count above
-    /// [`MAX_WIRE_DIM`] — treated as corruption before any allocation or
+    /// A declared size exceeds its cap — a frame's length word above the
+    /// largest `GRAD` frame, or a `STEP`'s coordinate count above 2²⁴ —
+    /// treated as corruption before any allocation or
     /// buffering happens.
     LengthOverflow {
         /// The size the frame declared.
@@ -241,7 +241,7 @@ pub const fn grad_frame_len(dim: usize) -> usize {
 /// Largest acceptable frame `len`: the `GRAD` layout at [`MAX_WIRE_DIM`]
 /// coordinates, less the length word itself. A corrupted or hostile
 /// length word above this is rejected before any buffering happens.
-pub const MAX_FRAME_LEN: usize = grad_frame_len(MAX_WIRE_DIM) - 4;
+const MAX_FRAME_LEN: usize = grad_frame_len(MAX_WIRE_DIM) - 4;
 
 /// The frame length a length word declares, checked against the layout's
 /// minimum and [`MAX_FRAME_LEN`].
@@ -264,7 +264,7 @@ fn declared_len(word: [u8; 4]) -> Result<usize, MessageError> {
 
 /// Opens one whole frame, length word included: the one place a frame is
 /// accepted or refused. Checks the length word against the layout's
-/// minimum and [`MAX_FRAME_LEN`] and against the bytes presented (exactly
+/// minimum and the frame-length cap and against the bytes presented (exactly
 /// one frame), then verifies the tag over the kind byte and the payload,
 /// and returns `(kind, payload)`.
 ///
@@ -372,7 +372,7 @@ impl FrameReader {
 
     /// Pops the next complete frame, if one has fully arrived, opened by
     /// [`open_frame`] as `(kind, payload)`. The length word is checked
-    /// against [`MAX_FRAME_LEN`] before the frame is buffered. The payload
+    /// against the frame-length cap before the frame is buffered. The payload
     /// borrows the reader's buffer — copy or decode it before the next
     /// `fill`/`next_frame` call.
     ///
@@ -577,8 +577,8 @@ pub fn decode_grad(payload: &[u8], dim: usize, out: &mut WorkerOutput) -> Result
 ///
 /// # Errors
 ///
-/// [`MessageError::LengthOverflow`] if the coordinate count exceeds
-/// [`MAX_WIRE_DIM`] (checked before `params` is resized),
+/// [`MessageError::LengthOverflow`] if the coordinate count exceeds 2²⁴
+/// (checked before `params` is resized),
 /// [`MessageError::ShortRead`] if the payload does not hold exactly that
 /// many coordinates.
 pub fn decode_step(payload: &[u8], params: &mut Vector) -> Result<(u32, u32), MessageError> {

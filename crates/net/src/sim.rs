@@ -76,7 +76,7 @@ use std::sync::{Arc, MutexGuard};
 /// Extra one-way latency charged per simulated "drop": the frame is not
 /// lost, it is redelivered later — TCP's retransmission model, which is
 /// what keeps crash-free chaos invisible to the digest.
-pub const RETRANSMIT_PENALTY_MS: u64 = 3;
+const RETRANSMIT_PENALTY_MS: u64 = 3;
 
 /// Redelivery attempts a frame can lose before the link gives up
 /// dropping it (keeps worst-case delay bounded well under the default
@@ -91,8 +91,8 @@ pub struct LinkPlan {
     /// Uniform extra latency in `0..=jitter_ms` per copy — the reorder
     /// source.
     pub jitter_ms: u64,
-    /// Probability a delivery attempt is "dropped" (redelivered
-    /// [`RETRANSMIT_PENALTY_MS`] + base later).
+    /// Probability a delivery attempt is "dropped" (redelivered after a
+    /// fixed retransmit penalty plus the base latency).
     pub drop: f64,
     /// Probability a second copy of the frame is delivered.
     pub dup: f64,

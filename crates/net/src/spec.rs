@@ -113,7 +113,7 @@ impl JobSpec {
 
     /// Rebuilds the experiment; worker processes only materialize its
     /// components through [`Experiment::build_trainer`].
-    pub fn to_experiment(&self) -> Experiment {
+    fn to_experiment(&self) -> Experiment {
         let workload = match &self.workload {
             WorkloadSpec::PhishingLike { data_seed, size } => Workload::PhishingLike {
                 data_seed: *data_seed,

@@ -145,27 +145,9 @@ impl RunHistory {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// First (1-based) step at which the loss dropped to within `slack` of
-    /// the run's minimum, or `None` if the run never got there (always
-    /// `Some` with `slack ≥ 0` since the min itself qualifies).
-    pub fn steps_to_reach(&self, threshold: f64) -> Option<u32> {
-        self.train_loss
-            .iter()
-            .position(|&l| l <= threshold)
-            .map(|i| i as u32 + 1)
-    }
-
     /// Final recorded test accuracy (if evaluation was enabled).
     pub fn final_accuracy(&self) -> Option<f64> {
         self.test_accuracy.last().map(|&(_, a)| a)
-    }
-
-    /// Best recorded test accuracy.
-    pub fn best_accuracy(&self) -> Option<f64> {
-        self.test_accuracy
-            .iter()
-            .map(|&(_, a)| a)
-            .fold(None, |best, a| Some(best.map_or(a, |b: f64| b.max(a))))
     }
 
     /// Mean of the last `k` training losses (a smoother "final loss").
@@ -275,35 +257,6 @@ impl SeedSummary {
             })
             .collect()
     }
-
-    /// Per-evaluation-point mean ± std of accuracy across runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on empty input or mismatched evaluation schedules.
-    pub fn accuracy_curve(histories: &[RunHistory]) -> Vec<(u32, SeedSummary)> {
-        assert!(!histories.is_empty(), "need at least one run");
-        let points = histories[0].test_accuracy.len();
-        (0..points)
-            .map(|i| {
-                let step = histories[0].test_accuracy[i].0;
-                let mut w = Welford::new();
-                for h in histories {
-                    let (s, a) = h.test_accuracy[i];
-                    assert_eq!(s, step, "mismatched evaluation schedules");
-                    w.push(a);
-                }
-                (
-                    step,
-                    SeedSummary {
-                        mean: w.mean(),
-                        std: w.sample_std(),
-                        runs: histories.len(),
-                    },
-                )
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -329,9 +282,6 @@ mod tests {
         assert_eq!(h.final_loss(), 2.5);
         assert_eq!(h.min_loss(), 2.0);
         assert_eq!(h.final_accuracy(), Some(0.9));
-        assert_eq!(h.best_accuracy(), Some(0.9));
-        assert_eq!(h.steps_to_reach(2.1), Some(2));
-        assert_eq!(h.steps_to_reach(0.1), None);
         assert!((h.tail_loss(2) - 2.25).abs() < 1e-12);
     }
 
@@ -401,9 +351,5 @@ mod tests {
         assert_eq!(loss.len(), 2);
         assert_eq!(loss[0].mean, 2.0);
         assert_eq!(loss[1].mean, 4.0);
-        let acc = SeedSummary::accuracy_curve(&hs);
-        assert_eq!(acc[0].0, 1);
-        assert_eq!(acc[0].1.mean, 0.5);
-        assert_eq!(acc[1].1.mean, 0.9);
     }
 }

@@ -226,7 +226,7 @@ impl<J: RoundJob> SharedRound<J> {
     /// round whose jobs fall due one at a time a lent thread then waits
     /// `CLAIM_SPIN` reads for the next; the loop returns once none fell
     /// due in that window or the generation closed.
-    pub fn work(&self, generation: u32) {
+    fn work(&self, generation: u32) {
         loop {
             while let Some(i) = self.claim(generation) {
                 self.run(i);

@@ -46,7 +46,7 @@ pub const LANES: usize = 4;
 /// the blocked path at every length because its dominant callers are the
 /// cohort-length coordinate statistics (`n ≲ 16` values per column) whose
 /// blocked summation order is pinned by the golden history digests.
-pub const SCALAR_CUTOFF: usize = 16;
+const SCALAR_CUTOFF: usize = 16;
 
 /// Coordinate tile width of [`pairwise_squared_distances_tiled`]: a
 /// multiple of [`LANES`] sized so one tile of every row in a typical
@@ -246,7 +246,7 @@ pub fn pairwise_squared_distances<R: AsRef<[f64]>>(
 /// block sequence in exactly the same order as the untiled
 /// [`squared_distance`] kernel, so the result is **bit-identical** to the
 /// untiled fill at every `d` (pinned by tests below); only the memory
-/// traffic changes. Inputs with `m < 2` or `d <` [`SCALAR_CUTOFF`]
+/// traffic changes. Inputs with `m < 2` or `d` below the scalar cutoff
 /// delegate to the untiled kernel (which itself dispatches to the scalar
 /// path there).
 ///

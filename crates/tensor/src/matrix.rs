@@ -1,7 +1,8 @@
-//! Row-major dense matrices, used for dataset feature tables and MLP weight
-//! blocks.
+//! Row-major dense matrices, used for dataset feature tables.
 
-use crate::{TensorError, Vector};
+use crate::TensorError;
+#[cfg(test)]
+use crate::Vector;
 use serde::{Deserialize, Serialize};
 
 /// A dense row-major `rows × cols` matrix of `f64`.
@@ -9,11 +10,11 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use dpbyz_tensor::{Matrix, Vector};
+/// use dpbyz_tensor::Matrix;
 ///
 /// let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-/// let y = m.matvec(&Vector::from(vec![1.0, 1.0]));
-/// assert_eq!(y.as_slice(), &[3.0, 7.0]);
+/// assert_eq!(m.row(1), &[3.0, 4.0]);
+/// assert_eq!(m.get(0, 1), 2.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
@@ -37,7 +38,8 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, TensorError> {
+    #[cfg(test)]
+    fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, TensorError> {
         if data.len() != rows * cols {
             return Err(TensorError::ShapeMismatch {
                 rows,
@@ -151,7 +153,8 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `x.dim() != cols`.
-    pub fn matvec(&self, x: &Vector) -> Vector {
+    #[cfg(test)]
+    fn matvec(&self, x: &Vector) -> Vector {
         assert_eq!(
             x.dim(),
             self.cols,
@@ -176,7 +179,8 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `y.dim() != rows`.
-    pub fn matvec_transposed(&self, y: &Vector) -> Vector {
+    #[cfg(test)]
+    fn matvec_transposed(&self, y: &Vector) -> Vector {
         assert_eq!(
             y.dim(),
             self.rows,

@@ -29,7 +29,7 @@ const NORMAL_CHUNK: usize = 64;
 /// let mut root = Prng::seed_from_u64(1);
 /// let mut w0 = root.derive(0);
 /// let mut w1 = root.derive(1);
-/// assert_ne!(w0.standard_normal(), w1.standard_normal());
+/// assert_ne!(w0.normal(0.0, 1.0), w1.normal(0.0, 1.0));
 /// ```
 #[derive(Debug)]
 pub struct Prng {
@@ -85,7 +85,7 @@ impl Prng {
     }
 
     /// Standard normal sample via the polar Box–Muller method.
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         // Polar (Marsaglia) method: rejection-sample a point in the unit
         // disk, then transform. One of the two produced deviates is
         // discarded to keep the generator state independent of call parity.
@@ -160,7 +160,8 @@ impl Prng {
     /// # Panics
     ///
     /// Panics if `rate` is not positive.
-    pub fn exponential(&mut self, rate: f64) -> f64 {
+    #[cfg(test)]
+    fn exponential(&mut self, rate: f64) -> f64 {
         assert!(rate > 0.0, "exponential rate must be positive");
         -(1.0 - self.uniform()).max(f64::MIN_POSITIVE).ln() / rate
     }
@@ -184,7 +185,8 @@ impl Prng {
     /// # Panics
     ///
     /// Panics if `k > n`.
-    pub fn sample_without_replacement(&mut self, n: usize, k: usize) -> Vec<usize> {
+    #[cfg(test)]
+    fn sample_without_replacement(&mut self, n: usize, k: usize) -> Vec<usize> {
         assert!(k <= n, "cannot sample {k} from {n} without replacement");
         let mut idx: Vec<usize> = (0..n).collect();
         for i in 0..k {

@@ -37,16 +37,6 @@ pub fn sample_variance(xs: &[f64]) -> Result<f64, TensorError> {
     Ok(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64)
 }
 
-/// Population (÷n) variance.
-///
-/// # Errors
-///
-/// Returns [`TensorError::Empty`] for an empty slice.
-pub fn population_variance(xs: &[f64]) -> Result<f64, TensorError> {
-    let m = mean(xs)?;
-    Ok(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
-}
-
 /// `a.partial_cmp(&b)`, with every NaN ordered above every number and
 /// equal to every other NaN, recording in `nan` that one was compared.
 /// On NaN-free input it answers exactly as `partial_cmp`; with NaN it is
@@ -114,7 +104,8 @@ pub fn median_with(xs: &[f64], scratch: &mut Vec<f64>) -> Result<f64, TensorErro
 /// # Panics
 ///
 /// Panics if `q` is outside `[0, 1]`.
-pub fn quantile(xs: &[f64], q: f64) -> Result<f64, TensorError> {
+#[cfg(test)]
+fn quantile(xs: &[f64], q: f64) -> Result<f64, TensorError> {
     assert!((0.0..=1.0).contains(&q), "quantile q must be in [0,1]");
     if xs.is_empty() {
         return Err(TensorError::Empty);
@@ -169,25 +160,15 @@ pub fn trimmed_mean_with(
 }
 
 /// Mean of the `k` elements closest to `center` (the scalar core of the
-/// Meamed and Phocas GARs).
+/// Meamed and Phocas GARs), sorting by distance in a caller-provided
+/// scratch buffer (no allocation once warmed up). The sort is *stable*,
+/// so distance ties at the selection boundary resolve by input order.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::Empty`] if `k == 0` or `k > xs.len()`, and
 /// [`TensorError::NaN`] if a distance to `center` among two or more is NaN
 /// (a NaN value or centre, or an infinite value at an infinite centre).
-pub fn mean_around(xs: &[f64], center: f64, k: usize) -> Result<f64, TensorError> {
-    mean_around_with(xs, center, k, &mut Vec::new())
-}
-
-/// [`mean_around`] with a caller-provided scratch buffer (no allocation
-/// once warmed up). Uses the same *stable* sort as [`mean_around`], so
-/// distance ties at the selection boundary resolve identically — the two
-/// are bit-identical.
-///
-/// # Errors
-///
-/// As [`mean_around`].
 pub fn mean_around_with(
     xs: &[f64],
     center: f64,
@@ -262,15 +243,6 @@ impl Welford {
         }
     }
 
-    /// Population variance (0 if empty).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample standard deviation.
     pub fn sample_std(&self) -> f64 {
         self.sample_variance().sqrt()
@@ -300,42 +272,6 @@ pub fn coordinate_std(vectors: &[Vector]) -> Result<Vector, TensorError> {
     Ok(acc.map(f64::sqrt))
 }
 
-/// Per-coordinate median across vectors.
-///
-/// # Errors
-///
-/// Returns [`TensorError::Empty`] for no vectors,
-/// [`TensorError::DimensionMismatch`] for ragged input.
-pub fn coordinate_median(vectors: &[Vector]) -> Result<Vector, TensorError> {
-    coordinate_apply(vectors, median)
-}
-
-/// Applies a scalar reducer to every coordinate column.
-fn coordinate_apply(
-    vectors: &[Vector],
-    f: impl Fn(&[f64]) -> Result<f64, TensorError>,
-) -> Result<Vector, TensorError> {
-    let first = vectors.first().ok_or(TensorError::Empty)?;
-    let dim = first.dim();
-    for v in vectors {
-        if v.dim() != dim {
-            return Err(TensorError::DimensionMismatch {
-                expected: dim,
-                actual: v.dim(),
-            });
-        }
-    }
-    let mut out = Vector::zeros(dim);
-    let mut col = vec![0.0; vectors.len()];
-    for j in 0..dim {
-        for (i, v) in vectors.iter().enumerate() {
-            col[i] = v[j];
-        }
-        out[j] = f(&col)?;
-    }
-    Ok(out)
-}
-
 /// Empirical mean squared deviation of `vectors` around their own mean:
 /// an estimate of `E‖G − E[G]‖²`, the numerator of the VN ratio.
 ///
@@ -362,7 +298,6 @@ mod tests {
     fn mean_and_variance() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]).unwrap(), 2.0);
         assert_eq!(sample_variance(&[1.0, 2.0, 3.0]).unwrap(), 1.0);
-        assert_eq!(population_variance(&[1.0, 3.0]).unwrap(), 1.0);
         assert!(mean(&[]).is_err());
         assert!(sample_variance(&[1.0]).is_err());
     }
@@ -395,9 +330,10 @@ mod tests {
     #[test]
     fn mean_around_center() {
         let xs = [0.0, 1.0, 10.0, 11.0];
-        assert_eq!(mean_around(&xs, 0.5, 2).unwrap(), 0.5);
-        assert!(mean_around(&xs, 0.0, 0).is_err());
-        assert!(mean_around(&xs, 0.0, 5).is_err());
+        let mut scratch = Vec::new();
+        assert_eq!(mean_around_with(&xs, 0.5, 2, &mut scratch).unwrap(), 0.5);
+        assert!(mean_around_with(&xs, 0.0, 0, &mut scratch).is_err());
+        assert!(mean_around_with(&xs, 0.0, 5, &mut scratch).is_err());
     }
 
     #[test]
@@ -414,13 +350,19 @@ mod tests {
                 trimmed_mean_with(xs, 0, &mut scratch),
                 Err(TensorError::NaN)
             );
-            assert_eq!(mean_around(xs, 1.0, 1), Err(TensorError::NaN));
+            assert_eq!(
+                mean_around_with(xs, 1.0, 1, &mut scratch),
+                Err(TensorError::NaN)
+            );
         }
         // A NaN centre makes every distance NaN; so does an infinite value
         // at an infinite centre.
-        assert_eq!(mean_around(&[1.0, 2.0], f64::NAN, 1), Err(TensorError::NaN));
         assert_eq!(
-            mean_around(&[f64::INFINITY, 2.0], f64::INFINITY, 1),
+            mean_around_with(&[1.0, 2.0], f64::NAN, 1, &mut scratch),
+            Err(TensorError::NaN)
+        );
+        assert_eq!(
+            mean_around_with(&[f64::INFINITY, 2.0], f64::INFINITY, 1, &mut scratch),
             Err(TensorError::NaN)
         );
     }
@@ -471,12 +413,6 @@ mod tests {
             trimmed_mean(&xs, 2).unwrap().to_bits(),
             trimmed_mean_with(&xs, 2, &mut scratch).unwrap().to_bits()
         );
-        assert_eq!(
-            mean_around(&xs, 2.0, 4).unwrap().to_bits(),
-            mean_around_with(&xs, 2.0, 4, &mut scratch)
-                .unwrap()
-                .to_bits()
-        );
         assert!(median_with(&[], &mut scratch).is_err());
         assert!(trimmed_mean_with(&xs, 4, &mut scratch).is_err());
         assert!(mean_around_with(&xs, 0.0, 0, &mut scratch).is_err());
@@ -499,7 +435,6 @@ mod tests {
         let w = Welford::new();
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.sample_variance(), 0.0);
-        assert_eq!(w.population_variance(), 0.0);
     }
 
     #[test]
@@ -511,20 +446,8 @@ mod tests {
     }
 
     #[test]
-    fn coordinate_median_works() {
-        let vs = vec![
-            Vector::from(vec![1.0, 5.0]),
-            Vector::from(vec![2.0, -5.0]),
-            Vector::from(vec![100.0, 0.0]),
-        ];
-        let m = coordinate_median(&vs).unwrap();
-        assert_eq!(m.as_slice(), &[2.0, 0.0]);
-    }
-
-    #[test]
     fn coordinate_fns_reject_ragged() {
         let vs = vec![Vector::zeros(2), Vector::zeros(3)];
-        assert!(coordinate_median(&vs).is_err());
         assert!(coordinate_std(&vs).is_err());
     }
 

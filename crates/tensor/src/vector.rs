@@ -36,11 +36,6 @@ impl Vector {
         Vector(vec![value; dim])
     }
 
-    /// Creates a vector of dimension `dim` with every coordinate equal to 1.
-    pub fn ones(dim: usize) -> Self {
-        Self::filled(dim, 1.0)
-    }
-
     /// Creates a standard basis vector `e_i` of dimension `dim`.
     ///
     /// # Errors
@@ -110,16 +105,6 @@ impl Vector {
     /// Euclidean norm `‖self‖₂`.
     pub fn l2_norm(&self) -> f64 {
         self.l2_norm_squared().sqrt()
-    }
-
-    /// Manhattan norm `‖self‖₁`.
-    pub fn l1_norm(&self) -> f64 {
-        self.0.iter().map(|x| x.abs()).sum()
-    }
-
-    /// Supremum norm `‖self‖∞` (0 for the empty vector).
-    pub fn linf_norm(&self) -> f64 {
-        self.0.iter().fold(0.0, |m, x| m.max(x.abs()))
     }
 
     /// Euclidean distance `‖self − other‖₂`.
@@ -451,7 +436,6 @@ mod tests {
     #[test]
     fn zeros_ones_filled() {
         assert_eq!(Vector::zeros(3).as_slice(), &[0.0, 0.0, 0.0]);
-        assert_eq!(Vector::ones(2).as_slice(), &[1.0, 1.0]);
         assert_eq!(Vector::filled(2, 7.5).as_slice(), &[7.5, 7.5]);
     }
 
@@ -468,8 +452,6 @@ mod tests {
         let b = Vector::from(vec![4.0, -5.0, 6.0]);
         assert_eq!(a.dot(&b), 4.0 - 10.0 + 18.0);
         assert_eq!(a.l2_norm_squared(), 14.0);
-        assert_eq!(b.l1_norm(), 15.0);
-        assert_eq!(b.linf_norm(), 6.0);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Theorem 1's error-rate scaling, measured end-to-end on the
-//! mean-estimation workload.
+//! mean-estimation workload: each measured error ratio is checked against
+//! the ratio of the Θ rate `d·ln(1/δ) / (T·b²·ε²)` between the two cells.
 
 use dpbyz_core::pipeline::Experiment;
 use dpbyz_core::theory::convergence;
@@ -25,12 +26,15 @@ fn paper_budget() -> PrivacyBudget {
 
 #[test]
 fn dp_error_grows_linearly_with_dimension() {
-    let e16 = suboptimality(16, Some(paper_budget()), 300, 10);
-    let e64 = suboptimality(64, Some(paper_budget()), 300, 10);
+    let budget = paper_budget();
+    let e16 = suboptimality(16, Some(budget), 300, 10);
+    let e64 = suboptimality(64, Some(budget), 300, 10);
     let ratio = e64 / e16;
+    let expected =
+        convergence::theta_rate(64, budget, 300, 10) / convergence::theta_rate(16, budget, 300, 10);
     assert!(
-        ratio > 2.5 && ratio < 6.5,
-        "d×4 gave error×{ratio:.2}, expected ≈4"
+        ratio > expected * 0.625 && ratio < expected * 1.625,
+        "d×4 gave error×{ratio:.2}, expected ≈{expected:.0}"
     );
 }
 
@@ -45,13 +49,16 @@ fn no_dp_error_is_dimension_free() {
 
 #[test]
 fn dp_error_shrinks_quadratically_with_batch() {
-    let b5 = suboptimality(32, Some(paper_budget()), 300, 5);
-    let b20 = suboptimality(32, Some(paper_budget()), 300, 20);
+    let budget = paper_budget();
+    let b5 = suboptimality(32, Some(budget), 300, 5);
+    let b20 = suboptimality(32, Some(budget), 300, 20);
     let ratio = b5 / b20;
     // b×4 ⇒ error ÷16 (noise-dominated regime); generous window.
+    let expected =
+        convergence::theta_rate(32, budget, 300, 5) / convergence::theta_rate(32, budget, 300, 20);
     assert!(
-        ratio > 8.0 && ratio < 32.0,
-        "b×4 gave error÷{ratio:.1}, expected ≈16"
+        ratio > expected * 0.5 && ratio < expected * 2.0,
+        "b×4 gave error÷{ratio:.1}, expected ≈{expected:.0}"
     );
 }
 
@@ -62,9 +69,11 @@ fn dp_error_shrinks_quadratically_with_epsilon() {
     let e_tight = suboptimality(32, Some(tight), 300, 10);
     let e_loose = suboptimality(32, Some(loose), 300, 10);
     let ratio = e_tight / e_loose;
+    let expected =
+        convergence::theta_rate(32, tight, 300, 10) / convergence::theta_rate(32, loose, 300, 10);
     assert!(
-        ratio > 8.0 && ratio < 32.0,
-        "ε×4 gave error÷{ratio:.1}, expected ≈16"
+        ratio > expected * 0.5 && ratio < expected * 2.0,
+        "ε×4 gave error÷{ratio:.1}, expected ≈{expected:.0}"
     );
 }
 
@@ -93,11 +102,14 @@ fn measured_error_between_theorem_bounds() {
 
 #[test]
 fn error_halves_when_horizon_doubles() {
-    let t200 = suboptimality(32, Some(paper_budget()), 200, 10);
-    let t800 = suboptimality(32, Some(paper_budget()), 800, 10);
+    let budget = paper_budget();
+    let t200 = suboptimality(32, Some(budget), 200, 10);
+    let t800 = suboptimality(32, Some(budget), 800, 10);
     let ratio = t200 / t800;
+    let expected =
+        convergence::theta_rate(32, budget, 200, 10) / convergence::theta_rate(32, budget, 800, 10);
     assert!(
-        ratio > 2.0 && ratio < 8.0,
-        "T×4 gave error÷{ratio:.1}, expected ≈4"
+        ratio > expected * 0.5 && ratio < expected * 2.0,
+        "T×4 gave error÷{ratio:.1}, expected ≈{expected:.0}"
     );
 }

@@ -117,7 +117,8 @@ fn measured_vn_vs_gar_kappas_flips_under_dp() {
     // paper is about, on live measurements.
     let kappa = mda_kappa();
     let good = early_mean(&run(500, None).vn_clean, 10);
-    let bad = early_mean(&run(50, Some(0.2)).vn_submitted, 10);
+    let noisy = run(50, Some(0.2));
+    let bad = early_mean(&noisy.vn_submitted, 10);
     assert!(
         good < kappa,
         "clean b=500 should satisfy MDA's bound early on: VN {good} vs κ {kappa}"
@@ -126,6 +127,26 @@ fn measured_vn_vs_gar_kappas_flips_under_dp() {
         bad > kappa,
         "DP b=50 should violate MDA's bound: VN {bad} vs κ {kappa}"
     );
+    // Eq. 8 fed each early step's measured clean statistics gives the
+    // verdict the measured noisy ratio gives at that step.
+    let budget = paper_budget();
+    let mut compared = 0;
+    for t in 0..10 {
+        let (clean_ratio, norm) = (noisy.vn_clean[t], noisy.grad_norm[t]);
+        if !clean_ratio.is_finite() || norm <= 0.0 {
+            continue;
+        }
+        compared += 1;
+        let sigma_g2 = (clean_ratio * norm).powi(2);
+        let predicted = theory_vn::condition_holds(sigma_g2, norm, budget, 1e-2, 50, 69, kappa);
+        let measured = noisy.vn_submitted[t] <= kappa;
+        assert_eq!(
+            predicted, measured,
+            "step {t}: Eq. 8 says {predicted}, measured VN {} vs κ {kappa}",
+            noisy.vn_submitted[t]
+        );
+    }
+    assert!(compared > 0, "no early step had finite clean statistics");
 }
 
 #[test]
